@@ -14,19 +14,29 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .errors import DgalError
+from .errors import DgalError, InputError
 from .groups import characters_generators, identity_component
 from .pipeline import PipelineConfig, galois_group, proto_galois
 from .systems import OdeSystem
 
 
 def _load_system(path):
-    with open(path) as fh:
-        return OdeSystem.from_document(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as err:
+        raise InputError("cannot read system document %s: %s"
+                         % (path, err.strerror or err)) from None
+    return OdeSystem.from_document(text)
 
 
 def _point(sys_, text):
-    return sys_.R.const.from_fraction(Fraction(text))
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError("expansion point %r is not a rational number"
+                         % text) from None
+    return sys_.R.const.from_fraction(value)
 
 
 def _strategy(args):
@@ -77,14 +87,12 @@ def cmd_series(args):
 
 
 def _relation_ideal(args):
-    from .relations import default_window, order_bound, relation_ideal
+    from .relations import find_relations
     sys_ = _load_system(args.system)
     a = _point(sys_, args.point) if args.point is not None \
         else sys_.R.const.one
-    d, ell = args.degree, args.coeff_degree
-    strategy = _strategy(args) or ("stabilize", default_window(sys_, d))
-    N, rigorous = order_bound(sys_, a, d, ell, strategy)
-    return sys_, relation_ideal(sys_, a, d, ell, N, rigorous=rigorous)
+    return sys_, find_relations(sys_, a, args.degree, args.coeff_degree,
+                                _strategy(args))
 
 
 def cmd_relations(args):

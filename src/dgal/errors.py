@@ -11,6 +11,13 @@ class DgalError(Exception):
     exit_code = 1
 
 
+class InputError(DgalError):
+    """The input means nothing: a missing file, a malformed number, or a
+    cap outside its range."""
+
+    exit_code = 2
+
+
 class UnsupportedInstanceError(DgalError):
     """The input is valid but falls outside the implemented class.
 

@@ -1,10 +1,23 @@
-"""Dense exact linear algebra over any adapter field.
+"""Dense linear algebra over any adapter field.
 
 Matrices are plain lists of lists of field elements; the field argument
-supplies the arithmetic (ConstField, RatFuncField, ExtField, ...).
-Everything here is straightforward Gaussian elimination; sizes stay
-small so no pivoting heuristics are needed beyond "first nonzero".
+supplies the arithmetic (ConstField, RatFuncField, ExtField, ...).  The
+elimination routines are Gaussian elimination with the first nonzero
+entry as pivot; sizes stay small, so no other pivoting is needed.
+
+``PrimeField`` is one more adapter: GF(p) on Python ints.  With it the
+same routines run modulo a word-size prime, which avoids the gcd work
+of rational arithmetic.  A result found mod p says nothing about QQ by
+itself: ``certified_kernel`` lifts a kernel found mod p by rational
+reconstruction (Wang, Guy and Davenport 1982; the modular method of
+Dixon 1982) and checks the lift exactly.
 """
+
+from fractions import Fraction
+from math import gcd, isqrt, lcm
+
+# the Mersenne prime 2^61 - 1: entries and products stay cheap Python ints
+P61 = (1 << 61) - 1
 
 
 def zeros(field, rows, cols):
@@ -206,6 +219,115 @@ class RrefAccumulator:
                 v[pc] = f.neg(r[fc])
             basis.append(v)
         return basis
+
+
+class NotCertified(Exception):
+    """A result found mod p that cannot stand for the exact one; the
+    message says why."""
+
+
+class PrimeField:
+    """GF(p), p = P61, as an adapter field: elements are Python ints in
+    [0, p)."""
+
+    p = P61
+    zero = 0
+    one = 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return pow(a, -1, self.p)
+
+    def is_zero(self, a):
+        return not a
+
+    def reduce_row(self, row):
+        """Images num * den^-1 mod p of rationals (anything with a
+        numerator and a denominator)."""
+        p = self.p
+        out = []
+        for q in row:
+            num, den = q.numerator, q.denominator
+            if den == 1:
+                out.append(num % p)
+            elif den % p:
+                out.append(num * pow(den, -1, p) % p)
+            else:
+                raise NotCertified("a denominator is 0 mod p")
+        return out
+
+
+def rational_reconstruction(u, p):
+    """The Fraction n/d with |n|, d <= sqrt(p/2) and n = u d mod p, or
+    None when there is none (it is unique when it exists)."""
+    bound = isqrt(p // 2)
+    r0, r1 = p, u % p
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def kernel_vanishes(rows, vectors):
+    """True iff every row times every vector is exactly 0.
+
+    Rows and vectors hold rationals (anything with a numerator and a
+    denominator).  Both are scaled to integers, so each check is one
+    integer dot product over the vector's support."""
+    scaled = []
+    for vec in vectors:
+        den = lcm(*(q.denominator for q in vec))
+        scaled.append([(j, q.numerator * (den // q.denominator))
+                       for j, q in enumerate(vec) if q])
+    for row in rows:
+        den = lcm(*(q.denominator for q in row))
+        ints = [q.numerator * (den // q.denominator) for q in row]
+        for support in scaled:
+            if sum(ints[j] * c for j, c in support):
+                return False
+    return True
+
+
+def certified_kernel(acc, rows):
+    """The exact right kernel of rational ``rows``, read off ``acc``, an
+    RrefAccumulator over a PrimeField that has seen their images.
+
+    Each kernel vector mod p is lifted by rational reconstruction and
+    checked exactly against every row.  Vectors that pass are the exact
+    kernel: the r pivots mod p give a rank of at least r over QQ, and the
+    cols - r checked vectors, independent by construction, a rank of at
+    most r.  Entries are Fractions, zero entries the int 0.  Raises
+    NotCertified when a lift or a check fails."""
+    p = acc.field.p
+    lifted = []
+    for vec in acc.kernel_basis():
+        out = []
+        for u in vec:
+            q = rational_reconstruction(u, p) if u else 0
+            if q is None:
+                raise NotCertified("rational reconstruction failed")
+            out.append(q)
+        lifted.append(out)
+    if not kernel_vanishes(rows, lifted):
+        raise NotCertified("the exact check failed")
+    return lifted
 
 
 def row_space_contains(field, rows, vec):

@@ -14,10 +14,13 @@ symbolically, and executable runs take a user-supplied degree override
 (results are then labeled relative to that degree).
 """
 
+from fractions import Fraction
 from math import lcm
 
+from sympy import integer_nthroot
+
 from . import linalg
-from .errors import DgalError, UnsupportedInstanceError
+from .errors import DgalError, InputError, UnsupportedInstanceError
 from .fields import split_univariate
 from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
                      characters_generators, group_points_finite, group_ring,
@@ -25,8 +28,7 @@ from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
                      stabilizer_group, verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import PolyRing, groebner, is_zero_dimensional, normal_form
-from .relations import (default_window, graded_lex_order, membership_test,
-                        order_bound, relation_ideal,
+from .relations import (find_relations, graded_lex_order, membership_test,
                         substituted_coefficient_system)
 from .series import Series, SeriesAlgebra, TruncSeries, algebraic_series
 from .solve import PositiveDimensionalError, _join, solve_zero_dimensional
@@ -44,7 +46,7 @@ class PipelineConfig:
     def __init__(self, degree=None, a=None, b=None, c=None, ell=2,
                  order_strategy=None, char_degree=None, samples=4):
         if degree is not None and degree < 1:
-            raise DgalError("degree override must be >= 1")
+            raise InputError("degree override must be >= 1")
         self.degree = degree
         self.a = a
         self.b = b
@@ -157,12 +159,7 @@ def proto_galois(sys, cfg):
         err.bound_expr = expr
         raise err
     a, _b, _c = cfg.resolve_points(sys)
-    d, ell = cfg.degree, cfg.ell
-    strategy = cfg.order_strategy
-    if strategy is None:
-        strategy = ("stabilize", default_window(sys, d))
-    N, rigorous = order_bound(sys, a, d, ell, strategy)
-    rel = relation_ideal(sys, a, d, ell, N, rigorous=rigorous)
+    rel = find_relations(sys, a, cfg.degree, cfg.ell, cfg.order_strategy)
     H = stabilizer_group(rel)
     verify_group_axioms(H, rel)
     return H, rel
@@ -194,21 +191,16 @@ def _n(rel):
 
 
 def _fraction_nth_root(fr, m):
-    """Exact m-th root of a Fraction, or None."""
-    from fractions import Fraction
+    """Exact m-th root of a Fraction, or None (also for 0: a constant
+    factor of alpha must be invertible)."""
     if fr < 0:
         if m % 2 == 0:
             return None
         neg = _fraction_nth_root(-fr, m)
         return None if neg is None else -neg
-    p, q = fr.numerator, fr.denominator
-    rp = round(p ** (1.0 / m))
-    rq = round(q ** (1.0 / m))
-    for dp in (rp - 1, rp, rp + 1):
-        for dq in (rq - 1, rq, rq + 1):
-            if dp > 0 and dq > 0 and dp ** m == p and dq ** m == q:
-                return Fraction(dp, dq)
-    return None
+    rp, p_exact = integer_nthroot(fr.numerator, m)
+    rq, q_exact = integer_nthroot(fr.denominator, m)
+    return Fraction(rp, rq) if rp and p_exact and q_exact else None
 
 
 def _radical_exponents(rel):

@@ -6,10 +6,14 @@ coefficients of degree <= 2l is evaluated on the series of the
 fundamental matrix, and each series order contributes one linear
 constraint on the unknown coefficients.  The kernel, rewritten with
 rational-function coefficients and row-reduced, is the relation basis.
+
+The solve eliminates modulo a word-size prime and certifies the kernel
+it finds exactly (``_RelationSolve``); ``find_relations`` runs it once
+for both the truncation order and the kernel.
 """
 
 from . import linalg
-from .errors import DgalError, ResourceCapError
+from .errors import DgalError, InputError, ResourceCapError
 from .extfield import ExtField
 from .multipoly import GREVLEX, MonomialOrder, PolyRing
 from .ratfunc import _poly_shift
@@ -126,65 +130,164 @@ def default_window(sys, d):
     return 25 + d * sys.n * sys.n
 
 
-def order_bound(sys, a, d, ell, strategy, gamma_spec=None, max_order=500):
+class _RelationSolve:
+    """The incremental solve that order_bound and relation_ideal share:
+    one ansatz builder and one accumulator, whose rows are added once.
+
+    Rows are eliminated over GF(p), p = 2^61 - 1, and the kernel is
+    certified exactly against every row added (linalg.certified_kernel).
+    The solve reruns from the start over the exact constant field when
+    that field is a number field, a denominator is 0 mod p, a
+    reconstruction fails or the exact check fails; ``exact_reason`` then
+    says which."""
+
+    def __init__(self, sys, a, d, ell, gamma_spec=None):
+        self.builder = _AnsatzBuilder(sys, a, d, ell, gamma_spec)
+        self.prepared = None
+        self.exact_reason = None
+        self.N = None
+        self.kernel = None
+
+    def _ensure(self, order):
+        """Series of the monomials through at least the given order."""
+        if self.prepared is None or self.prepared < order:
+            self.builder.prepare(order)
+            self.prepared = order
+
+    def _solve(self, first_order, run):
+        """run() adds rows and returns N; sets N and the exact kernel."""
+        self._ensure(first_order)
+        k = self.builder.k
+        if k.degree() != 1:
+            self.exact_reason = "the constant field is a number field"
+        while True:
+            modular = self.exact_reason is None
+            self.field = linalg.PrimeField() if modular else k
+            self.acc = linalg.RrefAccumulator(self.field, self.builder.ncols)
+            self.nrows = 0
+            try:
+                N = run()
+                self.kernel = self._lift() if modular \
+                    else self.acc.kernel_basis()
+            except linalg.NotCertified as why:
+                self.exact_reason = str(why)
+                continue
+            self.N = N
+            return N
+
+    def _add_rows(self, last):
+        """Add the rows through index ``last``."""
+        b = self.builder
+        while self.nrows <= last:
+            row = b.row(self.nrows)
+            if self.field is not b.k:
+                row = self.field.reduce_row(row)
+            self.acc.add_row(row)
+            self.nrows += 1
+
+    def _lift(self):
+        rows = (self.builder.row(i) for i in range(self.nrows))
+        k = self.builder.k
+        return [[k.from_fraction(q) if q else k.zero for q in vec]
+                for vec in linalg.certified_kernel(self.acc, rows)]
+
+    def explicit(self, N):
+        """Rows 0..N+1."""
+        def run():
+            self._add_rows(N + 1)
+            return N
+        return self._solve(N + 1, run)
+
+    def stabilize(self, w, max_order):
+        """Smallest M whose rank is unchanged through M..M+w; the series
+        are prepared in doublings of 2*ell + 4."""
+        chunk = 2 * self.builder.ell + 4
+
+        def run():
+            order = chunk
+            self._ensure(order + 1)
+            streak = 0
+            M = 0
+            last_rank = None
+            while True:
+                self._add_rows(M + 1)
+                if self.acc.rank == last_rank:
+                    streak += 1
+                    if streak >= w:
+                        return M - w
+                else:
+                    streak = 0
+                    last_rank = self.acc.rank
+                M += 1
+                if M > max_order:
+                    raise ResourceCapError(
+                        "no stable truncation order below %d" % max_order)
+                if M + 1 > order:
+                    order = order * 2
+                    self._ensure(order + 1)
+        return self._solve(chunk + 1, run)
+
+
+def order_bound(sys, a, d, ell, strategy, gamma_spec=None, max_order=500,
+                solver=None):
     """Truncation order for the relation solve.
 
     strategy: ("explicit", N) -> (N, rigorous=True);
               ("stabilize", w) -> smallest M whose constraint rank is
               unchanged through M..M+w, rigorous=False.
     The row space grows with the order, so kernel stability is exactly
-    rank stability.
+    rank stability.  The window reads ranks over GF(p), p = 2^61 - 1;
+    they equal the exact ranks unless p divides a minor met along the
+    way.  The kernel that a shared ``solver`` hands on to relation_ideal
+    is exact in every case.  The rank did not grow inside the window, so
+    the rows through N+1 and all rows added (through N+w+1) have the
+    same kernel, and that kernel is checked exactly (_RelationSolve).
     """
     kind = strategy[0]
     if kind == "explicit":
         return strategy[1], True
     if kind != "stabilize":
         raise DgalError("unknown order-bound strategy %r" % (kind,))
-    w = strategy[1]
-    builder = _AnsatzBuilder(sys, a, d, ell, gamma_spec)
-    chunk = 2 * ell + 4
-    order = chunk
-    builder.prepare(order + 1)
-    acc = linalg.RrefAccumulator(builder.k, builder.ncols)
-    streak = 0
-    M = 0
-    last_rank = None
-    k_row = 0
-    while True:
-        while k_row <= M + 1:
-            acc.add_row(builder.row(k_row))
-            k_row += 1
-        if acc.rank == last_rank:
-            streak += 1
-            if streak >= w:
-                return M - w, False
-        else:
-            streak = 0
-            last_rank = acc.rank
-        M += 1
-        if M > max_order:
-            raise ResourceCapError("no stable truncation order below %d" % max_order)
-        if M + 1 > order:
-            order = order * 2
-            builder.prepare(order + 1)
+    if solver is None:
+        solver = _RelationSolve(sys, a, d, ell, gamma_spec)
+    return solver.stabilize(strategy[1], max_order), False
 
 
-def relation_ideal(sys, a, d, ell, N, rigorous=False):
+def relation_ideal(sys, a, d, ell, N, rigorous=False, solver=None):
     """Relations of total degree <= d with polynomial coefficients of
-    t-degree <= 2*ell, valid through truncation order N+1."""
+    t-degree <= 2*ell, valid through truncation order N+1.  A ``solver``
+    shared with order_bound hands on the kernel it found for N."""
     sys.check_regular(a)
-    builder = _AnsatzBuilder(sys, a, d, ell)
-    builder.prepare(N + 1)
-    acc = linalg.RrefAccumulator(builder.k, builder.ncols)
-    for k_row in range(N + 2):
-        acc.add_row(builder.row(k_row))
-    kernel = acc.kernel_basis()
+    if solver is None:
+        solver = _RelationSolve(sys, a, d, ell)
+    if solver.N != N:
+        solver.explicit(N)
     R = sys.R
     ring = PolyRing(R, matrix_var_names(sys.n), graded_lex_order(sys.n * sys.n))
-    polys = _kernel_to_polys(builder, kernel, ring, a)
+    polys = _kernel_to_polys(solver.builder, solver.kernel, ring, a)
     basis = _row_reduce_polys(ring, polys)
     return RelationIdeal(ring, basis, d=d, a=a, ell=ell, order_used=N,
                          rigorous=rigorous)
+
+
+def find_relations(sys, a, d, ell, strategy=None):
+    """The relation ideal for a truncation-order strategy (default: the
+    stabilize window), with one solve shared by order_bound and
+    relation_ideal.  Caps that mean nothing raise InputError."""
+    if d < 1:
+        raise InputError("relation degree must be >= 1, got %d" % d)
+    if ell < 0:
+        raise InputError("coefficient degree must be >= 0, got %d" % ell)
+    if strategy is None:
+        strategy = ("stabilize", default_window(sys, d))
+    kind, size = strategy
+    if kind == "explicit" and size < 0:
+        raise InputError("truncation order must be >= 0, got %d" % size)
+    if kind == "stabilize" and size < 1:
+        raise InputError("stabilization window must be >= 1, got %d" % size)
+    solver = _RelationSolve(sys, a, d, ell)
+    N, rigorous = order_bound(sys, a, d, ell, strategy, solver=solver)
+    return relation_ideal(sys, a, d, ell, N, rigorous=rigorous, solver=solver)
 
 
 def relation_ideal_algebraic(sys, a, d, ell, qcoeffs, N, rigorous=False, root=None):

@@ -187,15 +187,19 @@ class OdeSystem:
                 continue
             key, _, value = line.partition(":")
             key, value = key.strip(), value.strip()
-            if key == "n":
-                n = int(value)
-            elif key == "field":
-                minpoly = value
-            elif key.startswith("A["):
-                ij = key[1:].replace("[", " ").replace("]", " ").split()
-                entries[(int(ij[0]), int(ij[1]))] = value
-            else:
-                raise DgalError("unknown key %r in system document" % key)
+            try:
+                if key == "n":
+                    n = int(value)
+                elif key == "field":
+                    minpoly = value
+                elif key.startswith("A["):
+                    ij = key[1:].replace("[", " ").replace("]", " ").split()
+                    entries[(int(ij[0]), int(ij[1]))] = value
+                else:
+                    raise DgalError("unknown key %r in system document" % key)
+            except (ValueError, IndexError):
+                raise DgalError("malformed line %r in system document"
+                                % line) from None
         if n is None:
             raise DgalError("system document lacks the dimension line 'n:'")
         if minpoly is not None:

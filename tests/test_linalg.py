@@ -67,3 +67,54 @@ def test_rref_idempotent(entries):
     R1, p1 = linalg.rref(K, A)
     R2, p2 = linalg.rref(K, R1)
     assert R1 == R2 and p1 == p2
+
+
+P61 = linalg.P61
+# small rationals, with now and then an entry that p divides (above or
+# below the line): those are what can make the GF(p) pass differ
+entry = st.one_of(
+    small,
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.sampled_from([P61, -P61, 2 * P61, Fraction(P61, 3), Fraction(1, P61)]))
+
+
+def same_span(u, v):
+    return linalg.rref(K, u)[0] == linalg.rref(K, v)[0] if u or v else True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda cols: st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=1, max_size=4)))
+def test_certified_kernel_spans_nullspace(entries):
+    A = mk(entries)
+    exact = linalg.nullspace(K, A)
+    fp = linalg.PrimeField()
+    acc = linalg.RrefAccumulator(fp, len(A[0]))
+    try:
+        for row in A:
+            acc.add_row(fp.reduce_row(row))
+        kernel = linalg.certified_kernel(acc, A)
+    except linalg.NotCertified:
+        # only p can make the pass fail: a denominator it divides,
+        # pivots it moves, or kernel entries too large to reconstruct
+        bound = (P61 // 2) ** 0.5
+        assert any(x.denominator % P61 == 0 for row in A for x in row) \
+            or acc.pivots != linalg.rref(K, A)[1] \
+            or any(abs(x.numerator) > bound or x.denominator > bound
+                   for vec in exact for x in vec)
+        return
+    assert same_span([[K.from_fraction(x) for x in vec] for vec in kernel],
+                     exact)
+
+
+def test_rational_reconstruction():
+    for q in (Fraction(0), Fraction(-3, 7), Fraction(10**9, 10**9 + 7)):
+        u = q.numerator * pow(q.denominator, -1, P61) % P61
+        assert linalg.rational_reconstruction(u, P61) == q
+    # 2^30 is just above the bound sqrt(p/2), and no fraction within it
+    # has the same image
+    assert linalg.rational_reconstruction(1 << 30, P61) is None
+    # 2^40 comes back as 1/2^21, the fraction within the bound that has
+    # its image (2^61 = 1 mod p)
+    assert linalg.rational_reconstruction(1 << 40, P61) == Fraction(1, 1 << 21)

@@ -164,3 +164,14 @@ def test_singular_point_rejected():
     from dgal.errors import SingularPointError
     with pytest.raises(SingularPointError):
         run(sys_of(["1/(2*t)"]), 2, a=K.zero)
+
+
+def test_fraction_nth_root_exact():
+    from dgal.pipeline import _fraction_nth_root
+    # far beyond float range
+    assert _fraction_nth_root(Fraction(10 ** 400), 2) == Fraction(10 ** 200)
+    assert _fraction_nth_root(Fraction(-8, 10 ** 999), 3) == \
+        Fraction(-2, 10 ** 333)
+    assert _fraction_nth_root(Fraction(10 ** 400 + 1), 2) is None
+    assert _fraction_nth_root(Fraction(4, 10 ** 401), 2) is None
+    assert _fraction_nth_root(Fraction(-4), 2) is None

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
+from dgal import linalg
+from dgal.errors import InputError
 from dgal.fields import ConstField
 from dgal.ratfunc import RatFuncField
-from dgal.relations import (default_window, membership_test,
+from dgal.relations import (default_window, find_relations, membership_test,
                             membership_test_ext, order_bound, relation_ideal,
                             relation_ideal_algebraic, second_point_check,
+                            _AnsatzBuilder, _kernel_to_polys, _RelationSolve,
                             _row_reduce_polys)
 from dgal.series import algebraic_series
 from dgal.systems import OdeSystem
@@ -153,3 +158,77 @@ def test_zero_system_relations():
     rel = relation_ideal(s, a, 1, 1, N)
     assert len(rel.basis) == 1
     assert rel.basis[0] == rel.ring.parse("x_1_1 - 1")
+
+
+P61 = 2305843009213693951  # the prime of the GF(p) pass, 2^61 - 1
+
+
+def test_denominators_divisible_by_p_take_the_exact_path():
+    # y = exp(t/p): every series coefficient after the first has a power
+    # of p in its denominator, which has no image mod p
+    s = sys_of(["1/%d" % P61])
+    a = K.zero
+    solver = _RelationSolve(s, a, 1, 1)
+    N, _ = order_bound(s, a, 1, 1, ("stabilize", default_window(s, 1)),
+                       solver=solver)
+    assert solver.exact_reason == "a denominator is 0 mod p"
+    assert relation_ideal(s, a, 1, 1, N, solver=solver).basis == []
+
+
+def test_spurious_relation_mod_p_is_rejected():
+    # y = exp(p t): every series coefficient after the first is 0 mod p,
+    # so over GF(p) alone the solution looks like the constant 1
+    s = sys_of(["%d" % P61])
+    a = K.zero
+    builder = _AnsatzBuilder(s, a, 1, 1)
+    builder.prepare(12)
+    rows = [builder.row(i) for i in range(12)]
+    fp = linalg.PrimeField()
+    acc = linalg.RrefAccumulator(fp, builder.ncols)
+    for row in rows:
+        acc.add_row(fp.reduce_row(row))
+    lifted = [[K.from_fraction(linalg.rational_reconstruction(u, P61))
+               for u in vec] for vec in acc.kernel_basis()]
+    ring = relation_ideal(s, a, 1, 1, 8).ring
+    spurious = _row_reduce_polys(ring, _kernel_to_polys(builder, lifted,
+                                                        ring, a))
+    assert spurious == [ring.parse("x_1_1 - 1")]
+    with pytest.raises(linalg.NotCertified, match="exact check"):
+        linalg.certified_kernel(acc, rows)
+    # the shared solve sees the failed check and reruns exactly
+    solver = _RelationSolve(s, a, 1, 1)
+    N, _ = order_bound(s, a, 1, 1, ("stabilize", default_window(s, 1)),
+                       solver=solver)
+    assert solver.exact_reason == "the exact check failed"
+    assert relation_ideal(s, a, 1, 1, N, solver=solver).basis == []
+    assert find_relations(s, a, 1, 1).basis == []
+
+
+def test_shared_solve_matches_separate_solves():
+    s = sys_of(["0", "1"], ["-1", "0"])
+    a = K.zero
+    N = stabilized(s, a, 2, 1)
+    shared = find_relations(s, a, 2, 1)
+    assert shared.order_used == N and not shared.rigorous
+    assert shared.basis == relation_ideal(s, a, 2, 1, N).basis
+    explicit = find_relations(s, a, 2, 1, ("explicit", N))
+    assert explicit.rigorous and explicit.basis == shared.basis
+
+
+@pytest.mark.parametrize("d, ell, strategy", [
+    (0, 1, None), (1, -1, None), (1, 1, ("explicit", -3)),
+    (1, 1, ("stabilize", 0))])
+def test_meaningless_caps_rejected(d, ell, strategy):
+    with pytest.raises(InputError):
+        find_relations(sys_of(["1"]), K.zero, d, ell, strategy)
+
+
+def test_number_field_takes_the_exact_path():
+    s = OdeSystem.from_document("n: 1\nfield: g^2 - 2\nA[1][1]: 1/(2*t)\n")
+    a = s.R.const.one
+    solver = _RelationSolve(s, a, 2, 1)
+    N, _ = order_bound(s, a, 2, 1, ("stabilize", default_window(s, 2)),
+                       solver=solver)
+    assert solver.exact_reason == "the constant field is a number field"
+    rel = relation_ideal(s, a, 2, 1, N, solver=solver)
+    assert rel.basis == [rel.ring.parse("x_1_1^2 - t")]
