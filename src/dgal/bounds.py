@@ -11,9 +11,10 @@ outward interval arithmetic and Stirling-type enclosures.
 import math
 from fractions import Fraction
 
+import mpmath
 from mpmath import iv
 
-from .errors import DgalError
+from .errors import DgalError, ResourceCapError
 
 iv.prec = 64
 
@@ -22,6 +23,10 @@ _LOG2E = 1 / _LN2
 # values below 2^(2^20) in log2 can be exponentiated (their binary
 # exponent stays a megabit-sized integer at most)
 _VALUE_GUARD = iv.mpf(2) ** (2 ** 20)
+# bracket endpoints below 2^(2^64) print in decimal (an exponent of at
+# most 20 digits); decimal conversion of larger ones costs time and
+# digits without bound
+_PRINT_GUARD = iv.mpf(2) ** (2 ** 64)
 
 DEFAULT_BIT_CAP = 2 ** 20
 
@@ -282,6 +287,26 @@ class Magnitude:
         return "Magnitude(%s in [%s, %s])" % (tag, self.ivl.a, self.ivl.b)
 
 
+def format_bracket(ivl):
+    """A certified bracket as text "[a, b]", rounded outward.  An
+    endpoint beyond 2^(2^64) is written 2^(2^z), z from the bracket of
+    log2(log2(endpoint))."""
+    return "[%s, %s]" % (_format_endpoint(ivl.a, -1),
+                         _format_endpoint(ivl.b, 1))
+
+
+def _format_endpoint(x, side):
+    """One endpoint, moved outward (side -1 down, 1 up) by a relative
+    2^-30, which exceeds the error of printing 12 significant digits."""
+    if abs(x) < _PRINT_GUARD:
+        z, fmt = x, "%s"
+    else:
+        z, fmt = iv.log(iv.log(x) / _LN2) / _LN2, "2^(2^%s)"
+    z = z + side * abs(z) * iv.mpf(2) ** -30
+    z = z.a if side < 0 else z.b
+    return fmt % mpmath.nstr(mpmath.mpf(z), 12)
+
+
 def _value_iv(mag):
     """The quantity itself as an interval, when its binary exponent is
     of tractable size; None otherwise."""
@@ -391,8 +416,8 @@ class _Eval:
                 return Magnitude.from_exact(math.factorial(m))
         x = _value_iv(a)
         if x is None:
-            raise DgalError("factorial argument too large even for "
-                            "log-space evaluation")
+            raise ResourceCapError("factorial argument too large even "
+                                   "for log-space evaluation")
         lx = a.log2()
         base = x * (lx - _LOG2E)
         lo = base.a
@@ -423,8 +448,8 @@ class _Eval:
                 return Magnitude.from_exact(math.comb(m, m // 2))
         x = _value_iv(a)
         if x is None:
-            raise DgalError("central binomial argument too large even "
-                            "for log-space evaluation")
+            raise ResourceCapError("central binomial argument too large "
+                                   "even for log-space evaluation")
         # 2^m / (m+1) <= C(m, m//2) <= 2^m
         lo = (x - iv.log(x + 1) / _LN2).a
         hi = x.b
@@ -458,8 +483,8 @@ class _Eval:
         # factorial rule (m+1)! on the bracketed argument, by Stirling
         x = _value_iv(a)
         if x is None:
-            raise DgalError("Jordan argument too large even for "
-                            "log-space evaluation")
+            raise ResourceCapError("Jordan argument too large even for "
+                                   "log-space evaluation")
         x = x + 1
         lx = iv.log(x) / _LN2
         base = x * (lx - _LOG2E)
@@ -484,11 +509,6 @@ def gamma_bound(n, d):
 def gamma_comparison(n, d):
     """(d+1) ^ (2^n), the cruder companion bound."""
     return pow_(lit(d + 1), lit(2 ** n))
-
-
-def image_bound(dbar, m, n):
-    """(dbar + 1) ^ (2^(m^2 + n^2)): degree growth under images."""
-    return pow_(lit(dbar + 1), pow_(lit(2), lit(m * m + n * n)))
 
 
 def unipotent_family_bound(n):

@@ -56,15 +56,16 @@ def _config(sys_, args, degree):
 def cmd_bounds(args):
     from . import bounds as B
     n = args.n
+    if n < 1:
+        raise InputError("system dimension must be >= 1, got %d" % n)
     expr = B.proto_galois_degree_bound(n)
-    print("degree_bound(n=%d) = %s" % (n, B.render(expr)))
     mag = B.evaluate(expr, bit_cap=args.exact_bit_cap) \
         if args.exact_bit_cap is not None else B.evaluate(expr)
+    print("degree_bound(n=%d) = %s" % (n, B.render(expr)))
     if mag.is_exact:
         print("value = %s" % mag.exact_int())
     else:
-        ll = mag.loglog2()
-        print("log2(log2(value)) in [%s, %s]" % (ll.a, ll.b))
+        print("log2(log2(value)) in %s" % B.format_bracket(mag.loglog2()))
     k1, k2, k3 = B.kappas(n)
     for name, e in [("kappa1", k1), ("kappa2", k2), ("kappa3", k3),
                     ("iterations", B.iteration_bound(n))]:
@@ -73,6 +74,8 @@ def cmd_bounds(args):
 
 
 def cmd_series(args):
+    if args.order < 0:
+        raise InputError("truncation order must be >= 0, got %d" % args.order)
     sys_ = _load_system(args.system)
     a = _point(sys_, args.point) if args.point is not None \
         else sys_.R.const.one

@@ -141,16 +141,6 @@ class ConstField:
         vec += [Fraction(0)] * (self.degree() - len(vec))
         return vec
 
-    def from_rational_vector(self, vec):
-        g = self.generator()
-        out = self.from_fraction(vec[0])
-        if g is not None:
-            p = self.one
-            for c in vec[1:]:
-                p = p * g
-                out = out + self.from_fraction(c) * p
-        return out
-
     # -- canonical text form -------------------------------------------
 
     def format(self, a):

@@ -34,6 +34,9 @@ class AlgebraicSubgroup:
         self.points_field = None
         self.points = None
         self.component_count = None
+        # (class name, dimension), recorded by identity_component on the
+        # connected group it returns
+        self.component_class = None
 
     @property
     def field(self):
@@ -112,13 +115,7 @@ def _action_residuals(rel):
     n = int(round(nsq ** 0.5))
     hnames = ["y_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
     ring_xy = PolyRing(R, list(ring.names) + hnames, ring.order)
-    subst = {}
-    for i in range(n):
-        for j in range(n):
-            acc = ring_xy.zero
-            for l in range(n):
-                acc = acc + ring_xy.gen(i * n + l) * ring_xy.gen(nsq + l * n + j)
-            subst[i * n + j] = acc
+    subst = _product_substitution(ring_xy, n)
     ring_h = PolyRing(R, hnames, graded_lex_order(nsq))
     cols = sorted(monomials_upto(nsq, rel.d), key=ring.order.key, reverse=True)
     col_index = {e: i for i, e in enumerate(cols)}
@@ -134,7 +131,7 @@ def _action_residuals(rel):
     for P in rel.basis:
         lifted = ring_xy.from_dict(
             {e + (0,) * nsq: c for e, c in P.terms.items()})
-        acted = lifted.substitute({i: subst[i] for i in range(nsq)})
+        acted = lifted.substitute(subst)
         # split exponents into (x-monomial, h-polynomial) coordinates
         vec = [ring_h.zero] * len(cols)
         for e, c in acted.terms.items():
@@ -300,10 +297,11 @@ def identity_component(H):
     n = H.n
     ring = H.ring
     fld = ring.field
-    if H.connected:
-        return H
     if not H.generators:
         H.connected = True
+        H.component_class = ("full", n * n)
+        return H
+    if H.connected:
         return H
     gb = H.groebner_basis()
     from .multipoly import is_zero_dimensional
@@ -313,6 +311,7 @@ def identity_component(H):
         comp = AlgebraicSubgroup(n, ring, [
             ring.gen(p) - ring.from_const(v)
             for p, v in enumerate(H.identity_values())], connected=True)
+        comp.component_class = ("finite", 0)
         comp.component_count = len(pts)
         H.finite = True
         return comp
@@ -327,12 +326,16 @@ def identity_component(H):
                                         fld.one})
                         - ring.from_dict({tuple(neg.get(p, 0) for p in range(n * n)):
                                           fld.one}))
-        return AlgebraicSubgroup(n, ring, gens, connected=True)
+        comp = AlgebraicSubgroup(n, ring, gens, connected=True)
+        comp.component_class = ("diagonal binomial", n - len(sat))
+        return comp
     if _single_irreducible_generator(H) and H.vanishes_at_identity():
         H.connected = True
+        H.component_class = ("irreducible hypersurface", n * n - 1)
         return H
     if _parameterization_probe(H):
         H.connected = True
+        H.component_class = ("rational curve", 1)
         return H
     raise UnsupportedInstanceError(
         "identity component: group is in no certified class "
@@ -732,15 +735,7 @@ def _check_character(ring2, gb2, P, n):
     fld = ring2.field
     Px = ring2.from_dict({e + (0,) * nsq: c for e, c in P.terms.items()})
     Py = ring2.from_dict({(0,) * nsq + e: c for e, c in P.terms.items()})
-    prod = _product_substitution(ring2, n)
-    Pxy = ring2.zero
-    for e, c in P.terms.items():
-        term = ring2.from_const(c)
-        for p, k in enumerate(e):
-            for _ in range(k):
-                term = term * prod[p]
-        Pxy = Pxy + term
-    diff = Px * Py - Pxy
+    diff = Px * Py - Px.substitute(_product_substitution(ring2, n))
     if gb2:
         diff = normal_form(diff, gb2)
     if not diff.is_zero():

@@ -1,13 +1,10 @@
-"""Hyperexponential elements, their multiplicative relation lattice, and
-the associated torus.
+"""Hyperexponential elements and their multiplicative relation lattice.
 
 A hyperexponential element h is known here only through its logarithmic
 derivative v = h'/h, a rational function over (an extension of) the
 constant field.  ``logderiv_from_character`` recovers v from a truncated
 series; ``relation_lattice`` finds all multiplicative relations
-h_j^{m_j} = f_j * prod h_{eta_i}^{m_{i,j}} with rational cofactors f_j;
-``torus_from_relations`` turns the relation exponents into the binomial
-equations of the corresponding subtorus of (C*)^l.
+h_j^{m_j} = f_j * prod h_{eta_i}^{m_{i,j}} with rational cofactors f_j.
 """
 
 from fractions import Fraction
@@ -16,11 +13,8 @@ from math import gcd
 from . import lattice, linalg
 from .errors import DgalError, ResourceCapError, UnsupportedInstanceError
 from .fields import ConstField
-from .groups import AlgebraicSubgroup
-from .multipoly import PolyRing
 from .ratfunc import RatFuncField
-from .relations import graded_lex_order
-from .series import Series, reconstruct_ratfunc
+from .series import poly_on_series, reconstruct_ratfunc
 
 
 class HyperexpElement:
@@ -89,19 +83,7 @@ def logderiv_from_character(chi, S, num_deg, den_deg):
     one-lower truncation order, else a degree-cap error is raised.
     """
     kf = S.field
-    cf = chi.ring.field
-    n = S.n
-    values = [Series(kf, [S.mats[o][i // n][i % n]
-                          for o in range(S.order + 1)])
-              for i in range(n * n)]
-    one = Series.constant(kf, kf.one, S.order)
-    poly = chi.poly
-    if cf != kf:
-        poly = chi.ring.from_dict(
-            {e: kf.coerce_from(cf, c) for e, c in poly.terms.items()})
-    u = poly.evaluate(values, one=one,
-                      mul=lambda a, b: a * b, add=lambda a, b: a + b,
-                      from_coeff=lambda c: Series.constant(kf, c, S.order))
+    u = poly_on_series(chi.poly, S)
     if kf.is_zero(u.coeffs[0]):
         raise DgalError("character series vanishes at the expansion point")
     w = u.diff() * u.inverse()
@@ -401,27 +383,3 @@ def relation_lattice(elements):
     # eta indices together
     return RelationLattice(R, eta, relations, self_relations, admissible)
 
-
-def torus_from_relations(rl, l):
-    """Identity component of the subgroup of (C*)^l cut out by the
-    relation binomials y_j^{m_j} = prod y_{eta_i}^{m_{i,j}} (cofactors
-    are rational, so they drop out on the torus side): saturate the
-    exponent rows and return the binomial subgroup in y variables."""
-    rows = []
-    for rel in rl.relations + rl.self_relations:
-        row = [0] * l
-        row[rel.j] = rel.m
-        for i, e in rel.exponents.items():
-            row[i] -= e
-        rows.append(row)
-    sat = lattice.saturate(rows, l) if rows else []
-    field = rl.R.const
-    ring = PolyRing(field, ["y_%d" % (i + 1) for i in range(l)],
-                    graded_lex_order(l))
-    gens = []
-    for row in sat:
-        pos = tuple(e if e > 0 else 0 for e in row)
-        neg = tuple(-e if e < 0 else 0 for e in row)
-        gens.append(ring.from_dict({pos: field.one})
-                    - ring.from_dict({neg: field.one}))
-    return AlgebraicSubgroup(l, ring, gens, connected=True)

@@ -110,11 +110,3 @@ def intersect_with_kernel(generators, eq_rows):
     out = [[sum(c * g[j] for c, g in zip(cv, gens)) for j in range(len(gens[0]))]
            for cv in ck]
     return hnf_basis(out)
-
-
-def contains(basis, vec):
-    """Integer membership of vec in the lattice spanned by basis rows:
-    adjoining the vector must leave the canonical basis unchanged."""
-    if not any(vec):
-        return True
-    return hnf_basis(basis) == hnf_basis(list(basis) + [list(vec)])

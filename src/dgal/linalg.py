@@ -1,7 +1,7 @@
 """Dense linear algebra over any adapter field.
 
 Matrices are plain lists of lists of field elements; the field argument
-supplies the arithmetic (ConstField, RatFuncField, ExtField, ...).  The
+supplies the arithmetic (ConstField, RatFuncField, ...).  The
 elimination routines are Gaussian elimination with the first nonzero
 entry as pivot; sizes stay small, so no other pivoting is needed.
 
@@ -102,10 +102,6 @@ def rref(field, mat):
         if r == rows:
             break
     return R, pivots
-
-
-def rank(field, mat):
-    return len(rref(field, mat)[1])
 
 
 def nullspace(field, mat):
@@ -328,10 +324,3 @@ def certified_kernel(acc, rows):
     if not kernel_vanishes(rows, lifted):
         raise NotCertified("the exact check failed")
     return lifted
-
-
-def row_space_contains(field, rows, vec):
-    """True if vec is a linear combination of the given rows."""
-    if not rows:
-        return all(field.is_zero(x) for x in vec)
-    return solve(field, transpose(rows), vec) is not None

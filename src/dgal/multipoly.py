@@ -68,9 +68,6 @@ class PolyRing:
         self.order = order
         self._zero_exp = (0,) * self.nvars
 
-    def with_order(self, order):
-        return PolyRing(self.field, self.names, order)
-
     @property
     def zero(self):
         return MultiPoly(self, {})
@@ -137,17 +134,14 @@ class PolyRing:
         node = _grammar.parse(text)
         atoms = {n: self.gen(i) for i, n in enumerate(self.names)}
         fld = self.field
-        if hasattr(fld, "gamma") and hasattr(fld, "R"):  # k(gamma)
-            from .extfield import GAMMA_NAME
-            atoms.setdefault(GAMMA_NAME, self.from_const(fld.gamma))
-            atoms.setdefault(fld.R.var, self.from_const(fld.from_base(fld.R.t)))
-        elif hasattr(fld, "var") and hasattr(fld, "t"):  # rational functions
+        const = getattr(fld, "const", fld)
+        if const is not fld:  # rational functions
             atoms.setdefault(fld.var, self.from_const(fld.t))
-        gfield = _ground_const(fld)
-        if getattr(gfield, "gens", None):
+        if getattr(const, "gens", None):
             from .fields import GEN_NAME
-            if GEN_NAME not in atoms:
-                atoms[GEN_NAME] = self.from_const(self._const_gen())
+            gen = const.generator()
+            atoms.setdefault(GEN_NAME, self.from_const(
+                gen if const is fld else fld.from_const(gen)))
         return _grammar.evaluate(
             node, atoms,
             from_int=self.from_int,
@@ -155,26 +149,11 @@ class PolyRing:
             neg=lambda a: -a, mul=lambda a, b: a * b,
             div=self._div, power=lambda a, n: a ** n)
 
-    def _const_gen(self):
-        fld = self.field
-        if hasattr(fld, "R"):  # k(gamma): lift through the base field
-            return fld.from_const(fld.R.const.generator())
-        if hasattr(fld, "from_const") and getattr(fld, "const", None) is not None:
-            return fld.from_const(fld.const.generator())
-        return fld.generator()
-
-
     def _div(self, a, b):
         c = b.constant_value()
         if c is None:
             raise DgalError("only division by constants is supported here")
         return a.scale(self.field.inv(c))
-
-
-def _ground_const(fld):
-    if hasattr(fld, "R"):
-        return fld.R.const
-    return getattr(fld, "const", fld)
 
 
 class MultiPoly:
@@ -466,16 +445,6 @@ def reduce_basis(G, order=None):
             out.append(r.monic(order))
     out.sort(key=lambda g: order.key(g.leading(order)[0]))
     return out
-
-
-def in_ideal(p, gb, order=None):
-    return not normal_form(p, gb, order).terms
-
-
-def ideal_contains(gb_big, gens_small, order=None):
-    """True if every generator of the small ideal reduces to zero modulo
-    the Groebner basis of the big one."""
-    return all(in_ideal(g, gb_big, order) for g in gens_small)
 
 
 def eliminate(gens, nfirst, max_basis=2000):

@@ -27,10 +27,10 @@ from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
                      identity_component, kernel_of_characters,
                      stabilizer_group, verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
-from .multipoly import PolyRing, groebner, is_zero_dimensional, normal_form
-from .relations import (find_relations, graded_lex_order, membership_test,
-                        substituted_coefficient_system)
-from .series import Series, SeriesAlgebra, TruncSeries, algebraic_series
+from .multipoly import PolyRing, groebner, normal_form
+from .relations import (find_relations, membership_test,
+                        substituted_coefficient_system, transport_factor)
+from .series import Series, TruncSeries, algebraic_series
 from .solve import PositiveDimensionalError, _join, solve_zero_dimensional
 
 
@@ -167,16 +167,6 @@ def proto_galois(sys, cfg):
 
 # -- alpha and F_bar ----------------------------------------------------
 
-def _poly_on_series(P, values, kf, order):
-    """Evaluate a polynomial with constant coefficients on Series values."""
-    cf = P.ring.field
-    conv = (lambda c: c) if cf == kf else (lambda c: kf.coerce_from(cf, c))
-    one = Series.constant(kf, kf.one, order)
-    return P.evaluate(values, one=one, mul=lambda x, y: x * y,
-                      add=lambda x, y: x + y,
-                      from_coeff=lambda c: Series.constant(kf, conv(c), order))
-
-
 def _vanishes_at_identity(rel):
     """True when every relation, as a rational function of t, is zero at
     the identity matrix."""
@@ -272,26 +262,13 @@ def _transport(sys, rel, a, b, order):
         return Fb, None
     if all(membership_test(P, Fb, order) for P in rel.basis):
         return Fb, None
-    N = rel.order_used
-    for diag in (False, True):
-        try:
-            _ringC, eqs = substituted_coefficient_system(
-                rel, Fb, min(N, order), diagonal_only=diag)
-            fld, pts = solve_zero_dimensional(eqs)
-        except PositiveDimensionalError:
-            continue
-        n = sys.n
-        for coords, _mult in pts:
-            if diag:
-                h = [[coords[i] if i == j else fld.zero for j in range(n)]
-                     for i in range(n)]
-            else:
-                h = [[coords[i * n + j] for j in range(n)] for i in range(n)]
-            if not fld.is_zero(linalg.det(fld, h)):
-                Fbh = Fb.coerce_to(fld).const_matrix_mul(h)
-                return Fbh, h
-    raise UnsupportedInstanceError(
-        "no invertible transport factor between the base points was found")
+    found = transport_factor(rel, Fb, min(rel.order_used, order))
+    if found is None:
+        raise UnsupportedInstanceError(
+            "no invertible transport factor between the base points was "
+            "found")
+    fld, h = found
+    return Fb.coerce_to(fld).const_matrix_mul(h), h
 
 
 def find_alpha_fbar(sys, rel, H, Hcirc, a, b, order):
@@ -322,7 +299,7 @@ def find_alpha_fbar(sys, rel, H, Hcirc, a, b, order):
             Fbar = Fbar.coerce_to(kf)
         # verify every relation vanishes at alpha
         zero = Series.constant(kf, kf.zero, order)
-        gpow = {e: _series_pow(gser, e, kf, order) for e in set(exps)}
+        gpow = {e: gser ** e for e in set(exps)}
         alpha_entries = [[gpow[exps[i]].scale(consts[i]) if i == j else zero
                           for j in range(n)] for i in range(n)]
         Aser = TruncSeries.from_entries(kf, Fbar.a, alpha_entries)
@@ -333,7 +310,7 @@ def find_alpha_fbar(sys, rel, H, Hcirc, a, b, order):
                 raise DgalError("candidate alpha fails a relation: %s"
                                 % rel.ring.format(P))
         ginv = gser.inverse()
-        ginv_pow = {e: _series_pow(ginv, e, kf, order) for e in set(exps)}
+        ginv_pow = {e: ginv ** e for e in set(exps)}
         C_entries = [[(Fbar.entry(i, j) * ginv_pow[exps[i]]).scale(
                           kf.inv(consts[i]))
                       for j in range(n)] for i in range(n)]
@@ -352,18 +329,8 @@ def find_alpha_fbar(sys, rel, H, Hcirc, a, b, order):
     return AlphaData(kind, kf, M, exps, consts, gser, root, gbar, h, Fbar, C)
 
 
-def _series_pow(s, e, kf, order):
-    out = Series.constant(kf, kf.one, order)
-    for _ in range(e):
-        out = out * s
-    return out
-
-
 def _component_membership(Hcirc, C, order):
-    n = C.n
-    vals = [C.entry(p // n, p % n) for p in range(n * n)]
-    return all(_poly_on_series(g, vals, C.field, order).is_zero()
-               for g in Hcirc.generators)
+    return all(membership_test(g, C, order) for g in Hcirc.generators)
 
 
 def _component_witness(H, Hcirc, C, order):
@@ -446,42 +413,6 @@ def build_J_barH(alpha, Hcirc, chars, rl):
 
 # -- finite part --------------------------------------------------------
 
-def _coefficient_equations(Qgens, W, N):
-    """Polynomials in a symbolic constant matrix g from the first N + 2
-    series coefficients of every Q(W * g)."""
-    k = W.field
-    n = W.n
-    SA = SeriesAlgebra(k, N)
-    hnames = ["y_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    ringS = PolyRing(SA, hnames, graded_lex_order(n * n))
-    hvars = ringS.gens
-    values = []
-    for i in range(n):
-        for j in range(n):
-            acc = ringS.zero
-            for l in range(n):
-                acc = acc + hvars[l * n + j].scale(SA.lift(W.entry(i, l)))
-            values.append(acc)
-    ringC = PolyRing(k, hnames, graded_lex_order(n * n))
-    eqs = []
-    for Q in Qgens:
-        cf = Q.ring.field
-        conv = (lambda c: c) if cf == k else (lambda c: k.coerce_from(cf, c))
-        val = Q.evaluate(values, one=ringS.one, mul=lambda x, y: x * y,
-                         add=lambda x, y: x + y,
-                         from_coeff=lambda c: ringS.from_const(
-                             SA.from_const(conv(c))))
-        for ko in range(N + 1):
-            terms = {}
-            for exp, s in val.terms.items():
-                c = s.coeffs[ko] if ko <= s.order else k.zero
-                if not k.is_zero(c):
-                    terms[exp] = c
-            if terms:
-                eqs.append(ringC.from_dict(terms))
-    return ringC, eqs
-
-
 def finite_part(alpha, Gcirc_gens, order, Ncap=None):
     """The full group as a union over the conjugates tau of gamma: for
     each tau, the constant matrices g with Q(tau(beta)^{-1} F_tilde g) =
@@ -527,7 +458,7 @@ def finite_part(alpha, Gcirc_gens, order, Ncap=None):
             ginv = gser.inverse()
             for i in range(n):
                 e = alpha.exps[i]
-                s = _series_pow(ginv, e, big, F.order).scale(
+                s = (ginv ** e).scale(
                     big.mul(big.pow(zinv, e), big.inv(sconsts[i])))
                 scales.append(s)
         else:
@@ -538,7 +469,7 @@ def finite_part(alpha, Gcirc_gens, order, Ncap=None):
         Wpre = TruncSeries.from_entries(big, F.a, entries)
         W = TruncSeries(big, F.a,
                         [linalg.matmul(big, gbar_inv, m) for m in Wpre.mats])
-        _ringC, eqs = _coefficient_equations(Gcirc_gens, W, N)
+        eqs = substituted_coefficient_system(Gcirc_gens, W, N)
         try:
             sfld, sols = solve_zero_dimensional(eqs)
         except PositiveDimensionalError as err:
@@ -610,36 +541,22 @@ def sandwich_check(H, Hcirc, chars, Gcirc):
 
 
 def _dimension_estimate(comp):
-    """Best-effort dimension of a certified identity component."""
-    from .groups import (_diagonal_binomial_lattice, _parameterization_probe,
-                         _single_irreducible_generator)
-    from .lattice import saturate
-    n = comp.n
-    if not comp.generators:
-        return n * n
-    gb = comp.groebner_basis()
-    flag, _w = is_zero_dimensional(gb, comp.ring)
-    if flag:
-        return 0
-    rows = _diagonal_binomial_lattice(comp)
-    if rows is not None:
-        sat = saturate(rows, n) if rows else []
-        return n - len(sat)
-    if _single_irreducible_generator(comp):
-        return n * n - 1
-    if _parameterization_probe(comp):
-        return 1
-    return None
+    """Dimension of a certified identity component, as identity_component
+    recorded it with the component's class; None when unknown."""
+    return comp.component_class[1] if comp.component_class else None
 
 
 def _same_ideal(G1, G2):
     big = _join(G1.ring.field, G2.ring.field)
     ring = group_ring(G1.n, big)
-    gb1 = groebner([_coerce_poly(ring, G1.ring, g) for g in G1.generators]) \
-        if G1.generators else []
-    gb2 = groebner([_coerce_poly(ring, G2.ring, g) for g in G2.generators]) \
-        if G2.generators else []
-    return sorted(map(ring.format, gb1)) == sorted(map(ring.format, gb2))
+
+    def basis(G):
+        if G.ring == ring:
+            return G.groebner_basis()
+        return groebner([_coerce_poly(ring, G.ring, g)
+                         for g in G.generators]) if G.generators else []
+    return sorted(map(ring.format, basis(G1))) == \
+        sorted(map(ring.format, basis(G2)))
 
 
 # -- the full pipeline --------------------------------------------------
@@ -678,12 +595,8 @@ def galois_group(sys, cfg):
     else:
         D = cfg.char_degree if cfg.char_degree is not None else rel.d
         chars = characters_generators(Hcirc, D, samples=cfg.samples)
+        Gcirc = Hcirc
         if not chars:
-            if not _same_ideal(H, Hcirc):
-                raise UnsupportedInstanceError(
-                    "finite part over a positive dimensional component "
-                    "is outside the supported class")
-            Gcirc = Hcirc
             provenance["alpha"] = "not needed (trivial character lattice)"
         else:
             alpha = find_alpha_fbar(sys, rel, H, Hcirc, a, b, order)
@@ -702,13 +615,12 @@ def galois_group(sys, cfg):
                     "the character relations cut the component properly; "
                     "the finite part over a positive dimensional component "
                     "is outside the supported class")
-            if not _same_ideal(H, Hcirc):
-                raise UnsupportedInstanceError(
-                    "finite part over a positive dimensional component "
-                    "is outside the supported class")
+        if not _same_ideal(H, Hcirc):
+            raise UnsupportedInstanceError(
+                "finite part over a positive dimensional component "
+                "is outside the supported class")
         desc = GaloisGroupDescription(
-            n, H, rel, Gcirc, False, None, None,
-            1 if _same_ideal(H, Hcirc) else None,
+            n, H, rel, Gcirc, False, None, None, 1,
             _dimension_estimate(Gcirc), rel.rigorous, provenance)
     if not sandwich_check(H, Hcirc, chars, desc.identity_component):
         raise DgalError("sandwich certificate failed: the computed "

@@ -92,7 +92,9 @@ class RatFuncField:
         return a == self.fld.one
 
     def eq(self, a, b):
-        return a == b
+        # over a number field, sympy keeps num/den up to a constant
+        # factor, so equal values can differ in representation
+        return self.is_zero(a - b)
 
     def scale(self, a, c):
         """Multiply by a constant-field element."""

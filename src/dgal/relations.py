@@ -14,10 +14,10 @@ for both the truncation order and the kernel.
 
 from . import linalg
 from .errors import DgalError, InputError, ResourceCapError
-from .extfield import ExtField
-from .multipoly import GREVLEX, MonomialOrder, PolyRing
+from .multipoly import MonomialOrder, PolyRing
 from .ratfunc import _poly_shift
-from .series import Series, TruncSeries, algebraic_series
+from .series import Series, SeriesAlgebra, coefficient_series, poly_on_series
+from .solve import PositiveDimensionalError, solve_zero_dimensional
 from .systems import monomials_upto
 
 
@@ -49,9 +49,9 @@ class RelationIdeal:
 
 class _AnsatzBuilder:
     """Rows of the linear system: one per series order; columns indexed by
-    (monomial, t-power [, gamma-power])."""
+    (monomial, t-power)."""
 
-    def __init__(self, sys, a, d, ell, gamma_spec=None):
+    def __init__(self, sys, a, d, ell):
         self.sys = sys
         self.R = sys.R
         self.k = sys.R.const
@@ -59,18 +59,12 @@ class _AnsatzBuilder:
         self.d = d
         self.ell = ell
         self.monos = monomials_upto(sys.n * sys.n, d)
-        self.gamma_spec = gamma_spec  # (ExtField, gamma Series) or None
-        self.gdim = gamma_spec[0].deg if gamma_spec else 1
-        self.ncols = len(self.monos) * (2 * ell + 1) * self.gdim
-        self._gamma = None
+        self.ncols = len(self.monos) * (2 * ell + 1)
 
     def prepare(self, order):
         """Series of every monomial through the given order."""
         sys = self.sys
-        gamma = self.gamma_spec[1].truncate(order) if self.gamma_spec else None
         G = sys.fundamental_series(self.a, order)
-        if gamma is not None and gamma.field != G.field:
-            G = G.coerce_to(gamma.field)
         k = G.field
         self.k = k
         n = sys.n
@@ -83,17 +77,9 @@ class _AnsatzBuilder:
                 if e:
                     key = (p, e)
                     if key not in cache:
-                        s = entries[p]
-                        for _ in range(e - 1):
-                            s = s * entries[p]
-                        cache[key] = s
+                        cache[key] = entries[p] ** e
                     acc = acc * cache[key]
             mono_series.append(acc)
-        if gamma is not None:
-            gpow = [Series.constant(k, k.one, order)]
-            for _ in range(self.gdim - 1):
-                gpow.append(gpow[-1] * gamma)
-            self.gpowers = gpow
         self.mono_series = mono_series
 
     def row(self, order_k):
@@ -103,27 +89,12 @@ class _AnsatzBuilder:
         row = [k.zero] * self.ncols
         col = 0
         for ms in self.mono_series:
-            for j in range(self.gdim):
-                for i in range(width):
-                    row[col] = self._coeff(ms, j, order_k - i)
-                    col += 1
+            for i in range(width):
+                idx = order_k - i
+                if 0 <= idx <= ms.order:
+                    row[col] = ms.coeffs[idx]
+                col += 1
         return row
-
-    def _coeff(self, ms, j, idx):
-        if idx < 0 or idx > ms.order:
-            return self.k.zero
-        if self.gdim == 1 or j == 0:
-            return ms.coeffs[idx]
-        prod = self._cached_product(ms, j)
-        return prod.coeffs[idx] if idx <= prod.order else self.k.zero
-
-    def _cached_product(self, ms, j):
-        key = (id(ms), j)
-        if not hasattr(self, "_pcache"):
-            self._pcache = {}
-        if key not in self._pcache:
-            self._pcache[key] = ms * self.gpowers[j]
-        return self._pcache[key]
 
 
 def default_window(sys, d):
@@ -141,8 +112,8 @@ class _RelationSolve:
     reconstruction fails or the exact check fails; ``exact_reason`` then
     says which."""
 
-    def __init__(self, sys, a, d, ell, gamma_spec=None):
-        self.builder = _AnsatzBuilder(sys, a, d, ell, gamma_spec)
+    def __init__(self, sys, a, d, ell):
+        self.builder = _AnsatzBuilder(sys, a, d, ell)
         self.prepared = None
         self.exact_reason = None
         self.N = None
@@ -228,8 +199,7 @@ class _RelationSolve:
         return self._solve(chunk + 1, run)
 
 
-def order_bound(sys, a, d, ell, strategy, gamma_spec=None, max_order=500,
-                solver=None):
+def order_bound(sys, a, d, ell, strategy, max_order=500, solver=None):
     """Truncation order for the relation solve.
 
     strategy: ("explicit", N) -> (N, rigorous=True);
@@ -249,7 +219,7 @@ def order_bound(sys, a, d, ell, strategy, gamma_spec=None, max_order=500,
     if kind != "stabilize":
         raise DgalError("unknown order-bound strategy %r" % (kind,))
     if solver is None:
-        solver = _RelationSolve(sys, a, d, ell, gamma_spec)
+        solver = _RelationSolve(sys, a, d, ell)
     return solver.stabilize(strategy[1], max_order), False
 
 
@@ -290,36 +260,6 @@ def find_relations(sys, a, d, ell, strategy=None):
     return relation_ideal(sys, a, d, ell, N, rigorous=rigorous, solver=solver)
 
 
-def relation_ideal_algebraic(sys, a, d, ell, qcoeffs, N, rigorous=False, root=None):
-    """Relations with coefficients in k(gamma), gamma algebraic over k with
-    monic minimal polynomial Q; the series of gamma is coupled with the
-    series of the fundamental matrix in one linear system (the solution
-    vector of the block system diag(A^(+n), companion(Q)))."""
-    sys.check_regular(a)
-    R = sys.R
-    fld, gseries, root_val = algebraic_series(R, qcoeffs, a, N + 1, root=root)
-    if fld != R.const:
-        from .ratfunc import RatFuncField
-        from .systems import OdeSystem
-        Rbig = R.over(fld)
-        sys = OdeSystem(Rbig, [[Rbig.coerce_from(R, f) for f in row] for row in sys.A])
-        qcoeffs = [Rbig.coerce_from(R, c) for c in qcoeffs]
-        a = fld.coerce_from(R.const, a)
-        R = Rbig
-    ext = ExtField(R, qcoeffs)
-    builder = _AnsatzBuilder(sys, a, d, ell, gamma_spec=(ext, gseries))
-    builder.prepare(N + 1)
-    acc = linalg.RrefAccumulator(builder.k, builder.ncols)
-    for k_row in range(N + 2):
-        acc.add_row(builder.row(k_row))
-    kernel = acc.kernel_basis()
-    ring = PolyRing(ext, matrix_var_names(sys.n), graded_lex_order(sys.n * sys.n))
-    polys = _kernel_to_polys_ext(builder, kernel, ring, ext, a)
-    basis = _row_reduce_polys(ring, polys)
-    return RelationIdeal(ring, basis, d=d, a=a, ell=ell, order_used=N,
-                         rigorous=rigorous)
-
-
 def _kernel_to_polys(builder, kernel, ring, a):
     R = builder.R
     k = R.const
@@ -333,29 +273,6 @@ def _kernel_to_polys(builder, kernel, ring, a):
                 continue
             tcoeffs = _poly_shift(k, list(ucoeffs), k.neg(a))
             terms[m] = R.from_coeffs(tcoeffs)
-        out.append(ring.from_dict(terms))
-    return out
-
-
-def _kernel_to_polys_ext(builder, kernel, ring, ext, a):
-    R = ext.R
-    k = R.const
-    width = 2 * builder.ell + 1
-    gdim = builder.gdim
-    out = []
-    for vec in kernel:
-        terms = {}
-        col = 0
-        for mi, m in enumerate(builder.monos):
-            gcoords = []
-            for j in range(gdim):
-                ucoeffs = vec[col:col + width]
-                col += width
-                tcoeffs = _poly_shift(k, list(ucoeffs), k.neg(a))
-                gcoords.append(R.from_coeffs(tcoeffs))
-            el = ext.new(gcoords)
-            if not ext.is_zero(el):
-                terms[m] = el
         out.append(ring.from_dict(terms))
     return out
 
@@ -387,13 +304,11 @@ def _row_reduce_polys(ring, polys):
     return out
 
 
-def substituted_coefficient_system(rel, G, N, diagonal_only=False):
-    """Equations on a constant matrix h making every basis relation vanish
-    on G·h through u^N: substitute the series matrix times symbolic h into
-    each relation and read off one polynomial per series order."""
-    from .series import SeriesAlgebra, ratfunc_series
-    ring = rel.ring
-    R = ring.field
+def substituted_coefficient_system(polys, G, N, diagonal_only=False):
+    """Equations on a constant matrix h making every polynomial vanish on
+    G·h through u^N: substitute the series matrix times symbolic h into
+    each polynomial and read off one polynomial in h per series order.
+    With diagonal_only, h is diagonal (variables y_i, else y_i_j)."""
     k = G.field
     n = G.n
     SA = SeriesAlgebra(k, N)
@@ -414,15 +329,13 @@ def substituted_coefficient_system(rel, G, N, diagonal_only=False):
                 var = hvars[j] if diagonal_only else hvars[l * n + j]
                 acc = acc + var.scale(s)
             values.append(acc)
-
-    def from_coeff(c):
-        return ringS.from_const(SA.lift(ratfunc_series(R, c, G.a, N)))
-
     ringC = PolyRing(k, hnames, graded_lex_order(len(hnames)))
     eqs = []
-    for P in rel.basis:
+    for P in polys:
+        as_series = coefficient_series(P.ring.field, k, G.a, N)
         val = P.evaluate(values, one=ringS.one, mul=lambda x, y: x * y,
-                         add=lambda x, y: x + y, from_coeff=from_coeff)
+                         add=lambda x, y: x + y,
+                         from_coeff=lambda c: ringS.from_const(as_series(c)))
         for order_k in range(N + 1):
             terms = {}
             for exp, s in val.terms.items():
@@ -431,7 +344,31 @@ def substituted_coefficient_system(rel, G, N, diagonal_only=False):
                     terms[exp] = c
             if terms:
                 eqs.append(ringC.from_dict(terms))
-    return ringC, eqs
+    return eqs
+
+
+def transport_factor(rel, G, N):
+    """An invertible constant matrix h with every basis relation
+    vanishing on G·h through u^N, searched among the zeros of the
+    substituted coefficient system (full h first, then diagonal h).
+    Returns (field, h), or None when neither search finds one."""
+    n = G.n
+    for diag in (False, True):
+        try:
+            fld, pts = solve_zero_dimensional(
+                substituted_coefficient_system(rel.basis, G, N,
+                                               diagonal_only=diag))
+        except PositiveDimensionalError:
+            continue
+        for coords, _mult in pts:
+            if diag:
+                h = [[coords[i] if i == j else fld.zero for j in range(n)]
+                     for i in range(n)]
+            else:
+                h = [[coords[i * n + j] for j in range(n)] for i in range(n)]
+            if not fld.is_zero(linalg.det(fld, h)):
+                return fld, h
+    return None
 
 
 def second_point_check(sys, rel, b, margin=10):
@@ -440,75 +377,17 @@ def second_point_check(sys, rel, b, margin=10):
     constant invertible transport factor h with P(G_b h) = 0 exists.
 
     Returns (ok, how) with how in {"empty", "direct", "transport"}."""
-    from .solve import PositiveDimensionalError, solve_zero_dimensional
     if not rel.basis:
         return True, "empty"
     N = rel.order_used + margin
     Gb = sys.fundamental_series(b, N)
     if all(membership_test(P, Gb, N) for P in rel.basis):
         return True, "direct"
-    for diag in (False, True):
-        try:
-            ringC, eqs = substituted_coefficient_system(rel, Gb, N, diagonal_only=diag)
-            if not eqs:
-                return True, "direct"
-            fld, pts = solve_zero_dimensional(eqs)
-        except PositiveDimensionalError:
-            continue
-        n = Gb.n
-        for coords, _mult in pts:
-            if diag:
-                h = [[coords[i] if i == j else fld.zero for j in range(n)]
-                     for i in range(n)]
-            else:
-                h = [[coords[i * n + j] for j in range(n)] for i in range(n)]
-            if not fld.is_zero(linalg.det(fld, h)):
-                return True, "transport"
+    if transport_factor(rel, Gb, N) is not None:
+        return True, "transport"
     return False, "none"
 
 
 def membership_test(P, G, N):
     """True iff P evaluated on the series matrix vanishes through u^N."""
-    ring = P.ring
-    R = ring.field  # RatFuncField
-    k = G.field
-    n = G.n
-    from .series import ratfunc_series
-    order = min(N, G.order)
-    values = [G.entry(p // n, p % n).truncate(order) for p in range(n * n)]
-    one = Series.constant(k, k.one, order)
-
-    def from_coeff(c):
-        if hasattr(R, "numer_coeffs"):
-            return ratfunc_series(R, c, G.a, order)
-        return Series.constant(k, c, order)
-
-    val = P.evaluate(values, one=one, mul=lambda x, y: x * y,
-                     add=lambda x, y: x + y, from_coeff=from_coeff)
-    return val.is_zero()
-
-
-def membership_test_ext(P, G, gamma_series, N):
-    """membership_test for polynomials with k(gamma) coefficients."""
-    ext = P.ring.field
-    R = ext.R
-    k = G.field
-    n = G.n
-    from .series import ratfunc_series
-    order = min(N, G.order, gamma_series.order)
-    values = [G.entry(p // n, p % n).truncate(order) for p in range(n * n)]
-    one = Series.constant(k, k.one, order)
-    gpow = [one]
-    for _ in range(ext.deg - 1):
-        gpow.append(gpow[-1] * gamma_series.truncate(order))
-
-    def from_coeff(el):
-        acc = Series.constant(k, k.zero, order)
-        for j, f in enumerate(el):
-            if not R.is_zero(f):
-                acc = acc + ratfunc_series(R, f, G.a, order) * gpow[j]
-        return acc
-
-    val = P.evaluate(values, one=one, mul=lambda x, y: x * y,
-                     add=lambda x, y: x + y, from_coeff=from_coeff)
-    return val.is_zero()
+    return poly_on_series(P, G, N).is_zero()

@@ -27,14 +27,6 @@ class Series:
     def constant(cls, field, c, order):
         return cls(field, [c] + [field.zero] * order)
 
-    @classmethod
-    def variable(cls, field, order):
-        """The local parameter u = t - a."""
-        coeffs = [field.zero] * (order + 1)
-        if order >= 1:
-            coeffs[1] = field.one
-        return cls(field, coeffs)
-
     def truncate(self, order):
         if order >= self.order:
             return self
@@ -68,6 +60,14 @@ class Series:
                 if not f.is_zero(b):
                     out[i + j] = f.add(out[i + j], f.mul(a, b))
         return Series(f, out)
+
+    def __pow__(self, e):
+        """self^e for an integer e >= 0, by repeated multiplication."""
+        out = self if e else Series.constant(self.field, self.field.one,
+                                             self.order)
+        for _ in range(e - 1):
+            out = out * self
+        return out
 
     def scale(self, c):
         f = self.field
@@ -143,12 +143,6 @@ class SeriesAlgebra:
     def div(self, a, b):
         return a * b.inverse()
 
-    def pow(self, a, n):
-        out = self.one
-        for _ in range(n):
-            out = out * a
-        return out
-
     def is_zero(self, a):
         return a.is_zero()
 
@@ -176,6 +170,31 @@ def ratfunc_series(R, f, a, order):
     if k.is_zero(den[0]):
         raise SingularPointError("pole of %s at t = %s" % (R.format(f), k.format(a)))
     return Series(k, _series_div(k, num, den, order + 1))
+
+
+def coefficient_series(cf, k, a, order):
+    """The map taking a polynomial coefficient from the field cf to its
+    Series over k at t = a through u^order: a rational function of t is
+    expanded, a constant is moved into k."""
+    if hasattr(cf, "numer_coeffs"):
+        return lambda c: ratfunc_series(cf, c, a, order)
+    if cf == k:
+        return lambda c: Series.constant(k, c, order)
+    return lambda c: Series.constant(k, k.coerce_from(cf, c), order)
+
+
+def poly_on_series(P, G, order=None):
+    """The Series of P evaluated on the entries of the matrix series G
+    (variable i*n + j at entry (i, j)), through u^order (default and at
+    most G.order); coefficients go through coefficient_series."""
+    k = G.field
+    n = G.n
+    order = G.order if order is None else min(order, G.order)
+    values = [G.entry(p // n, p % n).truncate(order) for p in range(n * n)]
+    return P.evaluate(values, one=Series.constant(k, k.one, order),
+                      mul=lambda x, y: x * y, add=lambda x, y: x + y,
+                      from_coeff=coefficient_series(P.ring.field, k, G.a,
+                                                    order))
 
 
 class TruncSeries:
@@ -246,13 +265,6 @@ class TruncSeries:
         if not out:
             out = [linalg.zeros(f, self.n, self.n)]
         return TruncSeries(f, self.a, out)
-
-    def scale_entrywise(self, s):
-        """Multiply every entry by a scalar Series."""
-        n = min(self.order, s.order)
-        entries = [[self.entry(i, j).truncate(n) * s.truncate(n)
-                    for j in range(self.n)] for i in range(self.n)]
-        return TruncSeries.from_entries(self.field, self.a, entries)
 
     def const_matrix_mul(self, g):
         """Right-multiply by a constant matrix."""

@@ -136,14 +136,3 @@ def _substitute_last(big, small, p, value, nvars):
 
 def _is_nonzero_const(field, p, nvars):
     return all(all(e == 0 for e in exp) for exp in p) and p
-
-
-def staircase_count(gb, ring, order=None):
-    """Number of standard monomials of a zero-dimensional ideal: the
-    solution count with multiplicity."""
-    from .multipoly import standard_monomials
-    order = order or ring.order
-    leads = [g.leading(order)[0] for g in gb]
-    cap = sum(max((l[i] for l in leads if all(l[j] == 0 for j in range(ring.nvars) if j != i)),
-                  default=0) for i in range(ring.nvars))
-    return len(standard_monomials(gb, ring, cap, order))

@@ -1,17 +1,15 @@
-"""First order linear differential systems over k = C(t) and the derived
-systems the algorithm needs: direct sums, symmetric powers on monomial
-vectors, exterior powers, and companion systems of algebraic elements.
+"""First order linear differential systems over k = C(t): fundamental
+series, symmetric powers on monomial vectors, and the system document.
 
 Monomial indexing of the symmetric power is graded lex over the n^2
 variables in row-major order with the constant monomial first; relation
 search and the stabilizer construction rely on this exact ordering.
 """
 
-import itertools
+from contextlib import contextmanager
 
 from . import linalg
-from .errors import DgalError, SingularPointError
-from .extfield import ExtField
+from .errors import DgalError, InputError, SingularPointError
 from .fields import ConstField
 from .ratfunc import RatFuncField
 from .series import TruncSeries, ratfunc_series
@@ -88,18 +86,6 @@ class OdeSystem:
 
     # -- derived systems ------------------------------------------------
 
-    def direct_sum(self, copies=None):
-        """Block diagonal diag(A, ..., A); defaults to n copies."""
-        copies = self.n if copies is None else copies
-        R = self.R
-        m = self.n * copies
-        B = [[R.zero for _ in range(m)] for _ in range(m)]
-        for c in range(copies):
-            for i in range(self.n):
-                for j in range(self.n):
-                    B[c * self.n + i][c * self.n + j] = self.A[i][j]
-        return OdeSystem(R, B)
-
     def sym_power(self, d):
         """System satisfied by all monomials of degree <= d in the entries
         of the n-fold direct sum solution (the n^2 fundamental-matrix
@@ -128,37 +114,6 @@ class OdeSystem:
                                         R.scale(a_il, R.const.from_int(e)))
         return OdeSystem(R, B), monos
 
-    def exterior_power(self, m):
-        """System satisfied by wedges of m solution columns."""
-        if not 1 <= m <= self.n:
-            raise DgalError("exterior power index out of range")
-        R = self.R
-        subsets = list(itertools.combinations(range(self.n), m))
-        index = {s: i for i, s in enumerate(subsets)}
-        size = len(subsets)
-        B = [[R.zero for _ in range(size)] for _ in range(size)]
-        for row, I in enumerate(subsets):
-            for pos, r in enumerate(I):
-                for l in range(self.n):
-                    a_rl = self.A[r][l]
-                    if R.is_zero(a_rl):
-                        continue
-                    if l == r:
-                        B[row][row] = R.add(B[row][row], a_rl)
-                    elif l not in I:
-                        J = sorted(set(I) - {r} | {l})
-                        sign = _replace_sign(I, pos, l)
-                        col = index[tuple(J)]
-                        term = a_rl if sign > 0 else R.neg(a_rl)
-                        B[row][col] = R.add(B[row][col], term)
-        return OdeSystem(R, B)
-
-    def trace(self):
-        acc = self.R.zero
-        for i in range(self.n):
-            acc = self.R.add(acc, self.A[i][i])
-        return acc
-
     # -- serialization --------------------------------------------------
 
     def to_document(self):
@@ -178,6 +133,7 @@ class OdeSystem:
 
     @classmethod
     def from_document(cls, text):
+        """Read a system document; every error in it is an InputError."""
         n = None
         minpoly = None
         entries = {}
@@ -190,44 +146,56 @@ class OdeSystem:
             try:
                 if key == "n":
                     n = int(value)
+                    if n < 1:
+                        raise ValueError
                 elif key == "field":
-                    minpoly = value
+                    minpoly = (value, line)
                 elif key.startswith("A["):
                     ij = key[1:].replace("[", " ").replace("]", " ").split()
-                    entries[(int(ij[0]), int(ij[1]))] = value
+                    entries[(int(ij[0]), int(ij[1]))] = (value, line)
                 else:
-                    raise DgalError("unknown key %r in system document" % key)
+                    raise InputError("malformed line %r in system document: "
+                                     "unknown key %r" % (line, key))
             except (ValueError, IndexError):
-                raise DgalError("malformed line %r in system document"
-                                % line) from None
+                raise InputError("malformed line %r in system document"
+                                 % line) from None
         if n is None:
-            raise DgalError("system document lacks the dimension line 'n:'")
+            raise InputError("system document lacks the dimension line 'n:'")
+        for (i, j), (_value, line) in entries.items():
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise InputError("malformed line %r in system document: "
+                                 "outside the %d x %d matrix" % (line, n, n))
+        const = ConstField()
         if minpoly is not None:
-            k0 = ConstField()
-            R0 = RatFuncField(k0, "g")
-            poly = R0.parse(minpoly)
-            if not R0.is_polynomial(poly):
-                raise DgalError("field minpoly must be a polynomial in g")
-            from .fields import field_adjoin
-            const, _ = field_adjoin(k0, R0.numer_coeffs(poly))
-        else:
-            const = ConstField()
+            value, line = minpoly
+            R0 = RatFuncField(const, "g")
+            with _document_line(line):
+                poly = R0.parse(value)
+                if not R0.is_polynomial(poly):
+                    raise InputError("field minpoly must be a polynomial in g")
+                from .fields import field_adjoin
+                const, _ = field_adjoin(const, R0.numer_coeffs(poly))
         R = RatFuncField(const)
+        if len(entries) != n * n:
+            i, j = next((i, j) for i in range(1, n + 1)
+                        for j in range(1, n + 1) if (i, j) not in entries)
+            raise InputError("missing entry A[%d][%d]" % (i, j))
         A = [[R.zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if (i + 1, j + 1) not in entries:
-                    raise DgalError("missing entry A[%d][%d]" % (i + 1, j + 1))
-                A[i][j] = R.parse(entries[(i + 1, j + 1)])
+        for (i, j), (value, line) in entries.items():
+            with _document_line(line):
+                A[i - 1][j - 1] = R.parse(value)
         return cls(R, A)
 
 
-def _replace_sign(I, pos, l):
-    """Sign of moving row l into slot pos of the ordered tuple I (with the
-    old row removed)."""
-    J = [x for k, x in enumerate(I) if k != pos]
-    newpos = sum(1 for x in J if x < l)
-    return -1 if (pos - newpos) % 2 else 1
+@contextmanager
+def _document_line(line):
+    """An error met while reading one line of a system document becomes
+    an InputError that quotes the line."""
+    try:
+        yield
+    except (DgalError, ZeroDivisionError) as err:
+        raise InputError("malformed line %r in system document: %s"
+                         % (line, err)) from None
 
 
 def monomials_upto(nvars, d):
@@ -246,31 +214,6 @@ def _fixed_degree(nvars, deg):
     for first in range(deg, -1, -1):
         for rest in _fixed_degree(nvars - 1, deg - first):
             yield (first,) + rest
-
-
-def companion_of_minpoly(R, qcoeffs):
-    """Companion system of a monic squarefree irreducible Q over k: the
-    vector (1, gamma, ..., gamma^(l-1)) solves delta Y = B Y whenever
-    Q(gamma) = 0."""
-    qcoeffs = list(qcoeffs)
-    if not R.is_one(qcoeffs[-1]):
-        raise DgalError("Q must be monic")
-    ext = ExtField(R, qcoeffs)
-    l = ext.deg
-    if l == 1:
-        return OdeSystem(R, [[R.zero]])
-    try:
-        gp = ext.gamma_derivative()
-    except (ZeroDivisionError, DgalError):
-        raise DgalError("Q is not squarefree: gamma' undefined by this construction")
-    B = [[R.zero for _ in range(l)] for _ in range(l)]
-    power = ext.one  # gamma^(j-1) on entry to iteration j
-    for j in range(1, l):
-        # (gamma^j)' = j gamma^(j-1) gamma'
-        deriv = ext.mul(ext.scale(power, R.from_int(j)), gp)
-        B[j] = list(deriv)
-        power = ext.mul(power, ext.gamma)
-    return OdeSystem(R, B)
 
 
 def _poly_mul(k, a, b):

@@ -1,3 +1,6 @@
+import re
+import time
+
 import pytest
 
 from dgal.cli import main
@@ -20,13 +23,19 @@ def refused(capsys, argv):
     return code, err.splitlines()
 
 
-@pytest.mark.parametrize("command", ["relations", "protogroup", "characters"])
-@pytest.mark.parametrize("flags", [
+RELATION_CAPS = [
     ["--degree", "1", "--order", "-3"],
     ["--degree", "1", "--coeff-degree", "-1"],
     ["--degree", "0"],
     ["--degree", "1", "--stabilize", "0"],
-])
+]
+
+
+@pytest.mark.parametrize("command,flags", [
+    pytest.param(command, flags, id="flags%d-%s" % (i, command))
+    for command in ["relations", "protogroup", "characters"]
+    for i, flags in enumerate(RELATION_CAPS)
+] + [pytest.param("series", ["--order", "-3"], id="series-order")])
 def test_meaningless_caps_exit_2(capsys, doc, command, flags):
     code, lines = refused(capsys, [command, "--system", doc,
                                    "--point", "0"] + flags)
@@ -64,10 +73,64 @@ def test_valid_relations_run(capsys, doc):
     assert capsys.readouterr().out == "order_used: 12\nrigorous: yes\n"
 
 
-@pytest.mark.parametrize("text", ["n: x\n", "n: 1\nA[1]: 1\n"])
+@pytest.mark.parametrize("text", [
+    "n: x\n", "n: 1\nA[1]: 1\n", "n: 0\n", "n: -1\n",
+    "n: 1\nA[1][1]: 1/0\n", "n: 1\nA[1][1]: 1/(t-t)\n",
+    "n: 1\nA[1][1]: foo\n", "n: 1\nA[1][1]: 1\nA[2][1]: 1\n",
+    "n: 1\nB: 2\n", "n: 1\nfield: g^2 - 1\nA[1][1]: 1\n",
+])
 def test_malformed_document(capsys, tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     code, lines = refused(capsys, ["relations", "--system", str(path),
                                    "--degree", "1"])
-    assert code == 1 and len(lines) == 1 and "malformed line" in lines[0]
+    assert code == 2 and len(lines) == 1 and "malformed line" in lines[0]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("n: 1\n", "error: missing entry A[1][1]"),
+    ("A[1][1]: 1\n", "error: system document lacks the dimension line 'n:'"),
+])
+def test_incomplete_document(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, lines = refused(capsys, ["relations", "--system", str(path),
+                                   "--degree", "1"])
+    assert code == 2 and lines == [message]
+
+
+def tower_exponents(line):
+    """(lo, hi) of a "log2(log2(value)) in [2^(2^lo), 2^(2^hi)]" line."""
+    got = re.fullmatch(r"log2\(log2\(value\)\) in "
+                       r"\[2\^\(2\^([0-9.]+)\), 2\^\(2\^([0-9.]+)\)\]", line)
+    assert got, line
+    return float(got.group(1)), float(got.group(2))
+
+
+def test_bounds_brackets_the_tower(capsys):
+    """The default run and every exact-bit cap end cleanly, in seconds,
+    and a smaller cap gives a bracket around the default one."""
+    brackets = {}
+    for cap in [None, "1", "8", "64"]:
+        t0 = time.perf_counter()
+        code = main(["bounds"] + (["--exact-bit-cap", cap] if cap else []))
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert (code, err) == (0, "") and elapsed < 20
+        assert lines[0].startswith("degree_bound(n=1) = ")
+        assert [line.split(" = ")[0] for line in lines[2:]] == \
+            ["kappa1", "kappa2", "kappa3", "iterations"]
+        brackets[cap] = tower_exponents(lines[1])
+    lo, hi = brackets[None]
+    assert lo <= hi
+    for cap in ["1", "8", "64"]:
+        assert brackets[cap][0] <= lo and hi <= brackets[cap][1]
+
+
+@pytest.mark.parametrize("n,expected", [("2", 3), ("3", 3), ("0", 2), ("-1", 2)])
+def test_bounds_refusals(capsys, n, expected):
+    t0 = time.perf_counter()
+    code, lines = refused(capsys, ["bounds", "--n", n])
+    assert time.perf_counter() - t0 < 20
+    assert code == expected and len(lines) == 1 and lines[0].startswith("error:")

@@ -3,9 +3,9 @@ import pytest
 from dgal.errors import ResourceCapError, UnsupportedInstanceError
 from dgal.fields import ConstField, field_adjoin
 from dgal.groups import Character, group_ring
-from dgal.hyperexp import (HyperexpElement, Relation, RelationLattice,
-                           logderiv_from_character, relation_lattice,
-                           torus_from_relations)
+from dgal.hyperexp import (HyperexpElement, logderiv_from_character,
+                           relation_lattice)
+from dgal.lattice import hnf_basis, saturate
 from dgal.ratfunc import RatFuncField
 from dgal.series import TruncSeries, ratfunc_series
 
@@ -24,6 +24,20 @@ def scalar_series(f_text, a, order):
 
 def rel_text(r):
     return (r.j, r.m, dict(r.exponents), r.R.format(r.f))
+
+
+def saturated_exponents(rl, l):
+    """Saturation of the exponent rows of every relation (m at j, minus
+    e at each i of h_j^m = f prod h_i^e); all of Z^l means the subtorus
+    of (C*)^l that the relations cut out is trivial."""
+    rows = []
+    for rel in rl.relations + rl.self_relations:
+        row = [0] * l
+        row[rel.j] = rel.m
+        for i, e in rel.exponents.items():
+            row[i] -= e
+        rows.append(row)
+    return saturate(rows, l)
 
 
 def test_logderiv_of_t():
@@ -87,9 +101,7 @@ def test_diagonal_half_third():
     assert rl.eta == [0]
     assert [rel_text(r) for r in rl.relations] == [(1, 3, {0: 2}, "1")]
     assert [rel_text(r) for r in rl.self_relations] == [(0, 2, {}, "t")]
-    T = torus_from_relations(rl, 2)
-    assert sorted(T.ring.format(g) for g in T.generators) == \
-        ["y_1 + -1", "y_2 + -1"]
+    assert hnf_basis(saturated_exponents(rl, 2)) == [[1, 0], [0, 1]]
 
 
 def test_cofactor_dependence_keeps_both_independent():
@@ -101,11 +113,8 @@ def test_cofactor_dependence_keeps_both_independent():
     assert rl.relations == []
     assert [rel_text(r) for r in rl.self_relations] == \
         [(0, 1, {}, "t"), (1, 1, {}, "t^2 + -1*t")]
-    from dgal.lattice import contains
-    assert contains(rl.admissible, [-1, 1])
-    T = torus_from_relations(rl, 2)
-    assert sorted(T.ring.format(g) for g in T.generators) == \
-        ["y_1 + -1", "y_2 + -1"]
+    assert hnf_basis(rl.admissible) == hnf_basis(rl.admissible + [[-1, 1]])
+    assert hnf_basis(saturated_exponents(rl, 2)) == [[1, 0], [0, 1]]
 
 
 def test_irrational_residue_rejected():
@@ -115,24 +124,6 @@ def test_irrational_residue_rejected():
     v = R2.div(R2.from_const(g), R2.t)  # residue sqrt(2)
     with pytest.raises(UnsupportedInstanceError):
         relation_lattice([HyperexpElement(R2, v)])
-
-
-def test_torus_of_square_relation():
-    rl = RelationLattice(R, [0], [Relation(1, 2, {0: 1}, R.one, R)], [], [])
-    T = torus_from_relations(rl, 2)
-    assert [T.ring.format(g) for g in T.generators] == ["-1*y_2^2 + y_1"]
-
-
-def test_torus_no_relations():
-    rl = RelationLattice(R, [0, 1], [], [], [])
-    T = torus_from_relations(rl, 2)
-    assert T.generators == []
-
-
-def test_torus_pinned_coordinate():
-    rl = RelationLattice(R, [0, 1], [], [Relation(0, 1, {}, R.t, R)], [])
-    T = torus_from_relations(rl, 2)
-    assert [T.ring.format(g) for g in T.generators] == ["y_1 + -1"]
 
 
 def test_half_residue_needs_square():

@@ -16,7 +16,7 @@ def mk(rows):
 def test_rref_and_rank():
     R, piv = linalg.rref(K, mk([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
     assert piv == [0, 1]
-    assert linalg.rank(K, mk([[1, 2], [3, 4]])) == 2
+    assert len(linalg.rref(K, mk([[1, 2], [3, 4]]))[1]) == 2
 
 
 def test_nullspace_orthogonal_to_rows():
@@ -43,12 +43,6 @@ def test_det_and_inverse():
     assert prod == linalg.identity(K, 2)
 
 
-def test_row_space_contains():
-    rows = mk([[1, 0, 1], [0, 1, 1]])
-    assert linalg.row_space_contains(K, rows, [K.from_int(2), K.from_int(3), K.from_int(5)])
-    assert not linalg.row_space_contains(K, rows, [K.zero, K.zero, K.one])
-
-
 small = st.integers(min_value=-9, max_value=9)
 
 
@@ -57,7 +51,7 @@ small = st.integers(min_value=-9, max_value=9)
 def test_det_zero_iff_rank_deficient(entries):
     A = mk(entries)
     d = linalg.det(K, A)
-    assert K.is_zero(d) == (linalg.rank(K, A) < 3)
+    assert K.is_zero(d) == (len(linalg.rref(K, A)[1]) < 3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,11 +6,9 @@ from dgal import linalg
 from dgal.fields import ConstField
 from dgal.ratfunc import RatFuncField
 from dgal.relations import (default_window, find_relations, membership_test,
-                            membership_test_ext, order_bound, relation_ideal,
-                            relation_ideal_algebraic, second_point_check,
+                            order_bound, relation_ideal, second_point_check,
                             _AnsatzBuilder, _kernel_to_polys, _RelationSolve,
                             _row_reduce_polys)
-from dgal.series import algebraic_series
 from dgal.systems import OdeSystem
 
 K = ConstField()
@@ -124,30 +122,6 @@ def test_monotone_in_degree():
     lifted = [ring3.parse(rel2.ring.format(P)) for P in rel2.basis]
     joint = _row_reduce_polys(ring3, rel3.basis + lifted)
     assert joint == _row_reduce_polys(ring3, rel3.basis)
-
-
-def test_algebraic_relation_sqrt():
-    s = sys_of(["1/(2*t)"])
-    a = K.from_int(1)
-    q = [R.neg(R.t), R.zero, R.one]
-    rel = relation_ideal_algebraic(s, a, 1, 1, q, 30)
-    assert len(rel.basis) == 1
-    P = rel.basis[0]
-    ext = rel.ring.field
-    # P should be x - gamma (up to normalization)
-    assert ext.format(P.terms[(1,)]) == "1"
-    assert ext.eq(P.terms[(0,)], ext.neg(ext.gamma))
-    # verify in series
-    fld, gs, _ = algebraic_series(R, q, a, 40)
-    G = s.fundamental_series(a, 40)
-    assert membership_test_ext(P, G, gs, 35)
-
-
-def test_algebraic_exponential_empty():
-    s = sys_of(["1"])
-    q = [R.neg(R.t), R.zero, R.one]
-    rel = relation_ideal_algebraic(s, K.from_int(1), 1, 1, q, 30)
-    assert rel.basis == []
 
 
 def test_zero_system_relations():

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from dgal import linalg
-from dgal.errors import DgalError, SingularPointError
+from dgal.errors import SingularPointError
 from dgal.fields import ConstField
 from dgal.ratfunc import RatFuncField
 from dgal.series import ratfunc_series
-from dgal.systems import OdeSystem, companion_of_minpoly, monomials_upto
+from dgal.systems import OdeSystem, monomials_upto
 
 K = ConstField()
 R = RatFuncField(K)
@@ -73,20 +73,6 @@ def test_fundamental_identity_system():
     assert all(m == [[K.zero]] for m in G.mats[1:])
 
 
-def test_direct_sum_block_structure():
-    s = sys_of(["0", "1"], ["-1", "0"])
-    d = s.direct_sum()
-    assert d.n == 4
-    G = d.fundamental_series(K.zero, 4)
-    Gs = s.fundamental_series(K.zero, 4)
-    for m in range(5):
-        for i in range(2):
-            for j in range(2):
-                assert G.mats[m][i][j] == Gs.mats[m][i][j]
-                assert G.mats[m][2 + i][2 + j] == Gs.mats[m][i][j]
-                assert K.is_zero(G.mats[m][i][2 + j])
-
-
 def test_monomials_upto_ordering():
     monos = monomials_upto(1, 2)
     assert monos == [(0,), (1,), (2,)]
@@ -139,50 +125,14 @@ def test_sym_power_series_solves():
         assert (lhs - rhs).is_zero()
 
 
-def test_exterior_power_top_is_trace():
-    s = sys_of(["1/t", "t"], ["0", "2"])
-    top = s.exterior_power(2)
-    assert top.n == 1
-    assert R.eq(top.A[0][0], s.trace())
-    assert R.eq(s.exterior_power(1).A[0][1], s.A[0][1])
-    with pytest.raises(DgalError):
-        s.exterior_power(3)
-
-
 def test_wronskian_identity_in_series():
     s = sys_of(["0", "1"], ["t", "0"])  # Airy
     a = K.from_int(1)
     order = 10
     G = check_fundamental(s, a, order)
     det = G.det_series()
-    tr = ratfunc_series(R, s.trace(), a, order - 1)
+    tr = ratfunc_series(R, R.add(s.A[0][0], s.A[1][1]), a, order - 1)
     assert (det.diff() - tr * det.truncate(order - 1)).is_zero()
-
-
-def test_companion_sqrt():
-    B = companion_of_minpoly(R, [R.neg(R.t), R.zero, R.one])
-    assert R.eq(B.A[1][1], R.parse("1/(2*t)"))
-    for i, j in [(0, 0), (0, 1), (1, 0)]:
-        assert R.is_zero(B.A[i][j])
-
-
-def test_companion_shifted():
-    q = [R.neg(R.add(R.t, R.one)), R.zero, R.one]
-    B = companion_of_minpoly(R, q)
-    assert R.eq(B.A[1][1], R.parse("1/(2*t + 2)"))
-    assert R.is_zero(B.A[0][0]) and R.is_zero(B.A[0][1]) and R.is_zero(B.A[1][0])
-
-
-def test_companion_degree_one():
-    B = companion_of_minpoly(R, [R.neg(R.t), R.one])
-    assert B.n == 1 and R.is_zero(B.A[0][0])
-
-
-def test_companion_not_squarefree():
-    # (x - t)^2 = x^2 - 2tx + t^2
-    q = [R.mul(R.t, R.t), R.neg(R.add(R.t, R.t)), R.one]
-    with pytest.raises(DgalError):
-        companion_of_minpoly(R, q)
 
 
 def test_document_roundtrip():
