@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import DgalError, InputError
 from .groups import characters_generators, identity_component
 from .pipeline import PipelineConfig, galois_group, proto_galois
+from .relations import find_relations
 from .systems import OdeSystem
 
 
@@ -31,6 +32,9 @@ def _load_system(path):
 
 
 def _point(sys_, text):
+    """The expansion point given on the command line, or t = 1."""
+    if text is None:
+        return sys_.R.const.one
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -40,17 +44,19 @@ def _point(sys_, text):
 
 
 def _strategy(args):
-    if getattr(args, "order", None) is not None:
+    if args.order is not None:
         return ("explicit", args.order)
-    if getattr(args, "stabilize", None) is not None:
+    if args.stabilize is not None:
         return ("stabilize", args.stabilize)
     return None
 
 
-def _config(sys_, args, degree):
-    a = _point(sys_, args.point) if args.point is not None else None
-    return PipelineConfig(degree=degree, a=a, ell=args.coeff_degree,
-                          order_strategy=_strategy(args))
+def _setup(args, degree):
+    """The system and the pipeline settings of a relation-based run."""
+    sys_ = _load_system(args.system)
+    return sys_, PipelineConfig(degree=degree, a=_point(sys_, args.point),
+                                ell=args.coeff_degree,
+                                order_strategy=_strategy(args))
 
 
 def cmd_bounds(args):
@@ -77,9 +83,7 @@ def cmd_series(args):
     if args.order < 0:
         raise InputError("truncation order must be >= 0, got %d" % args.order)
     sys_ = _load_system(args.system)
-    a = _point(sys_, args.point) if args.point is not None \
-        else sys_.R.const.one
-    G = sys_.fundamental_series(a, args.order)
+    G = sys_.fundamental_series(_point(sys_, args.point), args.order)
     k = G.field
     for i in range(G.n):
         for j in range(G.n):
@@ -89,17 +93,9 @@ def cmd_series(args):
     return 0
 
 
-def _relation_ideal(args):
-    from .relations import find_relations
-    sys_ = _load_system(args.system)
-    a = _point(sys_, args.point) if args.point is not None \
-        else sys_.R.const.one
-    return sys_, find_relations(sys_, a, args.degree, args.coeff_degree,
-                                _strategy(args))
-
-
 def cmd_relations(args):
-    _sys, rel = _relation_ideal(args)
+    sys_, cfg = _setup(args, args.degree)
+    rel = find_relations(sys_, cfg.a, cfg.degree, cfg.ell, cfg.order_strategy)
     print("order_used: %d" % rel.order_used)
     print("rigorous: %s" % ("yes" if rel.rigorous else "no"))
     for P in rel.basis:
@@ -108,10 +104,7 @@ def cmd_relations(args):
 
 
 def cmd_protogroup(args):
-    from .groups import stabilizer_group, verify_group_axioms
-    _sys, rel = _relation_ideal(args)
-    H = stabilizer_group(rel)
-    verify_group_axioms(H, rel)
+    H, _rel = proto_galois(*_setup(args, args.degree))
     print("verified: yes")
     for g in H.generators:
         print("generator: %s" % H.ring.format(g))
@@ -121,12 +114,8 @@ def cmd_protogroup(args):
 
 
 def cmd_characters(args):
-    from .groups import stabilizer_group, verify_group_axioms
-    _sys, rel = _relation_ideal(args)
-    H = stabilizer_group(rel)
-    verify_group_axioms(H, rel)
-    Hc = identity_component(H)
-    chars = characters_generators(Hc, args.degree)
+    H, _rel = proto_galois(*_setup(args, args.degree))
+    chars = characters_generators(identity_component(H), args.degree)
     print("rank: %d" % len(chars))
     for ch in chars:
         print("character: %s" % ch.ring.format(ch.poly))
@@ -134,27 +123,24 @@ def cmd_characters(args):
 
 
 def cmd_galois(args):
-    sys_ = _load_system(args.system)
     if args.degree_override is None:
         from . import bounds as B
-        expr = B.proto_galois_degree_bound(sys_.n)
+        expr = B.proto_galois_degree_bound(_load_system(args.system).n)
         print("refusing to run: the unconditional degree bound is not "
               "executable at desk scale.")
         print("symbolic degree bound: %s" % B.render(expr))
         print("pass --degree-override D to run relative to degree D.")
         return 2
-    cfg = _config(sys_, args, args.degree_override)
-    desc = galois_group(sys_, cfg)
+    desc = galois_group(*_setup(args, args.degree_override))
     sys.stdout.write(desc.to_document())
     return 0
 
 
-def _add_common(p, with_degree=True):
+def _add_common(p):
+    """The options of every subcommand that expands the system at a point
+    and solves for its relations."""
     p.add_argument("--system", required=True, help="system document file")
     p.add_argument("--point", help="expansion point (a rational number)")
-    if with_degree:
-        p.add_argument("--degree", type=int, required=True,
-                       help="relation degree cap")
     p.add_argument("--coeff-degree", type=int, default=2, dest="coeff_degree",
                    help="rational coefficient degree cap")
     group = p.add_mutually_exclusive_group()
@@ -183,30 +169,23 @@ def build_parser():
     p.add_argument("--order", type=int, default=10)
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("relations", help="relation ideal basis")
-    _add_common(p)
-    p.set_defaults(func=cmd_relations)
-
-    p = sub.add_parser("protogroup", help="stabilizer of the relation ideal")
-    _add_common(p)
-    p.set_defaults(func=cmd_protogroup)
-
-    p = sub.add_parser("characters",
-                       help="character lattice of the identity component")
-    _add_common(p)
-    p.set_defaults(func=cmd_characters)
+    for name, func, text in [
+            ("relations", cmd_relations, "relation ideal basis"),
+            ("protogroup", cmd_protogroup,
+             "stabilizer of the relation ideal"),
+            ("characters", cmd_characters,
+             "character lattice of the identity component")]:
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--degree", type=int, required=True,
+                       help="relation degree cap")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("galois", help="full Galois group computation")
-    p.add_argument("--system", required=True)
-    p.add_argument("--point")
+    _add_common(p)
     p.add_argument("--degree-override", type=int, default=None,
                    dest="degree_override",
                    help="run relative to this relation degree")
-    p.add_argument("--coeff-degree", type=int, default=2,
-                   dest="coeff_degree")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--order", type=int)
-    group.add_argument("--stabilize", type=int)
     p.set_defaults(func=cmd_galois)
     return parser
 

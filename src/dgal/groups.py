@@ -14,11 +14,9 @@ import sympy as sp
 
 from . import lattice, linalg
 from .errors import DgalError, UnsupportedInstanceError
-from .fields import ConstField
 from .multipoly import PolyRing, groebner, normal_form, standard_monomials
 from .relations import _row_reduce_polys, graded_lex_order, matrix_var_names
 from .solve import PositiveDimensionalError, solve_zero_dimensional
-from .systems import monomials_upto
 
 
 class AlgebraicSubgroup:
@@ -107,7 +105,10 @@ def _action_residuals(rel):
 
     Returns (ring_h, residual entries): residuals are polynomials in the
     h variables with rational-function coefficients; they vanish exactly
-    when h stabilizes the relation span.
+    when h stabilizes the relation span.  The basis is in reduced row
+    echelon form with monic leading terms (relations._row_reduce_polys),
+    so reducing by the span clears each basis element's leading monomial
+    in turn.
     """
     ring = rel.ring
     R = ring.field
@@ -117,32 +118,26 @@ def _action_residuals(rel):
     ring_xy = PolyRing(R, list(ring.names) + hnames, ring.order)
     subst = _product_substitution(ring_xy, n)
     ring_h = PolyRing(R, hnames, graded_lex_order(nsq))
-    cols = sorted(monomials_upto(nsq, rel.d), key=ring.order.key, reverse=True)
-    col_index = {e: i for i, e in enumerate(cols)}
-    # row-reduced span of the basis coefficient vectors over k
-    span = []
-    for P in rel.basis:
-        row = [R.zero] * len(cols)
-        for e, c in P.terms.items():
-            row[col_index[e]] = c
-        span.append(row)
-    rr, pivots = linalg.rref(R, span)
+    leads = [(Q.leading()[0], Q) for Q in rel.basis]
     residuals = []
     for P in rel.basis:
         lifted = ring_xy.from_dict(
             {e + (0,) * nsq: c for e, c in P.terms.items()})
         acted = lifted.substitute(subst)
         # split exponents into (x-monomial, h-polynomial) coordinates
-        vec = [ring_h.zero] * len(cols)
+        vec = {}
         for e, c in acted.terms.items():
             xe, he = e[:nsq], e[nsq:]
-            vec[col_index[xe]] = vec[col_index[xe]] + ring_h.from_dict({he: c})
-        for r, pc in zip(rr, pivots):
-            lead = vec[pc]
-            if lead.is_zero():
+            vec[xe] = vec.get(xe, ring_h.zero) + ring_h.from_dict({he: c})
+        for le, Q in leads:
+            lead = vec.get(le)
+            if lead is None or lead.is_zero():
                 continue
-            vec = [v - lead.scale(x) for v, x in zip(vec, r)]
-        residuals.extend(v for v in vec if not v.is_zero())
+            for e, c in Q.terms.items():
+                vec[e] = vec.get(e, ring_h.zero) - lead.scale(c)
+        residuals.extend(vec[e] for e in sorted(vec, key=ring.order.key,
+                                                reverse=True)
+                         if not vec[e].is_zero())
     return ring_h, residuals
 
 
@@ -191,9 +186,9 @@ def verify_group_axioms(H, rel):
     if rel.basis:
         R = rel.ring.field
         ring_h, residuals = _action_residuals(rel)
-        lifted = [ring_h.from_dict({e: R.from_const(c) for e, c in g.terms.items()})
-                  for g in H.generators]
-        gb = groebner(lifted) if lifted else []
+        # a reduced Groebner basis over k is the reduced basis over k(t)
+        gb = [ring_h.from_dict({e: R.from_const(c) for e, c in g.terms.items()})
+              for g in H.groebner_basis()]
         for res in residuals:
             if normal_form(res, gb).terms:
                 raise DgalError(
@@ -404,7 +399,12 @@ def _doubled_ideal(H, field=None):
     return ring2, (groebner(both) if both else [])
 
 
-def sample_group_points(H, count, seed=20):
+# group points sampled per character search, and the seed they come from
+SAMPLES = 4
+SEED = 20
+
+
+def sample_group_points(H, count):
     """Exact points of H (entries in the constant field or an extension),
     used to probe the translation action.  Strategies, tried in order:
     no equations (random invertible matrices), finite groups (full
@@ -413,7 +413,7 @@ def sample_group_points(H, count, seed=20):
     one variable (solve for it at random values of the rest).  Every
     candidate is checked against the generators before being returned.
     """
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     n = H.n
     fld = H.ring.field
 
@@ -627,7 +627,7 @@ def _eigen_refine(fld, spaces, T):
     return big, done
 
 
-def characters_generators(H, D, samples=4, seed=20):
+def characters_generators(H, D):
     """Generators of the character group of a connected H, from the
     group-like polynomials of degree <= D.
 
@@ -648,7 +648,7 @@ def characters_generators(H, D, samples=4, seed=20):
     ring = H.ring
     gb = H.groebner_basis()
     B = standard_monomials(gb, ring, D)
-    pfld, hpts = sample_group_points(H, samples, seed)
+    pfld, hpts = sample_group_points(H, SAMPLES)
     big = pfld
     ringF = group_ring(n, big)
     gbF = [_coerce_poly(ringF, ring, g) for g in gb]

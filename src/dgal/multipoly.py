@@ -227,10 +227,13 @@ class MultiPoly:
                                      for e, c in self.terms.items()})
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        """Equal values: the same monomials, with coefficients equal in
+        the field (which may hold one value in several forms)."""
+        if not isinstance(other, MultiPoly) or \
+                self.terms.keys() != other.terms.keys():
+            return False
+        eq = self.ring.field.eq
+        return all(eq(c, other.terms[e]) for e, c in self.terms.items())
 
     def __bool__(self):
         return bool(self.terms)
@@ -333,6 +336,10 @@ class MultiPoly:
 
 # -- reduction and Groebner bases ---------------------------------------
 
+# a Groebner basis growing past this many elements is a ResourceCapError
+MAX_BASIS = 2000
+
+
 def normal_form(p, basis, order=None):
     """Remainder of p on division by the list ``basis``."""
     if not basis:
@@ -370,11 +377,11 @@ def s_polynomial(f, g, order=None):
             - g.mul_term(_mono_div(l, eg), fld.inv(cg)))
 
 
-def groebner(gens, order=None, max_basis=2000):
+def groebner(gens, order=None):
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Pairs are pruned with the coprimality and chain criteria.  The
-    ``max_basis`` cap turns runaway computations into ResourceCapError
+    MAX_BASIS cap turns runaway computations into ResourceCapError
     rather than an unbounded loop.
     """
     gens = [g for g in gens if g.terms]
@@ -410,8 +417,8 @@ def groebner(gens, order=None, max_basis=2000):
         s = s.monic(order)
         G.append(s)
         lead.append(s.leading(order)[0])
-        if len(G) > max_basis:
-            raise ResourceCapError("Groebner basis exceeded %d elements" % max_basis)
+        if len(G) > MAX_BASIS:
+            raise ResourceCapError("Groebner basis exceeded %d elements" % MAX_BASIS)
         new = len(G) - 1
         for k in range(new):
             pairs.add((k, new))
@@ -447,14 +454,14 @@ def reduce_basis(G, order=None):
     return out
 
 
-def eliminate(gens, nfirst, max_basis=2000):
+def eliminate(gens, nfirst):
     """Generators of the elimination ideal removing the first ``nfirst``
     variables.  Returned polynomials still live in the full ring but only
     involve the remaining variables."""
     if not gens:
         return []
     order = elimination_order(nfirst)
-    gb = groebner(gens, order, max_basis=max_basis)
+    gb = groebner(gens, order)
     out = []
     for g in gb:
         if all(i >= nfirst for i in g.variables_used()):

@@ -3,10 +3,14 @@
 The stages compose as: relation ideal -> stabilizer (the proto-group H)
 -> identity component H deg -> characters and their hyperexponential
 relation lattice -> identity component of the Galois group -> finite
-part over the conjugates of the algebraic data.  Every completed run
-carries a sandwich certificate: the kernel of the characters of H's
-identity component is contained in the computed identity component,
-which is contained in H (checked by Groebner reduction).
+part over the conjugates of the algebraic data.  Every stage works from
+one fundamental matrix, expanded at the one point a of PipelineConfig:
+the relations, the algebraic point alpha, the logarithmic derivatives
+of the characters and the finite part all read that expansion.  Every
+completed run carries a sandwich certificate: the kernel of the
+characters of H's identity component is contained in the computed
+identity component, which is contained in H (checked by Groebner
+reduction).
 
 The degree bound that makes the whole computation unconditional is
 astronomically large by construction; it is only ever reported
@@ -29,63 +33,46 @@ from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
 from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import PolyRing, groebner, normal_form
 from .relations import (find_relations, membership_test,
-                        substituted_coefficient_system, transport_factor)
+                        substituted_coefficient_system)
 from .series import Series, TruncSeries, algebraic_series
 from .solve import PositiveDimensionalError, _join, solve_zero_dimensional
 
 
 class PipelineConfig:
-    """Knobs for a pipeline run.
+    """Settings of a pipeline run.
 
     degree None means the symbolic-bound mode: the run refuses with the
-    rendered bound tower instead of executing.  points b and c default
-    to a; order_strategy None uses the heuristic default window (the
-    result is then flagged non-rigorous).
+    rendered bound tower instead of executing.  a is the one expansion
+    point (None means t = 1); ell caps the t-degree of the relation
+    coefficients; order_strategy None uses the heuristic default window
+    (the result is then flagged non-rigorous).
     """
 
-    def __init__(self, degree=None, a=None, b=None, c=None, ell=2,
-                 order_strategy=None, char_degree=None, samples=4):
+    def __init__(self, degree=None, a=None, ell=2, order_strategy=None):
         if degree is not None and degree < 1:
-            raise InputError("degree override must be >= 1")
+            raise InputError("relation degree must be >= 1, got %d" % degree)
         self.degree = degree
         self.a = a
-        self.b = b
-        self.c = c
         self.ell = ell
         self.order_strategy = order_strategy
-        self.char_degree = char_degree
-        self.samples = samples
-
-    def resolve_points(self, sys):
-        k = sys.R.const
-        a = self.a if self.a is not None else k.one
-        b = self.b if self.b is not None else a
-        c = self.c if self.c is not None else b
-        for p in (a, b, c):
-            sys.check_regular(p)
-        return a, b, c
 
 
 class AlphaData:
-    """The algebraic change of basis alpha = alphabar * gbar and the
-    transported fundamental matrix F_bar = F_b * h, with the series
-    witness C = alpha^{-1} F_bar of identity-component membership."""
+    """The algebraic change of basis alpha = alphabar * gbar, and the
+    fundamental matrix F_bar at the expansion point a, over the field
+    that alpha needs."""
 
-    def __init__(self, kind, field, M, exps, consts, gamma, root, gbar, h,
-                 Fbar, C):
+    def __init__(self, kind, field, M, exps, consts, gamma, gbar, Fbar):
         self.kind = kind          # "identity" or "radical"
         self.field = field        # constant field of the series data
         self.M = M                # gamma^M = t (M = 1 means gamma in k)
         self.exps = exps          # alpha = diag(consts_i gamma^exps[i]) gbar
         self.consts = consts      # constant factors s_i over field
-        self.gamma = gamma        # Series of gamma at b, or None
-        self.root = root          # gamma(b)
+        self.gamma = gamma        # Series of gamma at a, or None
         self.gbar = gbar          # constant matrix over field
-        self.h = h                # transport factor, or None for identity
-        self.Fbar = Fbar          # TruncSeries at b over field
-        self.C = C                # TruncSeries of alpha^{-1} F_bar
+        self.Fbar = Fbar          # TruncSeries at a over field
 
-    def describe(self, R):
+    def describe(self):
         if self.kind == "identity":
             return "alpha = I"
         return "alpha = diag(s * gamma^%s) * gbar with gamma^%d = t, s = %s" \
@@ -158,7 +145,7 @@ def proto_galois(sys, cfg):
             + render(expr))
         err.bound_expr = expr
         raise err
-    a, _b, _c = cfg.resolve_points(sys)
+    a = sys.R.const.one if cfg.a is None else cfg.a
     rel = find_relations(sys, a, cfg.degree, cfg.ell, cfg.order_strategy)
     H = stabilizer_group(rel)
     verify_group_axioms(H, rel)
@@ -253,49 +240,29 @@ def _radical_exponents(rel):
     return M, exps, consts
 
 
-def _transport(sys, rel, a, b, order):
-    """F_bar = F_b * h with every relation vanishing on F_bar.
-
-    Returns (Fbar, h) with h None when no factor is needed."""
-    Fb = sys.fundamental_series(b, order)
-    if sys.R.const.eq(a, b) or not rel.basis:
-        return Fb, None
-    if all(membership_test(P, Fb, order) for P in rel.basis):
-        return Fb, None
-    found = transport_factor(rel, Fb, min(rel.order_used, order))
-    if found is None:
-        raise UnsupportedInstanceError(
-            "no invertible transport factor between the base points was "
-            "found")
-    fld, h = found
-    return Fb.coerce_to(fld).const_matrix_mul(h), h
-
-
-def find_alpha_fbar(sys, rel, H, Hcirc, a, b, order):
+def find_alpha_fbar(sys, rel, H, Hcirc, order):
     """The algebraic point alpha of the relation variety and the
-    transported fundamental matrix F_bar, with alpha^{-1} F_bar verified
-    (in series through the truncation order) to lie in H's identity
-    component; the component witness gbar is folded into alpha."""
+    fundamental matrix F_bar at the relations' point a, with
+    alpha^{-1} F_bar verified (in series through the truncation order)
+    to lie in H's identity component; the component witness gbar is
+    folded into alpha."""
     n = sys.n
     R = sys.R
-    Fbar, h = _transport(sys, rel, a, b, order)
-    kf = Fbar.field
-    Rb = R if kf == R.const else R.over(kf)
-    bb = kf.coerce_from(R.const, b) if kf != R.const else b
+    Fbar = sys.fundamental_series(rel.a, order)
+    kf = R.const
     if not rel.basis or _vanishes_at_identity(rel):
-        kind, M, exps, gser, root = "identity", 1, [0] * n, None, None
+        kind, M, exps, gser = "identity", 1, [0] * n, None
         consts = [kf.one] * n
         C = Fbar
     else:
         kind = "radical"
         M, exps, consts = _radical_exponents(rel)
-        if Rb.const != R.const:
-            consts = [Rb.const.coerce_from(R.const, s) for s in consts]
-        qcoeffs = [Rb.neg(Rb.t)] + [Rb.zero] * (M - 1) + [Rb.one]
-        kf, gser, root = algebraic_series(Rb, qcoeffs, bb, order)
-        if kf != Rb.const:
-            consts = [kf.coerce_from(Rb.const, s) for s in consts]
-            Rb = Rb.over(kf)
+        qcoeffs = [R.neg(R.t)] + [R.zero] * (M - 1) + [R.one]
+        kf, gser, _root = algebraic_series(R, qcoeffs, rel.a, order)
+        ring = rel.ring
+        if kf != R.const:
+            consts = [kf.coerce_from(R.const, s) for s in consts]
+            ring = PolyRing(R.over(kf), ring.names, ring.order)
             Fbar = Fbar.coerce_to(kf)
         # verify every relation vanishes at alpha
         zero = Series.constant(kf, kf.zero, order)
@@ -304,9 +271,8 @@ def find_alpha_fbar(sys, rel, H, Hcirc, a, b, order):
                           for j in range(n)] for i in range(n)]
         Aser = TruncSeries.from_entries(kf, Fbar.a, alpha_entries)
         for P in rel.basis:
-            Pb = _coerce_poly(PolyRing(Rb, rel.ring.names, rel.ring.order),
-                              rel.ring, P)
-            if not membership_test(Pb, Aser, order):
+            if not membership_test(_coerce_poly(ring, rel.ring, P), Aser,
+                                   order):
                 raise DgalError("candidate alpha fails a relation: %s"
                                 % rel.ring.format(P))
         ginv = gser.inverse()
@@ -325,8 +291,7 @@ def find_alpha_fbar(sys, rel, H, Hcirc, a, b, order):
             if gser is not None:
                 gser = Series(kf, [kf.coerce_from(oldf, x)
                                    for x in gser.coeffs])
-                root = kf.coerce_from(oldf, root)
-    return AlphaData(kind, kf, M, exps, consts, gser, root, gbar, h, Fbar, C)
+    return AlphaData(kind, kf, M, exps, consts, gser, gbar, Fbar)
 
 
 def _component_membership(Hcirc, C, order):
@@ -358,17 +323,6 @@ def _component_witness(H, Hcirc, C, order):
 
 # -- identity component of the Galois group -----------------------------
 
-def identity_component_subset(alpha, Hcirc):
-    """The substituted ideal {P(alpha^{-1} X)}; with alpha = I this is
-    just the component's ideal (the only executable case here, matching
-    the restricted alpha search for infinite components)."""
-    if alpha.kind == "identity":
-        return list(Hcirc.generators)
-    raise UnsupportedInstanceError(
-        "substitution of a nontrivial algebraic alpha into an infinite "
-        "component ideal is outside the supported class")
-
-
 def character_binomials(chars, rl, ring):
     """Group equations from the hyperexponential relation lattice: each
     relation h_j^m = f * prod h_i^{e_i} forces chi_j^m = prod chi_i^{e_i}
@@ -395,8 +349,13 @@ def character_binomials(chars, rl, ring):
 def build_J_barH(alpha, Hcirc, chars, rl):
     """The constrained component: H's identity component intersected
     with the character binomials of the relation lattice, then its own
-    identity component (the Galois group's identity component)."""
-    J = identity_component_subset(alpha, Hcirc)
+    identity component (the Galois group's identity component).  Only
+    alpha = I is supported: a nontrivial alpha would be substituted into
+    the component's ideal."""
+    if alpha.kind != "identity":
+        raise UnsupportedInstanceError(
+            "substitution of a nontrivial algebraic alpha into an infinite "
+            "component ideal is outside the supported class")
     n = Hcirc.n
     big = Hcirc.ring.field
     if chars:
@@ -404,26 +363,24 @@ def build_J_barH(alpha, Hcirc, chars, rl):
     ring = group_ring(n, big)
     gens = [_coerce_poly(ring, Hcirc.ring, g) for g in Hcirc.generators]
     binoms = character_binomials(chars, rl, ring) if chars else []
-    J = J + binoms
     if not binoms:
-        return J, Hcirc, Hcirc
-    Hbar = AlgebraicSubgroup(n, ring, gens + binoms)
-    return J, Hbar, identity_component(Hbar)
+        return Hcirc
+    return identity_component(AlgebraicSubgroup(n, ring, gens + binoms))
 
 
 # -- finite part --------------------------------------------------------
 
-def finite_part(alpha, Gcirc_gens, order, Ncap=None):
+def finite_part(alpha, Gcirc_gens, order):
     """The full group as a union over the conjugates tau of gamma: for
     each tau, the constant matrices g with Q(tau(beta)^{-1} F_tilde g) =
-    0 for every generator Q of the identity component's ideal.
+    0 for every generator Q of the identity component's ideal, through
+    the truncation order.
 
     beta = alpha and F_tilde = F_bar (the reuse case).  Returns
-    (field, points, identity_in_id_part)."""
+    (field, points)."""
     kf = alpha.field
     M = alpha.M
     n = alpha.Fbar.n
-    N = min(order, Ncap) if Ncap is not None else order
     if M == 1:
         big, roots = kf, [kf.one]
     else:
@@ -469,7 +426,7 @@ def finite_part(alpha, Gcirc_gens, order, Ncap=None):
         Wpre = TruncSeries.from_entries(big, F.a, entries)
         W = TruncSeries(big, F.a,
                         [linalg.matmul(big, gbar_inv, m) for m in Wpre.mats])
-        eqs = substituted_coefficient_system(Gcirc_gens, W, N)
+        eqs = substituted_coefficient_system(Gcirc_gens, W, order)
         try:
             sfld, sols = solve_zero_dimensional(eqs)
         except PositiveDimensionalError as err:
@@ -571,43 +528,42 @@ def galois_group(sys, cfg):
     relation lattice (the group equals the proto-group when nothing
     shrinks).  Everything else refuses loudly."""
     H, rel = proto_galois(sys, cfg)
-    a, b, c = cfg.resolve_points(sys)
     n = sys.n
     order = rel.order_used + 2
     Hcirc = identity_component(H)
+    point = sys.R.const.format(rel.a)
     provenance = {
-        "point_a": sys.R.const.format(a),
-        "point_b": sys.R.const.format(b),
-        "point_c": sys.R.const.format(c),
+        # the document format has three point lines; all name point a
+        "point_a": point,
+        "point_b": point,
+        "point_c": point,
         "degree": rel.d,
         "order_used": rel.order_used,
     }
     chars = []
     if H.finite:
-        alpha = find_alpha_fbar(sys, rel, H, Hcirc, a, b, order)
+        alpha = find_alpha_fbar(sys, rel, H, Hcirc, order)
         Gcirc = Hcirc
-        fld, pts = finite_part(alpha, Gcirc.generators, order,
-                               Ncap=rel.order_used + 2)
-        provenance["alpha"] = alpha.describe(sys.R)
+        fld, pts = finite_part(alpha, Gcirc.generators, order)
+        provenance["alpha"] = alpha.describe()
         desc = GaloisGroupDescription(
             n, H, rel, Gcirc, True, fld, pts, len(pts), 0,
             rel.rigorous, provenance)
     else:
-        D = cfg.char_degree if cfg.char_degree is not None else rel.d
-        chars = characters_generators(Hcirc, D, samples=cfg.samples)
+        chars = characters_generators(Hcirc, rel.d)
         Gcirc = Hcirc
         if not chars:
             provenance["alpha"] = "not needed (trivial character lattice)"
         else:
-            alpha = find_alpha_fbar(sys, rel, H, Hcirc, a, b, order)
+            alpha = find_alpha_fbar(sys, rel, H, Hcirc, order)
             big = _join(alpha.field, chars[0].ring.field)
             S = alpha.Fbar.coerce_to(big) \
                 if alpha.Fbar.field != big else alpha.Fbar
             elements = [logderiv_from_character(ch, S, cfg.ell, cfg.ell)
                         for ch in chars]
             rl = relation_lattice(elements)
-            _J, _Hbar, Gcirc = build_J_barH(alpha, Hcirc, chars, rl)
-            provenance["alpha"] = alpha.describe(sys.R)
+            Gcirc = build_J_barH(alpha, Hcirc, chars, rl)
+            provenance["alpha"] = alpha.describe()
             provenance["hyperexp_relations"] = len(rl.relations) + \
                 len(rl.self_relations)
             if not _same_ideal(Gcirc, Hcirc):

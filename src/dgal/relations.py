@@ -97,6 +97,10 @@ class _AnsatzBuilder:
         return row
 
 
+# the stabilize window refuses beyond this truncation order
+MAX_ORDER = 500
+
+
 def default_window(sys, d):
     return 25 + d * sys.n * sys.n
 
@@ -169,7 +173,7 @@ class _RelationSolve:
             return N
         return self._solve(N + 1, run)
 
-    def stabilize(self, w, max_order):
+    def stabilize(self, w):
         """Smallest M whose rank is unchanged through M..M+w; the series
         are prepared in doublings of 2*ell + 4."""
         chunk = 2 * self.builder.ell + 4
@@ -190,16 +194,16 @@ class _RelationSolve:
                     streak = 0
                     last_rank = self.acc.rank
                 M += 1
-                if M > max_order:
+                if M > MAX_ORDER:
                     raise ResourceCapError(
-                        "no stable truncation order below %d" % max_order)
+                        "no stable truncation order below %d" % MAX_ORDER)
                 if M + 1 > order:
                     order = order * 2
                     self._ensure(order + 1)
         return self._solve(chunk + 1, run)
 
 
-def order_bound(sys, a, d, ell, strategy, max_order=500, solver=None):
+def order_bound(sys, a, d, ell, strategy, solver=None):
     """Truncation order for the relation solve.
 
     strategy: ("explicit", N) -> (N, rigorous=True);
@@ -220,14 +224,13 @@ def order_bound(sys, a, d, ell, strategy, max_order=500, solver=None):
         raise DgalError("unknown order-bound strategy %r" % (kind,))
     if solver is None:
         solver = _RelationSolve(sys, a, d, ell)
-    return solver.stabilize(strategy[1], max_order), False
+    return solver.stabilize(strategy[1]), False
 
 
 def relation_ideal(sys, a, d, ell, N, rigorous=False, solver=None):
     """Relations of total degree <= d with polynomial coefficients of
     t-degree <= 2*ell, valid through truncation order N+1.  A ``solver``
     shared with order_bound hands on the kernel it found for N."""
-    sys.check_regular(a)
     if solver is None:
         solver = _RelationSolve(sys, a, d, ell)
     if solver.N != N:

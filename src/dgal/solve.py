@@ -18,7 +18,7 @@ class PositiveDimensionalError(DgalError):
             "leading monomials (witness family: %s^k for all k)" % (witness, witness))
 
 
-def solve_zero_dimensional(gens, max_basis=2000):
+def solve_zero_dimensional(gens):
     """All common zeros of ``gens`` (MultiPoly over a ConstField ring).
 
     Returns (field, points) where each point is (coords, multiplicity)
@@ -29,7 +29,7 @@ def solve_zero_dimensional(gens, max_basis=2000):
         raise PositiveDimensionalError("<empty system>")
     ring = gens[0].ring
     field = ring.field
-    gb = groebner(gens, LEX, max_basis=max_basis)
+    gb = groebner(gens, LEX)
     if any(not g.terms for g in gens) or gb == []:
         # zero ideal or the whole space
         raise PositiveDimensionalError(ring.names[0] if ring.names else "<point>")

@@ -9,7 +9,7 @@ search and the stabilizer construction rely on this exact ordering.
 from contextlib import contextmanager
 
 from . import linalg
-from .errors import DgalError, InputError, SingularPointError
+from .errors import DgalError, InputError
 from .fields import ConstField
 from .ratfunc import RatFuncField
 from .series import TruncSeries, ratfunc_series
@@ -22,48 +22,12 @@ class OdeSystem:
         self.R = R
         self.n = len(A)
         self.A = A
-        self.q = self._lcm_denominator()
-
-    def _lcm_denominator(self):
-        """Monic least common denominator of the entries, as ascending
-        constant-field coefficients."""
-        from .ratfunc import _poly_divmod
-        R = self.R
-        k = R.const
-        L = [k.one]
-        for row in self.A:
-            for f in row:
-                den = R.denom_coeffs(f)
-                g = _poly_gcd(R, L, den)
-                prod = _poly_mul(k, L, den)
-                L, rem = _poly_divmod(k, prod, g)
-                while len(L) > 1 and k.is_zero(L[-1]):
-                    L.pop()
-        lead = L[-1]
-        return [k.div(c, lead) for c in L]
-
-    def q_at(self, a):
-        k = self.R.const
-        out = k.zero
-        p = k.one
-        for c in self.q:
-            out = k.add(out, k.mul(c, p))
-            p = k.mul(p, a)
-        return out
-
-    def check_regular(self, a):
-        if self.R.const.is_zero(self.q_at(a)):
-            raise SingularPointError(
-                "t = %s is a pole of the system (q vanishes, q = %s)"
-                % (self.R.const.format(a),
-                   self.R.format(self.R.from_coeffs(self.q))))
 
     # -- series ---------------------------------------------------------
 
     def expand_at(self, a, order):
-        """A_0..A_order with A(t) = sum A_i (t-a)^i exactly."""
-        self.check_regular(a)
-        k = self.R.const
+        """A_0..A_order with A(t) = sum A_i (t-a)^i exactly; a pole at
+        t = a is a SingularPointError (from ratfunc_series)."""
         entry_series = [[ratfunc_series(self.R, f, a, order) for f in row]
                         for row in self.A]
         return [[[entry_series[i][j].coeffs[m] for j in range(self.n)]
@@ -72,7 +36,6 @@ class OdeSystem:
     def fundamental_series(self, a, order):
         """Gamma_a = I + D_1 u + ... with delta Gamma = A Gamma through
         u^(order-1), via D_{m+1} = (sum_j A_j D_{m-j}) / (m+1)."""
-        self.check_regular(a)
         k = self.R.const
         As = self.expand_at(a, order)
         D = [linalg.identity(k, self.n)]
@@ -215,40 +178,3 @@ def _fixed_degree(nvars, deg):
         for rest in _fixed_degree(nvars - 1, deg - first):
             yield (first,) + rest
 
-
-def _poly_mul(k, a, b):
-    out = [k.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if k.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = k.add(out[i + j], k.mul(x, y))
-    return out
-
-
-def _poly_gcd(R, a, b):
-    """Monic gcd of ascending coefficient lists over the constant field,
-    computed in k[t] via rational-function arithmetic on constants."""
-    k = R.const
-
-    def trim(p):
-        p = list(p)
-        while p and k.is_zero(p[-1]):
-            p.pop()
-        return p
-
-    a, b = trim(a or []), trim(b or [])
-    while b:
-        # remainder of a by b
-        a = list(a)
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            c = k.div(a[-1], b[-1])
-            for j in range(db + 1):
-                a[len(a) - 1 - db + j] = k.sub(a[len(a) - 1 - db + j], k.mul(c, b[j]))
-            a = trim(a)
-        a, b = b, a
-    if not a:
-        return [k.one]
-    lead = a[-1]
-    return [k.div(c, lead) for c in a]

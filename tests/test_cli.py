@@ -134,3 +134,34 @@ def test_bounds_refusals(capsys, n, expected):
     code, lines = refused(capsys, ["bounds", "--n", n])
     assert time.perf_counter() - t0 < 20
     assert code == expected and len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.fixture
+def pole_doc(tmp_path):
+    path = tmp_path / "pole.txt"
+    path.write_text("n: 1\nA[1][1]: 1/(2*t)\n")
+    return str(path)
+
+
+RUN_FLAGS = {
+    "series": [],
+    "relations": ["--degree", "1"],
+    "protogroup": ["--degree", "1"],
+    "characters": ["--degree", "1"],
+    "galois": ["--degree-override", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_FLAGS))
+def test_pole_exits_4(capsys, pole_doc, command):
+    code, lines = refused(capsys, [command, "--system", pole_doc,
+                                   "--point", "0"] + RUN_FLAGS[command])
+    assert code == 4 and lines == ["error: pole of (1/2)/(t) at t = 0"]
+
+
+@pytest.mark.parametrize("command", sorted(RUN_FLAGS))
+def test_caps_checked_before_the_point(capsys, pole_doc, command):
+    code, lines = refused(capsys, [command, "--system", pole_doc,
+                                   "--point", "0", "--order", "-3"]
+                          + RUN_FLAGS[command])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")

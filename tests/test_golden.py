@@ -1,6 +1,8 @@
-"""The `dgal galois` documents of the six README worked examples, byte
-for byte.  Each `golden/<name>.sys` is run with its flags and the output
-must equal `golden/<name>.out`."""
+"""The output documents of the README worked examples, byte for byte.
+
+`dgal galois` on each of the six `golden/<name>.sys` must print
+`golden/<name>.out`; `dgal relations`, `protogroup` and `characters` on
+five of them must print `golden/<name>.<command>.out`."""
 
 from pathlib import Path
 
@@ -19,10 +21,25 @@ EXAMPLES = [
     ("diag23", ["--degree-override", "3"]),
 ]
 
+SUBCOMMAND_EXAMPLES = [
+    ("mu2", ["--degree", "2"]),
+    ("exp", ["--degree", "3", "--point", "0"]),
+    ("t", ["--degree", "1"]),
+    ("harmonic", ["--degree", "2", "--point", "0"]),
+    ("diag23", ["--degree", "3"]),
+]
 
-@pytest.mark.parametrize("name,flags", EXAMPLES, ids=[e[0] for e in EXAMPLES])
-def test_worked_example_document(capsys, name, flags):
-    code = main(["galois", "--system", str(GOLDEN / (name + ".sys"))] + flags)
+CASES = [pytest.param("galois", name, flags, name + ".out", id=name)
+         for name, flags in EXAMPLES] + [
+    pytest.param(command, name, flags, "%s.%s.out" % (name, command),
+                 id="%s-%s" % (name, command))
+    for name, flags in SUBCOMMAND_EXAMPLES
+    for command in ["relations", "protogroup", "characters"]]
+
+
+@pytest.mark.parametrize("command,name,flags,golden", CASES)
+def test_worked_example_document(capsys, command, name, flags, golden):
+    code = main([command, "--system", str(GOLDEN / (name + ".sys"))] + flags)
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
-    assert out == (GOLDEN / (name + ".out")).read_text()
+    assert out == (GOLDEN / golden).read_text()

@@ -116,13 +116,6 @@ def test_diagonal_oracle_equivalence():
         assert desc.order == exponent_lattice_order(*rs)
 
 
-def test_second_base_point_transport():
-    desc = run(sys_of(["1/(2*t)"]), 2, b=K.from_int(4))
-    assert desc.finite and desc.order == 2
-    assert fmt_points(desc) == ["-1", "1"]
-    assert desc.provenance["point_b"] == "4"
-
-
 def test_conjugation_coherence():
     # running from two base points yields the same finite point set
     d1 = run(sys_of(["1/(2*t)"]), 2, a=K.from_int(1))
