@@ -14,11 +14,15 @@ from fractions import Fraction
 
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.polyerrors import CoercionFailed
 
 from . import _grammar
 from .errors import DgalError
 
 _X = sp.Dummy("x")
+# variable of the polynomials inside CRootOf generators; it must differ
+# from _X, or a Poly in _X could not hold those generators as coefficients
+_R = sp.Dummy("r")
 
 # symbol used when printing/parsing number field elements
 GEN_NAME = "g"
@@ -29,8 +33,12 @@ class ConstField:
 
     def __init__(self, gens=()):
         self.gens = tuple(gens)
+        if len(self.gens) > 1:
+            _check_extendable(self.gens)
         self.dom = QQ.algebraic_field(*gens) if gens else QQ
-        self._minpoly = None
+        # subfield domain -> image of its primitive element here (None when
+        # the subfield does not embed); filled by coerce_from
+        self._images = {}
 
     # -- basic protocol -------------------------------------------------
 
@@ -92,10 +100,31 @@ class ConstField:
         return self.dom.from_sympy(expr)
 
     def coerce_from(self, other, a):
-        """Map an element of ``other`` (a subfield) into this field."""
+        """Map an element of ``other`` (a subfield) into this field: its
+        power-basis coordinates evaluated at the image of ``other``'s
+        primitive element.  When ``other`` does not embed, the element
+        itself may still lie here; it is then converted on its own."""
         if other.dom == self.dom:
             return a
-        return self.from_sympy(other.to_sympy(a))
+        if not other.gens:
+            return self.dom.convert(a)
+        image = self._image_of(other)
+        if image is None:
+            return self.from_sympy(other.to_sympy(a))
+        out = self.zero
+        for c in a.to_list():  # Horner, descending powers
+            out = out * image + self.dom.convert(c)
+        return out
+
+    def _image_of(self, other):
+        """The image of ``other``'s primitive element here, or None."""
+        if other.dom not in self._images:
+            try:
+                image = self.from_sympy(other.to_sympy(other.generator()))
+            except CoercionFailed:
+                image = None
+            self._images[other.dom] = image
+        return self._images[other.dom]
 
     def generator(self):
         """The primitive element as a field element (None over QQ)."""
@@ -187,21 +216,45 @@ class ConstField:
             mul=self.mul, div=self.div, power=self.pow)
 
 
+def _check_extendable(gens):
+    """Refuse to extend QQ(gens) when a generator involves a complex
+    CRootOf: sympy finds the primitive element of such an extension by
+    evaluating that root to ever higher precision, which runs for minutes
+    (extending QQ(CRootOf(x^3 - x - 1, 2)) by the other roots does not
+    finish in 10 minutes).  Real CRootOf generators extend quickly."""
+    for g in gens:
+        for root in g.atoms(sp.CRootOf):
+            if not root.is_real:
+                raise DgalError("cannot extend a number field generated by the "
+                                "complex root %s" % root)
+
+
+def _trimmed(field, coeffs):
+    """``coeffs`` (ascending) without its zero leading coefficients."""
+    coeffs = list(coeffs)
+    while coeffs and field.is_zero(coeffs[-1]):
+        coeffs.pop()
+    return coeffs
+
+
 def _poly_over(field, coeffs):
-    """sympy expr sum(coeffs[i] * x^i) with algebraic-number coefficients."""
-    return sp.Add(*[field.to_sympy(c) * _X ** i for i, c in enumerate(coeffs)])
+    """The Poly in _X with ascending coefficients ``coeffs``, elements of
+    ``field``; built from the domain elements, with no sympy expressions."""
+    return sp.Poly.from_list(coeffs[::-1], _X, domain=field.dom)
 
 
-def _canonical_root(expr):
+def _canonical_root(poly):
     """Deterministic root choice for a QQ-irreducible polynomial: the last
     CRootOf index (largest real root, else the complex root sorted last).
-    Quadratics come back in radical form, which prints better."""
-    poly = sp.Poly(expr, _X, domain=QQ)
+    Quadratics and the binomials x^3 - c and x^4 - c come back in radical
+    form instead, the root sorted last: radicals print better, and a
+    field built over a complex CRootOf cannot be extended again in
+    reasonable time (sympy evaluates it to high precision very slowly),
+    while splitting x^3 - c must extend QQ(c^(1/3))."""
     deg = poly.degree()
-    if deg == 2:
-        rts = sorted(sp.roots(poly), key=sp.default_sort_key)
-        return rts[-1]
-    return sp.CRootOf(poly, deg - 1)
+    if deg == 2 or (deg <= 4 and poly.length() == 2):
+        return sorted(sp.roots(poly), key=sp.default_sort_key)[-1]
+    return sp.CRootOf(poly.replace(_X, _R), deg - 1)
 
 
 def field_adjoin(field, coeffs):
@@ -212,21 +265,18 @@ def field_adjoin(field, coeffs):
     input returns the field unchanged.  Reducible input raises DgalError
     with a factor witness in the message.
     """
-    coeffs = list(coeffs)
-    while coeffs and field.is_zero(coeffs[-1]):
-        coeffs.pop()
+    coeffs = _trimmed(field, coeffs)
     if len(coeffs) < 2:
         raise DgalError("adjoin needs a polynomial of degree >= 1")
     if len(coeffs) == 2:
         return field, field.neg(field.div(coeffs[0], coeffs[1]))
-    expr = _poly_over(field, coeffs)
-    poly = sp.Poly(expr, _X, domain=field.dom)
+    poly = _poly_over(field, coeffs)
     if not poly.is_irreducible:
         _, factors = poly.factor_list()
         witness = factors[0][0].as_expr()
         raise DgalError("polynomial is reducible; factor witness: %s" % witness)
     if not field.gens:
-        root = _canonical_root(expr)
+        root = _canonical_root(poly)
         new = ConstField(field.gens + (root,))
         return new, new.from_sympy(root)
     return _adjoin_over_extension(field, poly)
@@ -235,6 +285,7 @@ def field_adjoin(field, coeffs):
 def _adjoin_over_extension(field, poly):
     """Adjoin a root of an irreducible polynomial whose coefficients live
     in a proper extension of QQ."""
+    _check_extendable(field.gens)  # before sympy rebuilds the field below
     # try radical roots first; small degrees resolve this way
     try:
         rts = sp.roots(sp.Poly(poly.as_expr(), _X, extension=True))
@@ -244,23 +295,22 @@ def _adjoin_over_extension(field, poly):
         root = sorted(rts, key=sp.default_sort_key)[-1]
         new = ConstField(field.gens + (root,))
         return new, new.from_sympy(root)
-    # fall back to the absolute polynomial: Res_y(minpoly_theta(y), f_y(x))
+    # fall back to the absolute polynomial Res_y(minpoly_theta(y), f(x, y)),
+    # where f(x, theta) = poly: each coefficient in the power basis of theta
     y = sp.Dummy("y")
-    theta = field.dom.ext.as_expr()
-    mtheta = sp.minimal_polynomial(theta, y)
-    f_y = poly.as_expr().subs(theta, y)
-    absolute = sp.Poly(sp.resultant(mtheta, f_y, y), _X, domain=QQ)
+    desc = poly.rep.to_list()
+    f_xy = sp.Add(*[sp.Poly.from_list(c.to_list(), y, domain=QQ).as_expr() * _X ** i
+                    for i, c in enumerate(reversed(desc))])
+    mtheta = sp.Poly.from_list(field.dom.mod.to_list(), y, domain=QQ).as_expr()
+    absolute = sp.Poly(sp.resultant(mtheta, f_xy, y), _X, domain=QQ)
     for factor, _ in absolute.factor_list()[1]:
         for idx in range(factor.degree() - 1, -1, -1):
-            cand = sp.CRootOf(factor, idx)
+            cand = sp.CRootOf(factor.replace(_X, _R), idx)
             new = ConstField(field.gens + (cand,))
             root = new.from_sympy(cand)
-            coeffs = [new.from_sympy(c)
-                      for c in reversed(sp.Poly(poly.as_expr(), _X).all_coeffs())]
-            val, p = new.zero, new.one
-            for c in coeffs:
-                val = val + c * p
-                p = p * root
+            val = new.zero
+            for c in desc:
+                val = val * root + new.coerce_from(field, c)
             if new.is_zero(val):
                 return new, root
     raise DgalError("could not adjoin a root of %s" % poly.as_expr())
@@ -273,47 +323,40 @@ def split_univariate(field, coeffs):
     Returns (new_field, [(root, multiplicity), ...]).  The original field's
     elements embed into new_field via ``coerce_from``.
     """
-    coeffs = list(coeffs)
-    while coeffs and field.is_zero(coeffs[-1]):
-        coeffs.pop()
+    coeffs = _trimmed(field, coeffs)
     if len(coeffs) < 2:
         return field, []
     fld = field
-    pending = [(_poly_over(field, coeffs), 1)]
-    found = []  # (sympy root expr, multiplicity)
+    # (field of the coefficients, ascending coefficients, multiplicity)
+    pending = [(field, coeffs, 1)]
+    found = []  # (field, root, multiplicity)
     while pending:
-        expr, mult = pending.pop()
-        poly = sp.Poly(expr, _X, domain=fld.dom)
+        src, cs, mult = pending.pop()
+        poly = _poly_over(fld, [fld.coerce_from(src, c) for c in cs])
         _lead, factors = poly.factor_list()
         if (len(factors) == 1 and factors[0][1] == 1
                 and factors[0][0].degree() > 1):
             # irreducible over the current field: grow it and retry
-            fac = factors[0][0]
-            fld, _root = field_adjoin(
-                fld, [fld.dom.convert(c) for c in reversed(fac.all_coeffs())])
-            pending.append((fac.as_expr(), mult))
+            fac = factors[0][0].rep.to_list()[::-1]
+            pending.append((fld, fac, mult))
+            fld, _root = field_adjoin(fld, fac)
             continue
         for fac, k in factors:
-            if fac.degree() == 1:
-                a1, a0 = fac.all_coeffs()
-                root = fld.neg(fld.div(fld.dom.convert(a0), fld.dom.convert(a1)))
-                found.append((fld.to_sympy(root), mult * k))
+            cs = fac.rep.to_list()[::-1]
+            if len(cs) == 2:
+                found.append((fld, fld.neg(fld.div(cs[0], cs[1])), mult * k))
             else:
                 # refactor over the field grown for an earlier factor
-                pending.append((fac.as_expr(), mult * k))
-    return fld, [(fld.from_sympy(r), m) for r, m in found]
+                pending.append((fld, cs, mult * k))
+    return fld, [(fld.coerce_from(f, r), m) for f, r, m in found]
 
 
 def find_one_root(field, coeffs):
     """One root of the given univariate polynomial, adjoining only what
     that single root needs.  Returns (new_field, root)."""
-    coeffs = list(coeffs)
-    while coeffs and field.is_zero(coeffs[-1]):
-        coeffs.pop()
+    coeffs = _trimmed(field, coeffs)
     if len(coeffs) < 2:
         raise DgalError("no roots: polynomial is constant")
-    poly = sp.Poly(_poly_over(field, coeffs), _X, domain=field.dom)
-    _, factors = poly.factor_list()
-    factors.sort(key=lambda fk: fk[0].degree())
-    fac = factors[0][0]
-    return field_adjoin(field, [field.dom.convert(c) for c in reversed(fac.all_coeffs())])
+    _, factors = _poly_over(field, coeffs).factor_list()
+    fac = min(factors, key=lambda fk: fk[0].degree())[0]
+    return field_adjoin(field, fac.rep.to_list()[::-1])

@@ -35,6 +35,10 @@ class AlgebraicSubgroup:
         # (class name, dimension), recorded by identity_component on the
         # connected group it returns
         self.component_class = None
+        # (ring_h, residuals): the action residuals of the relations this
+        # group stabilizes, recorded by stabilizer_group and read by
+        # verify_group_axioms
+        self.action_residuals = None
 
     @property
     def field(self):
@@ -174,18 +178,21 @@ def stabilizer_group(rel):
     for res in residuals:
         gens.extend(_split_by_t_power(R, ring_h, ring_const, res))
     gens = _row_reduce_polys(ring_const, gens)
-    return AlgebraicSubgroup(n, ring_const, gens)
+    H = AlgebraicSubgroup(n, ring_const, gens)
+    H.action_residuals = (ring_h, residuals)
+    return H
 
 
 def verify_group_axioms(H, rel):
     """Symbolic closure check: the identity satisfies the generators and
     the stabilizer condition holds identically for h subject to H's
-    ideal.  Sets group_verified on success."""
+    ideal.  ``H`` is ``stabilizer_group(rel)``, whose action residuals
+    are reused.  Sets group_verified on success."""
     if not H.vanishes_at_identity():
         raise DgalError("identity matrix violates a group generator")
     if rel.basis:
         R = rel.ring.field
-        ring_h, residuals = _action_residuals(rel)
+        ring_h, residuals = H.action_residuals
         # a reduced Groebner basis over k is the reduced basis over k(t)
         gb = [ring_h.from_dict({e: R.from_const(c) for e, c in g.terms.items()})
               for g in H.groebner_basis()]

@@ -7,6 +7,7 @@ default monomial order.  Everything stays small enough here that a plain
 Buchberger loop with the coprimality and chain criteria is adequate.
 """
 
+import heapq
 import itertools
 
 from . import _grammar
@@ -390,8 +391,12 @@ def groebner(gens, order=None):
     ring = gens[0].ring
     order = order or ring.order
     G = [g.monic(order) for g in gens]
-    pairs = set(itertools.combinations(range(len(G)), 2))
     lead = [g.leading(order)[0] for g in G]
+    # open pairs: the set answers the chain criterion's membership test,
+    # the heap hands out the pair of least lcm, each keyed once
+    pairs = set(itertools.combinations(range(len(G)), 2))
+    queue = [(_grevlex_key(_mono_lcm(lead[i], lead[j])), i, j) for i, j in pairs]
+    heapq.heapify(queue)
 
     def chain_criterion(i, j):
         lcm_ij = _mono_lcm(lead[i], lead[j])
@@ -404,8 +409,8 @@ def groebner(gens, order=None):
                 return True
         return False
 
-    while pairs:
-        i, j = min(pairs, key=lambda ij: _grevlex_key(_mono_lcm(lead[ij[0]], lead[ij[1]])))
+    while queue:
+        _key, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
         if _mono_lcm(lead[i], lead[j]) == _mono_mul(lead[i], lead[j]):
             continue  # coprime leading monomials
@@ -422,6 +427,7 @@ def groebner(gens, order=None):
         new = len(G) - 1
         for k in range(new):
             pairs.add((k, new))
+            heapq.heappush(queue, (_grevlex_key(_mono_lcm(lead[k], lead[new])), k, new))
     return reduce_basis(G, order)
 
 

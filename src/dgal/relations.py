@@ -239,6 +239,10 @@ def relation_ideal(sys, a, d, ell, N, rigorous=False, solver=None):
     ring = PolyRing(R, matrix_var_names(sys.n), graded_lex_order(sys.n * sys.n))
     polys = _kernel_to_polys(solver.builder, solver.kernel, ring, a)
     basis = _row_reduce_polys(ring, polys)
+    # a nonzero constant never vanishes at F, so the truncation let a
+    # false relation through: such a basis is not the relation ideal
+    if any(P.constant_value() is not None for P in basis if P.terms):
+        rigorous = False
     return RelationIdeal(ring, basis, d=d, a=a, ell=ell, order_used=N,
                          rigorous=rigorous)
 

@@ -266,11 +266,6 @@ class TruncSeries:
             out = [linalg.zeros(f, self.n, self.n)]
         return TruncSeries(f, self.a, out)
 
-    def const_matrix_mul(self, g):
-        """Right-multiply by a constant matrix."""
-        f = self.field
-        return TruncSeries(f, self.a, [linalg.matmul(f, m, g) for m in self.mats])
-
     def is_zero(self):
         f = self.field
         return all(all(all(f.is_zero(x) for x in row) for row in m) for m in self.mats)

@@ -5,6 +5,8 @@ back-substitution; roots of each univariate step are adjoined to the
 constant field as needed, so every returned point is exact.
 """
 
+from sympy.polys.polyerrors import CoercionFailed
+
 from .errors import DgalError
 from .fields import split_univariate
 from .multipoly import (LEX, PolyRing, groebner, is_zero_dimensional)
@@ -44,7 +46,9 @@ def solve_zero_dimensional(gens):
 
 
 def _common_field(field, pts, nvars):
-    """Re-embed every point into the largest field produced."""
+    """Re-embed every point into the largest field produced, joined with
+    the field of any point whose coordinates do not lie in it (branches
+    may grow fields that are not nested, like QQ(sqrt 2) and QQ(2^(1/3)))."""
     big = field
     for fld, _, _ in pts:
         if fld.degree() > big.degree() or (fld != big and fld.degree() == big.degree()
@@ -52,7 +56,13 @@ def _common_field(field, pts, nvars):
             big = _join(big, fld)
     out = []
     for fld, coords, mult in pts:
-        out.append((tuple(big.coerce_from(fld, c) for c in coords), mult))
+        try:
+            mapped = tuple(big.coerce_from(fld, c) for c in coords)
+        except CoercionFailed:
+            old, big = big, _join(big, fld)
+            out = [(tuple(big.coerce_from(old, c) for c in cs), m) for cs, m in out]
+            mapped = tuple(big.coerce_from(fld, c) for c in coords)
+        out.append((mapped, mult))
     return big, out
 
 

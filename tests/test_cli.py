@@ -73,6 +73,15 @@ def test_valid_relations_run(capsys, doc):
     assert capsys.readouterr().out == "order_used: 12\nrigorous: yes\n"
 
 
+def test_constant_relation_is_not_rigorous(capsys, doc):
+    """At a low order the truncated kernel of y' = y holds the constant 1,
+    which cannot vanish at F = exp(t): that basis is not proved."""
+    assert main(["relations", "--system", doc, "--degree", "1",
+                 "--point", "0", "--order", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "order_used: 6\nrigorous: no\nrelation: x_1_1\nrelation: 1\n")
+
+
 @pytest.mark.parametrize("text", [
     "n: x\n", "n: 1\nA[1]: 1\n", "n: 0\n", "n: -1\n",
     "n: 1\nA[1][1]: 1/0\n", "n: 1\nA[1][1]: 1/(t-t)\n",

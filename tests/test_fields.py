@@ -1,7 +1,10 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from dgal.errors import DgalError
 from dgal.fields import ConstField, field_adjoin, find_one_root, split_univariate
@@ -106,3 +109,117 @@ def test_coerce_into_bigger_field():
     a = k.from_fraction(Fraction(5, 3))
     ki, _ = field_adjoin(k, [k.one, k.zero, k.one])
     assert ki.eq(ki.coerce_from(k, a), ki.from_fraction(Fraction(5, 3)))
+
+
+def test_split_x3_minus_2():
+    """The roots of x^3 - 2 need a degree-6 field over a cubic one."""
+    k = QQ()
+    fld, roots = split_univariate(k, [k.from_int(-2), k.zero, k.zero, k.one])
+    assert fld.degree() == 6
+    assert len(roots) == 3 and all(m == 1 for _, m in roots)
+    assert all(fld.eq(fld.pow(r, 3), fld.from_int(2)) for r, _ in roots)
+    assert len({fld.format(r) for r, _ in roots}) == 3
+
+
+@contextmanager
+def _within(seconds):
+    """Fail the block with TimeoutError if it runs longer than ``seconds``."""
+    def expired(signum, frame):
+        raise TimeoutError("took longer than %d s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _value(fld, coeffs, r):
+    out = fld.zero
+    for c in reversed(coeffs):
+        out = fld.add(fld.mul(out, r), fld.coerce_from(QQ(), c))
+    return out
+
+
+def test_adjoin_and_split_cyclic_cubic():
+    """x^3 - 3x + 1 has three real roots and a cyclic Galois group: one
+    root generates the splitting field."""
+    k = QQ()
+    coeffs = [k.one, k.from_int(-3), k.zero, k.one]
+    with _within(5):
+        fld, r = field_adjoin(k, coeffs)
+        assert fld.degree() == 3 and fld.is_zero(_value(fld, coeffs, r))
+        fld, roots = split_univariate(k, coeffs)
+    assert fld.degree() == 3
+    assert len({fld.format(r) for r, _ in roots}) == 3
+    assert all(m == 1 and fld.is_zero(_value(fld, coeffs, r)) for r, m in roots)
+
+
+def test_adjoin_and_split_quartic_without_real_roots():
+    """x^4 + x + 1 is adjoined as a complex CRootOf.  Its splitting field
+    (degree 24) would extend that field, which sympy cannot do in
+    reasonable time, so split_univariate stops with a DgalError."""
+    k = QQ()
+    coeffs = [k.one, k.one, k.zero, k.zero, k.one]
+    with _within(5):
+        fld, r = field_adjoin(k, coeffs)
+        assert fld.degree() == 4 and fld.is_zero(_value(fld, coeffs, r))
+        with pytest.raises(DgalError, match="complex root"):
+            split_univariate(k, coeffs)
+
+
+def _adjoin(k, constant):
+    """k with a root of x^2 + constant adjoined."""
+    return field_adjoin(k, [k.from_int(constant), k.zero, k.one])[0]
+
+
+SQRT2 = _adjoin(QQ(), -2)
+QQ_I = _adjoin(QQ(), 1)
+SUBFIELDS = [(SQRT2, _adjoin(SQRT2, 1)), (QQ_I, _adjoin(QQ_I, -3))]
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SUBFIELDS), fractions, fractions)
+def test_coerce_from_matches_sympy_round_trip(fields, a, b):
+    """QQ(sqrt 2) -> QQ(sqrt 2, i) and QQ(i) -> QQ(i, sqrt 3): the cached
+    image of the generator gives what converting through sympy gives."""
+    small, big = fields
+    el = small.add(small.from_fraction(a),
+                   small.mul(small.from_fraction(b), small.generator()))
+    assert big.eq(big.coerce_from(small, el),
+                  big.from_sympy(small.to_sympy(el)))
+
+
+def _poly_mul(k, p, q):
+    out = [k.zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = k.add(out[i + j], k.mul(a, b))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=2),
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3)), max_size=2),
+       st.integers(1, 2), st.integers(-3, 3).filter(bool))
+def test_split_roots_rebuild_the_polynomial(linear, quadratic, power, lead):
+    """The product of (x - r)^m over the roots is the monic input."""
+    k = QQ()
+    factors = [[k.from_int(-a), k.one] for a in linear]
+    factors += [[k.from_int(c), k.from_int(b), k.one] for b, c in quadratic]
+    poly = [k.from_int(lead)]
+    for f in factors * power:
+        poly = _poly_mul(k, poly, f)
+    fld, roots = split_univariate(k, poly)
+    if len(poly) < 2:
+        assert roots == []
+        return
+    rebuilt = [fld.one]
+    for r, m in roots:
+        for _ in range(m):
+            rebuilt = _poly_mul(fld, rebuilt, [fld.neg(r), fld.one])
+    monic = [fld.div(fld.coerce_from(k, c), fld.coerce_from(k, poly[-1])) for c in poly]
+    assert len(rebuilt) == len(monic)
+    assert all(fld.eq(x, y) for x, y in zip(rebuilt, monic))

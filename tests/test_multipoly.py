@@ -1,3 +1,6 @@
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+
 from dgal.errors import DgalError
 from dgal.fields import ConstField
 from dgal.multipoly import (GREVLEX, LEX, PolyRing, eliminate, groebner,
@@ -123,3 +126,49 @@ def test_solve_positive_dimensional_rejected():
     x, y = R.gens
     with pytest.raises(PositiveDimensionalError):
         solve_zero_dimensional([x * y - R.one])
+
+
+def test_solve_branches_in_fields_not_nested():
+    """y = 1 gives x^2 = 2 and y = -1 gives x^3 = 2: the branches grow
+    QQ(sqrt 2) and the splitting field of x^3 - 2, neither inside the
+    other, so the points meet only in a field joining both."""
+    R = ring("x", "y", order=LEX)
+    x, y = R.gens
+    two = R.from_int(2)
+    gens = [y ** 2 - R.one, (x ** 2 - two) * (y + R.one) - (x ** 3 - two) * (y - R.one)]
+    fld, pts = solve_zero_dimensional(gens)
+    assert len(pts) == 5 and all(m == 1 for _, m in pts)
+    assert sorted(fld.format(yv) for (_, yv), _ in pts) == ["-1", "-1", "-1", "1", "1"]
+    for (xv, yv), _ in pts:
+        assert fld.eq(fld.pow(xv, 2 if fld.is_one(yv) else 3), fld.from_int(2))
+    assert len({fld.format(xv) for (xv, _), _ in pts}) == 5
+
+
+SYMS = sp.symbols("x y z")
+
+
+@st.composite
+def small_ideals(draw):
+    """1 to 3 generators in 2 or 3 variables, each of 1 to 3 terms with
+    exponents below 3 and small integer coefficients."""
+    nvars = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.integers(-3, 3).filter(bool)
+    return nvars, draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=3),
+                                min_size=1, max_size=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_ideals(), st.sampled_from([("grevlex", GREVLEX), ("lex", LEX)]))
+def test_groebner_matches_sympy(ideal, order):
+    """The reduced basis is sympy's reduced basis of the same ideal."""
+    nvars, gens = ideal
+    name, mono_order = order
+    syms = SYMS[:nvars]
+    R = PolyRing(K, [str(s) for s in syms], mono_order)
+    ours = groebner([R.from_dict({e: K.from_int(c) for e, c in g.items()})
+                     for g in gens])
+    theirs = sp.groebner([sp.Poly.from_dict(g, *syms).as_expr() for g in gens],
+                         *syms, order=name, domain="QQ")
+    assert {sp.Poly.from_dict(dict(g.terms), *syms, domain="QQ").as_expr()
+            for g in ours} == set(theirs.exprs)

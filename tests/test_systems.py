@@ -7,7 +7,7 @@ from dgal import linalg
 from dgal.errors import SingularPointError
 from dgal.fields import ConstField
 from dgal.ratfunc import RatFuncField
-from dgal.series import ratfunc_series
+from dgal.series import TruncSeries, ratfunc_series
 from dgal.systems import OdeSystem, monomials_upto
 
 K = ConstField()
@@ -101,7 +101,8 @@ def test_sym_power_series_solves():
     G = s.fundamental_series(a, order)
     # monomial vector of a random constant linear combination of solutions
     c = [[frac(random.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-    sol = G.const_matrix_mul(c)  # columns are solutions of the direct sum
+    # columns are solutions of the direct sum
+    sol = TruncSeries(K, G.a, [linalg.matmul(K, m, c) for m in G.mats])
     vec_entries = [sol.entry(i, j) for j in range(2) for i in range(2)]
     # build series of each monomial  (direct-sum vector v indexed row-major (i,j))
     v = [sol.entry(p // 2, p % 2) for p in range(4)]
