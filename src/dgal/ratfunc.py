@@ -123,6 +123,13 @@ class RatFuncField:
             out[e] = c
         return out
 
+    def denom_lcm(self, fs):
+        """The lcm of the denominators of fs, as a polynomial element."""
+        q = self.ring.one
+        for f in fs:
+            q = q.lcm(f.denom)
+        return self.fld.new(q)
+
     def is_polynomial(self, a):
         return a.denom.degree() == 0
 
@@ -269,14 +276,13 @@ def _series_div(field, num, den, order):
     """First ``order`` coefficients of num/den as power series; den must
     have a nonzero constant term."""
     num = list(num) + [field.zero] * order
-    den = list(den) + [field.zero] * order
     if field.is_zero(den[0]):
         raise DgalError("series division by a non-unit")
     inv0 = field.inv(den[0])
     out = []
     for k in range(order):
         acc = num[k]
-        for j in range(1, k + 1):
+        for j in range(1, min(k, len(den) - 1) + 1):
             acc = field.sub(acc, field.mul(den[j], out[k - j]))
         out.append(field.mul(acc, inv0))
     return out

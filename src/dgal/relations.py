@@ -16,9 +16,9 @@ from . import linalg
 from .errors import DgalError, InputError, ResourceCapError
 from .multipoly import MonomialOrder, PolyRing
 from .ratfunc import _poly_shift
-from .series import Series, SeriesAlgebra, coefficient_series, poly_on_series
+from .series import SeriesAlgebra, coefficient_series, poly_on_series
 from .solve import PositiveDimensionalError, solve_zero_dimensional
-from .systems import monomials_upto
+from .systems import MonomialSeries
 
 
 def matrix_var_names(n):
@@ -49,52 +49,24 @@ class RelationIdeal:
 
 class _AnsatzBuilder:
     """Rows of the linear system: one per series order; columns indexed by
-    (monomial, t-power)."""
+    (monomial, t-power).  The monomial series come from one store that
+    each row extends by a coefficient."""
 
     def __init__(self, sys, a, d, ell):
-        self.sys = sys
         self.R = sys.R
         self.k = sys.R.const
-        self.a = a
-        self.d = d
         self.ell = ell
-        self.monos = monomials_upto(sys.n * sys.n, d)
+        self.series = MonomialSeries(sys, a, d)
+        self.monos = self.series.monos
         self.ncols = len(self.monos) * (2 * ell + 1)
-
-    def prepare(self, order):
-        """Series of every monomial through the given order."""
-        sys = self.sys
-        G = sys.fundamental_series(self.a, order)
-        k = G.field
-        self.k = k
-        n = sys.n
-        entries = [G.entry(p // n, p % n) for p in range(n * n)]
-        mono_series = []
-        cache = {}
-        for m in self.monos:
-            acc = Series.constant(k, k.one, order)
-            for p, e in enumerate(m):
-                if e:
-                    key = (p, e)
-                    if key not in cache:
-                        cache[key] = entries[p] ** e
-                    acc = acc * cache[key]
-            mono_series.append(acc)
-        self.mono_series = mono_series
 
     def row(self, order_k):
         """Constraint from the coefficient of u^order_k."""
-        k = self.k
-        width = 2 * self.ell + 1
-        row = [k.zero] * self.ncols
-        col = 0
-        for ms in self.mono_series:
-            for i in range(width):
-                idx = order_k - i
-                if 0 <= idx <= ms.order:
-                    row[col] = ms.coeffs[idx]
-                col += 1
-        return row
+        vecs = self.series.extend(order_k)
+        blank = [self.k.zero] * len(self.monos)
+        lagged = [vecs[order_k - i] if i <= order_k else blank
+                  for i in range(2 * self.ell + 1)]
+        return [v[mi] for mi in range(len(self.monos)) for v in lagged]
 
 
 # the stabilize window refuses beyond this truncation order
@@ -118,20 +90,12 @@ class _RelationSolve:
 
     def __init__(self, sys, a, d, ell):
         self.builder = _AnsatzBuilder(sys, a, d, ell)
-        self.prepared = None
         self.exact_reason = None
         self.N = None
         self.kernel = None
 
-    def _ensure(self, order):
-        """Series of the monomials through at least the given order."""
-        if self.prepared is None or self.prepared < order:
-            self.builder.prepare(order)
-            self.prepared = order
-
-    def _solve(self, first_order, run):
+    def _solve(self, run):
         """run() adds rows and returns N; sets N and the exact kernel."""
-        self._ensure(first_order)
         k = self.builder.k
         if k.degree() != 1:
             self.exact_reason = "the constant field is a number field"
@@ -171,16 +135,12 @@ class _RelationSolve:
         def run():
             self._add_rows(N + 1)
             return N
-        return self._solve(N + 1, run)
+        return self._solve(run)
 
     def stabilize(self, w):
-        """Smallest M whose rank is unchanged through M..M+w; the series
-        are prepared in doublings of 2*ell + 4."""
-        chunk = 2 * self.builder.ell + 4
-
+        """Smallest M whose rank is unchanged through M..M+w; each row
+        added extends the monomial series by one coefficient."""
         def run():
-            order = chunk
-            self._ensure(order + 1)
             streak = 0
             M = 0
             last_rank = None
@@ -197,10 +157,7 @@ class _RelationSolve:
                 if M > MAX_ORDER:
                     raise ResourceCapError(
                         "no stable truncation order below %d" % MAX_ORDER)
-                if M + 1 > order:
-                    order = order * 2
-                    self._ensure(order + 1)
-        return self._solve(chunk + 1, run)
+        return self._solve(run)
 
 
 def order_bound(sys, a, d, ell, strategy, solver=None):

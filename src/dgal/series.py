@@ -213,12 +213,6 @@ class TruncSeries:
         return len(self.mats) - 1
 
     @classmethod
-    def identity(cls, field, a, n, order):
-        mats = [linalg.identity(field, n)]
-        mats += [linalg.zeros(field, n, n) for _ in range(order)]
-        return cls(field, a, mats)
-
-    @classmethod
     def from_entries(cls, field, a, entries):
         """entries: n x n array of Series, all the same order."""
         order = entries[0][0].order

@@ -1,18 +1,18 @@
-"""First order linear differential systems over k = C(t): fundamental
-series, symmetric powers on monomial vectors, and the system document.
+"""First order linear differential systems over k = C(t): the series of
+the fundamental matrix and of the monomials in its entries, all from one
+sparse linear recurrence, and the system document.
 
-Monomial indexing of the symmetric power is graded lex over the n^2
-variables in row-major order with the constant monomial first; relation
-search and the stabilizer construction rely on this exact ordering.
+Monomials are indexed graded lex over the n^2 variables in row-major
+order with the constant monomial first; relation search and the
+stabilizer construction rely on this exact ordering.
 """
 
 from contextlib import contextmanager
 
-from . import linalg
-from .errors import DgalError, InputError
+from .errors import DgalError, InputError, SingularPointError
 from .fields import ConstField
-from .ratfunc import RatFuncField
-from .series import TruncSeries, ratfunc_series
+from .ratfunc import RatFuncField, _poly_shift
+from .series import TruncSeries
 
 
 class OdeSystem:
@@ -23,59 +23,14 @@ class OdeSystem:
         self.n = len(A)
         self.A = A
 
-    # -- series ---------------------------------------------------------
-
-    def expand_at(self, a, order):
-        """A_0..A_order with A(t) = sum A_i (t-a)^i exactly; a pole at
-        t = a is a SingularPointError (from ratfunc_series)."""
-        entry_series = [[ratfunc_series(self.R, f, a, order) for f in row]
-                        for row in self.A]
-        return [[[entry_series[i][j].coeffs[m] for j in range(self.n)]
-                 for i in range(self.n)] for m in range(order + 1)]
-
     def fundamental_series(self, a, order):
         """Gamma_a = I + D_1 u + ... with delta Gamma = A Gamma through
-        u^(order-1), via D_{m+1} = (sum_j A_j D_{m-j}) / (m+1)."""
-        k = self.R.const
-        As = self.expand_at(a, order)
-        D = [linalg.identity(k, self.n)]
-        for m in range(order):
-            acc = linalg.zeros(k, self.n, self.n)
-            for j in range(m + 1):
-                acc = linalg.mat_add(k, acc, linalg.matmul(k, As[j], D[m - j]))
-            inv = k.inv(k.from_int(m + 1))
-            D.append(linalg.mat_scale(k, acc, inv))
-        return TruncSeries(k, a, D)
-
-    # -- derived systems ------------------------------------------------
-
-    def sym_power(self, d):
-        """System satisfied by all monomials of degree <= d in the entries
-        of the n-fold direct sum solution (the n^2 fundamental-matrix
-        entries), constant monomial included."""
-        R = self.R
-        nv = self.n * self.n
-        monos = monomials_upto(nv, d)
-        index = {m: i for i, m in enumerate(monos)}
-        size = len(monos)
-        B = [[R.zero for _ in range(size)] for _ in range(size)]
-        for row, m in enumerate(monos):
-            for p in range(nv):
-                e = m[p]
-                if not e:
-                    continue
-                i, j = divmod(p, self.n)
-                for l in range(self.n):
-                    a_il = self.A[i][l]
-                    if R.is_zero(a_il):
-                        continue
-                    tgt = list(m)
-                    tgt[p] -= 1
-                    tgt[l * self.n + j] += 1
-                    col = index[tuple(tgt)]
-                    B[row][col] = R.add(B[row][col],
-                                        R.scale(a_il, R.const.from_int(e)))
-        return OdeSystem(R, B), monos
+        u^(order-1): the degree-1 rows of MonomialSeries(self, a, 1)."""
+        n = self.n
+        vecs = MonomialSeries(self, a, 1).extend(order)
+        return TruncSeries(self.R.const, a,
+                           [[v[1 + i * n:1 + (i + 1) * n] for i in range(n)]
+                            for v in vecs])
 
     # -- serialization --------------------------------------------------
 
@@ -148,6 +103,88 @@ class OdeSystem:
             with _document_line(line):
                 A[i - 1][j - 1] = R.parse(value)
         return cls(R, A)
+
+
+class MonomialSeries:
+    """Series at t = a of every monomial of degree <= d in the entries of
+    the fundamental matrix Y with Y(a) = I, extended in place.
+
+    The monomial vector satisfies M' = B_d M.  With q the lcm of A's
+    denominators and P = qA, q M' = (q B_d) M read in u = t - a is a
+    recurrence of length deg q + 1 on the coefficient vectors.  Row m
+    of q B_d holds, for p = (i, j) and each l, the factor e_p * P[i][l]
+    at column m - e_p + e_(l, j); ``table[m]`` lists its nonzero
+    (u-power, column, coefficient) terms, scaled so that q(a) = 1.
+    A pole of A at a is a SingularPointError naming the first such
+    entry in row-major order."""
+
+    def __init__(self, sys, a, d):
+        R, k, n = sys.R, sys.R.const, sys.n
+        entries = [f for row in sys.A for f in row]
+        for f in entries:
+            if not R.is_regular_at(f, a):
+                raise SingularPointError("pole of %s at t = %s"
+                                         % (R.format(f), k.format(a)))
+        self.field = k
+        self.monos = monomials_upto(n * n, d)
+        q = R.denom_lcm(entries)
+        q = R.scale(q, k.inv(R.eval_at(q, a)))
+        self.q = _u_coeffs(R, q, a)
+        P = [[_u_coeffs(R, R.mul(f, q), a) for f in row] for row in sys.A]
+        index = {m: r for r, m in enumerate(self.monos)}
+        self.table = []
+        for m in self.monos:
+            merged = {}
+            for p, e in enumerate(m):
+                if not e:
+                    continue
+                i, j = divmod(p, n)
+                for l in range(n):
+                    tgt = list(m)
+                    tgt[p] -= 1
+                    tgt[l * n + j] += 1
+                    col = index[tuple(tgt)]
+                    for s, c in enumerate(P[i][l]):
+                        key = (s, col)
+                        merged[key] = k.add(merged.get(key, k.zero),
+                                            k.mul(k.from_int(e), c))
+            self.table.append([(s, col, c) for (s, col), c
+                               in sorted(merged.items()) if not k.is_zero(c)])
+        diagonal = {l * n + l for l in range(n)}
+        self.vecs = [[k.one if all(p in diagonal for p, e in enumerate(m) if e)
+                      else k.zero for m in self.monos]]
+
+    def extend(self, order):
+        """The coefficient vectors through u^order (vecs[m] at u^m), from
+        (m+1) v_{m+1} = sum_s P_s v_{m-s} - sum_{s>=1} q_s (m+1-s) v_{m+1-s}."""
+        k = self.field
+        vecs, q = self.vecs, self.q
+        while len(vecs) <= order:
+            m = len(vecs) - 1
+            lag = [k.mul(q[s], k.from_int(m + 1 - s))
+                   for s in range(1, min(len(q) - 1, m) + 1)]
+            inv = k.inv(k.from_int(m + 1))
+            new = []
+            for r, terms in enumerate(self.table):
+                acc = k.zero
+                for s, col, c in terms:
+                    if s <= m:
+                        x = vecs[m - s][col]
+                        if not k.is_zero(x):
+                            acc = k.add(acc, k.mul(c, x))
+                for s, c in enumerate(lag, 1):
+                    acc = k.sub(acc, k.mul(c, vecs[m + 1 - s][r]))
+                new.append(k.mul(acc, inv))
+            vecs.append(new)
+        return vecs
+
+
+def _u_coeffs(R, f, a):
+    """Coefficients in u = t - a of a rational function that is a
+    polynomial."""
+    k = R.const
+    inv = k.inv(R.denom_coeffs(f)[0])
+    return _poly_shift(k, [k.mul(c, inv) for c in R.numer_coeffs(f)], a)
 
 
 @contextmanager

@@ -9,7 +9,8 @@ from dgal.relations import (default_window, find_relations, membership_test,
                             order_bound, relation_ideal, second_point_check,
                             _AnsatzBuilder, _kernel_to_polys, _RelationSolve,
                             _row_reduce_polys)
-from dgal.systems import OdeSystem
+from dgal.series import Series
+from dgal.systems import MonomialSeries, OdeSystem
 
 K = ConstField()
 R = RatFuncField(K)
@@ -154,7 +155,6 @@ def test_spurious_relation_mod_p_is_rejected():
     s = sys_of(["%d" % P61])
     a = K.zero
     builder = _AnsatzBuilder(s, a, 1, 1)
-    builder.prepare(12)
     rows = [builder.row(i) for i in range(12)]
     fp = linalg.PrimeField()
     acc = linalg.RrefAccumulator(fp, builder.ncols)
@@ -197,3 +197,25 @@ def test_number_field_takes_the_exact_path():
     assert solver.exact_reason == "the constant field is a number field"
     rel = relation_ideal(s, a, 2, 1, N, solver=solver)
     assert rel.basis == [rel.ring.parse("x_1_1^2 - t")]
+
+
+def test_relation_solve_builds_no_series_products(monkeypatch):
+    # every row of the solve reads the one monomial-series store, which
+    # extends by recurrence: no series product and no second store
+    calls = {"mul": 0, "store": 0}
+    mul, init = Series.__mul__, MonomialSeries.__init__
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_init(self, *args):
+        calls["store"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Series, "__mul__", counting_mul)
+    monkeypatch.setattr(MonomialSeries, "__init__", counting_init)
+    s = sys_of(["0", "1"], ["t", "0"])  # the worked Airy example
+    rel = find_relations(s, K.one, 2, 2, ("explicit", 68))
+    assert rel.basis == [rel.ring.parse("x_1_1*x_2_2 - x_1_2*x_2_1 - 1")]
+    assert calls == {"mul": 0, "store": 1}

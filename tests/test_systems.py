@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dgal import linalg
 from dgal.errors import SingularPointError
-from dgal.fields import ConstField
+from dgal.fields import ConstField, field_adjoin
 from dgal.ratfunc import RatFuncField
-from dgal.series import TruncSeries, ratfunc_series
-from dgal.systems import OdeSystem, monomials_upto
+from dgal.series import Series, TruncSeries, ratfunc_series
+from dgal.systems import MonomialSeries, OdeSystem, monomials_upto
 
 K = ConstField()
 R = RatFuncField(K)
+K2, _ = field_adjoin(K, [K.from_int(-2), K.zero, K.one])  # g^2 = 2
 
 
 def frac(p, q=1):
@@ -25,33 +27,34 @@ def sys_of(*rows):
 def check_fundamental(sys, a, order):
     """delta Gamma = A Gamma through order-1, coefficient-wise."""
     G = sys.fundamental_series(a, order)
-    dG = G.diff()
-    As = sys.expand_at(a, order)
     k = sys.R.const
-    for m in range(order):
-        acc = linalg.zeros(k, sys.n, sys.n)
-        for j in range(m + 1):
-            acc = linalg.mat_add(k, acc, linalg.matmul(k, As[j], G.mats[m - j]))
-        assert dG.mats[m] == acc, "mismatch at order %d" % m
+    A = TruncSeries.from_entries(k, a, [[ratfunc_series(sys.R, f, a, order - 1)
+                                         for f in row] for row in sys.A])
+    assert G.diff().sub(A.matmul(G)).is_zero()
     return G
 
 
 def test_expand_at_zero_system():
-    s = sys_of(["0"])
-    mats = s.expand_at(K.from_int(2), 4)
-    assert all(m == [[K.zero]] for m in mats)
+    s = sys_of(["0", "0"], ["0", "0"])
+    G = s.fundamental_series(K.from_int(2), 4)
+    assert G.mats == [linalg.identity(K, 2)] + [linalg.zeros(K, 2, 2)] * 4
 
 
 def test_expand_at_half_over_t():
     s = sys_of(["1/(2*t)"])
-    mats = s.expand_at(K.from_int(1), 2)
-    assert [m[0][0] for m in mats] == [frac(1, 2), frac(-1, 2), frac(1, 2)]
+    G = check_fundamental(s, K.from_int(1), 6)
+    # sqrt(t) at t = 1
+    assert [m[0][0] for m in G.mats[:4]] == [frac(1), frac(1, 2), frac(-1, 8),
+                                             frac(1, 16)]
 
 
 def test_expand_at_singular():
-    s = sys_of(["1/t"])
-    with pytest.raises(SingularPointError):
-        s.expand_at(K.zero, 2)
+    # the first entry in row-major order with a pole at the point is named
+    s = sys_of(["1", "1/t"], ["1/(2*t)", "0"])
+    with pytest.raises(SingularPointError, match=r"^pole of \(1\)/\(t\) at t = 0$"):
+        s.fundamental_series(K.zero, 2)
+    with pytest.raises(SingularPointError, match=r"^pole of \(1/2\)/\(t\) at t = 0$"):
+        MonomialSeries(sys_of(["1/(2*t)"]), K.zero, 2)
 
 
 def test_fundamental_exponential():
@@ -81,49 +84,57 @@ def test_monomials_upto_ordering():
     assert set(monos2[1:]) == {(1, 0), (0, 1)}
 
 
-def test_sym_power_n1():
+def test_monomial_table_n1():
+    # y' = t y at a = 0: q = 1 and P = u, so row y^e holds e*u at y^e
     s = sys_of(["t"])
-    p1, monos = s.sym_power(1)
-    assert [[R.format(e) for e in row] for row in p1.A] == [["0", "0"], ["0", "t"]]
-    p2, _ = s.sym_power(2)
-    assert [R.format(p2.A[i][i]) for i in range(3)] == ["0", "t", "2*t"]
-    p0, _ = s.sym_power(0)
-    assert p0.n == 1 and R.is_zero(p0.A[0][0])
+    assert MonomialSeries(s, K.zero, 0).table == [[]]
+    assert MonomialSeries(s, K.zero, 1).table == [[], [(1, 1, frac(1))]]
+    store = MonomialSeries(s, K.zero, 2)
+    assert store.q == [K.one]
+    assert store.table == [[], [(1, 1, frac(1))], [(1, 2, frac(2))]]
 
 
-def test_sym_power_series_solves():
+def table_residual_is_zero(store, vecs, order):
+    """q M' = P M through u^order, coefficient-wise, for the coefficient
+    vectors vecs (vecs[m][r]: monomial r at u^m)."""
+    k = store.field
+    q = store.q
+    for m in range(order + 1):
+        for r, terms in enumerate(store.table):
+            lhs = k.zero
+            for s, c in enumerate(q):
+                if s <= m:
+                    lhs = k.add(lhs, k.mul(k.mul(c, k.from_int(m + 1 - s)),
+                                           vecs[m + 1 - s][r]))
+            rhs = k.zero
+            for s, col, c in terms:
+                if s <= m:
+                    rhs = k.add(rhs, k.mul(c, vecs[m - s][col]))
+            if not k.is_zero(k.sub(lhs, rhs)):
+                return False
+    return True
+
+
+def test_monomial_series_solve_the_table():
     random.seed(7)
     s = sys_of(["0", "1"], ["-1", "0"])
-    d = 2
-    sym, monos = s.sym_power(d)
-    order = 8
     a = K.zero
+    order = 8
+    store = MonomialSeries(s, a, 2)
+    assert table_residual_is_zero(store, store.extend(order), order - 1)
+    # the monomials of any other solution G c satisfy the same table
     G = s.fundamental_series(a, order)
-    # monomial vector of a random constant linear combination of solutions
     c = [[frac(random.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-    # columns are solutions of the direct sum
-    sol = TruncSeries(K, G.a, [linalg.matmul(K, m, c) for m in G.mats])
-    vec_entries = [sol.entry(i, j) for j in range(2) for i in range(2)]
-    # build series of each monomial  (direct-sum vector v indexed row-major (i,j))
-    v = [sol.entry(p // 2, p % 2) for p in range(4)]
-    from dgal.series import Series
-    monos_series = []
-    for m in monos:
+    sol = TruncSeries(K, a, [linalg.matmul(K, m, c) for m in G.mats])
+    mono_series = []
+    for m in store.monos:
         acc = Series.constant(K, K.one, order)
         for p, e in enumerate(m):
             for _ in range(e):
-                acc = acc * v[p]
-        monos_series.append(acc)
-    # check derivative identity row by row
-    for row, m in enumerate(monos):
-        lhs = monos_series[row].diff()
-        rhs = Series.constant(K, K.zero, order - 1)
-        for col in range(len(monos)):
-            f = sym.A[row][col]
-            if R.is_zero(f):
-                continue
-            rhs = rhs + ratfunc_series(R, f, a, order - 1) * monos_series[col].truncate(order - 1)
-        assert (lhs - rhs).is_zero()
+                acc = acc * sol.entry(p // 2, p % 2)
+        mono_series.append(acc)
+    vecs = [[ms.coeffs[i] for ms in mono_series] for i in range(order + 1)]
+    assert table_residual_is_zero(store, vecs, order - 1)
 
 
 def test_wronskian_identity_in_series():
@@ -172,3 +183,52 @@ def test_random_fundamental_series_check():
             rows.append(row)
         s = sys_of(*rows)
         check_fundamental(s, K.from_int(random.randint(2, 5)), 8)
+
+
+@st.composite
+def systems_at_points(draw):
+    """A random n x n system (n <= 2) with entries p/q, p and q of degree
+    <= 1 with small coefficients over QQ or QQ(g), and a regular point."""
+    k = draw(st.sampled_from([K, K2]))
+    Rk = RatFuncField(k)
+    g = k.generator()
+
+    def coeff():
+        c = k.from_int(draw(st.integers(-2, 2)))
+        if g is not None:
+            c = k.add(c, k.mul(k.from_int(draw(st.integers(-1, 1))), g))
+        return c
+
+    n = draw(st.integers(1, 2))
+    A = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            num, den = [coeff(), coeff()], [coeff(), coeff()]
+            assume(not all(k.is_zero(c) for c in den))
+            row.append(Rk.from_coeffs(num, den))
+        A.append(row)
+    a = k.from_int(draw(st.integers(-3, 3)))
+    assume(all(Rk.is_regular_at(f, a) for row in A for f in row))
+    return OdeSystem(Rk, A), a
+
+
+@settings(max_examples=25, deadline=None)
+@given(systems_at_points(), st.integers(0, 3), st.integers(0, 6),
+       st.integers(0, 6))
+def test_store_is_products_of_fundamental_entries(case, d, n1, extra):
+    s, a = case
+    k = s.R.const
+    n = s.n
+    N1, N2 = n1, n1 + extra
+    store = MonomialSeries(s, a, d)
+    store.extend(N1)
+    vecs = store.extend(N2)
+    assert vecs == MonomialSeries(s, a, d).extend(N2)
+    G = check_fundamental(s, a, N2 + 1)
+    for r, m in enumerate(store.monos):
+        acc = Series.constant(k, k.one, N2)
+        for p, e in enumerate(m):
+            for _ in range(e):
+                acc = acc * G.entry(p // n, p % n).truncate(N2)
+        assert acc.coeffs == [v[r] for v in vecs]
