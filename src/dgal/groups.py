@@ -246,16 +246,9 @@ def _single_irreducible_generator(H):
     fld = H.ring.field
     if fld.gens:
         return False  # factorization over extensions not attempted
-    xs = sp.symbols(" ".join(H.ring.names))
-    if H.ring.nvars == 1:
-        xs = (xs,)
-    expr = sp.Integer(0)
-    for e, c in g.terms.items():
-        mono = sp.Integer(1)
-        for x, k in zip(xs, e):
-            mono *= x ** k
-        expr += fld.to_sympy(c) * mono
-    factors = sp.factor_list(expr)[1]
+    poly = sp.Poly.from_dict(dict(g.terms), *sp.symbols(H.ring.names),
+                             domain=fld.dom)
+    factors = poly.factor_list()[1]
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -605,9 +598,8 @@ def _eigen_refine(fld, spaces, T):
     big = fld
     done = []
     for basis in spaces:
-        basis = [_coerce_vec(big, fld, v) if big != fld else v for v in basis]
-        Tb = [[big.coerce_from(fld, x) for x in row] for row in T] \
-            if big != fld else T
+        basis = [_coerce_vec(big, fld, v) for v in basis]
+        Tb = [_coerce_vec(big, fld, row) for row in T]
         basis = _shrink_invariant(big, basis, Tb)
         if not basis:
             continue
@@ -641,12 +633,16 @@ def characters_generators(H, D):
     A character spans a line in the degree-capped coordinate ring that
     every right translation preserves, so the candidates are the common
     eigenlines of the translation matrices at a handful of sampled group
-    points.  Each candidate is then verified symbolically (P(I) = 1 and
-    P(X)P(Y) = P(XY) modulo the doubled group ideal), which makes the
-    sampling sound; the finitely many eigenlines realize the
-    zero-dimensionality of the underlying ansatz system.  Inverse pairs
-    and products of other solutions are pruned so the returned list
-    generates the lattice.
+    points.  A character is 1 on every commutator c = h1 h2 h1^-1 h2^-1,
+    so the search starts in the fixed space of the translation by c of
+    the first two samples; for SL2 and GL2 that leaves only the
+    constants and the determinant, whose eigenvalues lie in the sample
+    field, so no number field is built.  Each candidate is then
+    verified symbolically (P(I) = 1 and P(X)P(Y) = P(XY) modulo the
+    doubled group ideal), which makes the sampling sound; the finitely
+    many eigenlines realize the zero-dimensionality of the underlying
+    ansatz system.  Inverse pairs and products of other solutions are
+    pruned so the returned list generates the lattice.
     """
     if H.connected is not True:
         raise DgalError("characters need a connected group "
@@ -660,14 +656,22 @@ def characters_generators(H, D):
     ringF = group_ring(n, big)
     gbF = [_coerce_poly(ringF, ring, g) for g in gb]
     N = len(B)
-    spaces = [[[big.one if i == j else big.zero for j in range(N)]
-               for i in range(N)]]
+    spaces = [linalg.identity(big, N)]
+    if len(hpts) >= 2:
+        # the commutator c = h1 h2 (h2 h1)^-1, when h1 and h2 do not commute
+        h12 = linalg.matmul(pfld, hpts[0], hpts[1])
+        h21 = linalg.matmul(pfld, hpts[1], hpts[0])
+        if not _mat_eq(pfld, h12, h21):
+            c = linalg.matmul(pfld, h12, linalg.inverse(pfld, h21))
+            Tc = _translation_matrix(ringF, gbF, B, c, n)
+            spaces = [linalg.nullspace(
+                big, linalg.mat_sub(big, Tc, linalg.identity(big, N)))]
     used = 0
     for h in hpts:
-        h = [[big.coerce_from(pfld, x) for x in row] for row in h] \
-            if big != pfld else h
-        ringF = group_ring(n, big)
-        gbF = [_coerce_poly(ringF, ring, g) for g in gb]
+        if ringF.field != big:
+            ringF = group_ring(n, big)
+            gbF = [_coerce_poly(ringF, ring, g) for g in gb]
+        h = [_coerce_vec(big, pfld, row) for row in h]
         T = _translation_matrix(ringF, gbF, B, h, n)
         big, spaces = _eigen_refine(big, spaces, T)
         used += 1
@@ -676,11 +680,11 @@ def characters_generators(H, D):
     if any(len(sp_) > 1 for sp_ in spaces):
         raise DgalError("character eigenspaces did not separate; "
                         "more sample points needed")
-    ringF = group_ring(n, big)
-    gbF = [_coerce_poly(ringF, ring, g) for g in gb]
+    if ringF.field != big:
+        ringF = group_ring(n, big)
+        gbF = [_coerce_poly(ringF, ring, g) for g in gb]
     ident = H.identity_values()
-    identF = [big.coerce_from(ring.field, v) for v in ident] \
-        if big != ring.field else ident
+    identF = _coerce_vec(big, ring.field, ident)
     sols = []
     for sp_ in spaces:
         v = sp_[0]

@@ -360,15 +360,18 @@ def algebraic_series(R, qcoeffs, a, order, root=None):
         p = k.mul(p, root)
     if k.is_zero(dconst):
         raise SingularPointError("ramified expansion point t = %s" % R.const.format(a))
-    y = Series.constant(k, root, order)
-    # Newton iteration; each pass is a contraction in the u-adic metric
-    for _ in range(order.bit_length() + 2):
+    # Newton iteration: y is exact modulo u^prec, and each pass doubles
+    # prec; products truncate to y's length, so a pass works only at the
+    # precision it is about to reach
+    dspec = _derivative_coeffs(k, spec)
+    y = Series(k, [root])
+    prec = 1
+    while prec <= order:
+        prec = min(2 * prec, order + 1)
+        y = Series(k, y.coeffs + [k.zero] * (prec - len(y.coeffs)))
         qy = _eval_poly_series(spec, y)
-        dqy = _eval_poly_series(_derivative_coeffs(k, spec), y)
-        corr = qy * dqy.inverse()
-        if corr.is_zero():
-            break
-        y = y - corr
+        dqy = _eval_poly_series(dspec, y).truncate(prec - 1)
+        y = y - qy * dqy.inverse()
     qy = _eval_poly_series(spec, y)
     if not qy.is_zero():
         raise DgalError("Newton iteration failed to converge")

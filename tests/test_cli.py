@@ -1,8 +1,14 @@
+import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dgal
 from dgal.cli import main
 
 
@@ -174,3 +180,30 @@ def test_caps_checked_before_the_point(capsys, pole_doc, command):
                                    "--point", "0", "--order", "-3"]
                           + RUN_FLAGS[command])
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
+
+
+# imports the CLI, then prints the sympy modules that one galois run
+# loads on top of those the import already brought in
+_IMPORTS_DURING_RUN = """
+import json, sys
+from dgal.cli import main
+before = set(sys.modules)
+code = main(["galois", "--system", sys.argv[1], "--degree-override", "2"])
+new = sorted(m for m in set(sys.modules) - before if m.startswith("sympy"))
+print(json.dumps([code, new]))
+"""
+
+
+def test_galois_run_imports_no_sympy_tensor():
+    """Building sympy expressions pulls in sympy.tensor.tensor (and
+    sympy.combinatorics) lazily, which every fresh process pays inside
+    the solve; the Airy run works on polynomials only."""
+    airy = Path(__file__).parent / "golden" / "airy.sys"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dgal.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _IMPORTS_DURING_RUN,
+                          str(airy)], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    code, new = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    assert "sympy.tensor.tensor" not in new

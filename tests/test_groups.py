@@ -1,5 +1,9 @@
+import pytest
+
+from dgal import fields
 from dgal.fields import ConstField
-from dgal.groups import (AlgebraicSubgroup, Character, characters_generators,
+from dgal.groups import (AlgebraicSubgroup, Character,
+                         _single_irreducible_generator, characters_generators,
                          full_group, group_points_finite, group_ring,
                          identity_component, kernel_of_characters,
                          sample_group_points, stabilizer_group,
@@ -105,6 +109,42 @@ def test_sl2_characters_trivial():
 def test_gl2_characters_determinant():
     H = full_group(2, K)
     assert char_polys(H, 2) == ["x_1_1*x_2_2 + -1*x_1_2*x_2_1"]
+
+
+@pytest.mark.parametrize("make,expected", [
+    (lambda: sl2(group_ring(2, K)), []),
+    (lambda: full_group(2, K), ["x_1_1*x_2_2 + -1*x_1_2*x_2_1"]),
+], ids=["SL2", "GL2"])
+def test_nonabelian_characters_stay_over_qq(monkeypatch, make, expected):
+    # the commutator's fixed space leaves only 1 and det, whose
+    # eigenvalues are rational: no number field is built
+    degrees = []
+    split = fields.split_univariate
+
+    def recording(field, coeffs):
+        ext, roots = split(field, coeffs)
+        degrees.append(ext.degree())
+        return ext, roots
+
+    monkeypatch.setattr(fields, "split_univariate", recording)
+    H = make()
+    H.connected = True
+    assert char_polys(H, 2) == expected
+    assert degrees and max(degrees) == 1
+
+
+@pytest.mark.parametrize("n,text,irreducible", [
+    (2, "x_1_1*x_2_2 - x_1_2*x_2_1 - 1", True),
+    (2, "x_1_1*x_2_2 - x_1_2*x_2_1", True),
+    (1, "x_1_1^2 - 2", True),
+    (1, "x_1_1^2 - 1", False),
+    (2, "(x_1_1 - 1)*(x_2_2 - 1)", False),
+    (2, "(x_1_1 - x_2_2)^2", False),
+])
+def test_single_irreducible_generator(n, text, irreducible):
+    ring = group_ring(n, K)
+    H = AlgebraicSubgroup(n, ring, [ring.parse(text)])
+    assert _single_irreducible_generator(H) is irreducible
 
 
 def test_diagonal_torus_characters():
