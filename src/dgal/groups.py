@@ -9,6 +9,7 @@ and kernels of characters.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import sympy as sp
 
@@ -117,7 +118,7 @@ def _action_residuals(rel):
     ring = rel.ring
     R = ring.field
     nsq = ring.nvars
-    n = int(round(nsq ** 0.5))
+    n = isqrt(nsq)
     hnames = ["y_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
     ring_xy = PolyRing(R, list(ring.names) + hnames, ring.order)
     subst = _product_substitution(ring_xy, n)
@@ -169,7 +170,7 @@ def stabilizer_group(rel):
     preserves the span of the relation basis."""
     ring = rel.ring
     R = ring.field
-    n = int(round(ring.nvars ** 0.5))
+    n = isqrt(ring.nvars)
     ring_const = group_ring(n, R.const)
     if not rel.basis:
         return full_group(n, R.const)
@@ -380,21 +381,18 @@ def _mat_eq(fld, a, b):
 
 # -- characters ---------------------------------------------------------
 
-def _doubled_ideal(H, field=None):
+def _doubled_ideal(H):
     """Groebner basis of I(H)(x) + I(H)(y) in the doubled ring."""
     n = H.n
     nsq = n * n
-    fld = field or H.ring.field
     names = list(H.ring.names) + ["y_%d_%d" % (i + 1, j + 1)
                                   for i in range(n) for j in range(n)]
-    ring2 = PolyRing(fld, names, graded_lex_order(2 * nsq))
-    conv = (lambda c: c) if fld == H.ring.field else \
-        (lambda c: fld.coerce_from(H.ring.field, c))
+    ring2 = PolyRing(H.ring.field, names, graded_lex_order(2 * nsq))
     both = []
     for g in H.generators:
-        both.append(ring2.from_dict({e + (0,) * nsq: conv(c)
+        both.append(ring2.from_dict({e + (0,) * nsq: c
                                      for e, c in g.terms.items()}))
-        both.append(ring2.from_dict({(0,) * nsq + e: conv(c)
+        both.append(ring2.from_dict({(0,) * nsq + e: c
                                      for e, c in g.terms.items()}))
     return ring2, (groebner(both) if both else [])
 

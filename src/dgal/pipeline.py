@@ -5,8 +5,9 @@ The stages compose as: relation ideal -> stabilizer (the proto-group H)
 relation lattice -> identity component of the Galois group -> finite
 part over the conjugates of the algebraic data.  Every stage works from
 one fundamental matrix, expanded at the one point a of PipelineConfig:
-the relations, the algebraic point alpha, the logarithmic derivatives
-of the characters and the finite part all read that expansion.  Every
+the relations, the algebraic point alpha and the logarithmic
+derivatives of the characters read that expansion, and the finite part
+is read off alpha.  Every
 completed run carries a sandwich certificate: the kernel of the
 characters of H's identity component is contained in the computed
 identity component, which is contained in H (checked by Groebner
@@ -19,7 +20,7 @@ symbolically, and executable runs take a user-supplied degree override
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from sympy import integer_nthroot
 
@@ -32,10 +33,9 @@ from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
                      stabilizer_group, verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import PolyRing, groebner, normal_form
-from .relations import (find_relations, membership_test,
-                        substituted_coefficient_system)
+from .relations import find_relations, membership_test
 from .series import Series, TruncSeries, algebraic_series
-from .solve import PositiveDimensionalError, _join, solve_zero_dimensional
+from .solve import PositiveDimensionalError, _join
 
 
 class PipelineConfig:
@@ -62,13 +62,12 @@ class AlphaData:
     fundamental matrix F_bar at the expansion point a, over the field
     that alpha needs."""
 
-    def __init__(self, kind, field, M, exps, consts, gamma, gbar, Fbar):
+    def __init__(self, kind, field, M, exps, consts, gbar, Fbar):
         self.kind = kind          # "identity" or "radical"
         self.field = field        # constant field of the series data
         self.M = M                # gamma^M = t (M = 1 means gamma in k)
         self.exps = exps          # alpha = diag(consts_i gamma^exps[i]) gbar
         self.consts = consts      # constant factors s_i over field
-        self.gamma = gamma        # Series of gamma at a, or None
         self.gbar = gbar          # constant matrix over field
         self.Fbar = Fbar          # TruncSeries at a over field
 
@@ -164,7 +163,7 @@ def _vanishes_at_identity(rel):
 
 
 def _n(rel):
-    return int(round(rel.ring.nvars ** 0.5))
+    return isqrt(rel.ring.nvars)
 
 
 def _fraction_nth_root(fr, m):
@@ -251,7 +250,7 @@ def find_alpha_fbar(sys, rel, H, Hcirc, order):
     Fbar = sys.fundamental_series(rel.a, order)
     kf = R.const
     if not rel.basis or _vanishes_at_identity(rel):
-        kind, M, exps, gser = "identity", 1, [0] * n, None
+        kind, M, exps = "identity", 1, [0] * n
         consts = [kf.one] * n
         C = Fbar
     else:
@@ -283,15 +282,10 @@ def find_alpha_fbar(sys, rel, H, Hcirc, order):
         C = TruncSeries.from_entries(kf, Fbar.a, C_entries)
     gbar = linalg.identity(kf, n)
     if not _component_membership(Hcirc, C, order):
-        oldf = C.field
-        kf, C, gbar = _component_witness(H, Hcirc, C, order)
-        Fbar = Fbar.coerce_to(kf) if Fbar.field != kf else Fbar
-        if oldf != kf:
-            consts = [kf.coerce_from(oldf, s) for s in consts]
-            if gser is not None:
-                gser = Series(kf, [kf.coerce_from(oldf, x)
-                                   for x in gser.coeffs])
-    return AlphaData(kind, kf, M, exps, consts, gser, gbar, Fbar)
+        kf, gbar = _component_witness(H, Hcirc, C, order)
+        Fbar = Fbar.coerce_to(kf)
+        consts = [kf.coerce_from(C.field, s) for s in consts]
+    return AlphaData(kind, kf, M, exps, consts, gbar, Fbar)
 
 
 def _component_membership(Hcirc, C, order):
@@ -309,14 +303,14 @@ def _component_witness(H, Hcirc, C, order):
                 "component witness search needs an enumerable group: %s"
                 % err) from err
     big = _join(C.field, H.points_field)
-    Cb = C.coerce_to(big) if C.field != big else C
+    Cb = C.coerce_to(big)
     for p in H.points:
         g = [[big.coerce_from(H.points_field, x) for x in row] for row in p]
         ginv = linalg.inverse(big, g)
         Cg = TruncSeries(big, Cb.a,
                          [linalg.matmul(big, ginv, m) for m in Cb.mats])
         if _component_membership(Hcirc, Cg, order):
-            return big, Cg, g
+            return big, g
     raise DgalError("membership of alpha^{-1} F_bar in the identity "
                     "component could not be certified at this order")
 
@@ -370,21 +364,22 @@ def build_J_barH(alpha, Hcirc, chars, rl):
 
 # -- finite part --------------------------------------------------------
 
-def finite_part(alpha, Gcirc_gens, order):
-    """The full group as a union over the conjugates tau of gamma: for
-    each tau, the constant matrices g with Q(tau(beta)^{-1} F_tilde g) =
-    0 for every generator Q of the identity component's ideal, through
-    the truncation order.
+def finite_part(alpha):
+    """The finite Galois group, one point per conjugate tau of gamma.
 
-    beta = alpha and F_tilde = F_bar (the reuse case).  Returns
+    Precondition: H's identity component is {I}, and find_alpha_fbar has
+    checked C = diag(s_i^{-1} gamma^{-e_i}) F_bar = gbar through the
+    truncation order.  A conjugate tau(gamma) = z gamma with z^M = 1 then
+    gives the point gbar^{-1} diag(z^e_1, ..., z^e_n) gbar, read off over
+    the splitting field of x^M - 1 without a polynomial solve.  Returns
     (field, points)."""
     kf = alpha.field
     M = alpha.M
-    n = alpha.Fbar.n
+    n = len(alpha.gbar)
     if M == 1:
-        big, roots = kf, [kf.one]
+        fld, roots = kf, [kf.one]
     else:
-        big, rts = split_univariate(
+        fld, rts = split_univariate(
             kf, [kf.neg(kf.one)] + [kf.zero] * (M - 1) + [kf.one])
         roots = []
         for r, mult in rts:
@@ -392,63 +387,17 @@ def finite_part(alpha, Gcirc_gens, order):
         if len(roots) != M:
             raise UnsupportedInstanceError(
                 "could not split the conjugate set of gamma")
-        roots.sort(key=lambda r: (not big.is_one(r), big.format(r)))
-    F = alpha.Fbar.coerce_to(big) if alpha.Fbar.field != big else alpha.Fbar
-    gser = None
-    if alpha.gamma is not None:
-        gser = Series(big, [big.coerce_from(kf, x)
-                            for x in alpha.gamma.coeffs]) \
-            if big != kf else alpha.gamma
-    gbar = [[big.coerce_from(kf, x) for x in row] for row in alpha.gbar] \
-        if big != kf else alpha.gbar
-    gbar_inv = linalg.inverse(big, gbar)
-    fld = big
+        roots.sort(key=lambda r: (not fld.is_one(r), fld.format(r)))
+    gbar = [[fld.coerce_from(kf, x) for x in row] for row in alpha.gbar]
+    gbar_inv = linalg.inverse(fld, gbar)
     pts = []
-    identity_seen = False
-    ident = linalg.identity(fld, n)
-    sconsts = [big.coerce_from(kf, s) for s in alpha.consts] \
-        if big != kf else alpha.consts
-    for tau_idx, z in enumerate(roots):
-        scales = []
-        zinv = big.inv(z)
-        if gser is not None:
-            ginv = gser.inverse()
-            for i in range(n):
-                e = alpha.exps[i]
-                s = (ginv ** e).scale(
-                    big.mul(big.pow(zinv, e), big.inv(sconsts[i])))
-                scales.append(s)
-        else:
-            one = Series.constant(big, big.one, F.order)
-            scales = [one] * n
-        entries = [[F.entry(i, j) * scales[i] for j in range(n)]
-                   for i in range(n)]
-        Wpre = TruncSeries.from_entries(big, F.a, entries)
-        W = TruncSeries(big, F.a,
-                        [linalg.matmul(big, gbar_inv, m) for m in Wpre.mats])
-        eqs = substituted_coefficient_system(Gcirc_gens, W, order)
-        try:
-            sfld, sols = solve_zero_dimensional(eqs)
-        except PositiveDimensionalError as err:
-            raise UnsupportedInstanceError(
-                "a conjugate part of the group is positive dimensional; "
-                "only finite parts are solved here: %s" % err) from err
-        newfld = _join(fld, sfld)
-        if newfld != fld:
-            pts = [[[newfld.coerce_from(fld, x) for x in row] for row in m]
-                   for m in pts]
-            ident = linalg.identity(newfld, n)
-            fld = newfld
-        for coords, _mult in sols:
-            m = [[fld.coerce_from(sfld, coords[i * n + j]) for j in range(n)]
-                 for i in range(n)]
-            if fld.is_zero(linalg.det(fld, m)):
-                continue
-            if tau_idx == 0 and _mat_eq(fld, m, ident):
-                identity_seen = True
-            if not any(_mat_eq(fld, m, q) for q in pts):
-                pts.append(m)
-    if not identity_seen:
+    for z in roots:
+        zdiag = [[fld.pow(z, alpha.exps[i]) if i == j else fld.zero
+                  for j in range(n)] for i in range(n)]
+        m = linalg.matmul(fld, gbar_inv, linalg.matmul(fld, zdiag, gbar))
+        if not any(_mat_eq(fld, m, q) for q in pts):
+            pts.append(m)
+    if not _mat_eq(fld, pts[0], linalg.identity(fld, n)):
         raise DgalError("identity matrix missing from the tau = id part")
     _finite_closure_check(fld, pts)
     return fld, pts
@@ -543,11 +492,10 @@ def galois_group(sys, cfg):
     chars = []
     if H.finite:
         alpha = find_alpha_fbar(sys, rel, H, Hcirc, order)
-        Gcirc = Hcirc
-        fld, pts = finite_part(alpha, Gcirc.generators, order)
+        fld, pts = finite_part(alpha)
         provenance["alpha"] = alpha.describe()
         desc = GaloisGroupDescription(
-            n, H, rel, Gcirc, True, fld, pts, len(pts), 0,
+            n, H, rel, Hcirc, True, fld, pts, len(pts), 0,
             rel.rigorous, provenance)
     else:
         chars = characters_generators(Hcirc, rel.d)
@@ -555,10 +503,11 @@ def galois_group(sys, cfg):
         if not chars:
             provenance["alpha"] = "not needed (trivial character lattice)"
         else:
-            alpha = find_alpha_fbar(sys, rel, H, Hcirc, order)
-            big = _join(alpha.field, chars[0].ring.field)
-            S = alpha.Fbar.coerce_to(big) \
-                if alpha.Fbar.field != big else alpha.Fbar
+            # u'/u of u = chi(F_bar) loses one order to d/dt and must
+            # still fix a numerator and a denominator of degree ell each
+            alpha = find_alpha_fbar(sys, rel, H, Hcirc,
+                                    max(order, 4 * cfg.ell + 3))
+            S = alpha.Fbar.coerce_to(_join(alpha.field, chars[0].ring.field))
             elements = [logderiv_from_character(ch, S, cfg.ell, cfg.ell)
                         for ch in chars]
             rl = relation_lattice(elements)

@@ -9,7 +9,7 @@ from sympy.polys.fields import FracField
 
 from . import _grammar
 from .errors import DgalError, SingularPointError
-from .fields import ConstField, split_univariate
+from .fields import split_univariate
 
 
 class RatFuncField:

@@ -151,6 +151,18 @@ def test_bounds_refusals(capsys, n, expected):
     assert code == expected and len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_degree_one_character_run(capsys):
+    """Degree-1 relations stop at order 8, below the 4 * ell + 3 that the
+    logarithmic derivative of a character needs at ell = 2; the
+    character path expands F_bar far enough on its own."""
+    exp = Path(__file__).parent / "golden" / "exp.sys"
+    code = main(["galois", "--system", str(exp), "--degree-override", "1",
+                 "--point", "0"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert "dimension: 1" in out.splitlines()
+
+
 @pytest.fixture
 def pole_doc(tmp_path):
     path = tmp_path / "pole.txt"

@@ -1,15 +1,20 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+import dgal.pipeline
 from dgal.errors import UnsupportedInstanceError
 from dgal.fields import ConstField
-from dgal.groups import AlgebraicSubgroup, group_ring
+from dgal.groups import AlgebraicSubgroup, group_points_finite, group_ring
 from dgal.lattice import congruence_lattice
-from dgal.pipeline import (GaloisGroupDescription, PipelineConfig,
-                           _same_ideal, galois_group, proto_galois,
-                           sandwich_check)
+from dgal.pipeline import (AlphaData, GaloisGroupDescription,
+                           PipelineConfig, _same_ideal, finite_part,
+                           galois_group, proto_galois, sandwich_check)
 from dgal.ratfunc import RatFuncField
+from dgal.relations import substituted_coefficient_system
+from dgal.series import Series
+from dgal.solve import solve_zero_dimensional
 from dgal.systems import OdeSystem
 
 K = ConstField()
@@ -168,3 +173,66 @@ def test_fraction_nth_root_exact():
     assert _fraction_nth_root(Fraction(10 ** 400 + 1), 2) is None
     assert _fraction_nth_root(Fraction(4, 10 ** 401), 2) is None
     assert _fraction_nth_root(Fraction(-4), 2) is None
+
+
+@pytest.mark.parametrize("rows,d", [
+    pytest.param([["1/(2*t)"]], 2, id="mu2"),
+    pytest.param([["1/(2*t)", "0"], ["0", "1/(3*t)"]], 3, id="diag23"),
+    pytest.param([["1/(2*t)", "0"], ["0", "1/(2*t)"]], 3, id="diag22"),
+])
+def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
+    """Each point of the finite part satisfies the proto-group's
+    equations (G <= H), the order divides |H|, and finite_part reads the
+    points off alpha: no series product, coefficient system or
+    zero-dimensional solve."""
+    inside, calls = [0], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # rebind every dgal module's copy of each name, as `from` imports made
+    for fn in (solve_zero_dimensional, substituted_coefficient_system):
+        wrapped = counted(fn.__name__, fn)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("dgal") and \
+                    getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapped)
+    monkeypatch.setattr(Series, "__mul__",
+                        counted("Series.__mul__", Series.__mul__))
+    real = dgal.pipeline.finite_part
+
+    def finite_part(*args):
+        inside[0] += 1
+        try:
+            return real(*args)
+        finally:
+            inside[0] -= 1
+    monkeypatch.setattr(dgal.pipeline, "finite_part", finite_part)
+
+    desc = run(sys_of(*rows), d)
+    assert desc.finite and calls == []
+    H = desc.proto
+    fld, kf = desc.points_field, H.ring.field
+    for m in desc.points:
+        vals = [m[i][j] for i in range(H.n) for j in range(H.n)]
+        for g in H.generators:
+            assert fld.is_zero(g.evaluate(
+                vals, one=fld.one, mul=fld.mul, add=fld.add,
+                from_coeff=lambda c: fld.coerce_from(kf, c)))
+    _hfld, hpts = group_points_finite(H)
+    assert len(hpts) % desc.order == 0
+
+
+def test_finite_part_conjugates_by_the_witness():
+    # gamma^2 = t, alpha = diag(gamma, 1) * gbar: the conjugate -gamma
+    # gives gbar^{-1} diag(-1, 1) gbar
+    one = K.one
+    gbar = [[one, one], [K.zero, one]]
+    alpha = AlphaData("radical", K, 2, [1, 0], [one, one], gbar, None)
+    fld, pts = finite_part(alpha)
+    assert [[[fld.format(x) for x in row] for row in m] for m in pts] == \
+        [[["1", "0"], ["0", "1"]], [["-1", "-2"], ["0", "1"]]]
