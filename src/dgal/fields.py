@@ -5,6 +5,15 @@ interface (zero/one/add/mul/...), so the rest of the package never touches
 sympy element types directly.  Elements are sympy domain elements and are
 hashable, so they can be used as dict keys.
 
+A number field is the monic minimal polynomial m of its primitive element
+theta: an element is a polynomial in theta reduced modulo m, and no
+arithmetic looks at what theta is (Cohen, *A Course in Computational
+Algebraic Number Theory*, 3.6).  ``field_adjoin`` over QQ makes the field
+from m alone, one field per m in a process.  The sympy expression of theta
+(a radical or a CRootOf) is made only when something needs it: conversion
+to or from sympy expressions, and extending or joining a field by way of
+sympy's primitive elements.
+
 The algebraically closed constant field of the theory is approximated the
 only way a computer can: by growing a number field whenever a root is
 needed.  ``field_adjoin`` and ``split_univariate`` do the growing.
@@ -29,16 +38,46 @@ GEN_NAME = "g"
 
 
 class ConstField:
-    """QQ or QQ(theta_1, ..., theta_r) with a primitive element."""
+    """QQ, or a number field QQ(theta) whose arithmetic works modulo the
+    minimal polynomial of its primitive element theta.
 
-    def __init__(self, gens=()):
-        self.gens = tuple(gens)
-        if len(self.gens) > 1:
-            _check_extendable(self.gens)
-        self.dom = QQ.algebraic_field(*gens) if gens else QQ
+    ``ConstField(gens)`` is QQ(gens) for sympy expressions ``gens``, with
+    the primitive element sympy finds for them.  ``_minpoly_field(m)`` is
+    QQ(theta) for a root theta of the monic irreducible m; its ``gens``,
+    the canonical root of m, are made on first use."""
+
+    def __init__(self, gens=(), minpoly=None):
+        self._minpoly = minpoly  # Poly over QQ in _X, or None
+        if minpoly is None:
+            self._gens = tuple(gens)
+            if len(self._gens) > 1:
+                _check_extendable(self._gens)
+            self.dom = QQ.algebraic_field(*gens) if gens else QQ
+            self._sym = self.dom
+        else:
+            # a placeholder root per field keeps the domains of different
+            # minimal polynomials unequal: sympy compares algebraic fields
+            # by their root alone
+            self._gens = None
+            self.dom = QQ.algebraic_field((minpoly, sp.Dummy(GEN_NAME)))
+            self._sym = None
         # subfield domain -> image of its primitive element here (None when
         # the subfield does not embed); filled by coerce_from
         self._images = {}
+
+    @property
+    def gens(self):
+        """sympy expressions that generate the field over QQ."""
+        if self._gens is None:
+            self._gens = (_canonical_root(self._minpoly),)
+        return self._gens
+
+    def _sympy_dom(self):
+        """The domain whose primitive element is the sympy expression of
+        this field's; its elements are this field's elements."""
+        if self._sym is None:
+            self._sym = QQ.algebraic_field((self._minpoly, self.gens[0]))
+        return self._sym
 
     # -- basic protocol -------------------------------------------------
 
@@ -94,10 +133,10 @@ class ConstField:
     # -- conversions ----------------------------------------------------
 
     def to_sympy(self, a):
-        return self.dom.to_sympy(a)
+        return self._sympy_dom().to_sympy(a)
 
     def from_sympy(self, expr):
-        return self.dom.from_sympy(expr)
+        return self._sympy_dom().from_sympy(expr)
 
     def coerce_from(self, other, a):
         """Map an element of ``other`` (a subfield) into this field: its
@@ -106,7 +145,7 @@ class ConstField:
         itself may still lie here; it is then converted on its own."""
         if other.dom == self.dom:
             return a
-        if not other.gens:
+        if other.degree() == 1:
             return self.dom.convert(a)
         image = self._image_of(other)
         if image is None:
@@ -128,19 +167,17 @@ class ConstField:
 
     def generator(self):
         """The primitive element as a field element (None over QQ)."""
-        if not self.gens:
+        if self.degree() == 1:
             return None
         return self.dom.unit
 
     def degree(self):
-        if not self.gens:
-            return 1
-        return self.dom.mod.degree()
+        return self.dom.mod.degree() if self.dom.is_Algebraic else 1
 
     def minpoly_coeffs(self):
         """Ascending rational coefficients of the primitive element's
         minimal polynomial over QQ (None over QQ)."""
-        if not self.gens:
+        if self.degree() == 1:
             return None
         rep = self.dom.mod.to_list()  # descending
         return [QQ.convert(c) for c in reversed(rep)]
@@ -152,21 +189,19 @@ class ConstField:
         return hash(self.dom)
 
     def __repr__(self):
-        if not self.gens:
+        if self.degree() == 1:
             return "ConstField(QQ)"
-        return "ConstField(QQ(%s))" % ", ".join(str(g) for g in self.gens)
+        mod = sp.Poly(self.dom.mod.to_list(), sp.Symbol(GEN_NAME), domain=QQ)
+        return "ConstField(QQ(%s), %s = 0)" % (GEN_NAME, mod.as_expr())
 
     # -- power-basis representation ------------------------------------
 
     def to_rational_vector(self, a):
         """Coordinates of ``a`` in the power basis 1, g, ..., g^(deg-1),
         as Fractions (ascending)."""
-        if not self.gens:
-            q = QQ.convert(a)
-            return [Fraction(int(q.numerator), int(q.denominator))]
-        rep = a.to_list()  # descending in powers of g
-        vec = [Fraction(int(QQ.convert(c).numerator), int(QQ.convert(c).denominator))
-               for c in reversed(rep)]
+        rep = a.to_list() if self.degree() > 1 else [a]  # descending in g
+        vec = [Fraction(int(q.numerator), int(q.denominator))
+               for q in map(QQ.convert, reversed(rep))]
         vec += [Fraction(0)] * (self.degree() - len(vec))
         return vec
 
@@ -208,7 +243,7 @@ class ConstField:
     def parse(self, text):
         node = _grammar.parse(text)
         atoms = {}
-        if self.gens:
+        if self.degree() > 1:
             atoms[GEN_NAME] = self.generator()
         return _grammar.evaluate(
             node, atoms,
@@ -257,6 +292,27 @@ def _canonical_root(poly):
     return sp.CRootOf(poly.replace(_X, _R), deg - 1)
 
 
+# monic minimal polynomial (descending coefficients) -> its field.  Fields
+# are values: sharing one object per polynomial lets every stage of a run
+# use the same QQ(theta) and its cached embeddings.
+_MINPOLY_FIELDS = {}
+
+
+def _minpoly_field(poly):
+    """The field QQ(theta) for the monic irreducible ``poly`` over QQ."""
+    key = tuple(poly.rep.to_list())
+    field = _MINPOLY_FIELDS.get(key)
+    if field is None:
+        field = _MINPOLY_FIELDS[key] = ConstField(minpoly=poly)
+    return field
+
+
+def _as_expr(field, poly):
+    """The sympy expression of ``poly``, a Poly in _X over ``field``."""
+    return sp.Add(*[field.to_sympy(c) * _X ** k
+                    for k, c in enumerate(reversed(poly.rep.to_list()))])
+
+
 def field_adjoin(field, coeffs):
     """Adjoin a root of the monic irreducible polynomial with the given
     ascending coefficients (elements of ``field``).
@@ -273,12 +329,11 @@ def field_adjoin(field, coeffs):
     poly = _poly_over(field, coeffs)
     if not poly.is_irreducible:
         _, factors = poly.factor_list()
-        witness = factors[0][0].as_expr()
-        raise DgalError("polynomial is reducible; factor witness: %s" % witness)
-    if not field.gens:
-        root = _canonical_root(poly)
-        new = ConstField(field.gens + (root,))
-        return new, new.from_sympy(root)
+        raise DgalError("polynomial is reducible; factor witness: %s"
+                        % _as_expr(field, factors[0][0]))
+    if field.degree() == 1:
+        new = _minpoly_field(poly.monic())
+        return new, new.generator()
     return _adjoin_over_extension(field, poly)
 
 
@@ -288,7 +343,7 @@ def _adjoin_over_extension(field, poly):
     _check_extendable(field.gens)  # before sympy rebuilds the field below
     # try radical roots first; small degrees resolve this way
     try:
-        rts = sp.roots(sp.Poly(poly.as_expr(), _X, extension=True))
+        rts = sp.roots(sp.Poly(_as_expr(field, poly), _X, extension=True))
     except Exception:
         rts = {}
     if sum(rts.values()) == poly.degree():
@@ -313,7 +368,7 @@ def _adjoin_over_extension(field, poly):
                 val = val * root + new.coerce_from(field, c)
             if new.is_zero(val):
                 return new, root
-    raise DgalError("could not adjoin a root of %s" % poly.as_expr())
+    raise DgalError("could not adjoin a root of %s" % _as_expr(field, poly))
 
 
 def split_univariate(field, coeffs):

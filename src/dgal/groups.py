@@ -245,7 +245,7 @@ def _single_irreducible_generator(H):
         return False
     g = H.generators[0]
     fld = H.ring.field
-    if fld.gens:
+    if fld.degree() > 1:
         return False  # factorization over extensions not attempted
     poly = sp.Poly.from_dict(dict(g.terms), *sp.symbols(H.ring.names),
                              domain=fld.dom)

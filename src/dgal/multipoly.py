@@ -138,7 +138,7 @@ class PolyRing:
         const = getattr(fld, "const", fld)
         if const is not fld:  # rational functions
             atoms.setdefault(fld.var, self.from_const(fld.t))
-        if getattr(const, "gens", None):
+        if const.degree() > 1:
             from .fields import GEN_NAME
             gen = const.generator()
             atoms.setdefault(GEN_NAME, self.from_const(

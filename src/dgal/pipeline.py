@@ -180,12 +180,13 @@ def _fraction_nth_root(fr, m):
 
 
 def _radical_exponents(rel):
-    """Read one relation x_ii^m = c * t^j per diagonal entry, with a
-    constant c whose exact m-th root s lies in the rationals.
+    """Read one relation x_ii^m = c * t^j per diagonal entry.
 
     Returns (M, exps, consts) for alpha = diag(s_i * gamma^exps[i]),
     gamma^M = t, or raises when the basis holds no such relation for
-    some diagonal entry."""
+    some diagonal entry.  consts[i] is s_i when c has a rational m-th
+    root, else None: then s_i = gamma(a)^(-exps[i]) in gamma's field, since
+    F_bar(a) = I forces c = a^(-j)."""
     ring = rel.ring
     R = ring.field
     n = _n(rel)
@@ -216,16 +217,8 @@ def _radical_exponents(rel):
             s = R.const.one
         else:
             vec = R.const.to_rational_vector(cconst)
-            if any(x != 0 for x in vec[1:]):
-                raise UnsupportedInstanceError(
-                    "radical solve needs a rational constant factor; "
-                    "found %s" % R.const.format(cconst))
-            root = _fraction_nth_root(vec[0], m)
-            if root is None:
-                raise UnsupportedInstanceError(
-                    "constant factor %s has no exact %d-th root in the "
-                    "rationals" % (R.const.format(cconst), m))
-            s = R.const.from_fraction(root)
+            root = None if any(vec[1:]) else _fraction_nth_root(vec[0], m)
+            s = None if root is None else R.const.from_fraction(root)
         j = len(num) - 1
         if i not in found or m < found[i][0]:
             found[i] = (m, j, s)
@@ -257,10 +250,11 @@ def find_alpha_fbar(sys, rel, H, Hcirc, order):
         kind = "radical"
         M, exps, consts = _radical_exponents(rel)
         qcoeffs = [R.neg(R.t)] + [R.zero] * (M - 1) + [R.one]
-        kf, gser, _root = algebraic_series(R, qcoeffs, rel.a, order)
+        kf, gser, root = algebraic_series(R, qcoeffs, rel.a, order)
+        consts = [kf.pow(root, -e) if s is None else kf.coerce_from(R.const, s)
+                  for s, e in zip(consts, exps)]
         ring = rel.ring
         if kf != R.const:
-            consts = [kf.coerce_from(R.const, s) for s in consts]
             ring = PolyRing(R.over(kf), ring.names, ring.order)
             Fbar = Fbar.coerce_to(kf)
         # verify every relation vanishes at alpha

@@ -210,7 +210,7 @@ class RatFuncField:
     def parse(self, text):
         node = _grammar.parse(text)
         atoms = {self.var: self.t}
-        if self.const.gens:
+        if self.const.degree() > 1:
             from .fields import GEN_NAME
             atoms[GEN_NAME] = self.from_const(self.const.generator())
         return _grammar.evaluate(

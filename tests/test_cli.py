@@ -219,3 +219,51 @@ def test_galois_run_imports_no_sympy_tensor():
     code, new = json.loads(run.stdout.splitlines()[-1])
     assert code == 0
     assert "sympy.tensor.tensor" not in new
+
+
+# runs galois with the builders of symbolic roots disabled
+_NO_SYMBOLIC_ROOT = """
+import sys
+import sympy
+import dgal.fields
+from dgal.cli import main
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a symbolic root was built")
+
+dgal.fields._canonical_root = refuse
+sympy.roots = refuse
+sys.exit(main(["galois", "--system", sys.argv[1]] + sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("harmonic", ["--degree-override", "2", "--point", "0"]),
+    ("diag23", ["--degree-override", "3"]),
+])
+def test_galois_run_builds_no_symbolic_root(name, flags):
+    """Number fields on the solve path are their minimal polynomials: the
+    runs that split x^2 + 1 and x^6 - 1 never form a radical."""
+    golden = Path(__file__).parent / "golden"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dgal.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _NO_SYMBOLIC_ROOT,
+                          str(golden / (name + ".sys"))] + flags,
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (golden / (name + ".out")).read_text()
+
+
+@pytest.mark.parametrize("name,flags,order", [
+    ("mu2", ["--degree-override", "2", "--point", "2"], 2),
+    ("diag23", ["--degree-override", "3", "--point", "8"], 6),
+])
+def test_radical_run_at_a_point_without_rational_root(capsys, name, flags, order):
+    """x^2 = t/2 at t = 2 needs s = 2^(-1/2): s is taken from gamma(2) in
+    gamma's field, not from the rationals."""
+    system = Path(__file__).parent / "golden" / (name + ".sys")
+    code = main(["galois", "--system", str(system)] + flags)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "order: %d" % order in lines and "sandwich_checked: yes" in lines

@@ -223,3 +223,41 @@ def test_split_roots_rebuild_the_polynomial(linear, quadratic, power, lead):
     monic = [fld.div(fld.coerce_from(k, c), fld.coerce_from(k, poly[-1])) for c in poly]
     assert len(rebuilt) == len(monic)
     assert all(fld.eq(x, y) for x, y in zip(rebuilt, monic))
+
+
+def test_one_field_per_minimal_polynomial():
+    """Adjoining x^2 + x + 1 twice gives one field; x^2 + 1 gives another,
+    although sympy would compare two algebraic fields with the same
+    symbolic root as equal whatever their minimal polynomials."""
+    k = QQ()
+    omega = [k.one, k.one, k.one]
+    first, _ = field_adjoin(k, omega)
+    second, _ = field_adjoin(k, omega)
+    assert first == second and hash(first) == hash(second)
+    assert first != _adjoin(k, 1)
+    assert repr(first) == "ConstField(QQ(g), g**2 + g + 1 = 0)"
+
+
+MINPOLYS = [[2, 0, 1], [-3, 0, 1], [1, 1, 1], [-1, -1, 1], [5, 2, 1],
+            [1, -3, 0, 1]]
+
+
+@pytest.mark.parametrize("coeffs", MINPOLYS)
+def test_generator_is_a_root_of_the_input(coeffs):
+    k = QQ()
+    fld, r = field_adjoin(k, [k.from_int(c) for c in coeffs])
+    x = fld.to_sympy(r)
+    assert sp.simplify(sum(c * x ** i for i, c in enumerate(coeffs))) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MINPOLYS), st.lists(fractions, min_size=1, max_size=3))
+def test_sympy_round_trip(coeffs, vec):
+    """from_sympy inverts to_sympy on a field made from its minimal
+    polynomial."""
+    k = QQ()
+    fld, r = field_adjoin(k, [k.from_int(c) for c in coeffs])
+    a = fld.zero
+    for c in reversed(vec):
+        a = fld.add(fld.mul(a, r), fld.from_fraction(c))
+    assert fld.eq(fld.from_sympy(fld.to_sympy(a)), a)
