@@ -1,22 +1,22 @@
-"""Exact constant fields: QQ and number fields QQ(theta).
+"""Exact constant fields: QQ and number fields QQ[x]/(m).
 
-A ConstField wraps a sympy domain and exposes a small, uniform adapter
-interface (zero/one/add/mul/...), so the rest of the package never touches
-sympy element types directly.  Elements are sympy domain elements and are
-hashable, so they can be used as dict keys.
+A ConstField wraps a sympy domain behind a small adapter interface
+(zero/one/add/mul/...), so the rest of the package never touches sympy
+element types.  Elements are sympy domain elements, hashable.
 
-A number field is the monic minimal polynomial m of its primitive element
-theta: an element is a polynomial in theta reduced modulo m, and no
-arithmetic looks at what theta is (Cohen, *A Course in Computational
-Algebraic Number Theory*, 3.6).  ``field_adjoin`` over QQ makes the field
-from m alone, one field per m in a process.  The sympy expression of theta
-(a radical or a CRootOf) is made only when something needs it: conversion
-to or from sympy expressions, and extending or joining a field by way of
-sympy's primitive elements.
+A number field is QQ[x]/(m), m the monic minimal polynomial of its
+generator g: no arithmetic looks at what g is (Cohen, *A Course in
+Computational Algebraic Number Theory*, 3.6).  Each field records how it
+was made and the image of each subfield's generator; ``coerce_from``
+follows those images only.  Fields over QQ are one per m in a process.
+Over a number field QQ(theta), a root beta of an irreducible f is
+adjoined by Trager's norm: the squarefree norm of f(x - s*theta) is the
+minimal polynomial of beta + s*theta.  Such towers are never shared by
+m, which can hold QQ(theta) in different ways.
 
-The algebraically closed constant field of the theory is approximated the
-only way a computer can: by growing a number field whenever a root is
-needed.  ``field_adjoin`` and ``split_univariate`` do the growing.
+The algebraically closed constant field of the theory is approximated by
+growing a number field whenever a root is needed: ``field_adjoin``,
+``split_univariate`` and ``join`` do the growing.
 """
 
 from fractions import Fraction
@@ -25,7 +25,7 @@ import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.polyerrors import CoercionFailed
 
-from . import _grammar
+from . import _grammar, linalg
 from .errors import DgalError
 
 _X = sp.Dummy("x")
@@ -38,45 +38,29 @@ GEN_NAME = "g"
 
 
 class ConstField:
-    """QQ, or a number field QQ(theta) whose arithmetic works modulo the
-    minimal polynomial of its primitive element theta.
+    """QQ, or the number field QQ[x]/(minpoly) with generator g.
 
-    ``ConstField(gens)`` is QQ(gens) for sympy expressions ``gens``, with
-    the primitive element sympy finds for them.  ``_minpoly_field(m)`` is
-    QQ(theta) for a root theta of the monic irreducible m; its ``gens``,
-    the canonical root of m, are made on first use."""
+    ``step = (base, coeffs, s)`` records how a number field was made: g is
+    beta + s*g_base for a root beta of the polynomial with ascending
+    coefficients ``coeffs``, irreducible over ``base``.  ``_images`` maps
+    each subfield to the image of its generator here."""
 
-    def __init__(self, gens=(), minpoly=None):
-        self._minpoly = minpoly  # Poly over QQ in _X, or None
-        if minpoly is None:
-            self._gens = tuple(gens)
-            if len(self._gens) > 1:
-                _check_extendable(self._gens)
-            self.dom = QQ.algebraic_field(*gens) if gens else QQ
-            self._sym = self.dom
-        else:
-            # a placeholder root per field keeps the domains of different
-            # minimal polynomials unequal: sympy compares algebraic fields
-            # by their root alone
-            self._gens = None
-            self.dom = QQ.algebraic_field((minpoly, sp.Dummy(GEN_NAME)))
-            self._sym = None
-        # subfield domain -> image of its primitive element here (None when
-        # the subfield does not embed); filled by coerce_from
+    def __init__(self, minpoly=None, step=None):
+        self._minpoly = minpoly  # monic irreducible Poly over QQ in _X
+        self.step = step
+        # a placeholder root per field keeps the domains of different
+        # fields unequal: sympy compares algebraic fields by their root alone
+        self.dom = (QQ if minpoly is None
+                    else QQ.algebraic_field((minpoly, sp.Dummy(GEN_NAME))))
         self._images = {}
-
-    @property
-    def gens(self):
-        """sympy expressions that generate the field over QQ."""
-        if self._gens is None:
-            self._gens = (_canonical_root(self._minpoly),)
-        return self._gens
+        self._sym = None
 
     def _sympy_dom(self):
-        """The domain whose primitive element is the sympy expression of
-        this field's; its elements are this field's elements."""
+        """The domain generated by sympy's canonical root of the minimal
+        polynomial: a reference for tests; the package never converts."""
         if self._sym is None:
-            self._sym = QQ.algebraic_field((self._minpoly, self.gens[0]))
+            self._sym = (QQ if self._minpoly is None else QQ.algebraic_field(
+                (self._minpoly, _canonical_root(self._minpoly))))
         return self._sym
 
     # -- basic protocol -------------------------------------------------
@@ -139,34 +123,36 @@ class ConstField:
         return self._sympy_dom().from_sympy(expr)
 
     def coerce_from(self, other, a):
-        """Map an element of ``other`` (a subfield) into this field: its
-        power-basis coordinates evaluated at the image of ``other``'s
-        primitive element.  When ``other`` does not embed, the element
-        itself may still lie here; it is then converted on its own."""
-        if other.dom == self.dom:
+        """Map an element of ``other`` into this field: its power-basis
+        coordinates evaluated at the recorded image of ``other``'s
+        generator.  Raises CoercionFailed when none is recorded."""
+        if other == self:
             return a
         if other.degree() == 1:
             return self.dom.convert(a)
-        image = self._image_of(other)
+        image = self._images.get(other)
         if image is None:
-            return self.from_sympy(other.to_sympy(a))
+            raise CoercionFailed("%r holds no recorded image of %r"
+                                 % (self, other))
+        return self._at(a, image)
+
+    def _at(self, a, image):
+        """``a``, a polynomial in another field's generator, evaluated at
+        ``image`` here (Horner, descending powers)."""
         out = self.zero
-        for c in a.to_list():  # Horner, descending powers
+        for c in a.to_list():
             out = out * image + self.dom.convert(c)
         return out
 
-    def _image_of(self, other):
-        """The image of ``other``'s primitive element here, or None."""
-        if other.dom not in self._images:
-            try:
-                image = self.from_sympy(other.to_sympy(other.generator()))
-            except CoercionFailed:
-                image = None
-            self._images[other.dom] = image
-        return self._images[other.dom]
+    def _hold(self, field, image):
+        """Record ``image`` as the image of field's generator here, and
+        through it the images of field's subfields."""
+        self._images[field] = image
+        for sub, inner in field._images.items():
+            self._images[sub] = self._at(inner, image)
 
     def generator(self):
-        """The primitive element as a field element (None over QQ)."""
+        """The generator g as a field element (None over QQ)."""
         if self.degree() == 1:
             return None
         return self.dom.unit
@@ -175,8 +161,8 @@ class ConstField:
         return self.dom.mod.degree() if self.dom.is_Algebraic else 1
 
     def minpoly_coeffs(self):
-        """Ascending rational coefficients of the primitive element's
-        minimal polynomial over QQ (None over QQ)."""
+        """Ascending rational coefficients of the generator's minimal
+        polynomial over QQ (None over QQ)."""
         if self.degree() == 1:
             return None
         rep = self.dom.mod.to_list()  # descending
@@ -196,14 +182,18 @@ class ConstField:
 
     # -- power-basis representation ------------------------------------
 
+    def _coords(self, a):
+        """Coordinates of ``a`` in the power basis 1, g, ..., g^(deg-1),
+        as QQ elements (ascending)."""
+        rep = a.to_list() if self.degree() > 1 else [a]  # descending in g
+        vec = [QQ.convert(c) for c in reversed(rep)]
+        return vec + [QQ.zero] * (self.degree() - len(vec))
+
     def to_rational_vector(self, a):
         """Coordinates of ``a`` in the power basis 1, g, ..., g^(deg-1),
         as Fractions (ascending)."""
-        rep = a.to_list() if self.degree() > 1 else [a]  # descending in g
-        vec = [Fraction(int(q.numerator), int(q.denominator))
-               for q in map(QQ.convert, reversed(rep))]
-        vec += [Fraction(0)] * (self.degree() - len(vec))
-        return vec
+        return [Fraction(int(q.numerator), int(q.denominator))
+                for q in self._coords(a)]
 
     # -- canonical text form -------------------------------------------
 
@@ -251,17 +241,7 @@ class ConstField:
             mul=self.mul, div=self.div, power=self.pow)
 
 
-def _check_extendable(gens):
-    """Refuse to extend QQ(gens) when a generator involves a complex
-    CRootOf: sympy finds the primitive element of such an extension by
-    evaluating that root to ever higher precision, which runs for minutes
-    (extending QQ(CRootOf(x^3 - x - 1, 2)) by the other roots does not
-    finish in 10 minutes).  Real CRootOf generators extend quickly."""
-    for g in gens:
-        for root in g.atoms(sp.CRootOf):
-            if not root.is_real:
-                raise DgalError("cannot extend a number field generated by the "
-                                "complex root %s" % root)
+_RATIONALS = ConstField()
 
 
 def _trimmed(field, coeffs):
@@ -278,14 +258,13 @@ def _poly_over(field, coeffs):
     return sp.Poly.from_list(coeffs[::-1], _X, domain=field.dom)
 
 
+def _ascending(poly):
+    return poly.rep.to_list()[::-1]
+
+
 def _canonical_root(poly):
-    """Deterministic root choice for a QQ-irreducible polynomial: the last
-    CRootOf index (largest real root, else the complex root sorted last).
-    Quadratics and the binomials x^3 - c and x^4 - c come back in radical
-    form instead, the root sorted last: radicals print better, and a
-    field built over a complex CRootOf cannot be extended again in
-    reasonable time (sympy evaluates it to high precision very slowly),
-    while splitting x^3 - c must extend QQ(c^(1/3))."""
+    """The root sorted last of a QQ-irreducible polynomial: a radical for
+    quadratics and the binomials x^3 - c and x^4 - c, else a CRootOf."""
     deg = poly.degree()
     if deg == 2 or (deg <= 4 and poly.length() == 2):
         return sorted(sp.roots(poly), key=sp.default_sort_key)[-1]
@@ -293,24 +272,56 @@ def _canonical_root(poly):
 
 
 # monic minimal polynomial (descending coefficients) -> its field.  Fields
-# are values: sharing one object per polynomial lets every stage of a run
-# use the same QQ(theta) and its cached embeddings.
+# over QQ are values: sharing one object per polynomial lets every stage
+# of a run use the same QQ(g) and its recorded embeddings.
 _MINPOLY_FIELDS = {}
 
 
 def _minpoly_field(poly):
-    """The field QQ(theta) for the monic irreducible ``poly`` over QQ."""
+    """The field QQ(g) for the monic irreducible ``poly`` over QQ."""
     key = tuple(poly.rep.to_list())
     field = _MINPOLY_FIELDS.get(key)
     if field is None:
-        field = _MINPOLY_FIELDS[key] = ConstField(minpoly=poly)
+        field = _MINPOLY_FIELDS[key] = ConstField(
+            poly, (_RATIONALS, _ascending(poly), 0))
     return field
 
 
-def _as_expr(field, poly):
-    """The sympy expression of ``poly``, a Poly in _X over ``field``."""
-    return sp.Add(*[field.to_sympy(c) * _X ** k
-                    for k, c in enumerate(reversed(poly.rep.to_list()))])
+def _adjoin_root(field, poly):
+    """(new field, root) for a root of ``poly``, a Poly in _X irreducible
+    over ``field``; a linear ``poly`` returns ``field`` itself."""
+    if poly.degree() == 1:
+        c1, c0 = poly.rep.to_list()
+        return field, field.neg(field.div(c0, c1))
+    if field.degree() == 1:
+        new = _minpoly_field(poly.monic())
+        return new, new.generator()
+    s, _shifted, norm = poly.sqf_norm()
+    s = s[0]  # sympy gives one shift per generator of the ground field
+    monic = _ascending(poly.monic())
+    new = ConstField(norm.monic(), (field, monic, s))
+    theta = _base_generator_image(field, monic, s, new)
+    new._hold(field, theta)
+    return new, new.generator() - new.from_int(s) * theta
+
+
+def _base_generator_image(field, monic, s, new):
+    """field's generator theta in the generator gamma = beta + s*theta of
+    ``new`` = field(beta), beta a root of ``monic``: the powers of gamma
+    in the QQ-basis theta^i beta^j of ``new`` give a linear system for
+    theta = sum c_k gamma^k."""
+    e = len(monic) - 1
+    shift = field.from_int(s) * field.generator()
+    power = [field.one] + [field.zero] * (e - 1)  # gamma^k as sum v_j beta^j
+    cols = []
+    for _ in range(field.degree() * e):
+        cols.append([q for v in power for q in field._coords(v)])
+        top = power[-1]
+        power = [shift * power[j] + (power[j - 1] if j else field.zero)
+                 - top * monic[j] for j in range(e)]
+    theta = [QQ.one if i == 1 else QQ.zero for i in range(len(cols))]
+    coeffs = linalg.solve(_RATIONALS, [list(r) for r in zip(*cols)], theta)
+    return new.dom.new(coeffs[::-1])
 
 
 def field_adjoin(field, coeffs):
@@ -319,56 +330,66 @@ def field_adjoin(field, coeffs):
 
     Returns (new_field, root) with root an element of new_field.  Degree-1
     input returns the field unchanged.  Reducible input raises DgalError
-    with a factor witness in the message.
+    with a factor witness (ascending coefficients) in the message.
     """
     coeffs = _trimmed(field, coeffs)
     if len(coeffs) < 2:
         raise DgalError("adjoin needs a polynomial of degree >= 1")
-    if len(coeffs) == 2:
-        return field, field.neg(field.div(coeffs[0], coeffs[1]))
     poly = _poly_over(field, coeffs)
-    if not poly.is_irreducible:
+    if len(coeffs) > 2 and not poly.is_irreducible:
         _, factors = poly.factor_list()
-        raise DgalError("polynomial is reducible; factor witness: %s"
-                        % _as_expr(field, factors[0][0]))
-    if field.degree() == 1:
-        new = _minpoly_field(poly.monic())
-        return new, new.generator()
-    return _adjoin_over_extension(field, poly)
+        raise DgalError("polynomial is reducible; factor witness: [%s]"
+                        % ", ".join(map(field.format, _ascending(factors[0][0]))))
+    return _adjoin_root(field, poly)
 
 
-def _adjoin_over_extension(field, poly):
-    """Adjoin a root of an irreducible polynomial whose coefficients live
-    in a proper extension of QQ."""
-    _check_extendable(field.gens)  # before sympy rebuilds the field below
-    # try radical roots first; small degrees resolve this way
-    try:
-        rts = sp.roots(sp.Poly(_as_expr(field, poly), _X, extension=True))
-    except Exception:
-        rts = {}
-    if sum(rts.values()) == poly.degree():
-        root = sorted(rts, key=sp.default_sort_key)[-1]
-        new = ConstField(field.gens + (root,))
-        return new, new.from_sympy(root)
-    # fall back to the absolute polynomial Res_y(minpoly_theta(y), f(x, y)),
-    # where f(x, theta) = poly: each coefficient in the power basis of theta
-    y = sp.Dummy("y")
-    desc = poly.rep.to_list()
-    f_xy = sp.Add(*[sp.Poly.from_list(c.to_list(), y, domain=QQ).as_expr() * _X ** i
-                    for i, c in enumerate(reversed(desc))])
-    mtheta = sp.Poly.from_list(field.dom.mod.to_list(), y, domain=QQ).as_expr()
-    absolute = sp.Poly(sp.resultant(mtheta, f_xy, y), _X, domain=QQ)
-    for factor, _ in absolute.factor_list()[1]:
-        for idx in range(factor.degree() - 1, -1, -1):
-            cand = sp.CRootOf(factor.replace(_X, _R), idx)
-            new = ConstField(field.gens + (cand,))
-            root = new.from_sympy(cand)
-            val = new.zero
-            for c in desc:
-                val = val * root + new.coerce_from(field, c)
-            if new.is_zero(val):
-                return new, root
-    raise DgalError("could not adjoin a root of %s" % _as_expr(field, poly))
+def join(f1, f2):
+    """A field holding ``f1`` and ``f2``: one of them when it holds the
+    other, else f2's steps rebuilt over a copy of f1 from the deepest field
+    on f2's chain that f1 holds.  No field gains images once it exists."""
+    if f2 == f1 or f2.degree() == 1 or f2 in f1._images:
+        return f1
+    if f1.degree() == 1 or f1 in f2._images:
+        return f2
+    chain = []
+    sub = f2
+    while sub.degree() > 1 and sub not in f1._images:
+        chain.append(sub)
+        sub = sub.step[0]
+    big = ConstField(f1._minpoly, (f1, [-f1.generator(), f1.one], 0))
+    big._hold(f1, big.generator())
+    joined = _rebuild(big, chain)
+    if joined is None:
+        raise DgalError("%r and %r hold a common subfield in ways no field "
+                        "joins" % (f1, f2))
+    return joined
+
+
+def _rebuild(big, chain):
+    """``big`` grown by a root of each step of ``chain`` (deepest last),
+    or None.  A step's root must agree with every image ``big`` records
+    for a subfield the step's field holds; a root that leaves a later step
+    without one is undone.  The roots of one factor over ``big`` are alike
+    in this, so one root per factor is tried."""
+    if not chain:
+        return big
+    level = chain[-1]
+    base, coeffs, s = level.step
+    poly = _poly_over(big, [big.coerce_from(base, c) for c in coeffs])
+    for fac, _ in sorted(poly.factor_list()[1], key=lambda fk: fk[0].degree()):
+        grown, root = _adjoin_root(big, fac)
+        if s:
+            root += grown.from_int(s) * grown.coerce_from(base, base.generator())
+        if any(grown._at(inner, root) != grown._images[held]
+               for held, inner in level._images.items() if held in grown._images):
+            continue
+        saved = dict(grown._images)
+        grown._hold(level, root)
+        joined = _rebuild(grown, chain[:-1])
+        if joined is not None:
+            return joined
+        grown._images = saved
+    return None
 
 
 def split_univariate(field, coeffs):
@@ -389,15 +410,21 @@ def split_univariate(field, coeffs):
         src, cs, mult = pending.pop()
         poly = _poly_over(fld, [fld.coerce_from(src, c) for c in cs])
         _lead, factors = poly.factor_list()
-        if (len(factors) == 1 and factors[0][1] == 1
-                and factors[0][0].degree() > 1):
-            # irreducible over the current field: grow it and retry
-            fac = factors[0][0].rep.to_list()[::-1]
-            pending.append((fld, fac, mult))
-            fld, _root = field_adjoin(fld, fac)
+        if len(factors) == 1 and factors[0][0].degree() > 1:
+            # irreducible over the current field: adjoin one root and
+            # divide it out; the quotient is split over the grown field
+            fac, k = factors[0]
+            small = fld
+            fld, root = _adjoin_root(small, fac)
+            found.append((fld, root, mult * k))
+            desc = [fld.coerce_from(small, c) for c in fac.rep.to_list()]
+            quotient = desc[:1]
+            for c in desc[1:-1]:
+                quotient.append(c + root * quotient[-1])
+            pending.append((fld, quotient[::-1], mult * k))
             continue
         for fac, k in factors:
-            cs = fac.rep.to_list()[::-1]
+            cs = _ascending(fac)
             if len(cs) == 2:
                 found.append((fld, fld.neg(fld.div(cs[0], cs[1])), mult * k))
             else:
@@ -413,5 +440,4 @@ def find_one_root(field, coeffs):
     if len(coeffs) < 2:
         raise DgalError("no roots: polynomial is constant")
     _, factors = _poly_over(field, coeffs).factor_list()
-    fac = min(factors, key=lambda fk: fk[0].degree())[0]
-    return field_adjoin(field, fac.rep.to_list()[::-1])
+    return _adjoin_root(field, min(factors, key=lambda fk: fk[0].degree())[0])

@@ -8,11 +8,12 @@ h_j^{m_j} = f_j * prod h_{eta_i}^{m_{i,j}} with rational cofactors f_j.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from . import lattice, linalg
 from .errors import DgalError, ResourceCapError, UnsupportedInstanceError
-from .fields import ConstField
+from .fields import ConstField, join
 from .ratfunc import RatFuncField
 from .series import poly_on_series, reconstruct_ratfunc
 
@@ -103,19 +104,9 @@ def logderiv_from_character(chi, S, num_deg, den_deg):
 
 def _common_field(elements):
     """One RatFuncField containing every element's v."""
-    R = None
-    for el in elements:
-        if R is None or el.R.const.degree() > R.const.degree():
-            R = el.R
-    vs = []
-    for el in elements:
-        try:
-            vs.append(R.coerce_from(el.R, el.v))
-        except Exception as err:
-            raise UnsupportedInstanceError(
-                "cannot place all logarithmic derivatives in one "
-                "constant field: %s" % err) from err
-    return R, vs
+    k = reduce(join, (el.R.const for el in elements))
+    R = RatFuncField(k)
+    return R, [R.coerce_from(el.R, el.v) for el in elements]
 
 
 def _pf_over_common(R, vs):

@@ -26,7 +26,7 @@ from sympy import integer_nthroot
 
 from . import linalg
 from .errors import DgalError, InputError, UnsupportedInstanceError
-from .fields import split_univariate
+from .fields import join, split_univariate
 from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
                      characters_generators, group_points_finite, group_ring,
                      identity_component, kernel_of_characters,
@@ -35,7 +35,7 @@ from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import PolyRing, groebner, normal_form
 from .relations import find_relations, membership_test
 from .series import Series, TruncSeries, algebraic_series
-from .solve import PositiveDimensionalError, _join
+from .solve import PositiveDimensionalError
 
 
 class PipelineConfig:
@@ -296,7 +296,7 @@ def _component_witness(H, Hcirc, C, order):
             raise UnsupportedInstanceError(
                 "component witness search needs an enumerable group: %s"
                 % err) from err
-    big = _join(C.field, H.points_field)
+    big = join(C.field, H.points_field)
     Cb = C.coerce_to(big)
     for p in H.points:
         g = [[big.coerce_from(H.points_field, x) for x in row] for row in p]
@@ -347,7 +347,7 @@ def build_J_barH(alpha, Hcirc, chars, rl):
     n = Hcirc.n
     big = Hcirc.ring.field
     if chars:
-        big = _join(big, chars[0].ring.field)
+        big = join(big, chars[0].ring.field)
     ring = group_ring(n, big)
     gens = [_coerce_poly(ring, Hcirc.ring, g) for g in Hcirc.generators]
     binoms = character_binomials(chars, rl, ring) if chars else []
@@ -419,8 +419,8 @@ def sandwich_check(H, Hcirc, chars, Gcirc):
     modulo the component's."""
     Ht = kernel_of_characters(Hcirc, chars)
     big = Ht.ring.field
-    big = _join(big, Gcirc.ring.field)
-    big = _join(big, H.ring.field)
+    big = join(big, Gcirc.ring.field)
+    big = join(big, H.ring.field)
     ring = group_ring(H.n, big)
     gb_ht = groebner([_coerce_poly(ring, Ht.ring, g) for g in Ht.generators]) \
         if Ht.generators else []
@@ -447,7 +447,7 @@ def _dimension_estimate(comp):
 
 
 def _same_ideal(G1, G2):
-    big = _join(G1.ring.field, G2.ring.field)
+    big = join(G1.ring.field, G2.ring.field)
     ring = group_ring(G1.n, big)
 
     def basis(G):
@@ -501,7 +501,7 @@ def galois_group(sys, cfg):
             # still fix a numerator and a denominator of degree ell each
             alpha = find_alpha_fbar(sys, rel, H, Hcirc,
                                     max(order, 4 * cfg.ell + 3))
-            S = alpha.Fbar.coerce_to(_join(alpha.field, chars[0].ring.field))
+            S = alpha.Fbar.coerce_to(join(alpha.field, chars[0].ring.field))
             elements = [logderiv_from_character(ch, S, cfg.ell, cfg.ell)
                         for ch in chars]
             rl = relation_lattice(elements)

@@ -2,13 +2,13 @@
 
 Lex Groebner basis, staircase finiteness check, then triangular
 back-substitution; roots of each univariate step are adjoined to the
-constant field as needed, so every returned point is exact.
+constant field as needed, so every returned point is exact.  Branches
+grow their own fields; the points meet in the ``fields.join`` of those
+fields, which follows each field's recorded embeddings.
 """
 
-from sympy.polys.polyerrors import CoercionFailed
-
 from .errors import DgalError
-from .fields import split_univariate
+from .fields import join, split_univariate
 from .multipoly import (LEX, PolyRing, groebner, is_zero_dimensional)
 
 
@@ -42,39 +42,18 @@ def solve_zero_dimensional(gens):
         raise PositiveDimensionalError(witness)
     polys = [dict(g.terms) for g in gb]
     pts = _solve_rec(field, polys, ring.nvars)
-    return _common_field(field, pts, ring.nvars)
+    return _common_field(field, pts)
 
 
-def _common_field(field, pts, nvars):
-    """Re-embed every point into the largest field produced, joined with
-    the field of any point whose coordinates do not lie in it (branches
-    may grow fields that are not nested, like QQ(sqrt 2) and QQ(2^(1/3)))."""
+def _common_field(field, pts):
+    """Re-embed every point into one field joining the fields of all
+    points (branches may grow fields that are not nested, like QQ(sqrt 2)
+    and QQ(2^(1/3)), or hold a common subfield in different ways)."""
     big = field
     for fld, _, _ in pts:
-        if fld.degree() > big.degree() or (fld != big and fld.degree() == big.degree()
-                                           and fld.degree() > field.degree()):
-            big = _join(big, fld)
-    out = []
-    for fld, coords, mult in pts:
-        try:
-            mapped = tuple(big.coerce_from(fld, c) for c in coords)
-        except CoercionFailed:
-            old, big = big, _join(big, fld)
-            out = [(tuple(big.coerce_from(old, c) for c in cs), m) for cs, m in out]
-            mapped = tuple(big.coerce_from(fld, c) for c in coords)
-        out.append((mapped, mult))
-    return big, out
-
-
-def _join(f1, f2):
-    if f1.dom == f2.dom:
-        return f1
-    if f1.degree() == 1:
-        return f2
-    if f2.degree() == 1:
-        return f1
-    from .fields import ConstField
-    return ConstField(f1.gens + f2.gens)
+        big = join(big, fld)
+    return big, [(tuple(big.coerce_from(fld, c) for c in coords), mult)
+                 for fld, coords, mult in pts]
 
 
 def _solve_rec(field, polys, nvars):

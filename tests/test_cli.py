@@ -257,6 +257,7 @@ def test_galois_run_builds_no_symbolic_root(name, flags):
 @pytest.mark.parametrize("name,flags,order", [
     ("mu2", ["--degree-override", "2", "--point", "2"], 2),
     ("diag23", ["--degree-override", "3", "--point", "8"], 6),
+    ("diag23", ["--degree-override", "3", "--point", "2"], 6),
 ])
 def test_radical_run_at_a_point_without_rational_root(capsys, name, flags, order):
     """x^2 = t/2 at t = 2 needs s = 2^(-1/2): s is taken from gamma(2) in
@@ -267,3 +268,18 @@ def test_radical_run_at_a_point_without_rational_root(capsys, name, flags, order
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert "order: %d" % order in lines and "sandwich_checked: yes" in lines
+
+
+def test_radical_run_over_a_tower_builds_no_symbolic_root():
+    """At t = 2 the finite part needs the roots of x^6 - 2, which lie in
+    a degree-12 tower over QQ(2^(1/6)) made by Trager's norm, with no
+    symbolic root."""
+    system = Path(__file__).parent / "golden" / "diag23.sys"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dgal.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _NO_SYMBOLIC_ROOT, str(system),
+                          "--degree-override", "3", "--point", "2"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    lines = run.stdout.splitlines()
+    assert "order: 6" in lines and "sandwich_checked: yes" in lines

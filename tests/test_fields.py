@@ -7,7 +7,8 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from dgal.errors import DgalError
-from dgal.fields import ConstField, field_adjoin, find_one_root, split_univariate
+from dgal.fields import (ConstField, field_adjoin, find_one_root, join,
+                         split_univariate)
 
 
 def QQ():
@@ -156,22 +157,52 @@ def test_adjoin_and_split_cyclic_cubic():
     assert all(m == 1 and fld.is_zero(_value(fld, coeffs, r)) for r, m in roots)
 
 
-def test_adjoin_and_split_quartic_without_real_roots():
-    """x^4 + x + 1 is adjoined as a complex CRootOf.  Its splitting field
-    (degree 24) would extend that field, which sympy cannot do in
-    reasonable time, so split_univariate stops with a DgalError."""
+def _check_splitting_tower(coeffs, degree):
+    """Adjoin one root and split the irreducible ``coeffs`` within 5 s:
+    every root is a root of the input, in a field of ``degree``."""
     k = QQ()
-    coeffs = [k.one, k.one, k.zero, k.zero, k.one]
+    coeffs = [k.from_int(c) for c in coeffs]
     with _within(5):
         fld, r = field_adjoin(k, coeffs)
-        assert fld.degree() == 4 and fld.is_zero(_value(fld, coeffs, r))
-        with pytest.raises(DgalError, match="complex root"):
-            split_univariate(k, coeffs)
+        assert fld.degree() == len(coeffs) - 1 and fld.is_zero(_value(fld, coeffs, r))
+        fld, roots = split_univariate(k, coeffs)
+    assert fld.degree() == degree
+    assert len({fld.format(r) for r, _ in roots}) == len(coeffs) - 1
+    assert all(m == 1 and fld.is_zero(_value(fld, coeffs, r)) for r, m in roots)
+
+
+def test_adjoin_and_split_cubic_without_real_radical_root():
+    """x^3 - x - 1 has Galois group S3: the roots need a degree-6 tower
+    over the cubic field, made by Trager's norm."""
+    _check_splitting_tower([-1, -1, 0, 1], 6)
+
+
+def test_adjoin_and_split_quartic_without_real_roots():
+    """x^4 + x + 1 has Galois group S4 and no real root: its splitting
+    field is a degree-24 tower of three Trager steps."""
+    _check_splitting_tower([1, 1, 0, 0, 1], 24)
 
 
 def _adjoin(k, constant):
     """k with a root of x^2 + constant adjoined."""
     return field_adjoin(k, [k.from_int(constant), k.zero, k.one])[0]
+
+
+def test_join_holds_each_subfield_one_way():
+    """QQ(2^(1/4)) joined with QQ(sqrt 2) holds sqrt 2 as +-g^2; the tower
+    y^2 = -sqrt 2 holds it too.  Their join holds sqrt 2 one way, so it
+    cannot take 2^(1/4) from the tower's roots of x^4 - 2: degree 8."""
+    k = QQ()
+    q2 = _adjoin(k, -2)
+    q4, _ = field_adjoin(k, [k.from_int(-2), k.zero, k.zero, k.zero, k.one])
+    both = join(q4, q2)
+    tower, y = field_adjoin(q2, [q2.generator(), q2.zero, q2.one])
+    for big in (join(tower, both), join(both, tower)):
+        sqrt2 = big.coerce_from(q2, q2.generator())
+        assert big.degree() == 8
+        assert big.eq(big.coerce_from(both, both.coerce_from(q2, q2.generator())), sqrt2)
+        assert big.eq(big.coerce_from(tower, tower.coerce_from(q2, q2.generator())), sqrt2)
+        assert big.eq(big.pow(big.coerce_from(tower, y), 2), big.neg(sqrt2))
 
 
 SQRT2 = _adjoin(QQ(), -2)

@@ -117,6 +117,18 @@ def test_cofactor_dependence_keeps_both_independent():
     assert hnf_basis(saturated_exponents(rl, 2)) == [[1, 0], [0, 1]]
 
 
+def test_poles_in_fields_not_nested():
+    """The poles of 2t/(t^2 + 1) and 2t/(t^2 - 2) lie in QQ(i) and
+    QQ(sqrt 2), neither inside the other: the lattice is found over
+    their join, of degree 4."""
+    rl = relation_lattice([he("2*t/(t^2 + 1)"), he("2*t/(t^2 - 2)"),
+                           he("1/(2*t)")])
+    assert rl.R.const.degree() == 4
+    assert rl.eta == [0, 1, 2] and rl.relations == []
+    assert [rel_text(r) for r in rl.self_relations] == [
+        (0, 1, {}, "t^2 + 1"), (1, 1, {}, "t^2 + -2"), (2, 2, {}, "t")]
+
+
 def test_irrational_residue_rejected():
     K2, _ = field_adjoin(K, [K.from_int(-2), K.zero, K.one])
     R2 = RatFuncField(K2)

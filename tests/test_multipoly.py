@@ -144,6 +144,22 @@ def test_solve_branches_in_fields_not_nested():
     assert len({fld.format(xv) for (xv, _), _ in pts}) == 5
 
 
+@pytest.mark.parametrize("c,degree", [(-2, 8), (1, 4)])
+def test_solve_branches_sharing_a_minimal_polynomial(c, degree):
+    """y^2 = x with x^2 = -c: both branches x = +-sqrt(-c) adjoin y to
+    QQ(x) by a quartic with the same minimal polynomial (x^4 - 2, or
+    x^4 + 1), holding x as +g^2 in one field and -g^2 in the other, so
+    the fields may not be shared by that polynomial."""
+    R = PolyRing(K, ["y", "x"], LEX)
+    y, x = R.gens
+    fld, pts = solve_zero_dimensional([y ** 2 - x, x ** 2 + R.from_int(c)])
+    assert fld.degree() == degree and len(pts) == 4
+    assert len({tuple(fld.format(v) for v in p) for p, _ in pts}) == 4
+    for (yv, xv), m in pts:
+        assert m == 1 and fld.eq(fld.mul(yv, yv), xv)
+        assert fld.is_zero(fld.add(fld.mul(xv, xv), fld.from_int(c)))
+
+
 SYMS = sp.symbols("x y z")
 
 

@@ -21,7 +21,7 @@ fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 def constants(draw, k):
     """a + b*g with small rational a, b (b = 0 over QQ)."""
     out = k.from_fraction(draw(fractions))
-    if k.gens:
+    if k.degree() > 1:
         out = k.add(out, k.mul(k.from_fraction(draw(fractions)),
                                k.generator()))
     return out
