@@ -1,37 +1,43 @@
 """Exact constant fields: QQ and number fields QQ[x]/(m).
 
-A ConstField wraps a sympy domain behind a small adapter interface
-(zero/one/add/mul/...), so the rest of the package never touches sympy
-element types.  Elements are sympy domain elements, hashable.
+A ConstField presents a small adapter interface (zero/one/add/mul/...),
+so the rest of the package never looks inside an element.  An element of
+QQ is a ``Rational``; an element of QQ[x]/(m) is the tuple of its
+ascending power-basis coordinates (Rationals) with no zero leading
+entry, reduced modulo m, so that equal elements are equal tuples and 0
+is ``()``.  Products are reduced modulo m, inverses come from the
+extended Euclidean algorithm (Cohen, *A Course in Computational
+Algebraic Number Theory*, 4.2).  Over QQ the adapter methods are the
+Rational operators themselves.
 
 A number field is QQ[x]/(m), m the monic minimal polynomial of its
-generator g: no arithmetic looks at what g is (Cohen, *A Course in
-Computational Algebraic Number Theory*, 3.6).  Each field records how it
-was made and the image of each subfield's generator; ``coerce_from``
-follows those images only.  Fields over QQ are one per m in a process.
-Over a number field QQ(theta), a root beta of an irreducible f is
-adjoined by Trager's norm: the squarefree norm of f(x - s*theta) is the
-minimal polynomial of beta + s*theta.  Such towers are never shared by
-m, which can hold QQ(theta) in different ways.
+generator g: no arithmetic looks at what g is (Cohen 3.6).  Each field
+records how it was made and the image of each subfield's generator;
+``coerce_from`` follows those images only.  Fields over QQ are one per m
+in a process.  Over a number field QQ(theta), a root beta of an
+irreducible f is adjoined by Trager's norm (Trager, *Algebraic factoring
+and rational function integration*, SYMSAC 1976): the squarefree norm of
+f(x - s*theta) is the minimal polynomial of beta + s*theta.  Such towers
+are never shared by m, which can hold QQ(theta) in different ways.
+
+Polynomials over a field factor by Zassenhaus' algorithm over QQ
+(``factor``) and by Trager's over a number field: the norm is computed
+once, factored over QQ, and its factors pulled back by gcds.  The shifts
+s = 0, 1, 2, ... and the order of the factors are those of sympy's
+``sqf_norm`` and ``factor_list``, which earlier versions called, so the
+towers built and the roots found keep their generators and their order.
 
 The algebraically closed constant field of the theory is approximated by
 growing a number field whenever a root is needed: ``field_adjoin``,
 ``split_univariate`` and ``join`` do the growing.
 """
 
-from fractions import Fraction
+import operator
+from math import gcd
 
-import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.polyerrors import CoercionFailed
-
-from . import _grammar, linalg
+from . import _grammar, factor, linalg, upoly
 from .errors import DgalError
-
-_X = sp.Dummy("x")
-# variable of the polynomials inside CRootOf generators; it must differ
-# from _X, or a Poly in _X could not hold those generators as coefficients
-_R = sp.Dummy("r")
+from .rational import ONE, ZERO, as_rational
 
 # symbol used when printing/parsing number field elements
 GEN_NAME = "g"
@@ -40,62 +46,57 @@ GEN_NAME = "g"
 class ConstField:
     """QQ, or the number field QQ[x]/(minpoly) with generator g.
 
-    ``step = (base, coeffs, s)`` records how a number field was made: g is
-    beta + s*g_base for a root beta of the polynomial with ascending
-    coefficients ``coeffs``, irreducible over ``base``.  ``_images`` maps
-    each subfield to the image of its generator here."""
+    ``minpoly`` is the monic minimal polynomial over QQ, as ascending
+    Rationals.  ``step = (base, coeffs, s)`` records how a number field was
+    made: g is beta + s*g_base for a root beta of the polynomial with
+    ascending coefficients ``coeffs``, irreducible over ``base``.
+    ``_images`` maps each subfield to the image of its generator here;
+    ``_powers`` keeps, per subfield, that image and its powers up to the
+    subfield's degree, which make ``coerce_from`` a linear map."""
 
     def __init__(self, minpoly=None, step=None):
-        self._minpoly = minpoly  # monic irreducible Poly over QQ in _X
         self.step = step
-        # a placeholder root per field keeps the domains of different
-        # fields unequal: sympy compares algebraic fields by their root alone
-        self.dom = (QQ if minpoly is None
-                    else QQ.algebraic_field((minpoly, sp.Dummy(GEN_NAME))))
         self._images = {}
-        self._sym = None
-
-    def _sympy_dom(self):
-        """The domain generated by sympy's canonical root of the minimal
-        polynomial: a reference for tests; the package never converts."""
-        if self._sym is None:
-            self._sym = (QQ if self._minpoly is None else QQ.algebraic_field(
-                (self._minpoly, _canonical_root(self._minpoly))))
-        return self._sym
+        self._powers = {}
+        if minpoly is None:
+            self._minpoly = None
+            self._degree = 1
+            self.zero, self.one = ZERO, ONE
+            # the Rational operators are the field operations
+            self.add, self.sub = operator.add, operator.sub
+            self.mul, self.neg = operator.mul, operator.neg
+            self.is_zero, self.eq = operator.not_, operator.eq
+            return
+        self._minpoly = tuple(minpoly)
+        self._degree = len(minpoly) - 1
+        self.zero, self.one = (), (ONE,)
+        self.add, self.sub, self.neg = _vec_add, _vec_sub, _vec_neg
+        self.mul = self._nf_mul
+        self.is_zero, self.eq = operator.not_, operator.eq
 
     # -- basic protocol -------------------------------------------------
 
-    @property
-    def zero(self):
-        return self.dom.zero
-
-    @property
-    def one(self):
-        return self.dom.one
-
     def from_int(self, n):
-        return self.dom.convert(n)
+        if self._minpoly is None:
+            return as_rational(n)
+        return (as_rational(n),) if n else ()
 
     def from_fraction(self, frac):
-        frac = Fraction(frac)
-        return self.dom.convert(QQ(frac.numerator, frac.denominator))
+        """An element from an int, a Rational or a Fraction."""
+        return self._embed(as_rational(frac))
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    def _embed(self, q):
+        """The Rational q as an element."""
+        if self._minpoly is None:
+            return q
+        return (q,) if q else ()
 
     def div(self, a, b):
         if self.is_zero(b):
             raise ZeroDivisionError("division by zero in constant field")
-        return self.dom.exquo(a, b)
+        if self._minpoly is None:
+            return a / b
+        return self._nf_mul(a, self._nf_inv(b))
 
     def inv(self, a):
         return self.div(self.one, a)
@@ -103,45 +104,107 @@ class ConstField:
     def pow(self, a, n):
         if n < 0:
             return self.inv(self.pow(a, -n))
-        return a ** n
-
-    def is_zero(self, a):
-        return not a
+        if self._minpoly is None:
+            return a ** n
+        out = self.one
+        while n:
+            if n & 1:
+                out = self._nf_mul(out, a)
+            n >>= 1
+            if n:
+                a = self._nf_mul(a, a)
+        return out
 
     def is_one(self, a):
-        return a == self.dom.one
+        return a == self.one
 
-    def eq(self, a, b):
-        return a == b
+    # -- number field arithmetic ------------------------------------------
+
+    def _nf_mul(self, a, b):
+        if not a or not b:
+            return ()
+        if len(a) == 1:
+            c = a[0]
+            return tuple([c * y for y in b])
+        if len(b) == 1:
+            c = b[0]
+            return tuple([x * c for x in a])
+        prod = [ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] = prod[i + j] + x * y
+        m, d = self._minpoly, self._degree
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k]
+            if c:
+                base = k - d
+                for j in range(d):
+                    if m[j]:
+                        prod[base + j] = prod[base + j] - c * m[j]
+        del prod[d:]
+        while prod and not prod[-1]:
+            prod.pop()
+        return tuple(prod)
+
+    def _times_generator(self, a):
+        """a * g: the coordinates move up one place, and the top one is
+        reduced modulo the minimal polynomial."""
+        if len(a) < self._degree:
+            return (ZERO,) + a if a else ()
+        c = a[-1]
+        m = self._minpoly
+        out = [ZERO] + list(a[:-1])
+        for j, mj in enumerate(m[:-1]):
+            if mj:
+                out[j] = out[j] - c * mj
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    def _nf_inv(self, a):
+        s, _t, h = upoly.gcdex(_RATIONALS, list(a), list(self._minpoly))
+        if h != [ONE]:
+            raise ZeroDivisionError("element not invertible modulo the "
+                                    "minimal polynomial")
+        return tuple(s)
 
     # -- conversions ----------------------------------------------------
-
-    def to_sympy(self, a):
-        return self._sympy_dom().to_sympy(a)
-
-    def from_sympy(self, expr):
-        return self._sympy_dom().from_sympy(expr)
 
     def coerce_from(self, other, a):
         """Map an element of ``other`` into this field: its power-basis
         coordinates evaluated at the recorded image of ``other``'s
-        generator.  Raises CoercionFailed when none is recorded."""
-        if other == self:
+        generator.  Raises DgalError when none is recorded."""
+        if other is self:
             return a
-        if other.degree() == 1:
-            return self.dom.convert(a)
+        if other._minpoly is None:
+            return self._embed(a)
         image = self._images.get(other)
         if image is None:
-            raise CoercionFailed("%r holds no recorded image of %r"
-                                 % (self, other))
-        return self._at(a, image)
+            raise DgalError("%r holds no recorded image of %r" % (self, other))
+        cached = self._powers.get(other)
+        if cached is None or cached[0] is not image:
+            powers = [self.one]
+            for _ in range(other._degree - 1):
+                powers.append(self._nf_mul(powers[-1], image))
+            cached = self._powers[other] = (image, powers)
+        out = [ZERO] * self._degree
+        for c, power in zip(a, cached[1]):
+            if c:
+                for j, x in enumerate(power):
+                    if x:
+                        out[j] = out[j] + c * x
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def _at(self, a, image):
         """``a``, a polynomial in another field's generator, evaluated at
         ``image`` here (Horner, descending powers)."""
         out = self.zero
-        for c in a.to_list():
-            out = out * image + self.dom.convert(c)
+        for c in reversed(a):
+            out = self.add(self.mul(out, image), self._embed(c))
         return out
 
     def _hold(self, field, image):
@@ -149,51 +212,47 @@ class ConstField:
         through it the images of field's subfields."""
         self._images[field] = image
         for sub, inner in field._images.items():
-            self._images[sub] = self._at(inner, image)
+            self._images[sub] = self.coerce_from(field, inner)
 
     def generator(self):
         """The generator g as a field element (None over QQ)."""
-        if self.degree() == 1:
+        if self._minpoly is None:
             return None
-        return self.dom.unit
+        return (ZERO, ONE)
 
     def degree(self):
-        return self.dom.mod.degree() if self.dom.is_Algebraic else 1
+        return self._degree
 
     def minpoly_coeffs(self):
         """Ascending rational coefficients of the generator's minimal
         polynomial over QQ (None over QQ)."""
-        if self.degree() == 1:
+        if self._minpoly is None:
             return None
-        rep = self.dom.mod.to_list()  # descending
-        return [QQ.convert(c) for c in reversed(rep)]
+        return list(self._minpoly)
 
     def __eq__(self, other):
-        return isinstance(other, ConstField) and self.dom == other.dom
+        # QQ is one field; a number field is equal to itself only
+        return self is other or (isinstance(other, ConstField)
+                                 and self._minpoly is None
+                                 and other._minpoly is None)
 
     def __hash__(self):
-        return hash(self.dom)
+        return 0 if self._minpoly is None else id(self)
 
     def __repr__(self):
-        if self.degree() == 1:
+        if self._minpoly is None:
             return "ConstField(QQ)"
-        mod = sp.Poly(self.dom.mod.to_list(), sp.Symbol(GEN_NAME), domain=QQ)
-        return "ConstField(QQ(%s), %s = 0)" % (GEN_NAME, mod.as_expr())
+        return "ConstField(QQ(%s), %s = 0)" % (GEN_NAME,
+                                               _expr(self._minpoly))
 
     # -- power-basis representation ------------------------------------
 
-    def _coords(self, a):
-        """Coordinates of ``a`` in the power basis 1, g, ..., g^(deg-1),
-        as QQ elements (ascending)."""
-        rep = a.to_list() if self.degree() > 1 else [a]  # descending in g
-        vec = [QQ.convert(c) for c in reversed(rep)]
-        return vec + [QQ.zero] * (self.degree() - len(vec))
-
     def to_rational_vector(self, a):
         """Coordinates of ``a`` in the power basis 1, g, ..., g^(deg-1),
-        as Fractions (ascending)."""
-        return [Fraction(int(q.numerator), int(q.denominator))
-                for q in self._coords(a)]
+        as Rationals (ascending)."""
+        if self._minpoly is None:
+            return [a]
+        return list(a) + [ZERO] * (self._degree - len(a))
 
     # -- canonical text form -------------------------------------------
 
@@ -202,12 +261,10 @@ class ConstField:
         vec = self.to_rational_vector(a)
         den = 1
         for c in vec:
-            den = den * c.denominator // sp.igcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         terms = []
         for k in range(len(vec) - 1, -1, -1):
-            num = vec[k] * den
-            assert num.denominator == 1
-            num = num.numerator
+            num = vec[k].numerator * (den // vec[k].denominator)
             if num == 0:
                 continue
             if k == 0:
@@ -241,87 +298,179 @@ class ConstField:
             mul=self.mul, div=self.div, power=self.pow)
 
 
+def _vec_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) > len(b):
+        return tuple([x + y for x, y in zip(a, b)]) + a[len(b):]
+    out = [x + y for x, y in zip(a, b)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _vec_neg(a):
+    return tuple([-x for x in a])
+
+
+def _vec_sub(a, b):
+    if len(a) == len(b):
+        out = [x - y for x, y in zip(a, b)]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+    return _vec_add(a, _vec_neg(b))
+
+
+def _expr(coeffs):
+    """sympy's text of the polynomial in GEN_NAME with the ascending
+    Rationals ``coeffs``, such as ``g**2 - 3*g/2 + 1``."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        n, d = abs(c.numerator), c.denominator
+        mono = "" if k == 0 else GEN_NAME if k == 1 else "%s**%d" % (GEN_NAME, k)
+        if not mono:
+            body = str(abs(c))
+        else:
+            body = mono if n == 1 else "%d*%s" % (n, mono)
+            if d != 1:
+                body += "/%d" % d
+        terms.append((c < 0, body))
+    text = ("-" if terms[0][0] else "") + terms[0][1]
+    for negative, body in terms[1:]:
+        text += (" - " if negative else " + ") + body
+    return text
+
+
 _RATIONALS = ConstField()
 
 
-def _trimmed(field, coeffs):
-    """``coeffs`` (ascending) without its zero leading coefficients."""
-    coeffs = list(coeffs)
-    while coeffs and field.is_zero(coeffs[-1]):
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_over(field, coeffs):
-    """The Poly in _X with ascending coefficients ``coeffs``, elements of
-    ``field``; built from the domain elements, with no sympy expressions."""
-    return sp.Poly.from_list(coeffs[::-1], _X, domain=field.dom)
-
-
-def _ascending(poly):
-    return poly.rep.to_list()[::-1]
-
-
-def _canonical_root(poly):
-    """The root sorted last of a QQ-irreducible polynomial: a radical for
-    quadratics and the binomials x^3 - c and x^4 - c, else a CRootOf."""
-    deg = poly.degree()
-    if deg == 2 or (deg <= 4 and poly.length() == 2):
-        return sorted(sp.roots(poly), key=sp.default_sort_key)[-1]
-    return sp.CRootOf(poly.replace(_X, _R), deg - 1)
-
-
-# monic minimal polynomial (descending coefficients) -> its field.  Fields
+# monic minimal polynomial (ascending coefficients) -> its field.  Fields
 # over QQ are values: sharing one object per polynomial lets every stage
 # of a run use the same QQ(g) and its recorded embeddings.
 _MINPOLY_FIELDS = {}
 
 
-def _minpoly_field(poly):
-    """The field QQ(g) for the monic irreducible ``poly`` over QQ."""
-    key = tuple(poly.rep.to_list())
+def _minpoly_field(monic):
+    """The field QQ(g) for the monic irreducible ``monic`` over QQ."""
+    key = tuple(monic)
     field = _MINPOLY_FIELDS.get(key)
     if field is None:
-        field = _MINPOLY_FIELDS[key] = ConstField(
-            poly, (_RATIONALS, _ascending(poly), 0))
+        field = _MINPOLY_FIELDS[key] = ConstField(key, (_RATIONALS, list(key), 0))
     return field
 
 
-def _adjoin_root(field, poly):
-    """(new field, root) for a root of ``poly``, a Poly in _X irreducible
-    over ``field``; a linear ``poly`` returns ``field`` itself."""
-    if poly.degree() == 1:
-        c1, c0 = poly.rep.to_list()
-        return field, field.neg(field.div(c0, c1))
-    if field.degree() == 1:
-        new = _minpoly_field(poly.monic())
-        return new, new.generator()
-    s, _shifted, norm = poly.sqf_norm()
-    s = s[0]  # sympy gives one shift per generator of the ground field
-    monic = _ascending(poly.monic())
-    new = ConstField(norm.monic(), (field, monic, s))
-    theta = _base_generator_image(field, monic, s, new)
-    new._hold(field, theta)
-    return new, new.generator() - new.from_int(s) * theta
+# -- Trager's norm and factoring over a number field ------------------------
+
+def sqf_norm(field, f):
+    """(s, norm, theta): Trager's squarefree norm of the monic squarefree
+    f over the number field QQ(theta).  s is the first of 0, 1, ... for
+    which the minimal polynomial ``norm`` over QQ of gamma = beta +
+    s*theta, beta a root of f, has degree deg(f) [QQ(theta):QQ];
+    ``theta`` is theta as a polynomial in gamma (ascending Rationals), the
+    image of the base generator in QQ(gamma) once f is irreducible."""
+    s = 0
+    while True:
+        got = _shifted_norm(field, f, s)
+        if got is not None:
+            return (s,) + got
+        s += 1
 
 
-def _base_generator_image(field, monic, s, new):
-    """field's generator theta in the generator gamma = beta + s*theta of
-    ``new`` = field(beta), beta a root of ``monic``: the powers of gamma
-    in the QQ-basis theta^i beta^j of ``new`` give a linear system for
-    theta = sum c_k gamma^k."""
-    e = len(monic) - 1
-    shift = field.from_int(s) * field.generator()
+def _shifted_norm(field, f, s):
+    """(norm, theta) for gamma = beta + s*theta, or None when the norm of
+    f(x - s*theta) is not squarefree.
+
+    The powers 1, gamma, ..., gamma^n, n = deg(f) [field:QQ], are written
+    in the QQ-basis theta^i beta^j of field[x]/(f).  For squarefree f that
+    algebra is a product of fields, so the norm (the characteristic
+    polynomial of gamma) is squarefree exactly when the first n powers
+    are independent; then gamma^n and theta in that basis give the norm
+    and theta's image."""
+    e = len(f) - 1
+    n = field.degree() * e
+    scalar = field.from_int(s)
+    add, mul, sub = field.add, field.mul, field.sub
     power = [field.one] + [field.zero] * (e - 1)  # gamma^k as sum v_j beta^j
     cols = []
-    for _ in range(field.degree() * e):
-        cols.append([q for v in power for q in field._coords(v)])
+    for _ in range(n + 1):
+        cols.append([q for v in power for q in field.to_rational_vector(v)])
         top = power[-1]
-        power = [shift * power[j] + (power[j - 1] if j else field.zero)
-                 - top * monic[j] for j in range(e)]
-    theta = [QQ.one if i == 1 else QQ.zero for i in range(len(cols))]
-    coeffs = linalg.solve(_RATIONALS, [list(r) for r in zip(*cols)], theta)
-    return new.dom.new(coeffs[::-1])
+        power = [sub(add(mul(scalar, field._times_generator(power[j])),
+                         power[j - 1] if j else field.zero),
+                     mul(top, f[j])) for j in range(e)]
+    rows = [list(r) + [ONE if i == 1 else ZERO] for i, r in enumerate(zip(*cols))]
+    reduced, pivots = linalg.rref(_RATIONALS, rows)
+    if pivots != list(range(n)):
+        return None
+    norm = [-reduced[i][n] for i in range(n)] + [ONE]
+    theta = upoly.trim(_RATIONALS, [reduced[i][n + 1] for i in range(n)])
+    return norm, tuple(theta)
+
+
+def factor_list(field, coeffs):
+    """Factor the nonconstant polynomial with ascending ``coeffs`` over
+    ``field``: ([(factor, multiplicity)], norm).
+
+    The factors are sympy's: primitive integer polynomials over QQ, monic
+    ones over a number field, in ``factor_list``'s order.  ``norm`` is the
+    ``sqf_norm`` of the single factor over a number field when there is
+    one factor, else None; adjoining a root of that factor reuses it."""
+    coeffs = upoly.trim(field, coeffs)
+    if field.degree() == 1:
+        return [([as_rational(c) for c in g], k)
+                for g, k in factor.factor_list(field, coeffs)], None
+    coeffs = upoly.monic(field, coeffs)
+    j = next(i for i, c in enumerate(coeffs) if not field.is_zero(c))
+    f = coeffs[j:]
+    out = [([field.zero, field.one], j)] if j else []
+    norm = None
+    if len(f) == 2:
+        out.append((f, 1))
+    elif len(f) > 2:
+        sqf = upoly.sqf_part(field, f)
+        got = sqf_norm(field, sqf)
+        s, minpoly, _theta = got
+        qfactors = factor.factor_list(_RATIONALS, minpoly)
+        if len(qfactors) == 1:
+            out.append((sqf, (len(f) - 1) // (len(sqf) - 1)))
+            norm = got
+        else:
+            # each factor q of the norm of sqf(x - s*theta) is the norm of
+            # one factor of it, its gcd with q; shifted back, a factor of f
+            shift = field.mul(field.from_int(s), field.generator())
+            g = upoly.shift(field, sqf, field.neg(shift))
+            for q, _ in qfactors:
+                h = upoly.gcd(field, [field.from_int(c) for c in q], g)
+                g = upoly.exquo(field, g, h)
+                h = upoly.shift(field, h, shift)
+                k, f = upoly.divide_out(field, f, h)
+                out.append((h, k))
+    # sympy compares coefficients by their descending coordinates
+    out.sort(key=lambda fk: (len(fk[0]), fk[1],
+                             [list(reversed(c)) for c in reversed(fk[0])]))
+    return out, (norm if len(out) == 1 else None)
+
+
+# -- growing fields -----------------------------------------------------------
+
+def _adjoin_root(field, poly, norm=None):
+    """(new field, root) for a root of ``poly`` (ascending coefficients),
+    irreducible over ``field``; a linear ``poly`` returns ``field`` itself.
+    ``norm`` is poly's ``sqf_norm`` when already known."""
+    if len(poly) == 2:
+        return field, field.neg(field.div(poly[0], poly[1]))
+    monic = upoly.monic(field, poly)
+    if field.degree() == 1:
+        new = _minpoly_field(monic)
+        return new, new.generator()
+    s, minpoly, theta = norm or sqf_norm(field, monic)
+    new = ConstField(minpoly, (field, monic, s))
+    new._hold(field, theta)
+    return new, new.sub(new.generator(), new.mul(new.from_int(s), theta))
 
 
 def field_adjoin(field, coeffs):
@@ -332,15 +481,16 @@ def field_adjoin(field, coeffs):
     input returns the field unchanged.  Reducible input raises DgalError
     with a factor witness (ascending coefficients) in the message.
     """
-    coeffs = _trimmed(field, coeffs)
+    coeffs = upoly.trim(field, coeffs)
     if len(coeffs) < 2:
         raise DgalError("adjoin needs a polynomial of degree >= 1")
-    poly = _poly_over(field, coeffs)
-    if len(coeffs) > 2 and not poly.is_irreducible:
-        _, factors = poly.factor_list()
-        raise DgalError("polynomial is reducible; factor witness: [%s]"
-                        % ", ".join(map(field.format, _ascending(factors[0][0]))))
-    return _adjoin_root(field, poly)
+    norm = None
+    if len(coeffs) > 2:
+        factors, norm = factor_list(field, coeffs)
+        if len(factors) > 1 or factors[0][1] > 1:
+            raise DgalError("polynomial is reducible; factor witness: [%s]"
+                            % ", ".join(map(field.format, factors[0][0])))
+    return _adjoin_root(field, coeffs, norm)
 
 
 def join(f1, f2):
@@ -356,7 +506,7 @@ def join(f1, f2):
     while sub.degree() > 1 and sub not in f1._images:
         chain.append(sub)
         sub = sub.step[0]
-    big = ConstField(f1._minpoly, (f1, [-f1.generator(), f1.one], 0))
+    big = ConstField(f1._minpoly, (f1, [f1.neg(f1.generator()), f1.one], 0))
     big._hold(f1, big.generator())
     joined = _rebuild(big, chain)
     if joined is None:
@@ -375,11 +525,12 @@ def _rebuild(big, chain):
         return big
     level = chain[-1]
     base, coeffs, s = level.step
-    poly = _poly_over(big, [big.coerce_from(base, c) for c in coeffs])
-    for fac, _ in sorted(poly.factor_list()[1], key=lambda fk: fk[0].degree()):
-        grown, root = _adjoin_root(big, fac)
+    factors, norm = factor_list(big, [big.coerce_from(base, c) for c in coeffs])
+    for fac, _ in sorted(factors, key=lambda fk: len(fk[0])):
+        grown, root = _adjoin_root(big, fac, norm)
         if s:
-            root += grown.from_int(s) * grown.coerce_from(base, base.generator())
+            root = grown.add(root, grown.mul(
+                grown.from_int(s), grown.coerce_from(base, base.generator())))
         if any(grown._at(inner, root) != grown._images[held]
                for held, inner in level._images.items() if held in grown._images):
             continue
@@ -399,7 +550,7 @@ def split_univariate(field, coeffs):
     Returns (new_field, [(root, multiplicity), ...]).  The original field's
     elements embed into new_field via ``coerce_from``.
     """
-    coeffs = _trimmed(field, coeffs)
+    coeffs = upoly.trim(field, coeffs)
     if len(coeffs) < 2:
         return field, []
     fld = field
@@ -408,36 +559,34 @@ def split_univariate(field, coeffs):
     found = []  # (field, root, multiplicity)
     while pending:
         src, cs, mult = pending.pop()
-        poly = _poly_over(fld, [fld.coerce_from(src, c) for c in cs])
-        _lead, factors = poly.factor_list()
-        if len(factors) == 1 and factors[0][0].degree() > 1:
+        factors, norm = factor_list(fld, [fld.coerce_from(src, c) for c in cs])
+        if len(factors) == 1 and len(factors[0][0]) > 2:
             # irreducible over the current field: adjoin one root and
             # divide it out; the quotient is split over the grown field
             fac, k = factors[0]
             small = fld
-            fld, root = _adjoin_root(small, fac)
+            fld, root = _adjoin_root(small, fac, norm)
             found.append((fld, root, mult * k))
-            desc = [fld.coerce_from(small, c) for c in fac.rep.to_list()]
+            desc = [fld.coerce_from(small, c) for c in reversed(fac)]
             quotient = desc[:1]
             for c in desc[1:-1]:
-                quotient.append(c + root * quotient[-1])
+                quotient.append(fld.add(c, fld.mul(root, quotient[-1])))
             pending.append((fld, quotient[::-1], mult * k))
             continue
         for fac, k in factors:
-            cs = _ascending(fac)
-            if len(cs) == 2:
-                found.append((fld, fld.neg(fld.div(cs[0], cs[1])), mult * k))
+            if len(fac) == 2:
+                found.append((fld, fld.neg(fld.div(fac[0], fac[1])), mult * k))
             else:
                 # refactor over the field grown for an earlier factor
-                pending.append((fld, cs, mult * k))
+                pending.append((fld, fac, mult * k))
     return fld, [(fld.coerce_from(f, r), m) for f, r, m in found]
 
 
 def find_one_root(field, coeffs):
     """One root of the given univariate polynomial, adjoining only what
     that single root needs.  Returns (new_field, root)."""
-    coeffs = _trimmed(field, coeffs)
+    coeffs = upoly.trim(field, coeffs)
     if len(coeffs) < 2:
         raise DgalError("no roots: polynomial is constant")
-    _, factors = _poly_over(field, coeffs).factor_list()
-    return _adjoin_root(field, min(factors, key=lambda fk: fk[0].degree())[0])
+    factors, norm = factor_list(field, coeffs)
+    return _adjoin_root(field, min(factors, key=lambda fk: len(fk[0]))[0], norm)

@@ -8,14 +8,12 @@ and kernels of characters.
 """
 
 import random
-from fractions import Fraction
 from math import isqrt
 
-import sympy as sp
-
-from . import lattice, linalg
+from . import factor, lattice, linalg
 from .errors import DgalError, UnsupportedInstanceError
 from .multipoly import PolyRing, groebner, normal_form, standard_monomials
+from .rational import Rational
 from .relations import _row_reduce_polys, graded_lex_order, matrix_var_names
 from .solve import PositiveDimensionalError, solve_zero_dimensional
 
@@ -208,16 +206,17 @@ def verify_group_axioms(H, rel):
 # -- identity component -------------------------------------------------
 
 def _diagonal_binomial_lattice(H):
-    """If every generator is an off-diagonal variable or a difference of
-    monomials in the diagonal variables, return the exponent rows of the
-    binomial part (diagonal coordinates), else None."""
+    """If every element of H's reduced basis is an off-diagonal variable
+    or a difference of monomials in the diagonal variables, return the
+    exponent rows of the binomial part (diagonal coordinates), else
+    None."""
     n = H.n
     diag = [i * n + i for i in range(n)]
     offdiag = [p for p in range(n * n) if p not in diag]
     fld = H.ring.field
     need_off = set(offdiag)
     rows = []
-    for g in H.generators:
+    for g in H.groebner_basis():
         terms = list(g.terms.items())
         if len(terms) == 1:
             e, _c = terms[0]
@@ -239,18 +238,33 @@ def _diagonal_binomial_lattice(H):
 
 
 def _single_irreducible_generator(H):
-    """True for a principal ideal with an irreducible generator over the
-    rationals: the variety is irreducible, hence connected."""
-    if len(H.generators) != 1:
+    """True for a principal ideal whose generator is certified
+    irreducible over the rationals: the variety is irreducible, hence
+    connected.  A generator in one variable is factored over QQ.  A
+    generator a*x + b linear in a variable x, with a a monomial in the
+    others, is primitive in x, hence irreducible (Gauss' lemma), when
+    gcd(a, b) = 1: when every variable of a misses some term of b.  That
+    covers det - 1 for SL2.  Other generators get no certificate."""
+    gb = H.groebner_basis()
+    if len(gb) != 1 or H.ring.field.degree() > 1:
         return False
-    g = H.generators[0]
-    fld = H.ring.field
-    if fld.degree() > 1:
-        return False  # factorization over extensions not attempted
-    poly = sp.Poly.from_dict(dict(g.terms), *sp.symbols(H.ring.names),
-                             domain=fld.dom)
-    factors = poly.factor_list()[1]
-    return len(factors) == 1 and factors[0][1] == 1
+    g = gb[0]
+    used = sorted(g.variables_used())
+    if len(used) == 1:
+        i = used[0]
+        coeffs = [H.ring.field.zero] * (g.degree_in(i) + 1)
+        for e, c in g.terms.items():
+            coeffs[e[i]] = c
+        return factor.is_irreducible(H.ring.field, coeffs)
+    for i in used:
+        lead = [e for e in g.terms if e[i]]
+        if g.degree_in(i) != 1 or len(lead) != 1:
+            continue
+        rest = [e for e in g.terms if not e[i]]
+        if all(any(not e[j] for e in rest)
+               for j in range(len(lead[0])) if j != i and lead[0][j]):
+            return True
+    return False
 
 
 def _rotation_parameterization(field, n):
@@ -431,7 +445,7 @@ def sample_group_points(H, count):
     def rnd():
         sign = 1 if rng.random() < 0.7 else -1
         return fld.from_fraction(
-            Fraction(sign * rng.randint(1, 9), rng.randint(1, 9)))
+            Rational(sign * rng.randint(1, 9), rng.randint(1, 9)))
 
     if not H.generators:
         out = []

@@ -7,13 +7,13 @@ series; ``relation_lattice`` finds all multiplicative relations
 h_j^{m_j} = f_j * prod h_{eta_i}^{m_{i,j}} with rational cofactors f_j.
 """
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd
 
 from . import lattice, linalg
 from .errors import DgalError, ResourceCapError, UnsupportedInstanceError
 from .fields import ConstField, join
+from .rational import ONE, ZERO
 from .ratfunc import RatFuncField
 from .series import poly_on_series, reconstruct_ratfunc
 
@@ -150,7 +150,7 @@ def _admissible_lattice(k, data, l):
             row = []
             for qc, _parts in data:
                 c = qc[d] if d < len(qc) else k.zero
-                row.append(_coords(k, c)[s] if not k.is_zero(c) else Fraction(0))
+                row.append(_coords(k, c)[s] if not k.is_zero(c) else ZERO)
             if any(row):
                 eq_rows.append(row)
     # higher-order pole parts cancel
@@ -162,8 +162,8 @@ def _admissible_lattice(k, data, l):
         maxord = max((len(cs) for cs in orders), default=0)
         for o in range(1, maxord):
             for s in range(deg):
-                row = [Fraction(_coords(k, cs[o])[s]) if o < len(cs)
-                       else Fraction(0) for cs in orders]
+                row = [_coords(k, cs[o])[s] if o < len(cs) else ZERO
+                       for cs in orders]
                 if any(row):
                     eq_rows.append(row)
     # residues: rational for each element (supported class), integral
@@ -185,7 +185,7 @@ def _admissible_lattice(k, data, l):
         [[1 if i == j else 0 for j in range(l)] for i in range(l)]
     if not E:
         return []
-    cong = [[sum(Fraction(r) * e[j] for j, r in enumerate(row)) for e in E]
+    cong = [[sum(r * e[j] for j, r in enumerate(row)) for e in E]
             for row in res_rows]
     X = lattice.congruence_lattice(cong, len(E)) if cong else \
         [[1 if i == j else 0 for j in range(len(E))] for i in range(len(E))]
@@ -195,7 +195,7 @@ def _admissible_lattice(k, data, l):
 
 
 def _support_sublattice(admissible, support, l):
-    eqs = [[Fraction(1 if i == j else 0) for j in range(l)]
+    eqs = [[ONE if i == j else ZERO for j in range(l)]
            for i in range(l) if i not in support]
     return lattice.intersect_with_kernel(admissible, eqs)
 
@@ -284,13 +284,13 @@ def _flat_coords(k, data_entry, poles, maxpoly, maxords):
     out = []
     for d in range(maxpoly):
         c = qc[d] if d < len(qc) else k.zero
-        out.extend(_coords(k, c) if not k.is_zero(c) else [Fraction(0)] * deg)
+        out.extend(_coords(k, c) if not k.is_zero(c) else [ZERO] * deg)
     for p, mo in zip(poles, maxords):
         cs = next((cs for pole, cs in parts if k.eq(pole, p)), [])
         for o in range(mo):
             c = cs[o] if o < len(cs) else k.zero
             out.extend(_coords(k, c) if not k.is_zero(c)
-                       else [Fraction(0)] * deg)
+                       else [ZERO] * deg)
     return out
 
 
@@ -349,10 +349,10 @@ def relation_lattice(elements):
                             "inconsistent" % j)
         # prefer the exact Q-dependence if it matches the minimal
         # exponent; then f = 1
-        dep = [Fraction(0)] * l
-        dep[j] = Fraction(1)
+        dep = [ZERO] * l
+        dep[j] = ONE
         for i, xi in zip(eta, x):
-            dep[i] = -Fraction(K0.to_rational_vector(xi)[0])
+            dep[i] = -K0.to_rational_vector(xi)[0]
         den = 1
         for c in dep:
             den = den * c.denominator // gcd(den, c.denominator)

@@ -2,31 +2,88 @@
 saturation, and congruence lattices.
 
 Lattices are given by lists of integer row vectors (plain Python ints).
-The normal-form heavy lifting is sympy's; everything here is glue with
-the row-vector convention used by the rest of the package.
+The Hermite normal form is Cohen's column algorithm (*A Course in
+Computational Algebraic Number Theory*, 2.4.5): unimodular column
+operations, bottom row first, put the pivots in the rightmost columns,
+make them positive and reduce the entries right of each pivot modulo it.
+The same operations, recorded, give the integer kernel.
 """
 
-from fractions import Fraction
-
-import sympy as sp
-from sympy import ZZ
-from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
+from math import gcd
 
 from .errors import DgalError
+from .rational import as_rational
+
+
+def _gcdex(a, b):
+    """(x, y, g) with x a + y b = g = gcd(a, b) >= 0, and y = 0 when a
+    divides b."""
+    if a and b % a == 0:
+        return (-1 if a < 0 else 1), 0, abs(a)
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    r0, r1 = a, b
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if r0 < 0:
+        r0, x0, y0 = -r0, -x0, -y0
+    return x0, y0, r0
+
+
+def _combine_columns(mats, i, j, a, b, c, d):
+    """Columns i, j of each matrix become a*col_i + b*col_j and
+    c*col_i + d*col_j."""
+    for mat in mats:
+        for row in mat:
+            ri, rj = row[i], row[j]
+            row[i] = a * ri + b * rj
+            row[j] = c * ri + d * rj
+
+
+def _column_hnf(A, U=None):
+    """Bring the integer matrix A (a list of rows, changed in place) to
+    Hermite normal form by column operations, applied to U as well.
+    Returns k: the columns k.. of A are the HNF, the columns before k are
+    zero."""
+    mats = [A] if U is None else [A, U]
+    m, n = len(A), len(A[0])
+    k = n
+    for i in range(m - 1, -1, -1):
+        if k == 0:
+            break
+        k -= 1
+        row = A[i]
+        for j in range(k - 1, -1, -1):
+            if row[j]:
+                u, v, d = _gcdex(row[k], row[j])
+                r, s = row[k] // d, row[j] // d
+                _combine_columns(mats, k, j, u, v, -s, r)
+        b = row[k]
+        if b < 0:
+            _combine_columns(mats, k, k, -1, 0, -1, 0)
+            b = -b
+        if b == 0:
+            k += 1
+        else:
+            for j in range(k + 1, n):
+                q = row[j] // b
+                if q:
+                    _combine_columns(mats, j, k, 1, -q, 0, 1)
+    return k
 
 
 def hnf_basis(rows):
-    """Canonical basis of the lattice generated by integer row vectors.
-
-    sympy's Hermite normal form is column-style, so transpose around it;
-    zero generators drop out.
-    """
+    """Canonical basis of the lattice generated by integer row vectors:
+    the columns of the Hermite normal form of the matrix whose columns are
+    the generators; zero generators drop out."""
     rows = [r for r in rows if any(r)]
     if not rows:
         return []
-    m = sp.Matrix(rows).T
-    h = hermite_normal_form(m)
-    return [[int(x) for x in h.col(j)] for j in range(h.cols)]
+    A = [list(col) for col in zip(*rows)]
+    k = _column_hnf(A)
+    return [[A[i][j] for i in range(len(A))] for j in range(k, len(rows))]
 
 
 def integer_kernel(rows, cols=None):
@@ -39,13 +96,13 @@ def integer_kernel(rows, cols=None):
             raise DgalError("kernel of an empty matrix needs an explicit "
                             "column count")
         return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    m = sp.Matrix(rows)
-    a, _s, t = smith_normal_decomp(m, domain=ZZ)
-    out = []
-    for j in range(t.cols):
-        if j >= a.cols or all(a[i, j] == 0 for i in range(a.rows)):
-            out.append([int(x) for x in t.col(j)])
-    return out
+    cols = len(rows[0])
+    A = [list(r) for r in rows]
+    U = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    k = _column_hnf(A, U)
+    # A U = [0 | H] with H of full column rank: U's first k columns are a
+    # basis of the kernel, and U is unimodular, so the basis is saturated
+    return hnf_basis([[U[i][j] for i in range(cols)] for j in range(k)])
 
 
 def saturate(rows, cols=None):
@@ -63,23 +120,24 @@ def saturate(rows, cols=None):
 
 
 def _clear_denominators(row):
+    row = [as_rational(x) for x in row]
     d = 1
     for x in row:
-        d = d * Fraction(x).denominator // sp.igcd(d, Fraction(x).denominator)
-    return [int(Fraction(x) * d) for x in row], d
+        d = d * x.denominator // gcd(d, x.denominator)
+    return [x.numerator * (d // x.denominator) for x in row], d
 
 
 def rational_kernel_lattice(rows, cols=None):
-    """Basis of {x in Z^cols : M x = 0} where M has Fraction entries."""
+    """Basis of {x in Z^cols : M x = 0} where M has rational entries."""
     cleared = [_clear_denominators(r)[0] for r in rows]
     return integer_kernel(cleared, cols)
 
 
 def congruence_lattice(rows, cols=None):
     """Basis of {m in Z^cols : M m is an integer vector} for M with
-    Fraction entries: solve M'm + Dk = 0 over Z with M = M'/D row by row
+    rational entries: solve M'm + Dk = 0 over Z with M = M'/D row by row
     and project out the k block."""
-    rows = [r for r in rows if any(Fraction(x) != 0 for x in r)]
+    rows = [r for r in rows if any(x != 0 for x in r)]
     if not rows:
         if cols is None:
             raise DgalError("congruence lattice of an empty matrix needs "
@@ -97,14 +155,14 @@ def congruence_lattice(rows, cols=None):
 
 def intersect_with_kernel(generators, eq_rows):
     """Basis of the sublattice of <generators> satisfying the rational
-    linear equations eq_rows (Fraction entries): pull the equations back
+    linear equations eq_rows (rational entries): pull the equations back
     to coefficient space and push its kernel forward."""
     gens = hnf_basis(generators)
     if not gens:
         return []
     if not eq_rows:
         return gens
-    pulled = [[sum(Fraction(e) * g[j] for j, e in enumerate(row)) for g in gens]
+    pulled = [[sum(as_rational(e) * g[j] for j, e in enumerate(row)) for g in gens]
               for row in eq_rows]
     ck = rational_kernel_lattice(pulled, len(gens))
     out = [[sum(c * g[j] for c, g in zip(cv, gens)) for j in range(len(gens[0]))]

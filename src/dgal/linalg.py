@@ -13,8 +13,9 @@ reconstruction (Wang, Guy and Davenport 1982; the modular method of
 Dixon 1982) and checks the lift exactly.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
+
+from .rational import Rational
 
 # the Mersenne prime 2^61 - 1: entries and products stay cheap Python ints
 P61 = (1 << 61) - 1
@@ -267,7 +268,7 @@ class PrimeField:
 
 
 def rational_reconstruction(u, p):
-    """The Fraction n/d with |n|, d <= sqrt(p/2) and n = u d mod p, or
+    """The Rational n/d with |n|, d <= sqrt(p/2) and n = u d mod p, or
     None when there is none (it is unique when it exists)."""
     bound = isqrt(p // 2)
     r0, r1 = p, u % p
@@ -278,7 +279,7 @@ def rational_reconstruction(u, p):
         s0, s1 = s1, s0 - q * s1
     if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
         return None
-    return Fraction(r1, s1)
+    return Rational(r1, s1)
 
 
 def kernel_vanishes(rows, vectors):
@@ -309,7 +310,7 @@ def certified_kernel(acc, rows):
     checked exactly against every row.  Vectors that pass are the exact
     kernel: the r pivots mod p give a rank of at least r over QQ, and the
     cols - r checked vectors, independent by construction, a rank of at
-    most r.  Entries are Fractions, zero entries the int 0.  Raises
+    most r.  Entries are Rationals, zero entries the int 0.  Raises
     NotCertified when a lift or a check fails."""
     p = acc.field.p
     lifted = []

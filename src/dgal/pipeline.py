@@ -19,10 +19,7 @@ symbolically, and executable runs take a user-supplied degree override
 (results are then labeled relative to that degree).
 """
 
-from fractions import Fraction
 from math import isqrt, lcm
-
-from sympy import integer_nthroot
 
 from . import linalg
 from .errors import DgalError, InputError, UnsupportedInstanceError
@@ -33,6 +30,7 @@ from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
                      stabilizer_group, verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import PolyRing, groebner, normal_form
+from .rational import Rational
 from .relations import find_relations, membership_test
 from .series import Series, TruncSeries, algebraic_series
 from .solve import PositiveDimensionalError
@@ -166,17 +164,31 @@ def _n(rel):
     return isqrt(rel.ring.nvars)
 
 
+def _integer_nthroot(n, m):
+    """(r, exact) with r = floor(n^(1/m)) for an int n >= 0, exact when
+    r^m = n: Newton's iteration from a power of two above the root,
+    which decreases to the floor."""
+    if n < 2 or m == 1:
+        return n, True
+    r = 1 << -(-n.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r, r ** m == n
+        r = s
+
+
 def _fraction_nth_root(fr, m):
-    """Exact m-th root of a Fraction, or None (also for 0: a constant
-    factor of alpha must be invertible)."""
+    """Exact m-th root of a rational (Rational or Fraction), or None (also
+    for 0: a constant factor of alpha must be invertible)."""
     if fr < 0:
         if m % 2 == 0:
             return None
         neg = _fraction_nth_root(-fr, m)
         return None if neg is None else -neg
-    rp, p_exact = integer_nthroot(fr.numerator, m)
-    rq, q_exact = integer_nthroot(fr.denominator, m)
-    return Fraction(rp, rq) if rp and p_exact and q_exact else None
+    rp, p_exact = _integer_nthroot(fr.numerator, m)
+    rq, q_exact = _integer_nthroot(fr.denominator, m)
+    return Rational(rp, rq) if rp and p_exact and q_exact else None
 
 
 def _radical_exponents(rel):
@@ -266,8 +278,10 @@ def find_alpha_fbar(sys, rel, H, Hcirc, order):
         for P in rel.basis:
             if not membership_test(_coerce_poly(ring, rel.ring, P), Aser,
                                    order):
-                raise DgalError("candidate alpha fails a relation: %s"
-                                % rel.ring.format(P))
+                raise UnsupportedInstanceError(
+                    "candidate alpha fails a relation: %s; the algebraic "
+                    "point is outside the supported diagonal radical class"
+                    % rel.ring.format(P))
         ginv = gser.inverse()
         ginv_pow = {e: ginv ** e for e in set(exps)}
         C_entries = [[(Fbar.entry(i, j) * ginv_pow[exps[i]]).scale(
@@ -492,6 +506,10 @@ def galois_group(sys, cfg):
             n, H, rel, Hcirc, True, fld, pts, len(pts), 0,
             rel.rigorous, provenance)
     else:
+        if not _same_ideal(H, Hcirc):
+            raise UnsupportedInstanceError(
+                "finite part over a positive dimensional component "
+                "is outside the supported class")
         chars = characters_generators(Hcirc, rel.d)
         Gcirc = Hcirc
         if not chars:
@@ -514,10 +532,6 @@ def galois_group(sys, cfg):
                     "the character relations cut the component properly; "
                     "the finite part over a positive dimensional component "
                     "is outside the supported class")
-        if not _same_ideal(H, Hcirc):
-            raise UnsupportedInstanceError(
-                "finite part over a positive dimensional component "
-                "is outside the supported class")
         desc = GaloisGroupDescription(
             n, H, rel, Gcirc, False, None, None, 1,
             _dimension_estimate(Gcirc), rel.rigorous, provenance)

@@ -1,15 +1,19 @@
 """Rational functions in one variable t over a ConstField.
 
-Wraps sympy's sparse fraction field and presents the same adapter
-interface as ConstField, plus differentiation, evaluation, canonical
-text form, and partial fractions over a splitting field.
+An element is a reduced pair (num, den) of dense polynomials in t
+(``upoly`` lists, ascending) with gcd(num, den) = 1 and den monic, so
+equal values have equal pairs; 0 is ([], [1]).  Sums and products
+cancel with the gcds Knuth gives for fractions (*The Art of Computer
+Programming* 2, 4.5.1): the gcd of the denominators for a sum, two cross
+gcds for a product, and none at all when both denominators are 1.  The
+field presents the same adapter interface as ConstField, plus
+differentiation, evaluation, canonical text form, and partial fractions
+over a splitting field.
 """
 
-from sympy.polys.fields import FracField
-
-from . import _grammar
+from . import _grammar, upoly
 from .errors import DgalError, SingularPointError
-from .fields import split_univariate
+from .fields import GEN_NAME, split_univariate
 
 
 class RatFuncField:
@@ -18,147 +22,180 @@ class RatFuncField:
     def __init__(self, const, var="t"):
         self.const = const
         self.var = var
-        self.fld = FracField(var, const.dom)
-        self.ring = self.fld.ring
-        self.rgen = self.ring.gens[0]
+        one = const.one
+        self._unit = [one]
+        self.zero = ([], self._unit)
+        self.one = ([one], self._unit)
+        self.t = ([const.zero, one], self._unit)
 
     # -- constructors ---------------------------------------------------
 
-    @property
-    def zero(self):
-        return self.fld.zero
-
-    @property
-    def one(self):
-        return self.fld.one
-
-    @property
-    def t(self):
-        return self.fld.gens[0]
-
     def from_int(self, n):
-        return self.fld.ground_new(self.const.from_int(n))
+        return self.from_const(self.const.from_int(n))
 
     def from_const(self, c):
-        return self.fld.ground_new(c)
+        if self.const.is_zero(c):
+            return self.zero
+        return ([c], self._unit)
 
     def from_coeffs(self, num_coeffs, den_coeffs=None):
         """Build num/den from ascending coefficient lists over the
         constant field."""
-        num = self._poly_from_coeffs(num_coeffs)
+        k = self.const
+        num = upoly.trim(k, num_coeffs)
         if den_coeffs is None:
-            den = self.ring.one
-        else:
-            den = self._poly_from_coeffs(den_coeffs)
-            if not den:
-                raise ZeroDivisionError("zero denominator")
-        return self.fld.new(num, den)
+            return self._reduced(num, self._unit)
+        den = upoly.trim(k, den_coeffs)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        return self._reduced(num, den)
 
-    def _poly_from_coeffs(self, coeffs):
-        return self.ring.from_dict(
-            {(i,): c for i, c in enumerate(coeffs) if not self.const.is_zero(c)})
+    def _reduced(self, num, den):
+        """num/den in lowest terms with a monic denominator."""
+        k = self.const
+        if not num:
+            return self.zero
+        if len(den) > 1:
+            g, num1, den1 = upoly.cofactors(k, num, den)
+            if len(g) > 1:
+                num, den = num1, den1
+        lead = den[-1]
+        if not k.is_one(lead):
+            inv = k.inv(lead)
+            num = upoly.scale(k, num, inv)
+            den = upoly.scale(k, den, inv)
+        return (num, den)
 
     # -- arithmetic adapter ---------------------------------------------
 
     def add(self, a, b):
-        return a + b
+        an, ad = a
+        bn, bd = b
+        if not an:
+            return b
+        if not bn:
+            return a
+        k = self.const
+        if ad == bd:
+            num = upoly.add(k, an, bn)
+            if len(ad) == 1:
+                return (num, ad) if num else self.zero
+            return self._reduced(num, ad)
+        g, ad1, bd1 = upoly.cofactors(k, ad, bd)
+        num = upoly.add(k, upoly.mul(k, an, bd1), upoly.mul(k, bn, ad1))
+        if not num:
+            return self.zero
+        if len(g) > 1:
+            # only a factor of g can divide both num and ad1 bd1 g
+            g2, num1, g1 = upoly.cofactors(k, num, g)
+            if len(g2) > 1:
+                num, g = num1, g1
+        return (num, upoly.mul(k, upoly.mul(k, ad1, bd1), g))
 
     def sub(self, a, b):
-        return a - b
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return -a
+        neg = self.const.neg
+        return ([neg(c) for c in a[0]], a[1])
 
     def mul(self, a, b):
-        return a * b
+        an, ad = a
+        bn, bd = b
+        if not an or not bn:
+            return self.zero
+        k = self.const
+        if len(ad) == 1 and len(bd) == 1:
+            return (upoly.mul(k, an, bn), self._unit)
+        if len(bd) > 1:
+            g, an1, bd1 = upoly.cofactors(k, an, bd)
+            if len(g) > 1:
+                an, bd = an1, bd1
+        if len(ad) > 1:
+            g, bn1, ad1 = upoly.cofactors(k, bn, ad)
+            if len(g) > 1:
+                bn, ad = bn1, ad1
+        return (upoly.mul(k, an, bn), upoly.mul(k, ad, bd))
 
     def div(self, a, b):
         if self.is_zero(b):
             raise ZeroDivisionError("division by zero in rational functions")
-        return a / b
+        return self.mul(a, self.inv(b))
 
     def inv(self, a):
-        return self.div(self.one, a)
+        num, den = a
+        if not num:
+            raise ZeroDivisionError("division by zero in rational functions")
+        k = self.const
+        if k.is_one(num[-1]):
+            return (den, num)
+        c = k.inv(num[-1])
+        return (upoly.scale(k, den, c), upoly.scale(k, num, c))
 
     def pow(self, a, n):
         if n < 0:
             return self.inv(self.pow(a, -n))
-        return a ** n
+        num, den = self.one
+        k = self.const
+        for _ in range(n):
+            num, den = upoly.mul(k, num, a[0]), upoly.mul(k, den, a[1])
+        return (num, den)
 
     def is_zero(self, a):
-        return not a
+        return not a[0]
 
     def is_one(self, a):
-        return a == self.fld.one
+        return a == self.one
 
     def eq(self, a, b):
-        # over a number field, sympy keeps num/den up to a constant
-        # factor, so equal values can differ in representation
-        return self.is_zero(a - b)
+        return a == b
 
     def scale(self, a, c):
         """Multiply by a constant-field element."""
-        return a * self.fld.ground_new(c)
+        if self.const.is_zero(c):
+            return self.zero
+        return (upoly.scale(self.const, a[0], c), a[1])
 
     # -- calculus and evaluation ----------------------------------------
 
     def diff(self, a):
-        n, d = a.numer, a.denom
-        g = self.rgen
-        num = n.diff(g) * d - n * d.diff(g)
-        return self.fld.new(num, d * d)
+        k = self.const
+        n, d = a
+        num = upoly.sub(k, upoly.mul(k, upoly.diff(k, n), d),
+                        upoly.mul(k, n, upoly.diff(k, d)))
+        return self._reduced(num, upoly.mul(k, d, d))
 
     def numer_coeffs(self, a):
-        return self._coeff_list(a.numer)
+        return list(a[0]) or [self.const.zero]
 
     def denom_coeffs(self, a):
-        return self._coeff_list(a.denom)
-
-    def _coeff_list(self, poly):
-        if not poly:
-            return [self.const.zero]
-        deg = poly.degree()
-        out = [self.const.zero] * (deg + 1)
-        for (e,), c in poly.terms():
-            out[e] = c
-        return out
+        return list(a[1])
 
     def denom_lcm(self, fs):
         """The lcm of the denominators of fs, as a polynomial element."""
-        q = self.ring.one
+        k = self.const
+        q = self._unit
         for f in fs:
-            q = q.lcm(f.denom)
-        return self.fld.new(q)
+            q = upoly.mul(k, q, upoly.cofactors(k, q, f[1])[2])
+        return (q, self._unit)
 
     def is_polynomial(self, a):
-        return a.denom.degree() == 0
+        return len(a[1]) == 1
 
     def eval_at(self, a, point):
         """Value at t = point (a constant field element); raises
         SingularPointError at a pole."""
-        num = self._eval_poly(a.numer, point)
-        den = self._eval_poly(a.denom, point)
-        if self.const.is_zero(den):
-            if self.const.is_zero(num):
-                raise SingularPointError("0/0 at t = %s" % self.const.format(point))
-            raise SingularPointError("pole at t = %s" % self.const.format(point))
-        return self.const.div(num, den)
-
-    def _eval_poly(self, poly, point):
-        # Horner over possibly sparse support
-        out = self.const.zero
-        prev = None
-        for (e,), c in sorted(poly.terms(), reverse=True):
-            if prev is not None:
-                out = self.const.mul(out, self.const.pow(point, prev - e))
-            out = self.const.add(out, c)
-            prev = e
-        if prev is not None and prev > 0:
-            out = self.const.mul(out, self.const.pow(point, prev))
-        return out
+        k = self.const
+        num = upoly.evaluate(k, a[0], point)
+        den = upoly.evaluate(k, a[1], point)
+        if k.is_zero(den):
+            if k.is_zero(num):
+                raise SingularPointError("0/0 at t = %s" % k.format(point))
+            raise SingularPointError("pole at t = %s" % k.format(point))
+        return k.div(num, den)
 
     def is_regular_at(self, a, point):
-        return not self.const.is_zero(self._eval_poly(a.denom, point))
+        return not self.const.is_zero(upoly.evaluate(self.const, a[1], point))
 
     # -- field extension ------------------------------------------------
 
@@ -169,11 +206,12 @@ class RatFuncField:
     def coerce_from(self, other, a):
         """Embed an element of ``other`` (same variable, subfield
         constants) into this field."""
-        if other.fld == self.fld:
+        if other.const == self.const and other.var == self.var:
             return a
-        num = [self.const.coerce_from(other.const, c) for c in other.numer_coeffs(a)]
-        den = [self.const.coerce_from(other.const, c) for c in other.denom_coeffs(a)]
-        return self.from_coeffs(num, den)
+        # an embedding keeps the pair coprime and the denominator monic
+        k, small = self.const, other.const
+        return ([k.coerce_from(small, c) for c in a[0]],
+                [k.coerce_from(small, c) for c in a[1]])
 
     # -- canonical text form --------------------------------------------
 
@@ -195,12 +233,7 @@ class RatFuncField:
         """Canonical string: monic denominator, terms by falling degree."""
         if self.is_zero(a):
             return "0"
-        den = self.denom_coeffs(a)
-        lead = den[-1]
-        num = self.numer_coeffs(a)
-        if not self.const.is_one(lead):
-            num = [self.const.div(c, lead) for c in num]
-            den = [self.const.div(c, lead) for c in den]
+        num, den = a
         num_s = self._format_poly(num)
         if len(den) == 1:
             return num_s
@@ -211,7 +244,6 @@ class RatFuncField:
         node = _grammar.parse(text)
         atoms = {self.var: self.t}
         if self.const.degree() > 1:
-            from .fields import GEN_NAME
             atoms[GEN_NAME] = self.from_const(self.const.generator())
         return _grammar.evaluate(
             node, atoms,
@@ -233,43 +265,17 @@ class RatFuncField:
         f = big.coerce_from(self, a)
         num = big.numer_coeffs(f)
         den = big.denom_coeffs(f)
-        qc, rc = _poly_divmod(kbig, num, den)
+        qc, rc = upoly.divmod_(kbig, upoly.trim(kbig, num), den)
         parts = []
         for pole, mult in pole_list:
             # h = f * (t - pole)^mult, regular at the pole; its Taylor
             # coefficients there give the principal part
-            rest = _poly_shift(kbig, den, pole)[mult:]  # den/(t-pole)^m shifted
-            num_sh = _poly_shift(kbig, rc, pole)
+            rest = upoly.shift(kbig, den, pole)[mult:]  # den/(t-pole)^m shifted
+            num_sh = upoly.shift(kbig, rc, pole)
             taylor = _series_div(kbig, num_sh, rest, mult)
             coeffs = [taylor[mult - 1 - i] for i in range(mult)]
             parts.append((pole, coeffs))
         return big, qc, parts
-
-
-def _poly_divmod(field, num, den):
-    """Quotient and remainder of ascending-coefficient polynomials."""
-    num = list(num)
-    dn = len(den) - 1
-    while dn > 0 and field.is_zero(den[dn]):
-        dn -= 1
-    q = [field.zero] * max(len(num) - dn, 1)
-    for k in range(len(num) - 1 - dn, -1, -1):
-        c = field.div(num[k + dn], den[dn])
-        q[k] = c
-        for j in range(dn + 1):
-            num[k + j] = field.sub(num[k + j], field.mul(c, den[j]))
-    r = num[:dn] if dn else [field.zero]
-    return q, (r if r else [field.zero])
-
-
-def _poly_shift(field, coeffs, a):
-    """Taylor shift: coefficients of p(x + a) from those of p(x)."""
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n - 1):
-        for k in range(n - 2, i - 1, -1):
-            out[k] = field.add(out[k], field.mul(a, out[k + 1]))
-    return out
 
 
 def _series_div(field, num, den, order):

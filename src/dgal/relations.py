@@ -12,10 +12,9 @@ it finds exactly (``_RelationSolve``); ``find_relations`` runs it once
 for both the truncation order and the kernel.
 """
 
-from . import linalg
+from . import linalg, upoly
 from .errors import DgalError, InputError, ResourceCapError
 from .multipoly import MonomialOrder, PolyRing
-from .ratfunc import _poly_shift
 from .series import SeriesAlgebra, coefficient_series, poly_on_series
 from .solve import PositiveDimensionalError, solve_zero_dimensional
 from .systems import MonomialSeries
@@ -235,7 +234,7 @@ def _kernel_to_polys(builder, kernel, ring, a):
             ucoeffs = vec[mi * width:(mi + 1) * width]
             if all(k.is_zero(c) for c in ucoeffs):
                 continue
-            tcoeffs = _poly_shift(k, list(ucoeffs), k.neg(a))
+            tcoeffs = upoly.shift(k, list(ucoeffs), k.neg(a))
             terms[m] = R.from_coeffs(tcoeffs)
         out.append(ring.from_dict(terms))
     return out

@@ -8,8 +8,8 @@ arithmetic truncates to the shorter operand.
 
 from .errors import DgalError, SingularPointError
 from .fields import find_one_root
-from .ratfunc import _poly_shift, _series_div
-from . import linalg
+from .ratfunc import _series_div
+from . import linalg, upoly
 
 
 class Series:
@@ -165,8 +165,8 @@ def ratfunc_series(R, f, a, order):
 
     R is the RatFuncField; raises SingularPointError at poles."""
     k = R.const
-    num = _poly_shift(k, R.numer_coeffs(f), a)
-    den = _poly_shift(k, R.denom_coeffs(f), a)
+    num = upoly.shift(k, R.numer_coeffs(f), a)
+    den = upoly.shift(k, R.denom_coeffs(f), a)
     if k.is_zero(den[0]):
         raise SingularPointError("pole of %s at t = %s" % (R.format(f), k.format(a)))
     return Series(k, _series_div(k, num, den, order + 1))
@@ -330,8 +330,8 @@ def reconstruct_ratfunc(R, series, a, num_deg, den_deg):
     if got is None:
         return None
     num, den = got
-    num_t = _poly_shift(k, num, k.neg(a))
-    den_t = _poly_shift(k, den, k.neg(a))
+    num_t = upoly.shift(k, num, k.neg(a))
+    den_t = upoly.shift(k, den, k.neg(a))
     return R.from_coeffs(num_t, den_t)
 
 

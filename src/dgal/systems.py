@@ -9,9 +9,10 @@ stabilizer construction rely on this exact ordering.
 
 from contextlib import contextmanager
 
+from . import upoly
 from .errors import DgalError, InputError, SingularPointError
 from .fields import ConstField
-from .ratfunc import RatFuncField, _poly_shift
+from .ratfunc import RatFuncField
 from .series import TruncSeries
 
 
@@ -38,12 +39,8 @@ class OdeSystem:
         lines = ["n: %d" % self.n]
         mp = self.R.const.minpoly_coeffs()
         if mp is not None:
-            from fractions import Fraction
-            k0 = ConstField()
-            coeffs = [k0.from_fraction(Fraction(int(c.numerator), int(c.denominator)))
-                      for c in mp]
-            R0 = RatFuncField(k0, "g")
-            lines.append("field: %s" % R0.format(R0.from_coeffs(coeffs)))
+            R0 = RatFuncField(ConstField(), "g")
+            lines.append("field: %s" % R0.format(R0.from_coeffs(mp)))
         for i in range(self.n):
             for j in range(self.n):
                 lines.append("A[%d][%d]: %s" % (i + 1, j + 1, self.R.format(self.A[i][j])))
@@ -184,7 +181,7 @@ def _u_coeffs(R, f, a):
     polynomial."""
     k = R.const
     inv = k.inv(R.denom_coeffs(f)[0])
-    return _poly_shift(k, [k.mul(c, inv) for c in R.numer_coeffs(f)], a)
+    return upoly.shift(k, [k.mul(c, inv) for c in R.numer_coeffs(f)], a)
 
 
 @contextmanager

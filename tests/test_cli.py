@@ -194,46 +194,50 @@ def test_caps_checked_before_the_point(capsys, pole_doc, command):
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
 
 
-# imports the CLI, then prints the sympy modules that one galois run
-# loads on top of those the import already brought in
-_IMPORTS_DURING_RUN = """
+# imports the CLI, then runs galois on each system with its flags in
+# the same interpreter; prints the exit codes and, after the import and
+# after the runs, the sympy and mpmath modules loaded
+_IMPORTS_DURING_RUNS = """
 import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("sympy", "mpmath"))
+
 from dgal.cli import main
-before = set(sys.modules)
-code = main(["galois", "--system", sys.argv[1], "--degree-override", "2"])
-new = sorted(m for m in set(sys.modules) - before if m.startswith("sympy"))
-print(json.dumps([code, new]))
+after_import = loaded()
+codes = [main(["galois", "--system", path] + flags)
+         for path, flags in json.loads(sys.argv[1])]
+print(json.dumps([after_import, codes, loaded()]))
 """
 
 
-def test_galois_run_imports_no_sympy_tensor():
-    """Building sympy expressions pulls in sympy.tensor.tensor (and
-    sympy.combinatorics) lazily, which every fresh process pays inside
-    the solve; the Airy run works on polynomials only."""
-    airy = Path(__file__).parent / "golden" / "airy.sys"
+def test_galois_runs_import_no_sympy():
+    """dgal does its own arithmetic: importing the CLI and running
+    galois on the six worked examples loads no sympy module, and no
+    mpmath either, which only the symbolic bound needs."""
+    from test_golden import EXAMPLES, GOLDEN
+    runs = [[str(GOLDEN / (name + ".sys")), flags] for name, flags in EXAMPLES]
     env = dict(os.environ,
                PYTHONPATH=str(Path(dgal.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", _IMPORTS_DURING_RUN,
-                          str(airy)], capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-c", _IMPORTS_DURING_RUNS,
+                          json.dumps(runs)], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
-    code, new = json.loads(run.stdout.splitlines()[-1])
-    assert code == 0
-    assert "sympy.tensor.tensor" not in new
+    after_import, codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * len(EXAMPLES)
+    assert after_import == [] and loaded == []
 
 
-# runs galois with the builders of symbolic roots disabled
+# runs galois and fails when it loaded any sympy module, the only source
+# of symbolic roots (radicals, CRootOf) the package could reach
 _NO_SYMBOLIC_ROOT = """
 import sys
-import sympy
-import dgal.fields
 from dgal.cli import main
 
-def refuse(*args, **kwargs):
-    raise AssertionError("a symbolic root was built")
-
-dgal.fields._canonical_root = refuse
-sympy.roots = refuse
-sys.exit(main(["galois", "--system", sys.argv[1]] + sys.argv[2:]))
+code = main(["galois", "--system", sys.argv[1]] + sys.argv[2:])
+if any(m.split(".")[0] == "sympy" for m in sys.modules):
+    sys.exit("a sympy module was loaded")
+sys.exit(code)
 """
 
 
@@ -283,3 +287,36 @@ def test_radical_run_over_a_tower_builds_no_symbolic_root():
     assert (run.returncode, run.stderr) == (0, "")
     lines = run.stdout.splitlines()
     assert "order: 6" in lines and "sandwich_checked: yes" in lines
+
+
+def _system(tmp_path, rows):
+    path = tmp_path / "system.txt"
+    lines = ["n: %d" % len(rows)]
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            lines.append("A[%d][%d]: %s" % (i + 1, j + 1, entry))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_gauge_transformed_radical_system_refuses_with_exit_2(capsys, tmp_path):
+    """diag(1/(2t), 1/(3t)) after the constant gauge [[1, 1], [0, 1]]: the
+    relations hold no diagonal algebraic point, so the finite part is
+    refused as unsupported, not as an internal error."""
+    system = _system(tmp_path, [["1/(2*t)", "-1/(6*t)"], ["0", "1/(3*t)"]])
+    code, lines = refused(capsys, ["galois", "--system", system,
+                                   "--degree-override", "3"])
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith("error: candidate alpha fails a relation")
+
+
+def test_finite_part_over_a_torus_is_refused_before_alpha(capsys, tmp_path):
+    """diag(1/(2t), 1) has the group mu2 x G_m: its proto-group's reduced
+    basis is diagonal binomial with a one-dimensional component, and the
+    finite part over it is the refusal."""
+    system = _system(tmp_path, [["1/(2*t)", "0"], ["0", "1"]])
+    code, lines = refused(capsys, ["galois", "--system", system,
+                                   "--degree-override", "2"])
+    assert (code, lines) == (2, [
+        "error: finite part over a positive dimensional component is "
+        "outside the supported class"])

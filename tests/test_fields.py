@@ -6,9 +6,11 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from dgal import fields
 from dgal.errors import DgalError
 from dgal.fields import (ConstField, field_adjoin, find_one_root, join,
                          split_univariate)
+from sympy_oracle import from_sympy, to_sympy
 
 
 def QQ():
@@ -54,7 +56,7 @@ def test_tower_sqrt2_sqrt3():
     prod = k3.mul(r2, r3)
     # (sqrt2*sqrt3)^2 = 6, and x^2-6 is the minimal polynomial of the product
     assert k3.eq(k3.mul(prod, prod), k3.from_int(6))
-    mp = sp.minimal_polynomial(k3.to_sympy(prod), sp.Symbol("x"))
+    mp = sp.minimal_polynomial(to_sympy(k3, prod), sp.Symbol("x"))
     assert mp == sp.Symbol("x") ** 2 - 6
 
 
@@ -183,6 +185,24 @@ def test_adjoin_and_split_quartic_without_real_roots():
     _check_splitting_tower([1, 1, 0, 0, 1], 24)
 
 
+def test_split_computes_one_norm_per_factor_over_a_number_field(monkeypatch):
+    """x^4 + x + 1 splits by three adjoins; the cubic and the quadratic
+    left over are irreducible over fields of degree 4 and 12.  Each is
+    factored by one Trager norm, which the adjoin of its root reuses."""
+    over = []
+    norm = fields.sqf_norm
+
+    def counted(field, f):
+        over.append(field.degree())
+        return norm(field, f)
+
+    monkeypatch.setattr(fields, "sqf_norm", counted)
+    k = QQ()
+    fld, roots = split_univariate(k, [k.from_int(c) for c in [1, 1, 0, 0, 1]])
+    assert fld.degree() == 24 and len(roots) == 4
+    assert over == [4, 12]
+
+
 def _adjoin(k, constant):
     """k with a root of x^2 + constant adjoined."""
     return field_adjoin(k, [k.from_int(constant), k.zero, k.one])[0]
@@ -220,7 +240,7 @@ def test_coerce_from_matches_sympy_round_trip(fields, a, b):
     el = small.add(small.from_fraction(a),
                    small.mul(small.from_fraction(b), small.generator()))
     assert big.eq(big.coerce_from(small, el),
-                  big.from_sympy(small.to_sympy(el)))
+                  from_sympy(big, to_sympy(small, el)))
 
 
 def _poly_mul(k, p, q):
@@ -277,7 +297,7 @@ MINPOLYS = [[2, 0, 1], [-3, 0, 1], [1, 1, 1], [-1, -1, 1], [5, 2, 1],
 def test_generator_is_a_root_of_the_input(coeffs):
     k = QQ()
     fld, r = field_adjoin(k, [k.from_int(c) for c in coeffs])
-    x = fld.to_sympy(r)
+    x = to_sympy(fld, r)
     assert sp.simplify(sum(c * x ** i for i, c in enumerate(coeffs))) == 0
 
 
@@ -291,4 +311,4 @@ def test_sympy_round_trip(coeffs, vec):
     a = fld.zero
     for c in reversed(vec):
         a = fld.add(fld.mul(a, r), fld.from_fraction(c))
-    assert fld.eq(fld.from_sympy(fld.to_sympy(a)), a)
+    assert fld.eq(from_sympy(fld, to_sympy(fld, a)), a)

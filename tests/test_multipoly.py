@@ -186,5 +186,6 @@ def test_groebner_matches_sympy(ideal, order):
                      for g in gens])
     theirs = sp.groebner([sp.Poly.from_dict(g, *syms).as_expr() for g in gens],
                          *syms, order=name, domain="QQ")
-    assert {sp.Poly.from_dict(dict(g.terms), *syms, domain="QQ").as_expr()
+    assert {sp.Poly.from_dict({e: sp.Rational(c.numerator, c.denominator)
+                               for e, c in g.terms.items()}, *syms).as_expr()
             for g in ours} == set(theirs.exprs)
