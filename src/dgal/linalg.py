@@ -1,9 +1,15 @@
-"""Dense linear algebra over any adapter field.
+"""Linear algebra over any adapter field.
 
 Matrices are plain lists of lists of field elements; the field argument
 supplies the arithmetic (ConstField, RatFuncField, ...).  The
 elimination routines are Gaussian elimination with the first nonzero
 entry as pivot; sizes stay small, so no other pivoting is needed.
+
+``RrefAccumulator``, the row-at-a-time elimination of the relation
+solve, keeps its reduced rows sparse, as dicts of their nonzero
+entries.  That is cheap because a row in reduced echelon form is zero at
+every pivot but its own: near full rank, a reduced row holds little
+more than its pivot, and elimination touches only what is nonzero.
 
 ``PrimeField`` is one more adapter: GF(p) on Python ints.  With it the
 same routines run modulo a word-size prime, which avoids the gcd work
@@ -13,6 +19,7 @@ reconstruction (Wang, Guy and Davenport 1982; the modular method of
 Dixon 1982) and checks the lift exactly.
 """
 
+import bisect
 from math import gcd, isqrt, lcm
 
 from .rational import Rational
@@ -170,52 +177,69 @@ def inverse(field, mat):
 class RrefAccumulator:
     """Incrementally maintained reduced row echelon form of a growing set
     of constraint rows; rank and kernel are cheap to read off at any
-    point."""
+    point.
+
+    Reduced rows are sparse: each is kept as ``{column: value}`` of its
+    nonzero entries off the pivot (the pivot entry is one), keyed by its
+    pivot column.  A row in RREF is zero at every other pivot column, so
+    reducing by it changes no entry at a pivot column but its own: an
+    incoming row is reduced only by the rows whose pivot it has, in any
+    order, and every step touches only the nonzero entries of the stored
+    row (LaMacchia and Odlyzko 1990)."""
 
     def __init__(self, field, cols):
         self.field = field
         self.cols = cols
-        self.rows = []     # reduced rows, sorted by pivot column
-        self.pivots = []   # pivot column of each row
+        self.pivots = []   # pivot columns, ascending
+        self._rows = {}    # pivot column -> {free column: value}
 
     def add_row(self, row):
         """Reduce and insert; returns True if the rank grew."""
         f = self.field
-        row = row[:]
-        for r, pc in zip(self.rows, self.pivots):
-            if not f.is_zero(row[pc]):
-                c = row[pc]
-                row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, r)]
-        pc = next((j for j in range(self.cols) if not f.is_zero(row[j])), None)
-        if pc is None:
+        new = {j: x for j, x in enumerate(row) if not f.is_zero(x)}
+        for pc in [j for j in new if j in self._rows]:
+            _sub_multiple(f, new, new.pop(pc), self._rows[pc])
+        if not new:
             return False
-        inv = f.inv(row[pc])
-        row = [f.mul(x, inv) for x in row]
-        # back-substitute into existing rows
-        for i, r in enumerate(self.rows):
-            if not f.is_zero(r[pc]):
-                c = r[pc]
-                self.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(r, row)]
-        at = next((i for i, p in enumerate(self.pivots) if p > pc), len(self.pivots))
-        self.rows.insert(at, row)
-        self.pivots.insert(at, pc)
+        pc = min(new)
+        inv = f.inv(new.pop(pc))
+        new = {j: f.mul(x, inv) for j, x in new.items()}
+        # back-substitute into the stored rows that have column pc
+        for r in self._rows.values():
+            c = r.pop(pc, None)
+            if c is not None:
+                _sub_multiple(f, r, c, new)
+        self._rows[pc] = new
+        bisect.insort(self.pivots, pc)
         return True
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def kernel_basis(self):
+        """One vector per free column, in ascending order."""
         f = self.field
-        free = [c for c in range(self.cols) if c not in self.pivots]
-        basis = []
-        for fc in free:
-            v = [f.zero] * self.cols
-            v[fc] = f.one
-            for r, pc in zip(self.rows, self.pivots):
-                v[pc] = f.neg(r[fc])
-            basis.append(v)
-        return basis
+        basis = {}
+        for fc in range(self.cols):
+            if fc not in self._rows:
+                basis[fc] = [f.zero] * self.cols
+                basis[fc][fc] = f.one
+        for pc, r in self._rows.items():
+            for fc, x in r.items():
+                basis[fc][pc] = f.neg(x)
+        return list(basis.values())
+
+
+def _sub_multiple(field, target, c, source):
+    """target -= c * source for sparse rows, in place; zeros are dropped."""
+    zero, is_zero, sub, mul = field.zero, field.is_zero, field.sub, field.mul
+    for j, y in source.items():
+        x = sub(target.get(j, zero), mul(c, y))
+        if is_zero(x):
+            del target[j]
+        else:
+            target[j] = x
 
 
 class NotCertified(Exception):
@@ -253,17 +277,27 @@ class PrimeField:
 
     def reduce_row(self, row):
         """Images num * den^-1 mod p of rationals (anything with a
-        numerator and a denominator)."""
+        numerator and a denominator).
+
+        The denominators share one inversion (Montgomery's trick):
+        prefix products, the inverse of the whole product, then a
+        backward sweep that peels one denominator off at a time."""
         p = self.p
-        out = []
-        for q in row:
-            num, den = q.numerator, q.denominator
-            if den == 1:
-                out.append(num % p)
-            elif den % p:
-                out.append(num * pow(den, -1, p) % p)
-            else:
+        out = [q.numerator % p for q in row]
+        dens = [(i, q.denominator % p) for i, q in enumerate(row)
+                if q.denominator != 1]
+        prefix = []
+        acc = 1
+        for _i, den in dens:
+            if not den:
                 raise NotCertified("a denominator is 0 mod p")
+            prefix.append(acc)
+            acc = acc * den % p
+        inv = pow(acc, -1, p)
+        for (i, den), before in zip(reversed(dens), reversed(prefix)):
+            # inv is the inverse of the product of dens through i
+            out[i] = out[i] * (inv * before % p) % p
+            inv = inv * den % p
         return out
 
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dgal import linalg
-from dgal.fields import ConstField
+from dgal.fields import ConstField, field_adjoin
 
 
 K = ConstField()
@@ -112,3 +113,56 @@ def test_rational_reconstruction():
     # 2^40 comes back as 1/2^21, the fraction within the bound that has
     # its image (2^61 = 1 mod p)
     assert linalg.rational_reconstruction(1 << 40, P61) == Fraction(1, 1 << 21)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(entry, max_size=8))
+@example([Fraction(1, 3), 7, Fraction(-5, 2 * P61), Fraction(2, 9)])
+def test_reduce_row_matches_per_entry_inverses(row):
+    fp = linalg.PrimeField()
+    if any(q.denominator % P61 == 0 for q in row):
+        with pytest.raises(linalg.NotCertified, match="denominator is 0"):
+            fp.reduce_row(row)
+        return
+    assert fp.reduce_row(row) == [
+        q.numerator * pow(q.denominator, -1, P61) % P61 for q in row]
+
+
+# the element a + b*c of each field, c = 1/2, 2^40 and sqrt(2)
+QQ_SQRT2, SQRT2 = field_adjoin(K, [K.from_int(-2), K.zero, K.one])
+FIELDS = {
+    "QQ": (K, lambda a, b: K.from_fraction(Fraction(2 * a + b, 2))),
+    "GF(p)": (linalg.PrimeField(), lambda a, b: (a + b * (1 << 40)) % P61),
+    "QQ(sqrt 2)": (QQ_SQRT2, lambda a, b: QQ_SQRT2.add(
+        QQ_SQRT2.from_int(a), QQ_SQRT2.mul(QQ_SQRT2.from_int(b), SQRT2))),
+}
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows of (a, b) pairs, mostly zero, with zero and repeated rows."""
+    cols = draw(st.integers(min_value=1, max_value=7))
+    coeff = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+    row = st.lists(st.tuples(coeff, coeff), min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    rows += draw(st.lists(st.just([(0, 0)] * cols), max_size=1))
+    return cols, draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(sparse_rows())
+def test_accumulator_matches_rref(name, data):
+    field, element = FIELDS[name]
+    cols, pairs = data
+    acc = linalg.RrefAccumulator(field, cols)
+    rows, rank = [], 0
+    for pair_row in pairs:
+        rows.append([element(a, b) for a, b in pair_row])
+        grew = acc.add_row(rows[-1])
+        pivots = linalg.rref(field, rows)[1]
+        assert grew == (len(pivots) > rank)
+        assert acc.pivots == pivots
+        assert acc.kernel_basis() == linalg.nullspace(field, rows)
+        rank = len(pivots)
