@@ -359,7 +359,7 @@ def group_points_finite(H):
     product and inverse."""
     if not H.generators:
         raise PositiveDimensionalError(H.ring.names[0])
-    fld, raw = solve_zero_dimensional(H.generators)
+    fld, raw = solve_zero_dimensional(H.groebner_basis())
     n = H.n
     pts = []
     seen = []

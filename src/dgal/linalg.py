@@ -196,7 +196,13 @@ class RrefAccumulator:
     def add_row(self, row):
         """Reduce and insert; returns True if the rank grew."""
         f = self.field
-        new = {j: x for j, x in enumerate(row) if not f.is_zero(x)}
+        return self.add_sparse(
+            {j: x for j, x in enumerate(row) if not f.is_zero(x)})
+
+    def add_sparse(self, new):
+        """add_row for a row given as ``{column: nonzero value}``; the
+        dict is taken over, not copied."""
+        f = self.field
         for pc in [j for j in new if j in self._rows]:
             _sub_multiple(f, new, new.pop(pc), self._rows[pc])
         if not new:
@@ -217,18 +223,33 @@ class RrefAccumulator:
     def rank(self):
         return len(self.pivots)
 
-    def kernel_basis(self):
-        """One vector per free column, in ascending order."""
+    def reduced_rows(self):
+        """The nonzero rows of the reduced echelon form by ascending
+        pivot, each as ``{column: value}`` in ascending column order."""
+        one = self.field.one
+        return [dict([(pc, one)] + sorted(self._rows[pc].items()))
+                for pc in self.pivots]
+
+    def kernel_vectors(self):
+        """One kernel vector per free column, in ascending order, each as
+        ``{column: nonzero value}``."""
         f = self.field
-        basis = {}
-        for fc in range(self.cols):
-            if fc not in self._rows:
-                basis[fc] = [f.zero] * self.cols
-                basis[fc][fc] = f.one
+        basis = {fc: {fc: f.one} for fc in range(self.cols)
+                 if fc not in self._rows}
         for pc, r in self._rows.items():
             for fc, x in r.items():
                 basis[fc][pc] = f.neg(x)
         return list(basis.values())
+
+    def kernel_basis(self):
+        """The kernel_vectors as dense lists."""
+        out = []
+        for vec in self.kernel_vectors():
+            dense = [self.field.zero] * self.cols
+            for j, x in vec.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
 
 def _sub_multiple(field, target, c, source):

@@ -3,12 +3,22 @@ orders, reduction, and Buchberger's algorithm.
 
 Exponents are tuples of ints; a polynomial is a dict exponent -> nonzero
 coefficient.  The ring carries the field, the variable names, and a
-default monomial order.  Everything stays small enough here that a plain
-Buchberger loop with the coprimality and chain criteria is adequate.
+default monomial order.
+
+``groebner`` is Buchberger's algorithm with the coprimality and chain
+criteria, run on an autoreduced input: generators that reduce to zero
+modulo the others never enter a pair.  The ideals met here are small but
+often handed over as long linear spans (a stabilizer's generators in
+echelon form) whose reduced basis has a handful of elements, so pairs
+are formed among that handful only.  The reduced basis is unique (Cox,
+Little and O'Shea, *Ideals, Varieties, and Algorithms*, 2.7), so the
+preparation does not change it.  ``normal_form`` reduces one dict in
+place, so a division step touches only the terms it changes.
 """
 
 import heapq
 import itertools
+import operator
 
 from . import _grammar
 from .errors import DgalError, ResourceCapError
@@ -48,7 +58,7 @@ def _mono_mul(a, b):
 
 
 def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _mono_div(a, b):
@@ -342,30 +352,47 @@ MAX_BASIS = 2000
 
 
 def normal_form(p, basis, order=None):
-    """Remainder of p on division by the list ``basis``."""
+    """Remainder of p on division by the list ``basis``.
+
+    The dividend is one dict reduced in place: a division step removes
+    the leading term and subtracts the multiple of a basis element's tail
+    from the terms it touches, and a term no leading monomial divides
+    moves to the remainder."""
     if not basis:
         return p
     ring = p.ring
-    order = order or ring.order
+    key = (order or ring.order).key
     fld = ring.field
-    lead = [(g.leading(order), g) for g in basis if g.terms]
-    rem = ring.zero
-    work = p
-    while work.terms:
-        exp, c = work.leading(order)
-        hit = None
-        for (gexp, gc), g in lead:
+    add, mul, is_zero = fld.add, fld.mul, fld.is_zero
+    lead = []
+    for g in basis:
+        if g.terms:
+            gexp = max(g.terms, key=key)
+            lead.append((gexp, g.terms[gexp],
+                         [(e, c) for e, c in g.terms.items() if e != gexp]))
+    work = dict(p.terms)
+    rem = {}
+    while work:
+        exp = max(work, key=key)
+        c = work.pop(exp)
+        for gexp, gc, tail in lead:
             if _mono_divides(gexp, exp):
-                hit = (gexp, gc, g)
                 break
-        if hit is None:
-            rem = rem + MultiPoly(ring, {exp: c})
-            work = work - MultiPoly(ring, {exp: c})
         else:
-            gexp, gc, g = hit
-            factor = fld.div(c, gc)
-            work = work - g.mul_term(_mono_div(exp, gexp), factor)
-    return rem
+            rem[exp] = c
+            continue
+        factor = fld.neg(fld.div(c, gc))
+        shift = _mono_div(exp, gexp)
+        for e, x in tail:
+            e = _mono_mul(e, shift)
+            y = mul(factor, x)
+            if e in work:
+                y = add(work[e], y)
+                if is_zero(y):
+                    del work[e]
+                    continue
+            work[e] = y
+    return MultiPoly(ring, rem)
 
 
 def s_polynomial(f, g, order=None):
@@ -381,16 +408,26 @@ def s_polynomial(f, g, order=None):
 def groebner(gens, order=None):
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Pairs are pruned with the coprimality and chain criteria.  The
-    MAX_BASIS cap turns runaway computations into ResourceCapError
-    rather than an unbounded loop.
+    The input is autoreduced before any pair is formed: the generators
+    are taken in ascending order of leading monomial, each is reduced by
+    the ones kept so far, and the nonzero monic remainders are kept.
+    That leaves the ideal as it was, so the reduced basis is the same,
+    while an input that is already close to a Groebner basis (a linear
+    span in echelon form, say) shrinks to a few elements.  Pairs are
+    pruned with the coprimality and chain criteria.  The MAX_BASIS cap
+    turns runaway computations into ResourceCapError rather than an
+    unbounded loop.
     """
     gens = [g for g in gens if g.terms]
     if not gens:
         return []
     ring = gens[0].ring
     order = order or ring.order
-    G = [g.monic(order) for g in gens]
+    G = []
+    for g in sorted(gens, key=lambda g: order.key(g.leading(order)[0])):
+        r = normal_form(g, G, order)
+        if r.terms:
+            G.append(r.monic(order))
     lead = [g.leading(order)[0] for g in G]
     # open pairs: the set answers the chain criterion's membership test,
     # the heap hands out the pair of least lcm, each keyed once

@@ -9,7 +9,11 @@ rational-function coefficients and row-reduced, is the relation basis.
 
 The solve eliminates modulo a word-size prime and certifies the kernel
 it finds exactly (``_RelationSolve``); ``find_relations`` runs it once
-for both the truncation order and the kernel.
+for both the truncation order and the kernel.  The kernel vectors are
+kept as ``{column: value}`` of their nonzero entries, and both the
+read-off (``_kernel_to_polys``) and the row reduction to the canonical
+basis (``_row_reduce_polys``, through the sparse
+``linalg.RrefAccumulator``) touch only those entries.
 """
 
 from . import linalg, upoly
@@ -106,7 +110,7 @@ class _RelationSolve:
             try:
                 N = run()
                 self.kernel = self._lift() if modular \
-                    else self.acc.kernel_basis()
+                    else self.acc.kernel_vectors()
             except linalg.NotCertified as why:
                 self.exact_reason = str(why)
                 continue
@@ -126,7 +130,7 @@ class _RelationSolve:
     def _lift(self):
         rows = (self.builder.row(i) for i in range(self.nrows))
         k = self.builder.k
-        return [[k.from_fraction(q) if q else k.zero for q in vec]
+        return [{j: k.from_fraction(q) for j, q in enumerate(vec) if q}
                 for vec in linalg.certified_kernel(self.acc, rows)]
 
     def explicit(self, N):
@@ -224,47 +228,42 @@ def find_relations(sys, a, d, ell, strategy=None):
 
 
 def _kernel_to_polys(builder, kernel, ring, a):
+    """One polynomial per kernel vector ``{column: value}``, read off the
+    vector's support: column j holds the coefficient of u^(j mod width)
+    in the coefficient of monomial j // width, a polynomial in u = t - a
+    that is shifted back to t."""
     R = builder.R
     k = R.const
     width = 2 * builder.ell + 1
     out = []
     for vec in kernel:
-        terms = {}
-        for mi, m in enumerate(builder.monos):
-            ucoeffs = vec[mi * width:(mi + 1) * width]
-            if all(k.is_zero(c) for c in ucoeffs):
-                continue
-            tcoeffs = upoly.shift(k, list(ucoeffs), k.neg(a))
-            terms[m] = R.from_coeffs(tcoeffs)
-        out.append(ring.from_dict(terms))
+        ucoeffs = {}
+        for j, c in vec.items():
+            mi, i = divmod(j, width)
+            if mi not in ucoeffs:
+                ucoeffs[mi] = [k.zero] * width
+            ucoeffs[mi][i] = c
+        out.append(ring.from_dict({
+            builder.monos[mi]: R.from_coeffs(upoly.shift(k, cs, k.neg(a)))
+            for mi, cs in sorted(ucoeffs.items())}))
     return out
 
 
 def _row_reduce_polys(ring, polys):
-    """Canonical basis: RREF over the coefficient field with columns
-    ordered by the ring's monomial order, leading coefficients 1."""
-    polys = [p for p in polys if p.terms]
-    if not polys:
-        return []
-    fld = ring.field
+    """Canonical basis of the span of ``polys``: the reduced row echelon
+    form over the coefficient field, columns ordered by the ring's
+    monomial order (largest first), leading coefficients 1, rows by
+    descending leading monomial.  Each polynomial enters
+    linalg.RrefAccumulator as the sparse row of its terms, so elimination
+    touches only nonzero coefficients."""
     cols = sorted({e for p in polys for e in p.terms},
                   key=ring.order.key, reverse=True)
     index = {e: i for i, e in enumerate(cols)}
-    mat = []
+    acc = linalg.RrefAccumulator(ring.field, len(cols))
     for p in polys:
-        row = [fld.zero] * len(cols)
-        for e, c in p.terms.items():
-            row[index[e]] = c
-        mat.append(row)
-    rrefed, pivots = linalg.rref(fld, mat)
-    out = []
-    for r, row in enumerate(rrefed):
-        if r >= len(pivots):
-            break
-        terms = {cols[i]: c for i, c in enumerate(row) if not fld.is_zero(c)}
-        if terms:
-            out.append(ring.from_dict(terms))
-    return out
+        acc.add_sparse({index[e]: c for e, c in p.terms.items()})
+    return [ring.from_dict({cols[j]: c for j, c in row.items()})
+            for row in acc.reduced_rows()]
 
 
 def substituted_coefficient_system(polys, G, N, diagonal_only=False):

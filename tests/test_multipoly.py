@@ -1,12 +1,19 @@
+from fractions import Fraction
+
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from dgal import multipoly
 from dgal.errors import DgalError
-from dgal.fields import ConstField
+from dgal.fields import ConstField, field_adjoin
 from dgal.multipoly import (GREVLEX, LEX, PolyRing, eliminate, groebner,
                             normal_form, standard_monomials,
                             is_zero_dimensional)
+from dgal.pipeline import PipelineConfig, proto_galois
+from dgal.ratfunc import RatFuncField
+from dgal.relations import graded_lex_order
 from dgal.solve import PositiveDimensionalError, solve_zero_dimensional
+from dgal.systems import OdeSystem
 
 import pytest
 
@@ -189,3 +196,101 @@ def test_groebner_matches_sympy(ideal, order):
     assert {sp.Poly.from_dict({e: sp.Rational(c.numerator, c.denominator)
                                for e, c in g.terms.items()}, *syms).as_expr()
             for g in ours} == set(theirs.exprs)
+
+
+def test_stabilizer_basis_needs_few_s_polynomials(monkeypatch):
+    """The stabilizer of diag(1/(3t), 2/(3t)) at degree 3 has 32
+    generators in echelon form and a reduced basis of 5 (graded-lex) or 4
+    (lex) elements.  Autoreducing the input leaves that basis or one
+    step from it, so Buchberger forms at most 5 S-polynomials, where
+    pairs among all 32 generators cost about 50."""
+    R = RatFuncField(K)
+    sys = OdeSystem(R, [[R.parse("1/(3*t)"), R.zero],
+                        [R.zero, R.parse("2/(3*t)")]])
+    H, _rel = proto_galois(sys, PipelineConfig(degree=3))
+    assert len(H.generators) == 32
+    calls = []
+    s_polynomial = multipoly.s_polynomial
+
+    def counting(f, g, order=None):
+        calls.append((f, g))
+        return s_polynomial(f, g, order)
+
+    monkeypatch.setattr(multipoly, "s_polynomial", counting)
+    ring = H.ring
+    for order, expected in [
+            (ring.order, ["x_2_1", "x_1_2", "x_2_2^2 - x_1_1",
+                          "x_1_1*x_2_2 - 1", "x_1_1^2 - x_2_2"]),
+            (LEX, ["x_2_2^3 - 1", "x_2_1", "x_1_2", "x_1_1 - x_2_2^2"])]:
+        del calls[:]
+        assert groebner(H.generators, order) == [ring.parse(g)
+                                                 for g in expected]
+        assert len(calls) <= 5
+
+
+QQ_SQRT2, SQRT2 = field_adjoin(K, [K.from_int(-2), K.zero, K.one])
+# the element a + b*c of each field, c = 1/2 and sqrt(2)
+COEFFS = {
+    "QQ": (K, lambda a, b: K.from_fraction(Fraction(2 * a + b, 2))),
+    "QQ(sqrt 2)": (QQ_SQRT2, lambda a, b: QQ_SQRT2.add(
+        QQ_SQRT2.from_int(a), QQ_SQRT2.mul(QQ_SQRT2.from_int(b), SQRT2))),
+}
+ORDERS = ["grevlex", "gradedlex", "lex"]
+
+
+def ring_of(field, order, nvars):
+    mono_order = {"grevlex": GREVLEX, "lex": LEX,
+                  "gradedlex": graded_lex_order(nvars)}[order]
+    return PolyRing(field, [str(s) for s in SYMS[:nvars]], mono_order)
+
+
+@st.composite
+def coefficient_ideals(draw):
+    """A ring over QQ or QQ(sqrt 2) in 2 or 3 variables under one of the
+    three orders, and 1 to 3 generators of 1 to 3 terms with exponents
+    below 3."""
+    field, element = COEFFS[draw(st.sampled_from(sorted(COEFFS)))]
+    nvars = draw(st.integers(2, 3))
+    R = ring_of(field, draw(st.sampled_from(ORDERS)), nvars)
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda ab: element(*ab))
+    polys = st.dictionaries(exps, coeffs, min_size=1, max_size=3).map(
+        R.from_dict)
+    return R, draw(st.lists(polys, min_size=1, max_size=3)), polys
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_ideals(), st.data())
+def test_groebner_ignores_redundant_generators(ideal, data):
+    """Duplicates, sums and monomial multiples of generators, in any
+    order, generate the same ideal, so the reduced basis is the same."""
+    R, gens, _polys = ideal
+    index = st.integers(0, len(gens) - 1)
+    padded = list(gens)
+    for kind in data.draw(st.lists(st.sampled_from(["dup", "sum", "mul"]),
+                                   max_size=4)):
+        i, j = data.draw(index), data.draw(index)
+        if kind == "dup":
+            padded.append(gens[i])
+        elif kind == "sum":
+            padded.append(gens[i] + gens[j])
+        else:
+            exp = data.draw(st.tuples(*[st.integers(0, 1)] * R.nvars))
+            padded.append(gens[i].mul_term(exp, R.field.from_int(j + 1)))
+    shuffled = data.draw(st.permutations(padded))
+    assert groebner(shuffled) == groebner(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_ideals(), st.data())
+def test_normal_form_is_a_remainder(ideal, data):
+    """p - r lies in the ideal, and no term of r is divisible by a
+    leading monomial of the divisors."""
+    R, gens, polys = ideal
+    p = data.draw(polys)
+    r = normal_form(p, gens)
+    assert normal_form(p - r, groebner(gens)).is_zero()
+    leads = [g.leading()[0] for g in gens if g.terms]
+    assert not any(all(x <= y for x, y in zip(lead, e))
+                   for lead in leads for e in r.terms)

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgal import linalg
-from dgal.fields import ConstField
+from dgal.fields import ConstField, field_adjoin
+from dgal.multipoly import PolyRing
 from dgal.ratfunc import RatFuncField
-from dgal.relations import (default_window, find_relations, membership_test,
-                            order_bound, relation_ideal, second_point_check,
+from dgal.relations import (default_window, find_relations,
+                            graded_lex_order, membership_test, order_bound,
+                            relation_ideal, second_point_check,
                             _AnsatzBuilder, _kernel_to_polys, _RelationSolve,
                             _row_reduce_polys)
 from dgal.series import Series
@@ -160,8 +163,8 @@ def test_spurious_relation_mod_p_is_rejected():
     acc = linalg.RrefAccumulator(fp, builder.ncols)
     for row in rows:
         acc.add_row(fp.reduce_row(row))
-    lifted = [[K.from_fraction(linalg.rational_reconstruction(u, P61))
-               for u in vec] for vec in acc.kernel_basis()]
+    lifted = [{j: K.from_fraction(linalg.rational_reconstruction(u, P61))
+               for j, u in vec.items()} for vec in acc.kernel_vectors()]
     ring = relation_ideal(s, a, 1, 1, 8).ring
     spurious = _row_reduce_polys(ring, _kernel_to_polys(builder, lifted,
                                                         ring, a))
@@ -243,3 +246,63 @@ def test_accumulator_reduces_only_nonzero_entries():
         acc.add_row(fp.reduce_row(builder.row(i)))
     assert (builder.ncols, acc.rank) == (75, 70)
     assert fp.muls <= 20000
+
+
+def dense_row_reduce(ring, polys):
+    """The span's canonical basis by dense Gauss-Jordan elimination
+    (linalg.rref) over the coefficient field: the reference for
+    _row_reduce_polys."""
+    polys = [p for p in polys if p.terms]
+    if not polys:
+        return []
+    fld = ring.field
+    cols = sorted({e for p in polys for e in p.terms},
+                  key=ring.order.key, reverse=True)
+    mat = [[p.terms.get(e, fld.zero) for e in cols] for p in polys]
+    rrefed, pivots = linalg.rref(fld, mat)
+    return [ring.from_dict(dict(zip(cols, row)))
+            for row in rrefed[:len(pivots)]]
+
+
+QQ_SQRT2, SQRT2 = field_adjoin(K, [K.from_int(-2), K.zero, K.one])
+# constants a + b*c: c = 1/2 over QQ, c = sqrt(2) over QQ(sqrt 2)
+CONSTANTS = {
+    "Q(t)": (K, lambda a, b: K.from_fraction(Fraction(2 * a + b, 2))),
+    "QQ(sqrt 2)(t)": (QQ_SQRT2, lambda a, b: QQ_SQRT2.add(
+        QQ_SQRT2.from_int(a), QQ_SQRT2.mul(QQ_SQRT2.from_int(b), SQRT2))),
+}
+
+
+@st.composite
+def kernel_shaped_rows(draw, name):
+    """Polynomials on six monomials in x_1_1..x_2_2, so that rows
+    overlap, with coefficients (c0 + c1 t) / (1 + c2 t), plus what a
+    kernel read-off produces: zero rows, repeated rows and t-multiples
+    of rows."""
+    const, element = CONSTANTS[name]
+    Rt = RatFuncField(const)
+    ring = PolyRing(Rt, ["x_1_1", "x_1_2", "x_2_1", "x_2_2"],
+                    graded_lex_order(4))
+    small = st.tuples(st.integers(-2, 2), st.integers(-1, 1)).map(
+        lambda ab: element(*ab))
+    coeff = st.tuples(small, small, st.integers(0, 2)).map(
+        lambda c: Rt.div(Rt.from_coeffs([c[0], c[1]]),
+                         Rt.from_coeffs([const.one, const.from_int(c[2])])))
+    exps = st.sampled_from([(2, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0),
+                            (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)])
+    polys = draw(st.lists(st.dictionaries(exps, coeff, max_size=4).map(
+        ring.from_dict), min_size=1, max_size=5))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "t"]),
+                              max_size=4)):
+        p = draw(st.sampled_from(polys))
+        polys.append(ring.zero if kind == "zero"
+                     else p if kind == "repeat" else p.scale(Rt.t))
+    return ring, draw(st.permutations(polys))
+
+
+@pytest.mark.parametrize("name", CONSTANTS)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_row_reduce_matches_dense_rref(name, data):
+    ring, polys = data.draw(kernel_shaped_rows(name))
+    assert _row_reduce_polys(ring, polys) == dense_row_reduce(ring, polys)
