@@ -3,11 +3,13 @@
 The stages compose as: relation ideal -> stabilizer (the proto-group H)
 -> identity component H deg -> characters and their hyperexponential
 relation lattice -> identity component of the Galois group -> finite
-part over the conjugates of the algebraic data.  Every stage works from
-one fundamental matrix, expanded at the one point a of PipelineConfig:
-the relations, the algebraic point alpha and the logarithmic
-derivatives of the characters read that expansion, and the finite part
-is read off alpha.  Every
+part over the conjugates of gamma.  Every stage works from one
+fundamental matrix F_bar, expanded at the one point a of PipelineConfig:
+the relations and the logarithmic derivatives of the characters read
+that expansion.  When H is finite of exponent M, F_bar is read off its
+expansion as sum_{k<M} C_k(t) gamma^k with gamma^M = t/a (one
+Hermite-Pade solve per entry), certified exactly in k(t) by the system
+itself, and the finite part is read off the C_k at a.  Every
 completed run carries a sandwich certificate: the kernel of the
 characters of H's identity component is contained in the computed
 identity component, which is contained in H (checked by Groebner
@@ -21,19 +23,17 @@ symbolically, and executable runs take a user-supplied degree override
 
 from math import isqrt, lcm
 
-from . import linalg
+from . import linalg, upoly
 from .errors import DgalError, InputError, UnsupportedInstanceError
 from .fields import join, split_univariate
 from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
-                     characters_generators, group_points_finite, group_ring,
-                     identity_component, kernel_of_characters,
-                     stabilizer_group, verify_group_axioms)
+                     characters_generators, group_ring, identity_component,
+                     kernel_of_characters, stabilizer_group,
+                     verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
-from .multipoly import PolyRing, groebner, normal_form
-from .rational import Rational
+from .multipoly import groebner, normal_form
 from .relations import find_relations, membership_test
-from .series import Series, TruncSeries, algebraic_series
-from .solve import PositiveDimensionalError
+from .series import Series, algebraic_series, rational_reconstruction
 
 
 class PipelineConfig:
@@ -56,25 +56,20 @@ class PipelineConfig:
 
 
 class AlphaData:
-    """The algebraic change of basis alpha = alphabar * gbar, and the
-    fundamental matrix F_bar at the expansion point a, over the field
-    that alpha needs."""
+    """F_bar = sum_{k<M} C_k(t) gamma^k with gamma^M = t/a and gamma(a) =
+    1, certified by find_alpha_fbar at coefficient degree D: C is the list
+    of the n x n matrices C_k over R."""
 
-    def __init__(self, kind, field, M, exps, consts, gbar, Fbar):
-        self.kind = kind          # "identity" or "radical"
-        self.field = field        # constant field of the series data
-        self.M = M                # gamma^M = t (M = 1 means gamma in k)
-        self.exps = exps          # alpha = diag(consts_i gamma^exps[i]) gbar
-        self.consts = consts      # constant factors s_i over field
-        self.gbar = gbar          # constant matrix over field
-        self.Fbar = Fbar          # TruncSeries at a over field
+    def __init__(self, R, a, M, D, C):
+        self.R = R
+        self.a = a
+        self.M = M
+        self.D = D
+        self.C = C
 
     def describe(self):
-        if self.kind == "identity":
-            return "alpha = I"
-        return "alpha = diag(s * gamma^%s) * gbar with gamma^%d = t, s = %s" \
-            % (list(self.exps), self.M,
-               [self.field.format(s) for s in self.consts])
+        return "F_bar = sum_k C_k(t) gamma^k, gamma^M = t/a, M = %d, D = %d" \
+            % (self.M, self.D)
 
 
 class GaloisGroupDescription:
@@ -155,172 +150,128 @@ def _vanishes_at_identity(rel):
     """True when every relation, as a rational function of t, is zero at
     the identity matrix."""
     R = rel.ring.field
-    vals = [R.one if p // _n(rel) == p % _n(rel) else R.zero
+    n = isqrt(rel.ring.nvars)
+    vals = [R.one if p // n == p % n else R.zero
             for p in range(rel.ring.nvars)]
     return all(R.is_zero(P.eval_consts(vals)) for P in rel.basis)
 
 
-def _n(rel):
-    return isqrt(rel.ring.nvars)
-
-
-def _integer_nthroot(n, m):
-    """(r, exact) with r = floor(n^(1/m)) for an int n >= 0, exact when
-    r^m = n: Newton's iteration from a power of two above the root,
-    which decreases to the floor."""
-    if n < 2 or m == 1:
-        return n, True
-    r = 1 << -(-n.bit_length() // m)
-    while True:
-        s = ((m - 1) * r + n // r ** (m - 1)) // m
-        if s >= r:
-            return r, r ** m == n
-        r = s
-
-
-def _fraction_nth_root(fr, m):
-    """Exact m-th root of a rational (Rational or Fraction), or None (also
-    for 0: a constant factor of alpha must be invertible)."""
-    if fr < 0:
-        if m % 2 == 0:
-            return None
-        neg = _fraction_nth_root(-fr, m)
-        return None if neg is None else -neg
-    rp, p_exact = _integer_nthroot(fr.numerator, m)
-    rq, q_exact = _integer_nthroot(fr.denominator, m)
-    return Rational(rp, rq) if rp and p_exact and q_exact else None
-
-
-def _radical_exponents(rel):
-    """Read one relation x_ii^m = c * t^j per diagonal entry.
-
-    Returns (M, exps, consts) for alpha = diag(s_i * gamma^exps[i]),
-    gamma^M = t, or raises when the basis holds no such relation for
-    some diagonal entry.  consts[i] is s_i when c has a rational m-th
-    root, else None: then s_i = gamma(a)^(-exps[i]) in gamma's field, since
-    F_bar(a) = I forces c = a^(-j)."""
-    ring = rel.ring
-    R = ring.field
-    n = _n(rel)
-    found = {}
-    for P in rel.basis:
-        terms = list(P.terms.items())
-        if len(terms) != 2:
-            continue
-        terms.sort(key=lambda item: sum(item[0]), reverse=True)
-        (e1, f1), (e0, f0) = terms
-        if sum(e0) != 0:
-            continue
-        diag_pos = [i * n + i for i in range(n)]
-        live = [p for p in range(n * n) if e1[p]]
-        if len(live) != 1 or live[0] not in diag_pos:
-            continue
-        i = live[0] // n
-        m = e1[live[0]]
-        r = R.div(R.neg(f0), f1)  # x_ii^m = r(t)
-        den = R.denom_coeffs(r)
-        num = R.numer_coeffs(r)
-        if len(den) != 1:
-            continue
-        if any(not R.const.is_zero(c) for c in num[:-1]):
-            continue
-        cconst = R.const.div(num[-1], den[0])
-        if R.const.is_one(cconst):
-            s = R.const.one
-        else:
-            vec = R.const.to_rational_vector(cconst)
-            root = None if any(vec[1:]) else _fraction_nth_root(vec[0], m)
-            s = None if root is None else R.const.from_fraction(root)
-        j = len(num) - 1
-        if i not in found or m < found[i][0]:
-            found[i] = (m, j, s)
-    if len(found) != n:
-        raise UnsupportedInstanceError(
-            "no zero of the relation ideal in the supported diagonal "
-            "radical class (missing a relation x_ii^m = t^j for some i)")
-    M = lcm(*(m for m, _j, _s in found.values()))
-    exps = [M * found[i][1] // found[i][0] for i in range(n)]
-    consts = [found[i][2] for i in range(n)]
-    return M, exps, consts
-
-
-def find_alpha_fbar(sys, rel, H, Hcirc, order):
-    """The algebraic point alpha of the relation variety and the
-    fundamental matrix F_bar at the relations' point a, with
-    alpha^{-1} F_bar verified (in series through the truncation order)
-    to lie in H's identity component; the component witness gbar is
-    folded into alpha."""
-    n = sys.n
-    R = sys.R
-    Fbar = sys.fundamental_series(rel.a, order)
-    kf = R.const
-    if not rel.basis or _vanishes_at_identity(rel):
-        kind, M, exps = "identity", 1, [0] * n
-        consts = [kf.one] * n
-        C = Fbar
-    else:
-        kind = "radical"
-        M, exps, consts = _radical_exponents(rel)
-        qcoeffs = [R.neg(R.t)] + [R.zero] * (M - 1) + [R.one]
-        kf, gser, root = algebraic_series(R, qcoeffs, rel.a, order)
-        consts = [kf.pow(root, -e) if s is None else kf.coerce_from(R.const, s)
-                  for s, e in zip(consts, exps)]
-        ring = rel.ring
-        if kf != R.const:
-            ring = PolyRing(R.over(kf), ring.names, ring.order)
-            Fbar = Fbar.coerce_to(kf)
-        # verify every relation vanishes at alpha
-        zero = Series.constant(kf, kf.zero, order)
-        gpow = {e: gser ** e for e in set(exps)}
-        alpha_entries = [[gpow[exps[i]].scale(consts[i]) if i == j else zero
-                          for j in range(n)] for i in range(n)]
-        Aser = TruncSeries.from_entries(kf, Fbar.a, alpha_entries)
-        for P in rel.basis:
-            if not membership_test(_coerce_poly(ring, rel.ring, P), Aser,
-                                   order):
-                raise UnsupportedInstanceError(
-                    "candidate alpha fails a relation: %s; the algebraic "
-                    "point is outside the supported diagonal radical class"
-                    % rel.ring.format(P))
-        ginv = gser.inverse()
-        ginv_pow = {e: ginv ** e for e in set(exps)}
-        C_entries = [[(Fbar.entry(i, j) * ginv_pow[exps[i]]).scale(
-                          kf.inv(consts[i]))
-                      for j in range(n)] for i in range(n)]
-        C = TruncSeries.from_entries(kf, Fbar.a, C_entries)
-    gbar = linalg.identity(kf, n)
-    if not _component_membership(Hcirc, C, order):
-        kf, gbar = _component_witness(H, Hcirc, C, order)
-        Fbar = Fbar.coerce_to(kf)
-        consts = [kf.coerce_from(C.field, s) for s in consts]
-    return AlphaData(kind, kf, M, exps, consts, gbar, Fbar)
-
-
-def _component_membership(Hcirc, C, order):
-    return all(membership_test(g, C, order) for g in Hcirc.generators)
-
-
-def _component_witness(H, Hcirc, C, order):
-    """Find a constant gbar in H placing gbar^{-1} C in the identity
-    component; only enumerable (finite) H is supported."""
-    if H.points is None:
-        try:
-            group_points_finite(H)
-        except (DgalError, PositiveDimensionalError) as err:
-            raise UnsupportedInstanceError(
-                "component witness search needs an enumerable group: %s"
-                % err) from err
-    big = join(C.field, H.points_field)
-    Cb = C.coerce_to(big)
+def _exponent(H):
+    """The lcm of the orders of the enumerated points of a finite H."""
+    fld = H.points_field
+    one = linalg.identity(fld, H.n)
+    M = 1
     for p in H.points:
-        g = [[big.coerce_from(H.points_field, x) for x in row] for row in p]
-        ginv = linalg.inverse(big, g)
-        Cg = TruncSeries(big, Cb.a,
-                         [linalg.matmul(big, ginv, m) for m in Cb.mats])
-        if _component_membership(Hcirc, Cg, order):
-            return big, g
-    raise DgalError("membership of alpha^{-1} F_bar in the identity "
-                    "component could not be certified at this order")
+        power, order = p, 1
+        while not _mat_eq(fld, power, one):
+            power, order = linalg.matmul(fld, power, p), order + 1
+        M = lcm(M, order)
+    return M
+
+
+def find_alpha_fbar(sys, rel, H):
+    """F_bar = sum_{k<M} C_k(t) gamma^k with gamma^M = t/a, M the exponent
+    of the finite proto-group H and gamma(a) = 1, certified exactly.
+
+    Each nonzero entry f of F_bar is read off its series by Hermite-Pade,
+    q f = sum_k p_k gamma^k with deg p_k, deg q <= D, raising D from 0 to
+    the relations' t-degree cap 2 ell.  The first D whose C_k = p_k/q
+    pass C_k' + k/(M t) C_k = A C_k for every k, and sum_k C_k(a) = I,
+    is taken: sum_k C_k gamma^k then solves the system with value I at
+    a, so it is F_bar, whatever the truncation order."""
+    R = sys.R
+    a = rel.a
+    M = _exponent(H)
+    Fbar = None
+    for D in range(2 * rel.ell + 1):
+        # as many series rows as unknowns + 2
+        N = M * (D + 1) + D + 2
+        if Fbar is None or Fbar.order < N - 1:
+            Fbar = sys.fundamental_series(a, N - 1)
+            basis = [g.coeffs for g in _gamma_powers(R, M, a, N - 1)]
+        C = _kummer_coefficients(R, Fbar, basis, D)
+        if C is not None and _kummer_certified(sys, C, a):
+            return AlphaData(R, a, M, D, C)
+    raise UnsupportedInstanceError(
+        "F_bar is not in k(t)(gamma), gamma^%d = t/a, at coefficient "
+        "degree <= %d" % (M, 2 * rel.ell))
+
+
+def _gamma_powers(R, M, a, order):
+    """The series at a of gamma^k for k < M, where gamma^M = t/a and
+    gamma(a) = 1: a root in the constant field, so no field is built."""
+    k = R.const
+    powers = [Series.constant(k, k.one, order)]
+    if M > 1:
+        if k.is_zero(a):
+            raise UnsupportedInstanceError(
+                "gamma^%d = t/a has no expansion at the branch point a = 0"
+                % M)
+        qcoeffs = [R.scale(R.t, k.neg(k.inv(a)))] + [R.zero] * (M - 1) \
+            + [R.one]
+        gamma = algebraic_series(R, qcoeffs, a, order, root=k.one)[1]
+        for _ in range(M - 1):
+            powers.append(powers[-1] * gamma)
+    return powers
+
+
+def _kummer_coefficients(R, Fbar, basis, D):
+    """The candidate C_k over R from the series of F_bar and of the
+    gamma^k (basis, coefficient lists as long as F_bar's), each nonzero
+    entry by one Hermite-Pade solve at degree D; None when one has no
+    solution."""
+    k = R.const
+    n = Fbar.n
+    back = k.neg(Fbar.a)
+    C = [linalg.zeros(R, n, n) for _ in basis]
+    for i in range(n):
+        for j in range(n):
+            f = Fbar.entry(i, j).coeffs
+            if all(k.is_zero(c) for c in f):
+                continue
+            got = rational_reconstruction(k, f, D, D, basis)
+            if got is None:
+                return None
+            nums, den = got
+            den = upoly.shift(k, den, back)
+            for Ck, num in zip(C, nums):
+                Ck[i][j] = R.from_coeffs(upoly.shift(k, num, back), den)
+    return C
+
+
+def _kummer_certified(sys, C, a):
+    """True when C_k' + k/(M t) C_k = A C_k for every k, exactly in k(t),
+    and sum_k C_k(a) = I."""
+    R = sys.R
+    k = R.const
+    n = sys.n
+    M = len(C)
+    at_a = linalg.zeros(k, n, n)
+    for e, Ck in enumerate(C):
+        twist = R.div(R.from_int(e), R.scale(R.t, k.from_int(M)))
+        ACk = linalg.matmul(R, sys.A, Ck)
+        for i in range(n):
+            for j in range(n):
+                lhs = R.add(R.diff(Ck[i][j]), R.mul(twist, Ck[i][j]))
+                if not R.eq(lhs, ACk[i][j]):
+                    return False
+                at_a[i][j] = k.add(at_a[i][j], R.eval_at(Ck[i][j], a))
+    return _mat_eq(k, at_a, linalg.identity(k, n))
+
+
+def _fbar_in_component(sys, rel, Hcirc, order):
+    """F_bar through u^order, checked in series to lie in H's identity
+    component; only alpha = I is supported there."""
+    if not _vanishes_at_identity(rel):
+        raise UnsupportedInstanceError(
+            "substitution of a nontrivial algebraic alpha into an infinite "
+            "component ideal is outside the supported class")
+    Fbar = sys.fundamental_series(rel.a, order)
+    if not all(membership_test(g, Fbar, order) for g in Hcirc.generators):
+        raise UnsupportedInstanceError(
+            "membership of F_bar in the identity component could not be "
+            "certified at this order")
+    return Fbar
 
 
 # -- identity component of the Galois group -----------------------------
@@ -348,16 +299,10 @@ def character_binomials(chars, rl, ring):
     return gens
 
 
-def build_J_barH(alpha, Hcirc, chars, rl):
+def build_J_barH(Hcirc, chars, rl):
     """The constrained component: H's identity component intersected
     with the character binomials of the relation lattice, then its own
-    identity component (the Galois group's identity component).  Only
-    alpha = I is supported: a nontrivial alpha would be substituted into
-    the component's ideal."""
-    if alpha.kind != "identity":
-        raise UnsupportedInstanceError(
-            "substitution of a nontrivial algebraic alpha into an infinite "
-            "component ideal is outside the supported class")
+    identity component (the Galois group's identity component)."""
     n = Hcirc.n
     big = Hcirc.ring.field
     if chars:
@@ -372,18 +317,18 @@ def build_J_barH(alpha, Hcirc, chars, rl):
 
 # -- finite part --------------------------------------------------------
 
-def finite_part(alpha):
+def finite_part(alpha, H):
     """The finite Galois group, one point per conjugate tau of gamma.
 
     Precondition: H's identity component is {I}, and find_alpha_fbar has
-    checked C = diag(s_i^{-1} gamma^{-e_i}) F_bar = gbar through the
-    truncation order.  A conjugate tau(gamma) = z gamma with z^M = 1 then
-    gives the point gbar^{-1} diag(z^e_1, ..., z^e_n) gbar, read off over
-    the splitting field of x^M - 1 without a polynomial solve.  Returns
-    (field, points)."""
-    kf = alpha.field
-    M = alpha.M
-    n = len(alpha.gbar)
+    certified F_bar = sum_k C_k gamma^k.  A conjugate tau(gamma) = z gamma
+    with z^M = 1 sends F_bar to F_bar g with g = tau(F_bar)(a) =
+    sum_k z^k C_k(a), read off over the splitting field of x^M - 1
+    without a polynomial solve.  Each point is checked to satisfy H's
+    equations (G <= H).  Returns (field, points)."""
+    R, M = alpha.R, alpha.M
+    kf = R.const
+    n = len(alpha.C[0])
     if M == 1:
         fld, roots = kf, [kf.one]
     else:
@@ -396,18 +341,27 @@ def finite_part(alpha):
             raise UnsupportedInstanceError(
                 "could not split the conjugate set of gamma")
         roots.sort(key=lambda r: (not fld.is_one(r), fld.format(r)))
-    gbar = [[fld.coerce_from(kf, x) for x in row] for row in alpha.gbar]
-    gbar_inv = linalg.inverse(fld, gbar)
+    at_a = [[[fld.coerce_from(kf, R.eval_at(x, alpha.a)) for x in row]
+             for row in Ck] for Ck in alpha.C]
     pts = []
     for z in roots:
-        zdiag = [[fld.pow(z, alpha.exps[i]) if i == j else fld.zero
-                  for j in range(n)] for i in range(n)]
-        m = linalg.matmul(fld, gbar_inv, linalg.matmul(fld, zdiag, gbar))
+        m = linalg.zeros(fld, n, n)
+        zk = fld.one
+        for Ck in at_a:
+            m = linalg.mat_add(fld, m, linalg.mat_scale(fld, Ck, zk))
+            zk = fld.mul(zk, z)
         if not any(_mat_eq(fld, m, q) for q in pts):
             pts.append(m)
     if not _mat_eq(fld, pts[0], linalg.identity(fld, n)):
         raise DgalError("identity matrix missing from the tau = id part")
     _finite_closure_check(fld, pts)
+    ring = group_ring(n, fld)
+    gens = [_coerce_poly(ring, H.ring, g) for g in H.generators]
+    for m in pts:
+        vals = [x for row in m for x in row]
+        if not all(fld.is_zero(g.eval_consts(vals)) for g in gens):
+            raise DgalError("a point of the finite part fails an equation "
+                            "of the proto-group")
     return fld, pts
 
 
@@ -486,21 +440,17 @@ def galois_group(sys, cfg):
     shrinks).  Everything else refuses loudly."""
     H, rel = proto_galois(sys, cfg)
     n = sys.n
-    order = rel.order_used + 2
     Hcirc = identity_component(H)
     point = sys.R.const.format(rel.a)
     provenance = {
-        # the document format has three point lines; all name point a
         "point_a": point,
-        "point_b": point,
-        "point_c": point,
         "degree": rel.d,
         "order_used": rel.order_used,
     }
     chars = []
     if H.finite:
-        alpha = find_alpha_fbar(sys, rel, H, Hcirc, order)
-        fld, pts = finite_part(alpha)
+        alpha = find_alpha_fbar(sys, rel, H)
+        fld, pts = finite_part(alpha, H)
         provenance["alpha"] = alpha.describe()
         desc = GaloisGroupDescription(
             n, H, rel, Hcirc, True, fld, pts, len(pts), 0,
@@ -517,14 +467,14 @@ def galois_group(sys, cfg):
         else:
             # u'/u of u = chi(F_bar) loses one order to d/dt and must
             # still fix a numerator and a denominator of degree ell each
-            alpha = find_alpha_fbar(sys, rel, H, Hcirc,
-                                    max(order, 4 * cfg.ell + 3))
-            S = alpha.Fbar.coerce_to(join(alpha.field, chars[0].ring.field))
+            Fbar = _fbar_in_component(
+                sys, rel, Hcirc, max(rel.order_used + 2, 4 * cfg.ell + 3))
+            S = Fbar.coerce_to(join(Fbar.field, chars[0].ring.field))
             elements = [logderiv_from_character(ch, S, cfg.ell, cfg.ell)
                         for ch in chars]
             rl = relation_lattice(elements)
-            Gcirc = build_J_barH(alpha, Hcirc, chars, rl)
-            provenance["alpha"] = alpha.describe()
+            Gcirc = build_J_barH(Hcirc, chars, rl)
+            provenance["alpha"] = "alpha = I"
             provenance["hyperexp_relations"] = len(rl.relations) + \
                 len(rl.self_relations)
             if not _same_ideal(Gcirc, Hcirc):

@@ -1,5 +1,6 @@
 """Truncated power series: scalars, matrices, expansions of rational
-functions, algebraic function expansions, and rational reconstruction.
+functions, algebraic function expansions, and Hermite-Pade
+reconstruction (rational functions are its one-series case).
 
 A Series is a list of coefficients in (t - a)^k for k = 0..order; the
 base point lives in the surrounding context, not in the scalar.  All
@@ -294,32 +295,37 @@ def _det_series(entries):
     return total
 
 
-def rational_reconstruction(field, coeffs, num_deg, den_deg):
-    """Find p/q with deg p <= num_deg, deg q <= den_deg, q(0) = 1, matching
-    the given series coefficients (in the local parameter).  Returns
-    (num_coeffs, den_coeffs) ascending, or None."""
+def rational_reconstruction(field, coeffs, num_deg, den_deg, basis=None):
+    """Hermite-Pade: find q and p_k with q f = sum_k p_k b_k through the
+    given series coefficients of f (in the local parameter), deg p_k <=
+    num_deg, deg q <= den_deg and q(0) = 1.  basis lists the coefficients
+    of the series b_k, at least as many as of f; the default, the one
+    series 1, makes p_0/q a Pade approximant of f.  Every coefficient is a
+    row.  Returns (nums, den) ascending, one numerator per b_k, or
+    None."""
     N = len(coeffs)
-    if N < num_deg + den_deg + 2:
+    if basis is None:
+        basis = [[field.one] + [field.zero] * (N - 1)]
+    width = len(basis) * (num_deg + 1)
+    if N < width + den_deg + 1:
         raise DgalError("not enough series terms for reconstruction "
-                        "(%d < %d)" % (N, num_deg + den_deg + 2))
-    # unknowns: p_0..p_num_deg, q_1..q_den_deg  (q_0 = 1)
+                        "(%d < %d)" % (N, width + den_deg + 1))
+    # unknowns: p_k,0..p_k,num_deg for each b_k, then q_1..q_den_deg
+    # (q_0 = 1)
     rows = []
-    rhs = []
     for k in range(N):
-        row = [field.zero] * (num_deg + 1 + den_deg)
-        if k <= num_deg:
-            row[k] = field.one
-        for j in range(1, den_deg + 1):
-            if k - j >= 0:
-                row[num_deg + j] = field.neg(coeffs[k - j])
+        row = [field.zero] * (width + den_deg)
+        for b, series in enumerate(basis):
+            for i in range(min(k, num_deg) + 1):
+                row[b * (num_deg + 1) + i] = series[k - i]
+        for j in range(1, min(k, den_deg) + 1):
+            row[width + j - 1] = field.neg(coeffs[k - j])
         rows.append(row)
-        rhs.append(coeffs[k])
-    sol = linalg.solve(field, rows, rhs)
+    sol = linalg.solve(field, rows, coeffs)
     if sol is None:
         return None
-    num = sol[:num_deg + 1]
-    den = [field.one] + sol[num_deg + 1:]
-    return num, den
+    nums = [sol[b:b + num_deg + 1] for b in range(0, width, num_deg + 1)]
+    return nums, [field.one] + sol[width:]
 
 
 def reconstruct_ratfunc(R, series, a, num_deg, den_deg):
@@ -329,7 +335,7 @@ def reconstruct_ratfunc(R, series, a, num_deg, den_deg):
     got = rational_reconstruction(k, series.coeffs, num_deg, den_deg)
     if got is None:
         return None
-    num, den = got
+    (num,), den = got
     num_t = upoly.shift(k, num, k.neg(a))
     den_t = upoly.shift(k, den, k.neg(a))
     return R.from_coeffs(num_t, den_t)

@@ -264,8 +264,8 @@ def test_galois_run_builds_no_symbolic_root(name, flags):
     ("diag23", ["--degree-override", "3", "--point", "2"], 6),
 ])
 def test_radical_run_at_a_point_without_rational_root(capsys, name, flags, order):
-    """x^2 = t/2 at t = 2 needs s = 2^(-1/2): s is taken from gamma(2) in
-    gamma's field, not from the rationals."""
+    """t^(1/2) at t = 2 is irrational, but gamma^M = t/2 has gamma(2) =
+    1: the run needs no root of 2 and keeps its order."""
     system = Path(__file__).parent / "golden" / (name + ".sys")
     code = main(["galois", "--system", str(system)] + flags)
     out, err = capsys.readouterr()
@@ -275,9 +275,9 @@ def test_radical_run_at_a_point_without_rational_root(capsys, name, flags, order
 
 
 def test_radical_run_over_a_tower_builds_no_symbolic_root():
-    """At t = 2 the finite part needs the roots of x^6 - 2, which lie in
-    a degree-12 tower over QQ(2^(1/6)) made by Trager's norm, with no
-    symbolic root."""
+    """At t = 2 the finite part needs only the roots of x^6 - 1, since
+    gamma^6 = t/2 has the rational root gamma(2) = 1; they lie in a
+    number field made by Trager's norm, with no symbolic root."""
     system = Path(__file__).parent / "golden" / "diag23.sys"
     env = dict(os.environ,
                PYTHONPATH=str(Path(dgal.__file__).resolve().parents[1]))
@@ -287,6 +287,21 @@ def test_radical_run_over_a_tower_builds_no_symbolic_root():
     assert (run.returncode, run.stderr) == (0, "")
     lines = run.stdout.splitlines()
     assert "order: 6" in lines and "sandwich_checked: yes" in lines
+
+
+def test_group_does_not_depend_on_the_point(capsys):
+    """diag(1/(2t), 1/(3t)) at t = 1, 2 and 8 prints the same mu6, point
+    for point."""
+    system = str(Path(__file__).parent / "golden" / "diag23.sys")
+    seen = []
+    for point in ["1", "2", "8"]:
+        code = main(["galois", "--system", system, "--degree-override", "3",
+                     "--point", point])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        seen.append([line for line in out.splitlines()
+                     if line.startswith(("order:", "point:"))])
+    assert len(seen[0]) == 7 and seen[0] == seen[1] == seen[2]
 
 
 def _system(tmp_path, rows):
@@ -299,15 +314,40 @@ def _system(tmp_path, rows):
     return str(path)
 
 
-def test_gauge_transformed_radical_system_refuses_with_exit_2(capsys, tmp_path):
-    """diag(1/(2t), 1/(3t)) after the constant gauge [[1, 1], [0, 1]]: the
-    relations hold no diagonal algebraic point, so the finite part is
-    refused as unsupported, not as an internal error."""
-    system = _system(tmp_path, [["1/(2*t)", "-1/(6*t)"], ["0", "1/(3*t)"]])
+@pytest.mark.parametrize("rows", [
+    pytest.param([["1/(2*t)", "-1/(6*t)"], ["0", "1/(3*t)"]], id="P11"),
+    pytest.param([["2/(3*t)", "-1/(6*t)"], ["1/(3*t)", "1/(6*t)"]],
+                 id="P12"),
+])
+def test_gauge_transformed_radical_systems_answer(capsys, tmp_path, rows):
+    """diag(1/(2t), 1/(3t)) after the constant gauges P = [[1, 1], [0, 1]]
+    and [[1, 1], [1, 2]]: F_bar = P diag(gamma^3, gamma^2) P^-1 with
+    gamma^6 = t, so the group is mu6 in non-diagonal form."""
+    code = main(["galois", "--system", _system(tmp_path, rows),
+                 "--degree-override", "3"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "order: 6" in lines and "sandwich_checked: yes" in lines
+
+
+@pytest.mark.parametrize("point,reason", [
+    pytest.param("2", "F_bar is not in k(t)(gamma), gamma^2 = t/a, at "
+                 "coefficient degree <= 4", id="point2"),
+    pytest.param("0", "gamma^2 = t/a has no expansion at the branch point "
+                 "a = 0", id="point0"),
+])
+def test_radical_of_another_polynomial_refuses_with_exit_2(
+        capsys, tmp_path, point, reason):
+    """y' = y/(2t - 2) has the solution (t - 1)^(1/2), which is not in
+    k(t)(gamma) for gamma^2 = t/a: the finite part is refused as
+    unsupported, not as an internal error, and so is the point a = 0,
+    where gamma has no expansion."""
+    system = _system(tmp_path, [["1/(2*t - 2)"]])
     code, lines = refused(capsys, ["galois", "--system", system,
-                                   "--degree-override", "3"])
-    assert code == 2 and len(lines) == 1
-    assert lines[0].startswith("error: candidate alpha fails a relation")
+                                   "--degree-override", "2",
+                                   "--point", point])
+    assert (code, lines) == (2, ["error: " + reason])
 
 
 def test_finite_part_over_a_torus_is_refused_before_alpha(capsys, tmp_path):

@@ -1,7 +1,9 @@
-"""Every top-level import of a dgal module is used in that module.
+"""Every top-level import of a dgal module is used in that module, and
+every private module-level helper is used somewhere in the package.
 
-A stale import hides which layer a module really stands on; the check
-reads each source file with ``ast`` only, so it imports nothing."""
+A stale import hides which layer a module really stands on, and a dead
+helper hides which code still runs; the checks read each source file
+with ``ast`` only, so they import nothing."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,45 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_top_level_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unreferenced_helpers(sources):
+    """Module-level functions and classes named ``_x`` (not dunder) that
+    no source reads as a name, an attribute or an imported name outside
+    their own definition."""
+    defined, used = [], set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                    owner.startswith("_") and not owner.startswith("__"):
+                defined.append(owner)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names = [sub.id]
+                elif isinstance(sub, ast.Attribute):
+                    names = [sub.attr]
+                elif isinstance(sub, ast.ImportFrom):
+                    names = [a.name for a in sub.names]
+                else:
+                    continue
+                used.update(name for name in names if name != owner)
+    return [name for name in defined if name not in used]
+
+
+def test_unreferenced_helpers_are_found():
+    assert unreferenced_helpers([
+        "def _kept():\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Dead:\n    pass\n"
+        "def __getattr__(name):\n    pass\n",
+        "from .a import _imported\n"
+        "def _imported_elsewhere():\n    pass\n"
+        "def public(m):\n    return _kept(), m._imported_elsewhere\n",
+    ]) == ["_recursive", "_Dead"]
+
+
+def test_every_private_helper_is_referenced():
+    sources = [(SRC / name).read_text() for name in sorted(
+        p.name for p in SRC.glob("*.py"))]
+    assert unreferenced_helpers(sources) == []

@@ -3,8 +3,7 @@
 Each property draws small random inputs and checks one kernel against the
 sympy function it replaces: factoring over QQ, QQ(i) and QQ(omega), the
 polynomial gcd over QQ, the Hermite normal form and the integer kernel,
-the integer n-th root, and arithmetic, text form and partial fractions
-in Q(t)."""
+and arithmetic, text form and partial fractions in Q(t)."""
 
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 from dgal import upoly
 from dgal.fields import ConstField, factor_list, field_adjoin
 from dgal.lattice import hnf_basis, integer_kernel
-from dgal.pipeline import _integer_nthroot
 from dgal.ratfunc import RatFuncField
 from sympy_oracle import poly, sympy_domain
 
@@ -125,14 +123,6 @@ def test_hnf_and_kernel_match_sympy(rows):
     ker = [[int(x) for x in t.col(j)] for j in range(t.cols)
            if j >= a.cols or all(a[i, j] == 0 for i in range(a.rows))]
     assert integer_kernel(rows, 3) == hnf_basis(ker)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 60), st.integers(1, 7))
-def test_integer_nthroot_matches_sympy(n, m):
-    root, exact = sp.integer_nthroot(n, m)
-    assert _integer_nthroot(n, m) == (int(root), exact)
-    assert _integer_nthroot(root ** m, m) == (int(root), True)
 
 
 T = sp.Symbol("t")

@@ -4,16 +4,22 @@ from fractions import Fraction
 import pytest
 
 import dgal.pipeline
-from dgal.errors import UnsupportedInstanceError
+from hypothesis import assume, given, settings, strategies as st
+
+from dgal import upoly
+from dgal.errors import DgalError, UnsupportedInstanceError
 from dgal.fields import ConstField
-from dgal.groups import AlgebraicSubgroup, group_points_finite, group_ring
+from dgal.groups import (AlgebraicSubgroup, group_points_finite, group_ring,
+                         identity_component)
 from dgal.lattice import congruence_lattice
 from dgal.pipeline import (AlphaData, GaloisGroupDescription,
-                           PipelineConfig, _same_ideal, finite_part,
+                           PipelineConfig, _gamma_powers,
+                           _kummer_certified, _kummer_coefficients,
+                           _same_ideal, find_alpha_fbar, finite_part,
                            galois_group, proto_galois, sandwich_check)
 from dgal.ratfunc import RatFuncField
 from dgal.relations import substituted_coefficient_system
-from dgal.series import Series
+from dgal.series import Series, TruncSeries, ratfunc_series
 from dgal.solve import solve_zero_dimensional
 from dgal.systems import OdeSystem
 
@@ -164,17 +170,6 @@ def test_singular_point_rejected():
         run(sys_of(["1/(2*t)"]), 2, a=K.zero)
 
 
-def test_fraction_nth_root_exact():
-    from dgal.pipeline import _fraction_nth_root
-    # far beyond float range
-    assert _fraction_nth_root(Fraction(10 ** 400), 2) == Fraction(10 ** 200)
-    assert _fraction_nth_root(Fraction(-8, 10 ** 999), 3) == \
-        Fraction(-2, 10 ** 333)
-    assert _fraction_nth_root(Fraction(10 ** 400 + 1), 2) is None
-    assert _fraction_nth_root(Fraction(4, 10 ** 401), 2) is None
-    assert _fraction_nth_root(Fraction(-4), 2) is None
-
-
 @pytest.mark.parametrize("rows,d", [
     pytest.param([["1/(2*t)"]], 2, id="mu2"),
     pytest.param([["1/(2*t)", "0"], ["0", "1/(3*t)"]], 3, id="diag23"),
@@ -183,7 +178,7 @@ def test_fraction_nth_root_exact():
 def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
     """Each point of the finite part satisfies the proto-group's
     equations (G <= H), the order divides |H|, and finite_part reads the
-    points off alpha: no series product, coefficient system or
+    points off the C_k at a: no series product, coefficient system or
     zero-dimensional solve."""
     inside, calls = [0], []
 
@@ -227,12 +222,81 @@ def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
     assert len(hpts) % desc.order == 0
 
 
-def test_finite_part_conjugates_by_the_witness():
-    # gamma^2 = t, alpha = diag(gamma, 1) * gbar: the conjugate -gamma
-    # gives gbar^{-1} diag(-1, 1) gbar
-    one = K.one
-    gbar = [[one, one], [K.zero, one]]
-    alpha = AlphaData("radical", K, 2, [1, 0], [one, one], gbar, None)
-    fld, pts = finite_part(alpha)
+def test_finite_part_reads_the_projections():
+    # gamma^2 = t/a, F_bar = C_1 gamma + C_0 with C_1 and C_0 the
+    # projections P^-1 e_11 P and P^-1 e_22 P, P = [[1, 1], [0, 1]]: the
+    # conjugate -gamma gives -C_1 + C_0
+    c = R.from_int
+    C = [[[R.zero, c(-1)], [R.zero, R.one]], [[R.one, R.one], [R.zero, R.zero]]]
+    ring = group_ring(2, K)
+    H = AlgebraicSubgroup(2, ring, [ring.parse(g) for g in [
+        "x_1_1^2 - 1", "x_1_2 - x_1_1 + 1", "x_2_1", "x_2_2 - 1"]])
+    alpha = AlphaData(R, K.one, 2, 0, C)
+    fld, pts = finite_part(alpha, H)
     assert [[[fld.format(x) for x in row] for row in m] for m in pts] == \
         [[["1", "0"], ["0", "1"]], [["-1", "-2"], ["0", "1"]]]
+    # a point outside H breaks G <= H
+    H.generators[1] = ring.parse("x_1_2")
+    with pytest.raises(DgalError):
+        finite_part(alpha, H)
+
+
+def _kummer_sum_series(C, M, a, order):
+    """The TruncSeries at a of sum_k C_k gamma^k, gamma^M = t/a."""
+    n = len(C[0])
+    powers = _gamma_powers(R, M, a, order)
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            s = Series.constant(K, K.zero, order)
+            for Ck, g in zip(C, powers):
+                s = s + ratfunc_series(R, Ck[i][j], a, order) * g
+            entries[i][j] = s
+    return TruncSeries.from_entries(K, a, entries)
+
+
+small_poly = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([1, 2, -3]), st.data())
+def test_hermite_pade_recovers_kummer_coefficients(M, a, data):
+    """Random C_k over QQ(t) of degree <= 2 (one denominator per entry)
+    come back from the series of sum_k C_k gamma^k at D = 2."""
+    a = K.from_int(a)
+    C = [[[None] * 2 for _ in range(2)] for _ in range(M)]
+    for i in range(2):
+        for j in range(2):
+            den = data.draw(small_poly.filter(
+                lambda q: any(q[1:]) or q[0]).map(
+                    lambda q: [K.from_int(x) for x in q]))
+            assume(not K.is_zero(upoly.evaluate(K, den, a)))
+            for Ck in C:
+                num = [K.from_int(x) for x in data.draw(small_poly)]
+                Ck[i][j] = R.from_coeffs(num, den)
+    N = 3 * M + 4
+    basis = [g.coeffs for g in _gamma_powers(R, M, a, N - 1)]
+    got = _kummer_coefficients(R, _kummer_sum_series(C, M, a, N - 1),
+                               basis, 2)
+    assert got is not None
+    assert all(R.eq(x, y) for Ck, Gk in zip(C, got)
+               for row, grow in zip(Ck, Gk) for x, y in zip(row, grow))
+
+
+def test_kummer_certificate_refuses_an_altered_candidate():
+    """The gauge P diag(1/(2t), 1/(3t)) P^-1, P = [[1, 1], [0, 1]]:
+    the certified C_k pass; one entry altered by t - a keeps F_bar(a) = I
+    but breaks the system, and scaling every C_k keeps the system but
+    breaks F_bar(a) = I."""
+    s = sys_of(["1/(2*t)", "-1/(6*t)"], ["0", "1/(3*t)"])
+    H, rel = proto_galois(s, PipelineConfig(degree=3))
+    identity_component(H)
+    alpha = find_alpha_fbar(s, rel, H)
+    assert (alpha.M, alpha.D) == (6, 0)
+    assert _kummer_certified(s, alpha.C, rel.a)
+    altered = [[row[:] for row in Ck] for Ck in alpha.C]
+    altered[3][0][1] = R.add(altered[3][0][1], R.parse("t - 1"))
+    assert not _kummer_certified(s, altered, rel.a)
+    doubled = [[[R.scale(x, K.from_int(2)) for x in row] for row in Ck]
+               for Ck in alpha.C]
+    assert not _kummer_certified(s, doubled, rel.a)
