@@ -580,13 +580,3 @@ def split_univariate(field, coeffs):
                 # refactor over the field grown for an earlier factor
                 pending.append((fld, fac, mult * k))
     return fld, [(fld.coerce_from(f, r), m) for f, r, m in found]
-
-
-def find_one_root(field, coeffs):
-    """One root of the given univariate polynomial, adjoining only what
-    that single root needs.  Returns (new_field, root)."""
-    coeffs = upoly.trim(field, coeffs)
-    if len(coeffs) < 2:
-        raise DgalError("no roots: polynomial is constant")
-    factors, norm = factor_list(field, coeffs)
-    return _adjoin_root(field, min(factors, key=lambda fk: len(fk[0]))[0], norm)

@@ -14,7 +14,8 @@ from . import factor, lattice, linalg
 from .errors import DgalError, UnsupportedInstanceError
 from .multipoly import PolyRing, groebner, normal_form, standard_monomials
 from .rational import Rational
-from .relations import _row_reduce_polys, graded_lex_order, matrix_var_names
+from .relations import (_product_substitution, _relations_at_product,
+                        _row_reduce_polys, graded_lex_order, matrix_var_names)
 from .solve import PositiveDimensionalError, solve_zero_dimensional
 
 
@@ -89,19 +90,6 @@ def full_group(n, field):
 
 # -- stabilizer ---------------------------------------------------------
 
-def _product_substitution(ring_xy, n):
-    """Map each x-variable to its entry of the product X*Y inside the
-    doubled ring (x block then y block)."""
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            acc = ring_xy.zero
-            for l in range(n):
-                acc = acc + ring_xy.gen(i * n + l) * ring_xy.gen(n * n + l * n + j)
-            values[i * n + j] = acc
-    return values
-
-
 def _action_residuals(rel):
     """For each basis relation P, the coefficient vector of P(X*h) with
     h symbolic, reduced against the span of the basis.
@@ -114,19 +102,12 @@ def _action_residuals(rel):
     in turn.
     """
     ring = rel.ring
-    R = ring.field
     nsq = ring.nvars
-    n = isqrt(nsq)
-    hnames = ["y_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    ring_xy = PolyRing(R, list(ring.names) + hnames, ring.order)
-    subst = _product_substitution(ring_xy, n)
-    ring_h = PolyRing(R, hnames, graded_lex_order(nsq))
+    ring_xy, products = _relations_at_product(rel)
+    ring_h = PolyRing(ring.field, ring_xy.names[nsq:], graded_lex_order(nsq))
     leads = [(Q.leading()[0], Q) for Q in rel.basis]
     residuals = []
-    for P in rel.basis:
-        lifted = ring_xy.from_dict(
-            {e + (0,) * nsq: c for e, c in P.terms.items()})
-        acted = lifted.substitute(subst)
+    for acted in products:
         # split exponents into (x-monomial, h-polynomial) coordinates
         vec = {}
         for e, c in acted.terms.items():

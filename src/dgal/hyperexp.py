@@ -2,9 +2,11 @@
 
 A hyperexponential element h is known here only through its logarithmic
 derivative v = h'/h, a rational function over (an extension of) the
-constant field.  ``logderiv_from_character`` recovers v from a truncated
-series; ``relation_lattice`` finds all multiplicative relations
-h_j^{m_j} = f_j * prod h_{eta_i}^{m_{i,j}} with rational cofactors f_j.
+constant field.  ``logderiv_from_character`` recovers v from the series
+of a character value chi(F), read off the monomial-series store of the
+fundamental matrix F; ``relation_lattice`` finds all multiplicative
+relations h_j^{m_j} = f_j * prod h_{eta_i}^{m_{i,j}} with rational
+cofactors f_j.
 """
 
 from functools import reduce
@@ -15,7 +17,7 @@ from .errors import DgalError, ResourceCapError, UnsupportedInstanceError
 from .fields import ConstField, join
 from .rational import ONE, ZERO
 from .ratfunc import RatFuncField
-from .series import poly_on_series, reconstruct_ratfunc
+from .series import reconstruct_ratfunc
 
 
 class HyperexpElement:
@@ -74,26 +76,28 @@ class RelationLattice:
         self.admissible = [list(r) for r in admissible]
 
 
-def logderiv_from_character(chi, S, num_deg, den_deg):
-    """Recover the rational logarithmic derivative of h = chi(S) from the
-    truncated series S of the matrix argument.
+def logderiv_from_character(chi, store, order, num_deg, den_deg):
+    """Recover the rational logarithmic derivative of h = chi(F) from
+    the series of u = chi(F) through u^order, F the fundamental matrix
+    whose monomial series ``store`` holds (systems.MonomialSeries).
 
-    The series u = chi(S) must have a nonzero constant term and order
-    above 2 * (num_deg + den_deg); u'/u is reconstructed as a rational
-    function and must come out identical at the full and the
-    one-lower truncation order, else a degree-cap error is raised.
+    u must have a nonzero constant term and order above 2 * (num_deg +
+    den_deg); u'/u is reconstructed as a rational function and must
+    come out identical at the full and the one-lower truncation order,
+    else a degree-cap error is raised.
     """
-    kf = S.field
-    u = poly_on_series(chi.poly, S)
+    u = store.series_of(chi.poly, order)
+    kf = u.field
     if kf.is_zero(u.coeffs[0]):
         raise DgalError("character series vanishes at the expansion point")
     w = u.diff() * u.inverse()
     R = RatFuncField(kf)
     if w.order < 2 * (num_deg + den_deg) + 2:
         raise ResourceCapError("series order %d too small for degree caps "
-                               "(%d, %d)" % (S.order, num_deg, den_deg))
-    got = reconstruct_ratfunc(R, w, S.a, num_deg, den_deg)
-    got2 = reconstruct_ratfunc(R, w.truncate(w.order - 1), S.a,
+                               "(%d, %d)" % (order, num_deg, den_deg))
+    a = kf.coerce_from(store.field, store.a)
+    got = reconstruct_ratfunc(R, w, a, num_deg, den_deg)
+    got2 = reconstruct_ratfunc(R, w.truncate(w.order - 1), a,
                                num_deg, den_deg)
     if got is None or got2 is None or not R.eq(got, got2):
         raise ResourceCapError("logarithmic derivative did not stabilize "

@@ -5,11 +5,12 @@ The stages compose as: relation ideal -> stabilizer (the proto-group H)
 relation lattice -> identity component of the Galois group -> finite
 part over the conjugates of gamma.  Every stage works from one
 fundamental matrix F_bar, expanded at the one point a of PipelineConfig:
-the relations and the logarithmic derivatives of the characters read
-that expansion.  When H is finite of exponent M, F_bar is read off its
-expansion as sum_{k<M} C_k(t) gamma^k with gamma^M = t/a (one
-Hermite-Pade solve per entry), certified exactly in k(t) by the system
-itself, and the finite part is read off the C_k at a.  Every
+the relations, the membership of F_bar in the identity component and
+the character values are read off ``systems.MonomialSeries`` stores at
+a.  When H is finite of exponent M, F_bar is read off its expansion as
+sum_{k<M} C_k(t) gamma^k with gamma^M = t/a (one Hermite-Pade solve per
+entry; the gamma^k are binomial series), certified exactly in k(t) by
+the system itself, and the finite part is read off the C_k at a.  Every
 completed run carries a sandwich certificate: the kernel of the
 characters of H's identity component is contained in the computed
 identity component, which is contained in H (checked by Groebner
@@ -32,8 +33,9 @@ from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
                      verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import groebner, normal_form
-from .relations import find_relations, membership_test
-from .series import Series, algebraic_series, rational_reconstruction
+from .relations import find_relations
+from .series import Series, rational_reconstruction
+from .systems import MonomialSeries
 
 
 class PipelineConfig:
@@ -199,7 +201,9 @@ def find_alpha_fbar(sys, rel, H):
 
 def _gamma_powers(R, M, a, order):
     """The series at a of gamma^k for k < M, where gamma^M = t/a and
-    gamma(a) = 1: a root in the constant field, so no field is built."""
+    gamma(a) = 1: gamma^k = (1 + u/a)^(k/M) has the binomial
+    coefficients c_0 = 1, c_(j+1) = c_j (k/M - j)/((j + 1) a), so no
+    field and no series product is needed."""
     k = R.const
     powers = [Series.constant(k, k.one, order)]
     if M > 1:
@@ -207,11 +211,14 @@ def _gamma_powers(R, M, a, order):
             raise UnsupportedInstanceError(
                 "gamma^%d = t/a has no expansion at the branch point a = 0"
                 % M)
-        qcoeffs = [R.scale(R.t, k.neg(k.inv(a)))] + [R.zero] * (M - 1) \
-            + [R.one]
-        gamma = algebraic_series(R, qcoeffs, a, order, root=k.one)[1]
-        for _ in range(M - 1):
-            powers.append(powers[-1] * gamma)
+        inv_a = k.inv(a)
+        for e in range(1, M):
+            exponent = k.div(k.from_int(e), k.from_int(M))
+            c = [k.one]
+            for j in range(order):
+                step = k.div(k.sub(exponent, k.from_int(j)), k.from_int(j + 1))
+                c.append(k.mul(c[-1], k.mul(step, inv_a)))
+            powers.append(Series(k, c))
     return powers
 
 
@@ -259,19 +266,23 @@ def _kummer_certified(sys, C, a):
     return _mat_eq(k, at_a, linalg.identity(k, n))
 
 
-def _fbar_in_component(sys, rel, Hcirc, order):
-    """F_bar through u^order, checked in series to lie in H's identity
-    component; only alpha = I is supported there."""
+def _fbar_in_component(sys, rel, Hcirc, chars, order):
+    """The monomial-series store of F_bar at a, of the largest degree
+    among H deg's generators and the characters, with F_bar checked
+    through u^order to lie in H's identity component; only alpha = I is
+    supported there."""
     if not _vanishes_at_identity(rel):
         raise UnsupportedInstanceError(
             "substitution of a nontrivial algebraic alpha into an infinite "
             "component ideal is outside the supported class")
-    Fbar = sys.fundamental_series(rel.a, order)
-    if not all(membership_test(g, Fbar, order) for g in Hcirc.generators):
+    polys = list(Hcirc.generators) + [ch.poly for ch in chars]
+    store = MonomialSeries(sys, rel.a, max(P.total_degree() for P in polys))
+    if not all(store.series_of(g, order).is_zero()
+               for g in Hcirc.generators):
         raise UnsupportedInstanceError(
             "membership of F_bar in the identity component could not be "
             "certified at this order")
-    return Fbar
+    return store
 
 
 # -- identity component of the Galois group -----------------------------
@@ -467,11 +478,10 @@ def galois_group(sys, cfg):
         else:
             # u'/u of u = chi(F_bar) loses one order to d/dt and must
             # still fix a numerator and a denominator of degree ell each
-            Fbar = _fbar_in_component(
-                sys, rel, Hcirc, max(rel.order_used + 2, 4 * cfg.ell + 3))
-            S = Fbar.coerce_to(join(Fbar.field, chars[0].ring.field))
-            elements = [logderiv_from_character(ch, S, cfg.ell, cfg.ell)
-                        for ch in chars]
+            order = max(rel.order_used + 2, 4 * cfg.ell + 3)
+            store = _fbar_in_component(sys, rel, Hcirc, chars, order)
+            elements = [logderiv_from_character(ch, store, order, cfg.ell,
+                                                cfg.ell) for ch in chars]
             rl = relation_lattice(elements)
             Gcirc = build_J_barH(Hcirc, chars, rl)
             provenance["alpha"] = "alpha = I"

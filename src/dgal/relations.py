@@ -14,12 +14,19 @@ kept as ``{column: value}`` of their nonzero entries, and both the
 read-off (``_kernel_to_polys``) and the row reduction to the canonical
 basis (``_row_reduce_polys``, through the sparse
 ``linalg.RrefAccumulator``) touch only those entries.
+
+``_relations_at_product`` rewrites each basis relation as P(X*Y) once
+for both of its readers: the stabilizer (``groups``) groups it by
+x-monomial, and the transport search of ``second_point_check`` groups
+it by y-monomial and evaluates each x-polynomial with the
+``MonomialSeries`` store at the second point.
 """
+
+from math import isqrt
 
 from . import linalg, upoly
 from .errors import DgalError, InputError, ResourceCapError
 from .multipoly import MonomialOrder, PolyRing
-from .series import SeriesAlgebra, coefficient_series, poly_on_series
 from .solve import PositiveDimensionalError, solve_zero_dimensional
 from .systems import MonomialSeries
 
@@ -266,70 +273,73 @@ def _row_reduce_polys(ring, polys):
             for row in acc.reduced_rows()]
 
 
-def substituted_coefficient_system(polys, G, N, diagonal_only=False):
-    """Equations on a constant matrix h making every polynomial vanish on
-    G·h through u^N: substitute the series matrix times symbolic h into
-    each polynomial and read off one polynomial in h per series order.
-    With diagonal_only, h is diagonal (variables y_i, else y_i_j)."""
-    k = G.field
-    n = G.n
-    SA = SeriesAlgebra(k, N)
-    if diagonal_only:
-        hnames = ["y_%d" % (i + 1) for i in range(n)]
-    else:
-        hnames = ["y_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    ringS = PolyRing(SA, hnames, graded_lex_order(len(hnames)))
-    hvars = ringS.gens
-    values = []
+def _product_substitution(ring_xy, n):
+    """Map each x-variable to its entry of the product X*Y inside the
+    doubled ring (x block then y block)."""
+    values = {}
     for i in range(n):
         for j in range(n):
-            acc = ringS.zero
+            acc = ring_xy.zero
             for l in range(n):
-                if diagonal_only and l != j:
-                    continue
-                s = SA.lift(G.entry(i, l))
-                var = hvars[j] if diagonal_only else hvars[l * n + j]
-                acc = acc + var.scale(s)
-            values.append(acc)
-    ringC = PolyRing(k, hnames, graded_lex_order(len(hnames)))
-    eqs = []
-    for P in polys:
-        as_series = coefficient_series(P.ring.field, k, G.a, N)
-        val = P.evaluate(values, one=ringS.one, mul=lambda x, y: x * y,
-                         add=lambda x, y: x + y,
-                         from_coeff=lambda c: ringS.from_const(as_series(c)))
-        for order_k in range(N + 1):
-            terms = {}
-            for exp, s in val.terms.items():
-                c = s.coeffs[order_k] if order_k <= s.order else k.zero
-                if not k.is_zero(c):
-                    terms[exp] = c
-            if terms:
-                eqs.append(ringC.from_dict(terms))
-    return eqs
+                acc = acc + ring_xy.gen(i * n + l) * ring_xy.gen(n * n + l * n + j)
+            values[i * n + j] = acc
+    return values
 
 
-def transport_factor(rel, G, N):
+def _relations_at_product(rel):
+    """Each basis relation P as P(X*Y), in the doubled ring of the x and
+    the y variables y_i_j.  Returns (ring_xy, products)."""
+    ring = rel.ring
+    nsq = ring.nvars
+    n = isqrt(nsq)
+    hnames = ["y_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
+    ring_xy = PolyRing(ring.field, list(ring.names) + hnames, ring.order)
+    subst = _product_substitution(ring_xy, n)
+    return ring_xy, [ring_xy.from_dict({e + (0,) * nsq: c
+                                        for e, c in P.terms.items()})
+                     .substitute(subst) for P in rel.basis]
+
+
+def transport_factor(rel, store, N):
     """An invertible constant matrix h with every basis relation
-    vanishing on G·h through u^N, searched among the zeros of the
-    substituted coefficient system (full h first, then diagonal h).
-    Returns (field, h), or None when neither search finds one."""
-    n = G.n
-    for diag in (False, True):
+    vanishing on F*h through u^N, F the fundamental matrix whose
+    monomial series ``store`` holds.
+
+    Each relation splits as P(X*Y) = sum_b Q_b(X) Y^b, so P(F*h) =
+    sum_b Q_b(F) h^b; the coefficient of u^i gives one equation on h per
+    relation and order.  When the zeros form a positive-dimensional set,
+    its witness variable is pinned to 1 and the system solved again, at
+    most n^2 + 1 solves in all.  Returns (field, h), or None."""
+    k = store.field
+    nsq = rel.ring.nvars
+    n = isqrt(nsq)
+    ring_xy, products = _relations_at_product(rel)
+    ring_h = PolyRing(k, ring_xy.names[nsq:], graded_lex_order(nsq))
+    eqs = []
+    for PXY in products:
+        by_y = {}
+        for e, c in PXY.terms.items():
+            by_y.setdefault(e[nsq:], {})[e[:nsq]] = c
+        values = [(ye, store.series_of(rel.ring.from_dict(q), N).coeffs)
+                  for ye, q in by_y.items()]
+        for i in range(N + 1):
+            terms = {ye: s[i] for ye, s in values if not k.is_zero(s[i])}
+            if terms:
+                eqs.append(ring_h.from_dict(terms))
+    for _ in range(nsq + 1):
         try:
-            fld, pts = solve_zero_dimensional(
-                substituted_coefficient_system(rel.basis, G, N,
-                                               diagonal_only=diag))
-        except PositiveDimensionalError:
+            fld, pts = solve_zero_dimensional(eqs)
+        except PositiveDimensionalError as err:
+            if err.witness not in ring_h.names:
+                return None
+            pin = ring_h.gen(ring_h.names.index(err.witness))
+            eqs.append(pin - ring_h.one)
             continue
         for coords, _mult in pts:
-            if diag:
-                h = [[coords[i] if i == j else fld.zero for j in range(n)]
-                     for i in range(n)]
-            else:
-                h = [[coords[i * n + j] for j in range(n)] for i in range(n)]
+            h = [[coords[i * n + j] for j in range(n)] for i in range(n)]
             if not fld.is_zero(linalg.det(fld, h)):
                 return fld, h
+        return None
     return None
 
 
@@ -342,14 +352,9 @@ def second_point_check(sys, rel, b, margin=10):
     if not rel.basis:
         return True, "empty"
     N = rel.order_used + margin
-    Gb = sys.fundamental_series(b, N)
-    if all(membership_test(P, Gb, N) for P in rel.basis):
+    store = MonomialSeries(sys, b, rel.d)
+    if all(store.series_of(P, N).is_zero() for P in rel.basis):
         return True, "direct"
-    if transport_factor(rel, Gb, N) is not None:
+    if transport_factor(rel, store, N) is not None:
         return True, "transport"
     return False, "none"
-
-
-def membership_test(P, G, N):
-    """True iff P evaluated on the series matrix vanishes through u^N."""
-    return poly_on_series(P, G, N).is_zero()

@@ -1,6 +1,7 @@
 """Truncated power series: scalars, matrices, expansions of rational
-functions, algebraic function expansions, and Hermite-Pade
-reconstruction (rational functions are its one-series case).
+functions, and Hermite-Pade reconstruction (rational functions are its
+one-series case).  Polynomials in the entries of a fundamental matrix
+become series in ``systems.MonomialSeries``, not here.
 
 A Series is a list of coefficients in (t - a)^k for k = 0..order; the
 base point lives in the surrounding context, not in the scalar.  All
@@ -8,7 +9,6 @@ arithmetic truncates to the shorter operand.
 """
 
 from .errors import DgalError, SingularPointError
-from .fields import find_one_root
 from .ratfunc import _series_div
 from . import linalg, upoly
 
@@ -62,18 +62,6 @@ class Series:
                     out[i + j] = f.add(out[i + j], f.mul(a, b))
         return Series(f, out)
 
-    def __pow__(self, e):
-        """self^e for an integer e >= 0, by repeated multiplication."""
-        out = self if e else Series.constant(self.field, self.field.one,
-                                             self.order)
-        for _ in range(e - 1):
-            out = out * self
-        return out
-
-    def scale(self, c):
-        f = self.field
-        return Series(f, [f.mul(x, c) for x in self.coeffs])
-
     def diff(self):
         """d/dt, order drops by one."""
         f = self.field
@@ -100,67 +88,6 @@ class Series:
         return "Series(%s)" % ", ".join(self.field.format(c) for c in self.coeffs)
 
 
-class SeriesAlgebra:
-    """Adapter presenting truncated Series as a coefficient ring, so
-    polynomial rings can carry series coefficients (no division)."""
-
-    def __init__(self, field, order):
-        self.field = field
-        self.order = order
-
-    @property
-    def zero(self):
-        return Series.constant(self.field, self.field.zero, self.order)
-
-    @property
-    def one(self):
-        return Series.constant(self.field, self.field.one, self.order)
-
-    def from_int(self, n):
-        return Series.constant(self.field, self.field.from_int(n), self.order)
-
-    def from_const(self, c):
-        return Series.constant(self.field, c, self.order)
-
-    def lift(self, s):
-        return Series(self.field, list(s.coeffs[:self.order + 1])
-                      + [self.field.zero] * max(0, self.order - s.order))
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
-
-    def div(self, a, b):
-        return a * b.inverse()
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def is_one(self, a):
-        return (a - self.one).is_zero()
-
-    def eq(self, a, b):
-        return (a - b).is_zero()
-
-    def format(self, a):
-        return repr(a)
-
-    def __eq__(self, other):
-        return (isinstance(other, SeriesAlgebra) and self.field == other.field
-                and self.order == other.order)
-
-
 def ratfunc_series(R, f, a, order):
     """Expand a rational function at t = a to the given order.
 
@@ -171,31 +98,6 @@ def ratfunc_series(R, f, a, order):
     if k.is_zero(den[0]):
         raise SingularPointError("pole of %s at t = %s" % (R.format(f), k.format(a)))
     return Series(k, _series_div(k, num, den, order + 1))
-
-
-def coefficient_series(cf, k, a, order):
-    """The map taking a polynomial coefficient from the field cf to its
-    Series over k at t = a through u^order: a rational function of t is
-    expanded, a constant is moved into k."""
-    if hasattr(cf, "numer_coeffs"):
-        return lambda c: ratfunc_series(cf, c, a, order)
-    if cf == k:
-        return lambda c: Series.constant(k, c, order)
-    return lambda c: Series.constant(k, k.coerce_from(cf, c), order)
-
-
-def poly_on_series(P, G, order=None):
-    """The Series of P evaluated on the entries of the matrix series G
-    (variable i*n + j at entry (i, j)), through u^order (default and at
-    most G.order); coefficients go through coefficient_series."""
-    k = G.field
-    n = G.n
-    order = G.order if order is None else min(order, G.order)
-    values = [G.entry(p // n, p % n).truncate(order) for p in range(n * n)]
-    return P.evaluate(values, one=Series.constant(k, k.one, order),
-                      mul=lambda x, y: x * y, add=lambda x, y: x + y,
-                      from_coeff=coefficient_series(P.ring.field, k, G.a,
-                                                    order))
 
 
 class TruncSeries:
@@ -241,12 +143,6 @@ class TruncSeries:
             out.append(acc)
         return TruncSeries(f, self.a, out)
 
-    def add(self, other):
-        f = self.field
-        n = min(self.order, other.order)
-        return TruncSeries(f, self.a, [linalg.mat_add(f, x, y) for x, y
-                                       in zip(self.mats[:n + 1], other.mats[:n + 1])])
-
     def sub(self, other):
         f = self.field
         n = min(self.order, other.order)
@@ -264,14 +160,6 @@ class TruncSeries:
     def is_zero(self):
         f = self.field
         return all(all(all(f.is_zero(x) for x in row) for row in m) for m in self.mats)
-
-    def coerce_to(self, big):
-        """Re-embed into a larger constant field."""
-        if big == self.field:
-            return self
-        conv = lambda x: big.coerce_from(self.field, x)
-        return TruncSeries(big, conv(self.a),
-                           [[[conv(x) for x in row] for row in m] for m in self.mats])
 
     def det_series(self):
         """det as a scalar Series (via the entry-series matrix)."""
@@ -339,57 +227,3 @@ def reconstruct_ratfunc(R, series, a, num_deg, den_deg):
     num_t = upoly.shift(k, num, k.neg(a))
     den_t = upoly.shift(k, den, k.neg(a))
     return R.from_coeffs(num_t, den_t)
-
-
-def algebraic_series(R, qcoeffs, a, order, root=None):
-    """Series expansion at t = a of an algebraic function gamma with
-    minimal polynomial Q(x) = sum qcoeffs[i] x^i (coefficients rational
-    functions in R).
-
-    The expansion point must be regular for every coefficient and
-    unramified (Q_x(a, gamma(a)) nonzero).  If ``root`` is None the
-    constant field is extended by a root of Q(a, x) and the returned
-    field carries it.  Returns (field, Series, root_value).
-    """
-    k = R.const
-    spec = [ratfunc_series(R, c, a, order) for c in qcoeffs]
-    if root is None:
-        k, root = find_one_root(k, [s.coeffs[0] for s in spec])
-        if k != R.const:
-            spec = [Series(k, [k.coerce_from(R.const, c) for c in s.coeffs])
-                    for s in spec]
-    # check unramified: Q_x(a, root) != 0
-    dconst = k.zero
-    p = k.one
-    for i in range(1, len(spec)):
-        dconst = k.add(dconst, k.mul(k.mul(k.from_int(i), spec[i].coeffs[0]), p))
-        p = k.mul(p, root)
-    if k.is_zero(dconst):
-        raise SingularPointError("ramified expansion point t = %s" % R.const.format(a))
-    # Newton iteration: y is exact modulo u^prec, and each pass doubles
-    # prec; products truncate to y's length, so a pass works only at the
-    # precision it is about to reach
-    dspec = _derivative_coeffs(k, spec)
-    y = Series(k, [root])
-    prec = 1
-    while prec <= order:
-        prec = min(2 * prec, order + 1)
-        y = Series(k, y.coeffs + [k.zero] * (prec - len(y.coeffs)))
-        qy = _eval_poly_series(spec, y)
-        dqy = _eval_poly_series(dspec, y).truncate(prec - 1)
-        y = y - qy * dqy.inverse()
-    qy = _eval_poly_series(spec, y)
-    if not qy.is_zero():
-        raise DgalError("Newton iteration failed to converge")
-    return k, y, root
-
-
-def _derivative_coeffs(field, spec):
-    return [spec[i].scale(field.from_int(i)) for i in range(1, len(spec))]
-
-
-def _eval_poly_series(spec, y):
-    out = None
-    for c in reversed(spec):
-        out = c if out is None else out * y + c
-    return out

@@ -2,6 +2,11 @@
 the fundamental matrix and of the monomials in its entries, all from one
 sparse linear recurrence, and the system document.
 
+``MonomialSeries`` is the one place where a polynomial in the entries of
+the fundamental matrix becomes a series (``MonomialSeries.series_of``):
+the relation solve, the second-point check, the membership of F_bar in
+the identity component and the character values all read it.
+
 Monomials are indexed graded lex over the n^2 variables in row-major
 order with the constant monomial first; relation search and the
 stabilizer construction rely on this exact ordering.
@@ -11,9 +16,9 @@ from contextlib import contextmanager
 
 from . import upoly
 from .errors import DgalError, InputError, SingularPointError
-from .fields import ConstField
+from .fields import ConstField, join
 from .ratfunc import RatFuncField
-from .series import TruncSeries
+from .series import Series, TruncSeries, ratfunc_series
 
 
 class OdeSystem:
@@ -123,12 +128,14 @@ class MonomialSeries:
                 raise SingularPointError("pole of %s at t = %s"
                                          % (R.format(f), k.format(a)))
         self.field = k
+        self.a = a
+        self.d = d
         self.monos = monomials_upto(n * n, d)
         q = R.denom_lcm(entries)
         q = R.scale(q, k.inv(R.eval_at(q, a)))
         self.q = _u_coeffs(R, q, a)
         P = [[_u_coeffs(R, R.mul(f, q), a) for f in row] for row in sys.A]
-        index = {m: r for r, m in enumerate(self.monos)}
+        self.index = index = {m: r for r, m in enumerate(self.monos)}
         self.table = []
         for m in self.monos:
             merged = {}
@@ -174,6 +181,41 @@ class MonomialSeries:
                 new.append(k.mul(acc, inv))
             vecs.append(new)
         return vecs
+
+    def series_of(self, P, order):
+        """The Series of P(Y) through u^order: the sum over P's terms of
+        the coefficient times the stored series of the term's monomial.
+        A coefficient in k(t) is expanded at a and convolved with it; a
+        constant of an extension K of k scales it, and the Series is then
+        over join(k, K).  P's variables are the entries of Y in row-major
+        order, and deg P must not exceed the store's degree."""
+        k = self.field
+        cf = P.ring.field
+        rational = isinstance(cf, RatFuncField)
+        big = k if rational else join(k, cf)
+        vecs = self.extend(order)
+        out = [big.zero] * (order + 1)
+        for e, c in P.terms.items():
+            r = self.index.get(e)
+            if r is None:
+                raise DgalError("a monomial of degree %d is beyond the "
+                                "series store's degree %d" % (sum(e), self.d))
+            if rational:
+                cs = ratfunc_series(cf, c, self.a, order).coeffs
+            else:
+                cs = [c if cf == big else big.coerce_from(cf, c)]
+            cs = [(j, y) for j, y in enumerate(cs) if not big.is_zero(y)]
+            for i in range(order + 1):
+                x = vecs[i][r]
+                if k.is_zero(x):
+                    continue
+                if big is not k:
+                    x = big.coerce_from(k, x)
+                for j, y in cs:
+                    if i + j > order:
+                        break
+                    out[i + j] = big.add(out[i + j], big.mul(x, y))
+        return Series(big, out)
 
 
 def _u_coeffs(R, f, a):

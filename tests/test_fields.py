@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgal import fields
 from dgal.errors import DgalError
-from dgal.fields import (ConstField, field_adjoin, find_one_root, join,
-                         split_univariate)
+from dgal.fields import ConstField, field_adjoin, join, split_univariate
 from sympy_oracle import from_sympy, to_sympy
 
 
@@ -77,15 +76,6 @@ def test_split_tracks_multiplicity():
     fld, roots = split_univariate(k, coeffs)
     mults = sorted(m for _, m in roots)
     assert mults == [1, 1, 2]
-
-
-def test_find_one_root_prefers_small_factor():
-    k = QQ()
-    # (x-5)(x^2-2): should not extend the field
-    coeffs = [k.from_int(10), k.from_int(-2), k.from_int(-5), k.one]
-    fld, r = find_one_root(k, coeffs)
-    assert fld == k
-    assert fld.eq(r, fld.from_int(5))
 
 
 def test_format_parse_roundtrip():

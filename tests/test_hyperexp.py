@@ -7,7 +7,7 @@ from dgal.hyperexp import (HyperexpElement, logderiv_from_character,
                            relation_lattice)
 from dgal.lattice import hnf_basis, saturate
 from dgal.ratfunc import RatFuncField
-from dgal.series import TruncSeries, ratfunc_series
+from dgal.systems import MonomialSeries, OdeSystem
 
 K = ConstField()
 R = RatFuncField(K)
@@ -17,9 +17,11 @@ def he(text):
     return HyperexpElement(R, R.parse(text))
 
 
-def scalar_series(f_text, a, order):
-    s = ratfunc_series(R, R.parse(f_text), a, order)
-    return TruncSeries(K, a, [[[c]] for c in s.coeffs])
+def series_of_t(degree):
+    """The monomial-series store of y' = y/t at a = 1, whose fundamental
+    matrix is F = t."""
+    s = OdeSystem(R, [[R.parse("1/t")]])
+    return MonomialSeries(s, K.from_int(1), degree)
 
 
 def rel_text(r):
@@ -41,32 +43,31 @@ def saturated_exponents(rl, l):
 
 
 def test_logderiv_of_t():
-    S = scalar_series("t", K.from_int(1), 20)
     ring = group_ring(1, K)
-    el = logderiv_from_character(Character(ring.parse("x_1_1"), ring), S, 3, 3)
+    el = logderiv_from_character(Character(ring.parse("x_1_1"), ring),
+                                 series_of_t(1), 20, 3, 3)
     assert el.R.format(el.v) == "(1)/(t)"
 
 
 def test_logderiv_of_t_squared_character():
-    S = scalar_series("t", K.from_int(1), 20)
     ring = group_ring(1, K)
     el = logderiv_from_character(Character(ring.parse("x_1_1^2"), ring),
-                                 S, 3, 3)
+                                 series_of_t(2), 20, 3, 3)
     assert el.R.format(el.v) == "(2)/(t)"
 
 
 def test_logderiv_trivial_character():
-    S = scalar_series("t", K.from_int(1), 20)
     ring = group_ring(1, K)
-    el = logderiv_from_character(Character(ring.one, ring), S, 3, 3)
+    el = logderiv_from_character(Character(ring.one, ring), series_of_t(0),
+                                 20, 3, 3)
     assert el.R.is_zero(el.v)
 
 
 def test_logderiv_order_too_small():
-    S = scalar_series("t", K.from_int(1), 5)
     ring = group_ring(1, K)
     with pytest.raises(ResourceCapError):
-        logderiv_from_character(Character(ring.parse("x_1_1"), ring), S, 3, 3)
+        logderiv_from_character(Character(ring.parse("x_1_1"), ring),
+                                series_of_t(1), 5, 3, 3)
 
 
 def test_partial_fraction_invariant():

@@ -1,5 +1,6 @@
 """Every top-level import of a dgal module is used in that module, and
-every private module-level helper is used somewhere in the package.
+every module-level function and class is used somewhere in the package,
+but for the few public entry points that only tests call.
 
 A stale import hides which layer a module really stands on, and a dead
 helper hides which code still runs; the checks read each source file
@@ -38,16 +39,22 @@ def test_no_unused_top_level_import(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def unreferenced_helpers(sources):
-    """Module-level functions and classes named ``_x`` (not dunder) that
-    no source reads as a name, an attribute or an imported name outside
-    their own definition."""
+# public names that only the acceptance suite and tests/test_bounds.py
+# call: the bound tower's entry points and the second-point check
+CALLED_FROM_TESTS = {"max_", "gamma_bound", "gamma_comparison",
+                     "dstar_nstar", "jordan_bound", "second_point_check"}
+
+
+def unreferenced_helpers(sources, allow=()):
+    """Module-level functions and classes (not dunder, not in ``allow``)
+    that no source reads as a name, an attribute or an imported name
+    outside their own definition."""
     defined, used = [], set()
     for source in sources:
         for node in ast.parse(source).body:
             owner = getattr(node, "name", None)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    owner.startswith("_") and not owner.startswith("__"):
+                    not owner.startswith("__") and owner not in allow:
                 defined.append(owner)
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
@@ -70,11 +77,20 @@ def test_unreferenced_helpers_are_found():
         "def __getattr__(name):\n    pass\n",
         "from .a import _imported\n"
         "def _imported_elsewhere():\n    pass\n"
-        "def public(m):\n    return _kept(), m._imported_elsewhere\n",
-    ]) == ["_recursive", "_Dead"]
+        "def public(m):\n    return _kept(), m._imported_elsewhere\n"
+        "def dead_public():\n    return public(None)\n"
+        "class Entry:\n    pass\n",
+    ], allow={"Entry"}) == ["_recursive", "_Dead", "dead_public"]
 
 
 def test_every_private_helper_is_referenced():
     sources = [(SRC / name).read_text() for name in sorted(
         p.name for p in SRC.glob("*.py"))]
-    assert unreferenced_helpers(sources) == []
+    assert [name for name in unreferenced_helpers(sources)
+            if name.startswith("_")] == []
+
+
+def test_every_public_function_and_class_is_referenced():
+    sources = [(SRC / name).read_text() for name in sorted(
+        p.name for p in SRC.glob("*.py"))]
+    assert unreferenced_helpers(sources, allow=CALLED_FROM_TESTS) == []

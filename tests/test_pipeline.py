@@ -18,10 +18,9 @@ from dgal.pipeline import (AlphaData, GaloisGroupDescription,
                            _same_ideal, find_alpha_fbar, finite_part,
                            galois_group, proto_galois, sandwich_check)
 from dgal.ratfunc import RatFuncField
-from dgal.relations import substituted_coefficient_system
 from dgal.series import Series, TruncSeries, ratfunc_series
 from dgal.solve import solve_zero_dimensional
-from dgal.systems import OdeSystem
+from dgal.systems import MonomialSeries, OdeSystem
 
 K = ConstField()
 R = RatFuncField(K)
@@ -72,6 +71,29 @@ def test_exponential_full_group():
     assert desc.identity_component.generators == []
     assert desc.proto.generators == []
     assert desc.dimension == 1 and desc.component_count == 1
+
+
+def test_character_stage_reads_one_store(monkeypatch):
+    """The rotation group's characters are read off the store that
+    checks F_bar against the identity component: the run builds two
+    monomial-series stores, the relation solve's and that one, and no
+    fundamental_series."""
+    calls = {"store": 0, "fundamental_series": 0}
+    init, fundamental = MonomialSeries.__init__, OdeSystem.fundamental_series
+
+    def counting_init(self, *args):
+        calls["store"] += 1
+        init(self, *args)
+
+    def counting_fundamental(self, *args):
+        calls["fundamental_series"] += 1
+        return fundamental(self, *args)
+
+    monkeypatch.setattr(MonomialSeries, "__init__", counting_init)
+    monkeypatch.setattr(OdeSystem, "fundamental_series", counting_fundamental)
+    desc = run(sys_of(["0", "1"], ["-1", "0"]), 2, a=K.zero)
+    assert desc.provenance["alpha"] == "alpha = I"
+    assert calls == {"store": 2, "fundamental_series": 0}
 
 
 def test_rational_solution_trivial_group():
@@ -178,8 +200,8 @@ def test_singular_point_rejected():
 def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
     """Each point of the finite part satisfies the proto-group's
     equations (G <= H), the order divides |H|, and finite_part reads the
-    points off the C_k at a: no series product, coefficient system or
-    zero-dimensional solve."""
+    points off the C_k at a: no series product and no zero-dimensional
+    solve."""
     inside, calls = [0], []
 
     def counted(name, fn):
@@ -189,13 +211,12 @@ def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
             return fn(*args, **kwargs)
         return wrapper
 
-    # rebind every dgal module's copy of each name, as `from` imports made
-    for fn in (solve_zero_dimensional, substituted_coefficient_system):
-        wrapped = counted(fn.__name__, fn)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("dgal") and \
-                    getattr(mod, fn.__name__, None) is fn:
-                monkeypatch.setattr(mod, fn.__name__, wrapped)
+    # rebind every dgal module's copy of the name, as `from` imports made
+    wrapped = counted("solve_zero_dimensional", solve_zero_dimensional)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dgal") and getattr(
+                mod, "solve_zero_dimensional", None) is solve_zero_dimensional:
+            monkeypatch.setattr(mod, "solve_zero_dimensional", wrapped)
     monkeypatch.setattr(Series, "__mul__",
                         counted("Series.__mul__", Series.__mul__))
     real = dgal.pipeline.finite_part
@@ -253,6 +274,34 @@ def _kummer_sum_series(C, M, a, order):
                 s = s + ratfunc_series(R, Ck[i][j], a, order) * g
             entries[i][j] = s
     return TruncSeries.from_entries(K, a, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([(1, 1), (2, 1), (-3, 1), (1, 2)]),
+       st.integers(0, 12))
+def test_gamma_powers_are_roots_of_t_over_a(M, a, order):
+    """The binomial series of gamma^k, gamma^M = t/a and gamma(a) = 1,
+    through u^order: gamma^0 = 1, (gamma^1)^M = t/a = 1 + u/a, and
+    gamma^j gamma^k = gamma^(j+k) for j + k < M."""
+    a = K.from_fraction(Fraction(*a))
+    powers = _gamma_powers(R, M, a, order)
+    assert len(powers) == M
+    assert powers[0] == Series.constant(K, K.one, order)
+    if M > 1:
+        t_over_a = ratfunc_series(R, R.scale(R.t, K.inv(a)), a, order)
+        power = powers[1]
+        for _ in range(M - 1):
+            power = power * powers[1]
+        assert power == t_over_a
+    for j in range(M):
+        for k in range(M - j):
+            assert powers[j] * powers[k] == powers[j + k]
+
+
+def test_gamma_powers_refuse_the_branch_point():
+    assert len(_gamma_powers(R, 1, K.zero, 3)) == 1
+    with pytest.raises(UnsupportedInstanceError, match="branch point a = 0"):
+        _gamma_powers(R, 2, K.zero, 3)
 
 
 small_poly = st.lists(st.integers(-3, 3), min_size=3, max_size=3)

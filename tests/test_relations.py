@@ -8,7 +8,7 @@ from dgal.fields import ConstField, field_adjoin
 from dgal.multipoly import PolyRing
 from dgal.ratfunc import RatFuncField
 from dgal.relations import (default_window, find_relations,
-                            graded_lex_order, membership_test, order_bound,
+                            graded_lex_order, order_bound,
                             relation_ideal, second_point_check,
                             _AnsatzBuilder, _kernel_to_polys, _RelationSolve,
                             _row_reduce_polys)
@@ -80,9 +80,9 @@ def test_harmonic_relations():
     assert _row_reduce_polys(ring, rel.basis + quadrics) == \
         _row_reduce_polys(ring, rel.basis)
     # and everything found is sound
-    G = s.fundamental_series(a, N + 10)
+    store = MonomialSeries(s, a, 2)
     for P in rel.basis:
-        assert membership_test(P, G, N + 10)
+        assert store.series_of(P, N + 10).is_zero()
 
 
 def test_relation_soundness_second_point():
@@ -109,11 +109,35 @@ def test_second_point_direct():
 
 def test_membership_negative():
     s = sys_of(["1"])  # e^t
-    G = s.fundamental_series(K.zero, 6)
+    store = MonomialSeries(s, K.zero, 1)
     ring = relation_ideal(s, K.zero, 1, 1, 8).ring
     P = ring.parse("x_1_1 - t")
-    assert not membership_test(P, G, 5)
-    assert membership_test(ring.parse("x_1_1 - x_1_1"), G, 5)
+    assert not store.series_of(P, 5).is_zero()
+    assert store.series_of(ring.parse("x_1_1 - x_1_1"), 5).is_zero()
+
+
+def test_second_point_transports_a_positive_dimensional_coset():
+    # at d = 2 no relation ties x_2_2 (its own is x_2_2^3 = t), so h =
+    # diag(2, c) transports every relation from a = 1 to b = 4 for any
+    # c != 0: the transport equations have a curve of zeros, and pinning
+    # the witness variable to 1 leaves a point
+    s = sys_of(["1/(2*t)", "0"], ["0", "1/(3*t)"])
+    rel = find_relations(s, K.one, 2, 2)
+    assert second_point_check(s, rel, K.from_int(4)) == (True, "transport")
+
+
+@pytest.mark.parametrize("rows,a,d,ell,b,how", [
+    pytest.param([["1/(2*t)", "0"], ["0", "1/(3*t)"]], 1, 3, 2, 4,
+                 "transport", id="diag23"),
+    pytest.param([["1/(3*t)", "0"], ["0", "2/(3*t)"]], 1, 3, 2, 5,
+                 "transport", id="diag-1/3-2/3"),
+    pytest.param([["0", "1"], ["t", "0"]], 1, 2, 2, 3, "direct",
+                 id="airy"),
+])
+def test_second_point_check_outcomes(rows, a, d, ell, b, how):
+    s = sys_of(*rows)
+    rel = find_relations(s, K.from_int(a), d, ell)
+    assert second_point_check(s, rel, K.from_int(b)) == (True, how)
 
 
 def test_monotone_in_degree():

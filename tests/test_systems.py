@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dgal import linalg
-from dgal.errors import SingularPointError
+from dgal.errors import DgalError, SingularPointError
 from dgal.fields import ConstField, field_adjoin
+from dgal.groups import group_ring
 from dgal.ratfunc import RatFuncField
 from dgal.series import Series, TruncSeries, ratfunc_series
 from dgal.systems import MonomialSeries, OdeSystem, monomials_upto
@@ -232,3 +233,71 @@ def test_store_is_products_of_fundamental_entries(case, d, n1, extra):
             for _ in range(e):
                 acc = acc * G.entry(p // n, p % n).truncate(N2)
         assert acc.coeffs == [v[r] for v in vecs]
+
+
+KI, I = field_adjoin(K, [K.one, K.zero, K.one])  # i^2 = -1
+DENOMINATORS = ["1", "t - 3", "t^2 + 1"]  # none vanishes at 0, 1 or -2
+
+
+@st.composite
+def polys_on_entries(draw, n):
+    """A polynomial of degree <= 3 in the n^2 entries: its coefficients
+    all lie in QQ(t) (regular at 0, 1 and -2) or all in QQ(i)."""
+    rational = draw(st.booleans())
+    ring = group_ring(n, R if rational else KI)
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exp = [0] * (n * n)
+        for _ in range(draw(st.integers(0, 3))):
+            exp[draw(st.integers(0, n * n - 1))] += 1
+        if rational:
+            num = [K.from_int(draw(st.integers(-3, 3))) for _ in range(3)]
+            den = R.parse(draw(st.sampled_from(DENOMINATORS)))
+            c = R.div(R.from_coeffs(num), den)
+        else:
+            c = KI.add(KI.from_int(draw(st.integers(-3, 3))),
+                       KI.mul(KI.from_int(draw(st.integers(-3, 3))), I))
+        terms[tuple(exp)] = c
+    return ring.from_dict(terms)
+
+
+def series_by_products(P, G, order):
+    """P on the fundamental series G through u^order with Series
+    products: each coefficient (expanded by ratfunc_series when it is in
+    QQ(t)) times the product of its monomial's entry series."""
+    n = G.n
+    rational = P.ring.field == R
+    big = K if rational else KI
+    entries = [Series(big, [big.coerce_from(K, c) for c in
+                            G.entry(p // n, p % n).coeffs[:order + 1]])
+               for p in range(n * n)]
+    total = Series.constant(big, big.zero, order)
+    for exp, c in P.terms.items():
+        term = ratfunc_series(R, c, G.a, order) if rational \
+            else Series.constant(big, c, order)
+        for p, e in enumerate(exp):
+            for _ in range(e):
+                term = term * entries[p]
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 2), st.sampled_from([0, 1, -2]),
+       st.integers(0, 6))
+def test_series_of_matches_series_products(data, n, a, order):
+    a = K.from_int(a)
+    s = OdeSystem(R, [[R.parse(data.draw(st.sampled_from(
+        ["0", "1", "t", "2 - t", "1/(t - 3)", "t/(t^2 + 1)"])))
+        for _ in range(n)] for _ in range(n)])
+    P = data.draw(polys_on_entries(n))
+    store = MonomialSeries(s, a, 3)
+    assert store.series_of(P, order) == \
+        series_by_products(P, s.fundamental_series(a, order), order)
+
+
+def test_series_of_refuses_a_degree_beyond_the_store():
+    ring = group_ring(1, K)
+    store = MonomialSeries(sys_of(["1"]), K.zero, 1)
+    with pytest.raises(DgalError):
+        store.series_of(ring.parse("x_1_1^2"), 3)
