@@ -43,20 +43,13 @@ def _point(sys_, text):
     return sys_.R.const.from_fraction(value)
 
 
-def _strategy(args):
-    if args.order is not None:
-        return ("explicit", args.order)
-    if args.stabilize is not None:
-        return ("stabilize", args.stabilize)
-    return None
-
-
 def _setup(args, degree):
     """The system and the pipeline settings of a relation-based run."""
     sys_ = _load_system(args.system)
+    strategy = None if args.order is None else ("explicit", args.order)
     return sys_, PipelineConfig(degree=degree, a=_point(sys_, args.point),
                                 ell=args.coeff_degree,
-                                order_strategy=_strategy(args))
+                                order_strategy=strategy)
 
 
 def cmd_bounds(args):
@@ -143,10 +136,9 @@ def _add_common(p):
     p.add_argument("--point", help="expansion point (a rational number)")
     p.add_argument("--coeff-degree", type=int, default=2, dest="coeff_degree",
                    help="rational coefficient degree cap")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--order", type=int, help="explicit truncation order")
-    group.add_argument("--stabilize", type=int,
-                       help="rank stabilization window")
+    p.add_argument("--order", type=int,
+                   help="explicit truncation order (default: the first "
+                        "order whose relation basis is certified)")
 
 
 def build_parser():

@@ -337,17 +337,34 @@ def rational_reconstruction(u, p):
     return Rational(r1, s1)
 
 
+def lift_kernel(acc):
+    """The kernel_vectors of ``acc``, an RrefAccumulator over a
+    PrimeField, lifted entry by entry by rational reconstruction, each as
+    ``{column: Rational}``; None as soon as an entry has no lift."""
+    p = acc.field.p
+    out = []
+    for vec in acc.kernel_vectors():
+        lifted = {}
+        for j, u in vec.items():
+            q = rational_reconstruction(u, p)
+            if q is None:
+                return None
+            lifted[j] = q
+        out.append(lifted)
+    return out
+
+
 def kernel_vanishes(rows, vectors):
     """True iff every row times every vector is exactly 0.
 
-    Rows and vectors hold rationals (anything with a numerator and a
-    denominator).  Both are scaled to integers, so each check is one
-    integer dot product over the vector's support."""
+    Rows hold rationals (anything with a numerator and a denominator),
+    vectors are ``{column: rational}``.  Both are scaled to integers, so
+    each check is one integer dot product over the vector's support."""
     scaled = []
     for vec in vectors:
-        den = lcm(*(q.denominator for q in vec))
+        den = lcm(*(q.denominator for q in vec.values()))
         scaled.append([(j, q.numerator * (den // q.denominator))
-                       for j, q in enumerate(vec) if q])
+                       for j, q in vec.items()])
     for row in rows:
         den = lcm(*(q.denominator for q in row))
         ints = [q.numerator * (den // q.denominator) for q in row]
@@ -361,22 +378,15 @@ def certified_kernel(acc, rows):
     """The exact right kernel of rational ``rows``, read off ``acc``, an
     RrefAccumulator over a PrimeField that has seen their images.
 
-    Each kernel vector mod p is lifted by rational reconstruction and
-    checked exactly against every row.  Vectors that pass are the exact
-    kernel: the r pivots mod p give a rank of at least r over QQ, and the
-    cols - r checked vectors, independent by construction, a rank of at
-    most r.  Entries are Rationals, zero entries the int 0.  Raises
-    NotCertified when a lift or a check fails."""
-    p = acc.field.p
-    lifted = []
-    for vec in acc.kernel_basis():
-        out = []
-        for u in vec:
-            q = rational_reconstruction(u, p) if u else 0
-            if q is None:
-                raise NotCertified("rational reconstruction failed")
-            out.append(q)
-        lifted.append(out)
+    The kernel mod p is lifted (``lift_kernel``) and checked exactly
+    against every row.  Vectors that pass are the exact kernel: the r
+    pivots mod p give a rank of at least r over QQ, and the cols - r
+    checked vectors, independent by construction, a rank of at most r.
+    Entries are Rationals, zero entries the int 0.  Raises NotCertified
+    when a lift or a check fails."""
+    lifted = lift_kernel(acc)
+    if lifted is None:
+        raise NotCertified("rational reconstruction failed")
     if not kernel_vanishes(rows, lifted):
         raise NotCertified("the exact check failed")
-    return lifted
+    return [[vec.get(j, 0) for j in range(acc.cols)] for vec in lifted]

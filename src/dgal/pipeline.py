@@ -44,8 +44,9 @@ class PipelineConfig:
     degree None means the symbolic-bound mode: the run refuses with the
     rendered bound tower instead of executing.  a is the one expansion
     point (None means t = 1); ell caps the t-degree of the relation
-    coefficients; order_strategy None uses the heuristic default window
-    (the result is then flagged non-rigorous).
+    coefficients; order_strategy None adds series orders until the
+    relation basis is certified, and ("explicit", N) solves at order N,
+    certified or not.
     """
 
     def __init__(self, degree=None, a=None, ell=2, order_strategy=None):
@@ -448,8 +449,21 @@ def galois_group(sys, cfg):
     lattice -> the group is the proto-group; connected proto-group with
     characters -> constrain the component by the hyperexponential
     relation lattice (the group equals the proto-group when nothing
-    shrinks).  Everything else refuses loudly."""
+    shrinks).  Everything else refuses loudly; after an explicit order
+    whose relation basis is not certified, the refusal says so."""
     H, rel = proto_galois(sys, cfg)
+    try:
+        return _group_of(sys, cfg, H, rel)
+    except UnsupportedInstanceError as err:
+        if rel.rigorous:
+            raise
+        raise UnsupportedInstanceError(
+            "%s; the relation basis at order %d is not certified"
+            % (err, rel.order_used)) from None
+
+
+def _group_of(sys, cfg, H, rel):
+    """galois_group's stages after the proto-group."""
     n = sys.n
     Hcirc = identity_component(H)
     point = sys.R.const.format(rel.a)
@@ -492,9 +506,12 @@ def galois_group(sys, cfg):
                     "the character relations cut the component properly; "
                     "the finite part over a positive dimensional component "
                     "is outside the supported class")
+        # the membership of F_bar in H deg and the logarithmic
+        # derivatives of the characters rest on truncations
         desc = GaloisGroupDescription(
             n, H, rel, Gcirc, False, None, None, 1,
-            _dimension_estimate(Gcirc), rel.rigorous, provenance)
+            _dimension_estimate(Gcirc), rel.rigorous and not chars,
+            provenance)
     if not sandwich_check(H, Hcirc, chars, desc.identity_component):
         raise DgalError("sandwich certificate failed: the computed "
                         "component is not between the character kernel "

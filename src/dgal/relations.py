@@ -7,13 +7,17 @@ fundamental matrix, and each series order contributes one linear
 constraint on the unknown coefficients.  The kernel, rewritten with
 rational-function coefficients and row-reduced, is the relation basis.
 
-The solve eliminates modulo a word-size prime and certifies the kernel
-it finds exactly (``_RelationSolve``); ``find_relations`` runs it once
-for both the truncation order and the kernel.  The kernel vectors are
-kept as ``{column: value}`` of their nonzero entries, and both the
-read-off (``_kernel_to_polys``) and the row reduction to the canonical
-basis (``_row_reduce_polys``, through the sparse
-``linalg.RrefAccumulator``) touch only those entries.
+The solve eliminates modulo a word-size prime, adds rows one order at a
+time, and ends at the first kernel it can certify exactly
+(``_RelationSolve``, ``certify``): the k(t)-span of the kernel's
+relations is closed under d/dt along X' = A X and vanishes at t = a,
+X = I, so by Cauchy uniqueness every relation in it vanishes at the
+fundamental matrix.  ``find_relations`` runs the solve once for both the
+truncation order and the kernel.  The kernel vectors are kept as
+``{column: value}`` of their nonzero entries, and both the read-off
+(``_kernel_to_polys``) and the row reduction to the canonical basis
+(``_row_reduce_polys``, through the sparse ``linalg.RrefAccumulator``)
+touch only those entries.
 
 ``_relations_at_product`` rewrites each basis relation as P(X*Y) once
 for both of its readers: the stabilizer (``groups``) groups it by
@@ -42,7 +46,8 @@ def graded_lex_order(nvars):
 
 
 class RelationIdeal:
-    """Basis of the degree-<= d relations found at truncation order N."""
+    """Basis of the degree-<= d relations found at truncation order N;
+    rigorous when the basis is certified (``certify``)."""
 
     def __init__(self, ring, basis, *, d, a, ell, order_used, rigorous):
         self.ring = ring
@@ -79,159 +84,294 @@ class _AnsatzBuilder:
         return [v[mi] for mi in range(len(self.monos)) for v in lagged]
 
 
-# the stabilize window refuses beyond this truncation order
+# the solve refuses beyond this truncation order
 MAX_ORDER = 500
-
-
-def default_window(sys, d):
-    return 25 + d * sys.n * sys.n
 
 
 class _RelationSolve:
     """The incremental solve that order_bound and relation_ideal share:
     one ansatz builder and one accumulator, whose rows are added once.
 
-    Rows are eliminated over GF(p), p = 2^61 - 1, and the kernel is
-    certified exactly against every row added (linalg.certified_kernel).
+    Rows are eliminated over GF(p), p = 2^61 - 1, the kernel is lifted by
+    rational reconstruction, and its canonical basis is certified exactly
+    (``certify``).  A certified kernel is the exact kernel of every
+    truncation, so no row beyond it is needed.  An uncertified lift is
+    checked exactly against every row added (linalg.certified_kernel).
     The solve reruns from the start over the exact constant field when
-    that field is a number field, a denominator is 0 mod p, a
-    reconstruction fails or the exact check fails; ``exact_reason`` then
-    says which."""
+    that field is a number field, a denominator is 0 mod p, the exact
+    check fails, an explicit order's kernel has no lift, or no kernel is
+    certified below MAX_ORDER; ``exact_reason`` then says which."""
 
     def __init__(self, sys, a, d, ell):
+        self.sys = sys
+        self.a = a
         self.builder = _AnsatzBuilder(sys, a, d, ell)
+        self.ring = PolyRing(sys.R, matrix_var_names(sys.n),
+                             graded_lex_order(sys.n * sys.n))
         self.exact_reason = None
         self.N = None
-        self.kernel = None
+        self.basis = None
+        self.rigorous = None
 
     def _solve(self, run):
-        """run() adds rows and returns N; sets N and the exact kernel."""
+        """run() adds rows and returns (N, basis, rigorous)."""
         k = self.builder.k
         if k.degree() != 1:
             self.exact_reason = "the constant field is a number field"
         while True:
-            modular = self.exact_reason is None
-            self.field = linalg.PrimeField() if modular else k
+            self.modular = self.exact_reason is None
+            self.field = linalg.PrimeField() if self.modular else k
             self.acc = linalg.RrefAccumulator(self.field, self.builder.ncols)
             self.nrows = 0
             try:
-                N = run()
-                self.kernel = self._lift() if modular \
-                    else self.acc.kernel_vectors()
+                self.N, self.basis, self.rigorous = run()
             except linalg.NotCertified as why:
                 self.exact_reason = str(why)
                 continue
-            self.N = N
-            return N
+            return self.N
 
-    def _add_rows(self, last):
-        """Add the rows through index ``last``."""
-        b = self.builder
-        while self.nrows <= last:
-            row = b.row(self.nrows)
-            if self.field is not b.k:
-                row = self.field.reduce_row(row)
-            self.acc.add_row(row)
-            self.nrows += 1
+    def _add_row(self):
+        """Add the next row; returns True if the rank grew."""
+        row = self.builder.row(self.nrows)
+        if self.modular:
+            row = self.field.reduce_row(row)
+        self.nrows += 1
+        return self.acc.add_row(row)
 
-    def _lift(self):
-        rows = (self.builder.row(i) for i in range(self.nrows))
+    def _kernel(self):
+        """The kernel of the rows so far as ``{column: value}`` over k:
+        read off exactly, or lifted from GF(p) (None when an entry has no
+        lift)."""
+        if not self.modular:
+            return self.acc.kernel_vectors()
+        lifted = linalg.lift_kernel(self.acc)
+        if lifted is None:
+            return None
         k = self.builder.k
-        return [{j: k.from_fraction(q) for j, q in enumerate(vec) if q}
-                for vec in linalg.certified_kernel(self.acc, rows)]
+        return [{j: k.from_fraction(q) for j, q in vec.items()}
+                for vec in lifted]
+
+    def _basis(self, kernel):
+        """The canonical basis of the kernel's relations, and whether it
+        is certified."""
+        polys = _kernel_to_polys(self.builder, kernel, self.ring, self.a)
+        basis = _row_reduce_polys(self.ring, polys)
+        return basis, certify(self.sys, basis, self.a)
+
+    def _check_exactly(self):
+        """A lifted kernel that the certificate did not prove must vanish
+        exactly on every row added, or p was unlucky (NotCertified)."""
+        if self.modular:
+            rows = (self.builder.row(i) for i in range(self.nrows))
+            linalg.certified_kernel(self.acc, rows)
 
     def explicit(self, N):
-        """Rows 0..N+1."""
+        """Rows 0..N+1; the basis is rigorous when it is certified."""
         def run():
-            self._add_rows(N + 1)
-            return N
+            while self.nrows <= N + 1:
+                self._add_row()
+            kernel = self._kernel()
+            if kernel is None:
+                raise linalg.NotCertified("rational reconstruction failed")
+            basis, rigorous = self._basis(kernel)
+            if not rigorous:
+                self._check_exactly()
+            return N, basis, rigorous
         return self._solve(run)
 
-    def stabilize(self, w):
-        """Smallest M whose rank is unchanged through M..M+w; each row
-        added extends the monomial series by one coefficient."""
+    def certified(self):
+        """Rows one order at a time until the kernel is certified.
+
+        A kernel is tried once, at the first row that leaves its rank
+        unchanged, or when the rank reaches the column count.  A kernel
+        without a lift or without a certificate needs more rows.  The
+        kernel of a certified try is the kernel of the rows through the
+        last row that raised the rank, N+1; N is never below 0."""
         def run():
-            streak = 0
-            M = 0
-            last_rank = None
-            while True:
-                self._add_rows(M + 1)
-                if self.acc.rank == last_rank:
-                    streak += 1
-                    if streak >= w:
-                        return M - w
-                else:
-                    streak = 0
-                    last_rank = self.acc.rank
-                M += 1
-                if M > MAX_ORDER:
-                    raise ResourceCapError(
-                        "no stable truncation order below %d" % MAX_ORDER)
+            tried = None
+            last_raise = 0
+            while self.nrows <= MAX_ORDER + 1:
+                if self._add_row():
+                    last_raise = self.nrows - 1
+                    if self.acc.rank < self.builder.ncols:
+                        continue
+                if self.acc.rank == tried:
+                    continue
+                tried = self.acc.rank
+                kernel = self._kernel()
+                if kernel is None:
+                    continue
+                basis, rigorous = self._basis(kernel)
+                if rigorous:
+                    return max(last_raise - 1, 0), basis, True
+                self._check_exactly()
+            if self.modular:
+                raise linalg.NotCertified(
+                    "no kernel mod p was certified below order %d"
+                    % MAX_ORDER)
+            raise ResourceCapError("no relation basis was certified below "
+                                   "truncation order %d" % MAX_ORDER)
         return self._solve(run)
 
 
-def order_bound(sys, a, d, ell, strategy, solver=None):
-    """Truncation order for the relation solve.
+def order_bound(sys, a, d, ell, strategy=None, solver=None):
+    """Truncation order N of the relation solve, and whether its
+    relation basis is certified: (N, rigorous).
 
-    strategy: ("explicit", N) -> (N, rigorous=True);
-              ("stabilize", w) -> smallest M whose constraint rank is
-              unchanged through M..M+w, rigorous=False.
-    The row space grows with the order, so kernel stability is exactly
-    rank stability.  The window reads ranks over GF(p), p = 2^61 - 1;
-    they equal the exact ranks unless p divides a minor met along the
-    way.  The kernel that a shared ``solver`` hands on to relation_ideal
-    is exact in every case.  The rank did not grow inside the window, so
-    the rows through N+1 and all rows added (through N+w+1) have the
-    same kernel, and that kernel is checked exactly (_RelationSolve).
-    """
-    kind = strategy[0]
-    if kind == "explicit":
-        return strategy[1], True
-    if kind != "stabilize":
-        raise DgalError("unknown order-bound strategy %r" % (kind,))
+    strategy None adds rows one order at a time until the kernel is
+    certified (``certify``), and N is the order that kernel needs:
+    rows 0..N+1 have it.  ("explicit", N) solves rows 0..N+1, and
+    rigorous says whether their kernel is certified.  A certified kernel
+    is the exact kernel of every truncation and the whole space of
+    relations under the caps (d, ell).  A ``solver`` shared with
+    relation_ideal hands its basis on."""
     if solver is None:
         solver = _RelationSolve(sys, a, d, ell)
-    return solver.stabilize(strategy[1]), False
+    if strategy is None:
+        return solver.certified(), True
+    kind, N = strategy
+    if kind != "explicit":
+        raise DgalError("unknown order-bound strategy %r" % (kind,))
+    solver.explicit(N)
+    return N, solver.rigorous
 
 
-def relation_ideal(sys, a, d, ell, N, rigorous=False, solver=None):
+def relation_ideal(sys, a, d, ell, N, solver=None):
     """Relations of total degree <= d with polynomial coefficients of
-    t-degree <= 2*ell, valid through truncation order N+1.  A ``solver``
-    shared with order_bound hands on the kernel it found for N."""
+    t-degree <= 2*ell, valid through truncation order N+1; rigorous when
+    certified.  A ``solver`` shared with order_bound hands on the basis
+    it found for N."""
     if solver is None:
         solver = _RelationSolve(sys, a, d, ell)
     if solver.N != N:
         solver.explicit(N)
-    R = sys.R
-    ring = PolyRing(R, matrix_var_names(sys.n), graded_lex_order(sys.n * sys.n))
-    polys = _kernel_to_polys(solver.builder, solver.kernel, ring, a)
-    basis = _row_reduce_polys(ring, polys)
-    # a nonzero constant never vanishes at F, so the truncation let a
-    # false relation through: such a basis is not the relation ideal
-    if any(P.constant_value() is not None for P in basis if P.terms):
-        rigorous = False
-    return RelationIdeal(ring, basis, d=d, a=a, ell=ell, order_used=N,
-                         rigorous=rigorous)
+    return RelationIdeal(solver.ring, solver.basis, d=d, a=a, ell=ell,
+                         order_used=N, rigorous=solver.rigorous)
 
 
 def find_relations(sys, a, d, ell, strategy=None):
     """The relation ideal for a truncation-order strategy (default: the
-    stabilize window), with one solve shared by order_bound and
+    first certified kernel), with one solve shared by order_bound and
     relation_ideal.  Caps that mean nothing raise InputError."""
     if d < 1:
         raise InputError("relation degree must be >= 1, got %d" % d)
     if ell < 0:
         raise InputError("coefficient degree must be >= 0, got %d" % ell)
-    if strategy is None:
-        strategy = ("stabilize", default_window(sys, d))
-    kind, size = strategy
-    if kind == "explicit" and size < 0:
-        raise InputError("truncation order must be >= 0, got %d" % size)
-    if kind == "stabilize" and size < 1:
-        raise InputError("stabilization window must be >= 1, got %d" % size)
+    if strategy is not None and strategy[1] < 0:
+        raise InputError("truncation order must be >= 0, got %d"
+                         % strategy[1])
     solver = _RelationSolve(sys, a, d, ell)
-    N, rigorous = order_bound(sys, a, d, ell, strategy, solver=solver)
-    return relation_ideal(sys, a, d, ell, N, rigorous=rigorous, solver=solver)
+    N, _rigorous = order_bound(sys, a, d, ell, strategy, solver=solver)
+    return relation_ideal(sys, a, d, ell, N, solver=solver)
+
+
+# -- the certificate ----------------------------------------------------
+
+def certify(sys, basis, a):
+    """True when every relation in the k(t)-span W of ``basis`` (a reduced
+    row echelon basis, as _row_reduce_polys returns it) vanishes at the
+    fundamental matrix F with F(a) = I.
+
+    Two exact checks: W is closed under the derivation of P(F) along
+    X' = A X (``_derivative`` of each basis element reduces to zero), and
+    a basis C of W that is regular at a with k-independent values there
+    (``_local_basis``) vanishes at t = a, X = I.  Then (C_i(F))' =
+    M (C_i(F)) with M regular at a, and a solution that is 0 at a is 0:
+    Cauchy uniqueness, the zero test for D-finite functions (Stanley
+    1980; van der Put and Singer 2003, ch. 1)."""
+    if not basis:
+        return True
+    R, n = sys.R, sys.n
+    identity = [R.one if p // n == p % n else R.zero for p in range(n * n)]
+    if any(not R.const.is_zero(R.eval_at(C.eval_consts(identity), a))
+           for C in _local_basis(basis, a)):
+        return False
+    support = set().union(*(P.terms for P in basis))
+    rows = []
+    for P in basis:
+        lead, _one = P.leading()
+        rows.append((lead, {e: c for e, c in P.terms.items() if e != lead}))
+    for P in basis:
+        D = _derivative(sys, P)
+        if not D.keys() <= support:
+            return False
+        for lead, tail in rows:
+            c = D.pop(lead, None)
+            if c is not None:
+                linalg._sub_multiple(R, D, c, tail)
+        if D:
+            return False
+    return True
+
+
+def _derivative(sys, P):
+    """The polynomial whose value at F is P(F)', as ``{monomial:
+    coefficient}``: d(c X^m) = c' X^m + c (X^m)' with X' = A X."""
+    R, n, A = sys.R, sys.n, sys.A
+    out = {}
+
+    def add(e, c):
+        s = R.add(out[e], c) if e in out else c
+        if R.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+
+    for m, c in P.terms.items():
+        add(m, R.diff(c))
+        for p, e in enumerate(m):
+            if not e:
+                continue
+            i, j = divmod(p, n)
+            ce = R.scale(c, R.const.from_int(e))
+            for l in range(n):
+                if not R.is_zero(A[i][l]):
+                    tgt = list(m)
+                    tgt[p] -= 1
+                    tgt[l * n + j] += 1
+                    add(tuple(tgt), R.mul(ce, A[i][l]))
+    return out
+
+
+def _local_basis(basis, a):
+    """A basis of the k(t)-span of the independent ``basis`` that is
+    regular at t = a, with k-independent values there.
+
+    A reduced echelon basis without a pole at a is one.  Otherwise each
+    element is scaled by the power of t - a that clears its poles, and
+    while the values at a are dependent, an element of the dependency is
+    replaced by the combination divided by t - a; each step lowers the
+    order at a of the basis' maximal minors, so the loop ends."""
+    ring = basis[0].ring
+    R = ring.field
+    k = R.const
+    if all(R.is_regular_at(c, a) for P in basis for c in P.terms.values()):
+        return basis
+    u = R.from_coeffs([k.neg(a), k.one])
+    rows = [P.scale(R.pow(u, max(_pole_order(R, c, a)
+                                 for c in P.terms.values())))
+            for P in basis]
+    while True:
+        monos = sorted({e for P in rows for e in P.terms})
+        values = [[R.eval_at(P.terms[e], a) if e in P.terms else k.zero
+                   for e in monos] for P in rows]
+        deps = linalg.nullspace(k, linalg.transpose(values))
+        if not deps:
+            return rows
+        lam = deps[0]
+        j = next(i for i, x in enumerate(lam) if not k.is_zero(x))
+        comb = ring.zero
+        for x, P in zip(lam, rows):
+            if not k.is_zero(x):
+                comb = comb + P.scale(R.from_const(x))
+        rows[j] = comb.scale(R.inv(u))
+
+
+def _pole_order(R, c, a):
+    """The order of the pole of c at t = a (0 where c is regular)."""
+    k = R.const
+    den = upoly.shift(k, R.denom_coeffs(c), a)
+    return next(i for i, x in enumerate(den) if not k.is_zero(x))
 
 
 def _kernel_to_polys(builder, kernel, ring, a):

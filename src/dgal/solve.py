@@ -31,11 +31,13 @@ def solve_zero_dimensional(gens):
         raise PositiveDimensionalError("<empty system>")
     ring = gens[0].ring
     field = ring.field
-    gb = groebner(gens, LEX)
-    if any(not g.terms for g in gens) or gb == []:
-        # zero ideal or the whole space
+    # a zero generator does not change the ideal; only an all-zero system
+    # is the zero ideal, whose zeros are the whole space
+    gens = [g for g in gens if g.terms]
+    if not gens:
         raise PositiveDimensionalError(ring.names[0] if ring.names else "<point>")
-    if gb and gb[0].constant_value() is not None:
+    gb = groebner(gens, LEX)
+    if gb[0].constant_value() is not None:
         return field, []  # 1 in the ideal: no solutions
     flag, witness = is_zero_dimensional(gb, ring, LEX)
     if not flag:

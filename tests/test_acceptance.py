@@ -135,11 +135,9 @@ def test_criterion_3_relation_soundness_second_point():
             (sys_of(["0", "1"], ["t", "0"]), K.from_int(1), 2, 2,
              K.from_int(2)),
         ]
-        from dgal.relations import (default_window, order_bound,
-                                    relation_ideal)
+        from dgal.relations import order_bound, relation_ideal
         for s, a, d, ell, b in cases:
-            N, _ = order_bound(s, a, d, ell,
-                               ("stabilize", default_window(s, d)))
+            N, _ = order_bound(s, a, d, ell)
             rel = relation_ideal(s, a, d, ell, N)
             ok, _how = second_point_check(s, rel, b, margin=10)
             assert ok

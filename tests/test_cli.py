@@ -33,7 +33,6 @@ RELATION_CAPS = [
     ["--degree", "1", "--order", "-3"],
     ["--degree", "1", "--coeff-degree", "-1"],
     ["--degree", "0"],
-    ["--degree", "1", "--stabilize", "0"],
 ]
 
 
@@ -86,6 +85,43 @@ def test_constant_relation_is_not_rigorous(capsys, doc):
                  "--point", "0", "--order", "6"]) == 0
     assert capsys.readouterr().out == (
         "order_used: 6\nrigorous: no\nrelation: x_1_1\nrelation: 1\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_pade_approximant_is_not_rigorous(capsys):
+    """At order 7 the truncated kernel of y' = y holds x_1_1 minus a Pade
+    approximant of exp(t), a false relation that the certificate
+    rejects."""
+    assert main(["relations", "--system", str(GOLDEN / "exp.sys"),
+                 "--degree", "1", "--point", "0", "--order", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["order_used: 7", "rigorous: no"]
+    assert lines[2].startswith("relation: x_1_1 + ((-1*t^4 + -20*t^3")
+
+
+def test_spurious_airy_relations_are_not_rigorous(capsys):
+    """At order 20 the truncated kernel of the Airy system spans all 15
+    monomials of degree <= 2, where only the determinant relation is
+    true."""
+    assert main(["relations", "--system", str(GOLDEN / "airy.sys"),
+                 "--degree", "2", "--order", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["order_used: 20", "rigorous: no"]
+    assert len(lines) == 2 + 15
+
+
+def test_refusal_names_an_uncertified_order(capsys):
+    """At order 8 the relation basis of y' = y/(2t) is not certified, and
+    the finite part cannot be read off it."""
+    code, lines = refused(capsys, ["galois", "--system",
+                                   str(GOLDEN / "mu2.sys"),
+                                   "--degree-override", "2", "--order", "8"])
+    assert code == 2 and len(lines) == 1
+    assert lines[0].startswith("error: F_bar is not in k(t)(gamma)")
+    assert lines[0].endswith(
+        "; the relation basis at order 8 is not certified")
 
 
 @pytest.mark.parametrize("text", [

@@ -10,7 +10,7 @@ from dgal.groups import (AlgebraicSubgroup, Character,
                          verify_group_axioms)
 from dgal import linalg
 from dgal.ratfunc import RatFuncField
-from dgal.relations import default_window, order_bound, relation_ideal
+from dgal.relations import find_relations
 from dgal.systems import OdeSystem
 
 K = ConstField()
@@ -19,11 +19,6 @@ R = RatFuncField(K)
 
 def sys_of(*rows):
     return OdeSystem(R, [[R.parse(e) for e in row] for row in rows])
-
-
-def relations_of(sys, a, d, ell):
-    N, _ = order_bound(sys, a, d, ell, ("stabilize", default_window(sys, d)))
-    return relation_ideal(sys, a, d, ell, N)
 
 
 def sl2(ring):
@@ -43,7 +38,7 @@ def char_polys(H, D):
 
 def test_mu2_stabilizer_chain():
     s = sys_of(["1/(2*t)"])
-    rel = relations_of(s, K.from_int(1), 2, 1)
+    rel = find_relations(s, K.from_int(1), 2, 1)
     H = stabilizer_group(rel)
     assert [H.ring.format(g) for g in H.generators] == ["x_1_1^2 + -1"]
     verify_group_axioms(H, rel)
@@ -58,7 +53,7 @@ def test_mu2_stabilizer_chain():
 
 def test_harmonic_stabilizer_is_rotations():
     s = sys_of(["0", "1"], ["-1", "0"])
-    rel = relations_of(s, K.zero, 2, 1)
+    rel = find_relations(s, K.zero, 2, 1)
     H = stabilizer_group(rel)
     verify_group_axioms(H, rel)
     # the stabilizer ideal contains the rotation relations

@@ -128,6 +128,17 @@ def test_solve_bivariate():
         assert fld.eq(fld.pow(bv, 3), fld.one)
 
 
+def test_solve_ignores_zero_generators():
+    # a zero generator leaves the ideal (x - 1) as it is
+    R = ring("x")
+    x, = R.gens
+    fld, pts = solve_zero_dimensional([x - R.one, R.zero])
+    assert len(pts) == 1
+    assert fld.eq(pts[0][0][0], fld.one)
+    with pytest.raises(PositiveDimensionalError):
+        solve_zero_dimensional([R.zero, R.zero])
+
+
 def test_solve_positive_dimensional_rejected():
     R = ring("x", "y")
     x, y = R.gens

@@ -7,11 +7,11 @@ from dgal import linalg
 from dgal.fields import ConstField, field_adjoin
 from dgal.multipoly import PolyRing
 from dgal.ratfunc import RatFuncField
-from dgal.relations import (default_window, find_relations,
-                            graded_lex_order, order_bound,
+from dgal.relations import (certify, find_relations,
+                            graded_lex_order, matrix_var_names, order_bound,
                             relation_ideal, second_point_check,
-                            _AnsatzBuilder, _kernel_to_polys, _RelationSolve,
-                            _row_reduce_polys)
+                            _AnsatzBuilder, _kernel_to_polys, _local_basis,
+                            _RelationSolve, _row_reduce_polys)
 from dgal.series import Series
 from dgal.systems import MonomialSeries, OdeSystem
 
@@ -23,9 +23,9 @@ def sys_of(*rows):
     return OdeSystem(R, [[R.parse(e) for e in row] for row in rows])
 
 
-def stabilized(sys, a, d, ell):
-    N, rig = order_bound(sys, a, d, ell, ("stabilize", default_window(sys, d)))
-    assert not rig
+def certified_order(sys, a, d, ell):
+    N, rig = order_bound(sys, a, d, ell)
+    assert rig
     return N
 
 
@@ -38,7 +38,7 @@ def test_order_bound_explicit():
 def test_mu2_relation():
     s = sys_of(["1/(2*t)"])
     a = K.from_int(1)
-    N = stabilized(s, a, 2, 1)
+    N = certified_order(s, a, 2, 1)
     rel = relation_ideal(s, a, 2, 1, N)
     assert len(rel.basis) == 1
     expected = rel.ring.parse("x_1_1^2 - t")
@@ -48,7 +48,7 @@ def test_mu2_relation():
 def test_exponential_no_relation():
     s = sys_of(["1"])
     a = K.zero
-    N = stabilized(s, a, 3, 1)
+    N = certified_order(s, a, 3, 1)
     rel = relation_ideal(s, a, 3, 1, N)
     assert rel.basis == []
 
@@ -56,7 +56,7 @@ def test_exponential_no_relation():
 def test_solution_in_k():
     s = sys_of(["1/t"])
     a = K.from_int(1)
-    N = stabilized(s, a, 1, 1)
+    N = certified_order(s, a, 1, 1)
     rel = relation_ideal(s, a, 1, 1, N)
     assert len(rel.basis) == 1
     assert rel.basis[0] == rel.ring.parse("x_1_1 - t")
@@ -65,7 +65,7 @@ def test_solution_in_k():
 def test_harmonic_relations():
     s = sys_of(["0", "1"], ["-1", "0"])
     a = K.zero
-    N = stabilized(s, a, 2, 1)
+    N = certified_order(s, a, 2, 1)
     rel = relation_ideal(s, a, 2, 1, N)
     ring = rel.ring
     quadrics = [
@@ -90,7 +90,7 @@ def test_relation_soundness_second_point():
     # adjusting by a constant invertible transport factor
     s = sys_of(["1/(2*t)"])
     a = K.from_int(1)
-    N = stabilized(s, a, 2, 1)
+    N = certified_order(s, a, 2, 1)
     rel = relation_ideal(s, a, 2, 1, N)
     ok, how = second_point_check(s, rel, K.from_int(4))
     assert ok and how == "transport"
@@ -101,7 +101,7 @@ def test_second_point_direct():
     # vanish at the second point without any adjustment
     s = sys_of(["0", "1"], ["-1", "0"])
     a = K.zero
-    N = stabilized(s, a, 2, 1)
+    N = certified_order(s, a, 2, 1)
     rel = relation_ideal(s, a, 2, 1, N)
     ok, how = second_point_check(s, rel, K.from_int(1))
     assert ok and how == "direct"
@@ -143,7 +143,7 @@ def test_second_point_check_outcomes(rows, a, d, ell, b, how):
 def test_monotone_in_degree():
     s = sys_of(["1/(2*t)"])
     a = K.from_int(1)
-    N = stabilized(s, a, 3, 1)
+    N = certified_order(s, a, 3, 1)
     rel2 = relation_ideal(s, a, 2, 1, N)
     rel3 = relation_ideal(s, a, 3, 1, N)
     ring3 = rel3.ring
@@ -155,7 +155,7 @@ def test_monotone_in_degree():
 def test_zero_system_relations():
     s = sys_of(["0"])
     a = K.from_int(2)
-    N = stabilized(s, a, 1, 1)
+    N = certified_order(s, a, 1, 1)
     rel = relation_ideal(s, a, 1, 1, N)
     assert len(rel.basis) == 1
     assert rel.basis[0] == rel.ring.parse("x_1_1 - 1")
@@ -170,8 +170,7 @@ def test_denominators_divisible_by_p_take_the_exact_path():
     s = sys_of(["1/%d" % P61])
     a = K.zero
     solver = _RelationSolve(s, a, 1, 1)
-    N, _ = order_bound(s, a, 1, 1, ("stabilize", default_window(s, 1)),
-                       solver=solver)
+    N, _ = order_bound(s, a, 1, 1, solver=solver)
     assert solver.exact_reason == "a denominator is 0 mod p"
     assert relation_ideal(s, a, 1, 1, N, solver=solver).basis == []
 
@@ -197,8 +196,7 @@ def test_spurious_relation_mod_p_is_rejected():
         linalg.certified_kernel(acc, rows)
     # the shared solve sees the failed check and reruns exactly
     solver = _RelationSolve(s, a, 1, 1)
-    N, _ = order_bound(s, a, 1, 1, ("stabilize", default_window(s, 1)),
-                       solver=solver)
+    N, _ = order_bound(s, a, 1, 1, solver=solver)
     assert solver.exact_reason == "the exact check failed"
     assert relation_ideal(s, a, 1, 1, N, solver=solver).basis == []
     assert find_relations(s, a, 1, 1).basis == []
@@ -207,9 +205,9 @@ def test_spurious_relation_mod_p_is_rejected():
 def test_shared_solve_matches_separate_solves():
     s = sys_of(["0", "1"], ["-1", "0"])
     a = K.zero
-    N = stabilized(s, a, 2, 1)
+    N = certified_order(s, a, 2, 1)
     shared = find_relations(s, a, 2, 1)
-    assert shared.order_used == N and not shared.rigorous
+    assert shared.order_used == N and shared.rigorous
     assert shared.basis == relation_ideal(s, a, 2, 1, N).basis
     explicit = find_relations(s, a, 2, 1, ("explicit", N))
     assert explicit.rigorous and explicit.basis == shared.basis
@@ -219,8 +217,7 @@ def test_number_field_takes_the_exact_path():
     s = OdeSystem.from_document("n: 1\nfield: g^2 - 2\nA[1][1]: 1/(2*t)\n")
     a = s.R.const.one
     solver = _RelationSolve(s, a, 2, 1)
-    N, _ = order_bound(s, a, 2, 1, ("stabilize", default_window(s, 2)),
-                       solver=solver)
+    N, _ = order_bound(s, a, 2, 1, solver=solver)
     assert solver.exact_reason == "the constant field is a number field"
     rel = relation_ideal(s, a, 2, 1, N, solver=solver)
     assert rel.basis == [rel.ring.parse("x_1_1^2 - t")]
@@ -246,6 +243,66 @@ def test_relation_solve_builds_no_series_products(monkeypatch):
     rel = find_relations(s, K.one, 2, 2, ("explicit", 68))
     assert rel.basis == [rel.ring.parse("x_1_1*x_2_2 - x_1_2*x_2_1 - 1")]
     assert calls == {"mul": 0, "store": 1}
+
+
+# the worked examples: rows of A, point a, relation degree d (ell = 2)
+WORKED = {
+    "mu2": ([["1/(2*t)"]], 1, 2),
+    "exp": ([["1"]], 0, 3),
+    "t": ([["1/t"]], 1, 1),
+    "harmonic": ([["0", "1"], ["-1", "0"]], 0, 2),
+    "airy": ([["0", "1"], ["t", "0"]], 1, 2),
+    "diag23": ([["1/(2*t)", "0"], ["0", "1/(3*t)"]], 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", WORKED)
+def test_certificate_accepts_the_default_basis_only(name):
+    # below the order where the rank last grows, the truncated kernel
+    # holds a false relation, which the certificate must reject
+    rows, a, d = WORKED[name]
+    s = sys_of(*rows)
+    rel = find_relations(s, K.from_int(a), d, 2)
+    assert rel.rigorous and certify(s, rel.basis, rel.a)
+    half = relation_ideal(s, rel.a, d, 2, rel.order_used // 2)
+    assert not half.rigorous and not certify(s, half.basis, half.a)
+
+
+def test_local_basis_clears_a_pole_at_the_point():
+    # both rows of the reduced echelon basis have a pole at t = 0; scaled
+    # by t they take the same value x_2_2 there, so one of them is
+    # replaced by their difference over t
+    ring = PolyRing(R, matrix_var_names(2), graded_lex_order(4))
+    x11, x12, _x21, x22 = ring.gens
+    inv_t = R.inv(R.t)
+    span = _row_reduce_polys(ring, [x11 + x22.scale(inv_t),
+                                    x12 + x22.scale(inv_t)])
+    assert not all(R.is_regular_at(c, K.zero)
+                   for P in span for c in P.terms.values())
+    local = _local_basis(span, K.zero)
+    assert all(R.is_regular_at(c, K.zero)
+               for P in local for c in P.terms.values())
+    monos = sorted({e for P in local for e in P.terms})
+    values = [[R.eval_at(P.terms[e], K.zero) if e in P.terms else K.zero
+               for e in monos] for P in local]
+    assert len(local) == len(linalg.rref(K, values)[1]) == 2
+    assert _row_reduce_polys(ring, local) == span
+
+
+def test_solve_ends_at_the_first_certified_kernel(monkeypatch):
+    # the work-count system: 104 rows with the stabilize window, while
+    # the kernel is fixed by rows 0..N+1 and confirmed by one more row
+    calls = [0]
+    add_row = linalg.RrefAccumulator.add_row
+
+    def counting(self, row):
+        calls[0] += 1
+        return add_row(self, row)
+
+    monkeypatch.setattr(linalg.RrefAccumulator, "add_row", counting)
+    s = sys_of(["0", "1"], ["-t/2 + 1", "0"])
+    rel = find_relations(s, K.from_int(2), 2, 2)
+    assert rel.rigorous and calls[0] <= rel.order_used + 3
 
 
 class _CountingPrimeField(linalg.PrimeField):
