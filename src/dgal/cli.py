@@ -46,10 +46,8 @@ def _point(sys_, text):
 def _setup(args, degree):
     """The system and the pipeline settings of a relation-based run."""
     sys_ = _load_system(args.system)
-    strategy = None if args.order is None else ("explicit", args.order)
     return sys_, PipelineConfig(degree=degree, a=_point(sys_, args.point),
-                                ell=args.coeff_degree,
-                                order_strategy=strategy)
+                                ell=args.coeff_degree, order=args.order)
 
 
 def cmd_bounds(args):
@@ -88,7 +86,7 @@ def cmd_series(args):
 
 def cmd_relations(args):
     sys_, cfg = _setup(args, args.degree)
-    rel = find_relations(sys_, cfg.a, cfg.degree, cfg.ell, cfg.order_strategy)
+    rel = find_relations(sys_, cfg.a, cfg.degree, cfg.ell, cfg.order)
     print("order_used: %d" % rel.order_used)
     print("rigorous: %s" % ("yes" if rel.rigorous else "no"))
     for P in rel.basis:

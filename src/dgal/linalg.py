@@ -14,9 +14,9 @@ more than its pivot, and elimination touches only what is nonzero.
 ``PrimeField`` is one more adapter: GF(p) on Python ints.  With it the
 same routines run modulo a word-size prime, which avoids the gcd work
 of rational arithmetic.  A result found mod p says nothing about QQ by
-itself: ``certified_kernel`` lifts a kernel found mod p by rational
+itself: ``lift_kernel`` lifts a kernel found mod p by rational
 reconstruction (Wang, Guy and Davenport 1982; the modular method of
-Dixon 1982) and checks the lift exactly.
+Dixon 1982), and ``kernel_vanishes`` checks a lift exactly.
 """
 
 import bisect
@@ -241,16 +241,6 @@ class RrefAccumulator:
                 basis[fc][pc] = f.neg(x)
         return list(basis.values())
 
-    def kernel_basis(self):
-        """The kernel_vectors as dense lists."""
-        out = []
-        for vec in self.kernel_vectors():
-            dense = [self.field.zero] * self.cols
-            for j, x in vec.items():
-                dense[j] = x
-            out.append(dense)
-        return out
-
 
 def _sub_multiple(field, target, c, source):
     """target -= c * source for sparse rows, in place; zeros are dropped."""
@@ -359,7 +349,11 @@ def kernel_vanishes(rows, vectors):
 
     Rows hold rationals (anything with a numerator and a denominator),
     vectors are ``{column: rational}``.  Both are scaled to integers, so
-    each check is one integer dot product over the vector's support."""
+    each check is one integer dot product over the vector's support.
+    The lift of the kernel of an RrefAccumulator over a PrimeField that
+    passes is the exact kernel of the rows: the r pivots mod p give a
+    rank of at least r over QQ, and the cols - r vectors, independent by
+    construction, a rank of at most r."""
     scaled = []
     for vec in vectors:
         den = lcm(*(q.denominator for q in vec.values()))
@@ -372,21 +366,3 @@ def kernel_vanishes(rows, vectors):
             if sum(ints[j] * c for j, c in support):
                 return False
     return True
-
-
-def certified_kernel(acc, rows):
-    """The exact right kernel of rational ``rows``, read off ``acc``, an
-    RrefAccumulator over a PrimeField that has seen their images.
-
-    The kernel mod p is lifted (``lift_kernel``) and checked exactly
-    against every row.  Vectors that pass are the exact kernel: the r
-    pivots mod p give a rank of at least r over QQ, and the cols - r
-    checked vectors, independent by construction, a rank of at most r.
-    Entries are Rationals, zero entries the int 0.  Raises NotCertified
-    when a lift or a check fails."""
-    lifted = lift_kernel(acc)
-    if lifted is None:
-        raise NotCertified("rational reconstruction failed")
-    if not kernel_vanishes(rows, lifted):
-        raise NotCertified("the exact check failed")
-    return [[vec.get(j, 0) for j in range(acc.cols)] for vec in lifted]

@@ -44,18 +44,18 @@ class PipelineConfig:
     degree None means the symbolic-bound mode: the run refuses with the
     rendered bound tower instead of executing.  a is the one expansion
     point (None means t = 1); ell caps the t-degree of the relation
-    coefficients; order_strategy None adds series orders until the
-    relation basis is certified, and ("explicit", N) solves at order N,
+    coefficients; order None adds series orders until the relation
+    basis is certified, and an explicit order N solves at order N,
     certified or not.
     """
 
-    def __init__(self, degree=None, a=None, ell=2, order_strategy=None):
+    def __init__(self, degree=None, a=None, ell=2, order=None):
         if degree is not None and degree < 1:
             raise InputError("relation degree must be >= 1, got %d" % degree)
         self.degree = degree
         self.a = a
         self.ell = ell
-        self.order_strategy = order_strategy
+        self.order = order
 
 
 class AlphaData:
@@ -141,7 +141,7 @@ def proto_galois(sys, cfg):
         err.bound_expr = expr
         raise err
     a = sys.R.const.one if cfg.a is None else cfg.a
-    rel = find_relations(sys, a, cfg.degree, cfg.ell, cfg.order_strategy)
+    rel = find_relations(sys, a, cfg.degree, cfg.ell, cfg.order)
     H = stabilizer_group(rel)
     verify_group_axioms(H, rel)
     return H, rel

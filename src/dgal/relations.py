@@ -9,8 +9,8 @@ rational-function coefficients and row-reduced, is the relation basis.
 
 The solve eliminates modulo a word-size prime, adds rows one order at a
 time, and ends at the first kernel it can certify exactly
-(``_RelationSolve``, ``certify``): the k(t)-span of the kernel's
-relations is closed under d/dt along X' = A X and vanishes at t = a,
+(``_RelationSolve``, ``certify``): the closure under d/dt along
+X' = A X of the k(t)-span of the kernel's relations vanishes at t = a,
 X = I, so by Cauchy uniqueness every relation in it vanishes at the
 fundamental matrix.  ``find_relations`` runs the solve once for both the
 truncation order and the kernel.  The kernel vectors are kept as
@@ -29,7 +29,7 @@ it by y-monomial and evaluates each x-polynomial with the
 from math import isqrt
 
 from . import linalg, upoly
-from .errors import DgalError, InputError, ResourceCapError
+from .errors import InputError, ResourceCapError
 from .multipoly import MonomialOrder, PolyRing
 from .solve import PositiveDimensionalError, solve_zero_dimensional
 from .systems import MonomialSeries
@@ -96,11 +96,12 @@ class _RelationSolve:
     rational reconstruction, and its canonical basis is certified exactly
     (``certify``).  A certified kernel is the exact kernel of every
     truncation, so no row beyond it is needed.  An uncertified lift is
-    checked exactly against every row added (linalg.certified_kernel).
+    checked exactly against every row added (linalg.kernel_vanishes).
     The solve reruns from the start over the exact constant field when
     that field is a number field, a denominator is 0 mod p, the exact
-    check fails, an explicit order's kernel has no lift, or no kernel is
-    certified below MAX_ORDER; ``exact_reason`` then says which."""
+    check fails, a kernel has no lift (at an explicit order, or while the
+    rank holds; ``certified``), or no kernel is certified below
+    MAX_ORDER; ``exact_reason`` then says which."""
 
     def __init__(self, sys, a, d, ell):
         self.sys = sys
@@ -139,31 +140,31 @@ class _RelationSolve:
         return self.acc.add_row(row)
 
     def _kernel(self):
-        """The kernel of the rows so far as ``{column: value}`` over k:
-        read off exactly, or lifted from GF(p) (None when an entry has no
-        lift)."""
+        """The kernel of the rows so far as ``{column: value}``: over k
+        when exact, lifted from GF(p) to Rationals by rational
+        reconstruction otherwise (None when an entry has no lift)."""
         if not self.modular:
             return self.acc.kernel_vectors()
-        lifted = linalg.lift_kernel(self.acc)
-        if lifted is None:
-            return None
-        k = self.builder.k
-        return [{j: k.from_fraction(q) for j, q in vec.items()}
-                for vec in lifted]
+        return linalg.lift_kernel(self.acc)
 
     def _basis(self, kernel):
         """The canonical basis of the kernel's relations, and whether it
         is certified."""
+        if self.modular:
+            k = self.builder.k
+            kernel = [{j: k.from_fraction(q) for j, q in vec.items()}
+                      for vec in kernel]
         polys = _kernel_to_polys(self.builder, kernel, self.ring, self.a)
         basis = _row_reduce_polys(self.ring, polys)
         return basis, certify(self.sys, basis, self.a)
 
-    def _check_exactly(self):
+    def _check_exactly(self, kernel):
         """A lifted kernel that the certificate did not prove must vanish
         exactly on every row added, or p was unlucky (NotCertified)."""
         if self.modular:
             rows = (self.builder.row(i) for i in range(self.nrows))
-            linalg.certified_kernel(self.acc, rows)
+            if not linalg.kernel_vanishes(rows, kernel):
+                raise linalg.NotCertified("the exact check failed")
 
     def explicit(self, N):
         """Rows 0..N+1; the basis is rigorous when it is certified."""
@@ -175,7 +176,7 @@ class _RelationSolve:
                 raise linalg.NotCertified("rational reconstruction failed")
             basis, rigorous = self._basis(kernel)
             if not rigorous:
-                self._check_exactly()
+                self._check_exactly(kernel)
             return N, basis, rigorous
         return self._solve(run)
 
@@ -184,11 +185,15 @@ class _RelationSolve:
 
         A kernel is tried once, at the first row that leaves its rank
         unchanged, or when the rank reaches the column count.  A kernel
-        without a lift or without a certificate needs more rows.  The
-        kernel of a certified try is the kernel of the rows through the
-        last row that raised the rank, N+1; N is never below 0."""
+        without a certificate needs more rows.  So does one without a
+        lift, until the rank has held for as many rows as it took to
+        reach it: the kernel mod p cannot change while the rank holds, so
+        its entries are then taken to be too large for p.  The kernel of
+        a certified try is the kernel of the rows through the last row
+        that raised the rank, N+1; N is never below 0."""
         def run():
             tried = None
+            lifted = True
             last_raise = 0
             while self.nrows <= MAX_ORDER + 1:
                 if self._add_row():
@@ -196,15 +201,19 @@ class _RelationSolve:
                     if self.acc.rank < self.builder.ncols:
                         continue
                 if self.acc.rank == tried:
+                    if not lifted and self.nrows >= 2 * (last_raise + 1):
+                        raise linalg.NotCertified(
+                            "rational reconstruction failed")
                     continue
                 tried = self.acc.rank
                 kernel = self._kernel()
-                if kernel is None:
+                lifted = kernel is not None
+                if not lifted:
                     continue
                 basis, rigorous = self._basis(kernel)
                 if rigorous:
                     return max(last_raise - 1, 0), basis, True
-                self._check_exactly()
+                self._check_exactly(kernel)
             if self.modular:
                 raise linalg.NotCertified(
                     "no kernel mod p was certified below order %d"
@@ -214,26 +223,23 @@ class _RelationSolve:
         return self._solve(run)
 
 
-def order_bound(sys, a, d, ell, strategy=None, solver=None):
+def order_bound(sys, a, d, ell, order=None, solver=None):
     """Truncation order N of the relation solve, and whether its
     relation basis is certified: (N, rigorous).
 
-    strategy None adds rows one order at a time until the kernel is
+    order None adds rows one order at a time until the kernel is
     certified (``certify``), and N is the order that kernel needs:
-    rows 0..N+1 have it.  ("explicit", N) solves rows 0..N+1, and
+    rows 0..N+1 have it.  An explicit order N solves rows 0..N+1, and
     rigorous says whether their kernel is certified.  A certified kernel
     is the exact kernel of every truncation and the whole space of
     relations under the caps (d, ell).  A ``solver`` shared with
     relation_ideal hands its basis on."""
     if solver is None:
         solver = _RelationSolve(sys, a, d, ell)
-    if strategy is None:
+    if order is None:
         return solver.certified(), True
-    kind, N = strategy
-    if kind != "explicit":
-        raise DgalError("unknown order-bound strategy %r" % (kind,))
-    solver.explicit(N)
-    return N, solver.rigorous
+    solver.explicit(order)
+    return order, solver.rigorous
 
 
 def relation_ideal(sys, a, d, ell, N, solver=None):
@@ -249,19 +255,18 @@ def relation_ideal(sys, a, d, ell, N, solver=None):
                          order_used=N, rigorous=solver.rigorous)
 
 
-def find_relations(sys, a, d, ell, strategy=None):
-    """The relation ideal for a truncation-order strategy (default: the
-    first certified kernel), with one solve shared by order_bound and
-    relation_ideal.  Caps that mean nothing raise InputError."""
+def find_relations(sys, a, d, ell, order=None):
+    """The relation ideal at an explicit truncation order (default: that
+    of the first certified kernel), with one solve shared by order_bound
+    and relation_ideal.  Caps that mean nothing raise InputError."""
     if d < 1:
         raise InputError("relation degree must be >= 1, got %d" % d)
     if ell < 0:
         raise InputError("coefficient degree must be >= 0, got %d" % ell)
-    if strategy is not None and strategy[1] < 0:
-        raise InputError("truncation order must be >= 0, got %d"
-                         % strategy[1])
+    if order is not None and order < 0:
+        raise InputError("truncation order must be >= 0, got %d" % order)
     solver = _RelationSolve(sys, a, d, ell)
-    N, _rigorous = order_bound(sys, a, d, ell, strategy, solver=solver)
+    N, _rigorous = order_bound(sys, a, d, ell, order, solver=solver)
     return relation_ideal(sys, a, d, ell, N, solver=solver)
 
 
@@ -272,36 +277,56 @@ def certify(sys, basis, a):
     row echelon basis, as _row_reduce_polys returns it) vanishes at the
     fundamental matrix F with F(a) = I.
 
-    Two exact checks: W is closed under the derivation of P(F) along
-    X' = A X (``_derivative`` of each basis element reduces to zero), and
-    a basis C of W that is regular at a with k-independent values there
-    (``_local_basis``) vanishes at t = a, X = I.  Then (C_i(F))' =
-    M (C_i(F)) with M regular at a, and a solution that is 0 at a is 0:
-    Cauchy uniqueness, the zero test for D-finite functions (Stanley
-    1980; van der Put and Singer 2003, ch. 1)."""
+    W is first closed under the derivation of P(F) along X' = A X
+    (``_derivative``): the closure W' keeps the degree of W and holds
+    only relations exactly when W does, since the derivative of a
+    relation is one.  Then a basis C of W' that is regular at a with
+    k-independent values there (``_local_basis``) must vanish at t = a,
+    X = I: (C_i(F))' = M (C_i(F)) with M regular at a, and a solution
+    that is 0 at a is 0 (Cauchy uniqueness, the zero test for D-finite
+    functions; Stanley 1980; van der Put and Singer 2003, ch. 1).  An
+    element of W' regular at a with a nonzero value there ends the check
+    early."""
     if not basis:
         return True
+    ring = basis[0].ring
     R, n = sys.R, sys.n
     identity = [R.one if p // n == p % n else R.zero for p in range(n * n)]
-    if any(not R.const.is_zero(R.eval_at(C.eval_consts(identity), a))
-           for C in _local_basis(basis, a)):
-        return False
-    support = set().union(*(P.terms for P in basis))
-    rows = []
+
+    def refuted(P):
+        return (all(R.is_regular_at(c, a) for c in P.terms.values())
+                and not R.const.is_zero(R.eval_at(P.eval_consts(identity),
+                                                  a)))
+
+    # the closure as a reduced echelon form {lead: tail}, leads monic
+    rows = {}
     for P in basis:
         lead, _one = P.leading()
-        rows.append((lead, {e: c for e, c in P.terms.items() if e != lead}))
-    for P in basis:
-        D = _derivative(sys, P)
-        if not D.keys() <= support:
-            return False
-        for lead, tail in rows:
+        rows[lead] = {e: c for e, c in P.terms.items() if e != lead}
+    todo = list(basis)
+    while todo:
+        D = _derivative(sys, todo.pop())
+        for lead, tail in rows.items():
             c = D.pop(lead, None)
             if c is not None:
                 linalg._sub_multiple(R, D, c, tail)
-        if D:
+        if not D:
+            continue
+        lead = max(D, key=ring.order.key)
+        inv = R.inv(D.pop(lead))
+        tail = {e: R.mul(c, inv) for e, c in D.items()}
+        for other in rows.values():
+            c = other.pop(lead, None)
+            if c is not None:
+                linalg._sub_multiple(R, other, c, tail)
+        rows[lead] = tail
+        P = ring.from_dict({lead: R.one, **tail})
+        if refuted(P):
             return False
-    return True
+        todo.append(P)
+    closure = [ring.from_dict({lead: R.one, **tail})
+               for lead, tail in rows.items()]
+    return not any(refuted(C) for C in _local_basis(closure, a))
 
 
 def _derivative(sys, P):
