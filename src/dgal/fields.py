@@ -96,6 +96,8 @@ class ConstField:
             raise ZeroDivisionError("division by zero in constant field")
         if self._minpoly is None:
             return a / b
+        if len(b) == 1:  # b is rational: no gcdex
+            return tuple([x / b[0] for x in a])
         return self._nf_mul(a, self._nf_inv(b))
 
     def inv(self, a):
@@ -117,6 +119,8 @@ class ConstField:
 
     def is_one(self, a):
         return a == self.one
+
+    sub_multiples = linalg.sub_multiples
 
     # -- number field arithmetic ------------------------------------------
 

@@ -13,13 +13,15 @@ more than its pivot, and elimination touches only what is nonzero.
 
 ``PrimeField`` is one more adapter: GF(p) on Python ints.  With it the
 same routines run modulo a word-size prime, which avoids the gcd work
-of rational arithmetic.  A result found mod p says nothing about QQ by
-itself: ``lift_kernel`` lifts a kernel found mod p by rational
-reconstruction (Wang, Guy and Davenport 1982; the modular method of
-Dixon 1982), and ``kernel_vanishes`` checks a lift exactly.
+of rational arithmetic, and its row kernel reduces each entry once per
+row (delayed reduction; Dumas, Giorgi and Pernet 2008).  A result found
+mod p says nothing about QQ by itself: ``lift_kernel`` lifts it by
+rational reconstruction (Wang, Guy and Davenport 1982; the modular
+method of Dixon 1982), and ``kernel_vanishes`` checks a lift exactly.
 """
 
 import bisect
+import operator
 from math import gcd, isqrt, lcm
 
 from .rational import Rational
@@ -183,9 +185,9 @@ class RrefAccumulator:
     nonzero entries off the pivot (the pivot entry is one), keyed by its
     pivot column.  A row in RREF is zero at every other pivot column, so
     reducing by it changes no entry at a pivot column but its own: an
-    incoming row is reduced only by the rows whose pivot it has, in any
-    order, and every step touches only the nonzero entries of the stored
-    row (LaMacchia and Odlyzko 1990)."""
+    incoming row is reduced at once by the rows whose pivot it has, with
+    its entries there as multipliers (``field.sub_multiples``), touching
+    only the nonzero entries of those rows (LaMacchia and Odlyzko 1990)."""
 
     def __init__(self, field, cols):
         self.field = field
@@ -203,18 +205,18 @@ class RrefAccumulator:
         """add_row for a row given as ``{column: nonzero value}``; the
         dict is taken over, not copied."""
         f = self.field
-        for pc in [j for j in new if j in self._rows]:
-            _sub_multiple(f, new, new.pop(pc), self._rows[pc])
+        new = f.sub_multiples(new, [(new.pop(pc), self._rows[pc]) for pc
+                                    in [j for j in new if j in self._rows]])
         if not new:
             return False
         pc = min(new)
         inv = f.inv(new.pop(pc))
         new = {j: f.mul(x, inv) for j, x in new.items()}
         # back-substitute into the stored rows that have column pc
-        for r in self._rows.values():
+        for pr, r in self._rows.items():
             c = r.pop(pc, None)
             if c is not None:
-                _sub_multiple(f, r, c, new)
+                self._rows[pr] = f.sub_multiples(r, [(c, new)])
         self._rows[pc] = new
         bisect.insort(self.pivots, pc)
         return True
@@ -242,15 +244,18 @@ class RrefAccumulator:
         return list(basis.values())
 
 
-def _sub_multiple(field, target, c, source):
-    """target -= c * source for sparse rows, in place; zeros are dropped."""
+def sub_multiples(field, target, pairs):
+    """target -= c * source for each (c, source) of ``pairs``, in place and
+    sparse; returns target.  The row kernel over QQ, QQ(g) and k(t)."""
     zero, is_zero, sub, mul = field.zero, field.is_zero, field.sub, field.mul
-    for j, y in source.items():
-        x = sub(target.get(j, zero), mul(c, y))
-        if is_zero(x):
-            del target[j]
-        else:
-            target[j] = x
+    for c, source in pairs:
+        for j, y in source.items():
+            x = sub(target.get(j, zero), mul(c, y))
+            if is_zero(x):
+                del target[j]
+            else:
+                target[j] = x
+    return target
 
 
 class NotCertified(Exception):
@@ -283,33 +288,33 @@ class PrimeField:
             raise ZeroDivisionError("division by zero in GF(p)")
         return pow(a, -1, self.p)
 
-    def is_zero(self, a):
-        return not a
+    is_zero = staticmethod(operator.not_)
 
-    def reduce_row(self, row):
-        """Images num * den^-1 mod p of rationals (anything with a
-        numerator and a denominator).
+    def from_rational(self, q):
+        """The image num * den^-1 of a rational or an int."""
+        den = q.denominator % self.p
+        if not den:
+            raise NotCertified("a denominator is 0 mod p")
+        return q.numerator * pow(den, -1, self.p) % self.p
 
-        The denominators share one inversion (Montgomery's trick):
-        prefix products, the inverse of the whole product, then a
-        backward sweep that peels one denominator off at a time."""
-        p = self.p
-        out = [q.numerator % p for q in row]
-        dens = [(i, q.denominator % p) for i, q in enumerate(row)
-                if q.denominator != 1]
-        prefix = []
-        acc = 1
-        for _i, den in dens:
-            if not den:
-                raise NotCertified("a denominator is 0 mod p")
-            prefix.append(acc)
-            acc = acc * den % p
-        inv = pow(acc, -1, p)
-        for (i, den), before in zip(reversed(dens), reversed(prefix)):
-            # inv is the inverse of the product of dens through i
-            out[i] = out[i] * (inv * before % p) % p
-            inv = inv * den % p
-        return out
+    from_int = from_rational
+
+    def sub_multiples(self, target, pairs):
+        """The row kernel: target - sum of c * source over ``pairs``, on
+        plain ints (below len(pairs) p^2 + p) with one reduction per entry;
+        a single pair is reduced in place, for the delay saves it nothing."""
+        get, p = target.get, self.p
+        if len(pairs) == 1:
+            (c, source), = pairs
+            for j, y in source.items():
+                target[j] = x = (get(j, 0) - c * y) % p
+                if not x:
+                    del target[j]
+            return target
+        for c, source in pairs:
+            for j, y in source.items():
+                target[j] = get(j, 0) - c * y
+        return {j: r for j, x in target.items() if (r := x % p)}
 
 
 def rational_reconstruction(u, p):

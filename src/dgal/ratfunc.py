@@ -11,7 +11,7 @@ differentiation, evaluation, canonical text form, and partial fractions
 over a splitting field.
 """
 
-from . import _grammar, upoly
+from . import _grammar, linalg, upoly
 from .errors import DgalError, SingularPointError
 from .fields import GEN_NAME, split_univariate
 
@@ -149,6 +149,8 @@ class RatFuncField:
 
     def eq(self, a, b):
         return a == b
+
+    sub_multiples = linalg.sub_multiples
 
     def scale(self, a, c):
         """Multiply by a constant-field element."""

@@ -7,9 +7,9 @@ fundamental matrix, and each series order contributes one linear
 constraint on the unknown coefficients.  The kernel, rewritten with
 rational-function coefficients and row-reduced, is the relation basis.
 
-The solve eliminates modulo a word-size prime, adds rows one order at a
-time, and ends at the first kernel it can certify exactly
-(``_RelationSolve``, ``certify``): the closure under d/dt along
+The solve builds its rows and eliminates modulo a word-size prime, adds
+rows one order at a time, and ends at the first kernel it can certify
+exactly (``_RelationSolve``, ``certify``): the closure under d/dt along
 X' = A X of the k(t)-span of the kernel's relations vanishes at t = a,
 X = I, so by Cauchy uniqueness every relation in it vanishes at the
 fundamental matrix.  ``find_relations`` runs the solve once for both the
@@ -26,6 +26,7 @@ it by y-monomial and evaluates each x-polynomial with the
 ``MonomialSeries`` store at the second point.
 """
 
+from functools import cached_property
 from math import isqrt
 
 from . import linalg, upoly
@@ -64,21 +65,21 @@ class RelationIdeal:
 
 class _AnsatzBuilder:
     """Rows of the linear system: one per series order; columns indexed by
-    (monomial, t-power).  The monomial series come from one store that
-    each row extends by a coefficient."""
+    (monomial, t-power).  The monomial series come from one store, over k
+    or GF(p) (``field``), that each row extends by a coefficient."""
 
-    def __init__(self, sys, a, d, ell):
+    def __init__(self, sys, a, d, ell, field=None):
         self.R = sys.R
-        self.k = sys.R.const
         self.ell = ell
-        self.series = MonomialSeries(sys, a, d)
+        self.series = MonomialSeries(sys, a, d, field)
+        self.field = self.series.field
         self.monos = self.series.monos
         self.ncols = len(self.monos) * (2 * ell + 1)
 
     def row(self, order_k):
         """Constraint from the coefficient of u^order_k."""
         vecs = self.series.extend(order_k)
-        blank = [self.k.zero] * len(self.monos)
+        blank = [self.field.zero] * len(self.monos)
         lagged = [vecs[order_k - i] if i <= order_k else blank
                   for i in range(2 * self.ell + 1)]
         return [v[mi] for mi in range(len(self.monos)) for v in lagged]
@@ -92,21 +93,22 @@ class _RelationSolve:
     """The incremental solve that order_bound and relation_ideal share:
     one ansatz builder and one accumulator, whose rows are added once.
 
-    Rows are eliminated over GF(p), p = 2^61 - 1, the kernel is lifted by
-    rational reconstruction, and its canonical basis is certified exactly
-    (``certify``).  A certified kernel is the exact kernel of every
-    truncation, so no row beyond it is needed.  An uncertified lift is
-    checked exactly against every row added (linalg.kernel_vanishes).
-    The solve reruns from the start over the exact constant field when
-    that field is a number field, a denominator is 0 mod p, the exact
-    check fails, a kernel has no lift (at an explicit order, or while the
-    rank holds; ``certified``), or no kernel is certified below
-    MAX_ORDER; ``exact_reason`` then says which."""
+    Rows are built and eliminated over GF(p), p = 2^61 - 1, the kernel is
+    lifted by rational reconstruction, and its canonical basis is
+    certified exactly (``certify``).  A certified kernel is the exact
+    kernel of every truncation, so no row beyond it is needed.  An
+    uncertified lift is checked exactly against every row added, built
+    over k for it (linalg.kernel_vanishes).  The solve reruns from the
+    start over the exact constant field when that field is a number
+    field, a denominator is 0 mod p, the exact check fails, a kernel has
+    no lift (at an explicit order, or while the rank holds;
+    ``certified``), or no kernel is certified below MAX_ORDER;
+    ``exact_reason`` then says which."""
 
     def __init__(self, sys, a, d, ell):
         self.sys = sys
         self.a = a
-        self.builder = _AnsatzBuilder(sys, a, d, ell)
+        self.args = (sys, a, d, ell)
         self.ring = PolyRing(sys.R, matrix_var_names(sys.n),
                              graded_lex_order(sys.n * sys.n))
         self.exact_reason = None
@@ -114,17 +116,23 @@ class _RelationSolve:
         self.basis = None
         self.rigorous = None
 
+    @cached_property
+    def exact(self):
+        """The ansatz over k, built when an exact row is first needed."""
+        return _AnsatzBuilder(*self.args)
+
     def _solve(self, run):
         """run() adds rows and returns (N, basis, rigorous)."""
-        k = self.builder.k
-        if k.degree() != 1:
+        if self.sys.R.const.degree() != 1:
             self.exact_reason = "the constant field is a number field"
         while True:
             self.modular = self.exact_reason is None
-            self.field = linalg.PrimeField() if self.modular else k
-            self.acc = linalg.RrefAccumulator(self.field, self.builder.ncols)
             self.nrows = 0
             try:
+                self.builder = (_AnsatzBuilder(*self.args, linalg.PrimeField())
+                                if self.modular else self.exact)
+                self.acc = linalg.RrefAccumulator(self.builder.field,
+                                                  self.builder.ncols)
                 self.N, self.basis, self.rigorous = run()
             except linalg.NotCertified as why:
                 self.exact_reason = str(why)
@@ -134,26 +142,19 @@ class _RelationSolve:
     def _add_row(self):
         """Add the next row; returns True if the rank grew."""
         row = self.builder.row(self.nrows)
-        if self.modular:
-            row = self.field.reduce_row(row)
         self.nrows += 1
         return self.acc.add_row(row)
 
     def _kernel(self):
-        """The kernel of the rows so far as ``{column: value}``: over k
-        when exact, lifted from GF(p) to Rationals by rational
-        reconstruction otherwise (None when an entry has no lift)."""
-        if not self.modular:
-            return self.acc.kernel_vectors()
-        return linalg.lift_kernel(self.acc)
+        """The kernel of the rows so far as ``{column: value}`` over k:
+        lifted from GF(p) to k = QQ by rational reconstruction when
+        modular (None when an entry has no lift)."""
+        return (linalg.lift_kernel(self.acc) if self.modular
+                else self.acc.kernel_vectors())
 
     def _basis(self, kernel):
         """The canonical basis of the kernel's relations, and whether it
         is certified."""
-        if self.modular:
-            k = self.builder.k
-            kernel = [{j: k.from_fraction(q) for j, q in vec.items()}
-                      for vec in kernel]
         polys = _kernel_to_polys(self.builder, kernel, self.ring, self.a)
         basis = _row_reduce_polys(self.ring, polys)
         return basis, certify(self.sys, basis, self.a)
@@ -162,7 +163,7 @@ class _RelationSolve:
         """A lifted kernel that the certificate did not prove must vanish
         exactly on every row added, or p was unlucky (NotCertified)."""
         if self.modular:
-            rows = (self.builder.row(i) for i in range(self.nrows))
+            rows = (self.exact.row(i) for i in range(self.nrows))
             if not linalg.kernel_vanishes(rows, kernel):
                 raise linalg.NotCertified("the exact check failed")
 
@@ -309,7 +310,7 @@ def certify(sys, basis, a):
         for lead, tail in rows.items():
             c = D.pop(lead, None)
             if c is not None:
-                linalg._sub_multiple(R, D, c, tail)
+                linalg.sub_multiples(R, D, [(c, tail)])
         if not D:
             continue
         lead = max(D, key=ring.order.key)
@@ -318,7 +319,7 @@ def certify(sys, basis, a):
         for other in rows.values():
             c = other.pop(lead, None)
             if c is not None:
-                linalg._sub_multiple(R, other, c, tail)
+                linalg.sub_multiples(R, other, [(c, tail)])
         rows[lead] = tail
         P = ring.from_dict({lead: R.one, **tail})
         if refuted(P):

@@ -1,6 +1,6 @@
 """First order linear differential systems over k = C(t): the series of
 the fundamental matrix and of the monomials in its entries, all from one
-sparse linear recurrence, and the system document.
+sparse linear recurrence over k or GF(p), and the system document.
 
 ``MonomialSeries`` is the one place where a polynomial in the entries of
 the fundamental matrix becomes a series (``MonomialSeries.series_of``):
@@ -118,9 +118,11 @@ class MonomialSeries:
     at column m - e_p + e_(l, j); ``table[m]`` lists its nonzero
     (u-power, column, coefficient) terms, scaled so that q(a) = 1.
     A pole of A at a is a SingularPointError naming the first such
-    entry in row-major order."""
+    entry in row-major order.  A linalg.PrimeField ``field`` (k = QQ)
+    takes the images of the table, q and the first vector (or raises
+    NotCertified), and the recurrence then gives those of the vectors."""
 
-    def __init__(self, sys, a, d):
+    def __init__(self, sys, a, d, field=None):
         R, k, n = sys.R, sys.R.const, sys.n
         entries = [f for row in sys.A for f in row]
         for f in entries:
@@ -157,6 +159,12 @@ class MonomialSeries:
         diagonal = {l * n + l for l in range(n)}
         self.vecs = [[k.one if all(p in diagonal for p, e in enumerate(m) if e)
                       else k.zero for m in self.monos]]
+        if field is not None:
+            image, self.field = field.from_rational, field
+            self.q = [image(c) for c in self.q]
+            self.vecs = [[image(x) for x in self.vecs[0]]]
+            self.table = [[(s, col, image(c)) for s, col, c in terms]
+                          for terms in self.table]
 
     def extend(self, order):
         """The coefficient vectors through u^order (vecs[m] at u^m), from

@@ -233,6 +233,20 @@ def test_coerce_from_matches_sympy_round_trip(fields, a, b):
                   from_sympy(big, to_sympy(small, el)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([SQRT2, QQ_I, SUBFIELDS[0][1]]),
+       st.lists(fractions, max_size=4), fractions.filter(bool))
+def test_division_by_a_rational_matches_the_inverse(fld, coords, b):
+    """Over a number field, dividing by a rational (one coordinate)
+    divides the coordinates; the general inverse gives the same."""
+    a = fld.from_fraction(0)
+    for c in coords:
+        a = fld.add(fld._times_generator(a), fld.from_fraction(c))
+    q = fld.from_fraction(b)
+    assert fld.div(a, q) == fld._nf_mul(a, fld._nf_inv(q))
+    assert fld.inv(q) == fld._nf_inv(q)
+
+
 def _poly_mul(k, p, q):
     out = [k.zero] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):

@@ -239,6 +239,35 @@ KI, I = field_adjoin(K, [K.one, K.zero, K.one])  # i^2 = -1
 DENOMINATORS = ["1", "t - 3", "t^2 + 1"]  # none vanishes at 0, 1 or -2
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(0, 2),
+       st.sampled_from([0, 1, -2]), st.integers(0, 6), st.booleans())
+def test_store_over_gf_p_maps_the_exact_store(data, n, d, a, order,
+                                              unlucky):
+    # A over QQ, regular at a; an unlucky system has a coefficient with
+    # the prime in its denominator, which no table over GF(p) can hold
+    fp = linalg.PrimeField()
+    coeff = st.builds(Fraction, st.integers(-3, 3),
+                      st.sampled_from([1, 2, 7]))
+    A = [[R.div(R.from_coeffs([K.from_fraction(data.draw(coeff))
+                               for _ in range(2)]),
+                R.parse(data.draw(st.sampled_from(DENOMINATORS))))
+          for _ in range(n)] for _ in range(n)]
+    if unlucky:
+        A[0][0] = R.add(A[0][0], R.from_const(frac(1, linalg.P61)))
+    s, a = OdeSystem(R, A), K.from_int(a)
+    exact = MonomialSeries(s, a, d)
+    if unlucky and d:
+        with pytest.raises(linalg.NotCertified,
+                           match="a denominator is 0 mod p"):
+            MonomialSeries(s, a, d, fp)
+        return
+    store = MonomialSeries(s, a, d, fp)
+    assert store.field is fp
+    assert store.extend(order) == [[fp.from_rational(x) for x in v]
+                                   for v in exact.extend(order)]
+
+
 @st.composite
 def polys_on_entries(draw, n):
     """A polynomial of degree <= 3 in the n^2 entries: its coefficients
