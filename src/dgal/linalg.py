@@ -232,16 +232,35 @@ class RrefAccumulator:
         return [dict([(pc, one)] + sorted(self._rows[pc].items()))
                 for pc in self.pivots]
 
-    def kernel_vectors(self):
+    def kernel_vectors(self, free=None):
         """One kernel vector per free column, in ascending order, each as
-        ``{column: nonzero value}``."""
+        ``{column: nonzero value}``: the vector that is one at its free
+        column, zero at every other free column, and minus that column's
+        entry of the reduced row at each pivot.  ``free``, an ascending
+        iterable of columns, reads only the free columns among it (all of
+        them by default)."""
         f = self.field
-        basis = {fc: {fc: f.one} for fc in range(self.cols)
-                 if fc not in self._rows}
+        if free is None:
+            free = range(self.cols)
+        basis = {fc: {fc: f.one} for fc in free if fc not in self._rows}
         for pc, r in self._rows.items():
             for fc, x in r.items():
-                basis[fc][pc] = f.neg(x)
+                vec = basis.get(fc)
+                if vec is not None:
+                    vec[pc] = f.neg(x)
         return list(basis.values())
+
+    def kernel_support_max(self, key):
+        """``{free column: the largest key(column) over the support of its
+        kernel vector}``, by ascending free column, read off the reduced
+        rows without building the vectors."""
+        top = {fc: key(fc) for fc in range(self.cols) if fc not in self._rows}
+        for pc, r in self._rows.items():
+            k = key(pc)
+            for fc in r:
+                if top[fc] < k:
+                    top[fc] = k
+        return top
 
 
 def sub_multiples(field, target, pairs):
@@ -332,13 +351,14 @@ def rational_reconstruction(u, p):
     return Rational(r1, s1)
 
 
-def lift_kernel(acc):
+def lift_kernel(acc, free=None):
     """The kernel_vectors of ``acc``, an RrefAccumulator over a
-    PrimeField, lifted entry by entry by rational reconstruction, each as
+    PrimeField, for the free columns among ``free`` (all by default),
+    lifted entry by entry by rational reconstruction, each as
     ``{column: Rational}``; None as soon as an entry has no lift."""
     p = acc.field.p
     out = []
-    for vec in acc.kernel_vectors():
+    for vec in acc.kernel_vectors(free):
         lifted = {}
         for j, u in vec.items():
             q = rational_reconstruction(u, p)
@@ -355,10 +375,13 @@ def kernel_vanishes(rows, vectors):
     Rows hold rationals (anything with a numerator and a denominator),
     vectors are ``{column: rational}``.  Both are scaled to integers, so
     each check is one integer dot product over the vector's support.
-    The lift of the kernel of an RrefAccumulator over a PrimeField that
-    passes is the exact kernel of the rows: the r pivots mod p give a
-    rank of at least r over QQ, and the cols - r vectors, independent by
-    construction, a rank of at most r."""
+    Vectors that pass lie in the exact kernel of the rows, whose
+    dimension is at most cols - r, r the rank of the rows mod p (the rank
+    over QQ is at least r).  So cols - r independent kernel vectors that
+    pass, or that follow from vectors that pass, span it: the lifts of
+    all the kernel_vectors of an RrefAccumulator over a PrimeField, or
+    the relation solve's shift generators with their u-shifts
+    (``relations._shift_generators``)."""
     scaled = []
     for vec in vectors:
         den = lcm(*(q.denominator for q in vec.values()))

@@ -1,11 +1,18 @@
 """Degree-bounded polynomial relations among the entries of a truncated
 fundamental matrix.
 
-The search is a linear solve: an ansatz polynomial with t-polynomial
-coefficients of degree <= 2l is evaluated on the series of the
-fundamental matrix, and each series order contributes one linear
-constraint on the unknown coefficients.  The kernel, rewritten with
-rational-function coefficients and row-reduced, is the relation basis.
+The search is a linear solve: an ansatz polynomial sum_m c_m(u) X^m,
+u = t - a, with coefficients of degree <= 2l in u, is evaluated on the
+series of the fundamental matrix, and each series order contributes one
+linear constraint on the unknown coefficients.  The columns are ordered
+by (monomial, u-power), and the kernel is closed under multiplication by
+u within the cap: row k of u*v is row k-1 of v (it is the solution
+module of a Hermite-Pade problem; Beckermann and Labahn 1994).  So the
+kernel is read off only at its shift generators (``_shift_generators``),
+kernel vectors whose u-shifts within the cap lead on each free column
+once and so span it; rewritten with rational-function coefficients and
+row-reduced, they give the relation basis, which u-multiples would not
+change.
 
 The solve builds its rows and eliminates modulo a word-size prime, adds
 rows one order at a time, and ends at the first kernel it can certify
@@ -17,7 +24,7 @@ truncation order and the kernel.  The kernel vectors are kept as
 ``{column: value}`` of their nonzero entries, and both the read-off
 (``_kernel_to_polys``) and the row reduction to the canonical basis
 (``_row_reduce_polys``, through the sparse ``linalg.RrefAccumulator``)
-touch only those entries.
+touch only those entries of the shift generators.
 
 ``_relations_at_product`` rewrites each basis relation as P(X*Y) once
 for both of its readers: the stabilizer (``groups``) groups it by
@@ -93,17 +100,22 @@ class _RelationSolve:
     """The incremental solve that order_bound and relation_ideal share:
     one ansatz builder and one accumulator, whose rows are added once.
 
-    Rows are built and eliminated over GF(p), p = 2^61 - 1, the kernel is
-    lifted by rational reconstruction, and its canonical basis is
-    certified exactly (``certify``).  A certified kernel is the exact
-    kernel of every truncation, so no row beyond it is needed.  An
-    uncertified lift is checked exactly against every row added, built
-    over k for it (linalg.kernel_vanishes).  The solve reruns from the
-    start over the exact constant field when that field is a number
-    field, a denominator is 0 mod p, the exact check fails, a kernel has
-    no lift (at an explicit order, or while the rank holds;
-    ``certified``), or no kernel is certified below MAX_ORDER;
-    ``exact_reason`` then says which."""
+    Rows are built and eliminated over GF(p), p = 2^61 - 1, the shift
+    generators of the kernel (``_shift_generators``) are lifted by
+    rational reconstruction, and their canonical basis is certified
+    exactly (``certify``).  Their u-shifts within the cap are cols - r
+    independent kernel vectors mod p, r the rank mod p; once the lifted
+    generators are exact relations, so is each shift, so the shifts span
+    the whole exact kernel (whose dimension is at most cols - r) and the
+    generators its k(t)-span.  A certified kernel is the exact kernel of
+    every truncation, so no row beyond it is needed.  An uncertified lift
+    is checked exactly against every row added, built over k for it
+    (``_check_exactly``).  The solve reruns from the start over the exact
+    constant field, reading the same generators off its own accumulator,
+    when that field is a number field, a denominator is 0 mod p, the
+    exact check fails, a kernel has no lift (at an explicit order, or
+    while the rank holds; ``certified``), or no kernel is certified below
+    MAX_ORDER; ``exact_reason`` then says which."""
 
     def __init__(self, sys, a, d, ell):
         self.sys = sys
@@ -146,11 +158,13 @@ class _RelationSolve:
         return self.acc.add_row(row)
 
     def _kernel(self):
-        """The kernel of the rows so far as ``{column: value}`` over k:
-        lifted from GF(p) to k = QQ by rational reconstruction when
-        modular (None when an entry has no lift)."""
-        return (linalg.lift_kernel(self.acc) if self.modular
-                else self.acc.kernel_vectors())
+        """The shift generators of the kernel of the rows so far, as
+        ``{column: value}`` over k: lifted from GF(p) to k = QQ by
+        rational reconstruction when modular (None when an entry has no
+        lift)."""
+        free = _shift_generators(self.acc, 2 * self.builder.ell + 1)
+        return (linalg.lift_kernel(self.acc, free) if self.modular
+                else self.acc.kernel_vectors(free))
 
     def _basis(self, kernel):
         """The canonical basis of the kernel's relations, and whether it
@@ -160,8 +174,11 @@ class _RelationSolve:
         return basis, certify(self.sys, basis, self.a)
 
     def _check_exactly(self, kernel):
-        """A lifted kernel that the certificate did not prove must vanish
-        exactly on every row added, or p was unlucky (NotCertified)."""
+        """Lifted shift generators that the certificate did not prove must
+        vanish exactly on every row added, or p was unlucky
+        (NotCertified).  Generators that pass span the exact kernel of
+        those rows: a shift vanishes on every row its unshifted vector
+        does, and the shifts are cols - r independent vectors."""
         if self.modular:
             rows = (self.exact.row(i) for i in range(self.nrows))
             if not linalg.kernel_vanishes(rows, kernel):
@@ -398,6 +415,30 @@ def _pole_order(R, c, a):
     k = R.const
     den = upoly.shift(k, R.denom_coeffs(c), a)
     return next(i for i, x in enumerate(den) if not k.is_zero(x))
+
+
+def _shift_generators(acc, width):
+    """The free columns of ``acc``, an accumulator over ansatz columns
+    (monomial, u-power) with ``width`` = 2l + 1 u-powers, whose kernel
+    vectors generate the kernel under multiplication by u within the cap.
+
+    The kernel vector v_f of a free column f = (m, i) leads on f: its
+    other entries are at pivot columns below f.  Its degree is the
+    largest u-power in its support, so u^s v_f stays in the cap for
+    s <= 2l - deg v_f and then leads on (m, i + s), again a free column,
+    for the leading column of a kernel vector is free.  The walk keeps
+    v_f unless a kept v_(m, i0) of the same monomial reaches f, that is
+    i <= i0 + 2l - deg v_(m, i0); so each free column leads exactly one
+    shift of a kept vector, and the shifts are cols - rank independent
+    kernel vectors."""
+    degree = acc.kernel_support_max(lambda j: j % width)
+    keep, reach = [], {}
+    for fc, deg in degree.items():
+        mi, i = divmod(fc, width)
+        if i > reach.get(mi, -1):
+            keep.append(fc)
+            reach[mi] = i + width - 1 - deg
+    return keep
 
 
 def _kernel_to_polys(builder, kernel, ring, a):

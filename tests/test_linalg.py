@@ -163,3 +163,36 @@ def test_accumulator_matches_rref(name, data):
                   for vec in acc.kernel_vectors()]
         assert kernel == linalg.nullspace(field, rows)
         rank = len(pivots)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(sparse_rows(), st.data())
+def test_kernel_vectors_of_some_columns(name, data, more):
+    # a subset that names pivot columns too reads the free ones among it
+    field, element = FIELDS[name]
+    cols, pairs = data
+    acc = linalg.RrefAccumulator(field, cols)
+    for pair_row in pairs:
+        acc.add_row([element(a, b) for a, b in pair_row])
+    free = sorted(more.draw(st.sets(st.integers(0, cols - 1))))
+    assert acc.kernel_vectors(free) == [vec for vec in acc.kernel_vectors()
+                                        if max(vec) in free]
+    top = acc.kernel_support_max(lambda j: -j % 3)
+    assert list(top.items()) == [(max(vec), max(-j % 3 for j in vec))
+                                 for vec in acc.kernel_vectors()]
+
+
+def test_lift_kernel_of_some_columns():
+    # rows x0 + x1/2 - x3 = 0 and x2 + 3 x3 = 0: pivots 0 and 2
+    A = mk([[1, Fraction(1, 2), 0, -1], [0, 0, 1, 3]])
+    fp = linalg.PrimeField()
+    acc = linalg.RrefAccumulator(fp, 4)
+    for row in A:
+        acc.add_row([fp.from_rational(x) for x in row])
+    assert acc.pivots == [0, 2]
+    half = Fraction(1, 2)
+    assert linalg.lift_kernel(acc) == [{1: 1, 0: -half}, {3: 1, 0: 1, 2: -3}]
+    assert linalg.lift_kernel(acc, [0, 2, 3]) == [{3: 1, 0: 1, 2: -3}]
+    assert linalg.lift_kernel(acc, [0, 2]) == []
+    assert linalg.kernel_vanishes(A, linalg.lift_kernel(acc, [1]))

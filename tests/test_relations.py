@@ -11,7 +11,8 @@ from dgal.relations import (certify, find_relations,
                             graded_lex_order, matrix_var_names, order_bound,
                             relation_ideal, second_point_check,
                             _AnsatzBuilder, _kernel_to_polys, _local_basis,
-                            _RelationSolve, _row_reduce_polys)
+                            _RelationSolve, _row_reduce_polys,
+                            _shift_generators)
 from dgal.series import Series
 from dgal.systems import MonomialSeries, OdeSystem
 
@@ -440,3 +441,97 @@ def kernel_shaped_rows(draw, name):
 def test_row_reduce_matches_dense_rref(name, data):
     ring, polys = data.draw(kernel_shaped_rows(name))
     assert _row_reduce_polys(ring, polys) == dense_row_reduce(ring, polys)
+
+
+# each draws (rows, a, the largest degree cap d to try at ell)
+
+def _radical_system(draw, ell):
+    qs = draw(st.lists(st.sampled_from(["1/2", "1/3", "2/3", "1", "3/2"]),
+                       min_size=1, max_size=2))
+    return ([["%s/t" % q if i == j else "0" for j in range(len(qs))]
+             for i, q in enumerate(qs)], draw(st.sampled_from([1, 2])), 3)
+
+
+def _constant_system(draw, ell):
+    n = draw(st.integers(1, 2))
+    entry = st.sampled_from(["0", "1", "-1", "2", "1/2"])
+    return ([[draw(entry) for _ in range(n)] for _ in range(n)],
+            draw(st.sampled_from([0, 1])), 3)
+
+
+def _airy_system(draw, ell):
+    alpha = draw(st.sampled_from(["1", "-1", "2"]))
+    beta = draw(st.sampled_from(["0", "1", "-1/2"]))
+    return ([["0", "1"], ["%s*t + %s" % (alpha, beta), "0"]],
+            draw(st.sampled_from([-1, 0, 1])), 2 // ell)
+
+
+@st.composite
+def ansatz_cases(draw):
+    """A system, point and caps d <= 3, ell in {1, 2}, at its certified
+    order or at an explicit order below it.  Airy-type systems keep
+    d * ell <= 2, and explicit orders stay below 12, so that the exact
+    elimination and the row reduction of the whole kernel stay cheap."""
+    ell = draw(st.sampled_from([1, 2]))
+    rows, a, top = draw(st.sampled_from([_radical_system, _constant_system,
+                                         _airy_system]))(draw, ell)
+    s, a = sys_of(*rows), K.from_int(a)
+    d = draw(st.integers(1, top))
+    N = certified_order(s, a, d, ell)
+    return s, a, d, ell, draw(st.one_of(st.just(N),
+                                        st.integers(0, min(N, 12))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ansatz_cases())
+def test_shift_generators_give_the_whole_kernels_basis(case):
+    # exact rows 0..N+1: the u-shifts within the cap of the kept kernel
+    # vectors lead on each free column once and lie in the kernel, and
+    # the canonical basis of the kept vectors is that of the whole kernel
+    s, a, d, ell, N = case
+    builder = _AnsatzBuilder(s, a, d, ell)
+    acc = linalg.RrefAccumulator(builder.field, builder.ncols)
+    rows = [builder.row(k) for k in range(N + 2)]
+    for row in rows:
+        acc.add_row(row)
+    width = 2 * ell + 1
+    kept = acc.kernel_vectors(_shift_generators(acc, width))
+    leads = []
+    for vec in kept:
+        deg = max(j % width for j in vec)
+        for shift in range(width - deg):
+            leads.append(max(vec) + shift)
+            assert all(K.is_zero(sum((row[j + shift] * x
+                                      for j, x in vec.items()), K.zero))
+                       for row in rows)
+    pivots = set(acc.pivots)
+    assert sorted(leads) == [j for j in range(builder.ncols)
+                             if j not in pivots]
+    ring = PolyRing(R, matrix_var_names(s.n), graded_lex_order(s.n * s.n))
+
+    def basis(vectors):
+        return _row_reduce_polys(ring, _kernel_to_polys(builder, vectors,
+                                                         ring, a))
+
+    assert basis(kept) == basis(acc.kernel_vectors())
+
+
+@pytest.mark.parametrize("rows, a, d, lifted", [
+    ((["1/(3*t)", "0"], ["0", "2/(3*t)"]), 1, 3, range(41)),
+    ((["0", "1"], ["t", "0"]), 1, 2, [1]),        # the worked Airy example
+    ((["0", "1"], ["-1", "0"]), 0, 2, [10]),      # rotation(1)
+])
+def test_solve_lifts_only_the_shift_generators(monkeypatch, rows, a, d,
+                                               lifted):
+    # the whole kernel at the certified order holds 156, 5 and 50 vectors
+    sizes = []
+    lift_kernel = linalg.lift_kernel
+
+    def recording(acc, free=None):
+        out = lift_kernel(acc, free)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(linalg, "lift_kernel", recording)
+    rel = find_relations(sys_of(*rows), K.from_int(a), d, 2)
+    assert rel.rigorous and sizes and all(n in lifted for n in sizes)
