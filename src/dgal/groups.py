@@ -2,9 +2,11 @@
 
 A subgroup is a list of polynomial generators in the matrix entries
 x_i_j over an exact constant field.  Provided here: the stabilizer of a
-relation ideal, a symbolic group-axiom check, identity components for a
-few certified classes, character groups via a multiplicativity ansatz,
-and kernels of characters.
+relation ideal, a symbolic group-axiom check, identity components for
+certified classes (finite groups, diagonal binomial groups, and groups
+whose ideal is certified prime: a linear graph over at most one
+polynomial irreducible over QQ), character groups via a
+multiplicativity ansatz, and kernels of characters.
 """
 
 import random
@@ -218,62 +220,50 @@ def _diagonal_binomial_lattice(H):
     return rows
 
 
-def _single_irreducible_generator(H):
-    """True for a principal ideal whose generator is certified
-    irreducible over the rationals: the variety is irreducible, hence
-    connected.  A generator in one variable is factored over QQ.  A
-    generator a*x + b linear in a variable x, with a a monomial in the
-    others, is primitive in x, hence irreducible (Gauss' lemma), when
-    gcd(a, b) = 1: when every variable of a misses some term of b.  That
-    covers det - 1 for SL2.  Other generators get no certificate."""
+def _graph_split(H):
+    """H's reduced basis split into its degree-1 elements and the rest.
+
+    A reduced basis holds the leading variable of a degree-1 element
+    nowhere else, so H is the graph of the degree-1 elements over the
+    zeros of the rest."""
     gb = H.groebner_basis()
-    if len(gb) != 1 or H.ring.field.degree() > 1:
+    return ([g for g in gb if g.total_degree() == 1],
+            [g for g in gb if g.total_degree() != 1])
+
+
+def _certified_irreducible(g):
+    """True when g is certified irreducible over QQ, by one of two rules.
+
+    Gauss' lemma: g = a*x + b with a a monomial is primitive in x, hence
+    irreducible, when gcd(a, b) = 1, that is when every variable of a
+    misses some term of b.  Specialization: the top power of some
+    variable x in g has a constant coefficient, and g stays irreducible
+    of the same x-degree once every other variable is set to one integer
+    c.  A factor of g free of x would divide that constant, so every
+    proper factor keeps a positive x-degree under the specialization.
+    A generator in one variable is the case with nothing to specialize.
+    Other generators get no certificate."""
+    fld = g.ring.field
+    if fld.degree() > 1:
         return False
-    g = gb[0]
-    used = sorted(g.variables_used())
-    if len(used) == 1:
-        i = used[0]
-        coeffs = [H.ring.field.zero] * (g.degree_in(i) + 1)
-        for e, c in g.terms.items():
-            coeffs[e[i]] = c
-        return factor.is_irreducible(H.ring.field, coeffs)
-    for i in used:
-        lead = [e for e in g.terms if e[i]]
-        if g.degree_in(i) != 1 or len(lead) != 1:
+    for i in sorted(g.variables_used()):
+        top = g.degree_in(i)
+        lead = [e for e in g.terms if e[i] == top]
+        if top == 1 and len(lead) == 1:
+            rest = [e for e in g.terms if not e[i]]
+            if all(any(not e[j] for e in rest)
+                   for j, k in enumerate(lead[0]) if j != i and k):
+                return True
+        if len(lead) != 1 or sum(lead[0]) != top:
             continue
-        rest = [e for e in g.terms if not e[i]]
-        if all(any(not e[j] for e in rest)
-               for j in range(len(lead[0])) if j != i and lead[0][j]):
-            return True
+        for c in range(top + 2):
+            coeffs = [fld.zero] * (top + 1)
+            for e, a in g.terms.items():
+                coeffs[e[i]] = fld.add(coeffs[e[i]], fld.mul(
+                    a, fld.from_int(c ** (sum(e) - e[i]))))
+            if factor.is_irreducible(fld, coeffs):
+                return True
     return False
-
-
-def _rotation_parameterization(field, n):
-    """Rational curve through the identity covering the plane rotation
-    group: the degree-2 Cayley parameterization."""
-    if n != 2:
-        return None
-    ring = PolyRing(field, ["s"] + matrix_var_names(2), graded_lex_order(5))
-    s = ring.gen(0)
-    one = ring.one
-    den = one + s * s
-    num = {0: one - s * s, 1: s + s, 2: -(s + s), 3: one - s * s}
-    return ring, [den * ring.gen(1 + p) - num[p] for p in range(4)]
-
-
-def _parameterization_probe(H):
-    """Certify connectedness when H equals the closure of a known
-    rational curve through the identity."""
-    got = _rotation_parameterization(H.ring.field, H.n)
-    if got is None:
-        return False
-    pring, prels = got
-    from .multipoly import eliminate
-    img = eliminate(prels, 1)
-    mapped = [H.ring.from_dict({e[1:]: c for e, c in g.terms.items()})
-              for g in img]
-    gb_img = groebner(mapped) if mapped else []
-    return gb_img == H.groebner_basis()
 
 
 def identity_component(H):
@@ -281,9 +271,13 @@ def identity_component(H):
 
     Supported: trivial ideal (GL_n); finite groups (point enumeration);
     subgroups of the diagonal torus cut out by monomials and binomials
-    (lattice saturation); principal ideals with an irreducible
-    generator; groups matching a known rational parameterization; and
-    groups already flagged connected.
+    (lattice saturation); groups already flagged connected; and prime
+    graphs: a reduced basis whose elements of degree above 1 are at most
+    one g, certified irreducible over QQ, with I on the group.  The
+    ideal of such a graph is prime, so H is irreducible over k; H° is
+    defined over k, so H = H° (Humphreys, Linear Algebraic Groups, 1975;
+    van der Put and Singer 2003, appendix A).  Its dimension is n^2
+    minus the number of basis elements.
     """
     n = H.n
     ring = H.ring
@@ -320,18 +314,16 @@ def identity_component(H):
         comp = AlgebraicSubgroup(n, ring, gens, connected=True)
         comp.component_class = ("diagonal binomial", n - len(sat))
         return comp
-    if _single_irreducible_generator(H) and H.vanishes_at_identity():
+    rest = _graph_split(H)[1]
+    if len(rest) <= 1 and all(map(_certified_irreducible, rest)) and \
+            H.vanishes_at_identity():
         H.connected = True
-        H.component_class = ("irreducible hypersurface", n * n - 1)
-        return H
-    if _parameterization_probe(H):
-        H.connected = True
-        H.component_class = ("rational curve", 1)
+        H.component_class = ("prime graph", n * n - len(gb))
         return H
     raise UnsupportedInstanceError(
         "identity component: group is in no certified class "
-        "(not finite, not diagonal-binomial, no irreducibility or "
-        "parameterization certificate)")
+        "(not finite, not diagonal-binomial, not a graph over one "
+        "certified irreducible polynomial)")
 
 
 def group_points_finite(H):
@@ -401,10 +393,13 @@ def sample_group_points(H, count):
     """Exact points of H (entries in the constant field or an extension),
     used to probe the translation action.  Strategies, tried in order:
     no equations (random invertible matrices), finite groups (full
-    enumeration), diagonal binomial groups (torus parameterization), the
-    plane rotation parameterization, and a single generator linear in
-    one variable (solve for it at random values of the rest).  Every
-    candidate is checked against the generators before being returned.
+    enumeration), diagonal binomial groups (torus parameterization), and
+    graphs of the degree-1 basis elements over at most one other element
+    g.  There the free variables are drawn at random, or solved for in g
+    where g is linear in one of them, or, where g is a quadric, taken at
+    the second point where a random line through I meets g = 0; the
+    graph variables follow from the degree-1 elements.  Every candidate
+    is checked against the generators before being returned.
     """
     rng = random.Random(SEED)
     n = H.n
@@ -459,46 +454,58 @@ def sample_group_points(H, count):
             out.extend(accept([m], fld))
             if len(out) >= count:
                 return fld, out[:count]
-    if len(H.generators) == 1:
-        g = H.generators[0]
-        for p in range(n * n):
-            if g.degree_in(p) != 1:
+    linear, rest = _graph_split(H)
+    g = rest[0] if len(rest) == 1 else None
+    graph = [lin.leading()[0].index(1) for lin in linear]
+    free = [p for p in range(n * n) if p not in graph]
+    solve_for = next(
+        (p for p in free if g is not None and g.degree_in(p) == 1), None)
+    if len(rest) > 1 or (g is not None and solve_for is None
+                         and g.total_degree() != 2):
+        raise UnsupportedInstanceError(
+            "no sampling strategy applies to this group")
+    ident = H.identity_values()
+
+    def on_line(vals, s, v):
+        for p, x in zip(free, v):
+            vals[p] = fld.add(ident[p], fld.mul(s, x))
+
+    out = []
+    for _ in range(count * 5):
+        vals = list(ident)
+        if g is None or solve_for is not None:
+            for p in free:
+                vals[p] = rnd()
+        if solve_for is not None:
+            # g = slope * x + const in the variable x solved for
+            vals[solve_for] = fld.zero
+            const = g.eval_consts(vals)
+            vals[solve_for] = fld.one
+            slope = fld.sub(g.eval_consts(vals), const)
+            if fld.is_zero(slope):
                 continue
-            out = []
-            for _ in range(count * 5):
-                vals = [rnd() for _ in range(n * n)]
-                lin = fld.zero
-                const = fld.zero
-                for e, c in g.terms.items():
-                    rest = _monomial_at(
-                        fld, tuple(0 if q == p else e[q] for q in range(n * n)),
-                        vals)
-                    if e[p]:
-                        lin = fld.add(lin, fld.mul(c, rest))
-                    else:
-                        const = fld.add(const, fld.mul(c, rest))
-                if fld.is_zero(lin):
-                    continue
-                vals[p] = fld.neg(fld.div(const, lin))
-                m = [[vals[i * n + j] for j in range(n)] for i in range(n)]
-                out.extend(accept([m], fld))
-                if len(out) >= count:
-                    return fld, out[:count]
-            if out:
-                return fld, out
-    if n == 2:
-        out = []
-        for _ in range(count * 3):
-            s = rnd()
-            den = fld.inv(fld.add(fld.one, fld.mul(s, s)))
-            c = fld.mul(fld.sub(fld.one, fld.mul(s, s)), den)
-            sn = fld.mul(fld.add(s, s), den)
-            m = [[c, sn], [fld.neg(sn), c]]
-            out.extend(accept([m], fld))
-            if len(out) >= count:
-                return fld, out[:count]
-        if out:
-            return fld, out
+            vals[solve_for] = fld.neg(fld.div(const, slope))
+        elif g is not None:
+            # the second zero of g(I + s v) = s (slope + s quad), as
+            # g(I) = 0; g at s = 1 and s = -1 gives slope and quad
+            v = [fld.one] + [rnd() for _ in free[1:]]
+            ends = []
+            for s in (fld.one, fld.neg(fld.one)):
+                on_line(vals, s, v)
+                ends.append(g.eval_consts(vals))
+            quad = fld.add(*ends)
+            if fld.is_zero(quad):
+                continue
+            on_line(vals, fld.neg(fld.div(fld.sub(*ends), quad)), v)
+        for p, lin in zip(graph, linear):
+            vals[p] = fld.zero
+            vals[p] = fld.neg(lin.eval_consts(vals))
+        m = [[vals[i * n + j] for j in range(n)] for i in range(n)]
+        out.extend(accept([m], fld))
+        if len(out) >= count:
+            return fld, out[:count]
+    if out:
+        return fld, out
     raise UnsupportedInstanceError(
         "no sampling strategy applies to this group")
 

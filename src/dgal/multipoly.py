@@ -45,14 +45,6 @@ GREVLEX = MonomialOrder("grevlex", _grevlex_key)
 LEX = MonomialOrder("lex", lambda exp: exp)
 
 
-def elimination_order(nfirst):
-    """Block order eliminating the first ``nfirst`` variables: grevlex on
-    the first block dominates grevlex on the rest."""
-    def key(exp):
-        return (_grevlex_key(exp[:nfirst]), _grevlex_key(exp[nfirst:]))
-    return MonomialOrder("eliminate(%d)" % nfirst, key)
-
-
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -494,21 +486,6 @@ def reduce_basis(G, order=None):
         if r.terms:
             out.append(r.monic(order))
     out.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return out
-
-
-def eliminate(gens, nfirst):
-    """Generators of the elimination ideal removing the first ``nfirst``
-    variables.  Returned polynomials still live in the full ring but only
-    involve the remaining variables."""
-    if not gens:
-        return []
-    order = elimination_order(nfirst)
-    gb = groebner(gens, order)
-    out = []
-    for g in gb:
-        if all(i >= nfirst for i in g.variables_used()):
-            out.append(g)
     return out
 
 

@@ -396,3 +396,26 @@ def test_finite_part_over_a_torus_is_refused_before_alpha(capsys, tmp_path):
     assert (code, lines) == (2, [
         "error: finite part over a positive dimensional component is "
         "outside the supported class"])
+
+
+@pytest.mark.parametrize("rows,dimension", [
+    pytest.param([["0", "1"], ["-4", "0"]], 1, id="conic"),
+    pytest.param([["1", "1"], ["0", "2"]], 1, id="triangular-torus"),
+    pytest.param([["0", "1/t"], ["0", "0"]], 1, id="Ga-log"),
+    pytest.param([["0", "1"], ["0", "-1/t"]], 1, id="Ga-companion"),
+    pytest.param([["1", "1/t"], ["0", "0"]], 2, id="affine"),
+])
+def test_prime_graph_groups_answer(capsys, tmp_path, rows, dimension):
+    """Each proto-group here is the graph of its degree-1 basis elements
+    over at most one polynomial irreducible over QQ: y'' = -4y (a conic
+    x_2_1^2 + 4 x_2_2^2 = 4), a torus in a triangular basis, G_a twice
+    (solutions 1 and log t) and {[[a, b], [0, 1]]}.  Its ideal is prime,
+    so the group is connected and of dimension n^2 minus the basis
+    length."""
+    code = main(["galois", "--system", _system(tmp_path, rows),
+                 "--degree-override", "2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "dimension: %d" % dimension in lines
+    assert "components: 1" in lines and "sandwich_checked: yes" in lines

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgal import fields
 from dgal.fields import ConstField
 from dgal.groups import (AlgebraicSubgroup, Character,
-                         _single_irreducible_generator, characters_generators,
+                         _certified_irreducible, characters_generators,
                          full_group, group_points_finite, group_ring,
                          identity_component, kernel_of_characters,
                          sample_group_points, stabilizer_group,
@@ -135,11 +136,34 @@ def test_nonabelian_characters_stay_over_qq(monkeypatch, make, expected):
     (1, "x_1_1^2 - 1", False),
     (2, "(x_1_1 - 1)*(x_2_2 - 1)", False),
     (2, "(x_1_1 - x_2_2)^2", False),
+    (2, "x_2_1^2 + x_2_2^2 - 1", True),
+    (2, "4*x_2_1^2 + x_2_2^2 - 1", True),
+    # x_1_1^2 + 2 at every value of x_2_2, but the top coefficient of
+    # x_1_1 is x_2_2 + 1, not a constant
+    (2, "(x_2_2 + 1)*(x_1_1^2 + 2)", False),
 ])
 def test_single_irreducible_generator(n, text, irreducible):
     ring = group_ring(n, K)
-    H = AlgebraicSubgroup(n, ring, [ring.parse(text)])
-    assert _single_irreducible_generator(H) is irreducible
+    assert _certified_irreducible(ring.parse(text)) is irreducible
+
+
+RING2 = group_ring(2, K)
+
+
+@st.composite
+def nonconstant_polys(draw):
+    """An integer polynomial of degree 1 to 3 in x_1_1, x_1_2, x_2_1."""
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 3),
+        st.integers(-3, 3).filter(bool), min_size=1, max_size=4).filter(
+            lambda t: any(map(sum, t))))
+    return RING2.from_dict({e + (0,): K.from_int(c) for e, c in terms.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonconstant_polys(), nonconstant_polys())
+def test_products_are_never_certified_irreducible(f, h):
+    assert _certified_irreducible(f * h) is False
 
 
 def test_diagonal_torus_characters():
@@ -166,12 +190,33 @@ def test_rotation_characters_rank_one_over_qi():
     assert fld.degree() == 2
 
 
-def test_sampling_lands_on_the_group():
-    H = sl2(group_ring(2, K))
+def parsed(*texts):
+    return lambda ring: AlgebraicSubgroup(2, ring, map(ring.parse, texts))
+
+
+conic = parsed("x_1_1 - x_2_2", "x_1_2 + 1/4*x_2_1",
+               "x_2_1^2 + 4*x_2_2^2 - 4")
+unipotent = parsed("x_1_1 - 1", "x_2_1", "x_2_2 - 1")
+affine = parsed("x_2_1", "x_2_2 - 1")
+
+
+@pytest.mark.parametrize("make,first", [
+    (sl2, None),
+    # the first rotation sample is pinned: the character field printed for
+    # the harmonic oscillator rests on it
+    (so2, [["8/17", "-15/17"], ["15/17", "8/17"]]),
+    (conic, None), (unipotent, None), (affine, None),
+], ids=["SL2", "SO2", "conic", "Ga", "affine"])
+def test_sampling_lands_on_the_group(make, first):
+    H = make(group_ring(2, K))
     fld, pts = sample_group_points(H, 4)
     assert len(pts) == 4
     for m in pts:
-        assert fld.is_one(linalg.det(fld, m))
+        assert not fld.is_zero(linalg.det(fld, m))
+        vals = [x for row in m for x in row]
+        assert all(fld.is_zero(g.eval_consts(vals)) for g in H.generators)
+    if first is not None:
+        assert [[fld.format(x) for x in row] for row in pts[0]] == first
 
 
 def test_character_type():

@@ -1,6 +1,6 @@
 """Every top-level import of a dgal module is used in that module, and
-every module-level function and class is used somewhere in the package,
-but for the few public entry points that only tests call.
+every module-level function, class and constant is used somewhere in
+the package, but for the few public entry points that only tests call.
 
 A stale import hides which layer a module really stands on, and a dead
 helper hides which code still runs; the checks read each source file
@@ -45,17 +45,28 @@ CALLED_FROM_TESTS = {"max_", "gamma_bound", "gamma_comparison",
                      "dstar_nstar", "jordan_bound", "second_point_check"}
 
 
+def _bound_names(node):
+    """Names a module-level statement defines: a function, a class, or
+    the plain names an assignment binds (constants, module state)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unreferenced_helpers(sources, allow=()):
-    """Module-level functions and classes (not dunder, not in ``allow``)
-    that no source reads as a name, an attribute or an imported name
-    outside their own definition."""
+    """Module-level functions, classes and constants (not dunder, not in
+    ``allow``) that no source reads as a name, an attribute or an
+    imported name outside their own definition."""
     defined, used = [], set()
     for source in sources:
         for node in ast.parse(source).body:
-            owner = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    not owner.startswith("__") and owner not in allow:
-                defined.append(owner)
+            owners = _bound_names(node)
+            defined += [name for name in owners
+                        if not name.startswith("__") and name not in allow]
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     names = [sub.id]
@@ -65,7 +76,7 @@ def unreferenced_helpers(sources, allow=()):
                     names = [a.name for a in sub.names]
                 else:
                     continue
-                used.update(name for name in names if name != owner)
+                used.update(name for name in names if name not in owners)
     return [name for name in defined if name not in used]
 
 
@@ -79,8 +90,11 @@ def test_unreferenced_helpers_are_found():
         "def _imported_elsewhere():\n    pass\n"
         "def public(m):\n    return _kept(), m._imported_elsewhere\n"
         "def dead_public():\n    return public(None)\n"
-        "class Entry:\n    pass\n",
-    ], allow={"Entry"}) == ["_recursive", "_Dead", "dead_public"]
+        "class Entry:\n    pass\n"
+        "LIMIT = 3\n_STALE = 4\n__version__ = '1'\n"
+        "def capped(k):\n    return min(k, LIMIT)\n",
+    ], allow={"Entry", "capped"}) == ["_recursive", "_Dead", "dead_public",
+                                      "_STALE"]
 
 
 def test_every_private_helper_is_referenced():

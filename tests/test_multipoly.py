@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dgal import multipoly
 from dgal.errors import DgalError
 from dgal.fields import ConstField, field_adjoin
-from dgal.multipoly import (GREVLEX, LEX, PolyRing, eliminate, groebner,
+from dgal.multipoly import (GREVLEX, LEX, PolyRing, groebner,
                             normal_form, standard_monomials,
                             is_zero_dimensional)
 from dgal.pipeline import PipelineConfig, proto_galois
@@ -51,15 +51,6 @@ def test_groebner_simple():
 
 def test_groebner_empty():
     assert groebner([]) == []
-
-
-def test_eliminate_y():
-    # y first so the default block order eliminates it
-    R = ring("y", "x")
-    y, x = R.gens
-    got = eliminate([x * y - R.one, y ** 2 - R.one], 1)
-    assert len(got) == 1
-    assert got[0] == (x ** 2 - R.one) or got[0] == (x ** 2 - R.one).monic()
 
 
 def test_ideal_membership_after_groebner():
