@@ -5,8 +5,11 @@ x_i_j over an exact constant field.  Provided here: the stabilizer of a
 relation ideal, a symbolic group-axiom check, identity components for
 certified classes (finite groups, diagonal binomial groups, and groups
 whose ideal is certified prime: a linear graph over at most one
-polynomial irreducible over QQ), character groups via a
-multiplicativity ansatz, and kernels of characters.
+polynomial irreducible over QQ), character groups, and kernels of
+characters.  A group with a perfect Lie algebra, such as SL2, is
+certified to have no characters from its tangent space at I; other
+groups are searched by a multiplicativity ansatz on the eigenlines of
+sampled translations, which stops at the first separation.
 """
 
 import random
@@ -626,27 +629,81 @@ def _eigen_refine(fld, spaces, T):
     return big, done
 
 
+def _tangent_space(H):
+    """Basis of the tangent space of H at I, as n x n matrices: the
+    nullspace of the linear parts at I of H's reduced basis."""
+    n = H.n
+    nsq = n * n
+    fld = H.ring.field
+    diag = set(range(0, nsq, n + 1))
+    rows = []
+    for g in H.groebner_basis():
+        row = [fld.zero] * nsq
+        for e, c in g.terms.items():
+            off = [p for p, k in enumerate(e) if k and p not in diag]
+            # d/dx_p of x^e at I is e_p unless x^e / x_p meets an
+            # off-diagonal variable
+            for p, k in enumerate(e):
+                if k and (not off or (off == [p] and k == 1)):
+                    row[p] = fld.add(row[p], fld.mul(fld.from_int(k), c))
+        rows.append(row)
+    vecs = linalg.nullspace(fld, rows) if rows else linalg.identity(fld, nsq)
+    return [[v[i * n:(i + 1) * n] for i in range(n)] for v in vecs]
+
+
+def _lie_algebra_is_perfect(H):
+    """True when H's tangent space T at I is its Lie algebra and the
+    commutators of a basis of T span T.
+
+    T always contains Lie(H), whose dimension is dim H in characteristic
+    0, so T is Lie(H) when its dimension is the one identity_component
+    recorded.  Without a recorded class nothing is certified."""
+    if H.component_class is None:
+        return False
+    fld = H.ring.field
+    basis = _tangent_space(H)
+    if len(basis) != H.component_class[1]:
+        return False
+    brackets = []
+    for a, xa in enumerate(basis):
+        for xb in basis[a + 1:]:
+            c = linalg.mat_sub(fld, linalg.matmul(fld, xa, xb),
+                               linalg.matmul(fld, xb, xa))
+            brackets.append([x for row in c for x in row])
+    return len(linalg.rref(fld, brackets)[1]) == len(basis)
+
+
 def characters_generators(H, D):
     """Generators of the character group of a connected H, from the
     group-like polynomials of degree <= D.
 
-    A character spans a line in the degree-capped coordinate ring that
-    every right translation preserves, so the candidates are the common
-    eigenlines of the translation matrices at a handful of sampled group
-    points.  A character is 1 on every commutator c = h1 h2 h1^-1 h2^-1,
-    so the search starts in the fixed space of the translation by c of
-    the first two samples; for SL2 and GL2 that leaves only the
-    constants and the determinant, whose eigenvalues lie in the sample
-    field, so no number field is built.  Each candidate is then
-    verified symbolically (P(I) = 1 and P(X)P(Y) = P(XY) modulo the
-    doubled group ideal), which makes the sampling sound; the finitely
-    many eigenlines realize the zero-dimensionality of the underlying
-    ansatz system.  Inverse pairs and products of other solutions are
-    pruned so the returned list generates the lattice.
+    A group whose Lie algebra is perfect is answered first, with no
+    sampling: a character's differential is a Lie algebra map to the
+    abelian k, so it vanishes on [L, L] = L, and in characteristic 0 a
+    connected group has no character with zero differential (Humphreys,
+    Linear Algebraic Groups, 1975, section 13).  This covers SL2.
+
+    Otherwise a character spans a line in the degree-capped coordinate
+    ring that every right translation preserves, so the candidates are
+    the common eigenlines of the translation matrices at a handful of
+    sampled group points.  A character is 1 on every commutator
+    c = h1 h2 h1^-1 h2^-1, so the search starts in the fixed space of the
+    translation by c of the first two samples; for GL2 that leaves only
+    the constants and the determinant, whose eigenvalues lie in the
+    sample field, so no number field is built.  The search stops once
+    every space is a line.  Each candidate is then verified symbolically
+    (P(I) = 1 and P(X)P(Y) = P(XY) modulo the doubled group ideal) and
+    dropped if it fails: every character line lies in one of the
+    spaces, and a space that is a line is that character's line.  The
+    finitely many eigenlines realize the zero-dimensionality of the
+    underlying ansatz system.  Inverse pairs and products of other
+    solutions are pruned so the returned list generates the lattice.
     """
     if H.connected is not True:
         raise DgalError("characters need a connected group "
                         "(run identity_component first)")
+    if _lie_algebra_is_perfect(H):
+        return []
     n = H.n
     ring = H.ring
     gb = H.groebner_basis()
@@ -666,7 +723,6 @@ def characters_generators(H, D):
             Tc = _translation_matrix(ringF, gbF, B, c, n)
             spaces = [linalg.nullspace(
                 big, linalg.mat_sub(big, Tc, linalg.identity(big, N)))]
-    used = 0
     for h in hpts:
         if ringF.field != big:
             ringF = group_ring(n, big)
@@ -674,8 +730,7 @@ def characters_generators(H, D):
         h = [_coerce_vec(big, pfld, row) for row in h]
         T = _translation_matrix(ringF, gbF, B, h, n)
         big, spaces = _eigen_refine(big, spaces, T)
-        used += 1
-        if all(len(sp_) == 1 for sp_ in spaces) and used >= 2:
+        if all(len(sp_) == 1 for sp_ in spaces):
             break
     if any(len(sp_) > 1 for sp_ in spaces):
         raise DgalError("character eigenspaces did not separate; "
@@ -703,10 +758,10 @@ def characters_generators(H, D):
         if not any(P == q for q in sols):
             sols.append(P)
     # verify and prune to lattice generators
-    ring2F, gb2F = _doubled_ideal(
-        AlgebraicSubgroup(n, ringF, gbF, connected=True))
-    for P in sols:
-        _check_character(ring2F, gb2F, P, n)
+    if sols:
+        ring2F, gb2F = _doubled_ideal(
+            AlgebraicSubgroup(n, ringF, gbF, connected=True))
+        sols = [P for P in sols if _is_character(ring2F, gb2F, P, n)]
     prod_of = {}
     for P in sols:
         for Q in sols:
@@ -741,7 +796,8 @@ def _coerce_poly(ring_to, ring_from, p):
                               for e, c in p.terms.items()})
 
 
-def _check_character(ring2, gb2, P, n):
+def _is_character(ring2, gb2, P, n):
+    """True when P(X)P(Y) = P(XY) modulo the doubled group ideal."""
     nsq = n * n
     fld = ring2.field
     Px = ring2.from_dict({e + (0,) * nsq: c for e, c in P.terms.items()})
@@ -749,8 +805,7 @@ def _check_character(ring2, gb2, P, n):
     diff = Px * Py - Px.substitute(_product_substitution(ring2, n))
     if gb2:
         diff = normal_form(diff, gb2)
-    if not diff.is_zero():
-        raise DgalError("character candidate fails multiplicativity")
+    return diff.is_zero()
 
 
 def kernel_of_characters(H, chars):

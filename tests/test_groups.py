@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgal import fields
+from dgal import fields, groups
 from dgal.fields import ConstField
 from dgal.groups import (AlgebraicSubgroup, Character,
                          _certified_irreducible, characters_generators,
@@ -223,3 +223,88 @@ def test_character_type():
     H = full_group(1, K)
     chars = characters_generators(H, 1)
     assert isinstance(chars[0], Character)
+
+
+def no_sampling(H, count):
+    raise AssertionError("the character search sampled group points")
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_perfect_lie_algebra_has_no_characters(monkeypatch, D):
+    # sl2 = [sl2, sl2]: SL2 is answered before anything is sampled
+    monkeypatch.setattr(groups, "sample_group_points", no_sampling)
+    H = identity_component(sl2(group_ring(2, K)))
+    assert H.component_class == ("prime graph", 3)
+    assert characters_generators(H, D) == []
+
+
+def test_nonreduced_presentation_falls_back_to_the_search(monkeypatch):
+    # (det - 1)^2 has no linear part at I, so its tangent space is all of
+    # gl2, larger than the 3 dimensions recorded: no certificate, and the
+    # search, run on points of SL2, still finds no character
+    ring = group_ring(2, K)
+    H = AlgebraicSubgroup(2, ring, [
+        ring.parse("(x_1_1*x_2_2 - x_1_2*x_2_1 - 1)^2")], connected=True)
+    H.component_class = ("prime graph", 3)
+    sampled = []
+
+    def sl2_points(_H, count):
+        sampled.append(count)
+        return sample_group_points(sl2(ring), count)
+
+    monkeypatch.setattr(groups, "sample_group_points", sl2_points)
+    assert characters_generators(H, 1) == []
+    assert sampled
+
+
+def test_tangent_space_larger_than_the_group_certifies_nothing(monkeypatch):
+    # the first-order neighbourhood of I in SL2 around {I, -I}: the
+    # tangent space is sl2, perfect, but not the Lie algebra of a group
+    # recorded as 0-dimensional, so the search must run
+    ring = group_ring(2, K)
+    H = AlgebraicSubgroup(2, ring, map(ring.parse, [
+        "x_1_1*x_2_2 - x_1_2*x_2_1 - 1", "x_1_2^2", "x_2_1^2",
+        "(x_1_1 - x_2_2)^2"]), connected=True)
+    H.component_class = ("finite", 0)
+    monkeypatch.setattr(groups, "sample_group_points", no_sampling)
+    with pytest.raises(AssertionError, match="sampled"):
+        characters_generators(H, 1)
+
+
+def test_gl2_is_not_perfect():
+    H = identity_component(full_group(2, K))
+    assert H.component_class == ("full", 4)
+    assert char_polys(H, 2) == ["x_1_1*x_2_2 + -1*x_1_2*x_2_1"]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("texts,expected", [
+    (["x_2_1"], ["x_1_1", "x_2_2"]),
+    (["x_2_1", "x_1_1*x_2_2 - 1"], ["x_1_1"]),
+    (["x_2_1", "x_2_2 - 1"], ["x_1_1"]),
+    (["x_2_1", "x_1_1 - 1", "x_2_2 - 1"], []),
+], ids=["upper", "Borel", "affine", "Ga"])
+def test_solvable_group_characters(monkeypatch, texts, expected, D):
+    # one translation already splits the commutator's fixed space into
+    # lines, and the search stops there
+    refines = []
+    refine = groups._eigen_refine
+
+    def recording(*args):
+        refines.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(groups, "_eigen_refine", recording)
+    H = identity_component(parsed(*texts)(group_ring(2, K)))
+    assert sorted(char_polys(H, D)) == expected
+    assert len(refines) == 1
+
+
+def test_candidate_that_is_no_character_is_dropped(monkeypatch):
+    # translation by [[1, 1], [0, 2]], a matrix off G_a, splits span(1,
+    # x_1_2) into the lines of 1 and 1 + x_1_2; the second is no
+    # character of G_a, and the exact check drops it
+    H = identity_component(unipotent(group_ring(2, K)))
+    monkeypatch.setattr(groups, "sample_group_points", lambda _H, _count: (
+        K, [[[K.one, K.one], [K.zero, K.from_int(2)]]]))
+    assert characters_generators(H, 1) == []
