@@ -139,50 +139,74 @@ def _add_common(p):
                         "order whose relation basis is certified)")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dgal",
-        description="differential Galois groups of linear ODE systems "
-                    "over the rational functions, in exact arithmetic")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="print the symbolic degree bound tower")
+def _bounds_args(p):
     p.add_argument("--n", type=int, default=1, help="system dimension")
     p.add_argument("--exact-bit-cap", type=int, default=None,
                    dest="exact_bit_cap",
                    help="bit cap for exact bound evaluation")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("series", help="truncated fundamental matrix")
+
+def _series_args(p):
     p.add_argument("--system", required=True)
     p.add_argument("--point")
     p.add_argument("--order", type=int, default=10)
-    p.set_defaults(func=cmd_series)
 
-    for name, func, text in [
-            ("relations", cmd_relations, "relation ideal basis"),
-            ("protogroup", cmd_protogroup,
-             "stabilizer of the relation ideal"),
-            ("characters", cmd_characters,
-             "character lattice of the identity component")]:
-        p = sub.add_parser(name, help=text)
-        _add_common(p)
-        p.add_argument("--degree", type=int, required=True,
-                       help="relation degree cap")
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("galois", help="full Galois group computation")
+def _degree_args(p):
+    _add_common(p)
+    p.add_argument("--degree", type=int, required=True,
+                   help="relation degree cap")
+
+
+def _galois_args(p):
     _add_common(p)
     p.add_argument("--degree-override", type=int, default=None,
                    dest="degree_override",
                    help="run relative to this relation degree")
-    p.set_defaults(func=cmd_galois)
+
+
+# name -> (help line, handler, options), in the order of the listing
+COMMANDS = {
+    "bounds": ("print the symbolic degree bound tower", cmd_bounds,
+               _bounds_args),
+    "series": ("truncated fundamental matrix", cmd_series, _series_args),
+    "relations": ("relation ideal basis", cmd_relations, _degree_args),
+    "protogroup": ("stabilizer of the relation ideal", cmd_protogroup,
+                   _degree_args),
+    "characters": ("character lattice of the identity component",
+                   cmd_characters, _degree_args),
+    "galois": ("full Galois group computation", cmd_galois, _galois_args),
+}
+
+
+def build_parser(only=None):
+    """The dgal argument parser.  With ``only`` set to a subcommand name,
+    the other subcommands' parsers are not built, and the usage line
+    still lists them all, so that subcommand's help and errors read as
+    under the full parser."""
+    parser = argparse.ArgumentParser(
+        prog="dgal",
+        description="differential Galois groups of linear ODE systems "
+                    "over the rational functions, in exact arithmetic")
+    # argparse names the subcommand argument by its metavar in errors,
+    # so the full parser keeps the default one
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{%s}" % ",".join(COMMANDS))
+    for name, (text, func, add_args) in COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the parser of the subcommand asked for; no subcommand, --help
+    # or an unknown name gets the full parser and its listing
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except DgalError as err:

@@ -371,20 +371,24 @@ def _mat_eq(fld, a, b):
 
 # -- characters ---------------------------------------------------------
 
-def _doubled_ideal(H):
-    """Groebner basis of I(H)(x) + I(H)(y) in the doubled ring."""
-    n = H.n
+def _doubled_ideal(ring, gb, n):
+    """Reduced Groebner basis of I(x) + I(y) in the doubled ring, from
+    the reduced basis gb of I in ``ring``: gb written in the x and in the
+    y variables.  The doubled graded lex order restricts to the order of
+    each copy, and the copies share no variable, so every S-pair of the
+    union has coprime leading monomials and no leading monomial of one
+    copy divides a term of the other: the union is already reduced."""
     nsq = n * n
-    names = list(H.ring.names) + ["y_%d_%d" % (i + 1, j + 1)
-                                  for i in range(n) for j in range(n)]
-    ring2 = PolyRing(H.ring.field, names, graded_lex_order(2 * nsq))
+    names = list(ring.names) + ["y_%d_%d" % (i + 1, j + 1)
+                                for i in range(n) for j in range(n)]
+    ring2 = PolyRing(ring.field, names, graded_lex_order(2 * nsq))
     both = []
-    for g in H.generators:
+    for g in gb:
         both.append(ring2.from_dict({e + (0,) * nsq: c
                                      for e, c in g.terms.items()}))
         both.append(ring2.from_dict({(0,) * nsq + e: c
                                      for e, c in g.terms.items()}))
-    return ring2, (groebner(both) if both else [])
+    return ring2, both
 
 
 # group points sampled per character search, and the seed they come from
@@ -697,7 +701,9 @@ def characters_generators(H, D):
     spaces, and a space that is a line is that character's line.  The
     finitely many eigenlines realize the zero-dimensionality of the
     underlying ansatz system.  Inverse pairs and products of other
-    solutions are pruned so the returned list generates the lattice.
+    solutions are pruned so the returned list generates the lattice; a
+    product is formed and normal-formed only when one of those two tests
+    reads it, and each unordered pair at most once.
     """
     if H.connected is not True:
         raise DgalError("characters need a connected group "
@@ -759,25 +765,30 @@ def characters_generators(H, D):
             sols.append(P)
     # verify and prune to lattice generators
     if sols:
-        ring2F, gb2F = _doubled_ideal(
-            AlgebraicSubgroup(n, ringF, gbF, connected=True))
+        ring2F, gb2F = _doubled_ideal(ringF, gbF, n)
         sols = [P for P in sols if _is_character(ring2F, gb2F, P, n)]
-    prod_of = {}
-    for P in sols:
-        for Q in sols:
-            pq = P * Q
-            prod_of[(id(P), id(Q))] = normal_form(pq, gbF) if gbF else pq
+    prods = {}
+
+    def prod(i, j):
+        # sols[i] * sols[j] in normal form, each unordered pair once
+        key = (min(i, j), max(i, j))
+        if key not in prods:
+            pq = sols[i] * sols[j]
+            prods[key] = normal_form(pq, gbF) if gbF else pq
+        return prods[key]
+
+    degs = [P.total_degree() for P in sols]
     out = []
-    for P in sorted(sols, key=lambda p: (p.total_degree(), ringF.format(p))):
-        if any(prod_of[(id(P), id(Q))] == ringF.one for Q in out):
+    for i in sorted(range(len(sols)),
+                    key=lambda i: (degs[i], ringF.format(sols[i]))):
+        if any(prod(i, j) == ringF.one for j in out):
             continue  # inverse of an already chosen generator
-        if any(prod_of[(id(a), id(b))] == P
-               for a in sols for b in sols
-               if a.total_degree() < P.total_degree()
-               and b.total_degree() < P.total_degree()):
+        lower = [j for j in range(len(sols)) if degs[j] < degs[i]]
+        if any(prod(a, b) == sols[i]
+               for x, a in enumerate(lower) for b in lower[x:]):
             continue  # product of two lower-degree solutions
-        out.append(P)
-    return [Character(P, ringF) for P in out]
+        out.append(i)
+    return [Character(sols[i], ringF) for i in out]
 
 
 def _monomial_at(fld, exp, values):

@@ -16,8 +16,8 @@ from . import lattice, linalg
 from .errors import DgalError, ResourceCapError, UnsupportedInstanceError
 from .fields import ConstField, join
 from .rational import ONE, ZERO
-from .ratfunc import RatFuncField
-from .series import reconstruct_ratfunc
+from .ratfunc import RatFuncField, _series_div
+from .series import Series, reconstruct_ratfunc
 
 
 class HyperexpElement:
@@ -82,15 +82,18 @@ def logderiv_from_character(chi, store, order, num_deg, den_deg):
     whose monomial series ``store`` holds (systems.MonomialSeries).
 
     u must have a nonzero constant term and order above 2 * (num_deg +
-    den_deg); u'/u is reconstructed as a rational function and must
-    come out identical at the full and the one-lower truncation order,
-    else a degree-cap error is raised.
+    den_deg).  w = u'/u through (t - a)^(order - 1) is one power-series
+    division, O(order^2) field operations with no inverse series formed
+    first.  w is reconstructed as a rational function and must come out
+    identical at the full and the one-lower truncation order, else a
+    degree-cap error is raised.
     """
     u = store.series_of(chi.poly, order)
     kf = u.field
     if kf.is_zero(u.coeffs[0]):
         raise DgalError("character series vanishes at the expansion point")
-    w = u.diff() * u.inverse()
+    du = u.diff().coeffs
+    w = Series(kf, _series_div(kf, du, u.coeffs, len(du)))
     R = RatFuncField(kf)
     if w.order < 2 * (num_deg + den_deg) + 2:
         raise ResourceCapError("series order %d too small for degree caps "

@@ -32,7 +32,7 @@ from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
                      kernel_of_characters, stabilizer_group,
                      verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
-from .multipoly import groebner, normal_form
+from .multipoly import normal_form
 from .relations import find_relations
 from .series import Series, rational_reconstruction
 from .systems import MonomialSeries
@@ -396,16 +396,19 @@ def sandwich_check(H, Hcirc, chars, Gcirc):
     """Certify kernel-of-characters(H deg) <= computed component <= H by
     ideal containment: each component generator reduces to zero modulo
     the kernel's Groebner basis, and each generator of H reduces to zero
-    modulo the component's."""
+    modulo the component's.
+
+    Both bases are the ones the kernel and the component cache
+    (``groebner_basis``), coerced into the join of the three fields: a
+    reduced Groebner basis over k is the reduced basis of the same ideal
+    over any extension of k, in the same monomial order."""
     Ht = kernel_of_characters(Hcirc, chars)
     big = Ht.ring.field
     big = join(big, Gcirc.ring.field)
     big = join(big, H.ring.field)
     ring = group_ring(H.n, big)
-    gb_ht = groebner([_coerce_poly(ring, Ht.ring, g) for g in Ht.generators]) \
-        if Ht.generators else []
-    gb_gc = groebner([_coerce_poly(ring, Gcirc.ring, g)
-                      for g in Gcirc.generators]) if Gcirc.generators else []
+    gb_ht = _basis_in(ring, Ht)
+    gb_gc = _basis_in(ring, Gcirc)
     for g in Gcirc.generators:
         gg = _coerce_poly(ring, Gcirc.ring, g)
         if gb_ht and not normal_form(gg, gb_ht).is_zero():
@@ -420,6 +423,15 @@ def sandwich_check(H, Hcirc, chars, Gcirc):
     return True
 
 
+def _basis_in(ring, G):
+    """G's cached reduced Groebner basis, coerced into ``ring``, whose
+    field contains G's."""
+    gb = G.groebner_basis()
+    if G.ring == ring:
+        return gb
+    return [_coerce_poly(ring, G.ring, g) for g in gb]
+
+
 def _dimension_estimate(comp):
     """Dimension of a certified identity component, as identity_component
     recorded it with the component's class; None when unknown."""
@@ -429,14 +441,8 @@ def _dimension_estimate(comp):
 def _same_ideal(G1, G2):
     big = join(G1.ring.field, G2.ring.field)
     ring = group_ring(G1.n, big)
-
-    def basis(G):
-        if G.ring == ring:
-            return G.groebner_basis()
-        return groebner([_coerce_poly(ring, G.ring, g)
-                         for g in G.generators]) if G.generators else []
-    return sorted(map(ring.format, basis(G1))) == \
-        sorted(map(ring.format, basis(G2)))
+    return sorted(map(ring.format, _basis_in(ring, G1))) == \
+        sorted(map(ring.format, _basis_in(ring, G2)))
 
 
 # -- the full pipeline --------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dgal
-from dgal.cli import main
+from dgal.cli import COMMANDS, build_parser, main
 
 
 @pytest.fixture
@@ -56,6 +57,53 @@ def test_galois_meaningless_caps_exit_2(capsys, doc, flags):
     code, lines = refused(capsys, ["galois", "--system", doc,
                                    "--point", "0"] + flags)
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_lone_subcommand_parser_reads_as_in_the_full_parser(capsys, name):
+    full_help = subparsers(build_parser())[name].format_help()
+    lone = build_parser(name)
+    assert list(subparsers(lone)) == [name]
+    assert subparsers(lone)[name].format_help() == full_help
+    assert lone.format_usage() == build_parser().format_usage()
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == full_help
+
+
+@pytest.mark.parametrize("argv", [
+    ["galois", "--system", "sys.txt", "--bogus"],
+    ["galois", "--system", "sys.txt", "extra"],
+    ["relations", "--system", "sys.txt"],
+    ["bounds", "--n", "two"],
+])
+def test_lone_parser_errors_read_as_in_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as lone:
+        main(argv)
+    assert lone.value.code == full.value.code == 2
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["gal"]])
+def test_full_parser_lists_every_subcommand(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    out, err = capsys.readouterr()
+    listing = out or err
+    assert "{%s}" % ",".join(COMMANDS) in listing
+    if argv == ["--help"]:
+        for name, (text, _func, _args) in COMMANDS.items():
+            assert re.search(r"^ +%s +%s$" % (name, re.escape(text)), out,
+                             re.M)
 
 
 def test_missing_system_file(capsys, tmp_path):

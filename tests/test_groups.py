@@ -10,6 +10,7 @@ from dgal.groups import (AlgebraicSubgroup, Character,
                          sample_group_points, stabilizer_group,
                          verify_group_axioms)
 from dgal import linalg
+from dgal.multipoly import groebner
 from dgal.ratfunc import RatFuncField
 from dgal.relations import find_relations
 from dgal.systems import OdeSystem
@@ -308,3 +309,17 @@ def test_candidate_that_is_no_character_is_dropped(monkeypatch):
     monkeypatch.setattr(groups, "sample_group_points", lambda _H, _count: (
         K, [[[K.one, K.one], [K.zero, K.from_int(2)]]]))
     assert characters_generators(H, 1) == []
+
+
+@pytest.mark.parametrize("make", [
+    so2, sl2, conic, unipotent, affine,
+    parsed("x_2_1", "x_1_1*x_2_2 - 1"),
+    parsed("x_1_1^2 - 1", "x_1_2", "x_2_1", "x_2_2 - x_1_1"),
+], ids=["SO2", "SL2", "conic", "Ga", "affine", "Borel", "mu2"])
+def test_doubled_basis_needs_no_reduction(make):
+    # two copies of a reduced basis in disjoint variables are the reduced
+    # basis of the doubled ideal, up to the order of the list
+    H = make(group_ring(2, K))
+    ring2, gb2 = groups._doubled_ideal(H.ring, H.groebner_basis(), 2)
+    assert sorted(map(ring2.format, gb2)) == \
+        sorted(map(ring2.format, groebner(gb2)))

@@ -6,11 +6,11 @@ import pytest
 import dgal.pipeline
 from hypothesis import assume, given, settings, strategies as st
 
-from dgal import upoly
+from dgal import multipoly, upoly
 from dgal.errors import DgalError, UnsupportedInstanceError
-from dgal.fields import ConstField
-from dgal.groups import (AlgebraicSubgroup, group_points_finite, group_ring,
-                         identity_component)
+from dgal.fields import ConstField, field_adjoin
+from dgal.groups import (AlgebraicSubgroup, Character, group_points_finite,
+                         group_ring, identity_component)
 from dgal.lattice import congruence_lattice
 from dgal.pipeline import (AlphaData, GaloisGroupDescription,
                            PipelineConfig, _gamma_powers,
@@ -163,6 +163,69 @@ def test_sandwich_reported_and_rechecked():
     Hc = identity_component(desc.proto)
     chars = characters_generators(Hc, 2)
     assert sandwich_check(desc.proto, Hc, chars, desc.identity_component)
+
+
+QQ_I, I = field_adjoin(K, [K.one, K.zero, K.one])
+
+
+def rotations_and_character():
+    """SO2 over QQ, and its character x_2_2 + i*x_2_1 over QQ(i), whose
+    kernel is {I}."""
+    ring = group_ring(2, K)
+    H = AlgebraicSubgroup(2, ring, map(ring.parse, [
+        "x_1_1 - x_2_2", "x_1_2 + x_2_1", "x_1_1^2 + x_2_1^2 - 1"]),
+        connected=True)
+    ring_i = group_ring(2, QQ_I)
+    return H, ring_i.gen(3) + ring_i.gen(2).scale(I), ring_i
+
+
+def test_sandwich_rejects_a_component_outside_h():
+    # the kernel {I} lies in the diagonal torus over QQ, but the torus is
+    # not inside SO2
+    H, chi, ring_i = rotations_and_character()
+    chars = [Character(chi, ring_i)]
+    torus = AlgebraicSubgroup(2, H.ring, map(H.ring.parse,
+                                             ["x_1_2", "x_2_1"]))
+    assert sandwich_check(H, H, chars, H)
+    assert not sandwich_check(H, H, chars, torus)
+
+
+def test_sandwich_rejects_a_kernel_outside_the_component():
+    # the trivial group over QQ lies in SO2 and holds the kernel {I} of
+    # chi, but not the kernel {I, -I} of chi^2
+    H, chi, ring_i = rotations_and_character()
+    trivial = AlgebraicSubgroup(2, H.ring, map(H.ring.parse, [
+        "x_1_1 - 1", "x_1_2", "x_2_1", "x_2_2 - 1"]))
+    assert sandwich_check(H, H, [Character(chi, ring_i)], trivial)
+    assert not sandwich_check(H, H, [Character(chi * chi, ring_i)], trivial)
+
+
+def test_harmonic_run_reduces_two_ideals(monkeypatch):
+    """One run on the harmonic oscillator (a = 0, d = 2) forms no inverse
+    series, since u'/u is one division, and computes two Groebner bases:
+    the proto-group's, which every later stage reads from its cache, and
+    the character kernel's.  The sandwich certificate and the character
+    check reduce nothing else."""
+    calls = {"groebner": 0, "inverse": 0}
+    groebner, inverse = multipoly.groebner, Series.inverse
+
+    def counting_groebner(*args, **kw):
+        calls["groebner"] += 1
+        return groebner(*args, **kw)
+
+    def counting_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dgal") and \
+                getattr(mod, "groebner", None) is groebner:
+            monkeypatch.setattr(mod, "groebner", counting_groebner)
+    monkeypatch.setattr(Series, "inverse", counting_inverse)
+    desc = run(sys_of(["0", "1"], ["-1", "0"]), 2, a=K.zero)
+    assert desc.dimension == 1 and desc.sandwich_checked
+    assert calls["inverse"] == 0
+    assert calls["groebner"] <= 2
 
 
 def test_symbolic_mode_refuses_with_bound():

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgal.errors import DgalError, SingularPointError
-from dgal.fields import ConstField
-from dgal.ratfunc import RatFuncField
+from dgal.fields import ConstField, field_adjoin
+from dgal.ratfunc import RatFuncField, _series_div
 from dgal.series import (Series, ratfunc_series, rational_reconstruction,
                          reconstruct_ratfunc)
 
@@ -30,6 +31,38 @@ def test_series_inverse():
     assert inv.coeffs == [frac(1), frac(1), frac(1), frac(1)]  # geometric
     with pytest.raises(DgalError):
         Series(K, [frac(0), frac(1)]).inverse()
+
+
+QQ_I, I = field_adjoin(K, [K.one, K.zero, K.one])
+small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def unit_series(draw):
+    """A series over QQ or QQ(i) with a nonzero constant term."""
+    field = draw(st.sampled_from([K, QQ_I]))
+
+    def elem():
+        c = field.from_fraction(draw(small))
+        if field is QQ_I:
+            c = field.add(c, field.mul(I, field.from_fraction(draw(small))))
+        return c
+
+    coeffs = [elem() for _ in range(draw(st.integers(1, 12)))]
+    if field.is_zero(coeffs[0]):
+        coeffs[0] = field.one
+    return Series(field, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_series())
+def test_logderiv_is_one_series_division(u):
+    # u'/u by one division, as hyperexp.logderiv_from_character forms it;
+    # multiplying back by u checks both sides of the first equality at once
+    du = u.diff()
+    w = _series_div(u.field, du.coeffs, u.coeffs, len(du.coeffs))
+    assert w == (du * u.inverse()).coeffs
+    assert (Series(u.field, w) * u).coeffs == du.coeffs
 
 
 def test_ratfunc_series_geometric():
