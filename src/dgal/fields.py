@@ -52,12 +52,14 @@ class ConstField:
     ascending coefficients ``coeffs``, irreducible over ``base``.
     ``_images`` maps each subfield to the image of its generator here;
     ``_powers`` keeps, per subfield, that image and its powers up to the
-    subfield's degree, which make ``coerce_from`` a linear map."""
+    subfield's degree, which make ``coerce_from`` a linear map.
+    ``_splits`` keeps each ``split_univariate`` made over the field."""
 
     def __init__(self, minpoly=None, step=None):
         self.step = step
         self._images = {}
         self._powers = {}
+        self._splits = {}
         if minpoly is None:
             self._minpoly = None
             self._degree = 1
@@ -552,11 +554,17 @@ def split_univariate(field, coeffs):
     extension large enough to contain every root.
 
     Returns (new_field, [(root, multiplicity), ...]).  The original field's
-    elements embed into new_field via ``coerce_from``.
+    elements embed into new_field via ``coerce_from``.  A polynomial split
+    over the same field object before is not split again: its first
+    split is returned, so the stages of one run that split the same
+    polynomial (x^M - 1 on the finite path) share one extension.
     """
     coeffs = upoly.trim(field, coeffs)
     if len(coeffs) < 2:
         return field, []
+    done = field._splits.get(tuple(coeffs))
+    if done is not None:
+        return done[0], list(done[1])
     fld = field
     # (field of the coefficients, ascending coefficients, multiplicity)
     pending = [(field, coeffs, 1)]
@@ -583,4 +591,6 @@ def split_univariate(field, coeffs):
             else:
                 # refactor over the field grown for an earlier factor
                 pending.append((fld, fac, mult * k))
-    return fld, [(fld.coerce_from(f, r), m) for f, r, m in found]
+    roots = [(fld.coerce_from(f, r), m) for f, r, m in found]
+    field._splits[tuple(coeffs)] = (fld, roots)
+    return fld, list(roots)

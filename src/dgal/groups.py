@@ -8,17 +8,17 @@ whose ideal is certified prime: a linear graph over at most one
 polynomial irreducible over QQ), character groups, and kernels of
 characters.  A group with a perfect Lie algebra, such as SL2, is
 certified to have no characters from its tangent space at I; other
-groups are searched by a multiplicativity ansatz on the eigenlines of
-sampled translations, which stops at the first separation.
+groups are searched by a multiplicativity ansatz on the common
+eigenlines of the derivations D_xi, xi in that tangent space, at the
+weights of xi (sums of at most D eigenvalues of xi), which stops at the
+first separation.
 """
 
-import random
 from math import isqrt
 
-from . import factor, lattice, linalg
+from . import factor, fields, lattice, linalg
 from .errors import DgalError, UnsupportedInstanceError
 from .multipoly import PolyRing, groebner, normal_form, standard_monomials
-from .rational import Rational
 from .relations import (_product_substitution, _relations_at_product,
                         _row_reduce_polys, graded_lex_order, matrix_var_names)
 from .solve import PositiveDimensionalError, solve_zero_dimensional
@@ -223,17 +223,6 @@ def _diagonal_binomial_lattice(H):
     return rows
 
 
-def _graph_split(H):
-    """H's reduced basis split into its degree-1 elements and the rest.
-
-    A reduced basis holds the leading variable of a degree-1 element
-    nowhere else, so H is the graph of the degree-1 elements over the
-    zeros of the rest."""
-    gb = H.groebner_basis()
-    return ([g for g in gb if g.total_degree() == 1],
-            [g for g in gb if g.total_degree() != 1])
-
-
 def _certified_irreducible(g):
     """True when g is certified irreducible over QQ, by one of two rules.
 
@@ -317,7 +306,10 @@ def identity_component(H):
         comp = AlgebraicSubgroup(n, ring, gens, connected=True)
         comp.component_class = ("diagonal binomial", n - len(sat))
         return comp
-    rest = _graph_split(H)[1]
+    # a reduced basis holds the leading variable of a degree-1 element
+    # nowhere else, so H is the graph of those elements over the zeros
+    # of the rest
+    rest = [g for g in gb if g.total_degree() != 1]
     if len(rest) <= 1 and all(map(_certified_irreducible, rest)) and \
             H.vanishes_at_identity():
         H.connected = True
@@ -391,132 +383,6 @@ def _doubled_ideal(ring, gb, n):
     return ring2, both
 
 
-# group points sampled per character search, and the seed they come from
-SAMPLES = 4
-SEED = 20
-
-
-def sample_group_points(H, count):
-    """Exact points of H (entries in the constant field or an extension),
-    used to probe the translation action.  Strategies, tried in order:
-    no equations (random invertible matrices), finite groups (full
-    enumeration), diagonal binomial groups (torus parameterization), and
-    graphs of the degree-1 basis elements over at most one other element
-    g.  There the free variables are drawn at random, or solved for in g
-    where g is linear in one of them, or, where g is a quadric, taken at
-    the second point where a random line through I meets g = 0; the
-    graph variables follow from the degree-1 elements.  Every candidate
-    is checked against the generators before being returned.
-    """
-    rng = random.Random(SEED)
-    n = H.n
-    fld = H.ring.field
-
-    def accept(points, pfld):
-        good = []
-        for m in points:
-            vals = [m[i][j] for i in range(n) for j in range(n)]
-            if pfld.is_zero(linalg.det(pfld, m)):
-                continue
-            gens = H.generators if pfld == fld else [
-                _coerce_poly(group_ring(n, pfld), H.ring, g)
-                for g in H.generators]
-            if all(pfld.is_zero(g.eval_consts(vals)) for g in gens):
-                good.append(m)
-        return good
-
-    def rnd():
-        sign = 1 if rng.random() < 0.7 else -1
-        return fld.from_fraction(
-            Rational(sign * rng.randint(1, 9), rng.randint(1, 9)))
-
-    if not H.generators:
-        out = []
-        while len(out) < count:
-            m = [[fld.add(fld.from_int(1 if i == j else 0), rnd())
-                  for j in range(n)] for i in range(n)]
-            out.extend(accept([m], fld))
-        return fld, out[:count]
-    gb = H.groebner_basis()
-    from .multipoly import is_zero_dimensional
-    if is_zero_dimensional(gb, H.ring)[0]:
-        pfld, pts = group_points_finite(H)
-        return pfld, pts
-    rows = _diagonal_binomial_lattice(H)
-    if rows is not None:
-        sat = lattice.saturate(rows, n) if rows else []
-        W = lattice.integer_kernel(sat, n) if sat else \
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        out = []
-        for _ in range(count * 3):
-            svals = [rnd() for _ in W]
-            diag = []
-            for i in range(n):
-                v = fld.one
-                for s, w in zip(svals, W):
-                    v = fld.mul(v, fld.pow(s, w[i]))
-                diag.append(v)
-            m = [[diag[i] if i == j else fld.zero for j in range(n)]
-                 for i in range(n)]
-            out.extend(accept([m], fld))
-            if len(out) >= count:
-                return fld, out[:count]
-    linear, rest = _graph_split(H)
-    g = rest[0] if len(rest) == 1 else None
-    graph = [lin.leading()[0].index(1) for lin in linear]
-    free = [p for p in range(n * n) if p not in graph]
-    solve_for = next(
-        (p for p in free if g is not None and g.degree_in(p) == 1), None)
-    if len(rest) > 1 or (g is not None and solve_for is None
-                         and g.total_degree() != 2):
-        raise UnsupportedInstanceError(
-            "no sampling strategy applies to this group")
-    ident = H.identity_values()
-
-    def on_line(vals, s, v):
-        for p, x in zip(free, v):
-            vals[p] = fld.add(ident[p], fld.mul(s, x))
-
-    out = []
-    for _ in range(count * 5):
-        vals = list(ident)
-        if g is None or solve_for is not None:
-            for p in free:
-                vals[p] = rnd()
-        if solve_for is not None:
-            # g = slope * x + const in the variable x solved for
-            vals[solve_for] = fld.zero
-            const = g.eval_consts(vals)
-            vals[solve_for] = fld.one
-            slope = fld.sub(g.eval_consts(vals), const)
-            if fld.is_zero(slope):
-                continue
-            vals[solve_for] = fld.neg(fld.div(const, slope))
-        elif g is not None:
-            # the second zero of g(I + s v) = s (slope + s quad), as
-            # g(I) = 0; g at s = 1 and s = -1 gives slope and quad
-            v = [fld.one] + [rnd() for _ in free[1:]]
-            ends = []
-            for s in (fld.one, fld.neg(fld.one)):
-                on_line(vals, s, v)
-                ends.append(g.eval_consts(vals))
-            quad = fld.add(*ends)
-            if fld.is_zero(quad):
-                continue
-            on_line(vals, fld.neg(fld.div(fld.sub(*ends), quad)), v)
-        for p, lin in zip(graph, linear):
-            vals[p] = fld.zero
-            vals[p] = fld.neg(lin.eval_consts(vals))
-        m = [[vals[i * n + j] for j in range(n)] for i in range(n)]
-        out.extend(accept([m], fld))
-        if len(out) >= count:
-            return fld, out[:count]
-    if out:
-        return fld, out
-    raise UnsupportedInstanceError(
-        "no sampling strategy applies to this group")
-
-
 def _charpoly(fld, A):
     """Ascending coefficients of det(x I - A), by the trace recurrence."""
     n = len(A)
@@ -531,33 +397,6 @@ def _charpoly(fld, A):
             tr = fld.add(tr, M[i][i])
         cs.append(fld.neg(fld.div(tr, fld.from_int(k))))
     return list(reversed(cs))
-
-
-def _translation_matrix(ringF, gbF, B, h, n):
-    """Matrix of P(X) -> P(X h) on the span of the standard monomials B,
-    columns indexed by B."""
-    fld = ringF.field
-    subst = {}
-    for i in range(n):
-        for j in range(n):
-            acc = ringF.zero
-            for l in range(n):
-                acc = acc + ringF.gen(i * n + l).scale(h[l][j])
-            subst[i * n + j] = acc
-    idx = {m: k for k, m in enumerate(B)}
-    mat = linalg.zeros(fld, len(B), len(B))
-    for k, m in enumerate(B):
-        val = ringF.one
-        for p, e in enumerate(m):
-            for _ in range(e):
-                val = val * subst[p]
-        if gbF:
-            val = normal_form(val, gbF)
-        for e2, c in val.terms.items():
-            if e2 not in idx:
-                raise DgalError("translation left the monomial basis")
-            mat[idx[e2]][k] = c
-    return mat
 
 
 def _coerce_vec(big, small, v):
@@ -598,39 +437,69 @@ def _comb(fld, u, basis, j):
     return out
 
 
-def _eigen_refine(fld, spaces, T):
-    """Split each subspace along the eigenlines of T; the field grows as
-    eigenvalues require.  Returns (field, spaces)."""
-    from .fields import split_univariate
-    big = fld
+def _eigen_refine(fld, spaces, T, weights):
+    """Split each subspace along the eigenlines of T at the given
+    candidate eigenvalues; what no candidate reaches is dropped."""
     done = []
     for basis in spaces:
-        basis = [_coerce_vec(big, fld, v) for v in basis]
-        Tb = [_coerce_vec(big, fld, row) for row in T]
-        basis = _shrink_invariant(big, basis, Tb)
+        basis = _shrink_invariant(fld, basis, T)
         if not basis:
             continue
-        # restricted matrix: T basis^T = basis^T R
-        bt = linalg.transpose(basis)
-        cols = []
-        for b in basis:
-            cols.append(linalg.solve(big, bt, linalg.matvec(big, Tb, b)))
-        R = linalg.transpose(cols)
-        ext, roots = split_univariate(big, _charpoly(big, R))
-        if ext != big:
-            done = [[(_coerce_vec(ext, big, v)) for v in sp_]
-                    for sp_ in done]
-            basis = [_coerce_vec(ext, big, v) for v in basis]
-            R = [[ext.coerce_from(big, x) for x in row] for row in R]
-            big = ext
-        for lam, _mult in roots:
-            shifted = [[big.sub(R[i][j], lam) if i == j else R[i][j]
-                        for j in range(len(R))] for i in range(len(R))]
-            eig = [[_comb(big, u, basis, j) for j in range(len(basis[0]))]
-                   for u in linalg.nullspace(big, shifted)]
+        # restricted matrix R, T basis^T = basis^T R, from one elimination
+        # of [basis^T | T basis^T]: the basis columns are the pivots
+        k = len(basis)
+        images = [linalg.matvec(fld, T, b) for b in basis]
+        red = linalg.rref(fld, [list(row) for row in zip(*basis, *images)])[0]
+        R = [row[k:] for row in red[:k]]
+        for lam in weights:
+            shifted = [[fld.sub(x, lam) if i == j else x
+                        for j, x in enumerate(row)] for i, row in enumerate(R)]
+            eig = [[_comb(fld, u, basis, j) for j in range(len(basis[0]))]
+                   for u in linalg.nullspace(fld, shifted)]
             if eig:
                 done.append(eig)
-    return big, done
+    return done
+
+
+def _derivation_matrix(ring, gb, B, xi):
+    """Matrix of D_xi P = sum_ij (X xi)_ij dP/dx_ij on the span of the
+    standard monomials B, columns indexed by B.  D_xi keeps the degree of
+    a monomial, and a normal form in a graded order does not raise it."""
+    fld = ring.field
+    n = len(xi)
+    # (X xi)_ij = sum_l x_il xi_lj, as (variable, coefficient) pairs
+    lin = [[(i * n + l, xi[l][j]) for l in range(n) if not fld.is_zero(xi[l][j])]
+           for i in range(n) for j in range(n)]
+    idx = {m: k for k, m in enumerate(B)}
+    mat = linalg.zeros(fld, len(B), len(B))
+    for k, m in enumerate(B):
+        terms = {}
+        for p, e in enumerate(m):
+            if not e:
+                continue
+            for q, c in lin[p]:
+                m2 = list(m)
+                m2[p] -= 1
+                m2[q] += 1
+                m2 = tuple(m2)
+                terms[m2] = fld.add(terms.get(m2, fld.zero),
+                                    fld.mul(fld.from_int(e), c))
+        val = ring.from_dict(terms)
+        for e2, c in (normal_form(val, gb) if gb else val).terms.items():
+            mat[idx[e2]][k] = c
+    return mat
+
+
+def _weights(fld, roots, D):
+    """The distinct sums of at most D of the roots, repeats allowed: on
+    polynomials of degree <= D, D_xi acts on Sym^d of the linear forms,
+    where its eigenvalues are the sums of d eigenvalues of xi."""
+    out = {fld.zero: None}
+    layer = [fld.zero]
+    for _ in range(D):
+        layer = list(dict.fromkeys(fld.add(w, r) for w in layer for r in roots))
+        out.update(dict.fromkeys(layer))
+    return list(out)
 
 
 def _tangent_space(H):
@@ -655,19 +524,17 @@ def _tangent_space(H):
     return [[v[i * n:(i + 1) * n] for i in range(n)] for v in vecs]
 
 
-def _lie_algebra_is_perfect(H):
-    """True when H's tangent space T at I is its Lie algebra and the
-    commutators of a basis of T span T.
+def _lie_algebra_is_perfect(H, basis):
+    """True when ``basis``, H's tangent space T at I, is spanned by its
+    commutators and T is Lie(H).
 
     T always contains Lie(H), whose dimension is dim H in characteristic
     0, so T is Lie(H) when its dimension is the one identity_component
-    recorded.  Without a recorded class nothing is certified."""
+    recorded (characters_generators refuses any other).  Without a
+    recorded class nothing is certified."""
     if H.component_class is None:
         return False
     fld = H.ring.field
-    basis = _tangent_space(H)
-    if len(basis) != H.component_class[1]:
-        return False
     brackets = []
     for a, xa in enumerate(basis):
         for xb in basis[a + 1:]:
@@ -681,20 +548,30 @@ def characters_generators(H, D):
     """Generators of the character group of a connected H, from the
     group-like polynomials of degree <= D.
 
-    A group whose Lie algebra is perfect is answered first, with no
-    sampling: a character's differential is a Lie algebra map to the
+    The search works in the Lie algebra L = Lie(H), read as the tangent
+    space T of H at I.  T contains L, with equality exactly when the
+    dimension identity_component recorded is dim T; a presentation where
+    it is not is non-reduced, and is refused (in characteristic 0 a
+    group scheme is reduced, Cartier's theorem, so a stabilizer and the
+    components built from it do not reach that refusal).  A group
+    without a recorded class is taken at T.
+
+    A group whose Lie algebra is perfect is answered first, with nothing
+    built: a character's differential is a Lie algebra map to the
     abelian k, so it vanishes on [L, L] = L, and in characteristic 0 a
     connected group has no character with zero differential (Humphreys,
     Linear Algebraic Groups, 1975, section 13).  This covers SL2.
 
-    Otherwise a character spans a line in the degree-capped coordinate
-    ring that every right translation preserves, so the candidates are
-    the common eigenlines of the translation matrices at a handful of
-    sampled group points.  A character is 1 on every commutator
-    c = h1 h2 h1^-1 h2^-1, so the search starts in the fixed space of the
-    translation by c of the first two samples; for GL2 that leaves only
-    the constants and the determinant, whose eigenvalues lie in the
-    sample field, so no number field is built.  The search stops once
+    Otherwise a character chi is a common eigenvector of the derivations
+    D_xi P = sum_ij (X xi)_ij dP/dx_ij, xi in a basis of T, acting on the
+    polynomials of degree <= D modulo H's ideal (the span of the standard
+    monomials of H's reduced basis): D_xi chi = dchi(xi) chi, and in
+    characteristic 0 such semi-invariants of L are the semi-invariants
+    of the connected H (Humphreys, section 13).  The eigenvalues of D_xi
+    there are sums of at most D eigenvalues of xi, so only xi's n x n
+    characteristic polynomial is split, and the eigenlines are the
+    nullspaces of D_xi minus each such sum, taken inside the spaces the
+    previous xi left.  The search stops at the first xi after which
     every space is a line.  Each candidate is then verified symbolically
     (P(I) = 1 and P(X)P(Y) = P(XY) modulo the doubled group ideal) and
     dropped if it fails: every character line lies in one of the
@@ -708,44 +585,38 @@ def characters_generators(H, D):
     if H.connected is not True:
         raise DgalError("characters need a connected group "
                         "(run identity_component first)")
-    if _lie_algebra_is_perfect(H):
+    basis = _tangent_space(H)
+    if H.component_class is not None and len(basis) != H.component_class[1]:
+        raise UnsupportedInstanceError(
+            "characters: the tangent space at I has dimension %d, the %s "
+            "group %d; its ideal is a non-reduced presentation"
+            % (len(basis), H.component_class[0], H.component_class[1]))
+    if _lie_algebra_is_perfect(H, basis):
         return []
     n = H.n
     ring = H.ring
+    fld = ring.field
     gb = H.groebner_basis()
     B = standard_monomials(gb, ring, D)
-    pfld, hpts = sample_group_points(H, SAMPLES)
-    big = pfld
-    ringF = group_ring(n, big)
-    gbF = [_coerce_poly(ringF, ring, g) for g in gb]
-    N = len(B)
-    spaces = [linalg.identity(big, N)]
-    if len(hpts) >= 2:
-        # the commutator c = h1 h2 (h2 h1)^-1, when h1 and h2 do not commute
-        h12 = linalg.matmul(pfld, hpts[0], hpts[1])
-        h21 = linalg.matmul(pfld, hpts[1], hpts[0])
-        if not _mat_eq(pfld, h12, h21):
-            c = linalg.matmul(pfld, h12, linalg.inverse(pfld, h21))
-            Tc = _translation_matrix(ringF, gbF, B, c, n)
-            spaces = [linalg.nullspace(
-                big, linalg.mat_sub(big, Tc, linalg.identity(big, N)))]
-    for h in hpts:
-        if ringF.field != big:
-            ringF = group_ring(n, big)
-            gbF = [_coerce_poly(ringF, ring, g) for g in gb]
-        h = [_coerce_vec(big, pfld, row) for row in h]
-        T = _translation_matrix(ringF, gbF, B, h, n)
-        big, spaces = _eigen_refine(big, spaces, T)
+    big = fld
+    spaces = [linalg.identity(fld, len(B))]
+    for xi in basis:
         if all(len(sp_) == 1 for sp_ in spaces):
             break
+        T = _derivation_matrix(ring, gb, B, xi)
+        ext, roots = fields.split_univariate(
+            big, _coerce_vec(big, fld, _charpoly(fld, xi)))
+        spaces = [[_coerce_vec(ext, big, v) for v in sp_] for sp_ in spaces]
+        big = ext
+        spaces = _eigen_refine(big, spaces,
+                               [_coerce_vec(big, fld, row) for row in T],
+                               _weights(big, [r for r, _mult in roots], D))
     if any(len(sp_) > 1 for sp_ in spaces):
-        raise DgalError("character eigenspaces did not separate; "
-                        "more sample points needed")
-    if ringF.field != big:
-        ringF = group_ring(n, big)
-        gbF = [_coerce_poly(ringF, ring, g) for g in gb]
+        raise DgalError("character eigenspaces did not separate")
+    ringF = group_ring(n, big)
+    gbF = [_coerce_poly(ringF, ring, g) for g in gb]
     ident = H.identity_values()
-    identF = _coerce_vec(big, ring.field, ident)
+    identF = _coerce_vec(big, fld, ident)
     sols = []
     for sp_ in spaces:
         v = sp_[0]

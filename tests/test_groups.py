@@ -7,10 +7,9 @@ from dgal.groups import (AlgebraicSubgroup, Character,
                          _certified_irreducible, characters_generators,
                          full_group, group_points_finite, group_ring,
                          identity_component, kernel_of_characters,
-                         sample_group_points, stabilizer_group,
-                         verify_group_axioms)
-from dgal import linalg
-from dgal.multipoly import groebner
+                         stabilizer_group, verify_group_axioms)
+from dgal.errors import UnsupportedInstanceError
+from dgal.multipoly import PolyRing, groebner, normal_form
 from dgal.ratfunc import RatFuncField
 from dgal.relations import find_relations
 from dgal.systems import OdeSystem
@@ -113,7 +112,7 @@ def test_gl2_characters_determinant():
     (lambda: full_group(2, K), ["x_1_1*x_2_2 + -1*x_1_2*x_2_1"]),
 ], ids=["SL2", "GL2"])
 def test_nonabelian_characters_stay_over_qq(monkeypatch, make, expected):
-    # the commutator's fixed space leaves only 1 and det, whose
+    # the tangent basis is made of elementary and diagonal matrices, whose
     # eigenvalues are rational: no number field is built
     degrees = []
     split = fields.split_univariate
@@ -170,8 +169,10 @@ def test_products_are_never_certified_irreducible(f, h):
 def test_diagonal_torus_characters():
     ring = group_ring(2, K)
     H = AlgebraicSubgroup(2, ring, [ring.gen(1), ring.gen(2)], connected=True)
-    assert sorted(char_polys(H, 1)) == ["x_1_1", "x_2_2"]
-    ker = kernel_of_characters(H, characters_generators(H, 1))
+    chars = characters_generators(H, 1)
+    assert sorted(c.ring.format(c.poly) for c in chars) == ["x_1_1", "x_2_2"]
+    assert all(c.ring.field.degree() == 1 for c in chars)
+    ker = kernel_of_characters(H, chars)
     texts = sorted(ker.ring.format(g) for g in ker.generators)
     assert texts == ["x_1_1 + -1", "x_1_2", "x_2_1", "x_2_2 + -1"]
 
@@ -183,12 +184,12 @@ def test_rotation_characters_rank_one_over_qi():
     assert len(chars) == 1
     P = chars[0].poly
     fld = chars[0].ring.field
-    # the character is x_2_2 + c*x_2_1 with c a square root of -1
-    coeffs = dict(P.terms)
-    c = coeffs[(0, 0, 1, 0)]
-    assert fld.is_one(coeffs[(0, 0, 0, 1)])
-    assert fld.is_one(fld.neg(fld.mul(c, c)))
-    assert fld.degree() == 2
+    # the character is x_2_2 - g*x_2_1 with g a square root of -1: the
+    # field splits x^2 + 1, the characteristic polynomial of xi spanning
+    # so2
+    assert chars[0].ring.format(P) == "-g*x_2_1 + x_2_2"
+    assert [fld.format(fld.from_fraction(c)) for c in fld.minpoly_coeffs()] \
+        == ["1", "0", "1"]
 
 
 def parsed(*texts):
@@ -201,114 +202,113 @@ unipotent = parsed("x_1_1 - 1", "x_2_1", "x_2_2 - 1")
 affine = parsed("x_2_1", "x_2_2 - 1")
 
 
-@pytest.mark.parametrize("make,first", [
-    (sl2, None),
-    # the first rotation sample is pinned: the character field printed for
-    # the harmonic oscillator rests on it
-    (so2, [["8/17", "-15/17"], ["15/17", "8/17"]]),
-    (conic, None), (unipotent, None), (affine, None),
-], ids=["SL2", "SO2", "conic", "Ga", "affine"])
-def test_sampling_lands_on_the_group(make, first):
-    H = make(group_ring(2, K))
-    fld, pts = sample_group_points(H, 4)
-    assert len(pts) == 4
-    for m in pts:
-        assert not fld.is_zero(linalg.det(fld, m))
-        vals = [x for row in m for x in row]
-        assert all(fld.is_zero(g.eval_consts(vals)) for g in H.generators)
-    if first is not None:
-        assert [[fld.format(x) for x in row] for row in pts[0]] == first
-
-
 def test_character_type():
     H = full_group(1, K)
     chars = characters_generators(H, 1)
     assert isinstance(chars[0], Character)
 
 
-def no_sampling(H, count):
-    raise AssertionError("the character search sampled group points")
+def no_derivation(*args):
+    raise AssertionError("the character search built a derivation")
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_perfect_lie_algebra_has_no_characters(monkeypatch, D):
-    # sl2 = [sl2, sl2]: SL2 is answered before anything is sampled
-    monkeypatch.setattr(groups, "sample_group_points", no_sampling)
+    # sl2 = [sl2, sl2]: SL2 is answered before any derivation is built
+    monkeypatch.setattr(groups, "_derivation_matrix", no_derivation)
     H = identity_component(sl2(group_ring(2, K)))
     assert H.component_class == ("prime graph", 3)
     assert characters_generators(H, D) == []
 
 
-def test_nonreduced_presentation_falls_back_to_the_search(monkeypatch):
+def test_nonreduced_presentation_is_refused(monkeypatch):
     # (det - 1)^2 has no linear part at I, so its tangent space is all of
-    # gl2, larger than the 3 dimensions recorded: no certificate, and the
-    # search, run on points of SL2, still finds no character
+    # gl2, larger than the 3 dimensions recorded: the ideal is not
+    # reduced, and the search refuses it before building anything
     ring = group_ring(2, K)
     H = AlgebraicSubgroup(2, ring, [
         ring.parse("(x_1_1*x_2_2 - x_1_2*x_2_1 - 1)^2")], connected=True)
     H.component_class = ("prime graph", 3)
-    sampled = []
-
-    def sl2_points(_H, count):
-        sampled.append(count)
-        return sample_group_points(sl2(ring), count)
-
-    monkeypatch.setattr(groups, "sample_group_points", sl2_points)
-    assert characters_generators(H, 1) == []
-    assert sampled
+    monkeypatch.setattr(groups, "_derivation_matrix", no_derivation)
+    with pytest.raises(UnsupportedInstanceError,
+                       match="dimension 4, the prime graph group 3; "
+                             "its ideal is a non-reduced presentation"):
+        characters_generators(H, 1)
 
 
 def test_tangent_space_larger_than_the_group_certifies_nothing(monkeypatch):
     # the first-order neighbourhood of I in SL2 around {I, -I}: the
     # tangent space is sl2, perfect, but not the Lie algebra of a group
-    # recorded as 0-dimensional, so the search must run
+    # recorded as 0-dimensional, so neither the perfect exit nor the
+    # search may read it
     ring = group_ring(2, K)
     H = AlgebraicSubgroup(2, ring, map(ring.parse, [
         "x_1_1*x_2_2 - x_1_2*x_2_1 - 1", "x_1_2^2", "x_2_1^2",
         "(x_1_1 - x_2_2)^2"]), connected=True)
     H.component_class = ("finite", 0)
-    monkeypatch.setattr(groups, "sample_group_points", no_sampling)
-    with pytest.raises(AssertionError, match="sampled"):
+    monkeypatch.setattr(groups, "_derivation_matrix", no_derivation)
+    with pytest.raises(UnsupportedInstanceError, match="non-reduced"):
         characters_generators(H, 1)
 
 
-def test_gl2_is_not_perfect():
+def test_gl2_is_not_perfect(monkeypatch):
+    # gl2 = sl2 + scalars is not perfect, so the search runs; the
+    # derivations of E_11, E_12 and E_21 already leave every space a
+    # line, and the search stops before building the one of E_22
+    derivations = []
+    build = groups._derivation_matrix
+
+    def recording(*args):
+        derivations.append(args[3])
+        return build(*args)
+
+    monkeypatch.setattr(groups, "_derivation_matrix", recording)
     H = identity_component(full_group(2, K))
     assert H.component_class == ("full", 4)
     assert char_polys(H, 2) == ["x_1_1*x_2_2 + -1*x_1_2*x_2_1"]
+    assert len(derivations) == 3
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
-@pytest.mark.parametrize("texts,expected", [
-    (["x_2_1"], ["x_1_1", "x_2_2"]),
-    (["x_2_1", "x_1_1*x_2_2 - 1"], ["x_1_1"]),
-    (["x_2_1", "x_2_2 - 1"], ["x_1_1"]),
-    (["x_2_1", "x_1_1 - 1", "x_2_2 - 1"], []),
+@pytest.mark.parametrize("texts,expected,used", [
+    (["x_2_1"], ["x_1_1", "x_2_2"], 3),
+    (["x_2_1", "x_1_1*x_2_2 - 1"], ["x_1_1"], 2),
+    (["x_2_1", "x_2_2 - 1"], ["x_1_1"], 2),
+    (["x_2_1", "x_1_1 - 1", "x_2_2 - 1"], [], 1),
 ], ids=["upper", "Borel", "affine", "Ga"])
-def test_solvable_group_characters(monkeypatch, texts, expected, D):
-    # one translation already splits the commutator's fixed space into
-    # lines, and the search stops there
-    refines = []
-    refine = groups._eigen_refine
+def test_solvable_group_characters(monkeypatch, texts, expected, used, D):
+    # each group needs the derivation of every direction of its Lie
+    # algebra, one per dimension, before every space is a line
+    derivations = []
+    build = groups._derivation_matrix
 
     def recording(*args):
-        refines.append(args)
-        return refine(*args)
+        derivations.append(args[3])
+        return build(*args)
 
-    monkeypatch.setattr(groups, "_eigen_refine", recording)
+    monkeypatch.setattr(groups, "_derivation_matrix", recording)
     H = identity_component(parsed(*texts)(group_ring(2, K)))
     assert sorted(char_polys(H, D)) == expected
-    assert len(refines) == 1
+    assert len(derivations) == used == H.component_class[1]
 
 
 def test_candidate_that_is_no_character_is_dropped(monkeypatch):
-    # translation by [[1, 1], [0, 2]], a matrix off G_a, splits span(1,
-    # x_1_2) into the lines of 1 and 1 + x_1_2; the second is no
-    # character of G_a, and the exact check drops it
+    # the derivation of [[1, 1], [0, 2]], a matrix off Lie(G_a), splits
+    # span(1, x_1_2) into the lines of 1 and 1 + 2*x_1_2; the second is
+    # no character of G_a, and the exact check drops it
     H = identity_component(unipotent(group_ring(2, K)))
-    monkeypatch.setattr(groups, "sample_group_points", lambda _H, _count: (
-        K, [[[K.one, K.one], [K.zero, K.from_int(2)]]]))
+    monkeypatch.setattr(groups, "_tangent_space", lambda _H: [
+        [[K.one, K.one], [K.zero, K.from_int(2)]]])
+    checked = []
+    is_character = groups._is_character
+
+    def recording(ring2, gb2, P, n):
+        checked.append((H.ring.format(P), is_character(ring2, gb2, P, n)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(groups, "_is_character", recording)
     assert characters_generators(H, 1) == []
+    assert checked == [("2*x_1_2 + 1", False)]
 
 
 @pytest.mark.parametrize("make", [
@@ -323,3 +323,89 @@ def test_doubled_basis_needs_no_reduction(make):
     ring2, gb2 = groups._doubled_ideal(H.ring, H.groebner_basis(), 2)
     assert sorted(map(ring2.format, gb2)) == \
         sorted(map(ring2.format, groebner(gb2)))
+
+
+def derivative_along(P, xi):
+    """D_xi P, the coefficient of s in P(X (I + s xi)), read off a ring
+    with one more variable s: the directional derivative of P along the
+    right translations by exp(s xi), computed without the search's own
+    derivation matrix."""
+    ring = P.ring
+    fld = ring.field
+    nsq = ring.nvars
+    n = len(xi)
+    ring_s = PolyRing(fld, list(ring.names) + ["s"])
+    x, s = ring_s.gens[:nsq], ring_s.gens[nsq]
+    moved = {}
+    for i in range(n):
+        for j in range(n):
+            acc = x[i * n + j]
+            for l in range(n):
+                acc = acc + (x[i * n + l] * s).scale(
+                    fld.coerce_from(K, xi[l][j]))
+            moved[i * n + j] = acc
+    Ps = ring_s.from_dict({e + (0,): c for e, c in P.terms.items()})
+    return ring.from_dict({e[:nsq]: c for e, c in
+                           Ps.substitute(moved).terms.items() if e[nsq] == 1})
+
+
+torus = parsed("x_1_2", "x_2_1")
+borel = parsed("x_2_1", "x_1_1*x_2_2 - 1")
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("make,ranks", [
+    (so2, [1, 1, 1]), (lambda ring: full_group(2, K), [0, 1, 1]),
+    (borel, [1, 1, 1]), (torus, [2, 2, 2]),
+], ids=["SO2", "GL2", "Borel", "torus"])
+def test_characters_are_weight_vectors_of_every_derivation(make, ranks, D):
+    # D_xi chi = dchi(xi) chi modulo H's ideal, for every xi in Lie(H),
+    # with dchi(xi) = (D_xi chi)(I) since chi(I) = 1; GL2's determinant
+    # needs D = 2
+    H = identity_component(make(group_ring(2, K)))
+    chars = characters_generators(H, D)
+    assert len(chars) == ranks[D - 1]
+    for ch in chars:
+        fld = ch.ring.field
+        gb = [groups._coerce_poly(ch.ring, H.ring, g)
+              for g in H.groebner_basis()]
+        ident = [fld.coerce_from(K, v) for v in H.identity_values()]
+        for xi in groups._tangent_space(H):
+            dchi = derivative_along(ch.poly, xi)
+            weight = dchi.eval_consts(ident)
+            rest = dchi - ch.poly.scale(weight)
+            assert (normal_form(rest, gb) if gb else rest).is_zero()
+
+
+def test_determinant_is_found_at_a_sum_of_eigenvalues(monkeypatch):
+    # in this basis of gl2 the first xi has eigenvalues 1 and 2, and the
+    # determinant's weight under it is tr(xi) = 1 + 2, which is none of
+    # them: only the sums of eigenvalues reach it
+    m = lambda rows: [[K.from_int(x) for x in row] for row in rows]
+    monkeypatch.setattr(groups, "_tangent_space", lambda _H: [
+        m([[1, 1], [0, 2]]), m([[0, 0], [1, 0]]), m([[0, 1], [0, 0]]),
+        m([[1, 0], [0, 1]])])
+    H = identity_component(full_group(2, K))
+    assert char_polys(H, 2) == ["x_1_1*x_2_2 + -1*x_1_2*x_2_1"]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("n,make", [
+    (2, so2), (2, lambda ring: full_group(2, K)), (2, borel), (2, torus),
+    (2, conic), (2, affine), (1, lambda ring: full_group(1, K)),
+], ids=["SO2", "GL2", "Borel", "torus", "conic", "affine", "GL1"])
+def test_character_search_splits_only_n_by_n_polynomials(monkeypatch, n,
+                                                          make, D):
+    # the only polynomials split are the characteristic polynomials of
+    # the n x n matrices xi, not those of the derivations' matrices
+    degrees = []
+    split = fields.split_univariate
+
+    def recording(field, coeffs):
+        degrees.append(len(coeffs) - 1)
+        return split(field, coeffs)
+
+    H = identity_component(make(group_ring(n, K)))
+    monkeypatch.setattr(fields, "split_univariate", recording)
+    characters_generators(H, D)
+    assert degrees and max(degrees) <= n

@@ -6,7 +6,7 @@ import pytest
 import dgal.pipeline
 from hypothesis import assume, given, settings, strategies as st
 
-from dgal import multipoly, upoly
+from dgal import fields, multipoly, upoly
 from dgal.errors import DgalError, UnsupportedInstanceError
 from dgal.fields import ConstField, field_adjoin
 from dgal.groups import (AlgebraicSubgroup, Character, group_points_finite,
@@ -304,6 +304,28 @@ def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
                 from_coeff=lambda c: fld.coerce_from(kf, c)))
     _hfld, hpts = group_points_finite(H)
     assert len(hpts) % desc.order == 0
+
+
+@pytest.mark.parametrize("rows,d,M", [
+    pytest.param([["1/(6*t)"]], 6, 6, id="sixth"),
+    pytest.param([["1/(3*t)", "0"], ["0", "2/(3*t)"]], 3, 3, id="thirds"),
+])
+def test_finite_path_factors_x_m_minus_1_once(monkeypatch, rows, d, M):
+    # the point solve of H and finite_part both split x^M - 1 over the
+    # system's QQ; the second split is the first one, not a new factoring.
+    # The system gets a QQ of its own, on which nothing was split before
+    Rq = RatFuncField(ConstField())
+    factored = []
+    factor_list = fields.factor_list
+
+    def recording(field, coeffs):
+        factored.append(len(coeffs) - 1)
+        return factor_list(field, coeffs)
+
+    monkeypatch.setattr(fields, "factor_list", recording)
+    desc = run(OdeSystem(Rq, [[Rq.parse(e) for e in row] for row in rows]), d)
+    assert desc.finite and desc.order == M
+    assert factored.count(M) == 1
 
 
 def test_finite_part_reads_the_projections():
