@@ -19,7 +19,7 @@ from math import isqrt
 from . import factor, fields, lattice, linalg
 from .errors import DgalError, UnsupportedInstanceError
 from .multipoly import PolyRing, groebner, normal_form, standard_monomials
-from .relations import (_product_substitution, _relations_at_product,
+from .relations import (_ProductPowers, _relations_at_product,
                         _row_reduce_polys, graded_lex_order, matrix_var_names)
 from .solve import PositiveDimensionalError, solve_zero_dimensional
 
@@ -40,9 +40,9 @@ class AlgebraicSubgroup:
         # (class name, dimension), recorded by identity_component on the
         # connected group it returns
         self.component_class = None
-        # (ring_h, residuals): the action residuals of the relations this
-        # group stabilizes, recorded by stabilizer_group and read by
-        # verify_group_axioms
+        # the pieces over k of the action residuals of the relations this
+        # group stabilizes (one per residual and power of t), recorded by
+        # stabilizer_group and read by verify_group_axioms
         self.action_residuals = None
 
     @property
@@ -56,9 +56,17 @@ class AlgebraicSubgroup:
                 for i in range(self.n) for j in range(self.n)]
 
     def vanishes_at_identity(self):
+        # a monomial is 1 at I when it holds only diagonal entries, else 0
         fld = self.ring.field
-        vals = self.identity_values()
-        return all(fld.is_zero(g.eval_consts(vals)) for g in self.generators)
+        off = [p for p in range(self.n * self.n) if p % (self.n + 1)]
+        for g in self.generators:
+            value = fld.zero
+            for e, c in g.terms.items():
+                if not any(e[p] for p in off):
+                    value = fld.add(value, c)
+            if not fld.is_zero(value):
+                return False
+        return True
 
     def groebner_basis(self):
         if not hasattr(self, "_gb"):
@@ -99,92 +107,96 @@ def _action_residuals(rel):
     """For each basis relation P, the coefficient vector of P(X*h) with
     h symbolic, reduced against the span of the basis.
 
-    Returns (ring_h, residual entries): residuals are polynomials in the
-    h variables with rational-function coefficients; they vanish exactly
-    when h stabilizes the relation span.  The basis is in reduced row
-    echelon form with monic leading terms (relations._row_reduce_polys),
-    so reducing by the span clears each basis element's leading monomial
-    in turn.
-    """
-    ring = rel.ring
-    nsq = ring.nvars
-    ring_xy, products = _relations_at_product(rel)
-    ring_h = PolyRing(ring.field, ring_xy.names[nsq:], graded_lex_order(nsq))
-    leads = [(Q.leading()[0], Q) for Q in rel.basis]
+    Returns one residual ``{h-exponent: coefficient}`` per x-monomial and
+    relation, coefficients in k(t); the residuals vanish exactly when h
+    stabilizes the relation span.  P(X*h) is read off the integer
+    expansions of (X*h)^m (relations._relations_at_product) as
+    ``{x-monomial: {h-monomial: coefficient}}``.  The basis is in reduced
+    row echelon form with monic leading terms
+    (relations._row_reduce_polys), so reducing by the span clears each
+    basis element's leading monomial in turn, and no basis element has a
+    term at another one's leading monomial."""
+    R = rel.ring.field
+    leads = {Q.leading()[0]: Q.terms for Q in rel.basis}
     residuals = []
-    for acted in products:
-        # split exponents into (x-monomial, h-polynomial) coordinates
+    for acted in _relations_at_product(rel):
         vec = {}
-        for e, c in acted.terms.items():
-            xe, he = e[:nsq], e[nsq:]
-            vec[xe] = vec.get(xe, ring_h.zero) + ring_h.from_dict({he: c})
-        for le, Q in leads:
-            lead = vec.get(le)
-            if lead is None or lead.is_zero():
-                continue
-            for e, c in Q.terms.items():
-                vec[e] = vec.get(e, ring_h.zero) - lead.scale(c)
-        residuals.extend(vec[e] for e in sorted(vec, key=ring.order.key,
-                                                reverse=True)
-                         if not vec[e].is_zero())
-    return ring_h, residuals
+        for (xe, he), c in acted.items():
+            vec.setdefault(xe, {})[he] = c
+        for le in [e for e in vec if e in leads]:
+            lead = vec.pop(le)
+            for e, c in leads[le].items():
+                if e != le and not linalg.sub_multiples(
+                        R, vec.setdefault(e, {}), [(c, lead)]):
+                    del vec[e]
+        residuals.extend(res for res in vec.values() if res)
+    return residuals
 
 
-def _split_by_t_power(R, ring_h, ring_const, poly):
-    """Clear denominators of a polynomial with rational-function
-    coefficients and emit one constant-coefficient polynomial per power
-    of t."""
-    den = R.one
-    for c in poly.terms.values():
-        den = R.mul(den, R.from_coeffs(R.denom_coeffs(c)))
+def _split_by_t_power(R, ring_const, res):
+    """The pieces of a residual ``{h-exponent: coefficient in k(t)}``:
+    it is multiplied by the lcm f of its coefficients' denominators (not
+    at all when they are polynomials), and one polynomial over k is
+    emitted per power of t.  For nonzero f in k[t] the t-coefficients of
+    f*G span the same k-space as those of G (a functional that kills
+    f*phi(G) kills phi(G)), so that space does not depend on f."""
+    if all(map(R.is_polynomial, res.values())):
+        cleared = res
+    else:
+        den = R.denom_lcm(res.values())
+        cleared = {e: R.mul(c, den) for e, c in res.items()}
     out = {}
-    for e, c in poly.terms.items():
-        g = R.mul(c, den)
-        if not R.is_polynomial(g):
+    for e, c in cleared.items():
+        if not R.is_polynomial(c):
             raise DgalError("denominator clearing failed")
-        for m, cm in enumerate(R.numer_coeffs(g)):
-            if R.const.is_zero(cm):
-                continue
-            out.setdefault(m, {})[e] = cm
+        for m, cm in enumerate(R.numer_coeffs(c)):
+            if not R.const.is_zero(cm):
+                out.setdefault(m, {})[e] = cm
     return [ring_const.from_dict(d) for _, d in sorted(out.items())]
 
 
 def stabilizer_group(rel):
     """The group of constant matrices h whose right action X -> X*h
-    preserves the span of the relation basis."""
+    preserves the span of the relation basis.
+
+    Its generators are the reduced row echelon form over k of the pieces
+    of every action residual (``_split_by_t_power``); H records the
+    pieces for verify_group_axioms.  No polynomial over k(t) in the
+    doubled ring is formed."""
     ring = rel.ring
     R = ring.field
     n = isqrt(ring.nvars)
     ring_const = group_ring(n, R.const)
     if not rel.basis:
         return full_group(n, R.const)
-    ring_h, residuals = _action_residuals(rel)
-    gens = []
-    for res in residuals:
-        gens.extend(_split_by_t_power(R, ring_h, ring_const, res))
-    gens = _row_reduce_polys(ring_const, gens)
-    H = AlgebraicSubgroup(n, ring_const, gens)
-    H.action_residuals = (ring_h, residuals)
+    pieces = []
+    for res in _action_residuals(rel):
+        pieces.extend(_split_by_t_power(R, ring_const, res))
+    H = AlgebraicSubgroup(n, ring_const, _row_reduce_polys(ring_const, pieces))
+    H.action_residuals = pieces
     return H
 
 
 def verify_group_axioms(H, rel):
     """Symbolic closure check: the identity satisfies the generators and
     the stabilizer condition holds identically for h subject to H's
-    ideal.  ``H`` is ``stabilizer_group(rel)``, whose action residuals
-    are reused.  Sets group_verified on success."""
+    ideal.  ``H`` is ``stabilizer_group(rel)``, whose residual pieces are
+    reused.  Sets group_verified on success.
+
+    The check runs over k.  A residual is sum_i t^i g_i / f with the
+    g_i its pieces over k, and H's reduced Groebner basis over k is its
+    reduced basis over k(t); dividing by it acts on each power of t
+    alone, so a residual reduces to 0 modulo H's ideal exactly when every
+    one of its pieces does."""
     if not H.vanishes_at_identity():
         raise DgalError("identity matrix violates a group generator")
     if rel.basis:
-        R = rel.ring.field
-        ring_h, residuals = H.action_residuals
-        # a reduced Groebner basis over k is the reduced basis over k(t)
-        gb = [ring_h.from_dict({e: R.from_const(c) for e, c in g.terms.items()})
-              for g in H.groebner_basis()]
-        for res in residuals:
-            if normal_form(res, gb).terms:
+        gb = H.groebner_basis()
+        for piece in H.action_residuals:
+            if normal_form(piece, gb).terms:
                 raise DgalError(
-                    "group closure failed for residual %s" % ring_h.format(res))
+                    "group closure failed for residual piece %s"
+                    % H.ring.format(piece))
     H.group_verified = True
     return H
 
@@ -572,15 +584,21 @@ def characters_generators(H, D):
     characteristic polynomial is split, and the eigenlines are the
     nullspaces of D_xi minus each such sum, taken inside the spaces the
     previous xi left.  The search stops at the first xi after which
-    every space is a line.  Each candidate is then verified symbolically
-    (P(I) = 1 and P(X)P(Y) = P(XY) modulo the doubled group ideal) and
-    dropped if it fails: every character line lies in one of the
-    spaces, and a space that is a line is that character's line.  The
+    every space is a line.  Every character line lies in one of the
+    spaces, and a space that is a line is that character's line; the
     finitely many eigenlines realize the zero-dimensionality of the
-    underlying ansatz system.  Inverse pairs and products of other
-    solutions are pruned so the returned list generates the lattice; a
-    product is formed and normal-formed only when one of those two tests
-    reads it, and each unordered pair at most once.
+    underlying ansatz system.
+
+    The candidates, normalized to P(I) = 1, are then taken by (degree,
+    text) and pruned to generators of the lattice.  One that is the
+    inverse of a chosen generator, or the product of two lower-degree
+    characters, is a character and is skipped unchecked: in the
+    coordinate ring of H x H, chi(X)chi(Y) = chi(XY) for the characters
+    it is formed from, and an inverse or a product of these equalities
+    is one.  Every other candidate is verified symbolically (P(X)P(Y) =
+    P(XY) modulo the doubled group ideal), chosen if it passes and
+    dropped if not.  A product is formed and normal-formed only when one
+    of the two tests reads it, and each unordered pair at most once.
     """
     if H.connected is not True:
         raise DgalError("characters need a connected group "
@@ -634,10 +652,9 @@ def characters_generators(H, D):
             continue
         if not any(P == q for q in sols):
             sols.append(P)
-    # verify and prune to lattice generators
-    if sols:
-        ring2F, gb2F = _doubled_ideal(ringF, gbF, n)
-        sols = [P for P in sols if _is_character(ring2F, gb2F, P, n)]
+    # prune to lattice generators, verifying only what is kept
+    ring2F, gb2F = _doubled_ideal(ringF, gbF, n)
+    powers = _ProductPowers(n)
     prods = {}
 
     def prod(i, j):
@@ -649,16 +666,19 @@ def characters_generators(H, D):
         return prods[key]
 
     degs = [P.total_degree() for P in sols]
-    out = []
+    out, verified = [], []
     for i in sorted(range(len(sols)),
                     key=lambda i: (degs[i], ringF.format(sols[i]))):
-        if any(prod(i, j) == ringF.one for j in out):
-            continue  # inverse of an already chosen generator
-        lower = [j for j in range(len(sols)) if degs[j] < degs[i]]
-        if any(prod(a, b) == sols[i]
-               for x, a in enumerate(lower) for b in lower[x:]):
-            continue  # product of two lower-degree solutions
-        out.append(i)
+        lower = [j for j in verified if degs[j] < degs[i]]
+        if any(prod(i, j) == ringF.one for j in out) or \
+                any(prod(a, b) == sols[i]
+                    for x, a in enumerate(lower) for b in lower[x:]):
+            # the inverse of a chosen generator, or a product of two
+            # lower-degree characters: a character, and not a generator
+            verified.append(i)
+        elif _is_character(ring2F, gb2F, sols[i], powers):
+            verified.append(i)
+            out.append(i)
     return [Character(sols[i], ringF) for i in out]
 
 
@@ -678,13 +698,18 @@ def _coerce_poly(ring_to, ring_from, p):
                               for e, c in p.terms.items()})
 
 
-def _is_character(ring2, gb2, P, n):
-    """True when P(X)P(Y) = P(XY) modulo the doubled group ideal."""
-    nsq = n * n
+def _is_character(ring2, gb2, P, powers):
+    """True when P(X)P(Y) = P(XY) modulo the doubled group ideal;
+    ``powers`` is the relations._ProductPowers of H's size."""
     fld = ring2.field
-    Px = ring2.from_dict({e + (0,) * nsq: c for e, c in P.terms.items()})
-    Py = ring2.from_dict({(0,) * nsq + e: c for e, c in P.terms.items()})
-    diff = Px * Py - Px.substitute(_product_substitution(ring2, n))
+    # the x and y copies of P share no variable: their product is the
+    # sum of the products of their terms
+    diff = {e1 + e2: fld.mul(c1, c2)
+            for e1, c1 in P.terms.items() for e2, c2 in P.terms.items()}
+    for (xe, ye), c in powers.at_product(fld, P).items():
+        e = xe + ye
+        diff[e] = fld.sub(diff[e], c) if e in diff else fld.neg(c)
+    diff = ring2.from_dict(diff)
     if gb2:
         diff = normal_form(diff, gb2)
     return diff.is_zero()

@@ -26,11 +26,15 @@ truncation order and the kernel.  The kernel vectors are kept as
 (``_row_reduce_polys``, through the sparse ``linalg.RrefAccumulator``)
 touch only those entries of the shift generators.
 
-``_relations_at_product`` rewrites each basis relation as P(X*Y) once
-for both of its readers: the stabilizer (``groups``) groups it by
-x-monomial, and the transport search of ``second_point_check`` groups
-it by y-monomial and evaluates each x-polynomial with the
-``MonomialSeries`` store at the second point.
+P(X*Y) has one evaluator, ``_ProductPowers``: it expands each (X*Y)^m
+over the integers once and reads P(X*Y) = sum_m c_m (X*Y)^m off the
+expansions as ``{(x-exponent, y-exponent): coefficient}``, so a
+coefficient of P is only scaled by an integer.  ``_relations_at_product``
+applies it to every basis relation, for two readers: the stabilizer
+(``groups``) groups each image by x-monomial, and the transport search
+of ``second_point_check`` groups it by y-monomial and evaluates each
+x-polynomial with the ``MonomialSeries`` store at the second point.  The
+character check of ``groups`` reads the same expansions.
 """
 
 from functools import cached_property
@@ -480,31 +484,53 @@ def _row_reduce_polys(ring, polys):
             for row in acc.reduced_rows()]
 
 
-def _product_substitution(ring_xy, n):
-    """Map each x-variable to its entry of the product X*Y inside the
-    doubled ring (x block then y block)."""
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            acc = ring_xy.zero
-            for l in range(n):
-                acc = acc + ring_xy.gen(i * n + l) * ring_xy.gen(n * n + l * n + j)
-            values[i * n + j] = acc
-    return values
+class _ProductPowers:
+    """The monomials of the product X*Y of two n x n matrices of
+    variables, expanded over the integers: ``self[m]`` is (X*Y)^m as
+    ``{(x-exponent, y-exponent): int}``.  Each expansion is built once,
+    from the one of m less one power of its first variable times that
+    entry (X*Y)_ij = sum_l x_il y_lj, and kept.  P(X*Y) = sum_m c_m
+    (X*Y)^m is then read off them (``at_product``), so a coefficient of
+    P is only ever scaled by an integer."""
+
+    def __init__(self, n):
+        self.n = n
+        one = (0,) * (n * n)
+        self._cache = {one: {(one, one): 1}}
+
+    def __getitem__(self, m):
+        out = self._cache.get(m)
+        if out is None:
+            n = self.n
+            p = next(p for p, k in enumerate(m) if k)
+            i, j = divmod(p, n)
+            out = {}
+            for (xe, ye), c in self[m[:p] + (m[p] - 1,) + m[p + 1:]].items():
+                for l in range(n):
+                    x, y = i * n + l, l * n + j
+                    key = (xe[:x] + (xe[x] + 1,) + xe[x + 1:],
+                           ye[:y] + (ye[y] + 1,) + ye[y + 1:])
+                    out[key] = out.get(key, 0) + c
+            self._cache[m] = out
+        return out
+
+    def at_product(self, fld, P):
+        """P(X*Y) as ``{(x-exponent, y-exponent): coefficient}``, P a
+        polynomial in the x variables with coefficients in ``fld``."""
+        add, mul, from_int = fld.add, fld.mul, fld.from_int
+        out = {}
+        for m, c in P.terms.items():
+            for key, e in self[m].items():
+                v = c if e == 1 else mul(c, from_int(e))
+                out[key] = add(out[key], v) if key in out else v
+        return {key: c for key, c in out.items() if not fld.is_zero(c)}
 
 
 def _relations_at_product(rel):
-    """Each basis relation P as P(X*Y), in the doubled ring of the x and
-    the y variables y_i_j.  Returns (ring_xy, products)."""
-    ring = rel.ring
-    nsq = ring.nvars
-    n = isqrt(nsq)
-    hnames = ["y_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
-    ring_xy = PolyRing(ring.field, list(ring.names) + hnames, ring.order)
-    subst = _product_substitution(ring_xy, n)
-    return ring_xy, [ring_xy.from_dict({e + (0,) * nsq: c
-                                        for e, c in P.terms.items()})
-                     .substitute(subst) for P in rel.basis]
+    """Each basis relation P as P(X*Y), ``{(x-exponent, y-exponent):
+    coefficient}``, from one table of expanded powers of X*Y."""
+    powers = _ProductPowers(isqrt(rel.ring.nvars))
+    return [powers.at_product(rel.ring.field, P) for P in rel.basis]
 
 
 def transport_factor(rel, store, N):
@@ -520,13 +546,14 @@ def transport_factor(rel, store, N):
     k = store.field
     nsq = rel.ring.nvars
     n = isqrt(nsq)
-    ring_xy, products = _relations_at_product(rel)
-    ring_h = PolyRing(k, ring_xy.names[nsq:], graded_lex_order(nsq))
+    ring_h = PolyRing(k, ["y_%d_%d" % (i + 1, j + 1)
+                          for i in range(n) for j in range(n)],
+                      graded_lex_order(nsq))
     eqs = []
-    for PXY in products:
+    for PXY in _relations_at_product(rel):
         by_y = {}
-        for e, c in PXY.terms.items():
-            by_y.setdefault(e[nsq:], {})[e[:nsq]] = c
+        for (xe, ye), c in PXY.items():
+            by_y.setdefault(ye, {})[xe] = c
         values = [(ye, store.series_of(rel.ring.from_dict(q), N).coeffs)
                   for ye, q in by_y.items()]
         for i in range(N + 1):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +10,11 @@ from dgal.groups import (AlgebraicSubgroup, Character,
                          full_group, group_points_finite, group_ring,
                          identity_component, kernel_of_characters,
                          stabilizer_group, verify_group_axioms)
-from dgal.errors import UnsupportedInstanceError
-from dgal.multipoly import PolyRing, groebner, normal_form
+from dgal.errors import DgalError, UnsupportedInstanceError
+from dgal.multipoly import MultiPoly, PolyRing, groebner, normal_form
+from dgal.pipeline import PipelineConfig, proto_galois
 from dgal.ratfunc import RatFuncField
-from dgal.relations import find_relations
+from dgal.relations import _row_reduce_polys, find_relations
 from dgal.systems import OdeSystem
 
 K = ConstField()
@@ -409,3 +412,147 @@ def test_character_search_splits_only_n_by_n_polynomials(monkeypatch, n,
     monkeypatch.setattr(fields, "split_univariate", recording)
     characters_generators(H, D)
     assert degrees and max(degrees) <= n
+
+
+# -- the proto-group stage over k ----------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+# (golden system, relation degree, expansion point) as tests/test_golden.py
+# runs them
+PROTO_EXAMPLES = [("airy", 2, 1), ("harmonic", 2, 0), ("diag23", 3, 1)]
+
+
+def golden_proto_galois(name, degree, point):
+    sys = OdeSystem.from_document((GOLDEN / (name + ".sys")).read_text())
+    return proto_galois(sys, PipelineConfig(degree=degree,
+                                            a=K.from_int(point)))
+
+
+def split_by_denominator_product(R, ring, res):
+    """The split before the lcm: the residual times the product of every
+    coefficient's denominator, repeats included."""
+    den = R.one
+    for c in res.values():
+        den = R.mul(den, R.from_coeffs(R.denom_coeffs(c)))
+    out = {}
+    for e, c in res.items():
+        for m, cm in enumerate(R.numer_coeffs(R.mul(c, den))):
+            if not K.is_zero(cm):
+                out.setdefault(m, {})[e] = cm
+    return [ring.from_dict(d) for _, d in sorted(out.items())]
+
+
+DENOMINATORS = [[1], [0, 1], [1, 1], [0, 0, 1], [0, 1, 1], [-1, 0, 1]]
+
+
+@st.composite
+def residuals(draw):
+    """A residual {h-exponent: coefficient} over QQ(t) whose denominators
+    come from a short list, so that they repeat."""
+    exps = st.tuples(*[st.integers(0, 2)] * 4)
+    coeff = st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+                      .filter(any), st.sampled_from(DENOMINATORS))
+    terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=5))
+    return {e: R.from_coeffs([K.from_int(x) for x in num],
+                             [K.from_int(x) for x in den])
+            for e, (num, den) in terms.items()}
+
+
+def test_split_clears_with_the_lcm_of_the_denominators():
+    # 1/t, 2/t, 1/(t^2 + t) and t/(t + 1) share the lcm t^2 + t, where
+    # the product of their denominators is t^3 (t + 1)^2
+    ring = group_ring(2, K)
+    gens = ring.gens
+    res = {g.leading()[0]: R.parse(text) for g, text in zip(
+        gens, ["1/t", "2/t", "1/(t^2 + t)", "t/(t + 1)"])}
+    new = groups._split_by_t_power(R, ring, res)
+    old = split_by_denominator_product(R, ring, res)
+    assert [ring.format(p) for p in new] == [
+        "x_1_1 + 2*x_1_2 + x_2_1", "x_1_1 + 2*x_1_2", "x_2_2"]
+    assert len(old) == 4
+    assert _row_reduce_polys(ring, new) == _row_reduce_polys(ring, old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(residuals(), min_size=1, max_size=3))
+def test_lcm_split_spans_the_product_split(ress):
+    # the t-coefficients of f*G span the same k-space as those of G for
+    # any nonzero f in k[t], so both splits have one reduced echelon form
+    ring = group_ring(2, K)
+    new = [p for res in ress for p in groups._split_by_t_power(R, ring, res)]
+    old = [p for res in ress
+           for p in split_by_denominator_product(R, ring, res)]
+    assert _row_reduce_polys(ring, new) == _row_reduce_polys(ring, old)
+
+
+@pytest.mark.parametrize("name,degree,point", PROTO_EXAMPLES,
+                         ids=[name for name, _d, _p in PROTO_EXAMPLES])
+def test_lcm_split_keeps_the_stabilizer(name, degree, point):
+    # on the residuals of the worked examples the two splits give one
+    # reduced echelon form, the stabilizer's generators
+    H, rel = golden_proto_galois(name, degree, point)
+    ring = H.ring
+    old = [p for res in groups._action_residuals(rel)
+           for p in split_by_denominator_product(R, ring, res)]
+    assert _row_reduce_polys(ring, old) == H.generators
+
+
+def no_substitution(*args):
+    raise AssertionError("the proto-group stage substituted into a "
+                         "polynomial")
+
+
+@pytest.mark.parametrize("name,degree,point", PROTO_EXAMPLES,
+                         ids=[name for name, _d, _p in PROTO_EXAMPLES])
+def test_proto_group_stage_forms_no_doubled_ring_over_kt(monkeypatch, name,
+                                                         degree, point):
+    # P(X*h) is read off integer expansions, and the closure check runs
+    # over k: nothing is substituted, and the answer is the golden one
+    monkeypatch.setattr(MultiPoly, "substitute", no_substitution)
+    H, _rel = golden_proto_galois(name, degree, point)
+    assert H.group_verified
+    golden = (GOLDEN / (name + ".protogroup.out")).read_text().splitlines()
+    assert ["generator: " + H.ring.format(g) for g in H.generators] == \
+        golden[1:]
+
+
+def test_closure_check_needs_every_generator():
+    # without x_2_2^3 - 1 the ideal of diag23's stabilizer no longer
+    # bounds x_2_2, so the pieces of the residuals that it spans leave it
+    H, rel = golden_proto_galois("diag23", 3, 1)
+    gens = [g for g in H.generators if H.ring.format(g) != "x_2_2^3 + -1"]
+    assert len(gens) == len(H.generators) - 1
+    H.generators = gens
+    del H._gb
+    H.group_verified = False
+    with pytest.raises(DgalError, match="group closure failed"):
+        verify_group_axioms(H, rel)
+    assert not H.group_verified
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("make,expected,checks", [
+    (so2, ["-g*x_2_1 + x_2_2"], 1),
+    (torus, ["x_1_1", "x_2_2"], 2),
+    (lambda ring: full_group(2, K), None, 1),
+], ids=["SO2", "torus", "GL2"])
+def test_only_kept_characters_are_checked(monkeypatch, make, expected,
+                                          checks, D):
+    # a candidate that is the inverse of a chosen character or a product
+    # of two lower-degree ones is a character: SO2's lines chi^-1, chi^2,
+    # chi^-2, ... are skipped, and only chi is checked
+    checked = []
+    is_character = groups._is_character
+
+    def recording(*args):
+        checked.append(args[2])
+        return is_character(*args)
+
+    H = identity_component(make(group_ring(2, K)))
+    monkeypatch.setattr(groups, "_is_character", recording)
+    polys = char_polys(H, D)
+    if expected is None:  # GL2: the determinant needs D = 2
+        expected = [] if D == 1 else ["x_1_1*x_2_2 + -1*x_1_2*x_2_1"]
+        checks = len(expected)
+    assert sorted(polys) == expected
+    assert len(checked) == checks

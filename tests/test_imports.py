@@ -108,3 +108,29 @@ def test_every_public_function_and_class_is_referenced():
     sources = [(SRC / name).read_text() for name in sorted(
         p.name for p in SRC.glob("*.py"))]
     assert unreferenced_helpers(sources, allow=CALLED_FROM_TESTS) == []
+
+
+def attribute_reads(source, name):
+    """How often ``source`` reads ``name`` as an attribute or a name, or
+    defines it at module level."""
+    tree = ast.parse(source)
+    return sum(isinstance(node, ast.Attribute) and node.attr == name
+               or isinstance(node, ast.Name) and node.id == name
+               for node in ast.walk(tree)) + \
+        sum(name in _bound_names(node) for node in tree.body)
+
+
+def test_attribute_reads_are_found():
+    assert attribute_reads("def f(p):\n    return p.substitute({})\n"
+                           "def g():\n    return f\n", "substitute") == 1
+    assert attribute_reads("def f():\n    pass\n", "f") == 1
+
+
+def test_product_is_read_off_integer_expansions_only():
+    # P(X*Y) has one evaluator, relations._ProductPowers: the substitution
+    # into a doubled ring that it replaced is gone, and no module
+    # substitutes polynomials into a polynomial
+    for name in MODULES:
+        source = (SRC / name).read_text()
+        assert attribute_reads(source, "_product_substitution") == 0, name
+        assert attribute_reads(source, "substitute") == 0, name

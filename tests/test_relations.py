@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from dgal import linalg
@@ -11,10 +12,11 @@ from dgal.relations import (certify, find_relations,
                             graded_lex_order, matrix_var_names, order_bound,
                             relation_ideal, second_point_check,
                             _AnsatzBuilder, _kernel_to_polys, _local_basis,
-                            _RelationSolve, _row_reduce_polys,
+                            _ProductPowers, _RelationSolve, _row_reduce_polys,
                             _shift_generators)
 from dgal.series import Series
 from dgal.systems import MonomialSeries, OdeSystem
+from sympy_oracle import sympy_domain, to_sympy
 
 K = ConstField()
 R = RatFuncField(K)
@@ -535,3 +537,87 @@ def test_solve_lifts_only_the_shift_generators(monkeypatch, rows, a, d,
     monkeypatch.setattr(linalg, "lift_kernel", recording)
     rel = find_relations(sys_of(*rows), K.from_int(a), d, 2)
     assert rel.rigorous and sizes and all(n in lifted for n in sizes)
+
+
+# -- P(X*Y) from integer expansions of (X*Y)^m ----------------------------
+
+QI, I_UNIT = field_adjoin(K, [K.one, K.zero, K.one])   # x^2 + 1
+PRODUCT_FIELDS = {"QQ": K, "QQ(i)": QI, "QQ(t)": R}
+_T = sp.Symbol("t")
+
+
+def _coefficients(name):
+    """A strategy for coefficients in the named field."""
+    small = st.fractions(-3, 3, max_denominator=3)
+    if name == "QQ":
+        return small.map(K.from_fraction)
+    if name == "QQ(i)":
+        return st.tuples(small, small).map(lambda ab: QI.add(
+            QI.from_fraction(ab[0]),
+            QI.mul(QI.from_fraction(ab[1]), I_UNIT)))
+    ints = st.lists(st.integers(-2, 2), min_size=1, max_size=3)
+    return st.tuples(ints.filter(any), st.sampled_from([[1], [0, 1], [1, 1]])
+                     ).map(lambda nd: R.from_coeffs(
+                         [K.from_int(x) for x in nd[0]],
+                         [K.from_int(x) for x in nd[1]]))
+
+
+@st.composite
+def polys_for_product(draw):
+    """(field name, n, P): P of degree <= 3 in the n^2 entries x_i_j."""
+    name = draw(st.sampled_from(sorted(PRODUCT_FIELDS)))
+    n = draw(st.integers(1, 3))
+    nsq = n * n
+    exps = st.lists(st.integers(0, 3), min_size=nsq, max_size=nsq).map(
+        tuple).filter(lambda e: sum(e) <= 3)
+    terms = draw(st.dictionaries(exps, _coefficients(name), min_size=1,
+                                 max_size=4))
+    fld = PRODUCT_FIELDS[name]
+    ring = PolyRing(fld, matrix_var_names(n), graded_lex_order(nsq))
+    return name, n, ring.from_dict(terms)
+
+
+def _sympy_coefficient(name, c):
+    if name != "QQ(t)":
+        return to_sympy(PRODUCT_FIELDS[name], c)
+    num, den = (sum(to_sympy(K, a) * _T ** i for i, a in enumerate(cs))
+                for cs in (R.numer_coeffs(c), R.denom_coeffs(c)))
+    return num / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_for_product())
+def test_product_powers_expand_p_of_xy(case):
+    name, n, P = case
+    fld = P.ring.field
+    nsq = n * n
+    got = _ProductPowers(n).at_product(fld, P)
+    # sympy's expansion of P(X*Y), compared as polynomials over the field
+    xs = sp.symbols(matrix_var_names(n))
+    ys = sp.symbols(["y_%d_%d" % (i + 1, j + 1)
+                     for i in range(n) for j in range(n)])
+    xy = [sum(xs[i * n + l] * ys[l * n + j] for l in range(n))
+          for i in range(n) for j in range(n)]
+    dom = sp.QQ.frac_field(_T) if name == "QQ(t)" else sympy_domain(fld)
+    expected = sp.Poly(sum(
+        _sympy_coefficient(name, c) * sp.Mul(*[v ** k for v, k in zip(xy, m)])
+        for m, c in P.terms.items()), *xs, *ys, domain=dom)
+    ours = sp.Poly.from_dict(
+        {xe + ye: dom.from_sympy(_sympy_coefficient(name, c))
+         for (xe, ye), c in got.items()}, *xs, *ys, domain=dom)
+    assert ours == expected
+    # and the substitution of the entries of X*Y into P in the doubled ring
+    ring_xy = PolyRing(fld, list(P.ring.names) + [str(y) for y in ys],
+                       P.ring.order)
+    subst = {}
+    for i in range(n):
+        for j in range(n):
+            acc = ring_xy.zero
+            for l in range(n):
+                acc = acc + ring_xy.gen(i * n + l) * ring_xy.gen(
+                    nsq + l * n + j)
+            subst[i * n + j] = acc
+    substituted = ring_xy.from_dict(
+        {e + (0,) * nsq: c for e, c in P.terms.items()}).substitute(subst)
+    assert ring_xy.from_dict({xe + ye: c for (xe, ye), c in got.items()}) \
+        == substituted
