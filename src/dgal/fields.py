@@ -123,6 +123,7 @@ class ConstField:
         return a == self.one
 
     sub_multiples = linalg.sub_multiples
+    dot = linalg.dot
 
     # -- number field arithmetic ------------------------------------------
 

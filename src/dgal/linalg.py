@@ -11,13 +11,14 @@ entries.  That is cheap because a row in reduced echelon form is zero at
 every pivot but its own: near full rank, a reduced row holds little
 more than its pivot, and elimination touches only what is nonzero.
 
-``PrimeField`` is one more adapter: GF(p) on Python ints.  With it the
-same routines run modulo a word-size prime, which avoids the gcd work
-of rational arithmetic, and its row kernel reduces each entry once per
-row (delayed reduction; Dumas, Giorgi and Pernet 2008).  A result found
-mod p says nothing about QQ by itself: ``lift_kernel`` lifts it by
-rational reconstruction (Wang, Guy and Davenport 1982; the modular
-method of Dixon 1982), and ``kernel_vanishes`` checks a lift exactly.
+``PrimeField`` is one more adapter: GF(p) on Python ints, for p on the
+ladder ``PRIMES``.  With it the same routines run modulo a word-size
+prime, which avoids the gcd work of rational arithmetic, and its row and
+series kernels (``sub_multiples``, ``dot``) reduce each entry once
+(delayed reduction; Dumas, Giorgi and Pernet 2008).  A result found mod
+p says nothing about QQ by itself: ``lift_kernel`` lifts it by rational
+reconstruction (Wang, Guy and Davenport 1982; the modular method of
+Dixon 1982), and ``kernel_vanishes`` checks a lift exactly.
 """
 
 import bisect
@@ -26,8 +27,11 @@ from math import gcd, isqrt, lcm
 
 from .rational import Rational
 
-# the Mersenne prime 2^61 - 1: entries and products stay cheap Python ints
-P61 = (1 << 61) - 1
+# The primes of the modular solve, in the order it tries them.  Below
+# 2^30 an element is one 30-bit CPython digit, so a product and its
+# reduction stay cheap; the Mersenne prime 2^61 - 1 reconstructs entries
+# up to sqrt(p/2), about 1.07e9, where the first stops at 23170.
+PRIMES = ((1 << 30) - 35, (1 << 61) - 1)
 
 
 def zeros(field, rows, cols):
@@ -196,10 +200,13 @@ class RrefAccumulator:
         self._rows = {}    # pivot column -> {free column: value}
 
     def add_row(self, row):
-        """Reduce and insert; returns True if the rank grew."""
-        f = self.field
-        return self.add_sparse(
-            {j: x for j, x in enumerate(row) if not f.is_zero(x)})
+        """Reduce and insert a row, dense as a list or sparse as
+        ``{column: nonzero value}`` (taken over, as by add_sparse);
+        returns True if the rank grew."""
+        if not isinstance(row, dict):
+            f = self.field
+            row = {j: x for j, x in enumerate(row) if not f.is_zero(x)}
+        return self.add_sparse(row)
 
     def add_sparse(self, new):
         """add_row for a row given as ``{column: nonzero value}``; the
@@ -277,18 +284,31 @@ def sub_multiples(field, target, pairs):
     return target
 
 
+def dot(field, xs, ys):
+    """The sum of x * y over the pairs of ``xs`` and ``ys``.  The series
+    kernel over QQ and QQ(g)."""
+    zero, is_zero, add, mul = field.zero, field.is_zero, field.add, field.mul
+    acc = zero
+    for x, y in zip(xs, ys):
+        if not is_zero(y):
+            acc = add(acc, mul(x, y))
+    return acc
+
+
 class NotCertified(Exception):
     """A result found mod p that cannot stand for the exact one; the
     message says why."""
 
 
 class PrimeField:
-    """GF(p), p = P61, as an adapter field: elements are Python ints in
-    [0, p)."""
+    """GF(p) as an adapter field, p a prime of ``PRIMES`` (the first by
+    default): elements are Python ints in [0, p)."""
 
-    p = P61
     zero = 0
     one = 1
+
+    def __init__(self, p=PRIMES[0]):
+        self.p = p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -334,6 +354,11 @@ class PrimeField:
             for j, y in source.items():
                 target[j] = get(j, 0) - c * y
         return {j: r for j, x in target.items() if (r := x % p)}
+
+    def dot(self, xs, ys):
+        """The series kernel: the sum of x * y over the pairs of ``xs``
+        and ``ys``, on plain ints with one reduction."""
+        return sum(map(operator.mul, xs, ys)) % self.p
 
 
 def rational_reconstruction(u, p):

@@ -14,9 +14,10 @@ once and so span it; rewritten with rational-function coefficients and
 row-reduced, they give the relation basis, which u-multiples would not
 change.
 
-The solve builds its rows and eliminates modulo a word-size prime, adds
-rows one order at a time, and ends at the first kernel it can certify
-exactly (``_RelationSolve``, ``certify``): the closure under d/dt along
+The solve builds its rows and eliminates modulo a word-size prime (a
+prime below 2^30 first, then 2^61 - 1; ``linalg.PRIMES``), adds rows one
+order at a time, and ends at the first kernel it can certify exactly
+(``_RelationSolve``, ``certify``): the closure under d/dt along
 X' = A X of the k(t)-span of the kernel's relations vanishes at t = a,
 X = I, so by Cauchy uniqueness every relation in it vanishes at the
 fundamental matrix.  ``find_relations`` runs the solve once for both the
@@ -85,15 +86,26 @@ class _AnsatzBuilder:
         self.series = MonomialSeries(sys, a, d, field)
         self.field = self.series.field
         self.monos = self.series.monos
-        self.ncols = len(self.monos) * (2 * ell + 1)
+        width = 2 * ell + 1
+        self.ncols = len(self.monos) * width
+        # the columns (monomial, i) of each u-power i, by monomial
+        self._columns = [range(i, self.ncols, width) for i in range(width)]
+
+    def sparse_row(self, order_k):
+        """Constraint from the coefficient of u^order_k, as ``{column:
+        nonzero value}`` read straight off the series store: column
+        (monomial, i) holds the monomial's coefficient of u^(order_k - i).
+        A zero of k or GF(p) is falsy."""
+        vecs = self.series.extend(order_k)
+        return {j: x for i, cols in enumerate(self._columns[:order_k + 1])
+                for j, x in zip(cols, vecs[order_k - i]) if x}
 
     def row(self, order_k):
-        """Constraint from the coefficient of u^order_k."""
-        vecs = self.series.extend(order_k)
-        blank = [self.field.zero] * len(self.monos)
-        lagged = [vecs[order_k - i] if i <= order_k else blank
-                  for i in range(2 * self.ell + 1)]
-        return [v[mi] for mi in range(len(self.monos)) for v in lagged]
+        """The same constraint as a dense list."""
+        out = [self.field.zero] * self.ncols
+        for j, x in self.sparse_row(order_k).items():
+            out[j] = x
+        return out
 
 
 # the solve refuses beyond this truncation order
@@ -104,22 +116,26 @@ class _RelationSolve:
     """The incremental solve that order_bound and relation_ideal share:
     one ansatz builder and one accumulator, whose rows are added once.
 
-    Rows are built and eliminated over GF(p), p = 2^61 - 1, the shift
-    generators of the kernel (``_shift_generators``) are lifted by
-    rational reconstruction, and their canonical basis is certified
-    exactly (``certify``).  Their u-shifts within the cap are cols - r
-    independent kernel vectors mod p, r the rank mod p; once the lifted
-    generators are exact relations, so is each shift, so the shifts span
-    the whole exact kernel (whose dimension is at most cols - r) and the
-    generators its k(t)-span.  A certified kernel is the exact kernel of
-    every truncation, so no row beyond it is needed.  An uncertified lift
-    is checked exactly against every row added, built over k for it
-    (``_check_exactly``).  The solve reruns from the start over the exact
-    constant field, reading the same generators off its own accumulator,
-    when that field is a number field, a denominator is 0 mod p, the
-    exact check fails, a kernel has no lift (at an explicit order, or
-    while the rank holds; ``certified``), or no kernel is certified below
-    MAX_ORDER; ``exact_reason`` then says which."""
+    Rows are built and eliminated over GF(p), the shift generators of the
+    kernel (``_shift_generators``) are lifted by rational reconstruction,
+    and their canonical basis is certified exactly (``certify``).  Their
+    u-shifts within the cap are cols - r independent kernel vectors mod
+    p, r the rank mod p; once the lifted generators are exact relations,
+    so is each shift, so the shifts span the whole exact kernel (whose
+    dimension is at most cols - r) and the generators its k(t)-span.  A
+    certified kernel is the exact kernel of every truncation, so no row
+    beyond it is needed.  An uncertified lift is checked exactly against
+    every row added, built over k for it (``_check_exactly``).  The pass
+    mod p fails (NotCertified) when a
+    denominator is 0 mod p, the exact check fails, a kernel has no lift
+    (at an explicit order, or while the rank holds; ``certified``), or no
+    kernel is certified below MAX_ORDER.  The primes are tried in the
+    order of the ladder linalg.PRIMES: the first keeps every element to
+    one CPython digit, and the next, 2^61 - 1, lifts entries it cannot.
+    When the last fails, or the constant field is a number field, the
+    solve reruns from the start over the exact constant field, reading
+    the same generators off its own accumulator; ``exact_reason`` then
+    says why (the last pass's reason)."""
 
     def __init__(self, sys, a, d, ell):
         self.sys = sys
@@ -127,7 +143,12 @@ class _RelationSolve:
         self.args = (sys, a, d, ell)
         self.ring = PolyRing(sys.R, matrix_var_names(sys.n),
                              graded_lex_order(sys.n * sys.n))
+        # the primes not yet failed; a number field has none
+        self.primes = list(linalg.PRIMES)
         self.exact_reason = None
+        if sys.R.const.degree() != 1:
+            self.primes = []
+            self.exact_reason = "the constant field is a number field"
         self.N = None
         self.basis = None
         self.rigorous = None
@@ -138,26 +159,29 @@ class _RelationSolve:
         return _AnsatzBuilder(*self.args)
 
     def _solve(self, run):
-        """run() adds rows and returns (N, basis, rigorous)."""
-        if self.sys.R.const.degree() != 1:
-            self.exact_reason = "the constant field is a number field"
+        """run() adds rows and returns (N, basis, rigorous): over the
+        first prime not yet failed, else over k."""
         while True:
-            self.modular = self.exact_reason is None
+            self.modular = bool(self.primes)
             self.nrows = 0
             try:
-                self.builder = (_AnsatzBuilder(*self.args, linalg.PrimeField())
-                                if self.modular else self.exact)
+                self.builder = (
+                    _AnsatzBuilder(*self.args,
+                                   linalg.PrimeField(self.primes[0]))
+                    if self.modular else self.exact)
                 self.acc = linalg.RrefAccumulator(self.builder.field,
                                                   self.builder.ncols)
                 self.N, self.basis, self.rigorous = run()
             except linalg.NotCertified as why:
-                self.exact_reason = str(why)
+                self.primes.pop(0)
+                if not self.primes:
+                    self.exact_reason = str(why)
                 continue
             return self.N
 
     def _add_row(self):
         """Add the next row; returns True if the rank grew."""
-        row = self.builder.row(self.nrows)
+        row = self.builder.sparse_row(self.nrows)
         self.nrows += 1
         return self.acc.add_row(row)
 

@@ -118,9 +118,12 @@ class MonomialSeries:
     at column m - e_p + e_(l, j); ``table[m]`` lists its nonzero
     (u-power, column, coefficient) terms, scaled so that q(a) = 1.
     A pole of A at a is a SingularPointError naming the first such
-    entry in row-major order.  A linalg.PrimeField ``field`` (k = QQ)
-    takes the images of the table, q and the first vector (or raises
-    NotCertified), and the recurrence then gives those of the vectors."""
+    entry in row-major order.  A linalg.PrimeField ``field`` (k = QQ),
+    over a prime of the ladder linalg.PRIMES, takes the images of the
+    table, q and the first vector (or raises NotCertified), and the
+    recurrence then gives those of the vectors.  Each new coefficient is
+    one ``field.dot`` of the table's coefficients and the earlier
+    vectors' entries, which GF(p) sums on plain ints and reduces once."""
 
     def __init__(self, sys, a, d, field=None):
         R, k, n = sys.R, sys.R.const, sys.n
@@ -165,29 +168,32 @@ class MonomialSeries:
             self.vecs = [[image(x) for x in self.vecs[0]]]
             self.table = [[(s, col, image(c)) for s, col, c in terms]
                           for terms in self.table]
+        # per row: the table's coefficients, and the (lag, column) of the
+        # entry of past = [v_m, v_{m-1}, ...] that each multiplies, then
+        # those of the row's own entries that q_1, q_2, ... multiply
+        self._steps = [([c for _s, _col, c in terms],
+                        [(s, col) for s, col, _c in terms]
+                        + [(s - 1, r) for s in range(1, len(self.q))])
+                       for r, terms in enumerate(self.table)]
+        self._depth = 1 + max([s for terms in self.table
+                               for s, _col, _c in terms] + [len(self.q) - 2])
 
     def extend(self, order):
         """The coefficient vectors through u^order (vecs[m] at u^m), from
         (m+1) v_{m+1} = sum_s P_s v_{m-s} - sum_{s>=1} q_s (m+1-s) v_{m+1-s}."""
         k = self.field
         vecs, q = self.vecs, self.q
+        blank = [k.zero] * len(self.monos)
         while len(vecs) <= order:
             m = len(vecs) - 1
-            lag = [k.mul(q[s], k.from_int(m + 1 - s))
-                   for s in range(1, min(len(q) - 1, m) + 1)]
+            past = [vecs[m - s] if s <= m else blank
+                    for s in range(self._depth)]
+            lag = [k.neg(k.mul(q[s], k.from_int(m + 1 - s)))
+                   for s in range(1, len(q))]
             inv = k.inv(k.from_int(m + 1))
-            new = []
-            for r, terms in enumerate(self.table):
-                acc = k.zero
-                for s, col, c in terms:
-                    if s <= m:
-                        x = vecs[m - s][col]
-                        if not k.is_zero(x):
-                            acc = k.add(acc, k.mul(c, x))
-                for s, c in enumerate(lag, 1):
-                    acc = k.sub(acc, k.mul(c, vecs[m + 1 - s][r]))
-                new.append(k.mul(acc, inv))
-            vecs.append(new)
+            vecs.append([k.mul(k.dot(cs + lag,
+                                     [past[s][col] for s, col in at]), inv)
+                         for cs, at in self._steps])
         return vecs
 
     def series_of(self, P, order):

@@ -17,6 +17,11 @@ _R = sp.Dummy("r")
 _DOMAINS = {}
 
 
+def isprime(n):
+    """sympy's primality test of the int n."""
+    return sp.isprime(n)
+
+
 def rationals(coeffs):
     """sympy Rationals from dgal's Rationals (or ints)."""
     return [sp.Rational(int(c.numerator), int(c.denominator)) for c in coeffs]

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgal import linalg
 from dgal.fields import ConstField, field_adjoin
+from sympy_oracle import isprime
 
 
 K = ConstField()
@@ -64,13 +66,15 @@ def test_rref_idempotent(entries):
     assert R1 == R2 and p1 == p2
 
 
-P61 = linalg.P61
-# small rationals, with now and then an entry that p divides (above or
-# below the line): those are what can make the GF(p) pass differ
+PRIMES = linalg.PRIMES
+# small rationals, with now and then an entry that a prime of the ladder
+# divides (above or below the line): those are what can make a GF(p)
+# pass differ
 entry = st.one_of(
     small,
     st.fractions(min_value=-9, max_value=9, max_denominator=9),
-    st.sampled_from([P61, -P61, 2 * P61, Fraction(P61, 3), Fraction(1, P61)]))
+    st.sampled_from([x for p in PRIMES
+                     for x in (p, -p, 2 * p, Fraction(p, 3), Fraction(1, p))]))
 
 
 def same_span(u, v):
@@ -84,60 +88,81 @@ def same_span(u, v):
 def test_certified_kernel_spans_nullspace(entries):
     A = mk(entries)
     exact = linalg.nullspace(K, A)
-    fp = linalg.PrimeField()
-    acc = linalg.RrefAccumulator(fp, len(A[0]))
-    try:
-        for row in A:
-            acc.add_row([fp.from_rational(x) for x in row])
-    except linalg.NotCertified:
-        lifted = None
-    else:
-        lifted = linalg.lift_kernel(acc)
-    if lifted is None or not linalg.kernel_vanishes(A, lifted):
-        # only p can make the pass fail: a denominator it divides,
-        # pivots it moves, or kernel entries too large to reconstruct
-        bound = (P61 // 2) ** 0.5
-        assert any(x.denominator % P61 == 0 for row in A for x in row) \
-            or acc.pivots != linalg.rref(K, A)[1] \
-            or any(abs(x.numerator) > bound or x.denominator > bound
-                   for vec in exact for x in vec)
-        return
-    assert same_span([[K.from_fraction(vec.get(j, 0)) for j in range(acc.cols)]
-                      for vec in lifted], exact)
+    for p in PRIMES:
+        fp = linalg.PrimeField(p)
+        acc = linalg.RrefAccumulator(fp, len(A[0]))
+        try:
+            for row in A:
+                acc.add_row([fp.from_rational(x) for x in row])
+        except linalg.NotCertified:
+            lifted = None
+        else:
+            lifted = linalg.lift_kernel(acc)
+        if lifted is None or not linalg.kernel_vanishes(A, lifted):
+            # only p can make the pass fail: a denominator it divides,
+            # pivots it moves, or kernel entries too large to reconstruct
+            bound = (p // 2) ** 0.5
+            assert any(x.denominator % p == 0 for row in A for x in row) \
+                or acc.pivots != linalg.rref(K, A)[1] \
+                or any(abs(x.numerator) > bound or x.denominator > bound
+                       for vec in exact for x in vec)
+            continue
+        assert same_span([[K.from_fraction(vec.get(j, 0))
+                           for j in range(acc.cols)] for vec in lifted], exact)
+
+
+def test_prime_ladder():
+    # the first prime keeps an element to one 30-bit CPython digit, the
+    # last is the Mersenne prime 2^61 - 1, whose reconstruction bound
+    # sqrt(p/2) reaches past the first's
+    assert all(isprime(p) for p in PRIMES)
+    assert PRIMES[0] < 1 << 30 and PRIMES[-1] == (1 << 61) - 1
+    assert list(PRIMES) == sorted(set(PRIMES))
+    assert linalg.PrimeField().p == PRIMES[0]
 
 
 def test_rational_reconstruction():
-    for q in (Fraction(0), Fraction(-3, 7), Fraction(10**9, 10**9 + 7)):
-        u = q.numerator * pow(q.denominator, -1, P61) % P61
-        assert linalg.rational_reconstruction(u, P61) == q
-    # 2^30 is just above the bound sqrt(p/2), and no fraction within it
-    # has the same image
-    assert linalg.rational_reconstruction(1 << 30, P61) is None
-    # 2^40 comes back as 1/2^21, the fraction within the bound that has
-    # its image (2^61 = 1 mod p)
-    assert linalg.rational_reconstruction(1 << 40, P61) == Fraction(1, 1 << 21)
+    for p in PRIMES:
+        bound = isqrt(p // 2)
+        for q in (Fraction(0), Fraction(-3, 7), Fraction(bound, bound - 1),
+                  Fraction(1 - bound, bound)):
+            u = q.numerator * pow(q.denominator, -1, p) % p
+            assert linalg.rational_reconstruction(u, p) == q
+        # bound + 1 is just above the bound sqrt(p/2), and no fraction
+        # within it has the same image
+        assert linalg.rational_reconstruction(bound + 1, p) is None
+        # the image of 1/2^k, a large int, comes back as the fraction
+        # within the bound that has it
+        d = 1 << (bound.bit_length() - 1)
+        assert pow(d, -1, p) > bound
+        assert linalg.rational_reconstruction(pow(d, -1, p), p) \
+            == Fraction(1, d)
 
 
-# the element a + b*c of each field, c = 1/2, 2^40 and sqrt(2)
+# the element a + b*c of each field, c = 1/2, 2^40 and sqrt(2); GF(p) is
+# each field of the prime ladder in turn
 QQ_SQRT2, SQRT2 = field_adjoin(K, [K.from_int(-2), K.zero, K.one])
 FIELDS = {
-    "QQ": (K, lambda a, b: K.from_fraction(Fraction(2 * a + b, 2))),
-    "GF(p)": (linalg.PrimeField(), lambda a, b: (a + b * (1 << 40)) % P61),
-    "QQ(sqrt 2)": (QQ_SQRT2, lambda a, b: QQ_SQRT2.add(
-        QQ_SQRT2.from_int(a), QQ_SQRT2.mul(QQ_SQRT2.from_int(b), SQRT2))),
+    "QQ": [(K, lambda a, b: K.from_fraction(Fraction(2 * a + b, 2)))],
+    "GF(p)": [(linalg.PrimeField(p), lambda a, b, p=p: (a + b * (1 << 40)) % p)
+              for p in PRIMES],
+    "QQ(sqrt 2)": [(QQ_SQRT2, lambda a, b: QQ_SQRT2.add(
+        QQ_SQRT2.from_int(a), QQ_SQRT2.mul(QQ_SQRT2.from_int(b), SQRT2)))],
 }
 
 
 @st.composite
 def sparse_rows(draw):
     """Rows of (a, b) pairs, mostly zero, with zero and repeated rows, and
-    rows of p - 1 and p - 2, whose products over GF(p) come near p^2."""
+    rows of p - 1 and p - 2 for each prime p of the ladder, whose products
+    over GF(p) come near p^2."""
+    near = [p - i for p in PRIMES for i in (1, 2)]
     cols = draw(st.integers(min_value=1, max_value=7))
     coeff = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
-                      st.sampled_from([P61 - 1, P61 - 2]))
+                      st.sampled_from(near))
     row = st.lists(st.tuples(coeff, coeff), min_size=cols, max_size=cols)
     rows = draw(st.lists(row, min_size=1, max_size=7))
-    near_p = st.sampled_from([(P61 - 1, 0), (P61 - 2, 0)])
+    near_p = st.sampled_from([(x, 0) for x in near])
     rows += draw(st.lists(st.lists(near_p, min_size=cols, max_size=cols),
                           max_size=2))
     rows += draw(st.lists(st.sampled_from(rows), max_size=2))
@@ -149,20 +174,20 @@ def sparse_rows(draw):
 @settings(max_examples=40, deadline=None)
 @given(sparse_rows())
 def test_accumulator_matches_rref(name, data):
-    field, element = FIELDS[name]
     cols, pairs = data
-    acc = linalg.RrefAccumulator(field, cols)
-    rows, rank = [], 0
-    for pair_row in pairs:
-        rows.append([element(a, b) for a, b in pair_row])
-        grew = acc.add_row(rows[-1])
-        pivots = linalg.rref(field, rows)[1]
-        assert grew == (len(pivots) > rank)
-        assert acc.pivots == pivots
-        kernel = [[vec.get(j, field.zero) for j in range(cols)]
-                  for vec in acc.kernel_vectors()]
-        assert kernel == linalg.nullspace(field, rows)
-        rank = len(pivots)
+    for field, element in FIELDS[name]:
+        acc = linalg.RrefAccumulator(field, cols)
+        rows, rank = [], 0
+        for pair_row in pairs:
+            rows.append([element(a, b) for a, b in pair_row])
+            grew = acc.add_row(rows[-1])
+            pivots = linalg.rref(field, rows)[1]
+            assert grew == (len(pivots) > rank)
+            assert acc.pivots == pivots
+            kernel = [[vec.get(j, field.zero) for j in range(cols)]
+                      for vec in acc.kernel_vectors()]
+            assert kernel == linalg.nullspace(field, rows)
+            rank = len(pivots)
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -170,17 +195,17 @@ def test_accumulator_matches_rref(name, data):
 @given(sparse_rows(), st.data())
 def test_kernel_vectors_of_some_columns(name, data, more):
     # a subset that names pivot columns too reads the free ones among it
-    field, element = FIELDS[name]
     cols, pairs = data
-    acc = linalg.RrefAccumulator(field, cols)
-    for pair_row in pairs:
-        acc.add_row([element(a, b) for a, b in pair_row])
     free = sorted(more.draw(st.sets(st.integers(0, cols - 1))))
-    assert acc.kernel_vectors(free) == [vec for vec in acc.kernel_vectors()
-                                        if max(vec) in free]
-    top = acc.kernel_support_max(lambda j: -j % 3)
-    assert list(top.items()) == [(max(vec), max(-j % 3 for j in vec))
-                                 for vec in acc.kernel_vectors()]
+    for field, element in FIELDS[name]:
+        acc = linalg.RrefAccumulator(field, cols)
+        for pair_row in pairs:
+            acc.add_row([element(a, b) for a, b in pair_row])
+        assert acc.kernel_vectors(free) == [
+            vec for vec in acc.kernel_vectors() if max(vec) in free]
+        top = acc.kernel_support_max(lambda j: -j % 3)
+        assert list(top.items()) == [(max(vec), max(-j % 3 for j in vec))
+                                     for vec in acc.kernel_vectors()]
 
 
 def test_lift_kernel_of_some_columns():

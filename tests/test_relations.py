@@ -1,10 +1,13 @@
+import importlib.util
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from dgal import linalg
+from dgal import cli, linalg
 from dgal.fields import ConstField, field_adjoin
 from dgal.multipoly import PolyRing
 from dgal.ratfunc import RatFuncField
@@ -20,6 +23,7 @@ from sympy_oracle import sympy_domain, to_sympy
 
 K = ConstField()
 R = RatFuncField(K)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def sys_of(*rows):
@@ -164,13 +168,15 @@ def test_zero_system_relations():
     assert rel.basis[0] == rel.ring.parse("x_1_1 - 1")
 
 
-P61 = 2305843009213693951  # the prime of the GF(p) pass, 2^61 - 1
+# a multiple of every prime of the modular solve's ladder
+PRIMES_PRODUCT = prod(linalg.PRIMES)
 
 
 def test_denominators_divisible_by_p_take_the_exact_path():
-    # y = exp(t/p): every series coefficient after the first has a power
-    # of p in its denominator, which has no image mod p
-    s = sys_of(["1/%d" % P61])
+    # y = exp(t/P), P the product of the ladder: every series coefficient
+    # after the first has a power of each prime in its denominator, which
+    # has no image mod that prime
+    s = sys_of(["1/%d" % PRIMES_PRODUCT])
     a = K.zero
     solver = _RelationSolve(s, a, 1, 1)
     N, _ = order_bound(s, a, 1, 1, solver=solver)
@@ -179,25 +185,28 @@ def test_denominators_divisible_by_p_take_the_exact_path():
 
 
 def test_spurious_relation_mod_p_is_rejected():
-    # y = exp(p t): every series coefficient after the first is 0 mod p,
-    # so over GF(p) alone the solution looks like the constant 1
-    s = sys_of(["%d" % P61])
+    # y = exp(P t), P the product of the ladder: every series coefficient
+    # after the first is 0 mod each prime, so over GF(p) alone the
+    # solution looks like the constant 1
+    s = sys_of(["%d" % PRIMES_PRODUCT])
     a = K.zero
     builder = _AnsatzBuilder(s, a, 1, 1)
     rows = [builder.row(i) for i in range(12)]
-    fp = linalg.PrimeField()
-    modular = _AnsatzBuilder(s, a, 1, 1, fp)
-    acc = linalg.RrefAccumulator(fp, builder.ncols)
-    for i in range(12):
-        acc.add_row(modular.row(i))
-    lifted = [{j: K.from_fraction(linalg.rational_reconstruction(u, P61))
-               for j, u in vec.items()} for vec in acc.kernel_vectors()]
     ring = relation_ideal(s, a, 1, 1, 8).ring
-    spurious = _row_reduce_polys(ring, _kernel_to_polys(builder, lifted,
-                                                        ring, a))
-    assert spurious == [ring.parse("x_1_1 - 1")]
-    assert not linalg.kernel_vanishes(rows, linalg.lift_kernel(acc))
-    # the shared solve sees the failed check and reruns exactly
+    for p in linalg.PRIMES:
+        fp = linalg.PrimeField(p)
+        modular = _AnsatzBuilder(s, a, 1, 1, fp)
+        acc = linalg.RrefAccumulator(fp, builder.ncols)
+        for i in range(12):
+            acc.add_row(modular.row(i))
+        lifted = [{j: K.from_fraction(linalg.rational_reconstruction(u, p))
+                   for j, u in vec.items()} for vec in acc.kernel_vectors()]
+        spurious = _row_reduce_polys(ring, _kernel_to_polys(builder, lifted,
+                                                            ring, a))
+        assert spurious == [ring.parse("x_1_1 - 1")]
+        assert not linalg.kernel_vanishes(rows, linalg.lift_kernel(acc))
+    # the shared solve sees the failed check at each prime and reruns
+    # exactly
     solver = _RelationSolve(s, a, 1, 1)
     N, _ = order_bound(s, a, 1, 1, solver=solver)
     assert solver.exact_reason == "the exact check failed"
@@ -327,15 +336,79 @@ def test_certificate_closes_the_span_under_d_dt():
 
 def test_unliftable_kernel_falls_back_once_its_rank_holds(monkeypatch):
     # y = (t/200)^4: the relation x_1_1 - t^4/200^4 has an entry past the
-    # reconstruction bound sqrt(p/2), so no lift exists at any order; the
-    # solve goes exact once the rank has held as long as it took to reach
+    # reconstruction bound sqrt(p/2) of every prime of the ladder, so no
+    # lift exists at any order; each modular pass ends once the rank has
+    # held as long as it took to reach, at row 2(N + 2), and the exact
+    # pass stops one row after the kernel's, at row N + 3
     calls = count_add_row(monkeypatch)
     s = sys_of(["4/t"])
     solver = _RelationSolve(s, K.from_int(200), 1, 2)
     N, rig = order_bound(s, K.from_int(200), 1, 2, solver=solver)
     assert rig and solver.exact_reason == "rational reconstruction failed"
     assert solver.basis == [solver.ring.parse("x_1_1 - 1/1600000000*t^4")]
-    assert calls[0] <= 3 * (N + 3)
+    assert calls[0] <= 2 * len(linalg.PRIMES) * (N + 2) + N + 3
+
+
+def record_passes(monkeypatch):
+    """A list that gets, for each relation solve run, whether its last
+    pass was modular and the primes of the ladder it had not failed."""
+    passes = []
+    solve = _RelationSolve._solve
+
+    def recording(self, run):
+        N = solve(self, run)
+        passes.append((self.modular, self.primes[:]))
+        return N
+
+    monkeypatch.setattr(_RelationSolve, "_solve", recording)
+    return passes
+
+
+@pytest.mark.parametrize("a", [40000, 10**6])
+def test_entries_past_the_first_prime_lift_at_the_second(monkeypatch, a):
+    # y' = y/(2t) at t = a: the relation x_1_1^2 - t/a has the entry 1/a,
+    # past the first prime's reconstruction bound sqrt(p/2) = 23170 and
+    # within that of 2^61 - 1, so the second modular pass lifts it and no
+    # exact pass runs; order and rigour are those of the exact relations
+    passes = record_passes(monkeypatch)
+    s = sys_of(["1/(2*t)"])
+    solver = _RelationSolve(s, K.from_int(a), 2, 2)
+    N, rig = order_bound(s, K.from_int(a), 2, 2, solver=solver)
+    assert (N, rig, solver.exact_reason) == (9, True, None)
+    assert passes == [(True, [(1 << 61) - 1])]
+    rel = relation_ideal(s, K.from_int(a), 2, 2, N, solver=solver)
+    assert rel.basis == [rel.ring.parse("x_1_1^2 - 1/%d*t" % a)]
+
+
+def load_families():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_worked_airy_and_benchmark_instances_take_one_modular_pass(
+        monkeypatch, tmp_path, capsys):
+    # the worked Airy system and the first stream instance of each
+    # benchmark family: every relation solve of `dgal galois` ends at the
+    # first prime of the ladder
+    families = load_families()
+    cases = [((GOLDEN / "airy.sys").read_text(), ["--degree-override", "2"])]
+    for workload in families.WORKLOADS:
+        stream = families.groups(workload, 301)
+        next(stream)
+        inst = next(stream)[0]
+        cases.append((inst.document(), list(inst.argv)))
+    passes = record_passes(monkeypatch)
+    for text, flags in cases:
+        passes.clear()
+        doc = tmp_path / "system.sys"
+        doc.write_text(text)
+        assert cli.main(["galois", "--system", str(doc)] + flags) == 0
+        assert passes and all(p == (True, list(linalg.PRIMES))
+                              for p in passes)
+    capsys.readouterr()
 
 
 class _CountingPrimeField(linalg.PrimeField):

@@ -244,9 +244,10 @@ DENOMINATORS = ["1", "t - 3", "t^2 + 1"]  # none vanishes at 0, 1 or -2
        st.sampled_from([0, 1, -2]), st.integers(0, 6), st.booleans())
 def test_store_over_gf_p_maps_the_exact_store(data, n, d, a, order,
                                               unlucky):
-    # A over QQ, regular at a; an unlucky system has a coefficient with
-    # the prime in its denominator, which no table over GF(p) can hold
-    fp = linalg.PrimeField()
+    # A over QQ, regular at a, mapped to GF(p) for each prime p of the
+    # ladder; an unlucky system has a coefficient with p in its
+    # denominator, which no table over GF(p) can hold
+    fp = linalg.PrimeField(data.draw(st.sampled_from(linalg.PRIMES)))
     coeff = st.builds(Fraction, st.integers(-3, 3),
                       st.sampled_from([1, 2, 7]))
     A = [[R.div(R.from_coeffs([K.from_fraction(data.draw(coeff))
@@ -254,7 +255,7 @@ def test_store_over_gf_p_maps_the_exact_store(data, n, d, a, order,
                 R.parse(data.draw(st.sampled_from(DENOMINATORS))))
           for _ in range(n)] for _ in range(n)]
     if unlucky:
-        A[0][0] = R.add(A[0][0], R.from_const(frac(1, linalg.P61)))
+        A[0][0] = R.add(A[0][0], R.from_const(frac(1, fp.p)))
     s, a = OdeSystem(R, A), K.from_int(a)
     exact = MonomialSeries(s, a, d)
     if unlucky and d:
