@@ -369,7 +369,7 @@ def test_entries_past_the_first_prime_lift_at_the_second(monkeypatch, a):
     # y' = y/(2t) at t = a: the relation x_1_1^2 - t/a has the entry 1/a,
     # past the first prime's reconstruction bound sqrt(p/2) = 23170 and
     # within that of 2^61 - 1, so the second modular pass lifts it and no
-    # exact pass runs; order and rigour are those of the exact relations
+    # exact pass runs; N and rigour are those of one pass over 2^61 - 1
     passes = record_passes(monkeypatch)
     s = sys_of(["1/(2*t)"])
     solver = _RelationSolve(s, K.from_int(a), 2, 2)
@@ -381,6 +381,7 @@ def test_entries_past_the_first_prime_lift_at_the_second(monkeypatch, a):
 
 
 def load_families():
+    """The benchmark's instance generators, perfbench/families.py."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "families.py"
     spec = importlib.util.spec_from_file_location("perfbench_families", path)
     module = importlib.util.module_from_spec(spec)
