@@ -52,14 +52,12 @@ class ConstField:
     ascending coefficients ``coeffs``, irreducible over ``base``.
     ``_images`` maps each subfield to the image of its generator here;
     ``_powers`` keeps, per subfield, that image and its powers up to the
-    subfield's degree, which make ``coerce_from`` a linear map.
-    ``_splits`` keeps each ``split_univariate`` made over the field."""
+    subfield's degree, which make ``coerce_from`` a linear map."""
 
     def __init__(self, minpoly=None, step=None):
         self.step = step
         self._images = {}
         self._powers = {}
-        self._splits = {}
         if minpoly is None:
             self._minpoly = None
             self._degree = 1
@@ -555,17 +553,11 @@ def split_univariate(field, coeffs):
     extension large enough to contain every root.
 
     Returns (new_field, [(root, multiplicity), ...]).  The original field's
-    elements embed into new_field via ``coerce_from``.  A polynomial split
-    over the same field object before is not split again: its first
-    split is returned, so the stages of one run that split the same
-    polynomial (x^M - 1 on the finite path) share one extension.
+    elements embed into new_field via ``coerce_from``.
     """
     coeffs = upoly.trim(field, coeffs)
     if len(coeffs) < 2:
         return field, []
-    done = field._splits.get(tuple(coeffs))
-    if done is not None:
-        return done[0], list(done[1])
     fld = field
     # (field of the coefficients, ascending coefficients, multiplicity)
     pending = [(field, coeffs, 1)]
@@ -592,6 +584,4 @@ def split_univariate(field, coeffs):
             else:
                 # refactor over the field grown for an earlier factor
                 pending.append((fld, fac, mult * k))
-    roots = [(fld.coerce_from(f, r), m) for f, r, m in found]
-    field._splits[tuple(coeffs)] = (fld, roots)
-    return fld, list(roots)
+    return fld, [(fld.coerce_from(f, r), m) for f, r, m in found]

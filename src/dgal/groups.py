@@ -3,25 +3,25 @@
 A subgroup is a list of polynomial generators in the matrix entries
 x_i_j over an exact constant field.  Provided here: the stabilizer of a
 relation ideal, a symbolic group-axiom check, identity components for
-certified classes (finite groups, diagonal binomial groups, and groups
-whose ideal is certified prime: a linear graph over at most one
-polynomial irreducible over QQ), character groups, and kernels of
-characters.  A group with a perfect Lie algebra, such as SL2, is
-certified to have no characters from its tangent space at I; other
-groups are searched by a multiplicativity ansatz on the common
-eigenlines of the derivations D_xi, xi in that tangent space, at the
-weights of xi (sums of at most D eigenvalues of xi), which stops at the
-first separation.
+certified classes (finite groups, read off a zero-dimensional ideal with
+no point computed; diagonal binomial groups; and groups whose ideal is
+certified prime: a linear graph over at most one polynomial irreducible
+over QQ), character groups, and kernels of characters.  A group with a
+perfect Lie algebra, such as SL2, is certified to have no characters
+from its tangent space at I; other groups are searched by a
+multiplicativity ansatz on the common eigenlines of the derivations
+D_xi, xi in that tangent space, at the weights of xi (sums of at most D
+eigenvalues of xi), which stops at the first separation.
 """
 
 from math import isqrt
 
 from . import factor, fields, lattice, linalg
 from .errors import DgalError, UnsupportedInstanceError
-from .multipoly import PolyRing, groebner, normal_form, standard_monomials
+from .multipoly import (PolyRing, groebner, is_zero_dimensional, normal_form,
+                        standard_monomials)
 from .relations import (_ProductPowers, _relations_at_product,
                         _row_reduce_polys, graded_lex_order, matrix_var_names)
-from .solve import PositiveDimensionalError, solve_zero_dimensional
 
 
 class AlgebraicSubgroup:
@@ -33,10 +33,6 @@ class AlgebraicSubgroup:
         self.generators = list(generators)
         self.group_verified = False
         self.connected = connected  # True / False / None (unknown)
-        self.finite = None
-        self.points_field = None
-        self.points = None
-        self.component_count = None
         # (class name, dimension), recorded by identity_component on the
         # connected group it returns
         self.component_class = None
@@ -273,7 +269,8 @@ def _certified_irreducible(g):
 def identity_component(H):
     """Connected component of the identity, for certified classes only.
 
-    Supported: trivial ideal (GL_n); finite groups (point enumeration);
+    Supported: trivial ideal (GL_n); finite groups (a zero-dimensional
+    ideal, whose component is {I}, recorded as the class ("finite", 0));
     subgroups of the diagonal torus cut out by monomials and binomials
     (lattice saturation); groups already flagged connected; and prime
     graphs: a reduced basis whose elements of degree above 1 are at most
@@ -293,16 +290,11 @@ def identity_component(H):
     if H.connected:
         return H
     gb = H.groebner_basis()
-    from .multipoly import is_zero_dimensional
-    flag, _w = is_zero_dimensional(gb, ring)
-    if flag:
-        _fld, pts = group_points_finite(H)
+    if is_zero_dimensional(gb, ring)[0]:
         comp = AlgebraicSubgroup(n, ring, [
             ring.gen(p) - ring.from_const(v)
             for p, v in enumerate(H.identity_values())], connected=True)
         comp.component_class = ("finite", 0)
-        comp.component_count = len(pts)
-        H.finite = True
         return comp
     rows = _diagonal_binomial_lattice(H)
     if rows is not None:
@@ -331,46 +323,6 @@ def identity_component(H):
         "identity component: group is in no certified class "
         "(not finite, not diagonal-binomial, not a graph over one "
         "certified irreducible polynomial)")
-
-
-def group_points_finite(H):
-    """All points of a finite subgroup, over whatever extension of the
-    constant field they need; the set is checked to be closed under
-    product and inverse."""
-    if not H.generators:
-        raise PositiveDimensionalError(H.ring.names[0])
-    fld, raw = solve_zero_dimensional(H.groebner_basis())
-    n = H.n
-    pts = []
-    seen = []
-    for coords, _mult in raw:
-        m = [[coords[i * n + j] for j in range(n)] for i in range(n)]
-        if fld.is_zero(linalg.det(fld, m)):
-            continue
-        if not any(_mat_eq(fld, m, q) for q in seen):
-            seen.append(m)
-            pts.append(m)
-    gb = H.groebner_basis()
-    ringF = group_ring(n, fld)
-    gbF = [ringF.from_dict({e: fld.coerce_from(H.ring.field, c)
-                            for e, c in g.terms.items()}) for g in gb]
-    for p in pts:
-        for q in pts:
-            pq = linalg.matmul(fld, p, q)
-            vals = [pq[i][j] for i in range(n) for j in range(n)]
-            if not all(fld.is_zero(g.eval_consts(vals)) for g in gbF):
-                raise DgalError("finite point set not closed under product")
-        inv = linalg.inverse(fld, p)
-        if not any(_mat_eq(fld, inv, q) for q in pts):
-            raise DgalError("finite point set not closed under inverse")
-    H.finite = True
-    H.points_field = fld
-    H.points = pts
-    return fld, pts
-
-
-def _mat_eq(fld, a, b):
-    return all(fld.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- characters ---------------------------------------------------------

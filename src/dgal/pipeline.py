@@ -7,14 +7,15 @@ part over the conjugates of gamma.  Every stage works from one
 fundamental matrix F_bar, expanded at the one point a of PipelineConfig:
 the relations, the membership of F_bar in the identity component and
 the character values are read off ``systems.MonomialSeries`` stores at
-a.  When H is finite of exponent M, F_bar is read off its expansion as
-sum_{k<M} C_k(t) gamma^k with gamma^M = t/a (one Hermite-Pade solve per
-entry; the gamma^k are binomial series), certified exactly in k(t) by
-the system itself, and the finite part is read off the C_k at a.  Every
-completed run carries a sandwich certificate: the kernel of the
-characters of H's identity component is contained in the computed
-identity component, which is contained in H (checked by Groebner
-reduction).
+a.  When H is finite, its exponent M, the least M with X^M = I modulo
+H's ideal, is read off H's reduced Groebner basis, and no point of H is
+computed.  F_bar is read off its expansion as sum_{k<M} C_k(t) gamma^k
+with gamma^M = t/a (one Hermite-Pade solve per entry; the gamma^k are
+binomial series), certified exactly in k(t) by the system itself, and
+the finite part is read off the C_k at a.  Every completed run carries
+a sandwich certificate: the kernel of the characters of H's identity
+component is contained in the computed identity component, which is
+contained in H (checked by Groebner reduction).
 
 The degree bound that makes the whole computation unconditional is
 astronomically large by construction; it is only ever reported
@@ -22,15 +23,14 @@ symbolically, and executable runs take a user-supplied degree override
 (results are then labeled relative to that degree).
 """
 
-from math import isqrt, lcm
+from math import isqrt
 
 from . import linalg, upoly
 from .errors import DgalError, InputError, UnsupportedInstanceError
 from .fields import join, split_univariate
-from .groups import (AlgebraicSubgroup, _coerce_poly, _mat_eq,
-                     characters_generators, group_ring, identity_component,
-                     kernel_of_characters, stabilizer_group,
-                     verify_group_axioms)
+from .groups import (AlgebraicSubgroup, _coerce_poly, characters_generators,
+                     group_ring, identity_component, kernel_of_characters,
+                     stabilizer_group, verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import normal_form
 from .relations import find_relations
@@ -160,16 +160,35 @@ def _vanishes_at_identity(rel):
 
 
 def _exponent(H):
-    """The lcm of the orders of the enumerated points of a finite H."""
-    fld = H.points_field
-    one = linalg.identity(fld, H.n)
-    M = 1
-    for p in H.points:
-        power, order = p, 1
-        while not _mat_eq(fld, power, one):
-            power, order = linalg.matmul(fld, power, p), order + 1
-        M = lcm(M, order)
-    return M
+    """The exponent M of a finite H: the least M such that every entry
+    of X^M - I reduces to 0 modulo H's reduced Groebner basis, with the
+    powers of X built by multiplying and normal-forming.
+
+    H is zero-dimensional, so each variable x_p has a pure power
+    x_p^(d_p) among the leading monomials; the staircase lies in the box
+    of the d_p, which bounds |H|, and so the exponent, by prod d_p.  Past
+    that cap H is not a finite group (one of its points is not
+    invertible, or its ideal is not reduced), and the run refuses."""
+    n, ring = H.n, H.ring
+    gb = H.groebner_basis()
+    leads = [g.leading()[0] for g in gb]
+    cap = 1
+    for p in range(n * n):
+        cap *= min((e[p] for e in leads if 0 < e[p] == sum(e)), default=0)
+    X = [[ring.gen(i * n + j) for j in range(n)] for i in range(n)]
+    ident = [[ring.one if i == j else ring.zero for j in range(n)]
+             for i in range(n)]
+    power = [[normal_form(x, gb) for x in row] for row in X]
+    for M in range(1, cap + 1):
+        if power == ident:
+            return M
+        power = [[normal_form(sum((P * Xl[j] for P, Xl in zip(row, X)),
+                                  ring.zero), gb)
+                  for j in range(n)] for row in power]
+    raise UnsupportedInstanceError(
+        "finite part: X^M - I is outside the proto-group's ideal for every "
+        "M <= %d, the bound on its order from its staircase; the "
+        "proto-group is not a finite group" % cap)
 
 
 def find_alpha_fbar(sys, rel, H):
@@ -378,8 +397,8 @@ def finite_part(alpha, H):
 
 
 def _finite_closure_check(fld, pts):
-    """Cross-check on enumerated groups: closure under product and
-    inverse (the intersection-of-ideals assembly agrees on these)."""
+    """The points read off the conjugates of gamma form a group: their
+    set is closed under product and inverse."""
     for p in pts:
         inv = linalg.inverse(fld, p)
         if not any(_mat_eq(fld, inv, q) for q in pts):
@@ -388,6 +407,10 @@ def _finite_closure_check(fld, pts):
             pq = linalg.matmul(fld, p, q)
             if not any(_mat_eq(fld, pq, r) for r in pts):
                 raise DgalError("finite part not closed under product")
+
+
+def _mat_eq(fld, a, b):
+    return all(fld.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- sandwich certificate and dimension ---------------------------------
@@ -479,7 +502,7 @@ def _group_of(sys, cfg, H, rel):
         "order_used": rel.order_used,
     }
     chars = []
-    if H.finite:
+    if Hcirc.component_class == ("finite", 0):
         alpha = find_alpha_fbar(sys, rel, H)
         fld, pts = finite_part(alpha, H)
         provenance["alpha"] = alpha.describe()

@@ -134,3 +134,13 @@ def test_product_is_read_off_integer_expansions_only():
         source = (SRC / name).read_text()
         assert attribute_reads(source, "_product_substitution") == 0, name
         assert attribute_reads(source, "substitute") == 0, name
+
+
+def test_points_are_solved_for_the_transport_search_only():
+    # the zero-dimensional solver serves relations.transport_factor
+    # alone: a finite proto-group's exponent is read off its ideal, and
+    # no stage enumerates the points of a group
+    readers = [name for name in MODULES if name != "solve.py" and
+               attribute_reads((SRC / name).read_text(),
+                               "solve_zero_dimensional")]
+    assert readers == ["relations.py"]

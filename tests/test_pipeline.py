@@ -9,11 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 from dgal import fields, multipoly, upoly
 from dgal.errors import DgalError, UnsupportedInstanceError
 from dgal.fields import ConstField, field_adjoin
-from dgal.groups import (AlgebraicSubgroup, Character, group_points_finite,
-                         group_ring, identity_component)
+from dgal.groups import (AlgebraicSubgroup, Character, group_ring,
+                         identity_component)
 from dgal.lattice import congruence_lattice
+from dgal.multipoly import standard_monomials
 from dgal.pipeline import (AlphaData, GaloisGroupDescription,
-                           PipelineConfig, _gamma_powers,
+                           PipelineConfig, _exponent, _gamma_powers,
                            _kummer_certified, _kummer_coefficients,
                            _same_ideal, find_alpha_fbar, finite_part,
                            galois_group, proto_galois, sandwich_check)
@@ -262,20 +263,22 @@ def test_singular_point_rejected():
 ])
 def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
     """Each point of the finite part satisfies the proto-group's
-    equations (G <= H), the order divides |H|, and finite_part reads the
-    points off the C_k at a: no series product and no zero-dimensional
-    solve."""
+    equations (G <= H), the order divides H's exponent, finite_part
+    reads the points off the C_k at a with no series product, and the
+    run makes no zero-dimensional solve: H's exponent is read off its
+    ideal, not its points."""
     inside, calls = [0], []
 
-    def counted(name, fn):
+    def counted(name, fn, everywhere=False):
         def wrapper(*args, **kwargs):
-            if inside[0]:
+            if everywhere or inside[0]:
                 calls.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
     # rebind every dgal module's copy of the name, as `from` imports made
-    wrapped = counted("solve_zero_dimensional", solve_zero_dimensional)
+    wrapped = counted("solve_zero_dimensional", solve_zero_dimensional,
+                      everywhere=True)
     for name, mod in list(sys.modules.items()):
         if name.startswith("dgal") and getattr(
                 mod, "solve_zero_dimensional", None) is solve_zero_dimensional:
@@ -302,8 +305,7 @@ def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
             assert fld.is_zero(g.evaluate(
                 vals, one=fld.one, mul=fld.mul, add=fld.add,
                 from_coeff=lambda c: fld.coerce_from(kf, c)))
-    _hfld, hpts = group_points_finite(H)
-    assert len(hpts) % desc.order == 0
+    assert _exponent(H) % desc.order == 0
 
 
 @pytest.mark.parametrize("rows,d,M", [
@@ -311,9 +313,10 @@ def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
     pytest.param([["1/(3*t)", "0"], ["0", "2/(3*t)"]], 3, 3, id="thirds"),
 ])
 def test_finite_path_factors_x_m_minus_1_once(monkeypatch, rows, d, M):
-    # the point solve of H and finite_part both split x^M - 1 over the
-    # system's QQ; the second split is the first one, not a new factoring.
-    # The system gets a QQ of its own, on which nothing was split before
+    # finite_part splits x^M - 1 over the system's QQ, and nothing else
+    # on the finite path factors a polynomial of degree M: H's exponent
+    # is read off its ideal, with no point solve.  The system gets a QQ
+    # of its own
     Rq = RatFuncField(ConstField())
     factored = []
     factor_list = fields.factor_list
@@ -326,6 +329,39 @@ def test_finite_path_factors_x_m_minus_1_once(monkeypatch, rows, d, M):
     desc = run(OdeSystem(Rq, [[Rq.parse(e) for e in row] for row in rows]), d)
     assert desc.finite and desc.order == M
     assert factored.count(M) == 1
+
+
+def _diag23_proto():
+    H, _rel = proto_galois(sys_of(["1/(2*t)", "0"], ["0", "1/(3*t)"]),
+                           PipelineConfig(degree=3))
+    return H
+
+
+def _group(n, *texts):
+    ring = group_ring(n, K)
+    return AlgebraicSubgroup(n, ring, [ring.parse(g) for g in texts])
+
+
+@pytest.mark.parametrize("make,M,order", [
+    pytest.param(lambda: _group(1, "x_1_1^4 - 1"), 4, 4, id="mu4"),
+    # four points, each of order at most 2: the exponent is not the order
+    pytest.param(lambda: _group(2, "x_1_1^2 - 1", "x_1_2", "x_2_1",
+                                "x_2_2^2 - 1"), 2, 4, id="diag-signs"),
+    pytest.param(_diag23_proto, 6, 6, id="diag23"),
+])
+def test_exponent(make, M, order):
+    H = make()
+    assert _exponent(H) == M
+    # the ideals are reduced, so their staircases count the points
+    assert len(standard_monomials(H.groebner_basis(), H.ring, 6)) == order
+
+
+def test_exponent_refuses_a_non_invertible_point():
+    # the points 0 and 1 of x^2 = x: x^M reduces to x for every M >= 1,
+    # so no power reaches I, and the run stops at the cap 2, not later
+    with pytest.raises(UnsupportedInstanceError, match="M <= 2,") as err:
+        _exponent(_group(1, "x_1_1^2 - x_1_1"))
+    assert err.value.exit_code == 2
 
 
 def test_finite_part_reads_the_projections():
