@@ -668,13 +668,13 @@ def _is_character(ring2, gb2, P, powers):
 
 
 def kernel_of_characters(H, chars):
-    """The subgroup where every character equals 1: H's ideal plus the
-    polynomials chi - 1."""
+    """The subgroup where every character equals 1: H's reduced Groebner
+    basis plus the polynomials chi - 1."""
     if not chars:
         return H
     fld = chars[0].ring.field
     ringF = group_ring(H.n, fld)
-    gens = [_coerce_poly(ringF, H.ring, g) for g in H.generators]
+    gens = [_coerce_poly(ringF, H.ring, g) for g in H.groebner_basis()]
     for ch in chars:
         gens.append(_coerce_poly(ringF, ch.ring, ch.poly) - ringF.one)
     return AlgebraicSubgroup(H.n, ringF, gens)

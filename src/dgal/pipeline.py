@@ -5,17 +5,18 @@ The stages compose as: relation ideal -> stabilizer (the proto-group H)
 relation lattice -> identity component of the Galois group -> finite
 part over the conjugates of gamma.  Every stage works from one
 fundamental matrix F_bar, expanded at the one point a of PipelineConfig:
-the relations, the membership of F_bar in the identity component and
-the character values are read off ``systems.MonomialSeries`` stores at
-a.  When H is finite, its exponent M, the least M with X^M = I modulo
-H's ideal, is read off H's reduced Groebner basis, and no point of H is
-computed.  F_bar is read off its expansion as sum_{k<M} C_k(t) gamma^k
-with gamma^M = t/a (one Hermite-Pade solve per entry; the gamma^k are
-binomial series), certified exactly in k(t) by the system itself, and
-the finite part is read off the C_k at a.  Every completed run carries
-a sandwich certificate: the kernel of the characters of H's identity
-component is contained in the computed identity component, which is
-contained in H (checked by Groebner reduction).
+the relations and the character values are read off
+``systems.MonomialSeries`` stores at a, and the membership of F_bar in
+the identity component off the relation basis.  When H is finite, its
+exponent M, the least M with X^M = I modulo H's ideal, is read off H's
+reduced Groebner basis, and no point of H is computed.  F_bar is read
+off its expansion as sum_{k<M} C_k(t) gamma^k with gamma^M = t/a (one
+Hermite-Pade solve per entry; the gamma^k are binomial series),
+certified exactly in k(t) by the system itself, and the finite part is
+read off the C_k at a.  Every completed run carries a sandwich
+certificate: the kernel of the characters of H's identity component is
+contained in the computed identity component, which is contained in H
+(checked by Groebner reduction).
 
 The degree bound that makes the whole computation unconditional is
 astronomically large by construction; it is only ever reported
@@ -33,7 +34,7 @@ from .groups import (AlgebraicSubgroup, _coerce_poly, characters_generators,
                      stabilizer_group, verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import normal_form
-from .relations import find_relations
+from .relations import find_relations, in_span
 from .series import Series, rational_reconstruction
 from .systems import MonomialSeries
 
@@ -286,23 +287,30 @@ def _kummer_certified(sys, C, a):
     return _mat_eq(k, at_a, linalg.identity(k, n))
 
 
-def _fbar_in_component(sys, rel, Hcirc, chars, order):
-    """The monomial-series store of F_bar at a, of the largest degree
-    among H deg's generators and the characters, with F_bar checked
-    through u^order to lie in H's identity component; only alpha = I is
-    supported there."""
+def _fbar_in_component(sys, rel, Hcirc, chars):
+    """The monomial-series store of F_bar at a, of the characters' largest
+    degree, once F_bar is checked to lie in H's identity component; only
+    alpha = I is supported there.
+
+    A generator g of H deg has constant coefficients.  If g(F_bar) = 0
+    and deg g <= d, g is a vector of the relation solve's kernel, which
+    the relation basis spans over k(t); if g lies in that span and the
+    basis is certified, g(F_bar) = 0.  So g is reduced by the basis, and
+    no series is evaluated: the claim is as certain as the basis."""
     if not _vanishes_at_identity(rel):
         raise UnsupportedInstanceError(
             "substitution of a nontrivial algebraic alpha into an infinite "
             "component ideal is outside the supported class")
-    polys = list(Hcirc.generators) + [ch.poly for ch in chars]
-    store = MonomialSeries(sys, rel.a, max(P.total_degree() for P in polys))
-    if not all(store.series_of(g, order).is_zero()
-               for g in Hcirc.generators):
+    ring = rel.ring
+    R = ring.field
+    gens = [ring.from_dict({e: R.from_const(c) for e, c in g.terms.items()})
+            for g in Hcirc.generators]
+    if not in_span(rel.basis, gens):
         raise UnsupportedInstanceError(
             "membership of F_bar in the identity component could not be "
             "certified at this order")
-    return store
+    return MonomialSeries(sys, rel.a,
+                          max(ch.poly.total_degree() for ch in chars))
 
 
 # -- identity component of the Galois group -----------------------------
@@ -417,9 +425,10 @@ def _mat_eq(fld, a, b):
 
 def sandwich_check(H, Hcirc, chars, Gcirc):
     """Certify kernel-of-characters(H deg) <= computed component <= H by
-    ideal containment: each component generator reduces to zero modulo
-    the kernel's Groebner basis, and each generator of H reduces to zero
-    modulo the component's.
+    ideal containment: each element of the component's reduced Groebner
+    basis reduces to zero modulo the kernel's, and, unless the component
+    is H itself, each generator of H reduces to zero modulo the
+    component's.
 
     Both bases are the ones the kernel and the component cache
     (``groebner_basis``), coerced into the join of the three fields: a
@@ -432,18 +441,11 @@ def sandwich_check(H, Hcirc, chars, Gcirc):
     ring = group_ring(H.n, big)
     gb_ht = _basis_in(ring, Ht)
     gb_gc = _basis_in(ring, Gcirc)
-    for g in Gcirc.generators:
-        gg = _coerce_poly(ring, Gcirc.ring, g)
-        if gb_ht and not normal_form(gg, gb_ht).is_zero():
-            return False
-        if not gb_ht and not gg.is_zero():
-            return False
-    for g in H.generators:
-        gg = _coerce_poly(ring, H.ring, g)
-        red = normal_form(gg, gb_gc) if gb_gc else gg
-        if not red.is_zero():
-            return False
-    return True
+    if not all(normal_form(g, gb_ht).is_zero() for g in gb_gc):
+        return False
+    return Gcirc is H or all(
+        normal_form(_coerce_poly(ring, H.ring, g), gb_gc).is_zero()
+        for g in H.generators)
 
 
 def _basis_in(ring, G):
@@ -462,6 +464,8 @@ def _dimension_estimate(comp):
 
 
 def _same_ideal(G1, G2):
+    if G1 is G2:
+        return True
     big = join(G1.ring.field, G2.ring.field)
     ring = group_ring(G1.n, big)
     return sorted(map(ring.format, _basis_in(ring, G1))) == \
@@ -522,7 +526,7 @@ def _group_of(sys, cfg, H, rel):
             # u'/u of u = chi(F_bar) loses one order to d/dt and must
             # still fix a numerator and a denominator of degree ell each
             order = max(rel.order_used + 2, 4 * cfg.ell + 3)
-            store = _fbar_in_component(sys, rel, Hcirc, chars, order)
+            store = _fbar_in_component(sys, rel, Hcirc, chars)
             elements = [logderiv_from_character(ch, store, order, cfg.ell,
                                                 cfg.ell) for ch in chars]
             rl = relation_lattice(elements)
@@ -535,8 +539,8 @@ def _group_of(sys, cfg, H, rel):
                     "the character relations cut the component properly; "
                     "the finite part over a positive dimensional component "
                     "is outside the supported class")
-        # the membership of F_bar in H deg and the logarithmic
-        # derivatives of the characters rest on truncations
+        # the logarithmic derivatives of the characters rest on
+        # truncations
         desc = GaloisGroupDescription(
             n, H, rel, Gcirc, False, None, None, 1,
             _dimension_estimate(Gcirc), rel.rigorous and not chars,

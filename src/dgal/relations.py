@@ -345,17 +345,10 @@ def certify(sys, basis, a):
                                                   a)))
 
     # the closure as a reduced echelon form {lead: tail}, leads monic
-    rows = {}
-    for P in basis:
-        lead, _one = P.leading()
-        rows[lead] = {e: c for e, c in P.terms.items() if e != lead}
+    rows = _echelon_rows(basis)
     todo = list(basis)
     while todo:
-        D = _derivative(sys, todo.pop())
-        for lead, tail in rows.items():
-            c = D.pop(lead, None)
-            if c is not None:
-                linalg.sub_multiples(R, D, [(c, tail)])
+        D = _reduce(R, rows, _derivative(sys, todo.pop()))
         if not D:
             continue
         lead = max(D, key=ring.order.key)
@@ -373,6 +366,37 @@ def certify(sys, basis, a):
     closure = [ring.from_dict({lead: R.one, **tail})
                for lead, tail in rows.items()]
     return not any(refuted(C) for C in _local_basis(closure, a))
+
+
+def in_span(basis, polys):
+    """True when every polynomial of ``polys`` lies in the span of
+    ``basis``, a reduced row echelon basis with monic leads (as
+    _row_reduce_polys returns it), over the coefficient field of
+    ``polys``' ring."""
+    rows = _echelon_rows(basis)
+    return not any(_reduce(P.ring.field, rows, dict(P.terms))
+                   for P in polys)
+
+
+def _echelon_rows(basis):
+    """A reduced echelon basis with monic leads as ``{lead: tail}``."""
+    rows = {}
+    for P in basis:
+        lead, _one = P.leading()
+        rows[lead] = {e: c for e, c in P.terms.items() if e != lead}
+    return rows
+
+
+def _reduce(R, rows, D):
+    """D, a polynomial as ``{monomial: coefficient in R}``, less its
+    multiples of the echelon ``rows`` ``{lead: tail}``, in place.  No
+    tail holds a lead, so one pass clears every lead, and D is left at
+    zero exactly when it lies in the rows' span."""
+    for lead, tail in rows.items():
+        c = D.pop(lead, None)
+        if c is not None:
+            linalg.sub_multiples(R, D, [(c, tail)])
+    return D
 
 
 def _derivative(sys, P):

@@ -4,8 +4,8 @@ sparse linear recurrence over k or GF(p), and the system document.
 
 ``MonomialSeries`` is the one place where a polynomial in the entries of
 the fundamental matrix becomes a series (``MonomialSeries.series_of``):
-the relation solve, the second-point check, the membership of F_bar in
-the identity component and the character values all read it.
+the relation solve, the second-point check and the character values
+all read it.
 
 Monomials are indexed graded lex over the n^2 variables in row-major
 order with the constant monomial first; relation search and the

@@ -9,16 +9,18 @@ from hypothesis import assume, given, settings, strategies as st
 from dgal import fields, multipoly, upoly
 from dgal.errors import DgalError, UnsupportedInstanceError
 from dgal.fields import ConstField, field_adjoin
-from dgal.groups import (AlgebraicSubgroup, Character, group_ring,
-                         identity_component)
+from dgal.groups import (AlgebraicSubgroup, Character, characters_generators,
+                         group_ring, identity_component)
 from dgal.lattice import congruence_lattice
 from dgal.multipoly import standard_monomials
 from dgal.pipeline import (AlphaData, GaloisGroupDescription,
-                           PipelineConfig, _exponent, _gamma_powers,
-                           _kummer_certified, _kummer_coefficients,
-                           _same_ideal, find_alpha_fbar, finite_part,
-                           galois_group, proto_galois, sandwich_check)
+                           PipelineConfig, _exponent, _fbar_in_component,
+                           _gamma_powers, _kummer_certified,
+                           _kummer_coefficients, _same_ideal,
+                           find_alpha_fbar, finite_part, galois_group,
+                           proto_galois, sandwich_check)
 from dgal.ratfunc import RatFuncField
+from dgal.relations import in_span
 from dgal.series import Series, TruncSeries, ratfunc_series
 from dgal.solve import solve_zero_dimensional
 from dgal.systems import MonomialSeries, OdeSystem
@@ -227,6 +229,90 @@ def test_harmonic_run_reduces_two_ideals(monkeypatch):
     assert desc.dimension == 1 and desc.sandwich_checked
     assert calls["inverse"] == 0
     assert calls["groebner"] <= 2
+
+
+def harmonic_stages():
+    """The harmonic oscillator's relations (a = 0, d = 2), its proto-group
+    H, H's identity component and H deg's characters."""
+    sys_ = sys_of(["0", "1"], ["-1", "0"])
+    H, rel = proto_galois(sys_, PipelineConfig(degree=2, a=K.zero))
+    Hcirc = identity_component(H)
+    return sys_, rel, Hcirc, characters_generators(Hcirc, rel.d)
+
+
+def over_kt(rel, polys):
+    ring = rel.ring
+    return [ring.from_dict({e: ring.field.from_const(c)
+                            for e, c in g.terms.items()}) for g in polys]
+
+
+def test_component_generators_reduce_by_the_relation_basis():
+    sys_, rel, Hcirc, chars = harmonic_stages()
+    assert rel.rigorous and Hcirc.generators and chars
+    for g in over_kt(rel, Hcirc.generators):
+        assert in_span(rel.basis, [g])
+
+
+def test_membership_refuses_a_constant_polynomial_off_the_span():
+    # cos t - 1 has constant coefficients and is 0 at I, but it is no
+    # relation, so it is outside the span of the relation basis
+    sys_, rel, Hcirc, chars = harmonic_stages()
+    ring = Hcirc.ring
+    g = ring.parse("x_1_1 - 1")
+    assert not in_span(rel.basis, over_kt(rel, [g]))
+    shifted = AlgebraicSubgroup(2, ring, [g], connected=True)
+    with pytest.raises(UnsupportedInstanceError,
+                       match="membership of F_bar in the identity component"):
+        _fbar_in_component(sys_, rel, shifted, chars)
+
+
+def test_harmonic_character_path_work(monkeypatch):
+    """One harmonic run evaluates one series per character, none of H
+    deg's generators, from a store of the characters' degree 1; the
+    sandwich certificate normal-forms at most the component's reduced
+    basis."""
+    calls = {"series_of": 0, "normal_form": 0, "gb_len": 0, "chars": 0}
+    degrees = []
+    init, series_of = MonomialSeries.__init__, MonomialSeries.series_of
+    check, nf = dgal.pipeline.sandwich_check, dgal.pipeline.normal_form
+
+    def recording_init(self, sys_, a, d, *rest):
+        degrees.append(d)
+        init(self, sys_, a, d, *rest)
+
+    def counting_series_of(self, *args):
+        calls["series_of"] += 1
+        return series_of(self, *args)
+
+    def counting_nf(*args):
+        calls["normal_form"] += 1
+        return nf(*args)
+
+    def recording_check(H, Hcirc, chars, Gcirc):
+        calls["gb_len"] = len(Gcirc.groebner_basis())
+        calls["chars"] = len(chars)
+        monkeypatch.setattr(dgal.pipeline, "normal_form", counting_nf)
+        try:
+            return check(H, Hcirc, chars, Gcirc)
+        finally:
+            monkeypatch.setattr(dgal.pipeline, "normal_form", nf)
+
+    monkeypatch.setattr(MonomialSeries, "__init__", recording_init)
+    monkeypatch.setattr(MonomialSeries, "series_of", counting_series_of)
+    monkeypatch.setattr(dgal.pipeline, "sandwich_check", recording_check)
+    desc = run(sys_of(["0", "1"], ["-1", "0"]), 2, a=K.zero)
+    assert desc.sandwich_checked and calls["chars"] >= 1
+    # the relation solve's store, then the characters' one
+    assert len(degrees) == 2 and degrees[-1] == 1
+    assert calls["series_of"] == calls["chars"]
+    assert 0 < calls["normal_form"] <= calls["gb_len"]
+
+
+def test_same_ideal_of_one_group():
+    # answered without a Groebner basis, which H has not computed
+    H, _chi, _ring = rotations_and_character()
+    assert _same_ideal(H, H)
+    assert not hasattr(H, "_gb")
 
 
 def test_symbolic_mode_refuses_with_bound():
