@@ -406,13 +406,7 @@ def groebner(gens, order=None):
     That leaves the ideal as it was, so the reduced basis is the same,
     while an input that is already close to a Groebner basis (a linear
     span in echelon form, say) shrinks to a few elements.  Pairs are
-    pruned with the coprimality and chain criteria, and taken by the
-    sugar strategy (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC
-    1991): least sugar first, then least lcm in ``order``.  A
-    generator's sugar is its total degree, and an S-polynomial's is the
-    larger of sugar(g) + deg(lcm / lead g) over its two generators g.
-    Keyed by the lcm alone, some lex bases of three-variable ideals ran
-    for minutes.  The MAX_BASIS cap
+    pruned with the coprimality and chain criteria.  The MAX_BASIS cap
     turns runaway computations into ResourceCapError rather than an
     unbounded loop.
     """
@@ -421,24 +415,16 @@ def groebner(gens, order=None):
         return []
     ring = gens[0].ring
     order = order or ring.order
-    G, sugar = [], []
+    G = []
     for g in sorted(gens, key=lambda g: order.key(g.leading(order)[0])):
         r = normal_form(g, G, order)
         if r.terms:
             G.append(r.monic(order))
-            sugar.append(g.total_degree())
     lead = [g.leading(order)[0] for g in G]
-
-    def pair_key(i, j):
-        lcm_ij = _mono_lcm(lead[i], lead[j])
-        d = sum(lcm_ij)
-        return (max(sugar[i] + d - sum(lead[i]), sugar[j] + d - sum(lead[j])),
-                order.key(lcm_ij))
-
     # open pairs: the set answers the chain criterion's membership test,
-    # the heap hands out the pair of least key, each keyed once
+    # the heap hands out the pair of least lcm, each keyed once
     pairs = set(itertools.combinations(range(len(G)), 2))
-    queue = [(pair_key(i, j), i, j) for i, j in pairs]
+    queue = [(_grevlex_key(_mono_lcm(lead[i], lead[j])), i, j) for i, j in pairs]
     heapq.heapify(queue)
 
     def chain_criterion(i, j):
@@ -453,7 +439,7 @@ def groebner(gens, order=None):
         return False
 
     while queue:
-        (pair_sugar, _lcm), i, j = heapq.heappop(queue)
+        _key, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
         if _mono_lcm(lead[i], lead[j]) == _mono_mul(lead[i], lead[j]):
             continue  # coprime leading monomials
@@ -465,13 +451,12 @@ def groebner(gens, order=None):
         s = s.monic(order)
         G.append(s)
         lead.append(s.leading(order)[0])
-        sugar.append(pair_sugar)
         if len(G) > MAX_BASIS:
             raise ResourceCapError("Groebner basis exceeded %d elements" % MAX_BASIS)
         new = len(G) - 1
         for k in range(new):
             pairs.add((k, new))
-            heapq.heappush(queue, (pair_key(k, new), k, new))
+            heapq.heappush(queue, (_grevlex_key(_mono_lcm(lead[k], lead[new])), k, new))
     return reduce_basis(G, order)
 
 

@@ -200,25 +200,6 @@ def test_groebner_matches_sympy(ideal, order):
             for g in ours} == set(theirs.exprs)
 
 
-@pytest.mark.parametrize("gens", [
-    # zero-dimensional, 28 standard monomials
-    ["-3*x*z - x*y^2 - x^2*y", "-3*y^2 - x^2 - 3*x^2*y^2*z^2",
-     "3*y^2*z^2 + 2*z^2 - x^2*y^2"],
-    # positive-dimensional
-    ["2*x*y*z + x*z^2 - 2*x^2*y^2*z", "-x^2*y^2*z^2 + x^2*y + y^2*z",
-     "x + x*y^2 - 3*x^2*y^2"]])
-def test_lex_basis_of_drawn_ideals_matches_sympy(gens):
-    """Two ideals drawn by test_groebner_matches_sympy whose lex bases
-    ran for minutes while pairs were taken by least grevlex lcm; by
-    sugar they take a fraction of a second."""
-    R = ring("x", "y", "z", order=LEX)
-    ours = groebner([R.parse(g) for g in gens])
-    theirs = sp.groebner([sp.sympify(g.replace("^", "**")) for g in gens],
-                         *SYMS, order="lex", domain="QQ")
-    assert [sp.sympify(str(g).replace("^", "**")) for g in ours] == \
-        sorted(theirs.exprs, key=lambda e: sp.Poly(e, *SYMS).monoms()[0])
-
-
 def test_stabilizer_basis_needs_few_s_polynomials(monkeypatch):
     """The stabilizer of diag(1/(3t), 2/(3t)) at degree 3 has 32
     generators in echelon form and a reduced basis of 5 (graded-lex) or 4
