@@ -287,16 +287,23 @@ def _kummer_certified(sys, C, a):
     return _mat_eq(k, at_a, linalg.identity(k, n))
 
 
-def _fbar_in_component(sys, rel, Hcirc, chars):
+def _fbar_in_component(sys, rel, H, chars):
     """The monomial-series store of F_bar at a, of the characters' largest
     degree, once F_bar is checked to lie in H's identity component; only
     alpha = I is supported there.
 
-    A generator g of H deg has constant coefficients.  If g(F_bar) = 0
-    and deg g <= d, g is a vector of the relation solve's kernel, which
-    the relation basis spans over k(t); if g lies in that span and the
-    basis is certified, g(F_bar) = 0.  So g is reduced by the basis, and
-    no series is evaluated: the claim is as certain as the basis."""
+    The caller has checked that H and its identity component have one
+    ideal, so F_bar lies in the component when H's generators vanish at
+    it.  Those generators come from the stabilizer's pieces, so each
+    has constant coefficients and degree <= d (the component's own
+    generators may not: a diagonal-binomial component's binomials come
+    from a lattice basis and can be of higher degree).  Such a g with
+    g(F_bar) = 0 is a vector of the relation solve's kernel, which the
+    relation basis spans over k(t); if g lies in that span and the basis
+    is certified, g(F_bar) = 0.  So g is reduced by the basis, and no
+    series is evaluated.  The claim is exact when the basis is
+    certified; under an explicit order whose basis is not, it is only as
+    good as the truncated kernel."""
     if not _vanishes_at_identity(rel):
         raise UnsupportedInstanceError(
             "substitution of a nontrivial algebraic alpha into an infinite "
@@ -304,7 +311,7 @@ def _fbar_in_component(sys, rel, Hcirc, chars):
     ring = rel.ring
     R = ring.field
     gens = [ring.from_dict({e: R.from_const(c) for e, c in g.terms.items()})
-            for g in Hcirc.generators]
+            for g in H.generators]
     if not in_span(rel.basis, gens):
         raise UnsupportedInstanceError(
             "membership of F_bar in the identity component could not be "
@@ -526,7 +533,7 @@ def _group_of(sys, cfg, H, rel):
             # u'/u of u = chi(F_bar) loses one order to d/dt and must
             # still fix a numerator and a denominator of degree ell each
             order = max(rel.order_used + 2, 4 * cfg.ell + 3)
-            store = _fbar_in_component(sys, rel, Hcirc, chars)
+            store = _fbar_in_component(sys, rel, H, chars)
             elements = [logderiv_from_character(ch, store, order, cfg.ell,
                                                 cfg.ell) for ch in chars]
             rl = relation_lattice(elements)

@@ -266,6 +266,20 @@ def test_membership_refuses_a_constant_polynomial_off_the_span():
         _fbar_in_component(sys_, rel, shifted, chars)
 
 
+def test_membership_of_a_torus_with_a_component_generator_above_d():
+    # diag(1, 2, 4) at d = 2: H is cut out by x11^2 - x22 and x22^2 - x33,
+    # and its identity component has the lattice binomial x33 - x11^4, of
+    # degree 4 > d; F_bar's membership is read off H's generators
+    desc = run(sys_of(["1", "0", "0"], ["0", "2", "0"], ["0", "0", "4"]),
+               2, a=K.zero)
+    comp = desc.identity_component
+    assert max(g.total_degree() for g in comp.generators) > desc.rel.d
+    assert _same_ideal(comp, desc.proto)
+    assert not desc.finite and desc.dimension == 1
+    assert desc.provenance["alpha"] == "alpha = I"
+    assert desc.sandwich_checked
+
+
 def test_harmonic_character_path_work(monkeypatch):
     """One harmonic run evaluates one series per character, none of H
     deg's generators, from a store of the characters' degree 1; the
