@@ -66,7 +66,7 @@ class AlgebraicSubgroup:
 
     def groebner_basis(self):
         if not hasattr(self, "_gb"):
-            self._gb = groebner(self.generators) if self.generators else []
+            self._gb = groebner(self.generators)
         return self._gb
 
     def __repr__(self):
@@ -378,27 +378,11 @@ def _shrink_invariant(fld, basis, T):
         if not comp:
             return basis  # whole space, invariant for free
         timg = [linalg.matvec(fld, T, b) for b in basis]
-        cond = [[_dot(fld, q, ti) for ti in timg] for q in comp]
+        cond = [[linalg.dot(fld, q, ti) for ti in timg] for q in comp]
         ker = linalg.nullspace(fld, cond)
         if len(ker) == len(basis):
             return basis
-        basis = [[_comb(fld, u, basis, j) for j in range(len(basis[0]))]
-                 for u in ker]
-
-
-def _dot(fld, a, b):
-    out = fld.zero
-    for x, y in zip(a, b):
-        if not (fld.is_zero(x) or fld.is_zero(y)):
-            out = fld.add(out, fld.mul(x, y))
-    return out
-
-
-def _comb(fld, u, basis, j):
-    out = fld.zero
-    for c, b in zip(u, basis):
-        out = fld.add(out, fld.mul(c, b[j]))
-    return out
+        basis = linalg.matmul(fld, ker, basis)
 
 
 def _eigen_refine(fld, spaces, T, weights):
@@ -418,8 +402,7 @@ def _eigen_refine(fld, spaces, T, weights):
         for lam in weights:
             shifted = [[fld.sub(x, lam) if i == j else x
                         for j, x in enumerate(row)] for i, row in enumerate(R)]
-            eig = [[_comb(fld, u, basis, j) for j in range(len(basis[0]))]
-                   for u in linalg.nullspace(fld, shifted)]
+            eig = linalg.matmul(fld, linalg.nullspace(fld, shifted), basis)
             if eig:
                 done.append(eig)
     return done
@@ -449,7 +432,7 @@ def _derivation_matrix(ring, gb, B, xi):
                 terms[m2] = fld.add(terms.get(m2, fld.zero),
                                     fld.mul(fld.from_int(e), c))
         val = ring.from_dict(terms)
-        for e2, c in (normal_form(val, gb) if gb else val).terms.items():
+        for e2, c in normal_form(val, gb).terms.items():
             mat[idx[e2]][k] = c
     return mat
 
@@ -599,7 +582,7 @@ def characters_generators(H, D):
         P = ringF.zero
         for i, m in enumerate(B):
             P = P + ringF.from_dict({m: big.mul(v[i], inv)})
-        P = normal_form(P, gbF) if gbF else P
+        P = normal_form(P, gbF)
         if P == ringF.one:
             continue
         if not any(P == q for q in sols):
@@ -613,8 +596,7 @@ def characters_generators(H, D):
         # sols[i] * sols[j] in normal form, each unordered pair once
         key = (min(i, j), max(i, j))
         if key not in prods:
-            pq = sols[i] * sols[j]
-            prods[key] = normal_form(pq, gbF) if gbF else pq
+            prods[key] = normal_form(sols[i] * sols[j], gbF)
         return prods[key]
 
     degs = [P.total_degree() for P in sols]
@@ -661,10 +643,7 @@ def _is_character(ring2, gb2, P, powers):
     for (xe, ye), c in powers.at_product(fld, P).items():
         e = xe + ye
         diff[e] = fld.sub(diff[e], c) if e in diff else fld.neg(c)
-    diff = ring2.from_dict(diff)
-    if gb2:
-        diff = normal_form(diff, gb2)
-    return diff.is_zero()
+    return normal_form(ring2.from_dict(diff), gb2).is_zero()
 
 
 def kernel_of_characters(H, chars):

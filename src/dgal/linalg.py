@@ -1,15 +1,20 @@
 """Linear algebra over any adapter field.
 
 Matrices are plain lists of lists of field elements; the field argument
-supplies the arithmetic (ConstField, RatFuncField, ...).  The
-elimination routines are Gaussian elimination with the first nonzero
-entry as pivot; sizes stay small, so no other pivoting is needed.
+supplies the arithmetic (ConstField, RatFuncField, ...).  There is
+one elimination, ``RrefAccumulator``: Gauss-Jordan a row at a time,
+with the first nonzero column as pivot; sizes stay small, so no other
+pivoting is needed.  The relation solve and the relation basis with
+its certificate feed it rows as they come, and ``rref``, behind
+``nullspace``, ``solve`` and ``inverse``, feeds it a whole matrix.  The
+reduced echelon form is unique for a column order, so every caller
+reads the same result whichever way its rows came.
 
-``RrefAccumulator``, the row-at-a-time elimination of the relation
-solve, keeps its reduced rows sparse, as dicts of their nonzero
-entries.  That is cheap because a row in reduced echelon form is zero at
-every pivot but its own: near full rank, a reduced row holds little
-more than its pivot, and elimination touches only what is nonzero.
+The accumulator keeps its reduced rows sparse, as dicts of their
+nonzero entries.  That is cheap because a row in reduced echelon form
+is zero at every pivot but its own: near full rank, a reduced row holds
+little more than its pivot, and elimination touches only what is
+nonzero.
 
 ``PrimeField`` is one more adapter: GF(p) on Python ints, for p on the
 ladder ``PRIMES``.  With it the same routines run modulo a word-size
@@ -43,10 +48,6 @@ def identity(field, n):
     for i in range(n):
         out[i][i] = field.one
     return out
-
-
-def copy(mat):
-    return [row[:] for row in mat]
 
 
 def transpose(mat):
@@ -93,29 +94,17 @@ def matvec(field, a, v):
 
 
 def rref(field, mat):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = copy(mat)
-    if not R:
-        return R, []
-    rows, cols = len(R), len(R[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if not field.is_zero(R[i][c])), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [field.mul(x, inv) for x in R[r]]
-        for i in range(rows):
-            if i != r and not field.is_zero(R[i][c]):
-                f = R[i][c]
-                R[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
+    """Reduced row echelon form; returns (R, pivot_columns), R as many
+    rows as ``mat``, its zero rows last.  The rows are fed to an
+    RrefAccumulator (``add_sparse``), the one elimination of dgal."""
+    if not mat:
+        return [], []
+    cols, zero, is_zero = len(mat[0]), field.zero, field.is_zero
+    acc = RrefAccumulator(field, cols)
+    for row in mat:
+        acc.add_sparse({j: x for j, x in enumerate(row) if not is_zero(x)})
+    R = [[row.get(j, zero) for j in range(cols)] for row in acc.reduced_rows()]
+    return R + zeros(field, len(mat) - acc.rank, cols), acc.pivots
 
 
 def nullspace(field, mat):
@@ -148,27 +137,6 @@ def solve(field, a, b):
     for r, pc in enumerate(pivots):
         x[pc] = R[r][cols]
     return x
-
-
-def det(field, mat):
-    n = len(mat)
-    A = copy(mat)
-    d = field.one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not field.is_zero(A[i][c])), None)
-        if pr is None:
-            return field.zero
-        if pr != c:
-            A[c], A[pr] = A[pr], A[c]
-            d = field.neg(d)
-        d = field.mul(d, A[c][c])
-        inv = field.inv(A[c][c])
-        for i in range(c + 1, n):
-            if field.is_zero(A[i][c]):
-                continue
-            f = field.mul(A[i][c], inv)
-            A[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[i], A[c])]
-    return d
 
 
 def inverse(field, mat):
@@ -232,12 +200,15 @@ class RrefAccumulator:
     def rank(self):
         return len(self.pivots)
 
+    def row(self, pc):
+        """The reduced row at pivot column ``pc`` as ``{column: value}``,
+        in ascending column order, so its pivot entry (one) first."""
+        return dict([(pc, self.field.one)] + sorted(self._rows[pc].items()))
+
     def reduced_rows(self):
         """The nonzero rows of the reduced echelon form by ascending
-        pivot, each as ``{column: value}`` in ascending column order."""
-        one = self.field.one
-        return [dict([(pc, one)] + sorted(self._rows[pc].items()))
-                for pc in self.pivots]
+        pivot (``row``)."""
+        return [self.row(pc) for pc in self.pivots]
 
     def kernel_vectors(self, free=None):
         """One kernel vector per free column, in ascending order, each as

@@ -495,21 +495,27 @@ def standard_monomials(gb, ring, max_degree, order=None):
     order = order or ring.order
     leads = [g.leading(order)[0] for g in gb]
     out = []
-    for exp in _exponents_up_to(ring.nvars, max_degree):
+    for exp in monomials_upto(ring.nvars, max_degree):
         if not any(_mono_divides(l, exp) for l in leads):
             out.append(exp)
     out.sort(key=order.key)
     return out
 
 
-def _exponents_up_to(nvars, max_degree):
-    def rec(prefix, remaining, left):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for e in range(left + 1):
-            yield from rec(prefix + [e], remaining - 1, left - e)
-    yield from rec([], nvars, max_degree)
+def monomials_upto(nvars, d):
+    """All exponent tuples of total degree <= d: graded, and lex within
+    each degree with earlier variables dominating.  Constant first."""
+    return [e for deg in range(d + 1) for e in _fixed_degree(nvars, deg)]
+
+
+def _fixed_degree(nvars, deg):
+    """The exponent tuples of total degree ``deg``, descending in lex."""
+    if nvars == 1:
+        yield (deg,)
+        return
+    for first in range(deg, -1, -1):
+        for rest in _fixed_degree(nvars - 1, deg - first):
+            yield (first,) + rest
 
 
 def is_zero_dimensional(gb, ring, order=None):

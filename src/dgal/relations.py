@@ -24,8 +24,11 @@ fundamental matrix.  ``find_relations`` runs the solve once for both the
 truncation order and the kernel.  The kernel vectors are kept as
 ``{column: value}`` of their nonzero entries, and both the read-off
 (``_kernel_to_polys``) and the row reduction to the canonical basis
-(``_row_reduce_polys``, through the sparse ``linalg.RrefAccumulator``)
-touch only those entries of the shift generators.
+(``_row_reduce_polys``) touch only those entries of the shift
+generators.  That reduction, the closure of ``certify`` and the
+membership test ``in_span`` each run on a ``linalg.RrefAccumulator``
+whose columns are monomials in descending order (``_Echelon``), so a
+pivot is a leading monomial.
 
 P(X*Y) has one evaluator, ``_ProductPowers``: it expands each (X*Y)^m
 over the integers once and reads P(X*Y) = sum_m c_m (X*Y)^m off the
@@ -43,7 +46,7 @@ from math import isqrt
 
 from . import linalg, upoly
 from .errors import InputError, ResourceCapError
-from .multipoly import MonomialOrder, PolyRing
+from .multipoly import MonomialOrder, PolyRing, monomials_upto
 from .solve import PositiveDimensionalError, solve_zero_dimensional
 from .systems import MonomialSeries
 
@@ -344,59 +347,63 @@ def certify(sys, basis, a):
                 and not R.const.is_zero(R.eval_at(P.eval_consts(identity),
                                                   a)))
 
-    # the closure as a reduced echelon form {lead: tail}, leads monic
-    rows = _echelon_rows(basis)
+    # the closure on an accumulator over the monomials of degree <= that
+    # of W (the derivation keeps it), its leads the pivots
+    echelon = _Echelon(ring, monomials_upto(
+        ring.nvars, max(sum(e) for P in basis for e in P.terms)), basis)
+    acc = echelon.acc
+    leads = set(acc.pivots)
     todo = list(basis)
     while todo:
-        D = _reduce(R, rows, _derivative(sys, todo.pop()))
-        if not D:
+        if not echelon.add(_derivative(sys, todo.pop())):
             continue
-        lead = max(D, key=ring.order.key)
-        inv = R.inv(D.pop(lead))
-        tail = {e: R.mul(c, inv) for e, c in D.items()}
-        for other in rows.values():
-            c = other.pop(lead, None)
-            if c is not None:
-                linalg.sub_multiples(R, other, [(c, tail)])
-        rows[lead] = tail
-        P = ring.from_dict({lead: R.one, **tail})
+        lead = next(pc for pc in acc.pivots if pc not in leads)
+        leads.add(lead)
+        P = echelon.poly(acc.row(lead))
         if refuted(P):
             return False
         todo.append(P)
-    closure = [ring.from_dict({lead: R.one, **tail})
-               for lead, tail in rows.items()]
-    return not any(refuted(C) for C in _local_basis(closure, a))
+    return not any(refuted(C) for C in _local_basis(echelon.basis(), a))
 
 
 def in_span(basis, polys):
     """True when every polynomial of ``polys`` lies in the span of
-    ``basis``, a reduced row echelon basis with monic leads (as
-    _row_reduce_polys returns it), over the coefficient field of
-    ``polys``' ring."""
-    rows = _echelon_rows(basis)
-    return not any(_reduce(P.ring.field, rows, dict(P.terms))
-                   for P in polys)
+    ``basis`` over the coefficient field of their ring."""
+    if not polys:
+        return True
+    echelon = _Echelon(polys[0].ring, {e for P in basis + polys
+                                       for e in P.terms}, basis)
+    return not any(echelon.add(P.terms) for P in polys)
 
 
-def _echelon_rows(basis):
-    """A reduced echelon basis with monic leads as ``{lead: tail}``."""
-    rows = {}
-    for P in basis:
-        lead, _one = P.leading()
-        rows[lead] = {e: c for e, c in P.terms.items() if e != lead}
-    return rows
+class _Echelon:
+    """The reduced row echelon form of polynomials of ``ring`` over its
+    coefficient field: a linalg.RrefAccumulator whose columns are the
+    monomials ``monos`` by descending ring order, so that a pivot is a
+    leading monomial and a reduced row a polynomial with monic lead,
+    fed the sparse rows of ``polys``."""
 
+    def __init__(self, ring, monos, polys=()):
+        self.ring = ring
+        self.monos = sorted(monos, key=ring.order.key, reverse=True)
+        self.index = {e: j for j, e in enumerate(self.monos)}
+        self.acc = linalg.RrefAccumulator(ring.field, len(self.monos))
+        for P in polys:
+            self.add(P.terms)
 
-def _reduce(R, rows, D):
-    """D, a polynomial as ``{monomial: coefficient in R}``, less its
-    multiples of the echelon ``rows`` ``{lead: tail}``, in place.  No
-    tail holds a lead, so one pass clears every lead, and D is left at
-    zero exactly when it lies in the rows' span."""
-    for lead, tail in rows.items():
-        c = D.pop(lead, None)
-        if c is not None:
-            linalg.sub_multiples(R, D, [(c, tail)])
-    return D
+    def add(self, terms):
+        """Reduce and insert the polynomial ``{monomial: coefficient}``;
+        True if the span grew."""
+        index = self.index
+        return self.acc.add_sparse({index[e]: c for e, c in terms.items()})
+
+    def poly(self, row):
+        """The polynomial of a row ``{column: value}``."""
+        return self.ring.from_dict({self.monos[j]: c for j, c in row.items()})
+
+    def basis(self):
+        """The reduced rows as polynomials, by descending lead."""
+        return [self.poly(row) for row in self.acc.reduced_rows()]
 
 
 def _derivative(sys, P):
@@ -519,17 +526,9 @@ def _row_reduce_polys(ring, polys):
     """Canonical basis of the span of ``polys``: the reduced row echelon
     form over the coefficient field, columns ordered by the ring's
     monomial order (largest first), leading coefficients 1, rows by
-    descending leading monomial.  Each polynomial enters
-    linalg.RrefAccumulator as the sparse row of its terms, so elimination
-    touches only nonzero coefficients."""
-    cols = sorted({e for p in polys for e in p.terms},
-                  key=ring.order.key, reverse=True)
-    index = {e: i for i, e in enumerate(cols)}
-    acc = linalg.RrefAccumulator(ring.field, len(cols))
-    for p in polys:
-        acc.add_sparse({index[e]: c for e, c in p.terms.items()})
-    return [ring.from_dict({cols[j]: c for j, c in row.items()})
-            for row in acc.reduced_rows()]
+    descending leading monomial (``_Echelon``).  Elimination touches
+    only nonzero coefficients."""
+    return _Echelon(ring, {e for p in polys for e in p.terms}, polys).basis()
 
 
 class _ProductPowers:
@@ -619,7 +618,7 @@ def transport_factor(rel, store, N):
             continue
         for coords, _mult in pts:
             h = [[coords[i * n + j] for j in range(n)] for i in range(n)]
-            if not fld.is_zero(linalg.det(fld, h)):
+            if len(linalg.rref(fld, h)[1]) == n:
                 return fld, h
         return None
     return None

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from . import upoly
 from .errors import DgalError, InputError, SingularPointError
 from .fields import ConstField, join
+from .multipoly import monomials_upto
 from .ratfunc import RatFuncField
 from .series import Series, TruncSeries, ratfunc_series
 
@@ -249,22 +250,3 @@ def _document_line(line):
     except (DgalError, ZeroDivisionError) as err:
         raise InputError("malformed line %r in system document: %s"
                          % (line, err)) from None
-
-
-def monomials_upto(nvars, d):
-    """All exponent tuples of total degree <= d: graded, and lex within
-    each degree with earlier variables dominating.  Constant first."""
-    out = []
-    for deg in range(d + 1):
-        out.extend(sorted(_fixed_degree(nvars, deg), reverse=True))
-    return out
-
-
-def _fixed_degree(nvars, deg):
-    if nvars == 1:
-        yield (deg,)
-        return
-    for first in range(deg, -1, -1):
-        for rest in _fixed_degree(nvars - 1, deg - first):
-            yield (first,) + rest
-

@@ -7,12 +7,15 @@ and the binomials x^3 - c and x^4 - c, else the last ``CRootOf``.
 """
 
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
 _X = sp.Dummy("x")
 # variable of the polynomials inside CRootOf generators; it must differ
 # from _X, or a Poly in _X could not hold those generators as coefficients
 _R = sp.Dummy("r")
+# variable of the rational functions over a constant field
+_T = sp.Dummy("t")
 
 _DOMAINS = {}
 
@@ -56,17 +59,25 @@ def sympy_domain(field):
 
 def to_sympy(field, a):
     """The sympy expression of a field element."""
-    dom = sympy_domain(field)
-    coeffs = [QQ(int(c.numerator), int(c.denominator))
-              for c in field.to_rational_vector(a)]
-    if field.degree() == 1:
-        return dom.to_sympy(coeffs[0])
-    return dom.to_sympy(dom.new(coeffs[::-1]))
+    return sympy_domain(field).to_sympy(to_domain(field, a))
 
 
 def from_sympy(field, expr):
     """The field element of a sympy expression in the field."""
-    elem = sympy_domain(field).from_sympy(expr)
+    return from_domain(field, sympy_domain(field).from_sympy(expr))
+
+
+def to_domain(field, a):
+    """The element of ``sympy_domain(field)`` of a field element."""
+    coeffs = [QQ(int(c.numerator), int(c.denominator))
+              for c in field.to_rational_vector(a)]
+    if field.degree() == 1:
+        return coeffs[0]
+    return sympy_domain(field).new(coeffs[::-1])
+
+
+def from_domain(field, elem):
+    """The field element of an element of ``sympy_domain(field)``."""
     coeffs = [elem] if field.degree() == 1 else elem.to_list()[::-1]
     out = field.zero
     gen = field.generator()
@@ -74,3 +85,51 @@ def from_sympy(field, expr):
         c = field.from_fraction(sp.Rational(c.numerator, c.denominator))
         out = c if gen is None else field.add(field.mul(out, gen), c)
     return out
+
+
+def rref(field, rows):
+    """sympy's reduced row echelon form of the nonempty matrix ``rows``
+    over ``field``: a dgal ConstField, a RatFuncField over one (it has a
+    ``const``) or a linalg.PrimeField (it has a prime ``p``).  Returns
+    (its nonzero rows, pivot columns)."""
+    p = getattr(field, "p", None)
+    if p is not None:
+        dom = GF(p)
+        to, back = dom, lambda x: int(x) % p
+    elif hasattr(field, "const"):
+        k = field.const
+        dom = sympy_domain(k).frac_field(_T)
+        ring = dom.field.ring
+
+        def to(x):
+            return dom.new(tuple(
+                ring.from_list([to_domain(k, c) for c in cs[::-1]])
+                for cs in (field.numer_coeffs(x), field.denom_coeffs(x))))
+
+        def back(x):
+            return field.from_coeffs(*(
+                [from_domain(k, c) for c in q.to_dense()[::-1]]
+                for q in (x.numer, x.denom)))
+    else:
+        dom = sympy_domain(field)
+        to, back = (lambda x: to_domain(field, x),
+                    lambda x: from_domain(field, x))
+    R, pivots = DomainMatrix([[to(x) for x in row] for row in rows],
+                             (len(rows), len(rows[0])), dom).rref()
+    return ([[back(x) for x in row] for row in R.to_list()[:len(pivots)]],
+            list(pivots))
+
+
+def nullspace(field, rows):
+    """The kernel basis of ``rows`` read off sympy's rref: one vector per
+    free column, one there, zero at the other free columns."""
+    R, pivots = rref(field, rows)
+    cols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [field.zero] * cols
+        v[fc] = field.one
+        for row, pc in zip(R, pivots):
+            v[pc] = field.neg(row[fc])
+        basis.append(v)
+    return basis

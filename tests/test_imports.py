@@ -144,3 +144,47 @@ def test_points_are_solved_for_the_transport_search_only():
                attribute_reads((SRC / name).read_text(),
                                "solve_zero_dimensional")]
     assert readers == ["relations.py"]
+
+
+def reaches(source, func, name):
+    """True when the module-level function or class ``func`` of
+    ``source`` reads ``name`` as a name or an attribute, itself or
+    through the module-level functions and classes of ``source`` that
+    it reads."""
+    defs = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    seen, todo = {func}, [func]
+    while todo:
+        for sub in ast.walk(defs[todo.pop()]):
+            read = sub.id if isinstance(sub, ast.Name) else \
+                sub.attr if isinstance(sub, ast.Attribute) else None
+            if read == name:
+                return True
+            if read in defs and read not in seen:
+                seen.add(read)
+                todo.append(read)
+    return False
+
+
+def test_reaches_is_found():
+    source = ("def f():\n    return _g()\n"
+              "def _g():\n    return m.Engine(f)\n"
+              "def h():\n    return f\n"
+              "def lone():\n    return 1\n")
+    assert reaches(source, "h", "Engine")
+    assert not reaches(source, "lone", "Engine")
+
+
+def test_one_row_echelon_engine():
+    # linalg.RrefAccumulator is the one Gauss-Jordan elimination: the
+    # dense rref, det's elimination, the certificate's hand-rolled
+    # echelon and groups' own dot product are gone, and rref, certify
+    # and in_span run on an accumulator
+    for name in MODULES:
+        source = (SRC / name).read_text()
+        for gone in ("det", "_echelon_rows", "_reduce", "_dot", "_comb"):
+            assert attribute_reads(source, gone) == 0, (name, gone)
+    assert reaches((SRC / "linalg.py").read_text(), "rref", "RrefAccumulator")
+    relations = (SRC / "relations.py").read_text()
+    for func in ("certify", "in_span"):
+        assert reaches(relations, func, "RrefAccumulator"), func

@@ -19,7 +19,7 @@ from dgal.relations import (certify, find_relations,
                             _shift_generators)
 from dgal.series import Series
 from dgal.systems import MonomialSeries, OdeSystem
-from sympy_oracle import sympy_domain, to_sympy
+from sympy_oracle import rref as sympy_rref, sympy_domain, to_sympy
 
 K = ConstField()
 R = RatFuncField(K)
@@ -460,9 +460,9 @@ def test_certified_solve_does_no_exact_series_work(monkeypatch):
 
 
 def dense_row_reduce(ring, polys):
-    """The span's canonical basis by dense Gauss-Jordan elimination
-    (linalg.rref) over the coefficient field: the reference for
-    _row_reduce_polys."""
+    """The span's canonical basis by sympy's Gauss-Jordan elimination of
+    the dense coefficient matrix over the coefficient field: the
+    reference for _row_reduce_polys."""
     polys = [p for p in polys if p.terms]
     if not polys:
         return []
@@ -470,9 +470,8 @@ def dense_row_reduce(ring, polys):
     cols = sorted({e for p in polys for e in p.terms},
                   key=ring.order.key, reverse=True)
     mat = [[p.terms.get(e, fld.zero) for e in cols] for p in polys]
-    rrefed, pivots = linalg.rref(fld, mat)
     return [ring.from_dict(dict(zip(cols, row)))
-            for row in rrefed[:len(pivots)]]
+            for row in sympy_rref(fld, mat)[0]]
 
 
 QQ_SQRT2, SQRT2 = field_adjoin(K, [K.from_int(-2), K.zero, K.one])

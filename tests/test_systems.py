@@ -8,9 +8,10 @@ from dgal import linalg
 from dgal.errors import DgalError, SingularPointError
 from dgal.fields import ConstField, field_adjoin
 from dgal.groups import group_ring
+from dgal.multipoly import monomials_upto
 from dgal.ratfunc import RatFuncField
 from dgal.series import Series, TruncSeries, ratfunc_series
-from dgal.systems import MonomialSeries, OdeSystem, monomials_upto
+from dgal.systems import MonomialSeries, OdeSystem
 
 K = ConstField()
 R = RatFuncField(K)
