@@ -120,8 +120,13 @@ class ConstField:
     def is_one(self, a):
         return a == self.one
 
+    # rows are back-substituted as they come: an exact entry that a row
+    # kept at a later pivot would grow with each row reduced by it, and
+    # each of those steps costs gcd work
+    defers_back_substitution = False
+    reduce_row = linalg.reduce_row
     sub_multiples = linalg.sub_multiples
-    dot = linalg.dot
+    recurrence_step = linalg.recurrence_step
 
     # -- number field arithmetic ------------------------------------------
 

@@ -10,20 +10,26 @@ its certificate feed it rows as they come, and ``rref``, behind
 reduced echelon form is unique for a column order, so every caller
 reads the same result whichever way its rows came.
 
-The accumulator keeps its reduced rows sparse, as dicts of their
-nonzero entries.  That is cheap because a row in reduced echelon form
-is zero at every pivot but its own: near full rank, a reduced row holds
-little more than its pivot, and elimination touches only what is
-nonzero.
+The accumulator keeps its rows sparse, as dicts of their nonzero
+entries, and elimination reads only those.  When its rows are read they
+are in reduced echelon form: zero at every pivot but their own, so near
+full rank a row holds little more than its pivot.  When the stored rows
+are brought to that form is the field adapter's choice
+(``defers_back_substitution``): over an exact field at every added row,
+so an incoming row is reduced in one pass by the rows whose pivots it
+has; over GF(p) once, at the first read after rows were added, and the
+rows stay in echelon form between reads, each incoming row reduced pivot
+by pivot in ascending order (``reduce_row``).
 
 ``PrimeField`` is one more adapter: GF(p) on Python ints, for p on the
 ladder ``PRIMES``.  With it the same routines run modulo a word-size
 prime, which avoids the gcd work of rational arithmetic, and its row and
-series kernels (``sub_multiples``, ``dot``) reduce each entry once
-(delayed reduction; Dumas, Giorgi and Pernet 2008).  A result found mod
-p says nothing about QQ by itself: ``lift_kernel`` lifts it by rational
-reconstruction (Wang, Guy and Davenport 1982; the modular method of
-Dixon 1982), and ``kernel_vanishes`` checks a lift exactly.
+series kernels (``reduce_row``, ``sub_multiples``, ``recurrence_step``)
+reduce each entry once (delayed reduction; Dumas, Giorgi and Pernet
+2008).  A result found mod p says nothing about QQ by itself:
+``lift_kernel`` lifts it by rational reconstruction (Wang, Guy and
+Davenport 1982; the modular method of Dixon 1982), and
+``kernel_vanishes`` checks a lift exactly.
 """
 
 import bisect
@@ -153,19 +159,25 @@ class RrefAccumulator:
     of constraint rows; rank and kernel are cheap to read off at any
     point.
 
-    Reduced rows are sparse: each is kept as ``{column: value}`` of its
-    nonzero entries off the pivot (the pivot entry is one), keyed by its
-    pivot column.  A row in RREF is zero at every other pivot column, so
-    reducing by it changes no entry at a pivot column but its own: an
-    incoming row is reduced at once by the rows whose pivot it has, with
-    its entries there as multipliers (``field.sub_multiples``), touching
-    only the nonzero entries of those rows (LaMacchia and Odlyzko 1990)."""
+    Rows are sparse: each is kept as ``{column: value}`` of its nonzero
+    entries off the pivot (the pivot entry is one), keyed by its pivot
+    column.  An incoming row is reduced by the stored row at each pivot
+    column where it is nonzero (``field.reduce_row``), touching only the
+    nonzero entries of those rows (LaMacchia and Odlyzko 1990), and made
+    monic unless its lead is one.  Its pivot column is then cleared from
+    the stored rows (back-substitution): at once, or, when
+    ``field.defers_back_substitution``, at the next read (``row``,
+    ``reduced_rows``, ``kernel_vectors``, ``kernel_support_max``), in one
+    pass for every pivot added since the last one.  Until then the
+    stored rows are in echelon form only; ``pivots`` and ``rank`` are the
+    same either way."""
 
     def __init__(self, field, cols):
         self.field = field
         self.cols = cols
-        self.pivots = []   # pivot columns, ascending
-        self._rows = {}    # pivot column -> {free column: value}
+        self.pivots = []     # pivot columns, ascending
+        self._rows = {}      # pivot column -> {later column: value}
+        self._fresh = set()  # pivots not yet cleared from the other rows
 
     def add_row(self, row):
         """Reduce and insert a row, dense as a list or sparse as
@@ -180,21 +192,41 @@ class RrefAccumulator:
         """add_row for a row given as ``{column: nonzero value}``; the
         dict is taken over, not copied."""
         f = self.field
-        new = f.sub_multiples(new, [(new.pop(pc), self._rows[pc]) for pc
-                                    in [j for j in new if j in self._rows]])
+        new = f.reduce_row(new, self._rows, self.pivots, self.cols)
         if not new:
             return False
         pc = min(new)
-        inv = f.inv(new.pop(pc))
-        new = {j: f.mul(x, inv) for j, x in new.items()}
-        # back-substitute into the stored rows that have column pc
-        for pr, r in self._rows.items():
-            c = r.pop(pc, None)
-            if c is not None:
-                self._rows[pr] = f.sub_multiples(r, [(c, new)])
+        lead = new.pop(pc)
+        if lead != f.one:
+            inv = f.inv(lead)
+            new = {j: f.mul(x, inv) for j, x in new.items()}
+        if f.defers_back_substitution:
+            self._fresh.add(pc)
+        else:
+            for pr, r in self._rows.items():
+                c = r.pop(pc, None)
+                if c is not None:
+                    self._rows[pr] = f.sub_multiples(r, [(c, new)])
         self._rows[pc] = new
         bisect.insort(self.pivots, pc)
         return True
+
+    def _back_substitute(self):
+        """Clear the pivot columns added since the last read from the
+        stored rows, from the largest pivot down with one
+        ``field.sub_multiples`` per row: a row has entries only after its
+        pivot, so the rows it is reduced by are reduced by then."""
+        fresh, rows, sub = self._fresh, self._rows, self.field.sub_multiples
+        if not fresh:
+            return
+        below = bisect.bisect_left(self.pivots, max(fresh))
+        for pc in reversed(self.pivots[:below]):
+            row = rows[pc]
+            hits = ([j for j in fresh if j in row] if len(fresh) < len(row)
+                    else [j for j in row if j in fresh])
+            if hits:
+                rows[pc] = sub(row, [(row.pop(j), rows[j]) for j in hits])
+        fresh.clear()
 
     @property
     def rank(self):
@@ -203,6 +235,7 @@ class RrefAccumulator:
     def row(self, pc):
         """The reduced row at pivot column ``pc`` as ``{column: value}``,
         in ascending column order, so its pivot entry (one) first."""
+        self._back_substitute()
         return dict([(pc, self.field.one)] + sorted(self._rows[pc].items()))
 
     def reduced_rows(self):
@@ -217,6 +250,7 @@ class RrefAccumulator:
         entry of the reduced row at each pivot.  ``free``, an ascending
         iterable of columns, reads only the free columns among it (all of
         them by default)."""
+        self._back_substitute()
         f = self.field
         if free is None:
             free = range(self.cols)
@@ -232,6 +266,7 @@ class RrefAccumulator:
         """``{free column: the largest key(column) over the support of its
         kernel vector}``, by ascending free column, read off the reduced
         rows without building the vectors."""
+        self._back_substitute()
         top = {fc: key(fc) for fc in range(self.cols) if fc not in self._rows}
         for pc, r in self._rows.items():
             k = key(pc)
@@ -239,6 +274,16 @@ class RrefAccumulator:
                 if top[fc] < k:
                     top[fc] = k
         return top
+
+
+def reduce_row(field, target, rows, pivots, cols):
+    """The row kernel of elimination over QQ, QQ(g) and k(t): target
+    reduced by the reduced rows ``{pivot: row}`` at the ``pivots`` it
+    has, in one ``field.sub_multiples`` with its entries there as
+    multipliers; a reduced row is zero at every other pivot, so no pivot
+    entry changes.  The row length ``cols`` is not needed."""
+    return field.sub_multiples(target, [(target.pop(pc), rows[pc]) for pc
+                                        in [j for j in pivots if j in target]])
 
 
 def sub_multiples(field, target, pairs):
@@ -256,14 +301,29 @@ def sub_multiples(field, target, pairs):
 
 
 def dot(field, xs, ys):
-    """The sum of x * y over the pairs of ``xs`` and ``ys``.  The series
-    kernel over QQ and QQ(g)."""
+    """The sum of x * y over the pairs of ``xs`` and ``ys``, skipping the
+    pairs where y is zero."""
     zero, is_zero, add, mul = field.zero, field.is_zero, field.add, field.mul
     acc = zero
     for x, y in zip(xs, ys):
         if not is_zero(y):
             acc = add(acc, mul(x, y))
     return acc
+
+
+def recurrence_step(field, steps, past, lag, inv):
+    """The series kernel over QQ and QQ(g): one vector of a linear
+    recurrence.  Entry r is inv times the sum of c * x over the
+    coefficients ``cs`` and the entries ``gather(past)`` of the r-th
+    (cs, gather) of ``steps``, plus the sum of c * past[offset + r] over
+    the (c, offset) of ``lag``; ``past`` is the concatenated earlier
+    vectors."""
+    is_zero, add, mul = field.is_zero, field.add, field.mul
+    out = [dot(field, cs, gather(past)) for cs, gather in steps]
+    for c, offset in lag:
+        out = [x if is_zero(y) else add(x, mul(c, y))
+               for x, y in zip(out, past[offset:])]
+    return [mul(x, inv) for x in out]
 
 
 class NotCertified(Exception):
@@ -326,10 +386,37 @@ class PrimeField:
                 target[j] = get(j, 0) - c * y
         return {j: r for j, x in target.items() if (r := x % p)}
 
-    def dot(self, xs, ys):
-        """The series kernel: the sum of x * y over the pairs of ``xs``
-        and ``ys``, on plain ints with one reduction."""
-        return sum(map(operator.mul, xs, ys)) % self.p
+    # the stored rows wait in echelon form for a read: a back-substitution
+    # pass over them all then costs less than one per added pivot, and an
+    # entry of GF(p) stays one word however many pivots it meets
+    defers_back_substitution = True
+
+    def reduce_row(self, target, rows, pivots, cols):
+        """The row kernel of elimination: target reduced by the echelon
+        rows ``{pivot: row}`` in ascending pivot order (``pivots``), for a
+        row may put entries at later pivots.  On a dense list of plain
+        ints, ``cols`` long: an entry is reduced mod p when it becomes a
+        multiplier, every other entry once at the end."""
+        p = self.p
+        dense = [0] * cols
+        for j, x in target.items():
+            dense[j] = x
+        for pc in pivots:
+            c = dense[pc] % p
+            if c:
+                dense[pc] = 0
+                for j, y in rows[pc].items():
+                    dense[j] -= c * y
+        return {j: r for j, x in enumerate(dense) if (r := x % p)}
+
+    def recurrence_step(self, steps, past, lag, inv):
+        """The series kernel (``linalg.recurrence_step``) on plain ints,
+        with one reduction per entry."""
+        mul, p = operator.mul, self.p
+        out = [sum(map(mul, cs, gather(past))) for cs, gather in steps]
+        for c, offset in lag:
+            out = [x + c * y for x, y in zip(out, past[offset:])]
+        return [x * inv % p for x in out]
 
 
 def rational_reconstruction(u, p):

@@ -130,7 +130,9 @@ def proto_galois(sys, cfg):
 
     In symbolic-bound mode (no degree override) the run refuses: the
     unconditional degree bound is not executable at desk scale, and the
-    error carries its expression tree and rendering.
+    error carries its expression tree and rendering.  A relation basis
+    that holds a nonzero constant is refused too: a constant cannot
+    vanish at the fundamental matrix, so the explicit order was too low.
     """
     if cfg.degree is None:
         from .bounds import proto_galois_degree_bound, render
@@ -143,6 +145,11 @@ def proto_galois(sys, cfg):
         raise err
     a = sys.R.const.one if cfg.a is None else cfg.a
     rel = find_relations(sys, a, cfg.degree, cfg.ell, cfg.order)
+    if any(P.constant_value() is not None for P in rel.basis):
+        raise UnsupportedInstanceError(
+            "the relations found at truncation order %d include a nonzero "
+            "constant, which cannot vanish at the fundamental matrix; that "
+            "order is too low" % rel.order_used)
     H = stabilizer_group(rel)
     verify_group_axioms(H, rel)
     return H, rel

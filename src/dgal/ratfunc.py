@@ -150,6 +150,9 @@ class RatFuncField:
     def eq(self, a, b):
         return a == b
 
+    # rows are kept reduced, as over the constant field
+    defers_back_substitution = False
+    reduce_row = linalg.reduce_row
     sub_multiples = linalg.sub_multiples
 
     def scale(self, a, c):

@@ -12,6 +12,7 @@ order with the constant monomial first; relation search and the
 stabilizer construction rely on this exact ordering.
 """
 
+import operator
 from contextlib import contextmanager
 
 from . import upoly
@@ -119,12 +120,11 @@ class MonomialSeries:
     at column m - e_p + e_(l, j); ``table[m]`` lists its nonzero
     (u-power, column, coefficient) terms, scaled so that q(a) = 1.
     A pole of A at a is a SingularPointError naming the first such
-    entry in row-major order.  A linalg.PrimeField ``field`` (k = QQ),
-    over a prime of the ladder linalg.PRIMES, takes the images of the
-    table, q and the first vector (or raises NotCertified), and the
-    recurrence then gives those of the vectors.  Each new coefficient is
-    one ``field.dot`` of the table's coefficients and the earlier
-    vectors' entries, which GF(p) sums on plain ints and reduces once."""
+    entry in row-major order.  With a linalg.PrimeField ``field`` (k =
+    QQ), over a prime of the ladder linalg.PRIMES, the table, q and the
+    first vector are built over GF(p) from the images of q and of P's
+    coefficients (or NotCertified is raised), and the recurrence then
+    gives the images of the vectors (``extend``)."""
 
     def __init__(self, sys, a, d, field=None):
         R, k, n = sys.R, sys.R.const, sys.n
@@ -133,13 +133,16 @@ class MonomialSeries:
             if not R.is_regular_at(f, a):
                 raise SingularPointError("pole of %s at t = %s"
                                          % (R.format(f), k.format(a)))
-        self.field = k
+        fld, image = k, (lambda c: c)
+        if field is not None:
+            fld, image = field, field.from_rational
+        self.field = fld
         self.a = a
         self.d = d
         self.monos = monomials_upto(n * n, d)
         q = R.denom_lcm(entries)
         q = R.scale(q, k.inv(R.eval_at(q, a)))
-        self.q = _u_coeffs(R, q, a)
+        self.q = [image(c) for c in _u_coeffs(R, q, a)]
         P = [[_u_coeffs(R, R.mul(f, q), a) for f in row] for row in sys.A]
         self.index = index = {m: r for r, m in enumerate(self.monos)}
         self.table = []
@@ -156,45 +159,44 @@ class MonomialSeries:
                     col = index[tuple(tgt)]
                     for s, c in enumerate(P[i][l]):
                         key = (s, col)
-                        merged[key] = k.add(merged.get(key, k.zero),
-                                            k.mul(k.from_int(e), c))
+                        merged[key] = fld.add(merged.get(key, fld.zero),
+                                              fld.mul(fld.from_int(e),
+                                                      image(c)))
             self.table.append([(s, col, c) for (s, col), c
-                               in sorted(merged.items()) if not k.is_zero(c)])
+                               in sorted(merged.items())
+                               if not fld.is_zero(c)])
         diagonal = {l * n + l for l in range(n)}
-        self.vecs = [[k.one if all(p in diagonal for p, e in enumerate(m) if e)
-                      else k.zero for m in self.monos]]
-        if field is not None:
-            image, self.field = field.from_rational, field
-            self.q = [image(c) for c in self.q]
-            self.vecs = [[image(x) for x in self.vecs[0]]]
-            self.table = [[(s, col, image(c)) for s, col, c in terms]
-                          for terms in self.table]
-        # per row: the table's coefficients, and the (lag, column) of the
-        # entry of past = [v_m, v_{m-1}, ...] that each multiplies, then
-        # those of the row's own entries that q_1, q_2, ... multiply
+        self.vecs = [[fld.one if all(p in diagonal
+                                     for p, e in enumerate(m) if e)
+                      else fld.zero for m in self.monos]]
+        # per row: the table's coefficients, and a gather of the entries
+        # they multiply from past, the concatenation v_m, v_{m-1}, ... of
+        # the earlier vectors (entry col of v_{m-s} at s * width + col)
+        width = len(self.monos)
         self._steps = [([c for _s, _col, c in terms],
-                        [(s, col) for s, col, _c in terms]
-                        + [(s - 1, r) for s in range(1, len(self.q))])
-                       for r, terms in enumerate(self.table)]
+                        _gather([s * width + col for s, col, _c in terms]))
+                       for terms in self.table]
         self._depth = 1 + max([s for terms in self.table
                                for s, _col, _c in terms] + [len(self.q) - 2])
 
     def extend(self, order):
         """The coefficient vectors through u^order (vecs[m] at u^m), from
-        (m+1) v_{m+1} = sum_s P_s v_{m-s} - sum_{s>=1} q_s (m+1-s) v_{m+1-s}."""
+        (m+1) v_{m+1} = sum_s P_s v_{m-s} - sum_{s>=1} q_s (m+1-s) v_{m+1-s}.
+        Each vector is one ``field.recurrence_step``: a row's terms come
+        from the earlier vectors, concatenated, through the row's gather,
+        and the q terms from the same row of each; over GF(p) the sums run
+        on plain ints and each entry is reduced once."""
         k = self.field
-        vecs, q = self.vecs, self.q
-        blank = [k.zero] * len(self.monos)
+        vecs, q, width = self.vecs, self.q, len(self.monos)
+        blank = [k.zero] * width
         while len(vecs) <= order:
             m = len(vecs) - 1
-            past = [vecs[m - s] if s <= m else blank
-                    for s in range(self._depth)]
-            lag = [k.neg(k.mul(q[s], k.from_int(m + 1 - s)))
+            past = [x for s in range(self._depth)
+                    for x in (vecs[m - s] if s <= m else blank)]
+            lag = [(k.neg(k.mul(q[s], k.from_int(m + 1 - s))), (s - 1) * width)
                    for s in range(1, len(q))]
-            inv = k.inv(k.from_int(m + 1))
-            vecs.append([k.mul(k.dot(cs + lag,
-                                     [past[s][col] for s, col in at]), inv)
-                         for cs, at in self._steps])
+            vecs.append(k.recurrence_step(self._steps, past, lag,
+                                          k.inv(k.from_int(m + 1))))
         return vecs
 
     def series_of(self, P, order):
@@ -231,6 +233,16 @@ class MonomialSeries:
                         break
                     out[i + j] = big.add(out[i + j], big.mul(x, y))
         return Series(big, out)
+
+
+def _gather(indices):
+    """The entries of a sequence at ``indices``, as a sequence: an
+    operator.itemgetter of the indices, or, as that returns a lone entry
+    bare, of a slice when there are fewer than two."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return operator.itemgetter(slice(start, start + len(indices)))
 
 
 def _u_coeffs(R, f, a):

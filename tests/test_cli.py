@@ -138,6 +138,21 @@ def test_constant_relation_is_not_rigorous(capsys, doc):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+@pytest.mark.parametrize("argv", [["galois", "--degree-override", "1"],
+                                  ["protogroup", "--degree", "1"]])
+def test_constant_relation_is_refused(capsys, argv):
+    """At order 0 the truncated kernel of the Airy system holds the
+    constant 1, which cannot vanish at F: the group commands refuse that
+    basis (exit 2) and name the order, where they once answered with the
+    full group."""
+    code, lines = refused(capsys, argv + [
+        "--system", str(GOLDEN / "airy.sys"), "--order", "0"])
+    assert code == 2
+    assert lines == ["error: the relations found at truncation order 0 "
+                     "include a nonzero constant, which cannot vanish at "
+                     "the fundamental matrix; that order is too low"]
+
+
 def test_pade_approximant_is_not_rigorous(capsys):
     """At order 7 the truncated kernel of y' = y holds x_1_1 minus a Pade
     approximant of exp(t), a false relation that the certificate

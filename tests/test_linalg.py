@@ -206,6 +206,54 @@ def test_kernel_vectors_of_some_columns(name, data, more):
                                      for vec in acc.kernel_vectors()]
 
 
+def sparse(row, field):
+    """A dense row as ``{column: nonzero value}``."""
+    return {j: x for j, x in enumerate(row) if not field.is_zero(x)}
+
+
+READS = ("row", "reduced_rows", "kernel_vectors", "kernel_support_max",
+         "pivots", "rank")
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF(p)"])
+@settings(max_examples=40, deadline=None)
+@given(sparse_rows(), st.data())
+def test_reads_at_any_point(name, data, more):
+    # every read, at any point between rows, is the reduced echelon form
+    # of the rows so far: over GF(p) the stored rows wait in echelon form
+    # and are back-substituted at the first read after an add
+    cols, pairs = data
+    reads = [more.draw(st.lists(st.sampled_from(READS), max_size=3))
+             for _ in pairs]
+    free = sorted(more.draw(st.sets(st.integers(0, cols - 1))))
+    for field, element in FIELDS[name]:
+        acc = linalg.RrefAccumulator(field, cols)
+        rows = []
+        for pair_row, after in zip(pairs, reads):
+            rows.append([element(a, b) for a, b in pair_row])
+            acc.add_row(rows[-1])
+            R, pivots = sympy_rref(field, rows)
+            kernel = [sparse(vec, field)
+                      for vec in sympy_nullspace(field, rows)]
+            for read in after:
+                if read == "row" and pivots:
+                    i = more.draw(st.integers(0, len(pivots) - 1))
+                    assert acc.row(pivots[i]) == sparse(R[i], field)
+                elif read == "reduced_rows":
+                    assert acc.reduced_rows() == [sparse(row, field)
+                                                  for row in R]
+                elif read == "kernel_vectors":
+                    assert acc.kernel_vectors(free) == [
+                        vec for vec in kernel if max(vec) in free]
+                elif read == "kernel_support_max":
+                    assert acc.kernel_support_max(lambda j: -j % 3) == {
+                        max(vec): max(-j % 3 for j in vec) for vec in kernel}
+                elif read == "pivots":
+                    assert acc.pivots == pivots
+                elif read == "rank":
+                    assert acc.rank == len(pivots)
+
+
 def test_lift_kernel_of_some_columns():
     # rows x0 + x1/2 - x3 = 0 and x2 + 3 x3 = 0: pivots 0 and 2
     A = mk([[1, Fraction(1, 2), 0, -1], [0, 0, 1, 3]])

@@ -14,7 +14,8 @@ from dgal.ratfunc import RatFuncField
 from dgal.relations import (certify, find_relations,
                             graded_lex_order, matrix_var_names, order_bound,
                             relation_ideal, second_point_check,
-                            _AnsatzBuilder, _kernel_to_polys, _local_basis,
+                            _AnsatzBuilder, _Echelon, _kernel_to_polys,
+                            _local_basis,
                             _ProductPowers, _RelationSolve, _row_reduce_polys,
                             _shift_generators)
 from dgal.series import Series
@@ -413,25 +414,46 @@ def test_worked_airy_and_benchmark_instances_take_one_modular_pass(
 
 
 class _CountingPrimeField(linalg.PrimeField):
-    """GF(p) that counts the entries its row kernel updates."""
+    """GF(p) that counts the entries its row kernels update: those of the
+    stored rows an incoming row is reduced by, and those subtracted in
+    back-substitution."""
 
     updates = 0
+
+    def reduce_row(self, target, rows, pivots, cols):
+        return super().reduce_row(target, _CountingRows(self, rows), pivots,
+                                  cols)
 
     def sub_multiples(self, target, pairs):
         self.updates += sum(len(source) for _c, source in pairs)
         return super().sub_multiples(target, pairs)
 
 
+class _CountingRows:
+    """Stored rows that count the entries of each row read from them."""
+
+    def __init__(self, field, rows):
+        self.field, self.rows = field, rows
+
+    def __getitem__(self, pc):
+        row = self.rows[pc]
+        self.field.updates += len(row)
+        return row
+
+
 def test_accumulator_reduces_only_nonzero_entries():
     # Airy-type ansatz at a = 2, d = ell = 2: 75 columns, rank 70, so a
     # reduced row is its pivot and about 5 free entries.  Eliminating on
-    # dense rows updates 148,071 entries here, on sparse ones 11,651.
+    # dense rows updates 148,071 entries here; on sparse rows, kept in
+    # echelon form until the kernel is read, 18,838 (11,651 when every
+    # row is back-substituted as it comes).
     s = sys_of(["0", "1"], ["-t/2 + 1", "0"])
     fp = _CountingPrimeField()
     builder = _AnsatzBuilder(s, K.from_int(2), 2, 2, fp)
     acc = linalg.RrefAccumulator(fp, builder.ncols)
     for i in range(104):
         acc.add_row(builder.row(i))
+    assert len(acc.kernel_vectors()) == builder.ncols - acc.rank == 5
     assert (builder.ncols, acc.rank) == (75, 70)
     assert fp.updates <= 20000
 
@@ -516,6 +538,48 @@ def kernel_shaped_rows(draw, name):
 def test_row_reduce_matches_dense_rref(name, data):
     ring, polys = data.draw(kernel_shaped_rows(name))
     assert _row_reduce_polys(ring, polys) == dense_row_reduce(ring, polys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_rows_stay_reduced_after_every_add(data):
+    # over QQ(sqrt 2)(t) each added row is back-substituted at once, so no
+    # stored row keeps an entry at another row's pivot between reads
+    ring, polys = data.draw(kernel_shaped_rows("QQ(sqrt 2)(t)"))
+    echelon = _Echelon(ring, {e for P in polys for e in P.terms})
+    rows = echelon.acc._rows
+    for P in polys:
+        echelon.add(P.terms)
+        assert not any(j in rows for row in rows.values() for j in row)
+
+
+def test_back_substitution_waits_for_a_kernel_read(monkeypatch):
+    # the worked Airy example over GF(p): adding a row runs no row kernel
+    # (one back-substitution per new pivot and stored row that has its
+    # column ran 2404 of them); the stored rows are back-substituted when
+    # a kernel is read
+    calls, adding = {True: 0, False: 0}, [False]
+    add_row = linalg.RrefAccumulator.add_row
+    sub_multiples = linalg.PrimeField.sub_multiples
+
+    def flagged_add_row(self, row):
+        adding[0] = True
+        try:
+            return add_row(self, row)
+        finally:
+            adding[0] = False
+
+    def counting_sub_multiples(self, target, pairs):
+        calls[adding[0]] += 1
+        return sub_multiples(self, target, pairs)
+
+    monkeypatch.setattr(linalg.RrefAccumulator, "add_row", flagged_add_row)
+    monkeypatch.setattr(linalg.PrimeField, "sub_multiples",
+                        counting_sub_multiples)
+    s = sys_of(["0", "1"], ["t", "0"])
+    rel = find_relations(s, K.one, 2, 2)
+    assert rel.rigorous
+    assert calls[True] == 0 and calls[False] > 0
 
 
 # each draws (rows, a, the largest degree cap d to try at ell)
