@@ -29,7 +29,7 @@ towers built and the roots found keep their generators and their order.
 
 The algebraically closed constant field of the theory is approximated by
 growing a number field whenever a root is needed: ``field_adjoin``,
-``split_univariate`` and ``join`` do the growing.
+``split_univariate``, ``roots_of_unity`` and ``join`` do the growing.
 """
 
 import operator
@@ -551,6 +551,51 @@ def _rebuild(big, chain):
             return joined
         grown._images = saved
     return None
+
+
+def _cyclotomic(m):
+    """{d: Phi_d} over the divisors d of m, each Phi_d as ascending
+    Rationals: x^d - 1 exactly divided by Phi_e for every proper divisor
+    e of d."""
+    phi = {}
+    for d in range(1, m + 1):
+        if m % d == 0:
+            f = [-ONE] + [ZERO] * (d - 1) + [ONE]
+            for e, g in phi.items():
+                if d % e == 0:
+                    f = upoly.exquo(_RATIONALS, f, g)
+            phi[d] = f
+    return phi
+
+
+def roots_of_unity(field, m):
+    """(new_field, roots): the m distinct m-th roots of unity over an
+    extension of ``field``, as the powers zeta^k, k < m, of one
+    primitive root zeta, so that 1 comes first.
+
+    x^m - 1 itself is not factored.  Its factors over QQ are the
+    cyclotomic Phi_d, d | m, each irreducible (Gauss; Lang, *Algebra*,
+    VI 3), and zeta comes from the one that ``factor_list`` sorts last,
+    a highest-degree one: Phi_m, or Phi_(m/2) when m = 2 mod 4 and the
+    sort puts it after Phi_m (then -zeta is primitive).  Only that
+    polynomial is factored over ``field``, and zeta is a root of its
+    first factor.  Over QQ the field is the one ``split_univariate``
+    builds for x^m - 1, which adjoins a root of that same factor, so the
+    roots are the same elements."""
+    phi = _cyclotomic(m)
+    d, top = max(phi.items(), key=lambda dp: (len(dp[1]), dp[1][::-1]))
+    fac = [field.from_fraction(c) for c in top]
+    norm = None
+    if len(fac) > 2:
+        factors, norm = factor_list(field, fac)
+        fac = factors[0][0]
+    fld, zeta = _adjoin_root(field, fac, norm)
+    if d != m:
+        zeta = fld.neg(zeta)
+    roots = [fld.one]
+    for _ in range(m - 1):
+        roots.append(fld.mul(roots[-1], zeta))
+    return fld, roots
 
 
 def split_univariate(field, coeffs):

@@ -6,7 +6,7 @@ one elimination, ``RrefAccumulator``: Gauss-Jordan a row at a time,
 with the first nonzero column as pivot; sizes stay small, so no other
 pivoting is needed.  The relation solve and the relation basis with
 its certificate feed it rows as they come, and ``rref``, behind
-``nullspace``, ``solve`` and ``inverse``, feeds it a whole matrix.  The
+``nullspace`` and ``solve``, feeds it a whole matrix.  The
 reduced echelon form is unique for a column order, so every caller
 reads the same result whichever way its rows came.
 
@@ -143,15 +143,6 @@ def solve(field, a, b):
     for r, pc in enumerate(pivots):
         x[pc] = R[r][cols]
     return x
-
-
-def inverse(field, mat):
-    n = len(mat)
-    aug = [row[:] + ident_row[:] for row, ident_row in zip(mat, identity(field, n))]
-    R, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in R]
 
 
 class RrefAccumulator:

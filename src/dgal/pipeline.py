@@ -13,7 +13,8 @@ reduced Groebner basis, and no point of H is computed.  F_bar is read
 off its expansion as sum_{k<M} C_k(t) gamma^k with gamma^M = t/a (one
 Hermite-Pade solve per entry; the gamma^k are binomial series),
 certified exactly in k(t) by the system itself, and the finite part is
-read off the C_k at a.  Every completed run carries a sandwich
+read off the C_k at a, one point per power of a root of unity.  Every
+completed run carries a sandwich
 certificate: the kernel of the characters of H's identity component is
 contained in the computed identity component, which is contained in H
 (checked by Groebner reduction).
@@ -28,7 +29,7 @@ from math import isqrt
 
 from . import linalg, upoly
 from .errors import DgalError, InputError, UnsupportedInstanceError
-from .fields import join, split_univariate
+from .fields import join, roots_of_unity
 from .groups import (AlgebraicSubgroup, _coerce_poly, characters_generators,
                      group_ring, identity_component, kernel_of_characters,
                      stabilizer_group, verify_group_axioms)
@@ -376,24 +377,17 @@ def finite_part(alpha, H):
     Precondition: H's identity component is {I}, and find_alpha_fbar has
     certified F_bar = sum_k C_k gamma^k.  A conjugate tau(gamma) = z gamma
     with z^M = 1 sends F_bar to F_bar g with g = tau(F_bar)(a) =
-    sum_k z^k C_k(a), read off over the splitting field of x^M - 1
-    without a polynomial solve.  Each point is checked to satisfy H's
-    equations (G <= H).  Returns (field, points)."""
+    sum_k z^k C_k(a).  The z are the powers of one root of a cyclotomic
+    factor of x^M - 1 (``fields.roots_of_unity``), so neither x^M - 1
+    nor any point equation is solved.  Each point is checked to satisfy
+    H's equations (G <= H), those of the reduced Groebner basis that
+    ``_exponent`` cached: it cuts out the same group as H's generators
+    and is shorter.  Returns (field, points)."""
     R, M = alpha.R, alpha.M
     kf = R.const
     n = len(alpha.C[0])
-    if M == 1:
-        fld, roots = kf, [kf.one]
-    else:
-        fld, rts = split_univariate(
-            kf, [kf.neg(kf.one)] + [kf.zero] * (M - 1) + [kf.one])
-        roots = []
-        for r, mult in rts:
-            roots.extend([r] * mult)
-        if len(roots) != M:
-            raise UnsupportedInstanceError(
-                "could not split the conjugate set of gamma")
-        roots.sort(key=lambda r: (not fld.is_one(r), fld.format(r)))
+    fld, roots = roots_of_unity(kf, M)
+    roots.sort(key=lambda r: (not fld.is_one(r), fld.format(r)))
     at_a = [[[fld.coerce_from(kf, R.eval_at(x, alpha.a)) for x in row]
              for row in Ck] for Ck in alpha.C]
     pts = []
@@ -409,7 +403,7 @@ def finite_part(alpha, H):
         raise DgalError("identity matrix missing from the tau = id part")
     _finite_closure_check(fld, pts)
     ring = group_ring(n, fld)
-    gens = [_coerce_poly(ring, H.ring, g) for g in H.generators]
+    gens = _basis_in(ring, H)
     for m in pts:
         vals = [x for row in m for x in row]
         if not all(fld.is_zero(g.eval_consts(vals)) for g in gens):
@@ -420,15 +414,22 @@ def finite_part(alpha, H):
 
 def _finite_closure_check(fld, pts):
     """The points read off the conjugates of gamma form a group: their
-    set is closed under product and inverse."""
+    set is closed under product, and under inverse, which is read off
+    the same products: p has its inverse among the points when I is
+    among the products p q.  Each matrix is looked up by its tuple of
+    entries, which are canonical in a ConstField."""
+    members = {_entries(p) for p in pts}
+    ident = _entries(linalg.identity(fld, len(pts[0])))
     for p in pts:
-        inv = linalg.inverse(fld, p)
-        if not any(_mat_eq(fld, inv, q) for q in pts):
+        products = {_entries(linalg.matmul(fld, p, q)) for q in pts}
+        if not products <= members:
+            raise DgalError("finite part not closed under product")
+        if ident not in products:
             raise DgalError("finite part not closed under inverse")
-        for q in pts:
-            pq = linalg.matmul(fld, p, q)
-            if not any(_mat_eq(fld, pq, r) for r in pts):
-                raise DgalError("finite part not closed under product")
+
+
+def _entries(m):
+    return tuple(x for row in m for x in row)
 
 
 def _mat_eq(fld, a, b):
@@ -441,13 +442,14 @@ def sandwich_check(H, Hcirc, chars, Gcirc):
     """Certify kernel-of-characters(H deg) <= computed component <= H by
     ideal containment: each element of the component's reduced Groebner
     basis reduces to zero modulo the kernel's, and, unless the component
-    is H itself, each generator of H reduces to zero modulo the
-    component's.
+    is H itself, each element of H's reduced basis reduces to zero
+    modulo the component's.
 
-    Both bases are the ones the kernel and the component cache
+    The three bases are the ones the kernel, the component and H cache
     (``groebner_basis``), coerced into the join of the three fields: a
     reduced Groebner basis over k is the reduced basis of the same ideal
-    over any extension of k, in the same monomial order."""
+    over any extension of k, in the same monomial order.  H's basis
+    generates the same ideal as its generators, with fewer elements."""
     Ht = kernel_of_characters(Hcirc, chars)
     big = Ht.ring.field
     big = join(big, Gcirc.ring.field)
@@ -457,9 +459,8 @@ def sandwich_check(H, Hcirc, chars, Gcirc):
     gb_gc = _basis_in(ring, Gcirc)
     if not all(normal_form(g, gb_ht).is_zero() for g in gb_gc):
         return False
-    return Gcirc is H or all(
-        normal_form(_coerce_poly(ring, H.ring, g), gb_gc).is_zero()
-        for g in H.generators)
+    return Gcirc is H or all(normal_form(g, gb_gc).is_zero()
+                             for g in _basis_in(ring, H))
 
 
 def _basis_in(ring, G):

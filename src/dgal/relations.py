@@ -327,9 +327,10 @@ def certify(sys, basis, a):
     fundamental matrix F with F(a) = I.
 
     W is first closed under the derivation of P(F) along X' = A X
-    (``_derivative``): the closure W' keeps the degree of W and holds
-    only relations exactly when W does, since the derivative of a
-    relation is one.  Then a basis C of W' that is regular at a with
+    (``_derivative``, with each monomial's (X^m)' tabulated once per
+    call, its weights read off A): the closure W' keeps the degree of W
+    and holds only relations exactly when W does, since the derivative
+    of a relation is one.  Then a basis C of W' that is regular at a with
     k-independent values there (``_local_basis``) must vanish at t = a,
     X = I: (C_i(F))' = M (C_i(F)) with M regular at a, and a solution
     that is 0 at a is 0 (Cauchy uniqueness, the zero test for D-finite
@@ -354,8 +355,9 @@ def certify(sys, basis, a):
     acc = echelon.acc
     leads = set(acc.pivots)
     todo = list(basis)
+    table = {}
     while todo:
-        if not echelon.add(_derivative(sys, todo.pop())):
+        if not echelon.add(_derivative(sys, todo.pop(), table)):
             continue
         lead = next(pc for pc in acc.pivots if pc not in leads)
         leads.add(lead)
@@ -406,10 +408,35 @@ class _Echelon:
         return [self.poly(row) for row in self.acc.reduced_rows()]
 
 
-def _derivative(sys, P):
-    """The polynomial whose value at F is P(F)', as ``{monomial:
-    coefficient}``: d(c X^m) = c' X^m + c (X^m)' with X' = A X."""
+def _monomial_derivative(sys, m):
+    """(X^m)' along X' = A X, as [(target monomial, weight)]: the
+    exponent e of x_ij in m gives e A_il at m - e_ij + e_lj, since
+    x_ij' = sum_l A_il x_lj, and the weights of one target are summed
+    (the diagonal ones, l = i, all land on m itself)."""
     R, n, A = sys.R, sys.n, sys.A
+    out = {}
+    for p, e in enumerate(m):
+        if not e:
+            continue
+        i, j = divmod(p, n)
+        for l in range(n):
+            if not R.is_zero(A[i][l]):
+                tgt = list(m)
+                tgt[p] -= 1
+                tgt[l * n + j] += 1
+                tgt = tuple(tgt)
+                w = R.scale(A[i][l], R.const.from_int(e))
+                out[tgt] = R.add(out[tgt], w) if tgt in out else w
+    return [(tgt, w) for tgt, w in out.items() if not R.is_zero(w)]
+
+
+def _derivative(sys, P, table):
+    """The polynomial whose value at F is P(F)', as ``{monomial:
+    coefficient}``: d(c X^m) = c' X^m + c (X^m)', with (X^m)' from
+    ``table``, a dict from monomials to ``_monomial_derivative`` that
+    the calls of one certificate share and fill, so each term costs one
+    product per target monomial."""
+    R = sys.R
     out = {}
 
     def add(e, c):
@@ -421,17 +448,11 @@ def _derivative(sys, P):
 
     for m, c in P.terms.items():
         add(m, R.diff(c))
-        for p, e in enumerate(m):
-            if not e:
-                continue
-            i, j = divmod(p, n)
-            ce = R.scale(c, R.const.from_int(e))
-            for l in range(n):
-                if not R.is_zero(A[i][l]):
-                    tgt = list(m)
-                    tgt[p] -= 1
-                    tgt[l * n + j] += 1
-                    add(tuple(tgt), R.mul(ce, A[i][l]))
+        row = table.get(m)
+        if row is None:
+            row = table[m] = _monomial_derivative(sys, m)
+        for tgt, w in row:
+            add(tgt, R.mul(c, w))
     return out
 
 

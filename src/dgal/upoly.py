@@ -103,7 +103,14 @@ def gcd(field, f, g):
 
 
 def cofactors(field, f, g):
-    """(h, f/h, g/h) for nonzero f and g, h their monic gcd."""
+    """(h, f/h, g/h) for nonzero f and g, h their monic gcd.
+
+    A constant f or g has gcd 1 with the other, and both are returned as
+    they are (as new lists), with no gcd run; a rational function with a
+    constant numerator or denominator meets this case in most of its
+    sums and products."""
+    if len(f) == 1 or len(g) == 1:
+        return [field.one], list(f), list(g)
     if field.degree() == 1:
         got = _rational_cofactors(f, g)
         if got is not None:

@@ -30,6 +30,12 @@ def rationals(coeffs):
     return [sp.Rational(int(c.numerator), int(c.denominator)) for c in coeffs]
 
 
+def cyclotomic(d):
+    """sympy's d-th cyclotomic polynomial, as ascending ints."""
+    coeffs = sp.Poly(sp.cyclotomic_poly(d, _X)).all_coeffs()
+    return [int(c) for c in reversed(coeffs)]
+
+
 def poly(coeffs, var=_X, domain=QQ):
     """The sympy Poly with ascending rational ``coeffs``."""
     return sp.Poly(rationals(coeffs)[::-1], var, domain=domain)

@@ -316,3 +316,56 @@ def test_sympy_round_trip(coeffs, vec):
     for c in reversed(vec):
         a = fld.add(fld.mul(a, r), fld.from_fraction(c))
     assert fld.eq(from_sympy(fld, to_sympy(fld, a)), a)
+
+
+def _is_mth_roots(fld, roots, m):
+    """roots are m distinct solutions of z^m = 1, the identity first."""
+    return (len(roots) == m and fld.is_one(roots[0])
+            and len({fld.format(z) for z in roots}) == m
+            and all(fld.is_one(fld.pow(z, m)) for z in roots))
+
+
+@pytest.mark.parametrize("m", range(1, 37))
+def test_roots_of_unity_keep_the_split_field(m):
+    """The field of roots_of_unity is QQ adjoined a root of the factor of
+    x^m - 1 that factor_list sorts last, a highest-degree one, as
+    split_univariate builds it: Phi_m, or Phi_(m/2) when m = 2 mod 4 and
+    the sort puts it last (m = 6, but not m = 30)."""
+    k = QQ()
+    xm = [k.from_int(-1)] + [k.zero] * (m - 1) + [k.one]
+    fld, roots = fields.roots_of_unity(k, m)
+    last = fields.factor_list(k, xm)[0][-1][0]
+    if len(last) == 2:
+        assert fld.degree() == 1
+    else:
+        assert fld.minpoly_coeffs() == last
+    assert _is_mth_roots(fld, roots, m)
+    if m == 30:
+        # Phi_30 = x^8 + x^7 - x^5 - x^4 - x^3 + x + 1, not Phi_15
+        assert fld.minpoly_coeffs() == [1, 1, 0, -1, -1, -1, 0, 1, 1]
+    if m <= 10:
+        split, found = split_univariate(k, xm)
+        assert split is fld and all(mult == 1 for _, mult in found)
+        assert sorted(map(fld.format, roots)) == \
+            sorted(fld.format(r) for r, _ in found)
+
+
+OMEGA = field_adjoin(QQ(), [QQ().one, QQ().one, QQ().one])[0]
+
+
+@pytest.mark.parametrize("base,m,degree", [
+    (QQ_I, 4, 2), (QQ_I, 8, 4), (SQRT2, 8, 4), (SQRT2, 3, 4),
+    (OMEGA, 12, 4)])
+def test_roots_of_unity_over_a_number_field(base, m, degree):
+    """Over a number field the roots come from the first factor of the
+    cyclotomic polynomial there (i is already in QQ(i); zeta_8 is a root
+    of a quadratic factor of x^4 + 1 over QQ(i) or QQ(sqrt 2)), and the
+    field and the roots are those split_univariate gives."""
+    fld, roots = fields.roots_of_unity(base, m)
+    assert fld.degree() == degree
+    assert _is_mth_roots(fld, roots, m)
+    split, found = split_univariate(
+        base, [base.from_int(-1)] + [base.zero] * (m - 1) + [base.one])
+    assert fld.minpoly_coeffs() == split.minpoly_coeffs()
+    assert sorted(map(fld.format, roots)) == \
+        sorted(split.format(r) for r, _ in found)

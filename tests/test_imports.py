@@ -146,6 +146,15 @@ def test_points_are_solved_for_the_transport_search_only():
     assert readers == ["relations.py"]
 
 
+def test_finite_part_splits_no_polynomial():
+    # the finite part's roots of unity are the powers of one root of a
+    # cyclotomic factor (fields.roots_of_unity): the pipeline never
+    # splits x^M - 1, whose Trager split grows without bound in M
+    pipeline = (SRC / "pipeline.py").read_text()
+    assert attribute_reads(pipeline, "split_univariate") == 0
+    assert reaches(pipeline, "finite_part", "roots_of_unity")
+
+
 def reaches(source, func, name):
     """True when the module-level function or class ``func`` of
     ``source`` reads ``name`` as a name or an attribute, itself or

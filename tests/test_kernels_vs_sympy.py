@@ -8,7 +8,7 @@ and arithmetic, text form and partial fractions in Q(t)."""
 from fractions import Fraction
 
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import ZZ
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
@@ -106,6 +106,26 @@ def test_gcd_over_qq_matches_sympy(a, b, c):
     want = sp.gcd(poly(f), poly(g)).monic()
     assert poly(h) == want and upoly.gcd(QQ, f, g) == h
     assert _product(QQ, [h, cf]) == f and _product(QQ, [h, cg]) == g
+
+
+QQ_SQRT2 = field_adjoin(QQ, [QQ.from_int(-2), QQ.zero, QQ.one])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, QQ_SQRT2]),
+       st.lists(st.tuples(small, small), min_size=1, max_size=5),
+       st.tuples(small, small), st.booleans())
+def test_cofactors_of_a_constant_match_the_gcd(field, f, c, swap):
+    """A constant argument is returned with gcd 1 and no gcd run; that
+    is what the general gcd and exact division give."""
+    f = upoly.trim(field, [_element(field, a, b) for a, b in f])
+    c = _element(field, *c)
+    assume(f and not field.is_zero(c))
+    f, g = ([c], f) if swap else (f, [c])
+    h = upoly.gcd(field, f, g)
+    assert h == [field.one]
+    assert upoly.cofactors(field, f, g) == \
+        (h, upoly.exquo(field, f, h), upoly.exquo(field, g, h))
 
 
 @settings(max_examples=40, deadline=None)

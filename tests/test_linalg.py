@@ -39,13 +39,6 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve(K, B, [K.from_int(0), K.from_int(1)]) is None
 
 
-def test_inverse():
-    A = mk([[2, 1], [5, 3]])
-    inv = linalg.inverse(K, A)
-    prod = linalg.matmul(K, A, inv)
-    assert prod == linalg.identity(K, 2)
-
-
 small = st.integers(min_value=-9, max_value=9)
 
 

@@ -15,7 +15,8 @@ from dgal.lattice import congruence_lattice
 from dgal.multipoly import standard_monomials
 from dgal.pipeline import (AlphaData, GaloisGroupDescription,
                            PipelineConfig, _exponent, _fbar_in_component,
-                           _gamma_powers, _kummer_certified,
+                           _finite_closure_check, _gamma_powers,
+                           _kummer_certified,
                            _kummer_coefficients, _same_ideal,
                            find_alpha_fbar, finite_part, galois_group,
                            proto_galois, sandwich_check)
@@ -24,6 +25,7 @@ from dgal.relations import in_span
 from dgal.series import Series, TruncSeries, ratfunc_series
 from dgal.solve import solve_zero_dimensional
 from dgal.systems import MonomialSeries, OdeSystem
+from sympy_oracle import cyclotomic
 
 K = ConstField()
 R = RatFuncField(K)
@@ -412,23 +414,26 @@ def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
     pytest.param([["1/(6*t)"]], 6, 6, id="sixth"),
     pytest.param([["1/(3*t)", "0"], ["0", "2/(3*t)"]], 3, 3, id="thirds"),
 ])
-def test_finite_path_factors_x_m_minus_1_once(monkeypatch, rows, d, M):
-    # finite_part splits x^M - 1 over the system's QQ, and nothing else
-    # on the finite path factors a polynomial of degree M: H's exponent
-    # is read off its ideal, with no point solve.  The system gets a QQ
-    # of its own
+def test_finite_path_factors_one_cyclotomic_polynomial(monkeypatch, rows, d,
+                                                       M):
+    # the finite path factors no polynomial of degree M: H's exponent is
+    # read off its ideal, with no point solve, and the M-th roots of
+    # unity are the powers of a root of one cyclotomic factor of
+    # x^M - 1, the only one factored.  The system gets a QQ of its own
     Rq = RatFuncField(ConstField())
     factored = []
     factor_list = fields.factor_list
 
     def recording(field, coeffs):
-        factored.append(len(coeffs) - 1)
+        factored.append(list(coeffs))
         return factor_list(field, coeffs)
 
     monkeypatch.setattr(fields, "factor_list", recording)
     desc = run(OdeSystem(Rq, [[Rq.parse(e) for e in row] for row in rows]), d)
     assert desc.finite and desc.order == M
-    assert factored.count(M) == 1
+    assert all(len(f) - 1 != M for f in factored)
+    phis = [cyclotomic(e) for e in range(1, M + 1) if M % e == 0]
+    assert sum(f in phis for f in factored) == 1
 
 
 def _diag23_proto():
@@ -478,9 +483,50 @@ def test_finite_part_reads_the_projections():
     assert [[[fld.format(x) for x in row] for row in m] for m in pts] == \
         [[["1", "0"], ["0", "1"]], [["-1", "-2"], ["0", "1"]]]
     # a point outside H breaks G <= H
-    H.generators[1] = ring.parse("x_1_2")
+    bad = AlgebraicSubgroup(2, ring, [ring.parse(g) for g in [
+        "x_1_1^2 - 1", "x_1_2", "x_2_1", "x_2_2 - 1"]])
     with pytest.raises(DgalError):
-        finite_part(alpha, H)
+        finite_part(alpha, bad)
+
+
+def test_eleventh_roots_without_a_split(monkeypatch):
+    # y' = y/(11 t) has the group mu_11; its points come from a root of
+    # Phi_11, and x^11 - 1, whose Trager split took seconds, is never
+    # factored
+    factor_list = fields.factor_list
+
+    def refuse_x11(field, coeffs):
+        assert len(coeffs) <= 11, "x^11 - 1 factored on the finite path"
+        return factor_list(field, coeffs)
+
+    monkeypatch.setattr(fields, "factor_list", refuse_x11)
+    desc = run(sys_of(["1/(11*t)"]), 11)
+    assert desc.finite and desc.order == 11 and desc.sandwich_checked
+    assert desc.points_field.degree() == 10
+
+
+def _diagonal_points(fld, *diagonals):
+    return [[[d[i] if i == j else fld.zero for j in range(len(d))]
+             for i in range(len(d))] for d in diagonals]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_closure_check_accepts_roots_of_unity(m):
+    fld, roots = fields.roots_of_unity(K, m)
+    _finite_closure_check(fld, _diagonal_points(
+        fld, *([z, fld.mul(z, z)] for z in roots)))
+
+
+def test_closure_check_refuses_a_missing_inverse_or_product():
+    one, zero, m1 = K.one, K.zero, K.from_int(-1)
+    # {I, e_11} is closed under product, but e_11 has no inverse
+    with pytest.raises(DgalError, match="inverse"):
+        _finite_closure_check(K, _diagonal_points(K, [one, one],
+                                                  [one, zero]))
+    # each sign change is its own inverse, but their product -I is missing
+    with pytest.raises(DgalError, match="product"):
+        _finite_closure_check(K, _diagonal_points(K, [one, one], [m1, one],
+                                                  [one, m1]))
 
 
 def _kummer_sum_series(C, M, a, order):

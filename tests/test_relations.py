@@ -14,8 +14,8 @@ from dgal.ratfunc import RatFuncField
 from dgal.relations import (certify, find_relations,
                             graded_lex_order, matrix_var_names, order_bound,
                             relation_ideal, second_point_check,
-                            _AnsatzBuilder, _Echelon, _kernel_to_polys,
-                            _local_basis,
+                            _AnsatzBuilder, _Echelon, _derivative,
+                            _kernel_to_polys, _local_basis,
                             _ProductPowers, _RelationSolve, _row_reduce_polys,
                             _shift_generators)
 from dgal.series import Series
@@ -758,3 +758,53 @@ def test_product_powers_expand_p_of_xy(case):
         {e + (0,) * nsq: c for e, c in P.terms.items()}).substitute(subst)
     assert ring_xy.from_dict({xe + ye: c for (xe, ye), c in got.items()}) \
         == substituted
+
+
+def _derivative_term_by_term(sys, P):
+    """P(F)' as {monomial: coefficient}, one product per term, position
+    and column: d(c X^m) = c' X^m + sum e c A_il X^(m - e_ij + e_lj)."""
+    R, n, A = sys.R, sys.n, sys.A
+    out = {}
+    for m, c in P.terms.items():
+        parts = [(m, R.diff(c))]
+        for p, e in enumerate(m):
+            i, j = divmod(p, n)
+            for l in range(n):
+                if e and not R.is_zero(A[i][l]):
+                    tgt = list(m)
+                    tgt[p] -= 1
+                    tgt[l * n + j] += 1
+                    parts.append((tuple(tgt), R.mul(
+                        R.scale(c, K.from_int(e)), A[i][l])))
+        for tgt, x in parts:
+            out[tgt] = R.add(out.get(tgt, R.zero), x)
+    return {e: c for e, c in out.items() if not R.is_zero(c)}
+
+
+DERIVATIVE_SYSTEMS = {
+    "airy": [["0", "1"], ["t - 1/2", "0"]],
+    "diagonal": [["1/(3*t)", "0"], ["0", "2/(3*t - 1)"]],
+}
+small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(DERIVATIVE_SYSTEMS)),
+       st.lists(st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=4,
+                                            max_size=4),
+                                   small_q, small_q, small_q),
+                         min_size=1, max_size=4), min_size=1, max_size=3))
+def test_derivative_table_matches_the_term_by_term_formula(name, polys):
+    # certify's derivations share one table of (X^m)'; with it each
+    # derivative is the one the term-by-term formula gives
+    s = sys_of(*DERIVATIVE_SYSTEMS[name])
+    ring = PolyRing(R, matrix_var_names(2), graded_lex_order(4))
+    table = {}
+    for terms in polys:
+        P = ring.zero
+        for m, a, b, c in terms:
+            # (a + b t) / (1 + c t)
+            coeff = R.from_coeffs([K.from_fraction(a), K.from_fraction(b)],
+                                  [K.one, K.from_fraction(c)])
+            P = P + ring.from_dict({tuple(m): coeff})
+        assert _derivative(s, P, table) == _derivative_term_by_term(s, P)
