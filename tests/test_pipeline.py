@@ -413,6 +413,8 @@ def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
 @pytest.mark.parametrize("rows,d,M", [
     pytest.param([["1/(6*t)"]], 6, 6, id="sixth"),
     pytest.param([["1/(3*t)", "0"], ["0", "2/(3*t)"]], 3, 3, id="thirds"),
+    # the Trager split of x^11 - 1 took seconds
+    pytest.param([["1/(11*t)"]], 11, 11, id="eleventh"),
 ])
 def test_finite_path_factors_one_cyclotomic_polynomial(monkeypatch, rows, d,
                                                        M):
@@ -487,22 +489,6 @@ def test_finite_part_reads_the_projections():
         "x_1_1^2 - 1", "x_1_2", "x_2_1", "x_2_2 - 1"]])
     with pytest.raises(DgalError):
         finite_part(alpha, bad)
-
-
-def test_eleventh_roots_without_a_split(monkeypatch):
-    # y' = y/(11 t) has the group mu_11; its points come from a root of
-    # Phi_11, and x^11 - 1, whose Trager split took seconds, is never
-    # factored
-    factor_list = fields.factor_list
-
-    def refuse_x11(field, coeffs):
-        assert len(coeffs) <= 11, "x^11 - 1 factored on the finite path"
-        return factor_list(field, coeffs)
-
-    monkeypatch.setattr(fields, "factor_list", refuse_x11)
-    desc = run(sys_of(["1/(11*t)"]), 11)
-    assert desc.finite and desc.order == 11 and desc.sandwich_checked
-    assert desc.points_field.degree() == 10
 
 
 def _diagonal_points(fld, *diagonals):
