@@ -1,8 +1,10 @@
-"""Command line interface.
+"""Command line interface: ``dgal <subcommand> [options]``.
 
-Subcommands: bounds, series, relations, protogroup, characters, galois.
-Exit codes: 0 success, 1 internal error, 2 unsupported instance,
-3 resource cap, 4 singular expansion point.
+Subcommands: bounds, series, relations, protogroup, characters, galois,
+with the options in ``COMMANDS``: ``--flag value`` or ``--flag=value``,
+never abbreviated.  ``-h``/``--help`` exits 0, a usage error exits 2;
+a run exits 0 on success, 1 on an internal error, 2 on an unsupported
+instance, 3 at a resource cap and 4 at a singular expansion point.
 
 The galois subcommand refuses to run without --degree-override: the
 unconditional degree bound is astronomically large by construction, so
@@ -10,13 +12,14 @@ it is printed symbolically instead of being executed, and results under
 an override are labeled relative to that degree.
 """
 
-import argparse
+import re
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import DgalError, InputError
 from .groups import characters_generators, identity_component
 from .pipeline import PipelineConfig, galois_group, proto_galois
+from .rational import Rational
 from .relations import find_relations
 from .systems import OdeSystem
 
@@ -31,12 +34,26 @@ def _load_system(path):
     return OdeSystem.from_document(text)
 
 
+# the strings fractions.Fraction reads: an integer, p/q or a decimal
+_RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                       r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*)?)?"
+                       r"(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
+
+
 def _point(sys_, text):
     """The expansion point given on the command line, or t = 1."""
     if text is None:
         return sys_.R.const.one
+    got = _RATIONAL.fullmatch(text)
     try:
-        value = Fraction(text)
+        if got is None:
+            raise ValueError(text)
+        sign, whole, den, decimal, exp = got.groups()
+        decimal = (decimal or "").replace("_", "")
+        num = int(whole or "0") * 10 ** len(decimal) + int(decimal or "0")
+        e = int(exp or "0") - len(decimal)
+        value = Rational((-num if sign == "-" else num) * 10 ** max(e, 0),
+                         int(den or "1") * 10 ** max(-e, 0))
     except (ValueError, ZeroDivisionError):
         raise InputError("expansion point %r is not a rational number"
                          % text) from None
@@ -127,88 +144,113 @@ def cmd_galois(args):
     return 0
 
 
-def _add_common(p):
-    """The options of every subcommand that expands the system at a point
-    and solves for its relations."""
-    p.add_argument("--system", required=True, help="system document file")
-    p.add_argument("--point", help="expansion point (a rational number)")
-    p.add_argument("--coeff-degree", type=int, default=2, dest="coeff_degree",
-                   help="rational coefficient degree cap")
-    p.add_argument("--order", type=int,
-                   help="explicit truncation order (default: the first "
-                        "order whose relation basis is certified)")
+# (flag, dest, type, default, required, help) of every subcommand that
+# expands the system at a point and solves for its relations; a required
+# option's default is None
+_COMMON = (
+    ("--system", "system", str, None, True, "system document file"),
+    ("--point", "point", str, None, False,
+     "expansion point (a rational number)"),
+    ("--coeff-degree", "coeff_degree", int, 2, False,
+     "rational coefficient degree cap"),
+    ("--order", "order", int, None, False,
+     "explicit truncation order (default: the first certified one)"),
+)
+_DEGREE = ("--degree", "degree", int, None, True, "relation degree cap")
 
-
-def _bounds_args(p):
-    p.add_argument("--n", type=int, default=1, help="system dimension")
-    p.add_argument("--exact-bit-cap", type=int, default=None,
-                   dest="exact_bit_cap",
-                   help="bit cap for exact bound evaluation")
-
-
-def _series_args(p):
-    p.add_argument("--system", required=True)
-    p.add_argument("--point")
-    p.add_argument("--order", type=int, default=10)
-
-
-def _degree_args(p):
-    _add_common(p)
-    p.add_argument("--degree", type=int, required=True,
-                   help="relation degree cap")
-
-
-def _galois_args(p):
-    _add_common(p)
-    p.add_argument("--degree-override", type=int, default=None,
-                   dest="degree_override",
-                   help="run relative to this relation degree")
-
-
-# name -> (help line, handler, options), in the order of the listing
+# name -> (help line, handler, option specs), in the order of the listing
 COMMANDS = {
-    "bounds": ("print the symbolic degree bound tower", cmd_bounds,
-               _bounds_args),
-    "series": ("truncated fundamental matrix", cmd_series, _series_args),
-    "relations": ("relation ideal basis", cmd_relations, _degree_args),
+    "bounds": ("print the symbolic degree bound tower", cmd_bounds, (
+        ("--n", "n", int, 1, False, "system dimension"),
+        ("--exact-bit-cap", "exact_bit_cap", int, None, False,
+         "bit cap for exact bound evaluation"))),
+    "series": ("truncated fundamental matrix", cmd_series, _COMMON[:2] + (
+        ("--order", "order", int, 10, False, "truncation order"),)),
+    "relations": ("relation ideal basis", cmd_relations, _COMMON + (_DEGREE,)),
     "protogroup": ("stabilizer of the relation ideal", cmd_protogroup,
-                   _degree_args),
+                   _COMMON + (_DEGREE,)),
     "characters": ("character lattice of the identity component",
-                   cmd_characters, _degree_args),
-    "galois": ("full Galois group computation", cmd_galois, _galois_args),
+                   cmd_characters, _COMMON + (_DEGREE,)),
+    "galois": ("full Galois group computation", cmd_galois, _COMMON + (
+        ("--degree-override", "degree_override", int, None, False,
+         "run relative to this relation degree"),)),
 }
 
 
-def build_parser(only=None):
-    """The dgal argument parser.  With ``only`` set to a subcommand name,
-    the other subcommands' parsers are not built, and the usage line
-    still lists them all, so that subcommand's help and errors read as
-    under the full parser."""
-    parser = argparse.ArgumentParser(
-        prog="dgal",
-        description="differential Galois groups of linear ODE systems "
-                    "over the rational functions, in exact arithmetic")
-    # argparse names the subcommand argument by its metavar in errors,
-    # so the full parser keeps the default one
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if only is None else "{%s}" % ",".join(COMMANDS))
-    for name, (text, func, add_args) in COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=text)
-            add_args(p)
-            p.set_defaults(func=func)
-    return parser
+def _exit(name, code, text):
+    """End the process with the help (code 0, on stdout) or as a usage
+    error (code 2, on stderr), after the usage line of ``name``."""
+    usage = ("usage: dgal [-h] {%s} ...\n" % ",".join(COMMANDS) if name is None
+             else "usage: dgal %s [-h] %s\n" % (name, " ".join(
+                 ("%s %s" if req else "[%s %s]") % (flag, dest.upper())
+                 for flag, dest, _, _, req, _ in COMMANDS[name][2])))
+    if code:
+        sys.stderr.write(usage + "dgal: error: %s\n" % text)
+    else:
+        sys.stdout.write(usage + text)
+    raise SystemExit(code)
+
+
+def _help(name):
+    """End the process with the help of dgal, or of its subcommand
+    ``name``: what it does, then one aligned row per command or option."""
+    if name is None:
+        text, title = ("differential Galois groups of linear ODE systems "
+                       "over the rational functions, in exact arithmetic",
+                       "commands")
+        rows = [(cmd, spec[0]) for cmd, spec in COMMANDS.items()]
+    else:
+        text, title = COMMANDS[name][0], "options"
+        rows = [("-h, --help", "show this help message and exit")] + [
+            ("%s %s" % (flag, dest.upper()), hint)
+            for flag, dest, _, _, _, hint in COMMANDS[name][2]]
+    width = max(len(row) for row, _ in rows)
+    _exit(name, 0, "\n%s\n\n%s:\n%s\n" % (text, title, "\n".join(
+        "  %-*s  %s" % (width, row, hint) for row, hint in rows)))
+
+
+def parse_args(argv):
+    """The handler and the options of a command line, read off COMMANDS:
+    ``--flag value`` or ``--flag=value``, the last given counts, with no
+    abbreviation.  ``-h``/``--help`` and usage errors end the process."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        _help(None)
+    if name not in COMMANDS:
+        _exit(None, 2, "argument command: invalid choice: %r (choose from %s)"
+              % (name, ", ".join(map(repr, COMMANDS))) if argv else
+              "the following arguments are required: command")
+    specs = {spec[0]: spec for spec in COMMANDS[name][2]}
+    args = {dest: default for _, dest, _, default, _, _ in specs.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(name)
+        flag, eq, value = token.partition("=")
+        if flag not in specs:
+            _exit(name, 2, "unrecognized arguments: %s" % token)
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                _exit(name, 2, "argument %s: expected one argument" % flag)
+        _, dest, kind, _, _, _ = specs[flag]
+        try:
+            args[dest] = kind(value)
+        except ValueError:
+            _exit(name, 2, "argument %s: invalid %s value: %r"
+                  % (flag, kind.__name__, value))
+    missing = [flag for flag, dest, _, _, req, _ in specs.values()
+               if req and args[dest] is None]
+    if missing:
+        _exit(name, 2, "the following arguments are required: %s"
+              % ", ".join(missing))
+    return COMMANDS[name][1], SimpleNamespace(**args)
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # only the parser of the subcommand asked for; no subcommand, --help
-    # or an unknown name gets the full parser and its listing
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(only).parse_args(argv)
+    func, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return func(args)
     except DgalError as err:
         print("error: %s" % err, file=sys.stderr)
         return err.exit_code

@@ -105,10 +105,10 @@ def rref(field, mat):
     RrefAccumulator (``add_sparse``), the one elimination of dgal."""
     if not mat:
         return [], []
-    cols, zero, is_zero = len(mat[0]), field.zero, field.is_zero
+    cols, zero = len(mat[0]), field.zero
     acc = RrefAccumulator(field, cols)
     for row in mat:
-        acc.add_sparse({j: x for j, x in enumerate(row) if not is_zero(x)})
+        acc.add_sparse(row)
     R = [[row.get(j, zero) for j in range(cols)] for row in acc.reduced_rows()]
     return R + zeros(field, len(mat) - acc.rank, cols), acc.pivots
 
@@ -171,19 +171,11 @@ class RrefAccumulator:
         self._fresh = set()  # pivots not yet cleared from the other rows
 
     def add_row(self, row):
-        """Reduce and insert a row, dense as a list or sparse as
-        ``{column: nonzero value}`` (taken over, as by add_sparse);
-        returns True if the rank grew."""
-        if not isinstance(row, dict):
-            f = self.field
-            row = {j: x for j, x in enumerate(row) if not f.is_zero(x)}
-        return self.add_sparse(row)
-
-    def add_sparse(self, new):
-        """add_row for a row given as ``{column: nonzero value}``; the
-        dict is taken over, not copied."""
+        """Reduce and insert a row, a dense list, or over an exact field
+        also ``{column: nonzero value}`` (taken over, not copied), as
+        ``field.reduce_row`` reads it; returns True if the rank grew."""
         f = self.field
-        new = f.reduce_row(new, self._rows, self.pivots, self.cols)
+        new = f.reduce_row(row, self._rows, self.pivots)
         if not new:
             return False
         pc = min(new)
@@ -201,6 +193,9 @@ class RrefAccumulator:
         self._rows[pc] = new
         bisect.insort(self.pivots, pc)
         return True
+
+    # for rref and the relation basis, so a trace of add_row counts ansatz rows
+    add_sparse = add_row
 
     def _back_substitute(self):
         """Clear the pivot columns added since the last read from the
@@ -267,12 +262,15 @@ class RrefAccumulator:
         return top
 
 
-def reduce_row(field, target, rows, pivots, cols):
-    """The row kernel of elimination over QQ, QQ(g) and k(t): target
-    reduced by the reduced rows ``{pivot: row}`` at the ``pivots`` it
-    has, in one ``field.sub_multiples`` with its entries there as
-    multipliers; a reduced row is zero at every other pivot, so no pivot
-    entry changes.  The row length ``cols`` is not needed."""
+def reduce_row(field, target, rows, pivots):
+    """The row kernel of elimination over QQ, QQ(g) and k(t): target, a
+    dense list or ``{column: nonzero value}`` (taken over), reduced by
+    the reduced rows ``{pivot: row}`` at the ``pivots`` it has, in one
+    ``field.sub_multiples`` with its entries there as multipliers; a
+    reduced row is zero at every other pivot, so no pivot entry changes."""
+    if not isinstance(target, dict):
+        is_zero = field.is_zero
+        target = {j: x for j, x in enumerate(target) if not is_zero(x)}
     return field.sub_multiples(target, [(target.pop(pc), rows[pc]) for pc
                                         in [j for j in pivots if j in target]])
 
@@ -382,16 +380,14 @@ class PrimeField:
     # entry of GF(p) stays one word however many pivots it meets
     defers_back_substitution = True
 
-    def reduce_row(self, target, rows, pivots, cols):
+    def reduce_row(self, target, rows, pivots):
         """The row kernel of elimination: target reduced by the echelon
         rows ``{pivot: row}`` in ascending pivot order (``pivots``), for a
-        row may put entries at later pivots.  On a dense list of plain
-        ints, ``cols`` long: an entry is reduced mod p when it becomes a
+        row may put entries at later pivots.  On a copy of target, a dense
+        list of plain ints: an entry is reduced mod p when it becomes a
         multiplier, every other entry once at the end."""
         p = self.p
-        dense = [0] * cols
-        for j, x in target.items():
-            dense[j] = x
+        dense = list(target)
         for pc in pivots:
             c = dense[pc] % p
             if c:

@@ -89,25 +89,17 @@ class _AnsatzBuilder:
         self.series = MonomialSeries(sys, a, d, field)
         self.field = self.series.field
         self.monos = self.series.monos
-        width = 2 * ell + 1
-        self.ncols = len(self.monos) * width
-        # the columns (monomial, i) of each u-power i, by monomial
-        self._columns = [range(i, self.ncols, width) for i in range(width)]
-
-    def sparse_row(self, order_k):
-        """Constraint from the coefficient of u^order_k, as ``{column:
-        nonzero value}`` read straight off the series store: column
-        (monomial, i) holds the monomial's coefficient of u^(order_k - i).
-        A zero of k or GF(p) is falsy."""
-        vecs = self.series.extend(order_k)
-        return {j: x for i, cols in enumerate(self._columns[:order_k + 1])
-                for j, x in zip(cols, vecs[order_k - i]) if x}
+        self.width = 2 * ell + 1
+        self.ncols = len(self.monos) * self.width
 
     def row(self, order_k):
-        """The same constraint as a dense list."""
+        """Constraint from the coefficient of u^order_k, as a dense list
+        read off the series store: column (monomial, i) holds the
+        monomial's coefficient of u^(order_k - i), one slice per i."""
+        vecs, width = self.series.extend(order_k), self.width
         out = [self.field.zero] * self.ncols
-        for j, x in self.sparse_row(order_k).items():
-            out[j] = x
+        for i in range(min(order_k + 1, width)):
+            out[i::width] = vecs[order_k - i]
         return out
 
 
@@ -184,7 +176,7 @@ class _RelationSolve:
 
     def _add_row(self):
         """Add the next row; returns True if the rank grew."""
-        row = self.builder.sparse_row(self.nrows)
+        row = self.builder.row(self.nrows)
         self.nrows += 1
         return self.acc.add_row(row)
 
@@ -193,7 +185,7 @@ class _RelationSolve:
         ``{column: value}`` over k: lifted from GF(p) to k = QQ by
         rational reconstruction when modular (None when an entry has no
         lift)."""
-        free = _shift_generators(self.acc, 2 * self.builder.ell + 1)
+        free = _shift_generators(self.acc, self.builder.width)
         return (linalg.lift_kernel(self.acc, free) if self.modular
                 else self.acc.kernel_vectors(free))
 
@@ -528,7 +520,7 @@ def _kernel_to_polys(builder, kernel, ring, a):
     that is shifted back to t."""
     R = builder.R
     k = R.const
-    width = 2 * builder.ell + 1
+    width = builder.width
     out = []
     for vec in kernel:
         ucoeffs = {}

@@ -1,16 +1,18 @@
-import argparse
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import dgal
-from dgal.cli import COMMANDS, build_parser, main
+from dgal.cli import COMMANDS, _point, main, parse_args
+from dgal.errors import InputError
+from dgal.systems import OdeSystem
 
 
 @pytest.fixture
@@ -59,38 +61,67 @@ def test_galois_meaningless_caps_exit_2(capsys, doc, flags):
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
 
 
-def subparsers(parser):
-    return next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
+def usage_exit(capsys, argv):
+    """Exit code, stdout and stderr lines of a command line that ends the
+    process before any run: its help or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err.splitlines()
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_lone_subcommand_parser_reads_as_in_the_full_parser(capsys, name):
-    full_help = subparsers(build_parser())[name].format_help()
-    lone = build_parser(name)
-    assert list(subparsers(lone)) == [name]
-    assert subparsers(lone)[name].format_help() == full_help
-    assert lone.format_usage() == build_parser().format_usage()
-    with pytest.raises(SystemExit) as exc:
-        main([name, "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out == full_help
+def test_subcommand_help_lists_every_option(capsys, name):
+    for flag in ["--help", "-h"]:
+        code, out, err = usage_exit(capsys, [name, flag])
+        assert (code, err) == (0, [])
+        assert out.startswith("usage: dgal %s [-h] " % name)
+        for option, dest, _type, _default, _required, text in \
+                COMMANDS[name][2]:
+            assert text and re.search(r"^ +%s %s +%s$" % (
+                option, dest.upper(), re.escape(text)), out, re.M)
 
 
-@pytest.mark.parametrize("argv", [
-    ["galois", "--system", "sys.txt", "--bogus"],
-    ["galois", "--system", "sys.txt", "extra"],
-    ["relations", "--system", "sys.txt"],
-    ["bounds", "--n", "two"],
+@pytest.mark.parametrize("argv,token", [
+    pytest.param(["galois", "--system", "sys.txt", "--bogus"], "--bogus",
+                 id="unknown-flag"),
+    pytest.param(["galois", "--system", "sys.txt", "extra"], "extra",
+                 id="stray-positional"),
+    pytest.param(["relations", "--system", "sys.txt"], "--degree",
+                 id="missing-required"),
+    pytest.param(["bounds", "--n", "two"], "'two'", id="bad-int"),
+    pytest.param(["galois", "--system", "sys.txt", "--degree-o", "2"],
+                 "--degree-o", id="prefix-abbreviation"),
+    pytest.param(["relations", "--degree", "1", "--system"], "--system",
+                 id="flag-without-value"),
 ])
-def test_lone_parser_errors_read_as_in_the_full_parser(capsys, argv):
-    with pytest.raises(SystemExit) as full:
-        build_parser().parse_args(argv)
-    expected = capsys.readouterr()
-    with pytest.raises(SystemExit) as lone:
-        main(argv)
-    assert lone.value.code == full.value.code == 2
-    assert capsys.readouterr() == expected
+def test_usage_errors_exit_2(capsys, argv, token):
+    code, out, err = usage_exit(capsys, argv)
+    assert (code, out, len(err)) == (2, "", 2)
+    assert err[0].startswith("usage: dgal %s [-h] " % argv[0])
+    assert err[1].startswith("dgal: error: ") and token in err[1]
+
+
+COMMON_DEFAULTS = {"point": None, "coeff_degree": 2, "order": None}
+
+
+@pytest.mark.parametrize("argv,options", [
+    pytest.param(["relations", "--system", "s", "--degree", "1",
+                  "--point", "-1/2"],
+                 dict(COMMON_DEFAULTS, system="s", degree=1, point="-1/2"),
+                 id="relations"),
+    pytest.param(["galois", "--system", "s", "--order", "3", "--order", "4"],
+                 dict(COMMON_DEFAULTS, system="s", order=4,
+                      degree_override=None), id="galois-last-counts"),
+    pytest.param(["bounds", "--exact-bit-cap", "8"],
+                 {"n": 1, "exact_bit_cap": 8}, id="bounds"),
+])
+def test_flag_equals_value_reads_as_flag_then_value(argv, options):
+    joined = argv[:1] + ["%s=%s" % pair
+                         for pair in zip(argv[1::2], argv[2::2])]
+    for line in [argv, joined]:
+        func, args = parse_args(line)
+        assert func is COMMANDS[argv[0]][1] and vars(args) == options
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["gal"]])
@@ -111,6 +142,29 @@ def test_missing_system_file(capsys, tmp_path):
     code, lines = refused(capsys, ["relations", "--system", missing,
                                    "--degree", "1"])
     assert code == 2 and len(lines) == 1 and missing in lines[0]
+
+
+POINT_SYSTEM = OdeSystem.from_document("n: 1\nA[1][1]: 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-3", "+7", "1/2", "-2/6", " 2 ", "0.5", "-1e-3", "1.", ".5",
+    "1.e2", "1E+2", "1_000", "1_0.2_5e1_0", "\t3/4\n", "\u0663/4",
+    "abc", "", " ", ".", "-", "1/0", "0/0", "1/-2", "1 /2", "1/ 2", "1/2.5",
+    "1e", "e5", "1..2", "1__0", "_1", "1_", "1.5_", "1.d", "0x10", "1e2/3",
+    "inf", "nan", "1/2/3", "--1", "\u00bd",
+])
+def test_point_reads_what_fraction_reads(text):
+    """--point takes the strings fractions.Fraction takes, as the same
+    numbers, and refuses the others."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError):
+            _point(POINT_SYSTEM, text)
+    else:
+        got = _point(POINT_SYSTEM, text)
+        assert Fraction(got.numerator, got.denominator) == want
 
 
 def test_malformed_point(capsys, doc):
@@ -295,13 +349,13 @@ def test_caps_checked_before_the_point(capsys, pole_doc, command):
 
 # imports the CLI, then runs galois on each system with its flags in
 # the same interpreter; prints the exit codes and, after the import and
-# after the runs, the sympy and mpmath modules loaded
+# after the runs, the modules loaded of those a run must not pay for
 _IMPORTS_DURING_RUNS = """
 import json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m.split(".")[0] in ("sympy", "mpmath"))
+    return sorted(m for m in sys.modules if m.split(".")[0] in (
+        "sympy", "mpmath", "argparse", "gettext", "fractions", "decimal"))
 
 from dgal.cli import main
 after_import = loaded()
@@ -314,7 +368,10 @@ print(json.dumps([after_import, codes, loaded()]))
 def test_galois_runs_import_no_sympy():
     """dgal does its own arithmetic: importing the CLI and running
     galois on the six worked examples loads no sympy module, and no
-    mpmath either, which only the symbolic bound needs."""
+    mpmath either, which only the symbolic bound needs.  Nor does a run
+    pay for a cold argparse (which loads gettext) or for fractions and
+    decimal: the CLI reads its arguments and the expansion point
+    itself."""
     from test_golden import EXAMPLES, GOLDEN
     runs = [[str(GOLDEN / (name + ".sys")), flags] for name, flags in EXAMPLES]
     env = dict(os.environ,

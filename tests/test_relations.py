@@ -420,9 +420,8 @@ class _CountingPrimeField(linalg.PrimeField):
 
     updates = 0
 
-    def reduce_row(self, target, rows, pivots, cols):
-        return super().reduce_row(target, _CountingRows(self, rows), pivots,
-                                  cols)
+    def reduce_row(self, target, rows, pivots):
+        return super().reduce_row(target, _CountingRows(self, rows), pivots)
 
     def sub_multiples(self, target, pairs):
         self.updates += sum(len(source) for _c, source in pairs)
