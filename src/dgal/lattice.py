@@ -152,19 +152,3 @@ def congruence_lattice(rows, cols=None):
     ker = integer_kernel(big, cols + p)
     return hnf_basis([v[:cols] for v in ker])
 
-
-def intersect_with_kernel(generators, eq_rows):
-    """Basis of the sublattice of <generators> satisfying the rational
-    linear equations eq_rows (rational entries): pull the equations back
-    to coefficient space and push its kernel forward."""
-    gens = hnf_basis(generators)
-    if not gens:
-        return []
-    if not eq_rows:
-        return gens
-    pulled = [[sum(as_rational(e) * g[j] for j, e in enumerate(row)) for g in gens]
-              for row in eq_rows]
-    ck = rational_kernel_lattice(pulled, len(gens))
-    out = [[sum(c * g[j] for c, g in zip(cv, gens)) for j in range(len(gens[0]))]
-           for cv in ck]
-    return hnf_basis(out)

@@ -331,25 +331,19 @@ def _fbar_in_component(sys, rel, H, chars):
 # -- identity component of the Galois group -----------------------------
 
 def character_binomials(chars, rl, ring):
-    """Group equations from the hyperexponential relation lattice: each
-    relation h_j^m = f * prod h_i^{e_i} forces chi_j^m = prod chi_i^{e_i}
-    on the Galois group, and each self relation forces chi_j^m = 1."""
+    """Group equations from the relation lattice L: chi^m is a rational
+    function at F_bar for each m in L's basis, so chi^(m+) = chi^(m-)
+    on the Galois group, m+ and m- the positive and negative parts."""
+    xs = [_coerce_poly(ring, ch.ring, ch.poly) for ch in chars]
     gens = []
-
-    def chi(i):
-        return _coerce_poly(ring, chars[i].ring, chars[i].poly)
-
-    for r in rl.relations:
-        lhs = chi(r.j) ** r.m
-        rhs = ring.one
-        for i, e in sorted(r.exponents.items()):
+    for m in rl.basis:
+        pos, neg = ring.one, ring.one
+        for x, e in zip(xs, m):
             if e > 0:
-                rhs = rhs * chi(i) ** e
+                pos = pos * x ** e
             elif e < 0:
-                lhs = lhs * chi(i) ** (-e)
-        gens.append(lhs - rhs)
-    for r in rl.self_relations:
-        gens.append(chi(r.j) ** r.m - ring.one)
+                neg = neg * x ** -e
+        gens.append(pos - neg)
     return gens
 
 
@@ -547,8 +541,7 @@ def _group_of(sys, cfg, H, rel):
             rl = relation_lattice(elements)
             Gcirc = build_J_barH(Hcirc, chars, rl)
             provenance["alpha"] = "alpha = I"
-            provenance["hyperexp_relations"] = len(rl.relations) + \
-                len(rl.self_relations)
+            provenance["hyperexp_relations"] = len(rl.basis)
             if not _same_ideal(Gcirc, Hcirc):
                 raise UnsupportedInstanceError(
                     "the character relations cut the component properly; "

@@ -217,34 +217,41 @@ def test_criterion_5_character_lattices():
 
 
 def test_criterion_6_hyperexponential_lattice():
+    def verifies(rl, texts):
+        # exact log-derivative identity f'/f = sum m_j v_j for every
+        # basis vector m of L and its cofactor f
+        Rl = rl.R
+        for m, f in zip(rl.basis, rl.cofactors):
+            combo = Rl.zero
+            for mj, text in zip(m, texts):
+                combo = Rl.add(combo, Rl.scale(Rl.parse(text),
+                                               K.from_int(mj)))
+            if not Rl.eq(Rl.div(Rl.diff(f), f), combo):
+                return False
+        return True
+
     def check():
-        h1 = HyperexpElement(R, R.parse("1/t"))
-        h2 = HyperexpElement(R, R.parse("1/(2*t)"))
-        rl = relation_lattice([h1, h2])
-        assert rl.eta == [0]
-        assert len(rl.relations) == 1
-        r = rl.relations[0]
-        assert (r.j, r.m, dict(r.exponents)) == (1, 2, {0: 1})
-        assert r.R.is_one(r.f)
-        # exact log-derivative identity: m*v_j - sum e_i v_i = f'/f
-        lhs = r.R.sub(r.R.scale(h2.v, K.from_int(r.m)),
-                      r.R.scale(h1.v, K.from_int(r.exponents[0])))
-        rhs = r.R.div(r.R.diff(r.f), r.f)
-        assert r.R.eq(lhs, rhs)
+        from dgal.lattice import hnf_basis
+        pair = ("1/t", "1/(2*t)")
+        rl = relation_lattice([HyperexpElement(R, R.parse(v)) for v in pair])
+        t = R.parse("t")
+        assert rl.basis == [[1, 0], [0, 2]]
+        assert all(R.eq(f, t) for f in rl.cofactors)
+        assert verifies(rl, pair)
+        # h2^2 = h1: (-1, 2) = -(1, 0) + (0, 2) lies in L, with the
+        # cofactor t^-1 * t = 1
+        assert hnf_basis(rl.basis + [[-1, 2]]) == rl.basis
+        f = R.div(rl.cofactors[1], rl.cofactors[0])
+        assert R.is_one(f)
+        assert R.eq(R.scale(R.parse(pair[1]), K.from_int(2)),
+                    R.parse(pair[0]))
         # a constant logarithmic derivative admits no relation
-        rlc = relation_lattice([HyperexpElement(R, R.one)])
-        assert rlc.relations == [] and rlc.self_relations == []
-        # every emitted relation in a second instance verifies too
-        rl2 = relation_lattice([HyperexpElement(R, R.parse("1/(2*t)")),
-                                HyperexpElement(R, R.parse("1/(3*t)"))])
-        for rr in rl2.relations:
-            vj = [h for h in ("1/(2*t)", "1/(3*t)")][rr.j]
-            lhs = rr.R.scale(rr.R.parse(vj), K.from_int(rr.m))
-            for i, e in rr.exponents.items():
-                vi = ["1/(2*t)", "1/(3*t)"][i]
-                lhs = rr.R.sub(lhs, rr.R.scale(rr.R.parse(vi),
-                                               K.from_int(e)))
-            assert rr.R.eq(lhs, rr.R.div(rr.R.diff(rr.f), rr.f))
+        assert relation_lattice([HyperexpElement(R, R.one)]).basis == []
+        # every basis vector of a second instance verifies too
+        pair2 = ("1/(2*t)", "1/(3*t)")
+        rl2 = relation_lattice([HyperexpElement(R, R.parse(v))
+                                for v in pair2])
+        assert rl2.basis and verifies(rl2, pair2)
     _report(6, "the pair (1/t, 1/(2t)) yields exactly h2^2 = h1 with "
                "f = 1, and relations re-verify exactly", check)
 

@@ -518,6 +518,22 @@ def test_finite_part_over_a_torus_is_refused_before_alpha(capsys, tmp_path):
         "outside the supported class"])
 
 
+def test_relation_between_independent_characters_cuts_the_torus(
+        capsys, tmp_path):
+    """y1 y2 = sqrt(t) e^t sqrt(t) e^(-t) = t is rational, although
+    neither y1 nor y2 alone has a rational power: the relation lattice
+    holds (1, 1), so G lies in {x_1_1 x_2_2 = 1}, a proper cut of the
+    diagonal torus H, and the run refuses instead of answering
+    dimension 2."""
+    system = _system(tmp_path, [["1/(2*t) + 1", "0"], ["0", "1/(2*t) - 1"]])
+    code, lines = refused(capsys, ["galois", "--system", system,
+                                   "--degree-override", "1"])
+    assert (code, lines) == (2, [
+        "error: the character relations cut the component properly; the "
+        "finite part over a positive dimensional component is outside the "
+        "supported class"])
+
+
 @pytest.mark.parametrize("rows,dimension", [
     pytest.param([["0", "1"], ["-4", "0"]], 1, id="conic"),
     pytest.param([["1", "1"], ["0", "2"]], 1, id="triangular-torus"),

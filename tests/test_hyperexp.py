@@ -1,4 +1,8 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgal.errors import ResourceCapError, UnsupportedInstanceError
 from dgal.fields import ConstField, field_adjoin
@@ -24,22 +28,38 @@ def series_of_t(degree):
     return MonomialSeries(s, K.from_int(1), degree)
 
 
-def rel_text(r):
-    return (r.j, r.m, dict(r.exponents), r.R.format(r.f))
+def lattice_text(rl):
+    """L's HNF basis and its cofactors, formatted."""
+    return rl.basis, [rl.R.format(f) for f in rl.cofactors]
+
+
+def in_lattice(basis, m):
+    return hnf_basis(basis + [list(m)]) == hnf_basis(basis)
+
+
+def assert_cofactors_verify(rl, elements):
+    """f'/f = sum m_j v_j exactly, for every basis vector m and its
+    cofactor f, each v_j coerced into the lattice's field."""
+    R = rl.R
+    for m, f in zip(rl.basis, rl.cofactors):
+        combo = R.zero
+        for mj, el in zip(m, elements):
+            combo = R.add(combo, R.scale(R.coerce_from(el.R, el.v),
+                                         R.const.from_int(mj)))
+        assert R.eq(R.div(R.diff(f), f), combo), m
+
+
+def checked_lattice(texts):
+    elements = [he(text) for text in texts]
+    rl = relation_lattice(elements)
+    assert_cofactors_verify(rl, elements)
+    return rl
 
 
 def saturated_exponents(rl, l):
-    """Saturation of the exponent rows of every relation (m at j, minus
-    e at each i of h_j^m = f prod h_i^e); all of Z^l means the subtorus
-    of (C*)^l that the relations cut out is trivial."""
-    rows = []
-    for rel in rl.relations + rl.self_relations:
-        row = [0] * l
-        row[rel.j] = rel.m
-        for i, e in rel.exponents.items():
-            row[i] -= e
-        rows.append(row)
-    return saturate(rows, l)
+    """Saturation of L; all of Z^l means the subtorus of (C*)^l that
+    the relations cut out is trivial."""
+    return saturate(rl.basis, l)
 
 
 def test_logderiv_of_t():
@@ -70,51 +90,36 @@ def test_logderiv_order_too_small():
                                 series_of_t(1), 5, 3, 3)
 
 
-def test_partial_fraction_invariant():
-    el = he("(t^2 + 3)/(t^2 - 1)")
-    # poles at 1 and -1, one polynomial coefficient
-    assert len(el.parts) == 2
-    assert el.poly_part and el.R.const.is_one(el.poly_part[0])
-
-
 def test_half_lattice():
-    rl = relation_lattice([he("1/t"), he("1/(2*t)")])
-    assert rl.eta == [0]
-    assert [rel_text(r) for r in rl.relations] == [(1, 2, {0: 1}, "1")]
-    assert [rel_text(r) for r in rl.self_relations] == [(0, 1, {}, "t")]
+    # h2^2 = h1: the tie (-1, 2) lies in L = <(1, 0), (0, 2)>
+    rl = checked_lattice(["1/t", "1/(2*t)"])
+    assert lattice_text(rl) == ([[1, 0], [0, 2]], ["t", "t"])
+    assert in_lattice(rl.basis, [-1, 2]) and not in_lattice(rl.basis, [0, 1])
 
 
 def test_constant_logderiv_no_relation():
-    rl = relation_lattice([he("1")])
-    assert rl.eta == [0]
-    assert rl.relations == [] and rl.self_relations == []
+    rl = checked_lattice(["1"])
+    assert lattice_text(rl) == ([], [])
 
 
 def test_self_rational_stays_independent():
-    rl = relation_lattice([he("2/t")])
-    assert rl.eta == [0]
-    assert rl.relations == []
-    assert [rel_text(r) for r in rl.self_relations] == [(0, 1, {}, "t^2")]
+    rl = checked_lattice(["2/t"])
+    assert lattice_text(rl) == ([[1]], ["t^2"])
 
 
 def test_diagonal_half_third():
-    rl = relation_lattice([he("1/(2*t)"), he("1/(3*t)")])
-    assert rl.eta == [0]
-    assert [rel_text(r) for r in rl.relations] == [(1, 3, {0: 2}, "1")]
-    assert [rel_text(r) for r in rl.self_relations] == [(0, 2, {}, "t")]
+    rl = checked_lattice(["1/(2*t)", "1/(3*t)"])
+    assert lattice_text(rl) == ([[2, 0], [0, 3]], ["t", "t"])
+    assert in_lattice(rl.basis, [-2, 3])
     assert hnf_basis(saturated_exponents(rl, 2)) == [[1, 0], [0, 1]]
 
 
 def test_cofactor_dependence_keeps_both_independent():
-    # v2 = v1 + 1/(t-1): h2 = h1 * (t-1) * c, but h1 and h2 are still
-    # algebraically independent over the constants, so both stay in eta;
-    # the tie shows up in the admissible lattice and the self relations
-    rl = relation_lattice([he("1/t"), he("1/t + 1/(t - 1)")])
-    assert rl.eta == [0, 1]
-    assert rl.relations == []
-    assert [rel_text(r) for r in rl.self_relations] == \
-        [(0, 1, {}, "t"), (1, 1, {}, "t^2 + -1*t")]
-    assert hnf_basis(rl.admissible) == hnf_basis(rl.admissible + [[-1, 1]])
+    # v2 = v1 + 1/(t-1): h2 = h1 * (t-1) * c, and both h are rational,
+    # so L is all of Z^2 and the tie (-1, 1) needs no extra basis vector
+    rl = checked_lattice(["1/t", "1/t + 1/(t - 1)"])
+    assert lattice_text(rl) == ([[1, 0], [0, 1]], ["t", "t^2 + -1*t"])
+    assert in_lattice(rl.basis, [-1, 1])
     assert hnf_basis(saturated_exponents(rl, 2)) == [[1, 0], [0, 1]]
 
 
@@ -122,12 +127,10 @@ def test_poles_in_fields_not_nested():
     """The poles of 2t/(t^2 + 1) and 2t/(t^2 - 2) lie in QQ(i) and
     QQ(sqrt 2), neither inside the other: the lattice is found over
     their join, of degree 4."""
-    rl = relation_lattice([he("2*t/(t^2 + 1)"), he("2*t/(t^2 - 2)"),
-                           he("1/(2*t)")])
+    rl = checked_lattice(["2*t/(t^2 + 1)", "2*t/(t^2 - 2)", "1/(2*t)"])
     assert rl.R.const.degree() == 4
-    assert rl.eta == [0, 1, 2] and rl.relations == []
-    assert [rel_text(r) for r in rl.self_relations] == [
-        (0, 1, {}, "t^2 + 1"), (1, 1, {}, "t^2 + -2"), (2, 2, {}, "t")]
+    assert lattice_text(rl) == ([[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+                                ["t^2 + 1", "t^2 + -2", "t"])
 
 
 def test_irrational_residue_rejected():
@@ -140,9 +143,68 @@ def test_irrational_residue_rejected():
 
 
 def test_half_residue_needs_square():
-    # v2 has a half-integer residue at 0, so its self relation needs m=2
-    rl = relation_lattice([he("1/t"), he("3/(2*t) + 1/(t + 1)")])
-    assert rl.eta == [0, 1]
-    assert rl.relations == []
-    assert [rel_text(r) for r in rl.self_relations] == \
-        [(0, 1, {}, "t"), (1, 2, {}, "t^5 + 2*t^4 + t^3")]
+    # v2 has a half-integer residue at 0, so its own power needs m = 2
+    rl = checked_lattice(["1/t", "3/(2*t) + 1/(t + 1)"])
+    assert lattice_text(rl) == ([[1, 0], [0, 2]], ["t", "t^5 + 2*t^4 + t^3"])
+
+
+def test_relation_between_two_independent_elements():
+    # sqrt(t) e^t * sqrt(t) e^(-t) = t: neither h has a rational power,
+    # yet their product is rational
+    rl = checked_lattice(["1/(2*t) + 1", "1/(2*t) - 1"])
+    assert lattice_text(rl) == ([[1, 1]], ["t"])
+
+
+# -- completeness of L against a Fraction-only oracle -------------------
+
+POLES = (-1, 0, 1)
+CONSTS = [Fraction(x) for x in ("0", "1", "-1", "1/2", "-1/3", "2/3")]
+RESIDUES = [Fraction(x) for x in
+            ("0", "1", "-1", "1/2", "-1/2", "1/3", "2/3", "-3/4", "3/2")]
+
+
+def oracle_in_lattice(spec, m):
+    """sum m_j v_j = f'/f for a rational f, for v_j = c_j +
+    sum_p r_jp/(t - p): no constant part and integer residues."""
+    if sum(mj * c for mj, (c, _) in zip(m, spec)) != 0:
+        return False
+    return all(sum(mj * rs[i] for mj, (_, rs) in zip(m, spec))
+               .denominator == 1 for i in range(len(POLES)))
+
+
+def spec_element(c, rs):
+    v = R.from_const(K.from_fraction(c))
+    for p, r in zip(POLES, rs):
+        pole = R.from_coeffs([K.from_int(-p), K.one])
+        v = R.add(v, R.div(R.from_const(K.from_fraction(r)), pole))
+    return HyperexpElement(R, v)
+
+
+def check_complete(spec):
+    elements = [spec_element(c, rs) for c, rs in spec]
+    rl = relation_lattice(elements)
+    assert_cofactors_verify(rl, elements)
+    for m in product(range(-4, 5), repeat=len(spec)):
+        assert in_lattice(rl.basis, m) == oracle_in_lattice(spec, m), m
+
+
+@pytest.mark.parametrize("spec", [
+    [(1, (Fraction(1, 2), 0, 0)), (-1, (Fraction(1, 2), 0, 0))],
+    [(0, (Fraction(1, 2), Fraction(1, 3), 0)),
+     (0, (0, Fraction(2, 3), Fraction(-3, 4))),
+     (Fraction(1, 2), (1, 0, 0))],
+    [(Fraction(2, 3), (0, Fraction(1, 2), 0)),
+     (Fraction(-1, 3), (0, Fraction(1, 2), 0))],
+    [(0, (0, 0, 0))],
+], ids=["sum-of-two", "three-poles", "constants-tie", "zero"])
+def test_lattice_complete_on_fixed_inputs(spec):
+    check_complete([(Fraction(c), tuple(map(Fraction, rs)))
+                    for c, rs in spec])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CONSTS),
+                          st.tuples(*[st.sampled_from(RESIDUES)] * 3)),
+                min_size=1, max_size=3))
+def test_lattice_complete(spec):
+    check_complete(spec)
