@@ -20,7 +20,7 @@ class ParseError(DgalError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\*\*|[-+*/^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\*\*|[-+*/^(),]))")
 
 
 def tokenize(text):

@@ -1,64 +1,35 @@
-"""The degree-bound tower: symbolic bound expressions with dual
-exact/certified-interval evaluation.
+"""The degree-bound tower: symbolic bound expressions, evaluated on
+level-index magnitudes.
 
 Bounds are expression trees (integers, +, -, *, ^, factorial, binomial,
 central binomial, max, Jordan bound).  Evaluation returns an exact
-integer when the estimated bit size fits under a cap, else a certified
-bracket on log2 (or, for the top of the tower, on log2 of log2) using
-outward interval arithmetic and Stirling-type enclosures.
+rational while its bit size fits under a cap, else a level-index bracket
+(Clenshaw and Olver, J. ACM 31, 1984) with no level cap: rationals
+lo <= hi with log2 applied k times to the value in [lo, hi].  Endpoints
+are rounded outward to 64 significant bits; log2 and 2^x of a rational
+come from bit lengths and integer squarings and square roots alone.
 """
 
 import math
-from fractions import Fraction
+from collections import namedtuple
 
-import mpmath
-from mpmath import iv
-
-from .errors import DgalError, ResourceCapError
-
-iv.prec = 64
-
-_LN2 = iv.log(2)
-_LOG2E = 1 / _LN2
-# values below 2^(2^20) in log2 can be exponentiated (their binary
-# exponent stays a megabit-sized integer at most)
-_VALUE_GUARD = iv.mpf(2) ** (2 ** 20)
-# bracket endpoints below 2^(2^64) print in decimal (an exponent of at
-# most 20 digits); decimal conversion of larger ones costs time and
-# digits without bound
-_PRINT_GUARD = iv.mpf(2) ** (2 ** 64)
+from ._grammar import tokenize
+from .errors import DgalError
+from .rational import ONE, ZERO, Rational, as_rational
 
 DEFAULT_BIT_CAP = 2 ** 20
 
 JORDAN_TABLE = {1: 1, 2: 60, 3: 360, 4: 25920}
 
 
-class BoundExpr:
-    """Node of a bound expression tree."""
-
-    __slots__ = ("kind", "children", "value")
-
-    def __init__(self, kind, children=(), value=None):
-        self.kind = kind
-        self.children = tuple(children)
-        self.value = value
-
-    def key(self):
-        return (self.kind, self.value,
-                tuple(c.key() for c in self.children))
-
-    def __eq__(self, other):
-        return isinstance(other, BoundExpr) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "BoundExpr(%s)" % render(self)
+# node of a bound expression tree: a kind ("int", or an operator or
+# function name), a tuple of child nodes, and the value of an "int"
+BoundExpr = namedtuple("BoundExpr", "kind children value",
+                       defaults=((), None))
 
 
 def lit(v):
-    f = Fraction(v)
+    f = as_rational(v)
     if f <= 0:
         raise DgalError("bound literals must be positive")
     return BoundExpr("int", value=f)
@@ -102,227 +73,280 @@ def jordan(a):
 
 # -- rendering and parsing ----------------------------------------------
 
+# operator -> (node kind, priority); ^ groups to the right
+_BINARY = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "^": ("pow", 3)}
+_SYMBOL = {kind: op for op, (kind, _) in _BINARY.items()}
+_FUNCTIONS = {"fact": 1, "binom": 2, "maxbinom": 1, "max": 2, "jordan": 1}
+
+
 def render(expr):
     k = expr.kind
     if k == "int":
         v = expr.value
         return str(v.numerator) if v.denominator == 1 else \
             "%d/%d" % (v.numerator, v.denominator)
-    if k in ("add", "sub", "mul", "pow"):
-        op = {"add": "+", "sub": "-", "mul": "*", "pow": "^"}[k]
-        return "(%s %s %s)" % (render(expr.children[0]), op,
+    if k in _SYMBOL:
+        return "(%s %s %s)" % (render(expr.children[0]), _SYMBOL[k],
                                render(expr.children[1]))
     return "%s(%s)" % (k, ", ".join(render(c) for c in expr.children))
 
 
 class _Parser:
+    """Precedence climbing over the tokens of ``_grammar.tokenize``."""
+
     def __init__(self, text):
-        self.toks = self._lex(text)
+        self.toks = tokenize(text)
         self.pos = 0
 
-    @staticmethod
-    def _lex(text):
-        toks = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                toks.append(("int", int(text[i:j])))
-                i = j
-            elif c.isalpha():
-                j = i
-                while j < len(text) and text[j].isalpha():
-                    j += 1
-                toks.append(("name", text[i:j]))
-                i = j
-            elif c in "+-*^(),/":
-                toks.append((c, c))
-                i += 1
-            else:
-                raise DgalError("bad character %r in bound expression" % c)
-        return toks
+    def op(self):
+        """The operator at the cursor, or None."""
+        kind, val = self.toks[self.pos]
+        return val if kind == "op" else None
 
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def take(self, kind=None):
-        if self.pos >= len(self.toks):
+    def take(self, op=None):
+        kind, val = tok = self.toks[self.pos]
+        if kind == "end":
             raise DgalError("unexpected end of bound expression")
-        tok = self.toks[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise DgalError("expected %s, got %s" % (kind, tok[0]))
+        if op is not None and tok != ("op", op):
+            raise DgalError("expected %s, got %s" % (op, val))
         self.pos += 1
         return tok
 
-    def expr(self):
-        left = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            right = self.term()
-            left = add(left, right) if op == "+" else sub(left, right)
+    def expr(self, priority=1):
+        left = self.atom()
+        while _BINARY.get(self.op(), (None, 0))[1] >= priority:
+            kind, rank = _BINARY[self.take()[1]]
+            right = self.expr(rank if kind == "pow" else rank + 1)
+            left = BoundExpr(kind, (left, right))
         return left
-
-    def term(self):
-        left = self.power()
-        while self.peek() == "*":
-            self.take()
-            left = mul(left, self.power())
-        return left
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            return pow_(base, self.power())
-        return base
 
     def atom(self):
         kind, val = self.take()
+        if kind == "int" and self.op() == "/":
+            self.take()
+            kind, den = self.take()
+            if kind != "int":
+                raise DgalError("expected int, got %s" % den)
+            return lit(Rational(val, den))
         if kind == "int":
-            if self.peek() == "/":
-                self.take()
-                den = self.take("int")[1]
-                return lit(Fraction(val, den))
             return lit(val)
-        if kind == "(":
+        if (kind, val) == ("op", "("):
             e = self.expr()
             self.take(")")
             return e
-        if kind == "name":
-            if val not in ("fact", "binom", "maxbinom", "max", "jordan"):
-                raise DgalError("unknown bound function %r" % val)
-            self.take("(")
-            args = [self.expr()]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.expr())
-            self.take(")")
-            arity = 2 if val in ("binom", "max") else 1
-            if len(args) != arity:
-                raise DgalError("%s takes %d argument(s)" % (val, arity))
-            return BoundExpr(val if val != "max" else "max", tuple(args))
-        raise DgalError("unexpected token %r" % (val,))
+        if kind != "var" or val not in _FUNCTIONS:
+            raise DgalError("unexpected token %r" % (val,))
+        self.take("(")
+        args = [self.expr()]
+        while self.op() == ",":
+            self.take()
+            args.append(self.expr())
+        self.take(")")
+        if len(args) != _FUNCTIONS[val]:
+            raise DgalError("%s takes %d argument(s)" % (val, _FUNCTIONS[val]))
+        return BoundExpr(val, tuple(args))
 
 
 def parse(text):
     p = _Parser(text)
     e = p.expr()
-    if p.pos != len(p.toks):
+    if p.toks[p.pos][0] != "end":
         raise DgalError("trailing input in bound expression")
     return e
 
 
+# -- rational kernels ---------------------------------------------------
+
+_PREC = 64          # significant bits of a bracket endpoint
+_LIFT = 2 ** 64     # an index this large moves up one level
+_SLACK = Rational(1, 2 ** 63)
+
+
+def _dyadic(m, e):
+    """m * 2^e as a Rational."""
+    return Rational(m << e) if e >= 0 else Rational(m, 1 << -e)
+
+
+def _round(x, up):
+    """The rational x rounded to _PREC significant bits, up or down."""
+    p, q = x.numerator, x.denominator
+    s = _PREC - abs(p).bit_length() + q.bit_length()
+    m, r = divmod(p << s, q) if s >= 0 else divmod(p, q << -s)
+    return _dyadic(m + (up and r != 0), -s)
+
+
+def _log2(x):
+    """An enclosure (lo, hi) of log2 of the positive rational x, of width
+    2^-64 (exact at powers of 2): the exponent from bit lengths, then one
+    squaring of the mantissa y in [1, 2) per bit of the fraction, a bit
+    being 1 when y^2 >= 2.  The squarings run on integers at a precision
+    that doubles whenever rounding leaves a bit undecided."""
+    p, q = x.numerator, x.denominator
+    e = p.bit_length() - q.bit_length()
+    if not p & (p - 1) and not q & (q - 1):
+        return Rational(e), Rational(e)
+    if p << max(-e, 0) < q << max(e, 0):
+        e -= 1
+    prec = 2 * _PREC
+    while True:
+        s = prec - e
+        lo = (p << s) // q if s >= 0 else p // (q << -s)
+        hi, bits, two = lo + 1, 0, 2 << prec
+        for _ in range(_PREC):
+            lo, hi = lo * lo >> prec, -(-hi * hi >> prec)
+            bits <<= 1
+            if lo >= two:
+                lo, hi, bits = lo >> 1, (hi + 1) >> 1, bits | 1
+            elif hi >= two:
+                break
+        else:
+            low = (e << _PREC) + bits
+            return _dyadic(low, -_PREC), _dyadic(low + 1, -_PREC)
+        prec *= 2
+
+
+def _exp2(x):
+    """An enclosure (lo, hi) of 2^x for a rational x: 2^floor(x) times
+    the square roots 2^(2^-i) of the fraction's first 64 bits, on
+    integers at 128 bits.  Below 2^-1024 it is (0, 2^-1024)."""
+    n = x.numerator // x.denominator
+    if n < -1024:
+        return ZERO, _dyadic(1, -1024)
+    prec = 2 * _PREC
+    frac = ((x.numerator - n * x.denominator) << _PREC) // x.denominator
+    lo = hi = 1 << prec
+    root_lo = root_hi = 2 << prec
+    for i in range(_PREC - 1, -1, -1):
+        root_lo = math.isqrt(root_lo << prec)
+        root_hi = math.isqrt(root_hi << prec) + 1
+        if frac >> i & 1:
+            lo, hi = lo * root_lo >> prec, -(-hi * root_hi >> prec)
+    # the fraction lies below (frac + 1) / 2^64
+    hi = -(-hi * root_hi >> prec)
+    return _dyadic(lo, n - prec), _dyadic(hi, n - prec)
+
+
+def _bits(x):
+    return abs(x.numerator).bit_length() + x.denominator.bit_length()
+
+
 # -- magnitudes ---------------------------------------------------------
 
+Interval = namedtuple("Interval", "a b")
+
+
 class Magnitude:
-    """A positive quantity at one of three fidelity levels: exact
-    Fraction, certified bracket of log2, or certified bracket of
-    log2(log2)."""
+    """A quantity as a level-index bracket: log2 applied ``level`` times
+    to it lies in [lo, hi].  Level 0 holds the value itself, exact when
+    lo == hi; a level k >= 1 holds values past E^(k-1)(64), E(x) = 2^x,
+    with 64 <= hi < 2^64.  ``log2()`` and ``loglog2()`` give an Interval
+    whose ends are rationals, or level-index points (lo == hi) where the
+    end is too large for one."""
 
-    __slots__ = ("level", "exact", "ivl")
+    __slots__ = ("level", "lo", "hi")
 
-    def __init__(self, level, exact=None, ivl=None):
-        self.level = level
-        self.exact = exact
-        self.ivl = ivl
-
-    @classmethod
-    def from_exact(cls, v):
-        return cls(0, exact=Fraction(v))
-
-    @classmethod
-    def from_log(cls, ivl):
-        return cls(1, ivl=iv.mpf(ivl))
-
-    @classmethod
-    def from_loglog(cls, ivl):
-        return cls(2, ivl=iv.mpf(ivl))
+    def __init__(self, level, lo, hi=None):
+        self.level, self.lo = level, lo
+        self.hi = lo if hi is None else hi
 
     @property
     def is_exact(self):
-        return self.level == 0
+        return self.level == 0 and self.lo == self.hi
+
+    @property
+    def exact(self):
+        return self.lo if self.is_exact else None
 
     def exact_int(self):
-        if self.level != 0 or self.exact.denominator != 1:
+        if not self.is_exact or self.lo.denominator != 1:
             raise DgalError("magnitude is not an exact integer")
-        return self.exact.numerator
+        return int(self.lo)
 
-    def log2(self):
-        """Bracket of log2 at level <= 1."""
-        if self.level == 0:
-            return iv.log(iv.mpf(self.exact.numerator) /
-                          iv.mpf(self.exact.denominator)) / _LN2
-        if self.level == 1:
-            return self.ivl
-        raise DgalError("magnitude only known at the log-log level")
+    def at(self, level):
+        """(lo, hi) bracketing log2 applied ``level`` >= self.level times
+        to the value.  A lower end whose logarithm is undefined becomes
+        None; an upper end hi <= 0 becomes 0, as E^j(hi) <= E^(j+1)(0)."""
+        lo, hi = self.lo, self.hi
+        for _ in range(level - self.level):
+            lo = _log2(lo)[0] if lo is not None and lo > 0 else None
+            hi = _log2(hi)[1] if hi > 0 else ZERO
+        return lo, hi
+
+    def log2(self, k=1):
+        """Interval of log2 applied k times to the value."""
+        if self.level > k:
+            return Interval(Magnitude(self.level - k, self.lo),
+                            Magnitude(self.level - k, self.hi))
+        lo, hi = self.at(k)
+        if lo is None:
+            raise DgalError("bracket reaches a value with no log2^(%d)" % k)
+        return Interval(lo, hi)
 
     def loglog2(self):
-        if self.level == 2:
-            return self.ivl
-        l = self.log2()
-        if not l.a > 0:
-            raise DgalError("log-log bracket needs log2 > 0")
-        return iv.log(l) / _LN2
+        return self.log2(2)
 
     def contains_exact(self, v):
         """Certified bracket contains the given exact positive value."""
-        if self.level == 0:
-            return self.exact == Fraction(v)
-        lv = iv.log(iv.mpf(v)) / _LN2
-        tgt = self.ivl if self.level == 1 else None
-        if self.level == 2:
-            lv = iv.log(lv) / _LN2
-            tgt = self.ivl
-        return tgt.a <= lv.a and lv.b <= tgt.b
+        return Magnitude(self.level, self.lo) <= v <= \
+            Magnitude(self.level, self.hi)
+
+    # a < b: every value of a lies below every value of b
+    __lt__ = lambda self, other: _below(self, other, True)
+    __le__ = lambda self, other: _below(self, other, False)
+    __gt__ = lambda self, other: _below(other, self, True)
+    __ge__ = lambda self, other: _below(other, self, False)
 
     def __repr__(self):
-        if self.level == 0:
-            return "Magnitude(exact=%s)" % self.exact
-        tag = "log2" if self.level == 1 else "log2log2"
-        return "Magnitude(%s in [%s, %s])" % (tag, self.ivl.a, self.ivl.b)
+        return "Magnitude(%d, %s, %s)" % (self.level, self.lo, self.hi)
+
+
+def _below(a, b, strict):
+    """Whether a's upper end lies below (or at, if not strict) b's lower
+    end, at their common level; a and b are magnitudes or rationals."""
+    a, b = (v if isinstance(v, Magnitude) else Magnitude(0, as_rational(v))
+            for v in (a, b))
+    k = max(a.level, b.level)
+    hi, lo = a.at(k)[1], b.at(k)[0]
+    return lo is not None and (hi < lo if strict else hi <= lo)
 
 
 def format_bracket(ivl):
-    """A certified bracket as text "[a, b]", rounded outward.  An
-    endpoint beyond 2^(2^64) is written 2^(2^z), z from the bracket of
-    log2(log2(endpoint))."""
-    return "[%s, %s]" % (_format_endpoint(ivl.a, -1),
-                         _format_endpoint(ivl.b, 1))
+    """An Interval as text "[a, b]", each end rounded outward to 7
+    decimal places; an end at level k >= 1 is written 2^(...(2^z)),
+    with z its index."""
+    ends = []
+    for x, up in ((ivl.a, False), (ivl.b, True)):
+        level, z = (x.level, x.lo) if isinstance(x, Magnitude) else (0, x)
+        q, r = divmod(z.numerator * 10 ** 7, z.denominator)
+        q += up and r != 0
+        text = "%s%d.%07d" % ("-" * (q < 0), abs(q) // 10 ** 7,
+                              abs(q) % 10 ** 7)
+        for i in range(level):
+            text = "2^" + (text if i == 0 else "(%s)" % text)
+        ends.append(text)
+    return "[%s, %s]" % tuple(ends)
 
 
-def _format_endpoint(x, side):
-    """One endpoint, moved outward (side -1 down, 1 up) by a relative
-    2^-30, which exceeds the error of printing 12 significant digits."""
-    if abs(x) < _PRINT_GUARD:
-        z, fmt = x, "%s"
-    else:
-        z, fmt = iv.log(iv.log(x) / _LN2) / _LN2, "2^(2^%s)"
-    z = z + side * abs(z) * iv.mpf(2) ** -30
-    z = z.a if side < 0 else z.b
-    return fmt % mpmath.nstr(mpmath.mpf(z), 12)
+_ONE, _TWO = Magnitude(0, ONE), Magnitude(0, Rational(2))
+# log2(e), rounded down and up
+_LOG2E = Magnitude(0, Rational(14426950408889634073, 10 ** 19),
+                   Rational(14426950408889634074, 10 ** 19))
 
 
-def _value_iv(mag):
-    """The quantity itself as an interval, when its binary exponent is
-    of tractable size; None otherwise."""
-    if mag.level == 0:
-        return iv.mpf(mag.exact.numerator) / iv.mpf(mag.exact.denominator)
-    if mag.level == 1 and mag.ivl.b < _VALUE_GUARD:
-        return iv.exp(mag.ivl * _LN2)
-    return None
-
-
-def _bits(f):
-    n = abs(f.numerator)
-    return n.bit_length() + f.denominator.bit_length()
+def _join(a, b):
+    """The common level of a and b, and there the larger defined lower
+    end, the larger upper end and the smaller one."""
+    k = max(a.level, b.level)
+    (alo, ahi), (blo, bhi) = a.at(k), b.at(k)
+    return (k, max(v for v in (alo, blo) if v is not None),
+            max(ahi, bhi), min(ahi, bhi))
 
 
 class _Eval:
+    """Evaluation of bound expressions at one exact-bit cap.  Each node
+    kind is the method of that name; add, mul and max, and the helpers
+    below them, are the arithmetic of magnitudes."""
+
     def __init__(self, bit_cap):
         self.cap = bit_cap
         self.memo = {}
@@ -330,165 +354,138 @@ class _Eval:
     def run(self, expr):
         key = id(expr)
         if key not in self.memo:
-            self.memo[key] = getattr(self, "_" + expr.kind)(expr)
+            self.memo[key] = Magnitude(0, expr.value) if expr.kind == "int" \
+                else getattr(self, expr.kind)(*map(self.run, expr.children))
         return self.memo[key]
 
-    def _int(self, e):
-        return Magnitude.from_exact(e.value)
+    def make(self, level, lo, hi):
+        """The magnitude with log2^level in [lo, hi]: exact at level 0
+        with lo == hi under the cap, else rounded outward and moved to
+        the level where 64 <= hi < 2^64 (level 0 below 2^64)."""
+        if level == 0 and lo == hi and _bits(lo) <= self.cap:
+            return Magnitude(0, lo)
+        lo, hi = _round(lo, False), _round(hi, True)
+        while lo > 0 and hi >= _LIFT:
+            lo, hi = _round(_log2(lo)[0], False), _round(_log2(hi)[1], True)
+            level += 1
+        while level and hi < _PREC:
+            lo, hi = _round(_exp2(lo)[0], False), _round(_exp2(hi)[1], True)
+            level -= 1
+        return Magnitude(level, lo, hi)
 
-    def _add(self, e):
-        a, b = (self.run(c) for c in e.children)
-        if a.is_exact and b.is_exact and \
-                _bits(a.exact) + _bits(b.exact) <= self.cap:
-            return Magnitude.from_exact(a.exact + b.exact)
-        if a.level <= 1 and b.level <= 1:
-            la, lb = a.log2(), b.log2()
-            lmax, lmin = (la, lb) if la.a >= lb.a else (lb, la)
-            if (lmax - lmin).a > 64:
-                # the smaller term moves log2 by less than 2^-64
-                return Magnitude.from_log(lmax + iv.mpf([0, 1e-15]))
-            t = iv.exp((lmin - lmax) * _LN2)
-            return Magnitude.from_log(lmax + iv.log(1 + t) / _LN2)
-        lla, llb = a.loglog2(), b.loglog2()
-        lo = max(lla.a, llb.a)
-        hi = max(lla.b, llb.b) + 1
-        return Magnitude.from_loglog(iv.mpf([lo, hi]))
+    def log2(self, a):
+        if a.level:
+            return Magnitude(a.level - 1, a.lo, a.hi)
+        if a.lo <= 0:
+            raise DgalError("log2 of a bound bracket that is not positive")
+        return self.make(0, _log2(a.lo)[0], _log2(a.hi)[1])
 
-    def _sub(self, e):
-        a, b = (self.run(c) for c in e.children)
-        if a.is_exact and b.is_exact:
-            if a.exact <= b.exact:
-                raise DgalError("bound subtraction went nonpositive")
-            return Magnitude.from_exact(a.exact - b.exact)
-        if a.level <= 1 and b.level <= 1:
-            la, lb = a.log2(), b.log2()
-            if (la - lb).a > 64:
-                return Magnitude.from_log(la + iv.mpf([-1e-15, 0]))
-            t = iv.exp((lb - la) * _LN2)
-            if not t.b < 1:
-                raise DgalError("bound subtraction bracket includes zero")
-            return Magnitude.from_log(la + iv.log(1 - t) / _LN2)
-        lla = a.loglog2()
-        return Magnitude.from_loglog(iv.mpf([lla.a - 1, lla.b]))
+    def exp2(self, a):
+        return self.make(a.level + 1, a.lo, a.hi)
 
-    def _mul(self, e):
-        a, b = (self.run(c) for c in e.children)
-        if a.is_exact and b.is_exact and \
-                _bits(a.exact) + _bits(b.exact) <= self.cap:
-            return Magnitude.from_exact(a.exact * b.exact)
-        if a.level <= 1 and b.level <= 1:
-            return Magnitude.from_log(a.log2() + b.log2())
-        lla, llb = a.loglog2(), b.loglog2()
-        lo = max(lla.a, llb.a)
-        hi = max(lla.b, llb.b) + 1
-        return Magnitude.from_loglog(iv.mpf([lo, hi]))
+    def add(self, a, b):
+        k, lo, x, y = _join(a, b)
+        if not k:
+            return self.make(0, a.lo + b.lo, a.hi + b.hi)
+        # log2(2^x + 2^y) = x + log2(1 + 2^(y - x)); one level further up,
+        # adding two values past 2^(2^64) moves log2 log2 by < 2^-63
+        carry = _SLACK if k > 1 or x - y >= _PREC else \
+            _log2(1 + _exp2(y - x)[1])[1]
+        return self.make(k, lo, x + carry)
 
-    def _pow(self, e):
-        a, b = (self.run(c) for c in e.children)
-        if b.is_exact and b.exact.denominator == 1:
-            n = b.exact.numerator
-            if a.is_exact and n * _bits(a.exact) <= self.cap:
-                return Magnitude.from_exact(a.exact ** n)
-            if a.level <= 1:
-                return Magnitude.from_log(a.log2() * n)
-            lla = a.loglog2()
-            lb = iv.log(iv.mpf(n)) / _LN2
-            return Magnitude.from_loglog(lla + lb)
-        # exponent only known by bracket
-        if a.level == 2:
-            raise DgalError("cannot raise a log-log magnitude to a "
-                            "bracketed power")
-        bval = _value_iv(b)
-        la = a.log2()
-        if bval is not None:
-            l = la * bval
-            if l.b < _VALUE_GUARD:
-                return Magnitude.from_log(l)
-        if not la.a > 0:
-            raise DgalError("log-log power needs base above 2")
-        return Magnitude.from_loglog(b.log2() + iv.log(la) / _LN2)
+    def diff(self, a, b):
+        """a - b: at level 0 any real interval, above it only when the
+        difference is certified positive."""
+        k = max(a.level, b.level)
+        if not k:
+            return self.make(0, a.lo - b.hi, a.hi - b.lo)
+        (x, hi), (_, y) = a.at(k), b.at(k)
+        # log2(2^x - 2^y) = x + log2(1 - 2^(y - x)); one level further up,
+        # log2 b <= (log2 a) / 2 with log2 a >= 2^9 moves log2 log2 by
+        # < 2^-63
+        if x is not None and (x - y >= _PREC if k == 1 else
+                              x >= 9 and y <= x - 1):
+            return self.make(k, x - _SLACK, hi)
+        t = 1 - _exp2(y - x)[1] if k == 1 and x is not None else ZERO
+        if t > 0:
+            return self.make(1, x + _log2(t)[0], hi)
+        raise DgalError("bound subtraction not certified positive")
 
-    def _fact(self, e):
-        (a,) = (self.run(c) for c in e.children)
+    def sub(self, a, b):
+        m = self.diff(a, b)
+        if m.level == 0 and m.lo <= 0:
+            raise DgalError("bound subtraction went nonpositive")
+        return m
+
+    def mul(self, a, b):
+        if a.level or b.level:
+            return self.exp2(self.add(self.log2(a), self.log2(b)))
+        ends = {x * y for x in {a.lo, a.hi} for y in {b.lo, b.hi}}
+        return self.make(0, min(ends), max(ends))
+
+    def max(self, a, b):
+        k, lo, x, _ = _join(a, b)
+        return self.make(k, lo, x)
+
+    def hull(self, a, b):
+        """From a's lower end to b's upper end, at their common level."""
+        k = max(a.level, b.level)
+        lo, hi = a.at(k)[0], b.at(k)[1]
+        if lo is None:
+            raise DgalError("bound bracket is not positive")
+        return self.make(k, lo, hi)
+
+    def pow(self, a, b):
+        if a.is_exact and b.is_exact and b.lo.denominator == 1 and \
+                b.lo * _bits(a.lo) <= self.cap:
+            return Magnitude(0, a.lo ** int(b.lo))
+        return self.exp2(self.mul(b, self.log2(a)))
+
+    def log2_fact(self, x):
+        """log2(x!) for x >= 1, by Stirling: between x (log2 x - log2 e)
+        and that plus log2 x + 2."""
+        lx = self.log2(x)
+        base = self.mul(x, self.diff(lx, _LOG2E))
+        return self.hull(base, self.add(base, self.add(lx, _TWO)))
+
+    def fact(self, a):
         if a.is_exact:
             m = a.exact_int()
             if m * max(m.bit_length(), 1) <= self.cap:
-                return Magnitude.from_exact(math.factorial(m))
-        x = _value_iv(a)
-        if x is None:
-            raise ResourceCapError("factorial argument too large even "
-                                   "for log-space evaluation")
-        lx = a.log2()
-        base = x * (lx - _LOG2E)
-        lo = base.a
-        hi = (base + lx + 2).b
-        return Magnitude.from_log(iv.mpf([lo, hi]))
+                return Magnitude(0, Rational(math.factorial(m)))
+        return self.exp2(self.log2_fact(a))
 
-    def _binom(self, e):
-        a, b = (self.run(c) for c in e.children)
-        if not (b.is_exact and b.exact.denominator == 1):
+    def binom(self, a, b):
+        if not (b.is_exact and b.lo.denominator == 1):
             raise DgalError("binomial needs an exact lower index")
-        k = b.exact.numerator
+        k = b.exact_int()
         if a.is_exact:
             m = a.exact_int()
             if k <= m and k * max(m.bit_length(), 1) <= self.cap:
-                return Magnitude.from_exact(math.comb(m, k))
-        la = a.log2()
-        lkfact = iv.log(iv.mpf(math.factorial(k))) / _LN2
-        lk = iv.log(iv.mpf(max(k, 1))) / _LN2
-        lo = (la - lk) * k
-        hi = la * k - lkfact
-        return Magnitude.from_log(iv.mpf([lo.a, hi.b]))
+                return Magnitude(0, Rational(math.comb(m, k)))
+        # (a/k)^k <= C(a, k) <= a^k / k!, with k! exact under the cap
+        la = self.log2(a)
+        lo = self.mul(b, self.diff(la, self.log2(b)))
+        hi = self.diff(self.mul(b, la), self.log2(self.fact(b)))
+        return self.exp2(self.hull(lo, hi))
 
-    def _maxbinom(self, e):
-        (a,) = (self.run(c) for c in e.children)
+    def maxbinom(self, a):
         if a.is_exact:
             m = a.exact_int()
             if m <= self.cap:
-                return Magnitude.from_exact(math.comb(m, m // 2))
-        x = _value_iv(a)
-        if x is None:
-            raise ResourceCapError("central binomial argument too large "
-                                   "even for log-space evaluation")
+                return Magnitude(0, Rational(math.comb(m, m // 2)))
         # 2^m / (m+1) <= C(m, m//2) <= 2^m
-        lo = (x - iv.log(x + 1) / _LN2).a
-        hi = x.b
-        return Magnitude.from_log(iv.mpf([lo, hi]))
+        lo = self.diff(a, self.log2(self.add(a, _ONE)))
+        return self.exp2(self.hull(lo, a))
 
-    def _max(self, e):
-        a, b = (self.run(c) for c in e.children)
-        if a.is_exact and b.is_exact:
-            return Magnitude.from_exact(max(a.exact, b.exact))
-        if a.level <= 1 and b.level <= 1:
-            la, lb = a.log2(), b.log2()
-            return Magnitude.from_log(
-                iv.mpf([max(la.a, lb.a), max(la.b, lb.b)]))
-        lla, llb = a.loglog2(), b.loglog2()
-        return Magnitude.from_loglog(
-            iv.mpf([max(lla.a, llb.a), max(lla.b, llb.b)]))
-
-    def _jordan(self, e):
-        (a,) = (self.run(c) for c in e.children)
-        if a.is_exact:
-            m = a.exact_int()
-            if m in JORDAN_TABLE:
-                return Magnitude.from_exact(JORDAN_TABLE[m])
-            if m >= 71:
-                return self.run(fact(lit(m + 1)))
-            raise DgalError("no Jordan bound configured for n = %d; "
-                            "supply one explicitly" % m)
-        if not a.log2().a > math.log2(71):
-            raise DgalError("bracketed Jordan argument not certified "
-                            "to be >= 71")
-        # factorial rule (m+1)! on the bracketed argument, by Stirling
-        x = _value_iv(a)
-        if x is None:
-            raise ResourceCapError("Jordan argument too large even for "
-                                   "log-space evaluation")
-        x = x + 1
-        lx = iv.log(x) / _LN2
-        base = x * (lx - _LOG2E)
-        return Magnitude.from_log(iv.mpf([base.a, (base + lx + 2).b]))
+    def jordan(self, a):
+        if a.is_exact and a.exact_int() in JORDAN_TABLE:
+            return Magnitude(0, Rational(JORDAN_TABLE[a.exact_int()]))
+        if not a >= 71:
+            raise DgalError("no Jordan bound configured below n = 71 "
+                            "outside the table; supply one explicitly")
+        # the factorial rule (n + 1)! for n >= 71
+        return self.fact(self.add(a, _ONE))
 
 
 def evaluate(expr, bit_cap=DEFAULT_BIT_CAP):
@@ -502,7 +499,7 @@ def gamma_bound(n, d):
     """2 * (d^2/2 + d) ^ (2^(n-1))."""
     if n < 1 or d < 1:
         raise DgalError("gamma bound needs n, d >= 1")
-    base = lit(Fraction(d * d, 2) + d)
+    base = lit(Rational(d * d, 2) + d)
     return mul(lit(2), pow_(base, lit(2 ** (n - 1))))
 
 

@@ -34,7 +34,7 @@ def _load_system(path):
     return OdeSystem.from_document(text)
 
 
-# the strings fractions.Fraction reads: an integer, p/q or a decimal
+# the strings the standard Fraction type reads: an integer, p/q or a decimal
 _RATIONAL = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
                        r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*)?)?"
                        r"(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
@@ -76,10 +76,7 @@ def cmd_bounds(args):
     mag = B.evaluate(expr, bit_cap=args.exact_bit_cap) \
         if args.exact_bit_cap is not None else B.evaluate(expr)
     print("degree_bound(n=%d) = %s" % (n, B.render(expr)))
-    if mag.is_exact:
-        print("value = %s" % mag.exact_int())
-    else:
-        print("log2(log2(value)) in %s" % B.format_bracket(mag.loglog2()))
+    print("log2(log2(value)) in %s" % B.format_bracket(mag.loglog2()))
     k1, k2, k3 = B.kappas(n)
     for name, e in [("kappa1", k1), ("kappa2", k2), ("kappa3", k3),
                     ("iterations", B.iteration_bound(n))]:

@@ -82,8 +82,9 @@ def logderiv_from_character(chi, store, order, num_deg, den_deg):
 
 
 def _pf_over_common(elements):
-    """Partial fractions of every v, each decomposed once over one field
-    that splits every denominator: (R, [(poly_part, parts)], [v])."""
+    """The partial-fraction terms of every v, each decomposed once over
+    one field that splits every denominator: (R, [(poly_part, parts)],
+    [v])."""
     k = reduce(join, (el.R.const for el in elements))
     for el in elements:
         k, _roots = split_univariate(k, [k.coerce_from(el.R.const, c)
@@ -92,7 +93,7 @@ def _pf_over_common(elements):
     data, vs = [], []
     for el in elements:
         v = R.coerce_from(el.R, el.v)
-        big, poly_part, parts = R.partial_fractions(v)
+        big, poly_part, parts = R.apart(v)
         if big.const != k:
             raise DgalError("splitting field failed to stabilize")
         _check_recombines(R, v, poly_part, parts)
@@ -109,7 +110,7 @@ def _check_recombines(R, v, poly_part, parts):
         for j, c in enumerate(coeffs):
             acc = R.add(acc, R.div(R.from_const(c), R.pow(lin, j + 1)))
     if not R.eq(acc, v):
-        raise DgalError("partial fractions do not recombine to v")
+        raise DgalError("partial-fraction terms do not recombine to v")
 
 
 def _coords(k, c):

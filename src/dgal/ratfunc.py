@@ -3,12 +3,12 @@
 An element is a reduced pair (num, den) of dense polynomials in t
 (``upoly`` lists, ascending) with gcd(num, den) = 1 and den monic, so
 equal values have equal pairs; 0 is ([], [1]).  Sums and products
-cancel with the gcds Knuth gives for fractions (*The Art of Computer
+cancel with the gcds Knuth gives for rational numbers (*The Art of Computer
 Programming* 2, 4.5.1): the gcd of the denominators for a sum, two cross
 gcds for a product, and none at all when both denominators are 1.  The
 field presents the same adapter interface as ConstField, plus
-differentiation, evaluation, canonical text form, and partial fractions
-over a splitting field.
+differentiation, evaluation, canonical text form, and partial-fraction
+decomposition over a splitting field.
 """
 
 from . import _grammar, linalg, upoly
@@ -255,9 +255,9 @@ class RatFuncField:
             from_int=self.from_int, add=self.add, sub=self.sub, neg=self.neg,
             mul=self.mul, div=self.div, power=self.pow)
 
-    # -- partial fractions ----------------------------------------------
+    # -- partial-fraction decomposition ---------------------------------
 
-    def partial_fractions(self, a):
+    def apart(self, a):
         """Decompose over a splitting field of the denominator.
 
         Returns (big_ratfield, poly_part, parts) where poly_part is the

@@ -1,7 +1,7 @@
 """Exact rational numbers: the element type of the field QQ.
 
 ``Rational`` is a reduced fraction of two Python ints with a positive
-denominator.  It trades the generality of ``fractions.Fraction`` for
+denominator.  It trades the generality of the standard ``Fraction`` for
 speed on the operations the series recurrences and eliminations repeat:
 ``__slots__`` storage, construction without a gcd where the operands
 already guarantee lowest terms, and the cross-cancellation of

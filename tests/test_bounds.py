@@ -1,10 +1,13 @@
 import math
 import time
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgal import bounds as B
 from dgal.errors import DgalError
+from dgal.rational import Rational
 
 
 def ev(e, **kw):
@@ -58,7 +61,7 @@ def test_kappa1_exact_and_bracketed():
 def test_kappa3_interval_only():
     _, _, k3 = B.kappas(1)
     m = ev(k3)
-    assert m.level == 1
+    assert not m.is_exact
     assert m.log2().a > 0
 
 
@@ -74,11 +77,14 @@ def test_jordan_table_and_factorial_rule():
 def test_proto_galois_degree_bound_brackets():
     dt = B.proto_galois_degree_bound(1)
     m = ev(dt)
-    assert m.level == 2
+    assert not m.is_exact
     ll = m.loglog2()
     assert ll.a > 0 and ll.a <= ll.b
     _, _, k3 = B.kappas(1)
     assert ll.b >= ev(k3).loglog2().a
+    # at a common level, the n = 2 bracket lies above the n = 1 bracket
+    m2 = ev(B.proto_galois_degree_bound(2))
+    assert m.at(m2.level)[1] < m2.lo
 
 
 def test_render_parse_roundtrip():
@@ -114,9 +120,10 @@ def test_monotonicity_grids():
 
 
 def test_exact_value_inside_own_bracket():
+    big, other = B.pow_(B.lit(3), B.lit(100)), B.pow_(B.lit(2), B.lit(150))
     for e in [B.gamma_bound(2, 4), B.unipotent_family_bound(1),
               B.fact(B.lit(30)), B.binom(B.lit(40), B.lit(17)),
-              B.maxbinom(B.lit(100))]:
+              B.maxbinom(B.lit(100)), B.add(big, other), B.sub(big, other)]:
         v = ev(e).exact_int()
         assert ev(e, bit_cap=4).contains_exact(v)
 
@@ -130,3 +137,64 @@ def test_runtime_budget():
     ev(k1)
     ev(B.proto_galois_degree_bound(1))
     assert time.time() - t0 < 10.0
+
+
+# -- the rational kernels against mpmath at 200 bits ------------------------
+
+def _exact(x):
+    """An mpmath number as the Rational it equals."""
+    sign, man, exp, _ = x._mpf_
+    man = -man if sign else man
+    return Rational(man << exp) if exp >= 0 else Rational(man, 1 << -exp)
+
+
+def _encloses(lo, hi, ref):
+    """lo <= ref <= hi, up to the 2^-190 relative error of a 200-bit
+    reference."""
+    eps = abs(_exact(ref)) / 2 ** 190 + Rational(1, 2 ** 1000)
+    return lo - eps <= _exact(ref) <= hi + eps
+
+
+_GRID = [Rational(p, q) for p, q in [(1, 3), (1, 2), (2, 3), (1, 1), (3, 2),
+                                     (2, 1), (3, 1), (7, 5), (1023, 1024)]] + \
+    [Rational(10 ** k + d) for k in range(1, 301, 13) for d in (-1, 0, 1)]
+_POSITIVE = st.integers(1, 10 ** 6).flatmap(
+    lambda q: st.builds(Rational, st.integers(-(-q // 3), 10 ** 300),
+                        st.just(q)))
+
+
+def _check_log2(x):
+    lo, hi = B.evaluate(B.lit(x)).log2()
+    with mpmath.workprec(200):
+        ref = mpmath.log(mpmath.mpf(x.numerator) / x.denominator, 2)
+        assert _encloses(lo, hi, ref)
+    assert hi - lo <= Rational(1, 2 ** 60)
+
+
+def test_log2_kernel_grid():
+    for x in _GRID:
+        _check_log2(x)
+    assert B.evaluate(B.lit(2 ** 300)).log2() == (300, 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POSITIVE)
+def test_log2_kernel_draws(x):
+    _check_log2(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1000, 64 * 10 ** 6), st.integers(1, 10 ** 6))
+def test_exp2_kernel_draws(p, q):
+    """2^x for -1000 <= x < 64, as level-index brackets step down a
+    level."""
+    x = Rational(p, q)
+    lo, hi = B._exp2(x)
+    with mpmath.workprec(200):
+        assert _encloses(lo, hi, mpmath.mpf(2) ** (mpmath.mpf(p) / q))
+    assert hi - lo <= hi / 2 ** 60
+
+
+def test_log2e_bracket():
+    with mpmath.workprec(200):
+        assert _encloses(B._LOG2E.lo, B._LOG2E.hi, 1 / mpmath.log(2))

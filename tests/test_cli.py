@@ -296,12 +296,30 @@ def test_bounds_brackets_the_tower(capsys):
         assert brackets[cap][0] <= lo and hi <= brackets[cap][1]
 
 
-@pytest.mark.parametrize("n,expected", [("2", 3), ("3", 3), ("0", 2), ("-1", 2)])
+@pytest.mark.parametrize("n,expected", [("0", 2), ("-1", 2)])
 def test_bounds_refusals(capsys, n, expected):
     t0 = time.perf_counter()
     code, lines = refused(capsys, ["bounds", "--n", n])
     assert time.perf_counter() - t0 < 20
     assert code == expected and len(lines) == 1 and lines[0].startswith("error:")
+
+
+# an end of the bracket: 2^(2^(...2^z)), nested as deep as it needs
+_NESTED_END = r"(?:2\^\()*2\^[0-9.]+\)*"
+
+
+@pytest.mark.parametrize("n,seconds", [
+    pytest.param(n, seconds, id=n)
+    for n, seconds in [("2", 2), ("3", 2), ("300", 2), ("3000", 10)]])
+def test_bounds_brackets_every_n(capsys, n, seconds):
+    """The tower has no level cap: every n gets a bracket, in seconds."""
+    t0 = time.perf_counter()
+    code = main(["bounds", "--n", n])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "") and elapsed < seconds
+    assert re.fullmatch(r"log2\(log2\(value\)\) in \[%s, %s\]"
+                        % (_NESTED_END, _NESTED_END), out.splitlines()[1])
 
 
 def test_degree_one_character_run(capsys):
@@ -367,11 +385,10 @@ print(json.dumps([after_import, codes, loaded()]))
 
 def test_galois_runs_import_no_sympy():
     """dgal does its own arithmetic: importing the CLI and running
-    galois on the six worked examples loads no sympy module, and no
-    mpmath either, which only the symbolic bound needs.  Nor does a run
-    pay for a cold argparse (which loads gettext) or for fractions and
-    decimal: the CLI reads its arguments and the expansion point
-    itself."""
+    galois on the six worked examples loads no sympy module and no
+    mpmath.  Nor does a run pay for a cold argparse (which loads
+    gettext) or for fractions and decimal: the CLI reads its arguments
+    and the expansion point itself."""
     from test_golden import EXAMPLES, GOLDEN
     runs = [[str(GOLDEN / (name + ".sys")), flags] for name, flags in EXAMPLES]
     env = dict(os.environ,
@@ -382,6 +399,29 @@ def test_galois_runs_import_no_sympy():
     after_import, codes, loaded = json.loads(run.stdout.splitlines()[-1])
     assert codes == [0] * len(EXAMPLES)
     assert after_import == [] and loaded == []
+
+
+# runs bounds for each n in one interpreter and prints the exit codes and
+# the mpmath and fractions modules loaded
+_IMPORTS_DURING_BOUNDS = """
+import json, sys
+from dgal.cli import main
+
+codes = [main(["bounds", "--n", n]) for n in sys.argv[1:]]
+loaded = [m for m in sys.modules if m.split(".")[0] in ("mpmath", "fractions")]
+print(json.dumps([codes, sorted(loaded)]))
+"""
+
+
+def test_bounds_runs_import_no_mpmath():
+    """The bound tower runs on dgal's own rationals: no mpmath, no
+    fractions."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dgal.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _IMPORTS_DURING_BOUNDS,
+                          "1", "2", "3"], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
 
 # runs galois and fails when it loaded any sympy module, the only source

@@ -221,7 +221,7 @@ def test_partial_fractions_match_sympy(num, poles):
             den = _product(QQ, [den, [QQ.from_int(-p), QQ.one]])
     f = R.from_coeffs([QQ.from_fraction(c) for c in num], den)
     expr = _sympy_rf((num, den))
-    big, poly_part, parts = R.partial_fractions(f)
+    big, poly_part, parts = R.apart(f)
     assert big.const.degree() == 1
     got = dict(parts)
     remainder = expr

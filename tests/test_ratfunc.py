@@ -81,7 +81,7 @@ def test_partial_fractions_simple():
     k = R.const
     # (3t+1)/(t(t-1)) = -1/t + 4/(t-1)
     f = R.parse("(3*t + 1)/(t^2 - t)")
-    big, poly_part, parts = R.partial_fractions(f)
+    big, poly_part, parts = R.apart(f)
     kb = big.const
     assert all(kb.is_zero(c) for c in poly_part)
     got = {}
@@ -95,7 +95,7 @@ def test_partial_fractions_higher_order_and_poly_part():
     R = make()
     # t + 2 + 5/(t-1)^2 expressed with a common denominator
     f = R.parse("((t + 2)*(t - 1)^2 + 5)/((t - 1)^2)")
-    big, poly_part, parts = R.partial_fractions(f)
+    big, poly_part, parts = R.apart(f)
     kb = big.const
     assert [kb.format(c) for c in poly_part[:2]] == ["2", "1"]
     assert len(parts) == 1
@@ -107,7 +107,7 @@ def test_partial_fractions_higher_order_and_poly_part():
 def test_partial_fractions_extends_field():
     R = make()
     f = R.parse("1/(t^2 + 1)")  # poles at +-i
-    big, poly_part, parts = R.partial_fractions(f)
+    big, poly_part, parts = R.apart(f)
     assert big.const.degree() == 2
     assert len(parts) == 2
     # reassemble and compare
