@@ -200,6 +200,21 @@ def test_groebner_matches_sympy(ideal, order):
             for g in ours} == set(theirs.exprs)
 
 
+def test_lex_basis_of_a_swelling_ideal_matches_sympy():
+    """Taking the pair of least lcm first, this lex basis ran for 90 s;
+    taking the pair of least sugar first, it is sympy's in well under a
+    second."""
+    gens = ["-3*x*z - x*y^2 - x^2*y", "-3*y^2 - x^2 - 3*x^2*y^2*z^2",
+            "3*y^2*z^2 + 2*z^2 - x^2*y^2"]
+    syms = SYMS[:3]
+    R = PolyRing(K, [str(s) for s in syms], LEX)
+    ours = groebner([R.parse(g) for g in gens])
+    theirs = sp.groebner([sp.sympify(g.replace("^", "**")) for g in gens],
+                         *syms, order="lex", domain="QQ")
+    assert {sp.sympify(R.format(g).replace("^", "**")) for g in ours} \
+        == set(theirs.exprs)
+
+
 def test_stabilizer_basis_needs_few_s_polynomials(monkeypatch):
     """The stabilizer of diag(1/(3t), 2/(3t)) at degree 3 has 32
     generators in echelon form and a reduced basis of 5 (graded-lex) or 4
