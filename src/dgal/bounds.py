@@ -82,9 +82,7 @@ _FUNCTIONS = {"fact": 1, "binom": 2, "maxbinom": 1, "max": 2, "jordan": 1}
 def render(expr):
     k = expr.kind
     if k == "int":
-        v = expr.value
-        return str(v.numerator) if v.denominator == 1 else \
-            "%d/%d" % (v.numerator, v.denominator)
+        return str(expr.value)
     if k in _SYMBOL:
         return "(%s %s %s)" % (render(expr.children[0]), _SYMBOL[k],
                                render(expr.children[1]))
@@ -463,10 +461,12 @@ class _Eval:
             m = a.exact_int()
             if k <= m and k * max(m.bit_length(), 1) <= self.cap:
                 return Magnitude(0, Rational(math.comb(m, k)))
-        # (a/k)^k <= C(a, k) <= a^k / k!, with k! exact under the cap
-        la = self.log2(a)
-        lo = self.mul(b, self.diff(la, self.log2(b)))
-        hi = self.diff(self.mul(b, la), self.log2(self.fact(b)))
+        # (a - k + 1)^k / k! <= C(a, k) <= a^k / k!, with one k!, exact
+        # under the cap
+        lfact = self.log2(self.fact(b))
+        least = self.log2(self.diff(self.add(a, _ONE), b))
+        lo = self.diff(self.mul(b, least), lfact)
+        hi = self.diff(self.mul(b, self.log2(a)), lfact)
         return self.exp2(self.hull(lo, hi))
 
     def maxbinom(self, a):

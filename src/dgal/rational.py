@@ -13,7 +13,7 @@ with ints and Fractions by value.  Arithmetic mixes it with ints only.
 
 import numbers
 from math import gcd
-from sys import hash_info
+from sys import hash_info, int_info
 
 _HASH_MODULUS = hash_info.modulus
 _HASH_INF = hash_info.inf
@@ -208,12 +208,35 @@ class Rational:
         return self.numerator / self.denominator
 
     def __repr__(self):
-        return "Rational(%d, %d)" % (self.numerator, self.denominator)
+        return "Rational(%s, %s)" % (_decimal(self.numerator),
+                                     _decimal(self.denominator))
 
     def __str__(self):
         if self.denominator == 1:
-            return str(self.numerator)
-        return "%d/%d" % (self.numerator, self.denominator)
+            return _decimal(self.numerator)
+        return "%s/%s" % (_decimal(self.numerator),
+                          _decimal(self.denominator))
+
+
+# ints below 2^_CHECKED_BITS have fewer decimal digits than the least
+# limit sys.set_int_max_str_digits accepts, so str() never refuses them
+_CHECKED_BITS = int((int_info.str_digits_check_threshold - 1) * 3.32)
+
+
+def _decimal(i):
+    """The decimal digits of the int ``i``, exactly, at any length.
+
+    str() refuses an int of more digits than the interpreter's limit
+    (4300 by default); a longer one is split by a power of ten into
+    halves, each converted the same way, so the process-wide limit is
+    neither read nor changed."""
+    if i.bit_length() < _CHECKED_BITS:
+        return str(i)
+    if i < 0:
+        return "-" + _decimal(-i)
+    k = i.bit_length() * 3 // 20    # about half the digits
+    hi, lo = divmod(i, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def _new(numerator, denominator):

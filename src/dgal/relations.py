@@ -34,11 +34,14 @@ P(X*Y) has one evaluator, ``_ProductPowers``: it expands each (X*Y)^m
 over the integers once and reads P(X*Y) = sum_m c_m (X*Y)^m off the
 expansions as ``{(x-exponent, y-exponent): coefficient}``, so a
 coefficient of P is only scaled by an integer.  ``_relations_at_product``
-applies it to every basis relation, for two readers: the stabilizer
-(``groups``) groups each image by x-monomial, and the transport search
-of ``second_point_check`` groups it by y-monomial and evaluates each
-x-polynomial with the ``MonomialSeries`` store at the second point.  The
-character check of ``groups`` reads the same expansions.
+applies it to the polynomials its reader passes.  The stabilizer
+(``groups``) passes only the basis relations that generate the ideal,
+those whose lead is not x_v times another lead when the span is closed
+under each x_v, and groups each image by x-monomial.  The transport
+search of ``second_point_check`` passes the whole basis, groups each
+image by y-monomial and evaluates each x-polynomial with the
+``MonomialSeries`` store at the second point.  The character check of
+``groups`` reads the same expansions.
 """
 
 from functools import cached_property
@@ -586,11 +589,12 @@ class _ProductPowers:
         return {key: c for key, c in out.items() if not fld.is_zero(c)}
 
 
-def _relations_at_product(rel):
-    """Each basis relation P as P(X*Y), ``{(x-exponent, y-exponent):
-    coefficient}``, from one table of expanded powers of X*Y."""
-    powers = _ProductPowers(isqrt(rel.ring.nvars))
-    return [powers.at_product(rel.ring.field, P) for P in rel.basis]
+def _relations_at_product(ring, polys):
+    """Each polynomial P of ``polys``, in the x variables of ``ring``, as
+    P(X*Y), ``{(x-exponent, y-exponent): coefficient}``, from one table
+    of expanded powers of X*Y."""
+    powers = _ProductPowers(isqrt(ring.nvars))
+    return [powers.at_product(ring.field, P) for P in polys]
 
 
 def transport_factor(rel, store, N):
@@ -610,7 +614,7 @@ def transport_factor(rel, store, N):
                           for i in range(n) for j in range(n)],
                       graded_lex_order(nsq))
     eqs = []
-    for PXY in _relations_at_product(rel):
+    for PXY in _relations_at_product(rel.ring, rel.basis):
         by_y = {}
         for (xe, ye), c in PXY.items():
             by_y.setdefault(ye, {})[xe] = c

@@ -31,6 +31,18 @@ def test_unipotent_values():
     assert ev(B.unipotent_family_bound(2)).exact_int() == 17 ** 4096
 
 
+def test_unipotent_repr_past_the_interpreters_digit_limit():
+    # 17^4096 has 5040 decimal digits, past the 4300 that str() of an
+    # int allows by default; the magnitude still prints exactly
+    value = 17 ** 4096
+    text = repr(ev(B.unipotent_family_bound(2)))
+    head, digits, again = text.rstrip(")").split(", ")
+    assert (head, digits) == ("Magnitude(0", again)
+    assert len(digits) == math.floor(4096 * math.log10(17)) + 1 == 5040
+    assert int(digits[:20]) == value // 10 ** (len(digits) - 20)
+    assert int(digits[-20:]) == value % 10 ** 20
+
+
 def test_unipotent_log_bracket():
     l = ev(B.unipotent_family_bound(1), bit_cap=4).log2()
     assert 12.67 <= float(l.a) and float(l.b) <= 12.68
@@ -123,6 +135,7 @@ def test_exact_value_inside_own_bracket():
     big, other = B.pow_(B.lit(3), B.lit(100)), B.pow_(B.lit(2), B.lit(150))
     for e in [B.gamma_bound(2, 4), B.unipotent_family_bound(1),
               B.fact(B.lit(30)), B.binom(B.lit(40), B.lit(17)),
+              B.binom(B.lit(10 ** 6), B.lit(9)), B.binom(B.lit(9), B.lit(9)),
               B.maxbinom(B.lit(100)), B.add(big, other), B.sub(big, other)]:
         v = ev(e).exact_int()
         assert ev(e, bit_cap=4).contains_exact(v)

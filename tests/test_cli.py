@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -320,6 +321,40 @@ def test_bounds_brackets_every_n(capsys, n, seconds):
     assert (code, err) == (0, "") and elapsed < seconds
     assert re.fullmatch(r"log2\(log2\(value\)\) in \[%s, %s\]"
                         % (_NESTED_END, _NESTED_END), out.splitlines()[1])
+
+
+def test_bounds_top_index_is_as_tight_for_n_3(capsys):
+    """The binomial's lower end (a - k + 1)^k / k! shares the upper end's
+    k!, so the n = 3 top index bracket is no wider than those of n = 1
+    and n = 2; (a/k)^k left it about 10 wide."""
+    widths = {}
+    for n in ["1", "2", "3"]:
+        assert main(["bounds", "--n", n]) == 0
+        line = capsys.readouterr()[0].splitlines()[1]
+        lo, hi = re.findall(r"2\^([0-9.]+)\)*[,\]]", line)
+        widths[n] = Decimal(hi) - Decimal(lo)
+    assert 0 <= widths["3"] <= min(widths["1"], widths["2"])
+
+
+def test_three_radical_diagonal_prints_the_ideal_generators(capsys,
+                                                             tmp_path):
+    """diag(1/(2t), 1/(3t), 1/(5t)) at degree 5 has 1976 basis relations,
+    of which 9 generate the ideal; the proto-group is read off those 9,
+    and the group is still cyclic of order 30."""
+    path = tmp_path / "diag235.txt"
+    diagonal = ["1/(2*t)", "1/(3*t)", "1/(5*t)"]
+    path.write_text("n: 3\n" + "".join(
+        "A[%d][%d]: %s\n" % (i + 1, j + 1, diagonal[i] if i == j else "0")
+        for i in range(3) for j in range(3)))
+    code = main(["galois", "--system", str(path), "--degree-override", "5"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert "order: 30" in lines and "rigorous: yes" in lines
+    assert [line for line in lines if line.startswith("proto_generator:")] \
+        == ["proto_generator: " + g for g in [
+            "x_3_3^5 + -1", "x_2_2^3 + -1", "x_1_1^2 + -1", "x_1_2", "x_1_3",
+            "x_2_1", "x_2_3", "x_3_1", "x_3_2"]]
 
 
 def test_degree_one_character_run(capsys):

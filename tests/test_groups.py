@@ -1,9 +1,10 @@
+from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dgal import fields, groups
+from dgal import fields, groups, linalg
 from dgal.fields import ConstField
 from dgal.groups import (AlgebraicSubgroup, Character,
                          _certified_irreducible, characters_generators,
@@ -14,8 +15,11 @@ from dgal.errors import DgalError, UnsupportedInstanceError
 from dgal.multipoly import MultiPoly, PolyRing, groebner, normal_form
 from dgal.pipeline import PipelineConfig, proto_galois
 from dgal.ratfunc import RatFuncField
-from dgal.relations import _row_reduce_polys, find_relations
+from dgal.relations import (_ProductPowers, _row_reduce_polys, find_relations,
+                            in_span)
 from dgal.systems import OdeSystem
+
+from test_sweep import exponentials, gauges, radical_diagonals, rotations
 
 K = ConstField()
 R = RatFuncField(K)
@@ -514,6 +518,132 @@ def test_closure_check_needs_every_generator():
     with pytest.raises(DgalError, match="group closure failed"):
         verify_group_axioms(H, rel)
     assert not H.group_verified
+
+
+# -- the stabilizer from the ideal's generators --------------------------
+
+# every golden system, with the degree and point tests/test_golden.py runs
+GOLDEN_SYSTEMS = [("mu2", 2, 1), ("exp", 3, 0), ("t", 1, 1),
+                  ("harmonic", 2, 0), ("airy", 2, 1), ("diag23", 3, 1)]
+DIAG_SYSTEMS = [(("1/(3*t)", "2/(3*t)"), 3),
+                (("1/(2*t)", "1/(3*t)", "1/(5*t)"), 3)]
+
+
+def diag_proto_galois(entries, degree):
+    n = len(entries)
+    sys = sys_of(*[[e if i == j else "0" for j in range(n)]
+                   for i, e in enumerate(entries)])
+    return proto_galois(sys, PipelineConfig(degree=degree))
+
+
+def all_basis_generators(rel):
+    """The stabilizer's generators from the residuals of every basis
+    relation, each reduced by the span: the expansion the stabilizer
+    made before it read only the ideal's generators, kept here as the
+    reference."""
+    ring = rel.ring
+    R = ring.field
+    n = isqrt(ring.nvars)
+    ring_const = group_ring(n, R.const)
+    powers = _ProductPowers(n)
+    leads = {Q.leading()[0]: Q.terms for Q in rel.basis}
+    pieces = []
+    for P in rel.basis:
+        vec = {}
+        for (xe, he), c in powers.at_product(R, P).items():
+            vec.setdefault(xe, {})[he] = c
+        for le in [e for e in vec if e in leads]:
+            lead = vec.pop(le)
+            for e, c in leads[le].items():
+                if e != le and not linalg.sub_multiples(
+                        R, vec.setdefault(e, {}), [(c, lead)]):
+                    del vec[e]
+        for res in vec.values():
+            if res:
+                pieces.extend(groups._split_by_t_power(R, ring_const, res))
+    return _row_reduce_polys(ring_const, pieces)
+
+
+def assert_generators_suffice(H, rel):
+    """H from G has the reduced Groebner basis of H from every relation.
+    G with the x-multiples of the lower-degree relations spans the
+    relation span W; those multiples lie in W (it is closed), or G is
+    the whole basis.  Returns whether W is closed."""
+    assert H.group_verified
+    assert groebner(H.generators) == groebner(all_basis_generators(rel))
+    gens = groups._ideal_generators(rel)
+    lower = [x * Q for Q in rel.basis if Q.total_degree() < rel.d
+             for x in rel.ring.gens]
+    closed = in_span(rel.basis, lower)
+    assert in_span(gens + lower, rel.basis)
+    assert closed or gens == rel.basis
+    return closed
+
+
+@pytest.mark.parametrize("name,degree,point", GOLDEN_SYSTEMS,
+                         ids=[name for name, _d, _p in GOLDEN_SYSTEMS])
+def test_ideal_generators_give_the_stabilizer_of_the_golden_systems(
+        name, degree, point):
+    assert assert_generators_suffice(*golden_proto_galois(name, degree,
+                                                          point))
+
+
+@pytest.mark.parametrize("entries,degree", DIAG_SYSTEMS,
+                         ids=["diag(1,2)/3t", "diag(1/2,1/3,1/5)/t"])
+def test_ideal_generators_give_the_stabilizer_of_radical_diagonals(
+        entries, degree):
+    assert assert_generators_suffice(*diag_proto_galois(entries, degree))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(radical_diagonals(), exponentials(), rotations(), gauges()))
+# P diag(1/2, 1) P^-1 / t with P = [[1, 1], [0, 1]]: a gauge whose
+# relations are not monomial
+@example(([["(1/2)/t", "(1/2)/t"], ["0", "(1)/t"]],
+          ["--degree-override", "2", "--point", "1"], {"order": "2"}, False))
+def test_ideal_generators_give_the_stabilizer_of_the_sweep(instance):
+    rows, flags, _expect, _certified = instance
+    degree = int(flags[flags.index("--degree-override") + 1])
+    point = int(flags[flags.index("--point") + 1]) if "--point" in flags \
+        else 1
+    doc = "n: %d\n" % len(rows) + "".join(
+        "A[%d][%d]: %s\n" % (i + 1, j + 1, entry)
+        for i, row in enumerate(rows) for j, entry in enumerate(row))
+    try:
+        H, rel = proto_galois(OdeSystem.from_document(doc), PipelineConfig(
+            degree=degree, a=K.from_int(point)))
+    except DgalError:
+        # a refusal at the proto-group stage, which the sweep allows
+        return
+    assert_generators_suffice(H, rel)
+
+
+def test_span_without_x_closure_expands_every_relation():
+    # at the uncertified order 20, the harmonic oscillator's degree-1
+    # basis holds x_1_2 + c(t)*x_2_2 + e(t) with c, e of degree 12 over
+    # 11: a k(t)-combination of kernel vectors whose degree-2 terms
+    # cancel, whose x-multiples are not relations at that order
+    sys = OdeSystem.from_document((GOLDEN / "harmonic.sys").read_text())
+    H, rel = proto_galois(sys, PipelineConfig(degree=2, a=K.zero, order=20))
+    assert not rel.rigorous
+    assert not assert_generators_suffice(H, rel)
+    assert groups._ideal_generators(rel) == rel.basis
+
+
+def test_stabilizer_expands_only_the_ideal_generators(monkeypatch):
+    # diag(1/(3t), 2/(3t)) at degree 3: 5 of the 32 basis relations
+    # generate the ideal, and only those are expanded at X*h
+    calls = []
+    at_product = _ProductPowers.at_product
+
+    def counting(self, fld, P):
+        calls.append(P)
+        return at_product(self, fld, P)
+
+    monkeypatch.setattr(_ProductPowers, "at_product", counting)
+    H, rel = diag_proto_galois(*DIAG_SYSTEMS[0])
+    assert (len(rel.basis), len(calls)) == (32, 5)
+    assert len(H.generators) == 5
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])

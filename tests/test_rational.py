@@ -56,3 +56,33 @@ def test_normal_form_and_zero_denominator():
         Rational(1, 0)
     with pytest.raises(ZeroDivisionError):
         Rational(1) / 0
+
+
+def from_digits(text):
+    """The int of a decimal string of any length, 500 digits at a time,
+    past the interpreter's limit on int() of a string."""
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(text), 500):
+        chunk = text[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-10 ** 9000, 10 ** 9000), st.integers(1, 10 ** 6))
+def test_str_is_exact_past_the_interpreters_digit_limit(num, den):
+    # str() of an int refuses more than 4300 digits by default; a
+    # Rational converts exactly at any length, without that setting
+    x = Rational(num, den)
+    text = str(x)
+    n, _, d = text.partition("/")
+    assert from_digits(n) == x.numerator and from_digits(d or "1") == \
+        x.denominator
+    assert n.lstrip("-") == "0" or not n.lstrip("-").startswith("0")
+    assert repr(x) == "Rational(%s, %s)" % (n, d or "1")
+
+
+def test_str_of_a_power_of_ten_past_the_limit():
+    assert str(Rational(10 ** 5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"
+    assert str(Rational(-10 ** 9000)) == "-1" + "0" * 9000
