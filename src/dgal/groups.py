@@ -18,10 +18,10 @@ from math import isqrt
 
 from . import factor, fields, lattice, linalg
 from .errors import DgalError, UnsupportedInstanceError
-from .multipoly import (PolyRing, groebner, is_zero_dimensional, normal_form,
-                        standard_monomials)
+from .multipoly import (GRADED_LEX, PolyRing, groebner, is_zero_dimensional,
+                        linear_derivation, normal_form, standard_monomials)
 from .relations import (_ProductPowers, _relations_at_product,
-                        _row_reduce_polys, graded_lex_order, matrix_var_names)
+                        _row_reduce_polys, group_ring)
 
 
 class AlgebraicSubgroup:
@@ -52,17 +52,8 @@ class AlgebraicSubgroup:
                 for i in range(self.n) for j in range(self.n)]
 
     def vanishes_at_identity(self):
-        # a monomial is 1 at I when it holds only diagonal entries, else 0
-        fld = self.ring.field
-        off = [p for p in range(self.n * self.n) if p % (self.n + 1)]
-        for g in self.generators:
-            value = fld.zero
-            for e, c in g.terms.items():
-                if not any(e[p] for p in off):
-                    value = fld.add(value, c)
-            if not fld.is_zero(value):
-                return False
-        return True
+        return all(self.field.is_zero(g.at_identity())
+                   for g in self.generators)
 
     def groebner_basis(self):
         if not hasattr(self, "_gb"):
@@ -87,10 +78,6 @@ class Character:
 
     def __repr__(self):
         return "Character(%s)" % self.ring.format(self.poly)
-
-
-def group_ring(n, field):
-    return PolyRing(field, matrix_var_names(n), graded_lex_order(n * n))
 
 
 def full_group(n, field):
@@ -388,7 +375,7 @@ def _doubled_ideal(ring, gb, n):
     nsq = n * n
     names = list(ring.names) + ["y_%d_%d" % (i + 1, j + 1)
                                 for i in range(n) for j in range(n)]
-    ring2 = PolyRing(ring.field, names, graded_lex_order(2 * nsq))
+    ring2 = PolyRing(ring.field, names, GRADED_LEX)
     both = []
     for g in gb:
         both.append(ring2.from_dict({e + (0,) * nsq: c
@@ -472,16 +459,9 @@ def _derivation_matrix(ring, gb, B, xi):
     mat = linalg.zeros(fld, len(B), len(B))
     for k, m in enumerate(B):
         terms = {}
-        for p, e in enumerate(m):
-            if not e:
-                continue
-            for q, c in lin[p]:
-                m2 = list(m)
-                m2[p] -= 1
-                m2[q] += 1
-                m2 = tuple(m2)
-                terms[m2] = fld.add(terms.get(m2, fld.zero),
-                                    fld.mul(fld.from_int(e), c))
+        for m2, e, c in linear_derivation(m, lin):
+            terms[m2] = fld.add(terms.get(m2, fld.zero),
+                                fld.mul(fld.from_int(e), c))
         val = ring.from_dict(terms)
         for e2, c in normal_form(val, gb).terms.items():
             mat[idx[e2]][k] = c
@@ -619,21 +599,13 @@ def characters_generators(H, D):
         raise DgalError("character eigenspaces did not separate")
     ringF = group_ring(n, big)
     gbF = [_coerce_poly(ringF, ring, g) for g in gb]
-    ident = H.identity_values()
-    identF = _coerce_vec(big, fld, ident)
     sols = []
     for sp_ in spaces:
-        v = sp_[0]
-        s = big.zero
-        for i, m in enumerate(B):
-            s = big.add(s, big.mul(_monomial_at(big, m, identF), v[i]))
+        P = ringF.from_dict(dict(zip(B, sp_[0])))
+        s = P.at_identity()
         if big.is_zero(s):
             continue  # no multiplicative polynomial on this line
-        inv = big.inv(s)
-        P = ringF.zero
-        for i, m in enumerate(B):
-            P = P + ringF.from_dict({m: big.mul(v[i], inv)})
-        P = normal_form(P, gbF)
+        P = normal_form(P.scale(big.inv(s)), gbF)
         if P == ringF.one:
             continue
         if not any(P == q for q in sols):
@@ -665,14 +637,6 @@ def characters_generators(H, D):
             verified.append(i)
             out.append(i)
     return [Character(sols[i], ringF) for i in out]
-
-
-def _monomial_at(fld, exp, values):
-    out = fld.one
-    for v, e in zip(values, exp):
-        for _ in range(e):
-            out = fld.mul(out, v)
-    return out
 
 
 def _coerce_poly(ring_to, ring_from, p):

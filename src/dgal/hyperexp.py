@@ -121,6 +121,8 @@ def _admissible_lattice(k, data, l):
     """Basis of the integer vectors m for which sum m_j v_j is the
     logarithmic derivative of a rational function: the combination must
     have zero polynomial part, only simple poles, and integer residues.
+    Returns (basis, poles, residues): row i of ``residues`` holds the
+    rational residue of each v_j at poles[i].
     """
     poles = []
     for _qc, parts in data:
@@ -170,46 +172,30 @@ def _admissible_lattice(k, data, l):
     E = lattice.rational_kernel_lattice(eq_rows, l) if eq_rows else \
         [[1 if i == j else 0 for j in range(l)] for i in range(l)]
     if not E:
-        return []
+        return [], poles, res_rows
     cong = [[sum(r * e[j] for j, r in enumerate(row)) for e in E]
             for row in res_rows]
     X = lattice.congruence_lattice(cong, len(E)) if cong else \
         [[1 if i == j else 0 for j in range(len(E))] for i in range(len(E))]
     out = [[sum(x_i * E[i][j] for i, x_i in enumerate(x)) for j in range(l)]
            for x in X]
-    return lattice.hnf_basis(out)
+    return lattice.hnf_basis(out), poles, res_rows
 
 
-def _combo_pf(k, data, w):
-    """Partial-fraction data of sum w_j v_j: (poles, residues)."""
-    poles = []
-    res = []
-    for wj, (_qc, parts) in zip(w, data):
-        if wj == 0:
-            continue
-        for pole, cs in parts:
-            r = k.mul(k.from_int(wj), cs[0])
-            hit = next((i for i, p in enumerate(poles) if k.eq(p, pole)), None)
-            if hit is None:
-                poles.append(pole)
-                res.append(r)
-            else:
-                res[hit] = k.add(res[hit], r)
-    return poles, res
-
-
-def _integrate_cofactor(R, k, data, w):
+def _integrate_cofactor(R, poles, residues, w):
     """The rational f with f'/f = sum w_j v_j, given that the combination
-    is admissible; f = prod (t - p)^r over the integer residues r."""
-    poles, res = _combo_pf(k, data, w)
+    is admissible; f = prod (t - p)^r over the poles p and the residues
+    r of the combination, read off the residue rows of
+    ``_admissible_lattice``."""
+    k = R.const
     f = R.one
-    for p, r in zip(poles, res):
-        vec = _coords(k, r)
-        if any(vec[1:]) or vec[0].denominator != 1:
+    for p, row in zip(poles, residues):
+        r = sum(wj * x for wj, x in zip(w, row))
+        if r.denominator != 1:
             raise DgalError("admissible combination has non-integer "
-                            "residue %s" % k.format(r))
-        f = R.mul(f, R.pow(R.from_coeffs([k.neg(p), k.one]),
-                           int(vec[0])))
+                            "residue %s" % r)
+        if r:
+            f = R.mul(f, R.pow(R.from_coeffs([k.neg(p), k.one]), int(r)))
     return f
 
 
@@ -239,10 +225,10 @@ def relation_lattice(elements):
     """
     R, data, vs = _pf_over_common(elements)
     k = R.const
-    basis = _admissible_lattice(k, data, len(elements))
+    basis, poles, residues = _admissible_lattice(k, data, len(elements))
     cofactors = []
     for m in basis:
-        f = _integrate_cofactor(R, k, data, m)
+        f = _integrate_cofactor(R, poles, residues, m)
         _verify_logderiv(R, f, vs, m)
         cofactors.append(f)
     return RelationLattice(R, basis, cofactors)

@@ -2,8 +2,13 @@
 orders, reduction, and Buchberger's algorithm.
 
 Exponents are tuples of ints; a polynomial is a dict exponent -> nonzero
-coefficient.  The ring carries the field, the variable names, and a
-default monomial order.
+coefficient.  The ring carries the field, the variable names and the
+monomial order: a Groebner basis is one of an ideal of its ring, in the
+ring's order, and a ring in another order is another ring.  The
+variables of a matrix ring are the entries of a square matrix in
+row-major order; ``MultiPoly.at_identity`` evaluates at X = I, and
+``linear_derivation`` applies a derivation that maps each entry to a
+linear form, as X' = A X and X -> X*xi do.
 
 ``groebner`` is Buchberger's algorithm with the coprimality and chain
 criteria, run on an autoreduced input: generators that reduce to zero
@@ -19,6 +24,7 @@ place, so a division step touches only the terms it changes.
 import heapq
 import itertools
 import operator
+from math import isqrt
 
 from . import _grammar
 from .errors import DgalError, ResourceCapError
@@ -43,6 +49,9 @@ def _grevlex_key(exp):
 
 GREVLEX = MonomialOrder("grevlex", _grevlex_key)
 LEX = MonomialOrder("lex", lambda exp: exp)
+# total degree first, then lex with earlier variables dominating: the
+# order of the relation bases and of the groups in the matrix entries
+GRADED_LEX = MonomialOrder("gradedlex", lambda exp: (sum(exp), exp))
 
 
 def _mono_mul(a, b):
@@ -102,7 +111,7 @@ class PolyRing:
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.field == other.field
-                and self.names == other.names)
+                and self.names == other.names and self.order is other.order)
 
     def __hash__(self):
         return hash((self.names, id(self.field.__class__)))
@@ -260,16 +269,15 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def leading(self, order=None):
+    def leading(self):
         """(exponent, coefficient) of the leading term."""
-        order = order or self.ring.order
-        exp = max(self.terms, key=order.key)
+        exp = max(self.terms, key=self.ring.order.key)
         return exp, self.terms[exp]
 
-    def monic(self, order=None):
+    def monic(self):
         if not self.terms:
             return self
-        _, lc = self.leading(order)
+        _, lc = self.leading()
         return self.scale(self.ring.field.inv(lc))
 
     def variables_used(self):
@@ -306,35 +314,47 @@ class MultiPoly:
             out = out + term
         return out
 
-    def evaluate(self, values, *, one, mul, add, from_coeff):
-        """Evaluate in another algebra.  ``values`` is a list indexed by
-        variable; the keyword arguments define the target algebra and
-        ``from_coeff`` maps ring coefficients into it."""
-        total = None
-        pow_cache = {}
+    def eval_consts(self, values):
+        """The value at the field elements ``values``, one per variable."""
+        fld = self.ring.field
+        total = fld.zero
         for exp, c in self.terms.items():
-            term = from_coeff(c)
-            for i, k in enumerate(exp):
-                if not k:
-                    continue
-                key = (i, k)
-                if key not in pow_cache:
-                    p = values[i]
-                    for _ in range(k - 1):
-                        p = mul(p, values[i])
-                    pow_cache[key] = p
-                term = mul(term, pow_cache[key])
-            total = term if total is None else add(total, term)
-        if total is None:
-            total = mul(one, from_coeff(self.ring.field.zero))
+            for v, k in zip(values, exp):
+                if k:
+                    c = fld.mul(c, fld.pow(v, k))
+            total = fld.add(total, c)
         return total
 
-    def eval_consts(self, values):
-        """Evaluate at field elements; returns a field element."""
+    def at_identity(self):
+        """The value at X = I, the variables the entries of a square
+        matrix: the sum of the coefficients of the monomials that hold
+        diagonal entries only (``on_diagonal``), each 1 there."""
         fld = self.ring.field
-        return self.evaluate(
-            [v for v in values], one=fld.one,
-            mul=fld.mul, add=fld.add, from_coeff=lambda c: c)
+        total = fld.zero
+        for exp, c in self.terms.items():
+            if on_diagonal(exp):
+                total = fld.add(total, c)
+        return total
+
+
+def on_diagonal(exp):
+    """True when the monomial ``exp`` in the entries of a square matrix,
+    row-major, holds diagonal entries only: 1 at X = I, where any other
+    monomial is 0."""
+    return sum(exp[::isqrt(len(exp)) + 1]) == sum(exp)
+
+
+def linear_derivation(exp, images):
+    """The terms of D(x^exp) by the Leibniz rule, for the derivation D
+    with D x_p = sum c*x_q over the pairs (q, c) of ``images[p]``: one
+    (monomial, e, c) per such pair and variable x_p of exponent e > 0,
+    the term e*c times x^exp / x_p * x_q.  The caller multiplies e*c in
+    its own arithmetic and sums the terms of one monomial."""
+    for p, e in enumerate(exp):
+        if e:
+            lower = exp[:p] + (e - 1,) + exp[p + 1:]
+            for q, c in images[p]:
+                yield lower[:q] + (lower[q] + 1,) + lower[q + 1:], e, c
 
 
 # -- reduction and Groebner bases ---------------------------------------
@@ -343,7 +363,7 @@ class MultiPoly:
 MAX_BASIS = 2000
 
 
-def normal_form(p, basis, order=None):
+def normal_form(p, basis):
     """Remainder of p on division by the list ``basis``.
 
     The dividend is one dict reduced in place: a division step removes
@@ -353,7 +373,7 @@ def normal_form(p, basis, order=None):
     if not basis:
         return p
     ring = p.ring
-    key = (order or ring.order).key
+    key = ring.order.key
     fld = ring.field
     add, mul, is_zero = fld.add, fld.mul, fld.is_zero
     lead = []
@@ -387,18 +407,18 @@ def normal_form(p, basis, order=None):
     return MultiPoly(ring, rem)
 
 
-def s_polynomial(f, g, order=None):
-    order = order or f.ring.order
+def s_polynomial(f, g):
     fld = f.ring.field
-    (ef, cf) = f.leading(order)
-    (eg, cg) = g.leading(order)
+    (ef, cf) = f.leading()
+    (eg, cg) = g.leading()
     l = _mono_lcm(ef, eg)
     return (f.mul_term(_mono_div(l, ef), fld.inv(cf))
             - g.mul_term(_mono_div(l, eg), fld.inv(cg)))
 
 
-def groebner(gens, order=None):
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+def groebner(gens):
+    """Reduced Groebner basis of the ideal generated by ``gens``, in the
+    order of their ring.
 
     The input is autoreduced before any pair is formed: the generators
     are taken in ascending order of leading monomial, each is reduced by
@@ -413,15 +433,14 @@ def groebner(gens, order=None):
     gens = [g for g in gens if g.terms]
     if not gens:
         return []
-    ring = gens[0].ring
-    order = order or ring.order
+    key = gens[0].ring.order.key
     G, ecart = [], []  # an element's sugar less its lead's degree
-    for g in sorted(gens, key=lambda g: order.key(g.leading(order)[0])):
-        r = normal_form(g, G, order)
+    for g in sorted(gens, key=lambda g: key(g.leading()[0])):
+        r = normal_form(g, G)
         if r.terms:
-            G.append(r.monic(order))
-            ecart.append(g.total_degree() - sum(r.leading(order)[0]))
-    lead = [g.leading(order)[0] for g in G]
+            G.append(r.monic())
+            ecart.append(g.total_degree() - sum(r.leading()[0]))
+    lead = [g.leading()[0] for g in G]
 
     def pair_key(i, j):  # least sugar first, then least grevlex lcm
         lcm = _mono_lcm(lead[i], lead[j])
@@ -448,12 +467,12 @@ def groebner(gens, order=None):
             continue  # coprime leading monomials
         if chain_criterion(i, j):
             continue
-        s = normal_form(s_polynomial(G[i], G[j], order), G, order)
+        s = normal_form(s_polynomial(G[i], G[j]), G)
         if not s.terms:
             continue
-        s = s.monic(order)
+        s = s.monic()
         G.append(s)
-        lead.append(s.leading(order)[0])
+        lead.append(s.leading()[0])
         ecart.append(sugar - sum(lead[-1]))
         if len(G) > MAX_BASIS:
             raise ResourceCapError("Groebner basis exceeded %d elements" % MAX_BASIS)
@@ -461,19 +480,18 @@ def groebner(gens, order=None):
         for k in range(new):
             pairs.add((k, new))
             heapq.heappush(queue, pair_key(k, new))
-    return reduce_basis(G, order)
+    return reduce_basis(G)
 
 
-def reduce_basis(G, order=None):
+def reduce_basis(G):
     """Minimal, fully reduced, monic basis, sorted by leading monomial."""
     if not G:
         return []
-    ring = G[0].ring
-    order = order or ring.order
-    G = [g.monic(order) for g in G if g.terms]
+    key = G[0].ring.order.key
+    G = [g.monic() for g in G if g.terms]
     # minimality: drop elements whose lead is divisible by another lead
     keep = []
-    leads = [g.leading(order)[0] for g in G]
+    leads = [g.leading()[0] for g in G]
     for i, g in enumerate(G):
         li = leads[i]
         redundant = any(
@@ -486,23 +504,22 @@ def reduce_basis(G, order=None):
     out = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others, order)
+        r = normal_form(g, others)
         if r.terms:
-            out.append(r.monic(order))
-    out.sort(key=lambda g: order.key(g.leading(order)[0]))
+            out.append(r.monic())
+    out.sort(key=lambda g: key(g.leading()[0]))
     return out
 
 
-def standard_monomials(gb, ring, max_degree, order=None):
+def standard_monomials(gb, ring, max_degree):
     """Monomials of total degree <= max_degree not divisible by any
     leading monomial of the basis; the staircase up to a degree cap."""
-    order = order or ring.order
-    leads = [g.leading(order)[0] for g in gb]
+    leads = [g.leading()[0] for g in gb]
     out = []
     for exp in monomials_upto(ring.nvars, max_degree):
         if not any(_mono_divides(l, exp) for l in leads):
             out.append(exp)
-    out.sort(key=order.key)
+    out.sort(key=ring.order.key)
     return out
 
 
@@ -522,11 +539,10 @@ def _fixed_degree(nvars, deg):
             yield (first,) + rest
 
 
-def is_zero_dimensional(gb, ring, order=None):
+def is_zero_dimensional(gb, ring):
     """Finiteness test: every variable must show up as a pure power among
     the leading monomials.  Returns (flag, witness_variable_or_None)."""
-    order = order or ring.order
-    leads = [g.leading(order)[0] for g in gb]
+    leads = [g.leading()[0] for g in gb]
     for i in range(ring.nvars):
         ok = False
         for l in leads:

@@ -20,22 +20,19 @@ contained in the computed identity component, which is contained in H
 (checked by Groebner reduction).
 
 The degree bound that makes the whole computation unconditional is
-astronomically large by construction; it is only ever reported
-symbolically, and executable runs take a user-supplied degree override
-(results are then labeled relative to that degree).
+astronomically large by construction; a run takes a relation degree
+instead, and its results are relative to that degree.
 """
-
-from math import isqrt
 
 from . import linalg, upoly
 from .errors import DgalError, InputError, UnsupportedInstanceError
 from .fields import join, roots_of_unity
-from .groups import (AlgebraicSubgroup, _coerce_poly, characters_generators,
-                     group_ring, identity_component, kernel_of_characters,
-                     stabilizer_group, verify_group_axioms)
+from .groups import (_coerce_poly, characters_generators, identity_component,
+                     kernel_of_characters, stabilizer_group,
+                     verify_group_axioms)
 from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import normal_form
-from .relations import find_relations, in_span
+from .relations import find_relations, group_ring, in_span
 from .series import Series, rational_reconstruction
 from .systems import MonomialSeries
 
@@ -43,16 +40,15 @@ from .systems import MonomialSeries
 class PipelineConfig:
     """Settings of a pipeline run.
 
-    degree None means the symbolic-bound mode: the run refuses with the
-    rendered bound tower instead of executing.  a is the one expansion
-    point (None means t = 1); ell caps the t-degree of the relation
-    coefficients; order None adds series orders until the relation
-    basis is certified, and an explicit order N solves at order N,
-    certified or not.
+    degree caps the total degree of the relations; a is the one
+    expansion point (None means t = 1); ell caps the t-degree of the
+    relation coefficients; order None adds series orders until the
+    relation basis is certified, and an explicit order N solves at order
+    N, certified or not.
     """
 
-    def __init__(self, degree=None, a=None, ell=2, order=None):
-        if degree is not None and degree < 1:
+    def __init__(self, degree, a=None, ell=2, order=None):
+        if degree < 1:
             raise InputError("relation degree must be >= 1, got %d" % degree)
         self.degree = degree
         self.a = a
@@ -129,21 +125,10 @@ class GaloisGroupDescription:
 def proto_galois(sys, cfg):
     """Relation ideal, then its stabilizer with verified group axioms.
 
-    In symbolic-bound mode (no degree override) the run refuses: the
-    unconditional degree bound is not executable at desk scale, and the
-    error carries its expression tree and rendering.  A relation basis
-    that holds a nonzero constant is refused too: a constant cannot
-    vanish at the fundamental matrix, so the explicit order was too low.
+    A relation basis that holds a nonzero constant is refused: a
+    constant cannot vanish at the fundamental matrix, so the explicit
+    order was too low.
     """
-    if cfg.degree is None:
-        from .bounds import proto_galois_degree_bound, render
-        expr = proto_galois_degree_bound(sys.n)
-        err = UnsupportedInstanceError(
-            "the unconditional relation degree bound is not executable at "
-            "desk scale; pass an explicit degree override. Symbolic value: "
-            + render(expr))
-        err.bound_expr = expr
-        raise err
     a = sys.R.const.one if cfg.a is None else cfg.a
     rel = find_relations(sys, a, cfg.degree, cfg.ell, cfg.order)
     if any(P.constant_value() is not None for P in rel.basis):
@@ -157,16 +142,6 @@ def proto_galois(sys, cfg):
 
 
 # -- alpha and F_bar ----------------------------------------------------
-
-def _vanishes_at_identity(rel):
-    """True when every relation, as a rational function of t, is zero at
-    the identity matrix."""
-    R = rel.ring.field
-    n = isqrt(rel.ring.nvars)
-    vals = [R.one if p // n == p % n else R.zero
-            for p in range(rel.ring.nvars)]
-    return all(R.is_zero(P.eval_consts(vals)) for P in rel.basis)
-
 
 def _exponent(H):
     """The exponent M of a finite H: the least M such that every entry
@@ -312,12 +287,12 @@ def _fbar_in_component(sys, rel, H, chars):
     series is evaluated.  The claim is exact when the basis is
     certified; under an explicit order whose basis is not, it is only as
     good as the truncated kernel."""
-    if not _vanishes_at_identity(rel):
+    ring = rel.ring
+    R = ring.field
+    if not all(R.is_zero(P.at_identity()) for P in rel.basis):
         raise UnsupportedInstanceError(
             "substitution of a nontrivial algebraic alpha into an infinite "
             "component ideal is outside the supported class")
-    ring = rel.ring
-    R = ring.field
     gens = [ring.from_dict({e: R.from_const(c) for e, c in g.terms.items()})
             for g in H.generators]
     if not in_span(rel.basis, gens):
@@ -345,22 +320,6 @@ def character_binomials(chars, rl, ring):
                 neg = neg * x ** -e
         gens.append(pos - neg)
     return gens
-
-
-def build_J_barH(Hcirc, chars, rl):
-    """The constrained component: H's identity component intersected
-    with the character binomials of the relation lattice, then its own
-    identity component (the Galois group's identity component)."""
-    n = Hcirc.n
-    big = Hcirc.ring.field
-    if chars:
-        big = join(big, chars[0].ring.field)
-    ring = group_ring(n, big)
-    gens = [_coerce_poly(ring, Hcirc.ring, g) for g in Hcirc.generators]
-    binoms = character_binomials(chars, rl, ring) if chars else []
-    if not binoms:
-        return Hcirc
-    return identity_component(AlgebraicSubgroup(n, ring, gens + binoms))
 
 
 # -- finite part --------------------------------------------------------
@@ -475,10 +434,8 @@ def _dimension_estimate(comp):
 def _same_ideal(G1, G2):
     if G1 is G2:
         return True
-    big = join(G1.ring.field, G2.ring.field)
-    ring = group_ring(G1.n, big)
-    return sorted(map(ring.format, _basis_in(ring, G1))) == \
-        sorted(map(ring.format, _basis_in(ring, G2)))
+    ring = group_ring(G1.n, join(G1.ring.field, G2.ring.field))
+    return _basis_in(ring, G1) == _basis_in(ring, G2)
 
 
 # -- the full pipeline --------------------------------------------------
@@ -528,7 +485,6 @@ def _group_of(sys, cfg, H, rel):
                 "finite part over a positive dimensional component "
                 "is outside the supported class")
         chars = characters_generators(Hcirc, rel.d)
-        Gcirc = Hcirc
         if not chars:
             provenance["alpha"] = "not needed (trivial character lattice)"
         else:
@@ -539,10 +495,14 @@ def _group_of(sys, cfg, H, rel):
             elements = [logderiv_from_character(ch, store, order, cfg.ell,
                                                 cfg.ell) for ch in chars]
             rl = relation_lattice(elements)
-            Gcirc = build_J_barH(Hcirc, chars, rl)
             provenance["alpha"] = "alpha = I"
             provenance["hyperexp_relations"] = len(rl.basis)
-            if not _same_ideal(Gcirc, Hcirc):
+            # H deg's ideal is certified prime, so the binomials of L cut
+            # it properly exactly when one is outside that ideal
+            ring = group_ring(n, join(Hcirc.ring.field, chars[0].ring.field))
+            gb = _basis_in(ring, Hcirc)
+            if any(normal_form(b, gb)
+                   for b in character_binomials(chars, rl, ring)):
                 raise UnsupportedInstanceError(
                     "the character relations cut the component properly; "
                     "the finite part over a positive dimensional component "
@@ -550,8 +510,8 @@ def _group_of(sys, cfg, H, rel):
         # the logarithmic derivatives of the characters rest on
         # truncations
         desc = GaloisGroupDescription(
-            n, H, rel, Gcirc, False, None, None, 1,
-            _dimension_estimate(Gcirc), rel.rigorous and not chars,
+            n, H, rel, Hcirc, False, None, None, 1,
+            _dimension_estimate(Hcirc), rel.rigorous and not chars,
             provenance)
     if not sandwich_check(H, Hcirc, chars, desc.identity_component):
         raise DgalError("sandwich certificate failed: the computed "

@@ -49,7 +49,7 @@ from math import isqrt
 
 from . import linalg, upoly
 from .errors import InputError, ResourceCapError
-from .multipoly import MonomialOrder, PolyRing, monomials_upto
+from .multipoly import GRADED_LEX, PolyRing, linear_derivation, monomials_upto
 from .solve import PositiveDimensionalError, solve_zero_dimensional
 from .systems import MonomialSeries
 
@@ -58,10 +58,10 @@ def matrix_var_names(n):
     return ["x_%d_%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
 
 
-def graded_lex_order(nvars):
-    """The fixed monomial order used for relation bases: total degree
-    first, then lex with earlier variables dominating."""
-    return MonomialOrder("gradedlex", lambda exp: (sum(exp), exp))
+def group_ring(n, field):
+    """The polynomials over ``field`` in the entries x_i_j of an n x n
+    matrix, graded lex: the ring of the relations and of the groups."""
+    return PolyRing(field, matrix_var_names(n), GRADED_LEX)
 
 
 class RelationIdeal:
@@ -139,8 +139,7 @@ class _RelationSolve:
         self.sys = sys
         self.a = a
         self.args = (sys, a, d, ell)
-        self.ring = PolyRing(sys.R, matrix_var_names(sys.n),
-                             graded_lex_order(sys.n * sys.n))
+        self.ring = group_ring(sys.n, sys.R)
         # the primes not yet failed; a number field has none
         self.primes = list(linalg.PRIMES)
         self.exact_reason = None
@@ -335,13 +334,11 @@ def certify(sys, basis, a):
     if not basis:
         return True
     ring = basis[0].ring
-    R, n = sys.R, sys.n
-    identity = [R.one if p // n == p % n else R.zero for p in range(n * n)]
+    R = sys.R
 
     def refuted(P):
         return (all(R.is_regular_at(c, a) for c in P.terms.values())
-                and not R.const.is_zero(R.eval_at(P.eval_consts(identity),
-                                                  a)))
+                and not R.const.is_zero(R.eval_at(P.at_identity(), a)))
 
     # the closure on an accumulator over the monomials of degree <= that
     # of W (the derivation keeps it), its leads the pivots
@@ -404,24 +401,15 @@ class _Echelon:
 
 
 def _monomial_derivative(sys, m):
-    """(X^m)' along X' = A X, as [(target monomial, weight)]: the
-    exponent e of x_ij in m gives e A_il at m - e_ij + e_lj, since
-    x_ij' = sum_l A_il x_lj, and the weights of one target are summed
-    (the diagonal ones, l = i, all land on m itself)."""
-    R, n, A = sys.R, sys.n, sys.A
+    """(X^m)' along X' = A X, as [(target monomial, weight)], by the
+    Leibniz rule (``linear_derivation``) on the entries' derivatives
+    (``OdeSystem.entry_derivatives``); the weights of one target are
+    summed (the diagonal ones, l = i, all land on m itself)."""
+    R = sys.R
     out = {}
-    for p, e in enumerate(m):
-        if not e:
-            continue
-        i, j = divmod(p, n)
-        for l in range(n):
-            if not R.is_zero(A[i][l]):
-                tgt = list(m)
-                tgt[p] -= 1
-                tgt[l * n + j] += 1
-                tgt = tuple(tgt)
-                w = R.scale(A[i][l], R.const.from_int(e))
-                out[tgt] = R.add(out[tgt], w) if tgt in out else w
+    for tgt, e, c in linear_derivation(m, sys.entry_derivatives):
+        w = R.scale(c, R.const.from_int(e))
+        out[tgt] = R.add(out[tgt], w) if tgt in out else w
     return [(tgt, w) for tgt, w in out.items() if not R.is_zero(w)]
 
 
@@ -611,8 +599,7 @@ def transport_factor(rel, store, N):
     nsq = rel.ring.nvars
     n = isqrt(nsq)
     ring_h = PolyRing(k, ["y_%d_%d" % (i + 1, j + 1)
-                          for i in range(n) for j in range(n)],
-                      graded_lex_order(nsq))
+                          for i in range(n) for j in range(n)], GRADED_LEX)
     eqs = []
     for PXY in _relations_at_product(rel.ring, rel.basis):
         by_y = {}

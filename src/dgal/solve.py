@@ -29,17 +29,18 @@ def solve_zero_dimensional(gens):
     """
     if not gens:
         raise PositiveDimensionalError("<empty system>")
-    ring = gens[0].ring
-    field = ring.field
-    # a zero generator does not change the ideal; only an all-zero system
-    # is the zero ideal, whose zeros are the whole space
-    gens = [g for g in gens if g.terms]
+    # the generators in a lex ring on the same variables; a zero generator
+    # does not change the ideal, and only an all-zero system is the zero
+    # ideal, whose zeros are the whole space
+    field, names = gens[0].ring.field, gens[0].ring.names
+    ring = PolyRing(field, names, LEX)
+    gens = [ring.from_dict(g.terms) for g in gens if g.terms]
     if not gens:
-        raise PositiveDimensionalError(ring.names[0] if ring.names else "<point>")
-    gb = groebner(gens, LEX)
+        raise PositiveDimensionalError(names[0] if names else "<point>")
+    gb = groebner(gens)
     if gb[0].constant_value() is not None:
         return field, []  # 1 in the ideal: no solutions
-    flag, witness = is_zero_dimensional(gb, ring, LEX)
+    flag, witness = is_zero_dimensional(gb, ring)
     if not flag:
         raise PositiveDimensionalError(witness)
     polys = [dict(g.terms) for g in gb]
@@ -66,7 +67,7 @@ def _solve_rec(field, polys, nvars):
     if uni is None:
         # substitution can destroy triangularity; recompute a lex basis
         ring = PolyRing(field, ["v%d" % i for i in range(nvars)], LEX)
-        regb = groebner([ring.from_dict(p) for p in polys], LEX)
+        regb = groebner([ring.from_dict(p) for p in polys])
         if regb and regb[0].constant_value() is not None:
             return []
         polys = [dict(g.terms) for g in regb]

@@ -14,11 +14,12 @@ stabilizer construction rely on this exact ordering.
 
 import operator
 from contextlib import contextmanager
+from functools import cached_property
 
 from . import upoly
 from .errors import DgalError, InputError, SingularPointError
 from .fields import ConstField, join
-from .multipoly import monomials_upto
+from .multipoly import linear_derivation, monomials_upto, on_diagonal
 from .ratfunc import RatFuncField
 from .series import Series, TruncSeries, ratfunc_series
 
@@ -30,6 +31,15 @@ class OdeSystem:
         self.R = R
         self.n = len(A)
         self.A = A
+
+    @cached_property
+    def entry_derivatives(self):
+        """x_ij' = sum_l A_il x_lj, as the images of
+        ``multipoly.linear_derivation``: the pairs (l*n + j, A_il) of
+        nonzero A_il for each entry (i, j), row-major."""
+        R, n, A = self.R, self.n, self.A
+        return [[(l * n + j, A[i][l]) for l in range(n)
+                 if not R.is_zero(A[i][l])] for i in range(n) for j in range(n)]
 
     def fundamental_series(self, a, order):
         """Gamma_a = I + D_1 u + ... with delta Gamma = A Gamma through
@@ -144,31 +154,24 @@ class MonomialSeries:
         q = R.scale(q, k.inv(R.eval_at(q, a)))
         self.q = [image(c) for c in _u_coeffs(R, q, a)]
         P = [[_u_coeffs(R, R.mul(f, q), a) for f in row] for row in sys.A]
+        # q x_ij' = sum_l P_il x_lj, each P_il by its u-coefficients
+        images = [[(l * n + j, P[i][l]) for l in range(n)]
+                  for i in range(n) for j in range(n)]
         self.index = index = {m: r for r, m in enumerate(self.monos)}
         self.table = []
         for m in self.monos:
             merged = {}
-            for p, e in enumerate(m):
-                if not e:
-                    continue
-                i, j = divmod(p, n)
-                for l in range(n):
-                    tgt = list(m)
-                    tgt[p] -= 1
-                    tgt[l * n + j] += 1
-                    col = index[tuple(tgt)]
-                    for s, c in enumerate(P[i][l]):
-                        key = (s, col)
-                        merged[key] = fld.add(merged.get(key, fld.zero),
-                                              fld.mul(fld.from_int(e),
-                                                      image(c)))
+            for tgt, e, cs in linear_derivation(m, images):
+                col = index[tgt]
+                for s, c in enumerate(cs):
+                    key = (s, col)
+                    merged[key] = fld.add(merged.get(key, fld.zero),
+                                          fld.mul(fld.from_int(e), image(c)))
             self.table.append([(s, col, c) for (s, col), c
                                in sorted(merged.items())
                                if not fld.is_zero(c)])
-        diagonal = {l * n + l for l in range(n)}
-        self.vecs = [[fld.one if all(p in diagonal
-                                     for p, e in enumerate(m) if e)
-                      else fld.zero for m in self.monos]]
+        self.vecs = [[fld.one if on_diagonal(m) else fld.zero
+                      for m in self.monos]]
         # per row: the table's coefficients, and a gather of the entries
         # they multiply from past, the concatenation v_m, v_{m-1}, ... of
         # the earlier vectors (entry col of v_{m-s} at s * width + col)

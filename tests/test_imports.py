@@ -197,3 +197,35 @@ def test_one_row_echelon_engine():
     relations = (SRC / "relations.py").read_text()
     for func in ("certify", "in_span"):
         assert reaches(relations, func, "RrefAccumulator"), func
+
+
+def test_one_copy_of_each_rule_on_matrix_entry_polynomials():
+    # the value at X = I is MultiPoly.at_identity, the Leibniz action of a
+    # linear substitution is multipoly.linear_derivation, the character
+    # lattice cuts H deg by one membership test, and the cofactors read
+    # the residue rows: the hand-written copies, the second identity
+    # component and the per-vector partial fractions are gone
+    for name in MODULES:
+        source = (SRC / name).read_text()
+        for gone in ("_monomial_at", "_vanishes_at_identity", "build_J_barH",
+                     "_combo_pf"):
+            assert attribute_reads(source, gone) == 0, (name, gone)
+    for name, func, rule in [("relations.py", "certify", "at_identity"),
+                             ("systems.py", "MonomialSeries", "on_diagonal"),
+                             ("relations.py", "_derivative",
+                              "linear_derivation"),
+                             ("groups.py", "_derivation_matrix",
+                              "linear_derivation"),
+                             ("systems.py", "MonomialSeries",
+                              "linear_derivation")]:
+        assert reaches((SRC / name).read_text(), func, rule), (func, rule)
+
+
+def test_the_monomial_order_is_the_rings():
+    # no function of multipoly takes a monomial order but the ring's
+    # constructor
+    tree = ast.parse((SRC / "multipoly.py").read_text())
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and "order" in
+            [a.arg for a in node.args.args + node.args.kwonlyargs]] == \
+        ["__init__"]

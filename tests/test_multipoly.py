@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from dgal import multipoly
 from dgal.errors import DgalError
 from dgal.fields import ConstField, field_adjoin
-from dgal.multipoly import (GREVLEX, LEX, PolyRing, groebner,
+from dgal.multipoly import (GRADED_LEX, GREVLEX, LEX, PolyRing, groebner,
                             normal_form, standard_monomials,
                             is_zero_dimensional)
 from dgal.pipeline import PipelineConfig, proto_galois
 from dgal.ratfunc import RatFuncField
-from dgal.relations import graded_lex_order
+from dgal.relations import group_ring
 from dgal.solve import PositiveDimensionalError, solve_zero_dimensional
 from dgal.systems import OdeSystem
 
@@ -51,6 +51,24 @@ def test_groebner_simple():
 
 def test_groebner_empty():
     assert groebner([]) == []
+
+
+def test_rings_in_other_orders_are_other_rings():
+    # a Groebner basis is one of an ideal of its ring, in the ring's
+    # order, so the order is part of the ring
+    assert ring("x", "y") == ring("x", "y")
+    assert ring("x", "y") != ring("x", "y", order=LEX)
+    assert ring("x", "y", order=GRADED_LEX) != ring("x", "y")
+
+
+def test_value_at_identity_and_leibniz_rule():
+    R = group_ring(2, K)
+    P = R.parse("x_1_1^2*x_2_2 + 3*x_1_2*x_2_2 + 2*x_1_1 - 5")
+    assert P.at_identity() == K.from_int(-2) == \
+        P.eval_consts([K.one, K.zero, K.zero, K.one])
+    # D x_1 = 5 x_2 and D x_2 = 0 on x_1^2 x_2: 2 * 5 x_1 x_2^2
+    assert list(multipoly.linear_derivation((2, 1), [[(1, 5)], []])) == \
+        [((1, 2), 2, 5)]
 
 
 def test_ideal_membership_after_groebner():
@@ -229,19 +247,19 @@ def test_stabilizer_basis_needs_few_s_polynomials(monkeypatch):
     calls = []
     s_polynomial = multipoly.s_polynomial
 
-    def counting(f, g, order=None):
+    def counting(f, g):
         calls.append((f, g))
-        return s_polynomial(f, g, order)
+        return s_polynomial(f, g)
 
     monkeypatch.setattr(multipoly, "s_polynomial", counting)
-    ring = H.ring
-    for order, expected in [
-            (ring.order, ["x_2_1", "x_1_2", "x_2_2^2 - x_1_1",
-                          "x_1_1*x_2_2 - 1", "x_1_1^2 - x_2_2"]),
-            (LEX, ["x_2_2^3 - 1", "x_2_1", "x_1_2", "x_1_1 - x_2_2^2"])]:
+    lex = PolyRing(H.ring.field, H.ring.names, LEX)
+    for ring, expected in [
+            (H.ring, ["x_2_1", "x_1_2", "x_2_2^2 - x_1_1",
+                      "x_1_1*x_2_2 - 1", "x_1_1^2 - x_2_2"]),
+            (lex, ["x_2_2^3 - 1", "x_2_1", "x_1_2", "x_1_1 - x_2_2^2"])]:
         del calls[:]
-        assert groebner(H.generators, order) == [ring.parse(g)
-                                                 for g in expected]
+        gens = [ring.from_dict(g.terms) for g in H.generators]
+        assert groebner(gens) == [ring.parse(g) for g in expected]
         assert len(calls) <= 5
 
 
@@ -257,7 +275,7 @@ ORDERS = ["grevlex", "gradedlex", "lex"]
 
 def ring_of(field, order, nvars):
     mono_order = {"grevlex": GREVLEX, "lex": LEX,
-                  "gradedlex": graded_lex_order(nvars)}[order]
+                  "gradedlex": GRADED_LEX}[order]
     return PolyRing(field, [str(s) for s in SYMS[:nvars]], mono_order)
 
 

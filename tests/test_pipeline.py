@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from dgal import fields, multipoly, upoly
 from dgal.errors import DgalError, UnsupportedInstanceError
 from dgal.fields import ConstField, field_adjoin
-from dgal.groups import (AlgebraicSubgroup, Character, characters_generators,
-                         group_ring, identity_component)
+from dgal.groups import (AlgebraicSubgroup, Character, _coerce_poly,
+                         characters_generators, group_ring,
+                         identity_component)
 from dgal.lattice import congruence_lattice
 from dgal.multipoly import standard_monomials
 from dgal.pipeline import (AlphaData, GaloisGroupDescription,
@@ -331,13 +332,6 @@ def test_same_ideal_of_one_group():
     assert not hasattr(H, "_gb")
 
 
-def test_symbolic_mode_refuses_with_bound():
-    with pytest.raises(UnsupportedInstanceError) as exc:
-        proto_galois(sys_of(["1"]), PipelineConfig())
-    assert exc.value.bound_expr is not None
-    assert "jordan" in str(exc.value)
-
-
 def test_degree_override_validation():
     with pytest.raises(Exception):
         PipelineConfig(degree=0)
@@ -400,13 +394,13 @@ def test_finite_part_is_read_off_alpha(monkeypatch, rows, d):
     desc = run(sys_of(*rows), d)
     assert desc.finite and calls == []
     H = desc.proto
-    fld, kf = desc.points_field, H.ring.field
+    fld = desc.points_field
+    ring = group_ring(H.n, fld)
     for m in desc.points:
         vals = [m[i][j] for i in range(H.n) for j in range(H.n)]
         for g in H.generators:
-            assert fld.is_zero(g.evaluate(
-                vals, one=fld.one, mul=fld.mul, add=fld.add,
-                from_coeff=lambda c: fld.coerce_from(kf, c)))
+            assert fld.is_zero(
+                _coerce_poly(ring, H.ring, g).eval_consts(vals))
     assert _exponent(H) % desc.order == 0
 
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from dgal import cli, linalg
 from dgal.fields import ConstField, field_adjoin
-from dgal.multipoly import PolyRing
+from dgal.multipoly import GRADED_LEX, PolyRing
 from dgal.ratfunc import RatFuncField
 from dgal.relations import (certify, find_relations,
-                            graded_lex_order, matrix_var_names, order_bound,
+                            matrix_var_names, order_bound,
                             relation_ideal, second_point_check,
                             _AnsatzBuilder, _Echelon, _derivative,
                             _kernel_to_polys, _local_basis,
@@ -285,7 +285,7 @@ def test_local_basis_clears_a_pole_at_the_point():
     # both rows of the reduced echelon basis have a pole at t = 0; scaled
     # by t they take the same value x_2_2 there, so one of them is
     # replaced by their difference over t
-    ring = PolyRing(R, matrix_var_names(2), graded_lex_order(4))
+    ring = PolyRing(R, matrix_var_names(2), GRADED_LEX)
     x11, x12, _x21, x22 = ring.gens
     inv_t = R.inv(R.t)
     span = _row_reduce_polys(ring, [x11 + x22.scale(inv_t),
@@ -513,7 +513,7 @@ def kernel_shaped_rows(draw, name):
     const, element = CONSTANTS[name]
     Rt = RatFuncField(const)
     ring = PolyRing(Rt, ["x_1_1", "x_1_2", "x_2_1", "x_2_2"],
-                    graded_lex_order(4))
+                    GRADED_LEX)
     small = st.tuples(st.integers(-2, 2), st.integers(-1, 1)).map(
         lambda ab: element(*ab))
     coeff = st.tuples(small, small, st.integers(0, 2)).map(
@@ -645,7 +645,7 @@ def test_shift_generators_give_the_whole_kernels_basis(case):
     pivots = set(acc.pivots)
     assert sorted(leads) == [j for j in range(builder.ncols)
                              if j not in pivots]
-    ring = PolyRing(R, matrix_var_names(s.n), graded_lex_order(s.n * s.n))
+    ring = PolyRing(R, matrix_var_names(s.n), GRADED_LEX)
 
     def basis(vectors):
         return _row_reduce_polys(ring, _kernel_to_polys(builder, vectors,
@@ -709,7 +709,7 @@ def polys_for_product(draw):
     terms = draw(st.dictionaries(exps, _coefficients(name), min_size=1,
                                  max_size=4))
     fld = PRODUCT_FIELDS[name]
-    ring = PolyRing(fld, matrix_var_names(n), graded_lex_order(nsq))
+    ring = PolyRing(fld, matrix_var_names(n), GRADED_LEX)
     return name, n, ring.from_dict(terms)
 
 
@@ -797,7 +797,7 @@ def test_derivative_table_matches_the_term_by_term_formula(name, polys):
     # certify's derivations share one table of (X^m)'; with it each
     # derivative is the one the term-by-term formula gives
     s = sys_of(*DERIVATIVE_SYSTEMS[name])
-    ring = PolyRing(R, matrix_var_names(2), graded_lex_order(4))
+    ring = PolyRing(R, matrix_var_names(2), GRADED_LEX)
     table = {}
     for terms in polys:
         P = ring.zero

@@ -5,9 +5,9 @@ over the number field QQ(g), g^2 + 1 = 0."""
 from hypothesis import given, settings, strategies as st
 
 from dgal.fields import ConstField, field_adjoin
-from dgal.multipoly import PolyRing
+from dgal.multipoly import GRADED_LEX, PolyRing
 from dgal.ratfunc import RatFuncField
-from dgal.relations import graded_lex_order, matrix_var_names
+from dgal.relations import matrix_var_names
 from dgal.systems import OdeSystem
 
 QQ = ConstField()
@@ -38,7 +38,7 @@ def ratfuncs(draw, R):
 
 @st.composite
 def polys(draw, R):
-    ring = PolyRing(R, matrix_var_names(2), graded_lex_order(4))
+    ring = PolyRing(R, matrix_var_names(2), GRADED_LEX)
     exps = st.tuples(*[st.integers(0, 2)] * 4)
     terms = draw(st.dictionaries(exps, ratfuncs(R), max_size=4))
     return ring.from_dict(terms)
