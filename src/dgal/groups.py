@@ -112,8 +112,9 @@ def _ideal_generators(rel):
     for they keep its coefficients and vanish through the same order.
     But a relation of lower degree can be a k(t)-combination of kernel
     vectors whose top-degree terms cancel, and then its x-multiples
-    need not lie in W: an uncertified explicit order shows it (the
-    harmonic oscillator at order 20)."""
+    need not lie in W: the truncated kernel of the harmonic oscillator
+    at order 20, below its certified order, shows it, and no proof rules
+    it out for a certified basis."""
     R = rel.ring.field
     leads = {Q.leading()[0]: Q for Q in rel.basis}
     for le, Q in leads.items():

@@ -48,15 +48,16 @@ class RelationLattice:
         self.cofactors = cofactors
 
 
-def logderiv_from_character(chi, store, order, num_deg, den_deg):
+def logderiv_from_character(chi, store, order, deg):
     """Recover the rational logarithmic derivative of h = chi(F) from
     the series of u = chi(F) through u^order, F the fundamental matrix
     whose monomial series ``store`` holds (systems.MonomialSeries).
 
-    u must have a nonzero constant term and order above 2 * (num_deg +
-    den_deg).  w = u'/u through (t - a)^(order - 1) is one power-series
-    division, O(order^2) field operations with no inverse series formed
-    first.  w is reconstructed as a rational function and must come out
+    u must have a nonzero constant term and order above 4 * deg, deg
+    the cap on the degrees of the numerator and the denominator.
+    w = u'/u through (t - a)^(order - 1) is one power-series division,
+    O(order^2) field operations with no inverse series formed first.
+    w is reconstructed as a rational function and must come out
     identical at the full and the one-lower truncation order, else a
     degree-cap error is raised.
     """
@@ -67,17 +68,15 @@ def logderiv_from_character(chi, store, order, num_deg, den_deg):
     du = u.diff().coeffs
     w = Series(kf, _series_div(kf, du, u.coeffs, len(du)))
     R = RatFuncField(kf)
-    if w.order < 2 * (num_deg + den_deg) + 2:
-        raise ResourceCapError("series order %d too small for degree caps "
-                               "(%d, %d)" % (order, num_deg, den_deg))
+    if w.order < 4 * deg + 2:
+        raise ResourceCapError("series order %d too small for degree cap %d"
+                               % (order, deg))
     a = kf.coerce_from(store.field, store.a)
-    got = reconstruct_ratfunc(R, w, a, num_deg, den_deg)
-    got2 = reconstruct_ratfunc(R, w.truncate(w.order - 1), a,
-                               num_deg, den_deg)
+    got = reconstruct_ratfunc(R, w, a, deg, deg)
+    got2 = reconstruct_ratfunc(R, w.truncate(w.order - 1), a, deg, deg)
     if got is None or got2 is None or not R.eq(got, got2):
         raise ResourceCapError("logarithmic derivative did not stabilize "
-                               "under the degree caps (%d, %d)"
-                               % (num_deg, den_deg))
+                               "under the degree cap %d" % deg)
     return HyperexpElement(R, got)
 
 

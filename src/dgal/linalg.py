@@ -277,11 +277,13 @@ def reduce_row(field, target, rows, pivots):
 
 def sub_multiples(field, target, pairs):
     """target -= c * source for each (c, source) of ``pairs``, in place and
-    sparse; returns target.  The row kernel over QQ, QQ(g) and k(t)."""
+    sparse; returns target.  The row kernel over QQ, QQ(g) and k(t); a
+    multiplier c = 1 costs no product."""
     zero, is_zero, sub, mul = field.zero, field.is_zero, field.sub, field.mul
     for c, source in pairs:
+        one = field.is_one(c)
         for j, y in source.items():
-            x = sub(target.get(j, zero), mul(c, y))
+            x = sub(target.get(j, zero), y if one else mul(c, y))
             if is_zero(x):
                 del target[j]
             else:

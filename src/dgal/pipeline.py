@@ -42,18 +42,15 @@ class PipelineConfig:
 
     degree caps the total degree of the relations; a is the one
     expansion point (None means t = 1); ell caps the t-degree of the
-    relation coefficients; order None adds series orders until the
-    relation basis is certified, and an explicit order N solves at order
-    N, certified or not.
+    relation coefficients.
     """
 
-    def __init__(self, degree, a=None, ell=2, order=None):
+    def __init__(self, degree, a=None, ell=2):
         if degree < 1:
             raise InputError("relation degree must be >= 1, got %d" % degree)
         self.degree = degree
         self.a = a
         self.ell = ell
-        self.order = order
 
 
 class AlphaData:
@@ -123,19 +120,9 @@ class GaloisGroupDescription:
 
 
 def proto_galois(sys, cfg):
-    """Relation ideal, then its stabilizer with verified group axioms.
-
-    A relation basis that holds a nonzero constant is refused: a
-    constant cannot vanish at the fundamental matrix, so the explicit
-    order was too low.
-    """
+    """Relation ideal, then its stabilizer with verified group axioms."""
     a = sys.R.const.one if cfg.a is None else cfg.a
-    rel = find_relations(sys, a, cfg.degree, cfg.ell, cfg.order)
-    if any(P.constant_value() is not None for P in rel.basis):
-        raise UnsupportedInstanceError(
-            "the relations found at truncation order %d include a nonzero "
-            "constant, which cannot vanish at the fundamental matrix; that "
-            "order is too low" % rel.order_used)
+    rel = find_relations(sys, a, cfg.degree, cfg.ell)
     H = stabilizer_group(rel)
     verify_group_axioms(H, rel)
     return H, rel
@@ -267,7 +254,7 @@ def _kummer_certified(sys, C, a):
                 if not R.eq(lhs, ACk[i][j]):
                     return False
                 at_a[i][j] = k.add(at_a[i][j], R.eval_at(Ck[i][j], a))
-    return _mat_eq(k, at_a, linalg.identity(k, n))
+    return at_a == linalg.identity(k, n)
 
 
 def _fbar_in_component(sys, rel, H, chars):
@@ -284,9 +271,7 @@ def _fbar_in_component(sys, rel, H, chars):
     g(F_bar) = 0 is a vector of the relation solve's kernel, which the
     relation basis spans over k(t); if g lies in that span and the basis
     is certified, g(F_bar) = 0.  So g is reduced by the basis, and no
-    series is evaluated.  The claim is exact when the basis is
-    certified; under an explicit order whose basis is not, it is only as
-    good as the truncated kernel."""
+    series is evaluated."""
     ring = rel.ring
     R = ring.field
     if not all(R.is_zero(P.at_identity()) for P in rel.basis):
@@ -350,9 +335,9 @@ def finite_part(alpha, H):
         for Ck in at_a:
             m = linalg.mat_add(fld, m, linalg.mat_scale(fld, Ck, zk))
             zk = fld.mul(zk, z)
-        if not any(_mat_eq(fld, m, q) for q in pts):
+        if m not in pts:
             pts.append(m)
-    if not _mat_eq(fld, pts[0], linalg.identity(fld, n)):
+    if pts[0] != linalg.identity(fld, n):
         raise DgalError("identity matrix missing from the tau = id part")
     _finite_closure_check(fld, pts)
     ring = group_ring(n, fld)
@@ -383,10 +368,6 @@ def _finite_closure_check(fld, pts):
 
 def _entries(m):
     return tuple(x for row in m for x in row)
-
-
-def _mat_eq(fld, a, b):
-    return all(fld.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- sandwich certificate and dimension ---------------------------------
@@ -448,21 +429,8 @@ def galois_group(sys, cfg):
     lattice -> the group is the proto-group; connected proto-group with
     characters -> constrain the component by the hyperexponential
     relation lattice (the group equals the proto-group when nothing
-    shrinks).  Everything else refuses loudly; after an explicit order
-    whose relation basis is not certified, the refusal says so."""
+    shrinks).  Everything else refuses loudly."""
     H, rel = proto_galois(sys, cfg)
-    try:
-        return _group_of(sys, cfg, H, rel)
-    except UnsupportedInstanceError as err:
-        if rel.rigorous:
-            raise
-        raise UnsupportedInstanceError(
-            "%s; the relation basis at order %d is not certified"
-            % (err, rel.order_used)) from None
-
-
-def _group_of(sys, cfg, H, rel):
-    """galois_group's stages after the proto-group."""
     n = sys.n
     Hcirc = identity_component(H)
     point = sys.R.const.format(rel.a)
@@ -477,8 +445,8 @@ def _group_of(sys, cfg, H, rel):
         fld, pts = finite_part(alpha, H)
         provenance["alpha"] = alpha.describe()
         desc = GaloisGroupDescription(
-            n, H, rel, Hcirc, True, fld, pts, len(pts), 0,
-            rel.rigorous, provenance)
+            n, H, rel, Hcirc, True, fld, pts, len(pts), 0, True,
+            provenance)
     else:
         if not _same_ideal(H, Hcirc):
             raise UnsupportedInstanceError(
@@ -492,8 +460,8 @@ def _group_of(sys, cfg, H, rel):
             # still fix a numerator and a denominator of degree ell each
             order = max(rel.order_used + 2, 4 * cfg.ell + 3)
             store = _fbar_in_component(sys, rel, H, chars)
-            elements = [logderiv_from_character(ch, store, order, cfg.ell,
-                                                cfg.ell) for ch in chars]
+            elements = [logderiv_from_character(ch, store, order, cfg.ell)
+                        for ch in chars]
             rl = relation_lattice(elements)
             provenance["alpha"] = "alpha = I"
             provenance["hyperexp_relations"] = len(rl.basis)
@@ -511,8 +479,7 @@ def _group_of(sys, cfg, H, rel):
         # truncations
         desc = GaloisGroupDescription(
             n, H, rel, Hcirc, False, None, None, 1,
-            _dimension_estimate(Hcirc), rel.rigorous and not chars,
-            provenance)
+            _dimension_estimate(Hcirc), not chars, provenance)
     if not sandwich_check(H, Hcirc, chars, desc.identity_component):
         raise DgalError("sandwich certificate failed: the computed "
                         "component is not between the character kernel "

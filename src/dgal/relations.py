@@ -65,17 +65,16 @@ def group_ring(n, field):
 
 
 class RelationIdeal:
-    """Basis of the degree-<= d relations found at truncation order N;
-    rigorous when the basis is certified (``certify``)."""
+    """Certified basis (``certify``) of the degree-<= d relations, read
+    off the ansatz at truncation order N."""
 
-    def __init__(self, ring, basis, *, d, a, ell, order_used, rigorous):
+    def __init__(self, ring, basis, *, d, a, ell, order_used):
         self.ring = ring
         self.basis = basis
         self.d = d
         self.a = a
         self.ell = ell
         self.order_used = order_used
-        self.rigorous = rigorous
 
     def __repr__(self):
         return "RelationIdeal(d=%d, %d relations)" % (self.d, len(self.basis))
@@ -124,12 +123,11 @@ class _RelationSolve:
     certified kernel is the exact kernel of every truncation, so no row
     beyond it is needed.  An uncertified lift is checked exactly against
     every row added, built over k for it (``_check_exactly``).  The pass
-    mod p fails (NotCertified) when a
-    denominator is 0 mod p, the exact check fails, a kernel has no lift
-    (at an explicit order, or while the rank holds; ``certified``), or no
-    kernel is certified below MAX_ORDER.  The primes are tried in the
-    order of the ladder linalg.PRIMES: the first keeps every element to
-    one CPython digit, and the next, 2^61 - 1, lifts entries it cannot.
+    mod p fails (NotCertified) when a denominator is 0 mod p, the exact
+    check fails, a kernel has no lift while the rank holds, or no kernel
+    is certified below MAX_ORDER.  The primes are tried in the order of
+    the ladder linalg.PRIMES: the first keeps every element to one
+    CPython digit, and the next, 2^61 - 1, lifts entries it cannot.
     When the last fails, or the constant field is a number field, the
     solve reruns from the start over the exact constant field, reading
     the same generators off its own accumulator; ``exact_reason`` then
@@ -148,16 +146,16 @@ class _RelationSolve:
             self.exact_reason = "the constant field is a number field"
         self.N = None
         self.basis = None
-        self.rigorous = None
 
     @cached_property
     def exact(self):
         """The ansatz over k, built when an exact row is first needed."""
         return _AnsatzBuilder(*self.args)
 
-    def _solve(self, run):
-        """run() adds rows and returns (N, basis, rigorous): over the
-        first prime not yet failed, else over k."""
+    def certified(self):
+        """The truncation order N of the first certified kernel, whose
+        basis is kept in ``basis``: a pass over the first prime not yet
+        failed, else over k."""
         while True:
             self.modular = bool(self.primes)
             self.nrows = 0
@@ -168,7 +166,7 @@ class _RelationSolve:
                     if self.modular else self.exact)
                 self.acc = linalg.RrefAccumulator(self.builder.field,
                                                   self.builder.ncols)
-                self.N, self.basis, self.rigorous = run()
+                self.N, self.basis = self._pass()
             except linalg.NotCertified as why:
                 self.primes.pop(0)
                 if not self.primes:
@@ -191,13 +189,6 @@ class _RelationSolve:
         return (linalg.lift_kernel(self.acc, free) if self.modular
                 else self.acc.kernel_vectors(free))
 
-    def _basis(self, kernel):
-        """The canonical basis of the kernel's relations, and whether it
-        is certified."""
-        polys = _kernel_to_polys(self.builder, kernel, self.ring, self.a)
-        basis = _row_reduce_polys(self.ring, polys)
-        return basis, certify(self.sys, basis, self.a)
-
     def _check_exactly(self, kernel):
         """Lifted shift generators that the certificate did not prove must
         vanish exactly on every row added, or p was unlucky
@@ -209,22 +200,9 @@ class _RelationSolve:
             if not linalg.kernel_vanishes(rows, kernel):
                 raise linalg.NotCertified("the exact check failed")
 
-    def explicit(self, N):
-        """Rows 0..N+1; the basis is rigorous when it is certified."""
-        def run():
-            while self.nrows <= N + 1:
-                self._add_row()
-            kernel = self._kernel()
-            if kernel is None:
-                raise linalg.NotCertified("rational reconstruction failed")
-            basis, rigorous = self._basis(kernel)
-            if not rigorous:
-                self._check_exactly(kernel)
-            return N, basis, rigorous
-        return self._solve(run)
-
-    def certified(self):
-        """Rows one order at a time until the kernel is certified.
+    def _pass(self):
+        """Rows one order at a time until the kernel is certified; returns
+        (N, basis).
 
         A kernel is tried once, at the first row that leaves its rank
         unchanged, or when the rank reaches the column count.  A kernel
@@ -234,82 +212,75 @@ class _RelationSolve:
         its entries are then taken to be too large for p.  The kernel of
         a certified try is the kernel of the rows through the last row
         that raised the rank, N+1; N is never below 0."""
-        def run():
-            tried = None
-            lifted = True
-            last_raise = 0
-            while self.nrows <= MAX_ORDER + 1:
-                if self._add_row():
-                    last_raise = self.nrows - 1
-                    if self.acc.rank < self.builder.ncols:
-                        continue
-                if self.acc.rank == tried:
-                    if not lifted and self.nrows >= 2 * (last_raise + 1):
-                        raise linalg.NotCertified(
-                            "rational reconstruction failed")
+        tried = None
+        lifted = True
+        last_raise = 0
+        while self.nrows <= MAX_ORDER + 1:
+            if self._add_row():
+                last_raise = self.nrows - 1
+                if self.acc.rank < self.builder.ncols:
                     continue
-                tried = self.acc.rank
-                kernel = self._kernel()
-                lifted = kernel is not None
-                if not lifted:
-                    continue
-                basis, rigorous = self._basis(kernel)
-                if rigorous:
-                    return max(last_raise - 1, 0), basis, True
-                self._check_exactly(kernel)
-            if self.modular:
-                raise linalg.NotCertified(
-                    "no kernel mod p was certified below order %d"
-                    % MAX_ORDER)
-            raise ResourceCapError("no relation basis was certified below "
-                                   "truncation order %d" % MAX_ORDER)
-        return self._solve(run)
+            if self.acc.rank == tried:
+                if not lifted and self.nrows >= 2 * (last_raise + 1):
+                    raise linalg.NotCertified("rational reconstruction failed")
+                continue
+            tried = self.acc.rank
+            kernel = self._kernel()
+            lifted = kernel is not None
+            if not lifted:
+                continue
+            basis = _row_reduce_polys(self.ring, _kernel_to_polys(
+                self.builder, kernel, self.ring, self.a))
+            if certify(self.sys, basis, self.a):
+                return max(last_raise - 1, 0), basis
+            self._check_exactly(kernel)
+        if self.modular:
+            raise linalg.NotCertified(
+                "no kernel mod p was certified below order %d" % MAX_ORDER)
+        raise ResourceCapError("no relation basis was certified below "
+                               "truncation order %d" % MAX_ORDER)
 
 
-def order_bound(sys, a, d, ell, order=None, solver=None):
-    """Truncation order N of the relation solve, and whether its
-    relation basis is certified: (N, rigorous).
+def order_bound(sys, a, d, ell, solver=None):
+    """(N, True): the truncation order N of the relation solve, and that
+    its relation basis is certified, which is always so.
 
-    order None adds rows one order at a time until the kernel is
-    certified (``certify``), and N is the order that kernel needs:
-    rows 0..N+1 have it.  An explicit order N solves rows 0..N+1, and
-    rigorous says whether their kernel is certified.  A certified kernel
-    is the exact kernel of every truncation and the whole space of
-    relations under the caps (d, ell).  A ``solver`` shared with
-    relation_ideal hands its basis on."""
+    Rows are added one order at a time until the kernel is certified
+    (``certify``), and N is the order that kernel needs: rows 0..N+1
+    have it.  A certified kernel is the exact kernel of every truncation
+    and the whole space of relations under the caps (d, ell).  A
+    ``solver`` shared with relation_ideal hands its basis on."""
     if solver is None:
         solver = _RelationSolve(sys, a, d, ell)
-    if order is None:
-        return solver.certified(), True
-    solver.explicit(order)
-    return order, solver.rigorous
+    return solver.certified(), True
 
 
 def relation_ideal(sys, a, d, ell, N, solver=None):
-    """Relations of total degree <= d with polynomial coefficients of
-    t-degree <= 2*ell, valid through truncation order N+1; rigorous when
-    certified.  A ``solver`` shared with order_bound hands on the basis
-    it found for N."""
+    """The certified relations of total degree <= d with polynomial
+    coefficients of t-degree <= 2*ell.  N must be the certified
+    truncation order (order_bound), or InputError names that order.  A
+    ``solver`` shared with order_bound hands on the basis it found."""
     if solver is None:
         solver = _RelationSolve(sys, a, d, ell)
-    if solver.N != N:
-        solver.explicit(N)
+    if solver.N is None:
+        solver.certified()
+    if N != solver.N:
+        raise InputError("truncation order %d is not the certified order %d"
+                         % (N, solver.N))
     return RelationIdeal(solver.ring, solver.basis, d=d, a=a, ell=ell,
-                         order_used=N, rigorous=solver.rigorous)
+                         order_used=N)
 
 
-def find_relations(sys, a, d, ell, order=None):
-    """The relation ideal at an explicit truncation order (default: that
-    of the first certified kernel), with one solve shared by order_bound
-    and relation_ideal.  Caps that mean nothing raise InputError."""
+def find_relations(sys, a, d, ell):
+    """The relation ideal at the order of the first certified kernel,
+    with one solve shared by order_bound and relation_ideal.  Caps that
+    mean nothing raise InputError."""
     if d < 1:
         raise InputError("relation degree must be >= 1, got %d" % d)
     if ell < 0:
         raise InputError("coefficient degree must be >= 0, got %d" % ell)
-    if order is not None and order < 0:
-        raise InputError("truncation order must be >= 0, got %d" % order)
     solver = _RelationSolve(sys, a, d, ell)
-    N, _rigorous = order_bound(sys, a, d, ell, order, solver=solver)
+    N, _ = order_bound(sys, a, d, ell, solver=solver)
     return relation_ideal(sys, a, d, ell, N, solver=solver)
 
 

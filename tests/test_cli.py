@@ -13,7 +13,9 @@ import pytest
 import dgal
 from dgal.cli import COMMANDS, _point, main, parse_args
 from dgal.errors import InputError
+from dgal.relations import certify
 from dgal.systems import OdeSystem
+from truncation import truncated_relations
 
 
 @pytest.fixture
@@ -34,7 +36,6 @@ def refused(capsys, argv):
 
 
 RELATION_CAPS = [
-    ["--degree", "1", "--order", "-3"],
     ["--degree", "1", "--coeff-degree", "-1"],
     ["--degree", "0"],
 ]
@@ -53,8 +54,7 @@ def test_meaningless_caps_exit_2(capsys, doc, command, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--degree-override", "1", "--coeff-degree", "-1"],
-    ["--degree-override", "1", "--order", "-3"],
-    ["--degree-override", "0", "--order", "5"],
+    ["--degree-override", "0"],
 ])
 def test_galois_meaningless_caps_exit_2(capsys, doc, flags):
     code, lines = refused(capsys, ["galois", "--system", doc,
@@ -95,6 +95,11 @@ def test_subcommand_help_lists_every_option(capsys, name):
                  "--degree-o", id="prefix-abbreviation"),
     pytest.param(["relations", "--degree", "1", "--system"], "--system",
                  id="flag-without-value"),
+] + [
+    # the relation solve has one truncation order, the certified one
+    pytest.param([name, "--system", "sys.txt", "--order", "5"], "--order",
+                 id="order-" + name)
+    for name in ["relations", "protogroup", "characters", "galois"]
 ])
 def test_usage_errors_exit_2(capsys, argv, token):
     code, out, err = usage_exit(capsys, argv)
@@ -103,7 +108,7 @@ def test_usage_errors_exit_2(capsys, argv, token):
     assert err[1].startswith("dgal: error: ") and token in err[1]
 
 
-COMMON_DEFAULTS = {"point": None, "coeff_degree": 2, "order": None}
+COMMON_DEFAULTS = {"point": None, "coeff_degree": 2}
 
 
 @pytest.mark.parametrize("argv,options", [
@@ -111,8 +116,8 @@ COMMON_DEFAULTS = {"point": None, "coeff_degree": 2, "order": None}
                   "--point", "-1/2"],
                  dict(COMMON_DEFAULTS, system="s", degree=1, point="-1/2"),
                  id="relations"),
-    pytest.param(["galois", "--system", "s", "--order", "3", "--order", "4"],
-                 dict(COMMON_DEFAULTS, system="s", order=4,
+    pytest.param(["galois", "--system", "s", "--point", "3", "--point", "4"],
+                 dict(COMMON_DEFAULTS, system="s", point="4",
                       degree_override=None), id="galois-last-counts"),
     pytest.param(["bounds", "--exact-bit-cap", "8"],
                  {"n": 1, "exact_bit_cap": 8}, id="bounds"),
@@ -177,69 +182,54 @@ def test_malformed_point(capsys, doc):
 
 def test_valid_relations_run(capsys, doc):
     assert main(["relations", "--system", doc, "--degree", "1",
-                 "--point", "0", "--order", "12"]) == 0
-    assert capsys.readouterr().out == "order_used: 12\nrigorous: yes\n"
+                 "--point", "0"]) == 0
+    assert capsys.readouterr().out == "order_used: 8\nrigorous: yes\n"
 
 
-def test_constant_relation_is_not_rigorous(capsys, doc):
-    """At a low order the truncated kernel of y' = y holds the constant 1,
-    which cannot vanish at F = exp(t): that basis is not proved."""
-    assert main(["relations", "--system", doc, "--degree", "1",
-                 "--point", "0", "--order", "6"]) == 0
+def test_series_takes_a_truncation_order(capsys, doc):
+    assert main(["series", "--system", doc, "--point", "0",
+                 "--order", "10"]) == 0
     assert capsys.readouterr().out == (
-        "order_used: 6\nrigorous: no\nrelation: x_1_1\nrelation: 1\n")
+        "Gamma[1][1]: 1, 1, 1/2, 1/6, 1/24, 1/120, 1/720, 1/5040, 1/40320, "
+        "1/362880, 1/3628800\n")
 
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("argv", [["galois", "--degree-override", "1"],
-                                  ["protogroup", "--degree", "1"]])
-def test_constant_relation_is_refused(capsys, argv):
-    """At order 0 the truncated kernel of the Airy system holds the
-    constant 1, which cannot vanish at F: the group commands refuse that
-    basis (exit 2) and name the order, where they once answered with the
-    full group."""
-    code, lines = refused(capsys, argv + [
-        "--system", str(GOLDEN / "airy.sys"), "--order", "0"])
-    assert code == 2
-    assert lines == ["error: the relations found at truncation order 0 "
-                     "include a nonzero constant, which cannot vanish at "
-                     "the fundamental matrix; that order is too low"]
+def golden_system(name):
+    return OdeSystem.from_document((GOLDEN / (name + ".sys")).read_text())
 
 
-def test_pade_approximant_is_not_rigorous(capsys):
+def test_constant_relation_is_not_rigorous():
+    """At order 6 the truncated kernel of y' = y holds the constant 1,
+    which cannot vanish at F = exp(t): the certificate refuses that
+    basis."""
+    s = golden_system("exp")
+    rel = truncated_relations(s, s.R.const.zero, 1, 2, 6)
+    assert [rel.ring.format(P) for P in rel.basis] == ["x_1_1", "1"]
+    assert not certify(s, rel.basis, rel.a)
+
+
+def test_pade_approximant_is_not_rigorous():
     """At order 7 the truncated kernel of y' = y holds x_1_1 minus a Pade
     approximant of exp(t), a false relation that the certificate
     rejects."""
-    assert main(["relations", "--system", str(GOLDEN / "exp.sys"),
-                 "--degree", "1", "--point", "0", "--order", "7"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["order_used: 7", "rigorous: no"]
-    assert lines[2].startswith("relation: x_1_1 + ((-1*t^4 + -20*t^3")
+    s = golden_system("exp")
+    rel = truncated_relations(s, s.R.const.zero, 1, 2, 7)
+    assert len(rel.basis) == 1 and rel.ring.format(rel.basis[0]).startswith(
+        "x_1_1 + ((-1*t^4 + -20*t^3")
+    assert not certify(s, rel.basis, rel.a)
 
 
-def test_spurious_airy_relations_are_not_rigorous(capsys):
+def test_spurious_airy_relations_are_not_rigorous():
     """At order 20 the truncated kernel of the Airy system spans all 15
     monomials of degree <= 2, where only the determinant relation is
     true."""
-    assert main(["relations", "--system", str(GOLDEN / "airy.sys"),
-                 "--degree", "2", "--order", "20"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["order_used: 20", "rigorous: no"]
-    assert len(lines) == 2 + 15
-
-
-def test_refusal_names_an_uncertified_order(capsys):
-    """At order 8 the relation basis of y' = y/(2t) is not certified, and
-    the finite part cannot be read off it."""
-    code, lines = refused(capsys, ["galois", "--system",
-                                   str(GOLDEN / "mu2.sys"),
-                                   "--degree-override", "2", "--order", "8"])
-    assert code == 2 and len(lines) == 1
-    assert lines[0].startswith("error: F_bar is not in k(t)(gamma)")
-    assert lines[0].endswith(
-        "; the relation basis at order 8 is not certified")
+    s = golden_system("airy")
+    rel = truncated_relations(s, s.R.const.one, 2, 2, 20)
+    assert len(rel.basis) == 15
+    assert not certify(s, rel.basis, rel.a)
 
 
 @pytest.mark.parametrize("text", [
@@ -394,8 +384,9 @@ def test_pole_exits_4(capsys, pole_doc, command):
 
 @pytest.mark.parametrize("command", sorted(RUN_FLAGS))
 def test_caps_checked_before_the_point(capsys, pole_doc, command):
+    cap = ["--order" if command == "series" else "--coeff-degree", "-3"]
     code, lines = refused(capsys, [command, "--system", pole_doc,
-                                   "--point", "0", "--order", "-3"]
+                                   "--point", "0"] + cap
                           + RUN_FLAGS[command])
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error:")
 

@@ -15,11 +15,12 @@ from dgal.errors import DgalError, UnsupportedInstanceError
 from dgal.multipoly import MultiPoly, PolyRing, groebner, normal_form
 from dgal.pipeline import PipelineConfig, proto_galois
 from dgal.ratfunc import RatFuncField
-from dgal.relations import (_ProductPowers, _row_reduce_polys, find_relations,
-                            in_span)
+from dgal.relations import (_ProductPowers, _row_reduce_polys, certify,
+                            find_relations, in_span)
 from dgal.systems import OdeSystem
 
 from test_sweep import exponentials, gauges, radical_diagonals, rotations
+from truncation import truncated_relations
 
 K = ConstField()
 R = RatFuncField(K)
@@ -619,13 +620,16 @@ def test_ideal_generators_give_the_stabilizer_of_the_sweep(instance):
 
 
 def test_span_without_x_closure_expands_every_relation():
-    # at the uncertified order 20, the harmonic oscillator's degree-1
-    # basis holds x_1_2 + c(t)*x_2_2 + e(t) with c, e of degree 12 over
-    # 11: a k(t)-combination of kernel vectors whose degree-2 terms
-    # cancel, whose x-multiples are not relations at that order
+    # the truncated kernel at order 20, below the certified order: the
+    # harmonic oscillator's degree-1 basis holds x_1_2 + c(t)*x_2_2 +
+    # e(t) with c, e of degree 12 over 11, a k(t)-combination of kernel
+    # vectors whose degree-2 terms cancel, whose x-multiples are not
+    # relations at that order
     sys = OdeSystem.from_document((GOLDEN / "harmonic.sys").read_text())
-    H, rel = proto_galois(sys, PipelineConfig(degree=2, a=K.zero, order=20))
-    assert not rel.rigorous
+    rel = truncated_relations(sys, K.zero, 2, 2, 20)
+    assert not certify(sys, rel.basis, rel.a)
+    H = stabilizer_group(rel)
+    verify_group_axioms(H, rel)
     assert not assert_generators_suffice(H, rel)
     assert groups._ideal_generators(rel) == rel.basis
 
@@ -644,6 +648,22 @@ def test_stabilizer_expands_only_the_ideal_generators(monkeypatch):
     H, rel = diag_proto_galois(*DIAG_SYSTEMS[0])
     assert (len(rel.basis), len(calls)) == (32, 5)
     assert len(H.generators) == 5
+
+
+def test_closure_check_multiplies_by_no_one(monkeypatch):
+    # diag(1/(3t), 2/(3t)) at degree 3: the closure check passes 20
+    # multipliers to sub_multiples, 10 of them 1, and a 1 costs no product
+    _H, rel = diag_proto_galois(*DIAG_SYSTEMS[0])
+    calls = [0]
+    mul = RatFuncField.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(RatFuncField, "mul", counting)
+    assert len(groups._ideal_generators(rel)) == 5
+    assert calls == [14]
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])

@@ -65,21 +65,21 @@ def saturated_exponents(rl, l):
 def test_logderiv_of_t():
     ring = group_ring(1, K)
     el = logderiv_from_character(Character(ring.parse("x_1_1"), ring),
-                                 series_of_t(1), 20, 3, 3)
+                                 series_of_t(1), 20, 3)
     assert el.R.format(el.v) == "(1)/(t)"
 
 
 def test_logderiv_of_t_squared_character():
     ring = group_ring(1, K)
     el = logderiv_from_character(Character(ring.parse("x_1_1^2"), ring),
-                                 series_of_t(2), 20, 3, 3)
+                                 series_of_t(2), 20, 3)
     assert el.R.format(el.v) == "(2)/(t)"
 
 
 def test_logderiv_trivial_character():
     ring = group_ring(1, K)
     el = logderiv_from_character(Character(ring.one, ring), series_of_t(0),
-                                 20, 3, 3)
+                                 20, 3)
     assert el.R.is_zero(el.v)
 
 
@@ -87,7 +87,7 @@ def test_logderiv_order_too_small():
     ring = group_ring(1, K)
     with pytest.raises(ResourceCapError):
         logderiv_from_character(Character(ring.parse("x_1_1"), ring),
-                                series_of_t(1), 5, 3, 3)
+                                series_of_t(1), 5, 3)
 
 
 def test_half_lattice():

@@ -11,7 +11,8 @@ from dgal import cli, linalg
 from dgal.fields import ConstField, field_adjoin
 from dgal.multipoly import GRADED_LEX, PolyRing
 from dgal.ratfunc import RatFuncField
-from dgal.relations import (certify, find_relations,
+from dgal.errors import InputError
+from dgal.relations import (certify, find_relations, group_ring,
                             matrix_var_names, order_bound,
                             relation_ideal, second_point_check,
                             _AnsatzBuilder, _Echelon, _derivative,
@@ -21,6 +22,7 @@ from dgal.relations import (certify, find_relations,
 from dgal.series import Series
 from dgal.systems import MonomialSeries, OdeSystem
 from sympy_oracle import rref as sympy_rref, sympy_domain, to_sympy
+from truncation import truncated_relations
 
 K = ConstField()
 R = RatFuncField(K)
@@ -35,12 +37,6 @@ def certified_order(sys, a, d, ell):
     N, rig = order_bound(sys, a, d, ell)
     assert rig
     return N
-
-
-def test_order_bound_explicit():
-    s = sys_of(["1/(2*t)"])
-    N, rig = order_bound(s, K.from_int(1), 2, 1, 50)
-    assert (N, rig) == (50, True)
 
 
 def test_mu2_relation():
@@ -118,7 +114,7 @@ def test_second_point_direct():
 def test_membership_negative():
     s = sys_of(["1"])  # e^t
     store = MonomialSeries(s, K.zero, 1)
-    ring = relation_ideal(s, K.zero, 1, 1, 8).ring
+    ring = group_ring(1, R)
     P = ring.parse("x_1_1 - t")
     assert not store.series_of(P, 5).is_zero()
     assert store.series_of(ring.parse("x_1_1 - x_1_1"), 5).is_zero()
@@ -151,9 +147,8 @@ def test_second_point_check_outcomes(rows, a, d, ell, b, how):
 def test_monotone_in_degree():
     s = sys_of(["1/(2*t)"])
     a = K.from_int(1)
-    N = certified_order(s, a, 3, 1)
-    rel2 = relation_ideal(s, a, 2, 1, N)
-    rel3 = relation_ideal(s, a, 3, 1, N)
+    rel2 = find_relations(s, a, 2, 1)
+    rel3 = find_relations(s, a, 3, 1)
     ring3 = rel3.ring
     lifted = [ring3.parse(rel2.ring.format(P)) for P in rel2.basis]
     joint = _row_reduce_polys(ring3, rel3.basis + lifted)
@@ -193,7 +188,7 @@ def test_spurious_relation_mod_p_is_rejected():
     a = K.zero
     builder = _AnsatzBuilder(s, a, 1, 1)
     rows = [builder.row(i) for i in range(12)]
-    ring = relation_ideal(s, a, 1, 1, 8).ring
+    ring = group_ring(1, R)
     for p in linalg.PRIMES:
         fp = linalg.PrimeField(p)
         modular = _AnsatzBuilder(s, a, 1, 1, fp)
@@ -220,10 +215,18 @@ def test_shared_solve_matches_separate_solves():
     a = K.zero
     N = certified_order(s, a, 2, 1)
     shared = find_relations(s, a, 2, 1)
-    assert shared.order_used == N and shared.rigorous
+    assert shared.order_used == N
     assert shared.basis == relation_ideal(s, a, 2, 1, N).basis
-    explicit = find_relations(s, a, 2, 1, N)
-    assert explicit.rigorous and explicit.basis == shared.basis
+
+
+def test_relation_ideal_takes_only_the_certified_order():
+    # the relation solve has one truncation order, the certified one
+    s = sys_of(["0", "1"], ["-1", "0"])
+    a = K.zero
+    N = certified_order(s, a, 2, 1)
+    for other in (N - 1, N + 1):
+        with pytest.raises(InputError, match="certified order %d" % N):
+            relation_ideal(s, a, 2, 1, other)
 
 
 def test_number_field_takes_the_exact_path():
@@ -253,7 +256,7 @@ def test_relation_solve_builds_no_series_products(monkeypatch):
     monkeypatch.setattr(Series, "__mul__", counting_mul)
     monkeypatch.setattr(MonomialSeries, "__init__", counting_init)
     s = sys_of(["0", "1"], ["t", "0"])  # the worked Airy example
-    rel = find_relations(s, K.one, 2, 2, 68)
+    rel = find_relations(s, K.one, 2, 2)
     assert rel.basis == [rel.ring.parse("x_1_1*x_2_2 - x_1_2*x_2_1 - 1")]
     assert calls == {"mul": 0, "store": 1}
 
@@ -276,9 +279,9 @@ def test_certificate_accepts_the_default_basis_only(name):
     rows, a, d = WORKED[name]
     s = sys_of(*rows)
     rel = find_relations(s, K.from_int(a), d, 2)
-    assert rel.rigorous and certify(s, rel.basis, rel.a)
-    half = relation_ideal(s, rel.a, d, 2, rel.order_used // 2)
-    assert not half.rigorous and not certify(s, half.basis, half.a)
+    assert certify(s, rel.basis, rel.a)
+    half = truncated_relations(s, rel.a, d, 2, rel.order_used // 2)
+    assert not certify(s, half.basis, half.a)
 
 
 def test_local_basis_clears_a_pole_at_the_point():
@@ -321,7 +324,7 @@ def test_solve_ends_at_the_first_certified_kernel(monkeypatch):
     calls = count_add_row(monkeypatch)
     s = sys_of(["0", "1"], ["-t/2 + 1", "0"])
     rel = find_relations(s, K.from_int(2), 2, 2)
-    assert rel.rigorous and calls[0] <= rel.order_used + 3
+    assert calls[0] <= rel.order_used + 3
 
 
 def test_certificate_closes_the_span_under_d_dt():
@@ -330,7 +333,6 @@ def test_certificate_closes_the_span_under_d_dt():
     # so the span of the basis alone is not closed under d/dt
     s = sys_of(["0", "1/t^6"], ["0", "6/t"])
     rel = find_relations(s, K.one, 1, 2)
-    assert rel.rigorous
     assert rel.basis == [rel.ring.parse(P) for P in
                          ("x_1_1 - 1", "x_1_2 - t + 1", "x_2_1")]
 
@@ -354,14 +356,14 @@ def record_passes(monkeypatch):
     """A list that gets, for each relation solve run, whether its last
     pass was modular and the primes of the ladder it had not failed."""
     passes = []
-    solve = _RelationSolve._solve
+    solve = _RelationSolve.certified
 
-    def recording(self, run):
-        N = solve(self, run)
+    def recording(self):
+        N = solve(self)
         passes.append((self.modular, self.primes[:]))
         return N
 
-    monkeypatch.setattr(_RelationSolve, "_solve", recording)
+    monkeypatch.setattr(_RelationSolve, "certified", recording)
     return passes
 
 
@@ -474,8 +476,7 @@ def test_certified_solve_does_no_exact_series_work(monkeypatch):
     monkeypatch.setattr(MonomialSeries, "extend", recording_extend)
     monkeypatch.setattr(linalg, "kernel_vanishes", counting_vanishes)
     s = sys_of(["0", "1"], ["t", "0"])
-    rel = find_relations(s, K.one, 2, 2, order=None)
-    assert rel.rigorous
+    rel = find_relations(s, K.one, 2, 2)
     assert rel.basis == [rel.ring.parse("x_1_1*x_2_2 - x_1_2*x_2_1 - 1")]
     assert fields == {linalg.PrimeField} and checks == [0]
 
@@ -576,8 +577,7 @@ def test_back_substitution_waits_for_a_kernel_read(monkeypatch):
     monkeypatch.setattr(linalg.PrimeField, "sub_multiples",
                         counting_sub_multiples)
     s = sys_of(["0", "1"], ["t", "0"])
-    rel = find_relations(s, K.one, 2, 2)
-    assert rel.rigorous
+    find_relations(s, K.one, 2, 2)
     assert calls[True] == 0 and calls[False] > 0
 
 
@@ -607,8 +607,8 @@ def _airy_system(draw, ell):
 @st.composite
 def ansatz_cases(draw):
     """A system, point and caps d <= 3, ell in {1, 2}, at its certified
-    order or at an explicit order below it.  Airy-type systems keep
-    d * ell <= 2, and explicit orders stay below 12, so that the exact
+    order or at a truncation order below it.  Airy-type systems keep
+    d * ell <= 2, and lower orders stay below 12, so that the exact
     elimination and the row reduction of the whole kernel stay cheap."""
     ell = draw(st.sampled_from([1, 2]))
     rows, a, top = draw(st.sampled_from([_radical_system, _constant_system,
@@ -671,8 +671,8 @@ def test_solve_lifts_only_the_shift_generators(monkeypatch, rows, a, d,
         return out
 
     monkeypatch.setattr(linalg, "lift_kernel", recording)
-    rel = find_relations(sys_of(*rows), K.from_int(a), d, 2)
-    assert rel.rigorous and sizes and all(n in lifted for n in sizes)
+    find_relations(sys_of(*rows), K.from_int(a), d, 2)
+    assert sizes and all(n in lifted for n in sizes)
 
 
 # -- P(X*Y) from integer expansions of (X*Y)^m ----------------------------
