@@ -36,6 +36,7 @@ def refused(capsys, argv):
 
 
 RELATION_CAPS = [
+    ["--degree", "-2"],
     ["--degree", "1", "--coeff-degree", "-1"],
     ["--degree", "0"],
 ]
@@ -54,6 +55,7 @@ def test_meaningless_caps_exit_2(capsys, doc, command, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--degree-override", "1", "--coeff-degree", "-1"],
+    ["--degree-override", "-2"],
     ["--degree-override", "0"],
 ])
 def test_galois_meaningless_caps_exit_2(capsys, doc, flags):
