@@ -7,7 +7,8 @@ ascending power-basis coordinates (Rationals) with no zero leading
 entry, reduced modulo m, so that equal elements are equal tuples and 0
 is ``()``.  Products are reduced modulo m, inverses come from the
 extended Euclidean algorithm (Cohen, *A Course in Computational
-Algebraic Number Theory*, 4.2).  Over QQ the adapter methods are the
+Algebraic Number Theory*, 4.2), over a quadratic field from the
+conjugate over the norm.  Over QQ the adapter methods are the
 Rational operators themselves.
 
 A number field is QQ[x]/(m), m the monic minimal polynomial of its
@@ -174,6 +175,18 @@ class ConstField:
         return tuple(out)
 
     def _nf_inv(self, a):
+        if self._degree == 2:
+            # g^2 = -m1*g - m0, so (a0 + a1*g)*((a0 - m1*a1) - a1*g) is
+            # the norm a0^2 - m1*a0*a1 + m0*a1^2, zero only for a = 0
+            m0, m1 = self._minpoly[0], self._minpoly[1]
+            a0, a1 = (a + (ZERO, ZERO))[:2]
+            norm = a0 * a0 - m1 * a0 * a1 + m0 * a1 * a1
+            if not norm:
+                raise ZeroDivisionError("element not invertible modulo the "
+                                        "minimal polynomial")
+            if not a1:
+                return (ONE / a0,)
+            return ((a0 - m1 * a1) / norm, -a1 / norm)
         s, _t, h = upoly.gcdex(_RATIONALS, list(a), list(self._minpoly))
         if h != [ONE]:
             raise ZeroDivisionError("element not invertible modulo the "

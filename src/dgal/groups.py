@@ -86,57 +86,24 @@ def full_group(n, field):
 
 # -- stabilizer ---------------------------------------------------------
 
-def _ideal_generators(rel):
-    """G: the relations of the basis whose leading monomial is not x_v
-    times another one's leading monomial, read off the graded-lex leads,
-    when the span W of the basis over k(t) is closed under
-    multiplication by each x_v within degree d; else the whole basis.
+def _action_residuals(rel):
+    """For each relation P of G, the relations that generate the ideal
+    (``rel.generators``, from relations._ideal_generators), the
+    coefficient vector of P(X*h) with h symbolic, reduced against the
+    span of the whole basis.
+
     The residuals of G cut out the same group as those of the whole
-    basis:
-    - W_{<d}, its elements of degree < d, is spanned by the basis
-      relations of degree < d (the echelon is graded), so W is closed
-      when each x_v*Q, Q such a relation, reduces to 0 by the span.
-    - Then W = span(G) + sum_v x_v*W_{<d}.  By induction on the lead: a
-      lead outside G's is x_v*lead(Q) for a basis Q of degree < d, and
-      P - c*x_v*Q has a smaller lead.
-    - So the residual of x_v*Q is a k(t)[h]-combination of the
-      coefficients of Q's residual: Q(X*h) = M + r with M in W of degree
-      < d, so (X*h)_v*Q(X*h) = sum_l h_lj x_il*(M + r), where x_il*M is in
-      W and x_il*r reduces by W with coefficients in k(t).  By induction
-      on the degree every residual is a k(t)[h]-combination of G's.
+    basis.  When G is not the whole basis, the span W is closed under
+    each x_v within degree d and W = span(G) + sum_v x_v*W_{<d}:
+    - The residual of x_v*Q is a k(t)[h]-combination of the coefficients
+      of Q's residual: Q(X*h) = M + r with M in W of degree < d, so
+      (X*h)_v*Q(X*h) = sum_l h_lj x_il*(M + r), where x_il*M is in W and
+      x_il*r reduces by W with coefficients in k(t).  By induction on
+      the degree every residual is a k(t)[h]-combination of G's.
     - Splitting by powers of t keeps that: the pieces of such a
       combination, with its denominators cleared, are k[h]-combinations
       of the pieces of G's residuals (``_split_by_t_power``).  So both
       sets of pieces generate one ideal over k, that of the stabilizer.
-    The x-multiples of a kernel vector are kernel vectors on every path,
-    for they keep its coefficients and vanish through the same order.
-    But a relation of lower degree can be a k(t)-combination of kernel
-    vectors whose top-degree terms cancel, and then its x-multiples
-    need not lie in W: the truncated kernel of the harmonic oscillator
-    at order 20, below its certified order, shows it, and no proof rules
-    it out for a certified basis."""
-    R = rel.ring.field
-    leads = {Q.leading()[0]: Q for Q in rel.basis}
-    for le, Q in leads.items():
-        if sum(le) < rel.d:
-            for v in range(rel.ring.nvars):
-                vec = {e[:v] + (e[v] + 1,) + e[v + 1:]: c
-                       for e, c in Q.terms.items()}
-                # most often x_v*Q is itself the relation led by x_v*le
-                B = leads.get(le[:v] + (le[v] + 1,) + le[v + 1:])
-                if B is None or vec != B.terms and linalg.sub_multiples(
-                        R, vec, [(vec[e], leads[e].terms)
-                                 for e in vec if e in leads]):
-                    return rel.basis
-    return [Q for le, Q in leads.items()
-            if not any(k and le[:v] + (k - 1,) + le[v + 1:] in leads
-                       for v, k in enumerate(le))]
-
-
-def _action_residuals(rel):
-    """For each relation P of G (``_ideal_generators``), the coefficient
-    vector of P(X*h) with h symbolic, reduced against the span of the
-    whole basis.
 
     Returns one residual ``{h-exponent: coefficient}`` per x-monomial and
     relation of G, coefficients in k(t); the residuals vanish exactly
@@ -150,7 +117,7 @@ def _action_residuals(rel):
     R = rel.ring.field
     leads = {Q.leading()[0]: Q.terms for Q in rel.basis}
     residuals = []
-    for acted in _relations_at_product(rel.ring, _ideal_generators(rel)):
+    for acted in _relations_at_product(rel.ring, rel.generators):
         vec = {}
         for (xe, he), c in acted.items():
             vec.setdefault(xe, {})[he] = c
@@ -192,8 +159,8 @@ def stabilizer_group(rel):
 
     Its generators are the reduced row echelon form over k of the pieces
     (``_split_by_t_power``) of the action residuals of G, the relations
-    of the basis that generate its ideal (``_ideal_generators``, which
-    proves that they cut out the same group as the whole basis); H
+    of the basis that generate its ideal (``_action_residuals`` proves
+    that they cut out the same group as the whole basis); H
     records the pieces for verify_group_axioms.  No polynomial over k(t)
     in the doubled ring is formed."""
     ring = rel.ring
@@ -215,7 +182,7 @@ def verify_group_axioms(H, rel):
     the stabilizer condition holds identically for h subject to H's
     ideal.  ``H`` is ``stabilizer_group(rel)``, whose residual pieces are
     reused: those of G's residuals, which generate the residuals of
-    every basis relation (``_ideal_generators``).  Sets group_verified
+    every basis relation (``_action_residuals``).  Sets group_verified
     on success.
 
     The check runs over k.  A residual is sum_i t^i g_i / f with the

@@ -24,20 +24,27 @@ fundamental matrix.  ``find_relations`` runs the solve once for both the
 truncation order and the kernel.  The kernel vectors are kept as
 ``{column: value}`` of their nonzero entries, and both the read-off
 (``_kernel_to_polys``) and the row reduction to the canonical basis
-(``_row_reduce_polys``) touch only those entries of the shift
-generators.  That reduction, the closure of ``certify`` and the
-membership test ``in_span`` each run on a ``linalg.RrefAccumulator``
-whose columns are monomials in descending order (``_Echelon``), so a
-pivot is a leading monomial.
+touch only those entries of the shift generators.  That reduction, the
+closure of ``certify`` and the membership test ``in_span`` each run on
+a ``linalg.RrefAccumulator`` whose columns are monomials in descending
+order (``_Echelon``), so a pivot is a leading monomial; the solve's
+certificate goes on closing the echelon that reduced its basis.
+
+The generator theorem: when the span W is closed under multiplication
+by each x_v within degree d, the relations G of the basis whose lead is
+not x_v times another lead (``_ideal_generators``) give W = span(G) +
+sum_v x_v*W_{<d}.  So d/dt maps W into W exactly when it maps G there,
+for D(x_v*Q) = D(x_v)*Q + x_v*D(Q) with D(x_v) linear, and the certificate
+differentiates G alone unless some D(G) leaves W.  The solve computes G
+once per basis and hands it on the ``RelationIdeal``, whose stabilizer
+(``groups``) reads the action residuals of G alone.
 
 P(X*Y) has one evaluator, ``_ProductPowers``: it expands each (X*Y)^m
 over the integers once and reads P(X*Y) = sum_m c_m (X*Y)^m off the
 expansions as ``{(x-exponent, y-exponent): coefficient}``, so a
 coefficient of P is only scaled by an integer.  ``_relations_at_product``
 applies it to the polynomials its reader passes.  The stabilizer
-(``groups``) passes only the basis relations that generate the ideal,
-those whose lead is not x_v times another lead when the span is closed
-under each x_v, and groups each image by x-monomial.  The transport
+(``groups``) passes G and groups each image by x-monomial.  The transport
 search of ``second_point_check`` passes the whole basis, groups each
 image by y-monomial and evaluates each x-polynomial with the
 ``MonomialSeries`` store at the second point.  The character check of
@@ -66,15 +73,18 @@ def group_ring(n, field):
 
 class RelationIdeal:
     """Certified basis (``certify``) of the degree-<= d relations, read
-    off the ansatz at truncation order N."""
+    off the ansatz at truncation order N, and ``generators``, the basis
+    relations that generate its ideal (``_ideal_generators``), the list
+    that the certificate read."""
 
-    def __init__(self, ring, basis, *, d, a, ell, order_used):
+    def __init__(self, ring, basis, *, d, a, ell, order_used, generators):
         self.ring = ring
         self.basis = basis
         self.d = d
         self.a = a
         self.ell = ell
         self.order_used = order_used
+        self.generators = generators
 
     def __repr__(self):
         return "RelationIdeal(d=%d, %d relations)" % (self.d, len(self.basis))
@@ -136,6 +146,7 @@ class _RelationSolve:
     def __init__(self, sys, a, d, ell):
         self.sys = sys
         self.a = a
+        self.d = d
         self.args = (sys, a, d, ell)
         self.ring = group_ring(sys.n, sys.R)
         # the primes not yet failed; a number field has none
@@ -146,6 +157,7 @@ class _RelationSolve:
             self.exact_reason = "the constant field is a number field"
         self.N = None
         self.basis = None
+        self.generators = None
 
     @cached_property
     def exact(self):
@@ -154,7 +166,8 @@ class _RelationSolve:
 
     def certified(self):
         """The truncation order N of the first certified kernel, whose
-        basis is kept in ``basis``: a pass over the first prime not yet
+        basis is kept in ``basis`` and the relations that generate its
+        ideal in ``generators``: a pass over the first prime not yet
         failed, else over k."""
         while True:
             self.modular = bool(self.primes)
@@ -166,7 +179,7 @@ class _RelationSolve:
                     if self.modular else self.exact)
                 self.acc = linalg.RrefAccumulator(self.builder.field,
                                                   self.builder.ncols)
-                self.N, self.basis = self._pass()
+                self.N, self.basis, self.generators = self._pass()
             except linalg.NotCertified as why:
                 self.primes.pop(0)
                 if not self.primes:
@@ -202,7 +215,7 @@ class _RelationSolve:
 
     def _pass(self):
         """Rows one order at a time until the kernel is certified; returns
-        (N, basis).
+        (N, basis, generators).
 
         A kernel is tried once, at the first row that leaves its rank
         unchanged, or when the rank reaches the column count.  A kernel
@@ -229,10 +242,14 @@ class _RelationSolve:
             lifted = kernel is not None
             if not lifted:
                 continue
-            basis = _row_reduce_polys(self.ring, _kernel_to_polys(
+            # the echelon over the monomials of degree <= d that the
+            # certificate goes on closing
+            echelon = _Echelon(self.ring, self.builder.monos, _kernel_to_polys(
                 self.builder, kernel, self.ring, self.a))
-            if certify(self.sys, basis, self.a):
-                return max(last_raise - 1, 0), basis
+            basis = echelon.basis()
+            generators = _ideal_generators(basis, self.d)
+            if certify(self.sys, basis, self.a, echelon, generators):
+                return max(last_raise - 1, 0), basis, generators
             self._check_exactly(kernel)
         if self.modular:
             raise linalg.NotCertified(
@@ -268,7 +285,7 @@ def relation_ideal(sys, a, d, ell, N, solver=None):
         raise InputError("truncation order %d is not the certified order %d"
                          % (N, solver.N))
     return RelationIdeal(solver.ring, solver.basis, d=d, a=a, ell=ell,
-                         order_used=N)
+                         order_used=N, generators=solver.generators)
 
 
 def find_relations(sys, a, d, ell):
@@ -286,12 +303,12 @@ def find_relations(sys, a, d, ell):
 
 # -- the certificate ----------------------------------------------------
 
-def certify(sys, basis, a):
+def certify(sys, basis, a, echelon=None, generators=None):
     """True when every relation in the k(t)-span W of ``basis`` (a reduced
     row echelon basis, as _row_reduce_polys returns it) vanishes at the
     fundamental matrix F with F(a) = I.
 
-    W is first closed under the derivation of P(F) along X' = A X
+    W is first closed under the derivation D of P(F) along X' = A X
     (``_derivative``, with each monomial's (X^m)' tabulated once per
     call, its weights read off A): the closure W' keeps the degree of W
     and holds only relations exactly when W does, since the derivative
@@ -301,23 +318,43 @@ def certify(sys, basis, a):
     that is 0 at a is 0 (Cauchy uniqueness, the zero test for D-finite
     functions; Stanley 1980; van der Put and Singer 2003, ch. 1).  An
     element of W' regular at a with a nonzero value there ends the check
-    early."""
+    early.
+
+    The closure starts from G, the relations that generate the ideal
+    (``_ideal_generators``): when W is closed under each x_v within
+    degree d, W = span(G) + sum_v x_v*W_{<d}, and D(x_v*Q) = D(x_v)*Q +
+    x_v*D(Q) with D(x_v) = sum_l a_il x_lj linear, so by induction on the
+    degree and then on the lead D(W) lies in W exactly when D(G) does.
+    Only when some D(G) leaves W are the other basis relations
+    differentiated too, so W' and the verdict are those of the closure
+    from the whole basis.
+
+    The solve passes the ``_Echelon`` that reduced the basis, over the
+    monomials of degree <= d, which the closure extends, and G for its
+    d; by default both are built here, with d the top degree of the
+    basis."""
     if not basis:
         return True
-    ring = basis[0].ring
+    if echelon is None:
+        ring = basis[0].ring
+        d = max(P.total_degree() for P in basis)
+        echelon = _Echelon(ring, monomials_upto(ring.nvars, d), basis)
+        generators = _ideal_generators(basis, d)
     R = sys.R
+    is_zero = R.const.is_zero
 
     def refuted(P):
-        return (all(R.is_regular_at(c, a) for c in P.terms.values())
-                and not R.const.is_zero(R.eval_at(P.at_identity(), a)))
+        # the value at X = I first: a zero value needs no regularity test
+        # of every coefficient
+        value = P.at_identity()
+        return (R.is_regular_at(value, a)
+                and not is_zero(R.eval_at(value, a))
+                and all(R.is_regular_at(c, a) for c in P.terms.values()))
 
-    # the closure on an accumulator over the monomials of degree <= that
-    # of W (the derivation keeps it), its leads the pivots
-    echelon = _Echelon(ring, monomials_upto(
-        ring.nvars, max(sum(e) for P in basis for e in P.terms)), basis)
     acc = echelon.acc
     leads = set(acc.pivots)
-    todo = list(basis)
+    todo = list(generators)
+    whole = len(generators) == len(basis)
     table = {}
     while todo:
         if not echelon.add(_derivative(sys, todo.pop(), table)):
@@ -328,7 +365,55 @@ def certify(sys, basis, a):
         if refuted(P):
             return False
         todo.append(P)
+        if not whole:
+            # D(G) leaves W: the closure goes on from the whole basis
+            whole = True
+            todo.extend(Q for Q in basis
+                        if not any(Q is G for G in generators))
     return not any(refuted(C) for C in _local_basis(echelon.basis(), a))
+
+
+def _ideal_generators(basis, d):
+    """G: the relations of ``basis`` (a reduced row echelon basis, as
+    _row_reduce_polys returns it) whose leading monomial is not x_v times
+    another one's leading monomial, read off the graded-lex leads, when
+    the span W of the basis over k(t) is closed under multiplication by
+    each x_v within degree d; else the whole basis.
+    - W_{<d}, its elements of degree < d, is spanned by the basis
+      relations of degree < d (the echelon is graded), so W is closed
+      when each x_v*Q, Q such a relation, reduces to 0 by the span.
+    - Then W = span(G) + sum_v x_v*W_{<d}.  By induction on the lead: a
+      lead outside G's is x_v*lead(Q) for a basis Q of degree < d, and
+      P - c*x_v*Q has a smaller lead.
+    So G generates the ideal of W within degree d.  The certificate
+    closes W under d/dt from G (``certify``), and the stabilizer reads
+    the action residuals of G alone (``groups.stabilizer_group``).
+    The x-multiples of a kernel vector are kernel vectors on every path,
+    for they keep its coefficients and vanish through the same order.
+    But a relation of lower degree can be a k(t)-combination of kernel
+    vectors whose top-degree terms cancel, and then its x-multiples
+    need not lie in W: the truncated kernel of the harmonic oscillator
+    at order 20, below its certified order, shows it, and no proof rules
+    it out for a certified basis."""
+    if not basis:
+        return []
+    ring = basis[0].ring
+    R = ring.field
+    leads = {Q.leading()[0]: Q for Q in basis}
+    for le, Q in leads.items():
+        if sum(le) < d:
+            for v in range(ring.nvars):
+                vec = {e[:v] + (e[v] + 1,) + e[v + 1:]: c
+                       for e, c in Q.terms.items()}
+                # most often x_v*Q is itself the relation led by x_v*le
+                B = leads.get(le[:v] + (le[v] + 1,) + le[v + 1:])
+                if B is None or vec != B.terms and linalg.sub_multiples(
+                        R, vec, [(vec[e], leads[e].terms)
+                                 for e in vec if e in leads]):
+                    return basis
+    return [Q for le, Q in leads.items()
+            if not any(k and le[:v] + (k - 1,) + le[v + 1:] in leads
+                       for v, k in enumerate(le))]
 
 
 def in_span(basis, polys):
@@ -491,8 +576,10 @@ def _kernel_to_polys(builder, kernel, ring, a):
             if mi not in ucoeffs:
                 ucoeffs[mi] = [k.zero] * width
             ucoeffs[mi][i] = c
+        # trimmed first: a constant costs no Taylor shift over the padding
         out.append(ring.from_dict({
-            builder.monos[mi]: R.from_coeffs(upoly.shift(k, cs, k.neg(a)))
+            builder.monos[mi]: R.from_coeffs(
+                upoly.shift(k, upoly.trim(k, cs), k.neg(a)))
             for mi, cs in sorted(ucoeffs.items())}))
     return out
 

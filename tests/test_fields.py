@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from dgal import fields
+from dgal import fields, upoly
 from dgal.errors import DgalError
 from dgal.fields import ConstField, field_adjoin, join, split_univariate
 from sympy_oracle import from_sympy, to_sympy
@@ -191,6 +191,27 @@ def test_split_computes_one_norm_per_factor_over_a_number_field(monkeypatch):
     fld, roots = split_univariate(k, [k.from_int(c) for c in [1, 1, 0, 0, 1]])
     assert fld.degree() == 24 and len(roots) == 4
     assert over == [4, 12]
+
+
+small_q = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(-2, 0), (1, 0), (1, 1)]), small_q, small_q)
+def test_quadratic_inverse_matches_the_extended_euclid(m, a0, a1):
+    # over g^2 - 2, g^2 + 1 and g^2 + g + 1 the inverse of a0 + a1*g is
+    # the conjugate over the norm; the extended Euclid gives the same
+    k = QQ()
+    fld, g = field_adjoin(k, [k.from_int(m[0]), k.from_int(m[1]), k.one])
+    a = fld.add(fld.from_fraction(a0), fld.mul(fld.from_fraction(a1), g))
+    if fld.is_zero(a):
+        with pytest.raises(ZeroDivisionError):
+            fld.inv(a)
+        return
+    s, _t, h = upoly.gcdex(k, list(a), list(fld._minpoly))
+    assert h == [k.one]
+    assert fld._nf_inv(a) == tuple(s)
+    assert fld.mul(a, fld.inv(a)) == fld.one
 
 
 def _adjoin(k, constant):

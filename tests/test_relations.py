@@ -7,21 +7,23 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from dgal import cli, linalg
+from dgal import cli, linalg, relations
 from dgal.fields import ConstField, field_adjoin
-from dgal.multipoly import GRADED_LEX, PolyRing
+from dgal.multipoly import GRADED_LEX, PolyRing, monomials_upto
+from dgal.pipeline import PipelineConfig, galois_group, proto_galois
 from dgal.ratfunc import RatFuncField
-from dgal.errors import InputError
+from dgal.errors import DgalError, InputError
 from dgal.relations import (certify, find_relations, group_ring,
                             matrix_var_names, order_bound,
                             relation_ideal, second_point_check,
                             _AnsatzBuilder, _Echelon, _derivative,
-                            _kernel_to_polys, _local_basis,
+                            _ideal_generators, _kernel_to_polys, _local_basis,
                             _ProductPowers, _RelationSolve, _row_reduce_polys,
                             _shift_generators)
 from dgal.series import Series
 from dgal.systems import MonomialSeries, OdeSystem
 from sympy_oracle import rref as sympy_rref, sympy_domain, to_sympy
+from test_sweep import exponentials, gauges, radical_diagonals, rotations
 from truncation import truncated_relations
 
 K = ConstField()
@@ -275,13 +277,16 @@ WORKED = {
 @pytest.mark.parametrize("name", WORKED)
 def test_certificate_accepts_the_default_basis_only(name):
     # below the order where the rank last grows, the truncated kernel
-    # holds a false relation, which the certificate must reject
+    # holds a false relation, which the certificate must reject; the
+    # closure from every basis relation gives each verdict too
     rows, a, d = WORKED[name]
     s = sys_of(*rows)
     rel = find_relations(s, K.from_int(a), d, 2)
     assert certify(s, rel.basis, rel.a)
+    assert full_closure_certify(s, rel.basis, rel.a)
     half = truncated_relations(s, rel.a, d, 2, rel.order_used // 2)
     assert not certify(s, half.basis, half.a)
+    assert not full_closure_certify(s, half.basis, half.a)
 
 
 def test_local_basis_clears_a_pole_at_the_point():
@@ -807,3 +812,155 @@ def test_derivative_table_matches_the_term_by_term_formula(name, polys):
                                   [K.one, K.from_fraction(c)])
             P = P + ring.from_dict({tuple(m): coeff})
         assert _derivative(s, P, table) == _derivative_term_by_term(s, P)
+
+
+# -- the ideal's generators, read by the certificate and the stabilizer ----
+
+# diag(1/(3t), 2/(3t)) at degree 3 and t = 1: 5 of its 32 basis
+# relations generate the ideal
+DIAG12 = [["1/(3*t)", "0"], ["0", "2/(3*t)"]]
+
+
+def full_closure_certify(sys, basis, a):
+    """The certificate as it read a basis before the generator theorem,
+    kept here as the reference: the span closed under d/dt from every
+    basis relation, then a basis of the closure regular at a must vanish
+    at t = a, X = I."""
+    if not basis:
+        return True
+    ring = basis[0].ring
+    R = sys.R
+    echelon = _Echelon(ring, monomials_upto(
+        ring.nvars, max(P.total_degree() for P in basis)), basis)
+    leads = set(echelon.acc.pivots)
+    todo = list(basis)
+    table = {}
+    while todo:
+        if echelon.add(_derivative(sys, todo.pop(), table)):
+            lead = next(pc for pc in echelon.acc.pivots if pc not in leads)
+            leads.add(lead)
+            todo.append(echelon.poly(echelon.acc.row(lead)))
+    return all(R.const.is_zero(R.eval_at(C.at_identity(), a))
+               for C in _local_basis(echelon.basis(), a))
+
+
+def count_derivatives(monkeypatch):
+    """A one-element list that counts the certificate's _derivative
+    calls."""
+    calls = [0]
+    derivative = relations._derivative
+
+    def counting(*args):
+        calls[0] += 1
+        return derivative(*args)
+
+    monkeypatch.setattr(relations, "_derivative", counting)
+    return calls
+
+
+def test_closure_check_multiplies_by_no_one(monkeypatch):
+    # diag(1/(3t), 2/(3t)) at degree 3: the closure check passes 20
+    # multipliers to sub_multiples, 10 of them 1, and a 1 costs no product
+    rel = find_relations(sys_of(*DIAG12), K.one, 3, 2)
+    calls = [0]
+    mul = RatFuncField.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(RatFuncField, "mul", counting)
+    assert len(_ideal_generators(rel.basis, rel.d)) == 5
+    assert calls == [14]
+
+
+def test_stabilizer_expands_only_the_ideal_generators(monkeypatch):
+    # diag(1/(3t), 2/(3t)) at degree 3: 5 of the 32 basis relations
+    # generate the ideal, and only those are expanded at X*h
+    calls = []
+    at_product = _ProductPowers.at_product
+
+    def counting(self, fld, P):
+        calls.append(P)
+        return at_product(self, fld, P)
+
+    monkeypatch.setattr(_ProductPowers, "at_product", counting)
+    H, rel = proto_galois(sys_of(*DIAG12), PipelineConfig(degree=3))
+    assert (len(rel.basis), len(calls)) == (32, 5)
+    assert len(H.generators) == 5
+
+
+def test_certificate_differentiates_only_the_generators(monkeypatch):
+    # diag(1/(3t), 2/(3t)) at degree 3: D maps the 5 generators into the
+    # span, so no other basis relation is differentiated
+    s = sys_of(*DIAG12)
+    rel = find_relations(s, K.one, 3, 2)
+    calls = count_derivatives(monkeypatch)
+    assert certify(s, rel.basis, rel.a)
+    assert (len(rel.basis), len(rel.generators), calls[0]) == (32, 5, 5)
+
+
+@pytest.mark.parametrize("name", WORKED)
+def test_closure_check_runs_once_per_galois_run(monkeypatch, name):
+    # the solve computes the generators for the basis it certifies and
+    # hands them to the stabilizer on the RelationIdeal
+    rows, a, d = WORKED[name]
+    calls = []
+    ideal_generators = relations._ideal_generators
+
+    def counting(basis, d):
+        calls.append(len(basis))
+        return ideal_generators(basis, d)
+
+    monkeypatch.setattr(relations, "_ideal_generators", counting)
+    galois_group(sys_of(*rows), PipelineConfig(degree=d, a=K.from_int(a)))
+    assert len(calls) == 1
+
+
+def test_certificate_falls_back_to_the_whole_basis(monkeypatch):
+    # F = [[1, t - 1], [0, 1]]: the span of x_1_1 - x_2_2 and its
+    # x-multiples is closed under each x_v within degree 2 and generated
+    # by x_1_1 - x_2_2, whose derivative x_2_1 leaves it; the closure
+    # then goes on from every basis relation
+    s = sys_of(["0", "1"], ["0", "0"])
+    ring = group_ring(2, R)
+    P = ring.parse("x_1_1 - x_2_2")
+    basis = _row_reduce_polys(ring, [P] + [x * P for x in ring.gens])
+    assert _ideal_generators(basis, 2) == [P]
+    calls = count_derivatives(monkeypatch)
+    assert certify(s, basis, K.one)
+    assert calls[0] > len(basis) == 5
+    assert full_closure_certify(s, basis, K.one)
+
+
+@pytest.mark.parametrize("rows, a, d, N", [
+    ([["1"]], 0, 1, 6),
+    ([["1"]], 0, 1, 7),
+    ([["0", "1"], ["t", "0"]], 1, 2, 20),
+    ([["0", "1"], ["-1", "0"]], 0, 2, 20),
+], ids=["exp-constant", "exp-pade", "airy-spurious", "harmonic-not-closed"])
+def test_truncated_bases_stay_refused(rows, a, d, N):
+    # the truncated kernels that the CLI and stabilizer tests read: each
+    # holds a false relation
+    s = sys_of(*rows)
+    rel = truncated_relations(s, K.from_int(a), d, 2, N)
+    assert not certify(s, rel.basis, rel.a)
+    assert not full_closure_certify(s, rel.basis, rel.a)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.one_of(radical_diagonals(), exponentials(), rotations(), gauges()))
+def test_certificate_agrees_with_the_full_closure_on_the_sweep(instance):
+    rows, flags, _expect, _certified = instance
+    d = int(flags[flags.index("--degree-override") + 1])
+    a = K.from_int(int(flags[flags.index("--point") + 1])
+                   if "--point" in flags else 1)
+    s = sys_of(*rows)
+    try:
+        rel = find_relations(s, a, d, 2)
+    except DgalError:
+        # a pole at the point, which the sweep allows
+        return
+    assert certify(s, rel.basis, a) and full_closure_certify(s, rel.basis, a)
+    half = truncated_relations(s, a, d, 2, rel.order_used // 2)
+    assert certify(s, half.basis, a) == full_closure_certify(s, half.basis, a)

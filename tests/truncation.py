@@ -3,8 +3,9 @@ the tests of the certificate's refusal and of the stabilizer's fallback
 for a span that is not closed under the x-multiples read it."""
 
 from dgal import linalg
-from dgal.relations import (RelationIdeal, _AnsatzBuilder, _kernel_to_polys,
-                            _row_reduce_polys, _shift_generators, group_ring)
+from dgal.relations import (RelationIdeal, _AnsatzBuilder, _ideal_generators,
+                            _kernel_to_polys, _row_reduce_polys,
+                            _shift_generators, group_ring)
 
 
 def truncated_relations(sys, a, d, ell, N):
@@ -18,4 +19,5 @@ def truncated_relations(sys, a, d, ell, N):
     ring = group_ring(sys.n, sys.R)
     kernel = acc.kernel_vectors(_shift_generators(acc, builder.width))
     basis = _row_reduce_polys(ring, _kernel_to_polys(builder, kernel, ring, a))
-    return RelationIdeal(ring, basis, d=d, a=a, ell=ell, order_used=N)
+    return RelationIdeal(ring, basis, d=d, a=a, ell=ell, order_used=N,
+                         generators=_ideal_generators(basis, d))
