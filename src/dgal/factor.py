@@ -309,6 +309,20 @@ def factor_list(field, coeffs):
 
 
 def is_irreducible(field, coeffs):
-    """True when the polynomial over QQ of degree >= 1 is irreducible."""
-    factors = factor_list(field, coeffs)
+    """True when the polynomial over QQ of degree >= 1 is irreducible:
+    of degree 1 always, of degree 2 exactly when its discriminant is not
+    the square of a rational (it then has no rational root), and of a
+    higher degree when ``factor_list`` finds one simple factor."""
+    f = upoly.trim(field, coeffs)
+    if len(f) == 2:
+        return True
+    if len(f) == 3:
+        c, b, a = f
+        disc = field.sub(field.mul(b, b),
+                         field.mul(field.from_int(4), field.mul(a, c)))
+        num, den = disc.numerator, disc.denominator
+        # in lowest terms, a square exactly when both parts are
+        return not (num >= 0 and isqrt(num) ** 2 == num
+                    and isqrt(den) ** 2 == den)
+    factors = factor_list(field, f)
     return len(factors) == 1 and factors[0][1] == 1

@@ -2,9 +2,12 @@
 
 A hyperexponential element h is known here only through its logarithmic
 derivative v = h'/h, a rational function over (an extension of) the
-constant field.  ``logderiv_from_character`` recovers v from the series
-of a character value chi(F), read off the monomial-series store of the
-fundamental matrix F.
+constant field.  ``logderiv_from_character`` reads v for a character
+value h = chi(F), F the fundamental matrix, off the certified relation
+basis, with no series: D(chi) - v*chi, D the derivation along
+X' = A X, is a relation of chi's degree, so the remainders of chi and
+of D(chi) modulo the basis' span are proportional, with ratio v, and
+that proportionality proves chi(F)' = v*chi(F) exactly.
 
 ``relation_lattice`` returns the relation lattice L of h_1, ..., h_l:
 the integer vectors m for which prod h_j^{m_j} lies in k(t), that is,
@@ -22,8 +25,9 @@ from . import lattice
 from .errors import DgalError, ResourceCapError, UnsupportedInstanceError
 from .fields import join, split_univariate
 from .rational import ZERO
-from .ratfunc import RatFuncField, _series_div
-from .series import Series, reconstruct_ratfunc
+from .multipoly import monomials_upto
+from .ratfunc import RatFuncField
+from .relations import _derivative, _Echelon
 
 
 class HyperexpElement:
@@ -48,36 +52,62 @@ class RelationLattice:
         self.cofactors = cofactors
 
 
-def logderiv_from_character(chi, store, order, deg):
-    """Recover the rational logarithmic derivative of h = chi(F) from
-    the series of u = chi(F) through u^order, F the fundamental matrix
-    whose monomial series ``store`` holds (systems.MonomialSeries).
+def logderiv_from_character(sys, rel, chi):
+    """The logarithmic derivative v of h = chi(F), F the fundamental
+    matrix with F(a) = I, read off the certified relation basis of
+    ``rel`` with no series.
 
-    u must have a nonzero constant term and order above 4 * deg, deg
-    the cap on the degrees of the numerator and the denominator.
-    w = u'/u through (t - a)^(order - 1) is one power-series division,
-    O(order^2) field operations with no inverse series formed first.
-    w is reconstructed as a rational function and must come out
-    identical at the full and the one-lower truncation order, else a
-    degree-cap error is raised.
-    """
-    u = store.series_of(chi.poly, order)
-    kf = u.field
-    if kf.is_zero(u.coeffs[0]):
-        raise DgalError("character series vanishes at the expansion point")
-    du = u.diff().coeffs
-    w = Series(kf, _series_div(kf, du, u.coeffs, len(du)))
-    R = RatFuncField(kf)
-    if w.order < 4 * deg + 2:
-        raise ResourceCapError("series order %d too small for degree cap %d"
-                               % (order, deg))
-    a = kf.coerce_from(store.field, store.a)
-    got = reconstruct_ratfunc(R, w, a, deg, deg)
-    got2 = reconstruct_ratfunc(R, w.truncate(w.order - 1), a, deg, deg)
-    if got is None or got2 is None or not R.eq(got, got2):
-        raise ResourceCapError("logarithmic derivative did not stabilize "
-                               "under the degree cap %d" % deg)
-    return HyperexpElement(R, got)
+    v lies in K(t), K the join of k and chi's constant field, so
+    D(chi) - v*chi, D the derivation along X' = A X
+    (``relations._derivative``), is a relation of chi's degree, and
+    conversely such a relation in the certified span W proves
+    chi(F)' = v*chi(F).  chi is split over the power basis of its
+    constant field, chi = sum_s g^s chi_s with chi_s over QQ, and each
+    chi_s and D(chi_s) is reduced over k(t) by the relations of degree
+    <= deg chi, the only ones a polynomial of that degree meets in the
+    graded echelon (one ``_Echelon``).  The remainder is the one
+    representative of a class modulo W, so D(chi) - v*chi lies in W
+    exactly when the remainder of D(chi) is v times that of chi; v is
+    the ratio of the two at one monomial.  chi's remainder is not zero:
+    chi(F) is 1 at a.  When no v works, the relation is beyond the caps
+    (d, ell) of ``rel`` and ResourceCapError names them."""
+    ring = rel.ring
+    R = ring.field
+    K = chi.ring.field
+    big = RatFuncField(join(R.const, K))
+    deg = chi.poly.total_degree()
+    echelon = _Echelon(ring, monomials_upto(ring.nvars, deg),
+                       [Q for Q in rel.basis if Q.total_degree() <= deg])
+    parts = {}
+    for e, c in chi.poly.terms.items():
+        for s, x in enumerate(K.to_rational_vector(c)):
+            if x:
+                parts.setdefault(s, {})[e] = R.from_const(
+                    R.const.from_fraction(x))
+    rem, drem = {}, {}
+    table = {}
+    for s, terms in sorted(parts.items()):
+        gs = big.from_const(big.const.coerce_from(
+            K, K.pow(K.generator(), s) if s else K.one))
+        for out, P in ((rem, terms),
+                       (drem, _derivative(sys, ring.from_dict(terms), table))):
+            for e, c in echelon.remainder(P).items():
+                x = big.mul(gs, big.coerce_from(R, c))
+                out[e] = big.add(out[e], x) if e in out else x
+    rem = {e: c for e, c in rem.items() if not big.is_zero(c)}
+    drem = {e: c for e, c in drem.items() if not big.is_zero(c)}
+    text = chi.ring.format(chi.poly)
+    if not rem:
+        raise DgalError("the character %s lies in the relation span" % text)
+    e0 = next(iter(rem))
+    v = big.div(drem.get(e0, big.zero), rem[e0])
+    if drem != ({} if big.is_zero(v) else
+                {e: big.mul(v, c) for e, c in rem.items()}):
+        raise ResourceCapError(
+            "no logarithmic derivative of the character %s is read off the "
+            "certified relations under the caps d = %d, ell = %d"
+            % (text, rel.d, rel.ell))
+    return HyperexpElement(big, v)
 
 
 def _pf_over_common(elements):

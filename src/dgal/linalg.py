@@ -214,6 +214,13 @@ class RrefAccumulator:
                 rows[pc] = sub(row, [(row.pop(j), rows[j]) for j in hits])
         fresh.clear()
 
+    def reduce(self, row):
+        """``row``, as ``add_row`` takes it, reduced by the reduced rows
+        and not inserted: ``{column: nonzero value}``, zero at every
+        pivot."""
+        self._back_substitute()
+        return self.field.reduce_row(row, self._rows, self.pivots)
+
     @property
     def rank(self):
         return len(self.pivots)

@@ -325,15 +325,21 @@ class MultiPoly:
             total = fld.add(total, c)
         return total
 
-    def at_identity(self):
+    def at_identity(self, point=None):
         """The value at X = I, the variables the entries of a square
         matrix: the sum of the coefficients of the monomials that hold
-        diagonal entries only (``on_diagonal``), each 1 there."""
+        diagonal entries only (``on_diagonal``), each 1 there.  With a
+        ``point``, the coefficients are rational functions regular at
+        t = point, and the value at X = I and t = point is the sum of
+        their values there, in the constant field."""
         fld = self.ring.field
+        diagonal = [c for exp, c in self.terms.items() if on_diagonal(exp)]
+        if point is not None:
+            diagonal = [fld.eval_at(c, point) for c in diagonal]
+            fld = fld.const
         total = fld.zero
-        for exp, c in self.terms.items():
-            if on_diagonal(exp):
-                total = fld.add(total, c)
+        for c in diagonal:
+            total = fld.add(total, c)
         return total
 
 

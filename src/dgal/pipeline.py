@@ -5,19 +5,23 @@ The stages compose as: relation ideal -> stabilizer (the proto-group H)
 relation lattice -> identity component of the Galois group -> finite
 part over the conjugates of gamma.  Every stage works from one
 fundamental matrix F_bar, expanded at the one point a of PipelineConfig:
-the relations and the character values are read off
-``systems.MonomialSeries`` stores at a, and the membership of F_bar in
-the identity component off the relation basis.  When H is finite, its
-exponent M, the least M with X^M = I modulo H's ideal, is read off H's
-reduced Groebner basis, and no point of H is computed.  F_bar is read
-off its expansion as sum_{k<M} C_k(t) gamma^k with gamma^M = t/a (one
-Hermite-Pade solve per entry; the gamma^k are binomial series),
-certified exactly in k(t) by the system itself, and the finite part is
-read off the C_k at a, one point per power of a root of unity.  Every
-completed run carries a sandwich
-certificate: the kernel of the characters of H's identity component is
-contained in the computed identity component, which is contained in H
-(checked by Groebner reduction).
+the relations are read off the ``systems.MonomialSeries`` store at a
+and certified, and the rest of the infinite path off that certified
+basis, with no series: the membership of F_bar in the identity
+component by reducing H's generators by the basis, and each
+character's logarithmic derivative v by reducing chi and its
+derivative by it (``hyperexp.logderiv_from_character``; D(chi) - v chi
+in the certified span proves chi(F_bar)' = v chi(F_bar)).  When H is
+finite, its exponent M, the least M with X^M = I modulo H's ideal, is
+read off H's reduced Groebner basis, and no point of H is computed.
+F_bar is read off its expansion as sum_{k<M} C_k(t) gamma^k with
+gamma^M = t/a (one Hermite-Pade solve per entry; the gamma^k are
+binomial series), certified exactly in k(t) by the system itself, and
+the finite part is read off the C_k at a, one point per power of a root
+of unity.  Every completed run carries a sandwich certificate: the
+kernel of the characters of H's identity component is contained in the
+computed identity component, which is contained in H (checked by
+Groebner reduction).
 
 The degree bound that makes the whole computation unconditional is
 astronomically large by construction; a run takes a relation degree
@@ -34,7 +38,6 @@ from .hyperexp import logderiv_from_character, relation_lattice
 from .multipoly import normal_form
 from .relations import find_relations, group_ring, in_span
 from .series import Series, rational_reconstruction
-from .systems import MonomialSeries
 
 
 class PipelineConfig:
@@ -75,7 +78,7 @@ class GaloisGroupDescription:
     part when the group is finite, and the provenance of the run."""
 
     def __init__(self, n, proto, rel, identity_comp, finite, points_field,
-                 points, component_count, dimension, rigorous, provenance):
+                 points, component_count, dimension, provenance):
         self.n = n
         self.proto = proto
         self.rel = rel
@@ -85,7 +88,6 @@ class GaloisGroupDescription:
         self.points = points
         self.component_count = component_count
         self.dimension = dimension
-        self.rigorous = rigorous
         self.provenance = provenance
         self.sandwich_checked = False
 
@@ -111,7 +113,10 @@ class GaloisGroupDescription:
             lines.append("component_generator: %s" % comp.ring.format(g))
         for g in self.proto.generators:
             lines.append("proto_generator: %s" % self.proto.ring.format(g))
-        lines.append("rigorous: %s" % ("yes" if self.rigorous else "no"))
+        # every path rests on certificates: the relation basis, F_bar's
+        # coefficients on the finite path, and the characters'
+        # logarithmic derivatives read off the basis
+        lines.append("rigorous: yes")
         lines.append("sandwich_checked: %s" %
                      ("yes" if self.sandwich_checked else "no"))
         for key, val in sorted(self.provenance.items()):
@@ -257,10 +262,9 @@ def _kummer_certified(sys, C, a):
     return at_a == linalg.identity(k, n)
 
 
-def _fbar_in_component(sys, rel, H, chars):
-    """The monomial-series store of F_bar at a, of the characters' largest
-    degree, once F_bar is checked to lie in H's identity component; only
-    alpha = I is supported there.
+def _fbar_in_component(rel, H):
+    """Check that F_bar lies in H's identity component; only alpha = I
+    is supported there.
 
     The caller has checked that H and its identity component have one
     ideal, so F_bar lies in the component when H's generators vanish at
@@ -284,8 +288,6 @@ def _fbar_in_component(sys, rel, H, chars):
         raise UnsupportedInstanceError(
             "membership of F_bar in the identity component could not be "
             "certified at this order")
-    return MonomialSeries(sys, rel.a,
-                          max(ch.poly.total_degree() for ch in chars))
 
 
 # -- identity component of the Galois group -----------------------------
@@ -445,8 +447,7 @@ def galois_group(sys, cfg):
         fld, pts = finite_part(alpha, H)
         provenance["alpha"] = alpha.describe()
         desc = GaloisGroupDescription(
-            n, H, rel, Hcirc, True, fld, pts, len(pts), 0, True,
-            provenance)
+            n, H, rel, Hcirc, True, fld, pts, len(pts), 0, provenance)
     else:
         if not _same_ideal(H, Hcirc):
             raise UnsupportedInstanceError(
@@ -456,11 +457,8 @@ def galois_group(sys, cfg):
         if not chars:
             provenance["alpha"] = "not needed (trivial character lattice)"
         else:
-            # u'/u of u = chi(F_bar) loses one order to d/dt and must
-            # still fix a numerator and a denominator of degree ell each
-            order = max(rel.order_used + 2, 4 * cfg.ell + 3)
-            store = _fbar_in_component(sys, rel, H, chars)
-            elements = [logderiv_from_character(ch, store, order, cfg.ell)
+            _fbar_in_component(rel, H)
+            elements = [logderiv_from_character(sys, rel, ch)
                         for ch in chars]
             rl = relation_lattice(elements)
             provenance["alpha"] = "alpha = I"
@@ -475,11 +473,9 @@ def galois_group(sys, cfg):
                     "the character relations cut the component properly; "
                     "the finite part over a positive dimensional component "
                     "is outside the supported class")
-        # the logarithmic derivatives of the characters rest on
-        # truncations
         desc = GaloisGroupDescription(
             n, H, rel, Hcirc, False, None, None, 1,
-            _dimension_estimate(Hcirc), not chars, provenance)
+            _dimension_estimate(Hcirc), provenance)
     if not sandwich_check(H, Hcirc, chars, desc.identity_component):
         raise DgalError("sandwich certificate failed: the computed "
                         "component is not between the character kernel "

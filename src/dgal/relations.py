@@ -25,7 +25,8 @@ truncation order and the kernel.  The kernel vectors are kept as
 ``{column: value}`` of their nonzero entries, and both the read-off
 (``_kernel_to_polys``) and the row reduction to the canonical basis
 touch only those entries of the shift generators.  That reduction, the
-closure of ``certify`` and the membership test ``in_span`` each run on
+closure of ``certify``, the membership test ``in_span`` and the
+remainders that ``hyperexp.logderiv_from_character`` reads each run on
 a ``linalg.RrefAccumulator`` whose columns are monomials in descending
 order (``_Echelon``), so a pivot is a leading monomial; the solve's
 certificate goes on closing the echelon that reduced its basis.
@@ -370,7 +371,10 @@ def certify(sys, basis, a, echelon=None, generators=None):
             whole = True
             todo.extend(Q for Q in basis
                         if not any(Q is G for G in generators))
-    return not any(refuted(C) for C in _local_basis(echelon.basis(), a))
+    # the local basis is regular at a, so each value at t = a, X = I is
+    # summed in k
+    return all(is_zero(C.at_identity(a))
+               for C in _local_basis(echelon.basis(), a))
 
 
 def _ideal_generators(basis, d):
@@ -446,6 +450,14 @@ class _Echelon:
         True if the span grew."""
         index = self.index
         return self.acc.add_sparse({index[e]: c for e, c in terms.items()})
+
+    def remainder(self, terms):
+        """The polynomial ``{monomial: coefficient}`` reduced by the rows,
+        as ``{monomial: coefficient}``: zero at every pivot, so the one
+        representative of its class modulo the span."""
+        index, monos = self.index, self.monos
+        row = self.acc.reduce({index[e]: c for e, c in terms.items()})
+        return {monos[j]: c for j, c in row.items()}
 
     def poly(self, row):
         """The polynomial of a row ``{column: value}``."""

@@ -183,17 +183,14 @@ def _det_series(entries):
     return total
 
 
-def rational_reconstruction(field, coeffs, num_deg, den_deg, basis=None):
+def rational_reconstruction(field, coeffs, num_deg, den_deg, basis):
     """Hermite-Pade: find q and p_k with q f = sum_k p_k b_k through the
     given series coefficients of f (in the local parameter), deg p_k <=
     num_deg, deg q <= den_deg and q(0) = 1.  basis lists the coefficients
-    of the series b_k, at least as many as of f; the default, the one
-    series 1, makes p_0/q a Pade approximant of f.  Every coefficient is a
-    row.  Returns (nums, den) ascending, one numerator per b_k, or
-    None."""
+    of the series b_k, at least as many as of f; the one series 1 makes
+    p_0/q a Pade approximant of f.  Every coefficient is a row.  Returns
+    (nums, den) ascending, one numerator per b_k, or None."""
     N = len(coeffs)
-    if basis is None:
-        basis = [[field.one] + [field.zero] * (N - 1)]
     width = len(basis) * (num_deg + 1)
     if N < width + den_deg + 1:
         raise DgalError("not enough series terms for reconstruction "
@@ -214,16 +211,3 @@ def rational_reconstruction(field, coeffs, num_deg, den_deg, basis=None):
         return None
     nums = [sol[b:b + num_deg + 1] for b in range(0, width, num_deg + 1)]
     return nums, [field.one] + sol[width:]
-
-
-def reconstruct_ratfunc(R, series, a, num_deg, den_deg):
-    """Reconstruct a rational function in t from its expansion at a; the
-    series is in u = t - a.  Returns a RatFunc or None."""
-    k = R.const
-    got = rational_reconstruction(k, series.coeffs, num_deg, den_deg)
-    if got is None:
-        return None
-    (num,), den = got
-    num_t = upoly.shift(k, num, k.neg(a))
-    den_t = upoly.shift(k, den, k.neg(a))
-    return R.from_coeffs(num_t, den_t)

@@ -154,6 +154,12 @@ class MonomialSeries:
         q = R.scale(q, k.inv(R.eval_at(q, a)))
         self.q = [image(c) for c in _u_coeffs(R, q, a)]
         P = [[_u_coeffs(R, R.mul(f, q), a) for f in row] for row in sys.A]
+        if d:
+            # each u-coefficient of P = qA is mapped into fld once, as are
+            # the exponents 0..d below; at degree 0 no Leibniz term reads
+            # them
+            P = [[[image(c) for c in cs] for cs in row] for row in P]
+        ints = [fld.from_int(e) for e in range(d + 1)]
         # q x_ij' = sum_l P_il x_lj, each P_il by its u-coefficients
         images = [[(l * n + j, P[i][l]) for l in range(n)]
                   for i in range(n) for j in range(n)]
@@ -166,7 +172,7 @@ class MonomialSeries:
                 for s, c in enumerate(cs):
                     key = (s, col)
                     merged[key] = fld.add(merged.get(key, fld.zero),
-                                          fld.mul(fld.from_int(e), image(c)))
+                                          fld.mul(ints[e], c))
             self.table.append([(s, col, c) for (s, col), c
                                in sorted(merged.items())
                                if not fld.is_zero(c)])

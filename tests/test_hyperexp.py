@@ -1,31 +1,102 @@
+import importlib.util
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgal.errors import ResourceCapError, UnsupportedInstanceError
+from dgal import upoly
+from dgal.errors import (DgalError, ResourceCapError,
+                         UnsupportedInstanceError)
 from dgal.fields import ConstField, field_adjoin
-from dgal.groups import Character, group_ring
+from dgal.groups import (Character, characters_generators, group_ring,
+                         identity_component)
 from dgal.hyperexp import (HyperexpElement, logderiv_from_character,
                            relation_lattice)
 from dgal.lattice import hnf_basis, saturate
-from dgal.ratfunc import RatFuncField
+from dgal.pipeline import PipelineConfig, proto_galois
+from dgal.ratfunc import RatFuncField, _series_div
+from dgal.relations import RelationIdeal, find_relations
+from dgal.series import rational_reconstruction
 from dgal.systems import MonomialSeries, OdeSystem
+from test_sweep import exponentials, gauges, rotations
 
 K = ConstField()
 R = RatFuncField(K)
+FAMILIES = Path(__file__).resolve().parent.parent / "perfbench" / \
+    "families.py"
 
 
 def he(text):
     return HyperexpElement(R, R.parse(text))
 
 
-def series_of_t(degree):
-    """The monomial-series store of y' = y/t at a = 1, whose fundamental
-    matrix is F = t."""
-    s = OdeSystem(R, [[R.parse("1/t")]])
-    return MonomialSeries(s, K.from_int(1), degree)
+def sys_of(*rows):
+    return OdeSystem(R, [[R.parse(e) for e in row] for row in rows])
+
+
+def relations_of_t(degree):
+    """y' = y/t at a = 1, whose fundamental matrix is F = t, with its
+    certified relations of degree <= ``degree``."""
+    s = sys_of(["1/t"])
+    return s, find_relations(s, K.from_int(1), degree, 2)
+
+
+def pade_logderiv(chi, store, order, deg):
+    """The read-off that the relation basis replaced, kept here as the
+    reference: w = u'/u of u = chi(F) by one series division through
+    u^order, F the fundamental matrix whose monomial series ``store``
+    holds, then the Pade approximant of w of degree (deg, deg), taken
+    when the one of w one order lower agrees with it (None otherwise)."""
+    u = store.series_of(chi.poly, order)
+    kf = u.field
+    du = u.diff().coeffs
+    w = _series_div(kf, du, u.coeffs, len(du))
+    Rk = RatFuncField(kf)
+    back = kf.neg(kf.coerce_from(store.field, store.a))
+    got = []
+    for coeffs in (w, w[:-1]):
+        one = [kf.one] + [kf.zero] * (len(coeffs) - 1)
+        pade = rational_reconstruction(kf, coeffs, deg, deg, [one])
+        if pade is None:
+            return None
+        (num,), den = pade
+        got.append(Rk.from_coeffs(upoly.shift(kf, num, back),
+                                  upoly.shift(kf, den, back)))
+    return HyperexpElement(Rk, got[0]) if Rk.eq(*got) else None
+
+
+def character_stages(sys_, d, a, ell=2):
+    """The relation ideal and the characters of the identity component
+    of the proto-group, as ``galois`` reads them; None off the character
+    path (a finite or refused proto-group, or no character)."""
+    try:
+        H, rel = proto_galois(sys_, PipelineConfig(d, a=K.from_int(a),
+                                                   ell=ell))
+        chars = characters_generators(identity_component(H), rel.d)
+    except DgalError:
+        return None
+    return (rel, chars) if chars else None
+
+
+def assert_logderivs_match_the_reference(sys_, d, a, ell=2):
+    """On the character path, v from the relation basis equals the
+    series and Pade read-off, at the order and the degree cap the
+    pipeline gave that read-off; returns the number of characters."""
+    stages = character_stages(sys_, d, a, ell)
+    if stages is None:
+        return 0
+    rel, chars = stages
+    store = MonomialSeries(sys_, rel.a,
+                           max(ch.poly.total_degree() for ch in chars))
+    order = max(rel.order_used + 2, 4 * ell + 3)
+    for ch in chars:
+        got = logderiv_from_character(sys_, rel, ch)
+        want = pade_logderiv(ch, store, order, ell)
+        assert want is not None
+        assert got.R.eq(got.v, got.R.coerce_from(want.R, want.v)), ch
+    return len(chars)
 
 
 def lattice_text(rl):
@@ -63,31 +134,117 @@ def saturated_exponents(rl, l):
 
 
 def test_logderiv_of_t():
+    # x_1_1 - t is a relation: x_1_1 leaves the remainder t, and its
+    # derivative x_1_1/t the remainder 1
+    s, rel = relations_of_t(1)
     ring = group_ring(1, K)
-    el = logderiv_from_character(Character(ring.parse("x_1_1"), ring),
-                                 series_of_t(1), 20, 3)
+    el = logderiv_from_character(s, rel, Character(ring.parse("x_1_1"), ring))
     assert el.R.format(el.v) == "(1)/(t)"
 
 
 def test_logderiv_of_t_squared_character():
+    s, rel = relations_of_t(2)
     ring = group_ring(1, K)
-    el = logderiv_from_character(Character(ring.parse("x_1_1^2"), ring),
-                                 series_of_t(2), 20, 3)
+    el = logderiv_from_character(s, rel,
+                                 Character(ring.parse("x_1_1^2"), ring))
     assert el.R.format(el.v) == "(2)/(t)"
 
 
 def test_logderiv_trivial_character():
+    s, rel = relations_of_t(1)
     ring = group_ring(1, K)
-    el = logderiv_from_character(Character(ring.one, ring), series_of_t(0),
-                                 20, 3)
+    el = logderiv_from_character(s, rel, Character(ring.one, ring))
     assert el.R.is_zero(el.v)
 
 
-def test_logderiv_order_too_small():
-    ring = group_ring(1, K)
-    with pytest.raises(ResourceCapError):
-        logderiv_from_character(Character(ring.parse("x_1_1"), ring),
-                                series_of_t(1), 5, 3)
+def harmonic_without_a_relation():
+    """The harmonic oscillator at a = 0, its character, and a hand-built
+    relation ideal that lacks x_1_2 + x_2_1 from its certified basis."""
+    s = sys_of(["0", "1"], ["-1", "0"])
+    rel, chars = character_stages(s, 2, 0)
+    gone = rel.ring.parse("x_1_2 + x_2_1")
+    assert any(P == gone for P in rel.basis)
+    basis = [P for P in rel.basis if P != gone]
+    cut = RelationIdeal(rel.ring, basis, d=rel.d, a=rel.a, ell=rel.ell,
+                        order_used=rel.order_used, generators=basis)
+    return s, cut, chars[0]
+
+
+def test_logderiv_refused_beyond_the_caps():
+    # without x_1_2 + x_2_1 the remainders of chi = -g*x_2_1 + x_2_2 and
+    # of its derivative are not proportional: no v is read, and the
+    # refusal names the character and the caps
+    s, cut, chi = harmonic_without_a_relation()
+    assert chi.ring.format(chi.poly) == "-g*x_2_1 + x_2_2"
+    with pytest.raises(ResourceCapError) as err:
+        logderiv_from_character(s, cut, chi)
+    assert str(err.value) == (
+        "no logarithmic derivative of the character -g*x_2_1 + x_2_2 is "
+        "read off the certified relations under the caps d = 2, ell = 2")
+    assert err.value.exit_code == 3
+
+
+def test_logderiv_on_the_worked_examples():
+    # y' = y and the harmonic oscillator, with their README flags: the
+    # two worked examples that take the character path
+    golden = Path(__file__).parent / "golden"
+    for name, d, v in [("exp", 3, "1"), ("harmonic", 2, "g")]:
+        s = OdeSystem.from_document((golden / (name + ".sys")).read_text())
+        assert assert_logderivs_match_the_reference(s, d, 0) == 1
+        rel, (chi,) = character_stages(s, d, 0)
+        el = logderiv_from_character(s, rel, chi)
+        assert el.R.format(el.v) == v
+
+
+@pytest.mark.parametrize("rows, d, a", [
+    ([["t"]], 3, 0),
+    ([["t"]], 2, 1),
+    ([["1/(2*t) + t"]], 3, 1),
+    ([["t", "0"], ["0", "-1"]], 2, 1),
+], ids=["t-at-0", "t-at-1", "sqrt-t-gauss", "diag-t-minus-1"])
+def test_logderiv_matches_the_reference_t_dependent(rows, d, a):
+    assert assert_logderivs_match_the_reference(sys_of(*rows), d, a) >= 1
+
+
+def load_families():
+    spec = importlib.util.spec_from_file_location("perfbench_families",
+                                                  FAMILIES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_logderiv_matches_the_reference_on_the_torus_families():
+    # every rotation and exponential that torus-characters deals
+    families = load_families()
+    instances = [families.rotation(w, p) for w in families.ROTATION_WS
+                 for p in families.POINTS_01] + [
+        families.exponential(c, 3, p) for c in families.EXP_CS
+        for p in families.POINTS_01]
+    for inst in instances:
+        argv = list(inst.argv)
+        d = int(argv[argv.index("--degree-override") + 1])
+        a = int(argv[argv.index("--point") + 1])
+        assert assert_logderivs_match_the_reference(
+            sys_of(*inst.rows), d, a) == 1, inst.name
+
+
+@pytest.mark.parametrize("family", [rotations, exponentials, gauges],
+                         ids=["rotations", "exponentials", "gauges"])
+def test_logderiv_matches_the_reference_on_the_sweep(family):
+    # 12 derandomized draws of each family; the characters met are counted
+    met = []
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(family())
+    def check(instance):
+        rows, flags, _expect, _certified = instance
+        d = int(flags[flags.index("--degree-override") + 1])
+        a = int(flags[flags.index("--point") + 1])
+        met.append(assert_logderivs_match_the_reference(sys_of(*rows), d, a))
+
+    check()
+    assert sum(met) > 0
 
 
 def test_half_lattice():

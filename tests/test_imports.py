@@ -146,6 +146,21 @@ def test_points_are_solved_for_the_transport_search_only():
     assert readers == ["relations.py"]
 
 
+def test_logarithmic_derivatives_read_no_series():
+    # a character's logarithmic derivative is read off the certified
+    # relation basis: hyperexp builds no series store and evaluates no
+    # series, and only the second-point check and its transport search,
+    # in relations, evaluate a polynomial on the series store
+    hyperexp = (SRC / "hyperexp.py").read_text()
+    for name in ("MonomialSeries", "series_of", "Series",
+                 "rational_reconstruction"):
+        assert attribute_reads(hyperexp, name) == 0, name
+    assert reaches(hyperexp, "logderiv_from_character", "_derivative")
+    readers = [name for name in MODULES
+               if attribute_reads((SRC / name).read_text(), "series_of")]
+    assert readers == ["relations.py"]
+
+
 def test_finite_part_splits_no_polynomial():
     # the finite part's roots of unity are the powers of one root of a
     # cyclotomic factor (fields.roots_of_unity): the pipeline never

@@ -8,11 +8,11 @@ and arithmetic, text form and partial fractions in Q(t)."""
 from fractions import Fraction
 
 import sympy as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import ZZ
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
-from dgal import upoly
+from dgal import factor, upoly
 from dgal.fields import ConstField, factor_list, field_adjoin
 from dgal.lattice import hnf_basis, integer_kernel
 from dgal.ratfunc import RatFuncField
@@ -106,6 +106,46 @@ def test_gcd_over_qq_matches_sympy(a, b, c):
     want = sp.gcd(poly(f), poly(g)).monic()
     assert poly(h) == want and upoly.gcd(QQ, f, g) == h
     assert _product(QQ, [h, cf]) == f and _product(QQ, [h, cg]) == g
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@st.composite
+def low_degree_polys(draw):
+    """Ascending Fraction coefficients of degree 1 or 2: a line, any
+    quadratic, a product of two lines, or a constant times a square."""
+    kind = draw(st.sampled_from(["line", "any", "split", "square"]))
+    if kind == "line":
+        return [draw(small_fractions), draw(nonzero_fractions)]
+    if kind == "any":
+        return [draw(small_fractions), draw(small_fractions),
+                draw(nonzero_fractions)]
+    a, b = draw(nonzero_fractions), draw(small_fractions)
+    c, d = (a, b) if kind == "square" else (draw(nonzero_fractions),
+                                            draw(small_fractions))
+    lead = draw(nonzero_fractions) if kind == "square" else 1
+    return [lead * b * d, lead * (a * d + b * c), lead * a * c]
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_degree_polys())
+# x^2 - 1/2 and x^2 - 9/8: a square numerator over a non-square
+# denominator; x^2 - 4/9 splits, and x^2 + 1 has a negative discriminant
+@example([Fraction(-1, 2), 0, 1])
+@example([Fraction(-9, 8), 0, 1])
+@example([Fraction(-4, 9), 0, 1])
+@example([1, 0, 1])
+def test_low_degree_irreducibility_matches_sympy(coeffs):
+    """Degree 1 is irreducible, and degree 2 exactly when the
+    discriminant is not a rational square: sympy and the factor list
+    agree, squares and split products included."""
+    f = [QQ.from_fraction(c) for c in coeffs]
+    factors = factor_list(QQ, f)[0]
+    want = poly(f).is_irreducible
+    assert factor.is_irreducible(QQ, f) == want
+    assert want == (len(factors) == 1 and factors[0][1] == 1)
 
 
 QQ_SQRT2 = field_adjoin(QQ, [QQ.from_int(-2), QQ.zero, QQ.one])[0]

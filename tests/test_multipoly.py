@@ -71,6 +71,18 @@ def test_value_at_identity_and_leibniz_rule():
         [((1, 2), 2, 5)]
 
 
+def test_value_at_identity_and_a_point_is_summed_in_k():
+    # coefficients in k(t) regular at t = 2: each is evaluated there and
+    # the values summed in k, which is the value of the sum in k(t)
+    Rt = RatFuncField(K)
+    ring2 = group_ring(2, Rt)
+    P = ring2.parse("t/(t + 1)*x_1_1*x_2_2 + (t^2 - 4)*x_1_1 + 1/t*x_1_2 "
+                    "+ 1/(t - 1)")
+    two = K.from_int(2)
+    assert P.at_identity(two) == Rt.eval_at(P.at_identity(), two) == \
+        K.from_fraction(Fraction(5, 3))
+
+
 def test_ideal_membership_after_groebner():
     R = ring("x", "y")
     x, y = R.gens

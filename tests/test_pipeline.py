@@ -80,10 +80,9 @@ def test_exponential_full_group():
 
 
 def test_character_stage_reads_one_store(monkeypatch):
-    """The rotation group's characters are read off the store that
-    checks F_bar against the identity component: the run builds two
-    monomial-series stores, the relation solve's and that one, and no
-    fundamental_series."""
+    """The rotation group's characters are read off the relation basis:
+    the run builds one monomial-series store, the relation solve's, and
+    no fundamental_series."""
     calls = {"store": 0, "fundamental_series": 0}
     init, fundamental = MonomialSeries.__init__, OdeSystem.fundamental_series
 
@@ -99,7 +98,7 @@ def test_character_stage_reads_one_store(monkeypatch):
     monkeypatch.setattr(OdeSystem, "fundamental_series", counting_fundamental)
     desc = run(sys_of(["0", "1"], ["-1", "0"]), 2, a=K.zero)
     assert desc.provenance["alpha"] == "alpha = I"
-    assert calls == {"store": 2, "fundamental_series": 0}
+    assert calls == {"store": 1, "fundamental_series": 0}
 
 
 def test_rational_solution_trivial_group():
@@ -266,7 +265,7 @@ def test_membership_refuses_a_constant_polynomial_off_the_span():
     shifted = AlgebraicSubgroup(2, ring, [g], connected=True)
     with pytest.raises(UnsupportedInstanceError,
                        match="membership of F_bar in the identity component"):
-        _fbar_in_component(sys_, rel, shifted, chars)
+        _fbar_in_component(rel, shifted)
 
 
 def test_membership_of_a_torus_with_a_component_generator_above_d():
@@ -284,10 +283,10 @@ def test_membership_of_a_torus_with_a_component_generator_above_d():
 
 
 def test_harmonic_character_path_work(monkeypatch):
-    """One harmonic run evaluates one series per character, none of H
-    deg's generators, from a store of the characters' degree 1; the
-    sandwich certificate normal-forms at most the component's reduced
-    basis."""
+    """One harmonic run builds one series store, the relation solve's at
+    its degree 2, and evaluates no series: the characters' logarithmic
+    derivatives are read off the relation basis.  The sandwich
+    certificate normal-forms at most the component's reduced basis."""
     calls = {"series_of": 0, "normal_form": 0, "gb_len": 0, "chars": 0}
     degrees = []
     init, series_of = MonomialSeries.__init__, MonomialSeries.series_of
@@ -319,10 +318,10 @@ def test_harmonic_character_path_work(monkeypatch):
     monkeypatch.setattr(dgal.pipeline, "sandwich_check", recording_check)
     desc = run(sys_of(["0", "1"], ["-1", "0"]), 2, a=K.zero)
     assert desc.sandwich_checked and calls["chars"] >= 1
-    # the relation solve's store, then the characters' one
-    assert len(degrees) == 2 and degrees[-1] == 1
-    assert calls["series_of"] == calls["chars"]
+    assert degrees == [2]
+    assert calls["series_of"] == 0
     assert 0 < calls["normal_form"] <= calls["gb_len"]
+    assert "rigorous: yes" in desc.to_document().splitlines()
 
 
 def test_same_ideal_of_one_group():

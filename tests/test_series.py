@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dgal.errors import DgalError, SingularPointError
 from dgal.fields import ConstField, field_adjoin
 from dgal.ratfunc import RatFuncField, _series_div
-from dgal.series import (Series, ratfunc_series, rational_reconstruction,
-                         reconstruct_ratfunc)
+from dgal import upoly
+from dgal.series import Series, ratfunc_series, rational_reconstruction
 
 K = ConstField()
 R = RatFuncField(K)
@@ -15,6 +15,13 @@ R = RatFuncField(K)
 
 def frac(p, q=1):
     return K.from_fraction(Fraction(p, q))
+
+
+def pade(coeffs, num_deg, den_deg):
+    """The Pade approximant of degree (num_deg, den_deg) of the series
+    ``coeffs``: the Hermite-Pade problem over the one series 1."""
+    one = [K.one] + [K.zero] * (len(coeffs) - 1)
+    return rational_reconstruction(K, coeffs, num_deg, den_deg, [one])
 
 
 def test_series_ring_ops():
@@ -57,8 +64,8 @@ def unit_series(draw):
 @settings(max_examples=60, deadline=None)
 @given(unit_series())
 def test_logderiv_is_one_series_division(u):
-    # u'/u by one division, as hyperexp.logderiv_from_character forms it;
-    # multiplying back by u checks both sides of the first equality at once
+    # u'/u by one division; multiplying back by u checks both sides of the
+    # first equality at once
     du = u.diff()
     w = _series_div(u.field, du.coeffs, u.coeffs, len(du.coeffs))
     assert w == (du * u.inverse()).coeffs
@@ -81,21 +88,23 @@ def test_rational_reconstruction_roundtrip():
     f = R.parse("(t^2 + 3)/(t + 2)")
     a = K.from_int(1)
     s = ratfunc_series(R, f, a, 10)
-    g = reconstruct_ratfunc(R, s, a, 2, 1)
-    assert g is not None and R.eq(f, g)
+    (num,), den = pade(s.coeffs, 2, 1)
+    g = R.from_coeffs(upoly.shift(K, num, K.neg(a)),
+                      upoly.shift(K, den, K.neg(a)))
+    assert R.eq(f, g)
 
 
 def test_rational_reconstruction_needs_margin():
     with pytest.raises(DgalError):
-        rational_reconstruction(K, [frac(1)] * 3, 2, 2)
+        pade([frac(1)] * 3, 2, 2)
 
 
 def test_reconstruction_fails_for_exponential():
     # e^u has no rational representation: reconstruction at two orders disagrees
     import math
     coeffs = [frac(1, math.factorial(k)) for k in range(12)]
-    got1 = rational_reconstruction(K, coeffs[:8], 3, 3)
-    got2 = rational_reconstruction(K, coeffs[:12], 3, 3)
+    got1 = pade(coeffs[:8], 3, 3)
+    got2 = pade(coeffs[:12], 3, 3)
     # either no solution at the longer order, or the two disagree
     if got1 is not None and got2 is not None:
         assert got1 != got2
